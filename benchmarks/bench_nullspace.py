@@ -1,0 +1,198 @@
+#!/usr/bin/env python3
+"""Time the exact nullspace on its two paths: fraction-free Bareiss
+(`Matrix._nullspace_ffgj`) and the multimodular lift (`relpos.modular`,
+exact check included, run past its routing test), checking that both give
+the same basis.  Three tables:
+
+1. Classify traffic.  Every exact nullspace that `decompose`,
+   `are_isomorphic` and `phi_plus` take on random 2-, 3- and 4-subspace
+   systems in C^1..C^6 (the classify workload draws up to C^5; C^6 adds
+   its next shapes), summed by column count: End and Hom constraints
+   (d^2 columns), orthocomplements and the C_i blocks (d columns),
+   intersections (dim a + dim b columns).  Each column count is timed as
+   one batch per path, the paths taking turns, best of seven.
+   `relpos.modular.MIN_COLS` is read against this table; "routed s" is
+   the time of `Matrix.nullspace`, which takes Bareiss below MIN_COLS
+   and where `relpos.modular._lifting_pays` refuses the lift.
+2. Hom constraints of the operator workload, 36 to 144 columns.
+3. Wide generic matrices with large kernels and large entries, whose lifts
+   run to the Hadamard bound, with the path `Matrix.nullspace` takes
+   ("route") and its time ("routed s").
+
+Other times are best of three, in seconds.  Run from the repository root:
+
+    PYTHONPATH=src python3 benchmarks/bench_nullspace.py
+"""
+
+import random
+import time
+from collections import defaultdict
+from fractions import Fraction
+
+from relpos import coxeter, modular
+from relpos.catalog import build_gp4, jordan_block, single_operator_system
+from relpos.decompose import are_isomorphic, decompose
+from relpos.gaussian import GQ
+from relpos.matrix import EXACT, Matrix
+from relpos.sampling import random_invertible, random_system
+from relpos.system import _hom_constraints
+
+REPEATS = 3
+BATCH_REPEATS = 7
+DRAWS = 4  # classify systems per (n, d)
+D_MAX = 6
+
+
+def best_of(fn):
+    best, out = float("inf"), None
+    for _ in range(REPEATS):
+        t0 = time.perf_counter()
+        out = fn()
+        best = min(best, time.perf_counter() - t0)
+    return best, out
+
+
+def batch_times(fns, mats):
+    """Best time of each fn over all of mats, the fns taking turns."""
+    best = [float("inf")] * len(fns)
+    for _ in range(BATCH_REPEATS):
+        for i, fn in enumerate(fns):
+            t0 = time.perf_counter()
+            for m in mats:
+                fn(m)
+            best[i] = min(best[i], time.perf_counter() - t0)
+    return best
+
+
+def lift(m):
+    """The multimodular basis of m and the primes it used, routing test off."""
+    routed = modular._lifting_pays
+    modular._lifting_pays = lambda *args: True
+    try:
+        re, im = m._to_int_rows_reduced()
+        ker = modular.nullspace(re, im, m.rows, m.cols)
+    finally:
+        modular._lifting_pays = routed
+    return Matrix(m.cols, len(ker.free), EXACT, entries=ker.entries), ker.primes
+
+
+def compare(m):
+    """(bareiss s, lift s, primes, nullity); fails if the bases differ."""
+    t_ff, want = best_of(m._nullspace_ffgj)
+    t_mod, (got, primes) = best_of(lambda: lift(m))
+    assert got == want, f"{m.rows}x{m.cols}: the two paths disagree"
+    return t_ff, t_mod, primes, want.cols
+
+
+def route(m):
+    """The path relpos.modular.nullspace picks for m (MIN_COLS aside)."""
+    re, im = m._to_int_rows_reduced()
+    return "bareiss" if modular.nullspace(re, im, m.rows, m.cols) is None else "lift"
+
+
+def classify_traffic():
+    """Every exact nullspace of the classify pipeline on seeded systems."""
+    seen = []
+    plain = Matrix.nullspace
+
+    def recording(self):
+        if self.field == EXACT and self.rows and self.cols:
+            seen.append(self)
+        return plain(self)
+
+    rng = random.Random(2024)
+    Matrix.nullspace = recording
+    try:
+        for n in (2, 3, 4):
+            for d in range(1, D_MAX + 1):
+                for _ in range(DRAWS):
+                    s = random_system(rng, d, n)
+                    decompose(s)
+                    are_isomorphic(s, s.apply(random_invertible(rng, d)))
+                    if n == 4:
+                        coxeter.phi_plus(s)
+    finally:
+        Matrix.nullspace = plain
+    return seen
+
+
+def operator_constraints(rng, size):
+    """End constraints of S_T for T = P J P^-1, J with blocks 2, 1, 2, ...
+    alternating between eigenvalues 1 and i."""
+    blocks, left, k = [], size, 0
+    while left:
+        part = min(2 if k % 2 == 0 else 1, left)
+        blocks.append(jordan_block(part, GQ(1) if k % 2 == 0 else GQ(0, 1)))
+        left -= part
+        k += 1
+    p = random_invertible(rng, size)
+    t = p @ Matrix.block_diag(blocks) @ p.inverse()
+    s = single_operator_system(t)
+    return _hom_constraints(s, s)
+
+
+def iso_constraints(rng, family, k):
+    s = build_gp4(family, k)
+    return _hom_constraints(s, s.apply(random_invertible(rng, s.ambient_dim)))
+
+
+def hom_shapes():
+    rng = random.Random(2024)
+    yield "iso3 S3(2k,1)", iso_constraints(rng, "S3(2k,1)", 3)
+    yield "iso3 S(2k+1,2)", iso_constraints(rng, "S(2k+1,2)", 3)
+    yield "jordan4", operator_constraints(rng, 4)
+    yield "iso4 S1(2k+1,-1)", iso_constraints(rng, "S1(2k+1,-1)", 4)
+    yield "jordan5", operator_constraints(rng, 5)
+    yield "jordan6", operator_constraints(rng, 6)
+
+
+def wide_shapes():
+    """Generic Z[i] rows x cols matrices with entries of the given bits."""
+    rng = random.Random(2024)
+    for rows, cols, bits in [(36, 40, 3), (30, 60, 4), (20, 40, 8), (20, 40, 30),
+                             (20, 40, 61), (10, 40, 61), (5, 40, 200)]:
+        span = 2**bits
+        ents = [GQ(Fraction(rng.randint(-span, span)), Fraction(rng.randint(-span, span)))
+                for _ in range(rows * cols)]
+        yield f"generic {bits}-bit", Matrix.exact(rows, cols, ents)
+
+
+def main():
+    print("1. classify traffic, summed by column count")
+    print(f"{'cols':>4} {'calls':>6} {'nullity':>7} {'bareiss s':>10} {'lift s':>10} "
+          f"{'primes':>6} {'ratio':>6} {'lifted':>6} {'routed s':>9}")
+    groups = defaultdict(list)
+    for m in classify_traffic():
+        groups[m.cols].append(m)
+    for cols in sorted(groups):
+        mats = groups[cols]
+        primes = nullity = lifted = 0
+        for m in mats:
+            got, p = lift(m)
+            assert got == m._nullspace_ffgj(), f"{m.rows}x{m.cols}: the two paths disagree"
+            primes, nullity = primes + p, nullity + got.cols
+            lifted += cols >= modular.MIN_COLS and route(m) == "lift"
+        t_ff, t_mod, t_routed = batch_times(
+            [Matrix._nullspace_ffgj, lift, Matrix.nullspace], mats)
+        print(f"{cols:>4} {len(groups[cols]):>6} {nullity:>7} {t_ff:>10.4f} {t_mod:>10.4f} "
+              f"{primes:>6} {t_ff / t_mod:>5.2f}x {lifted:>6} {t_routed:>9.4f}")
+
+    head = (f"{'shape':<18} {'rows x cols':>11} {'nullity':>7} {'bareiss s':>10} "
+            f"{'lift s':>10} {'primes':>6} {'ratio':>6}")
+    print("\n2. Hom constraints\n" + head)
+    for label, m in hom_shapes():
+        t_ff, t_mod, primes, nullity = compare(m)
+        print(f"{label:<18} {m.rows:>5} x {m.cols:<3} {nullity:>7} {t_ff:>10.4f} "
+              f"{t_mod:>10.4f} {primes:>6} {t_ff / t_mod:>5.2f}x")
+
+    print("\n3. wide generic matrices\n" + head + f" {'route':>7} {'routed s':>9}")
+    for label, m in wide_shapes():
+        t_ff, t_mod, primes, nullity = compare(m)
+        t_routed, _ = best_of(m.nullspace)
+        print(f"{label:<18} {m.rows:>5} x {m.cols:<3} {nullity:>7} {t_ff:>10.4f} "
+              f"{t_mod:>10.4f} {primes:>6} {t_ff / t_mod:>5.2f}x {route(m):>7} {t_routed:>9.4f}")
+    print(f"\nrelpos.modular.MIN_COLS = {modular.MIN_COLS}")
+
+
+if __name__ == "__main__":
+    main()

@@ -2,8 +2,7 @@
 
 Matrices are flat row-major pairs of int lists (real, imaginary).  This module
 is the fallback twin of the compiled extension `relpos._gaussint_c`; both must
-stay byte-for-byte compatible in behaviour (see tests/test_kernel.py and
-benchmarks/bench_kernel.py).
+stay byte-for-byte compatible in behaviour (see tests/test_kernel.py).
 """
 
 BACKEND = "pure"

@@ -75,15 +75,12 @@ class CatalogKey:
         kind, rest = text.split(":", 1)
         kind = kind.lower()
         if kind in ("gp3", "two", "one", "example"):
-            try:
-                return CatalogKey(kind=kind, index=int(rest))
-            except ValueError as exc:
-                raise ParseError(f"bad catalog index in {text!r}") from exc
+            return CatalogKey(kind=kind, index=_parse_int(rest, text))
         if kind == "jordan":
             fields = _parse_fields(rest)
             if "k" not in fields or "l" not in fields:
                 raise ParseError("jordan key needs k=<size>.l=<eigenvalue>")
-            return CatalogKey(kind="jordan", k=int(fields["k"]), lam=parse_gq(fields["l"]))
+            return CatalogKey(kind="jordan", k=_parse_int(fields["k"], text), lam=parse_gq(fields["l"]))
         if kind != "gp4":
             raise ParseError(f"unknown catalog kind {kind!r}")
         m = _re.match(r"(S[0-9]*\(2k(?:\+1)?,[^)]*\))(?:\.(.*))?$", rest)
@@ -102,7 +99,14 @@ class CatalogKey:
             if sorted(digits) != ["1", "2", "3", "4"]:
                 raise ParseError(f"bad permutation {digits!r}")
             perm = tuple(int(c) for c in digits)
-        return CatalogKey(kind="gp4", family=family, k=int(fields["k"]), lam=lam, perm=perm)
+        return CatalogKey(kind="gp4", family=family, k=_parse_int(fields["k"], text), lam=lam, perm=perm)
+
+
+def _parse_int(value: str, text: str) -> int:
+    try:
+        return int(value)
+    except ValueError as exc:
+        raise ParseError(f"bad integer {value!r} in catalog key {text!r}") from exc
 
 
 def _parse_fields(rest: str) -> dict:

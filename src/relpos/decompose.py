@@ -44,20 +44,19 @@ class EndAlgebra:
     def radical_basis(self):
         """Jacobson radical via the trace form (characteristic zero)."""
         if self._radical is None:
-            m = self.dim
-            gram = Matrix(
-                m, m, EXACT,
-                entries=[(self.basis[j] @ self.basis[k]).trace() for j in range(m) for k in range(m)],
-            ) if m else Matrix.zeros(0, 0)
-            ker = gram.nullspace()
+            m, d = self.dim, self.ambient_dim
             rad = []
-            for c in range(ker.cols):
-                x = Matrix.zeros(self.ambient_dim, self.ambient_dim)
-                for j in range(m):
-                    coeff = ker.entry(j, c)
-                    if coeff:
-                        x = x + self.basis[j].scale(coeff)
-                rad.append(x)
+            if m:
+                # Row j of `flat` is the row-major flattening of B_j, i.e.
+                # vec(B_j^T), so trace(B_j B_k) = vec(B_j^T)^T vec(B_k) makes
+                # the trace form one product; the radical elements, the
+                # combinations of the B_j by the kernel vectors, are another.
+                flat = Matrix(m, d * d, EXACT, entries=[z for b in self.basis for z in b.entries()])
+                gram = flat @ Matrix.hstack([b.vec() for b in self.basis])
+                ker = gram.nullspace()
+                if ker.cols:
+                    combos = ker.transpose() @ flat
+                    rad = [combos.take_rows([c]).reshape(d, d) for c in range(ker.cols)]
             self._radical = rad
             self._semisimple_dim = m - len(rad)
         return self._radical

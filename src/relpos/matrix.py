@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import kernel
+from . import kernel, modular
 from .errors import BackendMismatch, DimensionMismatch, ExactOnlyError, SingularMatrixError
 from .gaussian import GQ, ZERO, ONE
 
@@ -28,6 +28,22 @@ def _as_gq(x):
     if isinstance(x, (int, Fraction)):
         return GQ(x)
     raise TypeError(f"cannot use {type(x).__name__} as an exact scalar")
+
+
+def _integerize(entries):
+    """(re, im, den): the entries times their common denominator den, as ints."""
+    parts = [(z.re.numerator, z.re.denominator, z.im.numerator, z.im.denominator) for z in entries]
+    den = 1
+    for _, rd, _, idn in parts:
+        if rd != 1:
+            den = math.lcm(den, rd)
+        if idn != 1:
+            den = math.lcm(den, idn)
+    if den == 1:
+        return [p[0] for p in parts], [p[2] for p in parts], 1
+    re = [rn * (den // rd) for rn, rd, _, _ in parts]
+    im = [inum * (den // idn) for _, _, inum, idn in parts]
+    return re, im, den
 
 
 class Matrix:
@@ -280,16 +296,6 @@ class Matrix:
             return Matrix(self.rows, self.cols, EXACT, entries=[c * a for a in self._e])
         return Matrix.from_array(complex(c) * self._f, tol=self.tol)
 
-    def _to_int_lists(self):
-        """Clear denominators: returns (re, im, den) with self = M_int / den."""
-        den = 1
-        for z in self._e:
-            den = den * z.re.denominator // math.gcd(den, z.re.denominator)
-            den = den * z.im.denominator // math.gcd(den, z.im.denominator)
-        re = [int(z.re * den) for z in self._e]
-        im = [int(z.im * den) for z in self._e]
-        return re, im, den
-
     def _to_int_rows_reduced(self):
         """Row-wise integerization with gcd stripping.
 
@@ -298,18 +304,8 @@ class Matrix:
         re = []
         im = []
         for i in range(self.rows):
-            row = self._e[i * self.cols : (i + 1) * self.cols]
-            den = 1
-            for z in row:
-                den = den * z.re.denominator // math.gcd(den, z.re.denominator)
-                den = den * z.im.denominator // math.gcd(den, z.im.denominator)
-            rre = [int(z.re * den) for z in row]
-            rim = [int(z.im * den) for z in row]
-            g = 0
-            for v in rre:
-                g = math.gcd(g, v)
-            for v in rim:
-                g = math.gcd(g, v)
+            rre, rim, _ = _integerize(self._e[i * self.cols : (i + 1) * self.cols])
+            g = math.gcd(*rre, *rim)
             if g > 1:
                 rre = [v // g for v in rre]
                 rim = [v // g for v in rim]
@@ -323,8 +319,8 @@ class Matrix:
             raise DimensionMismatch("matmul: inner dimensions differ")
         if self.field == FLOAT:
             return Matrix.from_array(self._f @ other._f, tol=self.tol)
-        are, aim, da = self._to_int_lists()
-        bre, bim, db = other._to_int_lists()
+        are, aim, da = _integerize(self._e)
+        bre, bim, db = _integerize(other._e)
         cre, cim = kernel.matmul(are, aim, self.rows, self.cols, bre, bim, other.cols)
         d = da * db
         ents = [GQ(Fraction(a, d), Fraction(b, d)) for a, b in zip(cre, cim)]
@@ -430,14 +426,29 @@ class Matrix:
             return Matrix.zeros(0, 0)
         if self.rows == 0:
             return Matrix.identity(self.cols)
-        R, pivots = self.rref()
+        int_rows = self._to_int_rows_reduced()
+        if self.cols >= modular.MIN_COLS:
+            ker = modular.nullspace(*int_rows, self.rows, self.cols)
+            if ker is not None:
+                return Matrix(self.cols, len(ker.free), EXACT, entries=ker.entries)
+        return self._nullspace_ffgj(int_rows)
+
+    def _nullspace_ffgj(self, int_rows=None) -> "Matrix":
+        """The canonical exact basis read off the fraction-free rref of the
+        integerised rows (computed here when not given)."""
+        re, im = int_rows or self._to_int_rows_reduced()
+        rre, rim, pivots, dre, dim = kernel.ffgj(re, im, self.rows, self.cols)
+        den = GQ(dre, dim)
         free = [c for c in range(self.cols) if c not in pivots]
-        ents = [ZERO] * (self.cols * len(free))
+        k = len(free)
+        ents = [ZERO] * (self.cols * k)
         for jf, f in enumerate(free):
-            ents[f * len(free) + jf] = ONE
+            ents[f * k + jf] = ONE
             for r, c in enumerate(pivots):
-                ents[c * len(free) + jf] = -R._e[r * self.cols + f]
-        return Matrix(self.cols, len(free), EXACT, entries=ents)
+                a, b = rre[r * self.cols + f], rim[r * self.cols + f]
+                if a or b:
+                    ents[c * k + jf] = -(GQ(a, b) / den)
+        return Matrix(self.cols, k, EXACT, entries=ents)
 
     def solve(self, rhs: "Matrix"):
         """One exact solution X of self @ X = rhs, or None if inconsistent.
@@ -471,8 +482,9 @@ class Matrix:
                 return Matrix.from_array(np.linalg.inv(self._f), tol=self.tol)
             except np.linalg.LinAlgError as exc:
                 raise SingularMatrixError(str(exc)) from exc
+        # A @ X = I is consistent only for invertible square A.
         x = self.solve(Matrix.identity(self.rows))
-        if x is None or self.rank() != self.rows:
+        if x is None:
             raise SingularMatrixError("matrix is not invertible")
         return x
 

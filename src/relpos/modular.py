@@ -1,0 +1,330 @@
+"""Certified multimodular nullspace over Q(i).
+
+For a prime p = 1 (mod 4) with s^2 = -1 (mod p), the maps a + bi -> a + b*s
+and a + bi -> a - b*s send Z[i] onto F_p (the two primes of Z[i] over p).
+Gauss-Jordan elimination of both images runs in numpy int64 arithmetic;
+the real and imaginary parts of the reduced row echelon entries follow from
+the pair of images, are lifted by CRT over several primes, and are recovered
+as rationals by rational reconstruction (Wang 1981).
+
+An image can be unlucky: its rank may drop, or its pivots may move right.
+Since rank_p <= rank_Q and every prefix of columns obeys the same bound, the
+lucky images are those of maximal rank with the lexicographically least
+pivot columns; only images with that key are combined.  The candidate basis
+N (identity on the free columns, pivot entries taken from the reconstructed
+echelon form) is then certified by one exact product C @ N = 0 over Z[i]:
+each column of N shows that its free column depends on earlier pivot
+columns over Q(i), so the pivots over Q(i) are exactly those mod p and N is
+exactly the canonical nullspace basis.  A failed check adds a prime; past a
+prime budget derived from the Hadamard bound the caller falls back to
+fraction-free elimination, so no uncertified basis is ever returned.  The
+caller also falls back at once, after the first prime, when the worst-case
+lift would cost more than that elimination (`_lifting_pays`).
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+from dataclasses import dataclass
+from fractions import Fraction
+
+import numpy as np
+
+from . import kernel
+from .gaussian import GQ, ONE, ZERO
+
+# Matrices with fewer columns stay on fraction-free elimination.  On the
+# classify traffic in benchmarks/bench_nullspace.py the lift, whose fixed
+# cost is a few numpy calls, loses below 7 columns, ties at 7 to 9 and wins
+# by 1.1x to 2.5x from 10 columns on.
+MIN_COLS = 10
+
+# Primes below 2**31 keep every product of two residues inside int64.
+_PRIME_CEILING = 2**31
+_PRIMES: list = []  # (p, s) pairs, p = 1 (mod 4) descending, s*s = -1 (mod p)
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin for n < 4,759,123,141 (bases 2, 7, 61)."""
+    if n < 2:
+        return False
+    for q in (2, 3, 5, 7, 61):
+        if n % q == 0:
+            return n == q
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in (2, 7, 61):
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def prime(i: int):
+    """The i-th table entry (p, s); the table grows on demand."""
+    while len(_PRIMES) <= i:
+        c = _PRIMES[-1][0] - 4 if _PRIMES else _PRIME_CEILING - 3
+        while not _is_prime(c):
+            c -= 4
+        g = 2
+        while pow(g, (c - 1) // 2, c) != c - 1:
+            g += 1
+        _PRIMES.append((c, pow(g, (c - 1) // 4, c)))
+    return _PRIMES[i]
+
+
+def _rref_mod(a, p):
+    """Reduced row echelon form of the 2-d image a over F_p, in place.
+
+    Returns the pivot columns.  Only rows with a nonzero entry in the pivot
+    column are updated, which keeps the early steps on sparse constraint
+    matrices cheap."""
+    rows, cols = a.shape
+    pivots = []
+    pr = 0
+    for c in range(cols):
+        nz = np.flatnonzero(a[pr:, c])
+        if not len(nz):
+            continue
+        src = pr + nz[0]
+        if src != pr:
+            a[[pr, src]] = a[[src, pr]]
+        prow = a[pr, c:] * pow(int(a[pr, c]), p - 2, p) % p
+        factors = a[:, c].copy()
+        factors[pr] = 0
+        hit = np.flatnonzero(factors)
+        if len(hit):
+            block = a[hit, c:]
+            block -= np.multiply.outer(factors[hit], prow)
+            block %= p
+            a[hit, c:] = block
+        a[pr, c:] = prow
+        pivots.append(c)
+        pr += 1
+        if pr == rows:
+            break
+    return pivots
+
+
+def _ratrecon(u: int, m: int, bound: int):
+    """n/d with |n|, d <= bound and n = d*u (mod m), or None (Wang 1981)."""
+    r0, r1 = m, u
+    t0, t1 = 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        t0, t1 = t1, t0 - q * t1
+    if t1 < 0:
+        r1, t1 = -r1, -t1
+    if t1 > bound or math.gcd(r1, t1) != 1:
+        return None
+    return r1, t1
+
+
+def _row_log2_norms(are, aim):
+    """log2 of the norms of the nonzero rows, largest first.  The sum of the
+    first r is log2 of the Hadamard bound H on every r x r minor."""
+    parts = [are] if aim is None else [are, aim]
+    if are.dtype != object:
+        parts = [p.astype(np.float64) for p in parts]
+    sq = sum((p * p).sum(axis=1) for p in parts).tolist()
+    return sorted((math.log2(v) / 2 for v in sq if v), reverse=True)
+
+
+def _lifting_pays(nrows, ncols, nullity, images, log2h):
+    """Whether the worst-case lift costs less than fraction-free elimination.
+
+    The real and imaginary parts of the rank x nullity echelon entries of
+    each image have numerators and denominators up to H^images, so
+    reconstructing them takes at most 2 * images * log2 H bits of 31-bit
+    primes: rank * nullity * images CRT updates per prime.  Bareiss makes
+    rank * nrows * ncols cell updates on entries of the same sizes.  Hom
+    constraints (small kernels) pass; wide matrices with large kernels and
+    large entries, whose lifts run to the bound, do not."""
+    primes = 2 * images * log2h / 31
+    return nullity * images * primes <= nrows * ncols
+
+
+def _images(are, aim, p, s):
+    """Images of are + i*aim under i -> s and i -> -s (one image when real)."""
+    rp = np.remainder(are, p).astype(np.int64, copy=False)
+    if aim is None:
+        return [rp]
+    ip = np.remainder(aim, p).astype(np.int64, copy=False)
+    plus = ip * s
+    plus += rp
+    plus %= p
+    ip *= p - s
+    ip += rp
+    ip %= p
+    return [plus, ip]
+
+
+@dataclass
+class Nullspace:
+    """Certified canonical nullspace: free columns and the basis, flat
+    row-major ncols x len(free), plus how it was found."""
+
+    free: list
+    entries: list
+    primes: int
+    discarded: int
+    checks: int
+
+
+class _Lift:
+    """CRT accumulation and reconstruction of the echelon entries."""
+
+    def __init__(self, key, free, count):
+        self.key = key
+        self.free = free
+        self.modulus = 1
+        self.primes = 0
+        self.values = [0] * count  # residues mod modulus, real parts then imaginary
+
+    def add(self, residues, p):
+        m = self.modulus
+        minv = pow(m % p, -1, p)
+        vals = self.values
+        for j, r in enumerate(residues):
+            v = vals[j]
+            vals[j] = v + m * ((r - v) * minv % p)
+        self.modulus = m * p
+        self.primes += 1
+
+    def reconstruct(self):
+        """All entries as (n, d), or None at the first one that does not
+        reconstruct yet.  The entries share denominators (minors of one
+        pivot block), so each residue is first multiplied by the running
+        common denominator and needs a Euclid run only when that product is
+        not already a small numerator."""
+        m = self.modulus
+        bound = math.isqrt(m // 2)
+        out = []
+        den = 1
+        for u in self.values:
+            w = u * den % m
+            if w <= bound:
+                num, d = w, den
+            elif m - w <= bound:
+                num, d = w - m, den
+            else:
+                got = _ratrecon(w, m, bound)
+                if got is not None and got[1] * den <= bound:
+                    num, d = got[0], got[1] * den
+                    den = d
+                else:
+                    got = _ratrecon(u, m, bound)
+                    if got is None:
+                        return None
+                    num, d = got
+            g = math.gcd(num, d)
+            out.append((num // g, d // g))
+        return out
+
+
+def nullspace(re, im, nrows, ncols):
+    """Canonical nullspace of the Z[i] matrix (re + i*im), flat row-major.
+
+    Returns a Nullspace, or None when the lift does not pay or once the
+    prime budget is spent (the caller then eliminates exactly)."""
+    bits = max(max(re), -min(re), max(im), -min(im)).bit_length()
+    dtype = np.int64 if bits < 63 else object
+    real = not any(im)
+    are = np.array(re, dtype=dtype).reshape(nrows, ncols)
+    aim = None if real else np.array(im, dtype=dtype).reshape(nrows, ncols)
+    # The Hadamard bound H on the rank x rank minors caps numerators and
+    # denominators of the echelon entries at H^images, so 2 * images * log2 H
+    # bits reconstruct them, and the unlucky primes multiply to at most H^2.
+    # The lift is priced first at the largest rank the shape allows, then at
+    # the rank of the first prime.
+    norms = _row_log2_norms(are, aim)
+    images = 1 if real else 2
+    rank = min(len(norms), ncols)
+    if not _lifting_pays(nrows, ncols, ncols - rank, images, sum(norms[:rank])):
+        return None
+    budget = math.inf
+    spent = 0.0
+    lift = None
+    discarded = checks = 0
+    for i in itertools.count():
+        if spent > budget:
+            return None
+        p, s = prime(i)
+        spent += math.log2(p)
+        imgs = _images(are, aim, p, s)
+        keys = [(-len(pv), pv) for pv in (_rref_mod(img, p) for img in imgs)]
+        key = min(keys)
+        if i == 0:
+            rank = len(key[1])
+            log2h = sum(norms[:rank])
+            if not _lifting_pays(nrows, ncols, ncols - rank, images, log2h):
+                return None
+            budget = 6 * log2h + 64
+        if lift is None or key < lift.key:
+            if lift is not None:
+                discarded += lift.primes
+            pivot_set = set(key[1])
+            free = [c for c in range(ncols) if c not in pivot_set]
+            lift = _Lift(key, free, len(key[1]) * len(free) * len(imgs))
+        if any(k != lift.key for k in keys):
+            discarded += 1
+            continue
+        rank = len(lift.key[1])
+        free = lift.free
+        blocks = [img[:rank][:, free].ravel() for img in imgs]
+        if real:
+            residues = blocks[0].tolist()
+        else:
+            half = pow(2, -1, p)
+            x = (blocks[0] + blocks[1]) % p * half % p
+            y = (blocks[0] - blocks[1]) % p * (half * pow(s, -1, p) % p) % p
+            residues = x.tolist() + y.tolist()
+        lift.add(residues, p)
+        got = lift.reconstruct()
+        if got is None:
+            continue
+        checks += 1
+        entries = _certify(re, im, nrows, ncols, lift.key[1], free, got, real)
+        if entries is not None:
+            return Nullspace(free, entries, i + 1, discarded, checks)
+
+
+def _certify(re, im, nrows, ncols, pivots, free, fracs, real):
+    """Assemble the candidate basis and check C @ N = 0 exactly over Z[i].
+
+    Returns the basis as flat GQ entries, or None when the check fails."""
+    k = len(free)
+    rank = len(pivots)
+    count = rank * k
+    nre = [0] * (ncols * k)
+    nim = [0] * (ncols * k)
+    ents = [ZERO] * (ncols * k)
+    for jf, f in enumerate(free):
+        den = 1
+        for r in range(rank):
+            den = math.lcm(den, fracs[r * k + jf][1])
+            if not real:
+                den = math.lcm(den, fracs[count + r * k + jf][1])
+        nre[f * k + jf] = den
+        ents[f * k + jf] = ONE
+        for r, c in enumerate(pivots):
+            xn, xd = fracs[r * k + jf]
+            yn, yd = (0, 1) if real else fracs[count + r * k + jf]
+            if xn or yn:
+                nre[c * k + jf] = -xn * (den // xd)
+                nim[c * k + jf] = -yn * (den // yd)
+                ents[c * k + jf] = GQ(Fraction(-xn, xd), Fraction(-yn, yd))
+    cre, cim = kernel.matmul(re, im, nrows, ncols, nre, nim, k)
+    if any(cre) or any(cim):
+        return None
+    return ents

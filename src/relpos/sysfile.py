@@ -118,6 +118,8 @@ def parse(text: str) -> SystemFile:
                 ambient = int(parts[1])
             except (IndexError, ValueError) as exc:
                 raise ParseError("bad ambient line") from exc
+            if ambient < 0:
+                raise ParseError(f"negative ambient dimension {ambient}")
             idx += 1
         elif parts[0] == "subspace":
             if field_name is None or ambient is None:
@@ -129,6 +131,8 @@ def parse(text: str) -> SystemFile:
                 dim = int(parts[3])
             except ValueError as exc:
                 raise ParseError("bad subspace dimension") from exc
+            if dim < 0:
+                raise ParseError(f"subspace {name}: negative dimension {dim}")
             idx += 1
             rows = []
             scalar = parse_gq if field_name == FIELD_NAMES[EXACT] else parse_cfloat

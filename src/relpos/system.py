@@ -141,6 +141,13 @@ def hom_space(s: SubspaceSystem, t: SubspaceSystem) -> HomBasis:
     ds, dt = s.ambient_dim, t.ambient_dim
     if ds == 0 or dt == 0:
         return HomBasis(s, t, [])
+    ker = _hom_constraints(s, t).nullspace()
+    basis = [Matrix.unvec(ker.column(j), dt, ds) for j in range(ker.cols)]
+    return HomBasis(s, t, basis)
+
+
+def _hom_constraints(s: SubspaceSystem, t: SubspaceSystem) -> Matrix:
+    """The constraint matrix of hom_space: the blocks B_i^T (x) C_i, stacked."""
     blocks = []
     for e_i, f_i in zip(s.subspaces, t.subspaces):
         if e_i.dim == 0:
@@ -150,12 +157,8 @@ def hom_space(s: SubspaceSystem, t: SubspaceSystem) -> HomBasis:
             continue
         blocks.append(e_i.basis.transpose().kron(c_i))
     if not blocks:
-        constraints = Matrix.zeros(0, dt * ds, s.field)
-    else:
-        constraints = Matrix.vstack(blocks)
-    ker = constraints.nullspace()
-    basis = [Matrix.unvec(ker.column(j), dt, ds) for j in range(ker.cols)]
-    return HomBasis(s, t, basis)
+        return Matrix.zeros(0, t.ambient_dim * s.ambient_dim, s.field)
+    return Matrix.vstack(blocks)
 
 
 def end_basis(s: SubspaceSystem):

@@ -154,6 +154,8 @@ class LaurentSymbol:
             if not m:
                 raise ParseError(f"bad symbol coefficient {chunk!r}")
             k = int(m.group(1))
+            if k in coeffs:
+                raise ParseError(f"repeated coefficient offset {k}")
             body = m.group(2)
             rows = []
             for rowtext in _re.findall(r"\[([^\]]*)\]", body):

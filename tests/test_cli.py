@@ -165,6 +165,32 @@ def test_parse_error_exit_code():
     assert code == 2
 
 
+def test_negative_ambient_exit_code():
+    text = "relpos-system 1\nfield gaussian-rational\nambient -2\n"
+    code, _, err = run_cli(["defect", "-"], stdin_text=text)
+    assert code == 2
+    assert "negative ambient" in err
+
+
+def test_negative_subspace_dim_exit_code():
+    text = "relpos-system 1\nfield gaussian-rational\nambient 2\nsubspace E1 dim -3\n"
+    code, _, err = run_cli(["defect", "-"], stdin_text=text)
+    assert code == 2
+    assert "negative dimension" in err
+
+
+def test_non_integer_catalog_size_exit_code():
+    code, _, err = run_cli(["catalog", "build", "gp4:S(2k+1,2).k=x"])
+    assert code == 2
+    assert "parse error" in err
+
+
+def test_repeated_symbol_offset_exit_code():
+    code, _, err = run_cli(["toeplitz", "index", "--symbol", "block=1; k:1=[[1]]; k:1=[[2]]"])
+    assert code == 2
+    assert "repeated coefficient offset" in err
+
+
 def test_boundary_alpha_exit_code():
     code, _, err = run_cli(["toeplitz", "regions", "--alpha", "1"])
     assert code == 2

@@ -1,0 +1,248 @@
+"""The multimodular nullspace against fraction-free elimination: entry-by-entry
+equality on random and catalog matrices, unlucky primes, the routing test and
+the fallbacks, and the prime table."""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from relpos import modular
+from relpos.catalog import build_gp4, jordan_block, single_operator_system
+from relpos.gaussian import GQ
+from relpos.matrix import EXACT, Matrix
+from relpos.sampling import random_system
+from relpos.system import _hom_constraints
+
+
+def rand_entry(rng, bits, kind):
+    span = 2**bits
+    re = rng.randint(-span, span)
+    im = 0 if kind == "real" else rng.randint(-span, span)
+    if kind == "qi":
+        return GQ(Fraction(re, rng.randint(1, 6)), Fraction(im, rng.randint(1, 6)))
+    return GQ(re, im)
+
+
+def rand_matrix(rng, rows, cols, rank, bits, kind):
+    """rows x cols with the given rank (None: generic), entries of about `bits` bits."""
+    if rank is None:
+        return Matrix.exact(rows, cols, [rand_entry(rng, bits, kind) for _ in range(rows * cols)])
+    if rank == 0:
+        return Matrix.zeros(rows, cols)
+    left = rand_matrix(rng, rows, rank, None, bits // 2 + 1, kind)
+    right = rand_matrix(rng, rank, cols, None, bits // 2 + 1, kind)
+    return left @ right
+
+
+def with_zero_rows(m, every):
+    zero = Matrix.zeros(1, m.cols)
+    rows = [zero if i % every == 0 else m.take_rows([i]) for i in range(m.rows)]
+    return Matrix.vstack(rows)
+
+
+@pytest.fixture
+def lift_always(monkeypatch):
+    """Run the lift even where `_lifting_pays` would send the matrix to
+    fraction-free elimination."""
+    monkeypatch.setattr(modular, "_lifting_pays", lambda *args: True)
+
+
+def modular_nullspace(m):
+    re, im = m._to_int_rows_reduced()
+    ker = modular.nullspace(re, im, m.rows, m.cols)
+    assert ker is not None
+    return Matrix(m.cols, len(ker.free), EXACT, entries=ker.entries), ker
+
+
+# (rows, cols, rank, bits, kind): tall, wide and square; full, deficient and
+# zero rank; Z[i], Q(i) and real entries up to about 200 bits; both sides of
+# MIN_COLS.
+CASES = [
+    (6, 8, None, 4, "zi"),
+    (9, 5, 3, 6, "qi"),
+    (8, 12, None, 4, "zi"),
+    (20, 10, None, 4, "qi"),
+    (16, 16, 9, 8, "zi"),
+    (12, 12, None, 3, "real"),
+    (36, 40, None, 3, "zi"),
+    (50, 36, 20, 4, "qi"),
+    (40, 40, 30, 10, "real"),
+    (33, 33, None, 2, "zi"),
+    (34, 34, 0, 2, "zi"),
+    (6, 34, None, 200, "zi"),
+    (40, 34, 4, 200, "qi"),
+    (10, 18, 5, 120, "zi"),
+]
+
+
+@pytest.mark.usefixtures("lift_always")
+@pytest.mark.parametrize("case", CASES, ids=[f"{c[0]}x{c[1]}-r{c[2]}-{c[3]}b-{c[4]}" for c in CASES])
+def test_matches_fraction_free(case):
+    rows, cols, rank, bits, kind = case
+    rng = random.Random(CASES.index(case))
+    m = rand_matrix(rng, rows, cols, rank, bits, kind)
+    want = m._nullspace_ffgj()
+    got, ker = modular_nullspace(m)
+    assert got == want
+    assert ker.checks >= 1
+    assert m.nullspace() == want
+
+
+@pytest.mark.usefixtures("lift_always")
+@pytest.mark.parametrize("seed", range(3))
+def test_zero_rows_in_the_middle(seed):
+    rng = random.Random(seed)
+    m = with_zero_rows(rand_matrix(rng, 45, 40, 25, 6, "zi"), 3)
+    assert m.nullspace() == m._nullspace_ffgj()
+
+
+def catalog_pairs():
+    lam = GQ(2)
+    yield build_gp4("S(2k+1,2)", 3), build_gp4("S(2k+1,2)", 3)
+    yield build_gp4("S(2k+1,2)", 3), build_gp4("S1(2k+1,-1)", 3)
+    yield build_gp4("S(2k,0;l)", 3, lam), build_gp4("S13(2k,0)", 3)
+    yield build_gp4("S3(2k,1)", 3), build_gp4("S3(2k,-1)", 3)
+    op = single_operator_system(jordan_block(4, GQ(1, 1)))
+    yield op, op
+    rng = random.Random(11)
+    yield random_system(rng, 6, 4), random_system(rng, 6, 4)
+
+
+@pytest.mark.usefixtures("lift_always")
+@pytest.mark.parametrize("pair", range(6))
+def test_hom_constraints_of_catalog_pairs(pair):
+    s, t = list(catalog_pairs())[pair]
+    c = _hom_constraints(s, t)
+    assert c.cols >= modular.MIN_COLS
+    got, _ = modular_nullspace(c)
+    assert got == c._nullspace_ffgj()
+
+
+def test_catalog_and_operator_hom_constraints_take_the_lift():
+    # Small kernels: the worst-case lift is cheaper than Bareiss.  (The
+    # random pair, nullity 13 of 36 columns, is sent to Bareiss although its
+    # lift would stop after two primes.)
+    for s, t in list(catalog_pairs())[:5]:
+        modular_nullspace(_hom_constraints(s, t))
+
+
+@pytest.mark.usefixtures("lift_always")
+def test_unlucky_rational_prime_is_discarded():
+    # Over Q(i) column 0 is a pivot; mod the first table prime it vanishes
+    # and the pivot moves right, so that prime must be thrown away.
+    p0, _ = modular.prime(0)
+    c = lead_block(Matrix.from_rows([[p0]]), random.Random(5), 20, 36)
+    got, ker = modular_nullspace(c)
+    assert ker.discarded >= 1
+    assert got == c._nullspace_ffgj()
+
+
+def lead_block(lead, rng, rows, cols):
+    """`lead` in the top-left corner, zeros below it, random entries elsewhere."""
+    k = lead.cols
+    top = Matrix.hstack([lead, rand_matrix(rng, lead.rows, cols - k, None, 3, "zi")])
+    rest = rand_matrix(rng, rows - lead.rows, cols - k, None, 3, "zi")
+    return Matrix.vstack([top, Matrix.hstack([Matrix.zeros(rows - lead.rows, k), rest])])
+
+
+@pytest.mark.usefixtures("lift_always")
+def test_unlucky_gaussian_prime_in_one_embedding():
+    # s - i vanishes under i -> s only: the two images of the first prime
+    # disagree on the pivots and the prime is discarded.
+    p0, s0 = modular.prime(0)
+    c = lead_block(Matrix.from_rows([[GQ(s0, -1)]]), random.Random(6), 10, 34)
+    got, ker = modular_nullspace(c)
+    assert ker.discarded >= 1
+    assert got == c._nullspace_ffgj()
+
+
+@pytest.mark.usefixtures("lift_always")
+def test_unlucky_pivot_minor():
+    # The leading 2x2 minor is p0 although no entry is divisible by p0, so
+    # mod p0 the second pivot moves right.
+    p0, _ = modular.prime(0)
+    c = lead_block(Matrix.from_rows([[1, 2], [3, 6 + p0]]), random.Random(7), 7, 40)
+    got, ker = modular_nullspace(c)
+    assert ker.discarded >= 1
+    assert got == c._nullspace_ffgj()
+
+
+@pytest.mark.usefixtures("lift_always")
+def test_failed_checks_fall_back_to_fraction_free(monkeypatch):
+    rng = random.Random(8)
+    m = rand_matrix(rng, 6, 34, 4, 6, "zi")
+    want = m._nullspace_ffgj()
+    monkeypatch.setattr(modular, "_certify", lambda *args: None)
+    re, im = m._to_int_rows_reduced()
+    assert modular.nullspace(re, im, m.rows, m.cols) is None
+    assert m.nullspace() == want
+
+
+def count_images(monkeypatch):
+    """The primes of every image _rref_mod eliminates from now on."""
+    seen = []
+    rref_mod = modular._rref_mod
+    monkeypatch.setattr(modular, "_rref_mod", lambda a, p: seen.append(p) or rref_mod(a, p))
+    return seen
+
+
+def test_wide_large_entries_go_to_fraction_free(monkeypatch):
+    # A generic 20x40 matrix with 61-bit entries has a 20-dimensional kernel
+    # whose entries need about 180 primes; Bareiss is several times faster.
+    # The shape alone bounds the nullity from below, so no prime is tried.
+    m = rand_matrix(random.Random(9), 20, 40, None, 61, "zi")
+    images = count_images(monkeypatch)
+    re, im = m._to_int_rows_reduced()
+    assert modular.nullspace(re, im, m.rows, m.cols) is None
+    assert images == []
+    assert m.nullspace() == m._nullspace_ffgj()
+
+
+def test_large_kernel_found_by_the_first_prime_goes_to_fraction_free(monkeypatch):
+    # Square, so the shape allows full rank; the first prime shows rank 10
+    # and a 20-dimensional kernel, and the lift stops after its two images.
+    m = rand_matrix(random.Random(10), 30, 30, 10, 61, "zi")
+    images = count_images(monkeypatch)
+    re, im = m._to_int_rows_reduced()
+    assert modular.nullspace(re, im, m.rows, m.cols) is None
+    assert len(images) == 2
+    assert m.nullspace() == m._nullspace_ffgj()
+
+
+def test_lifting_pays():
+    # iso4 Hom constraint: 80 x 81, nullity 1, log2 H about 1300.
+    assert modular._lifting_pays(80, 81, 1, 2, 1300)
+    # The 20x40 matrix above: nullity 20, log2 H about 1270.
+    assert not modular._lifting_pays(20, 40, 20, 2, 1270)
+    # A zero matrix needs no prime beyond the first.
+    assert modular._lifting_pays(3, 40, 40, 1, 0)
+
+
+def test_prime_table():
+    def is_prime(n):
+        if n % 2 == 0:
+            return False
+        f = 3
+        while f * f <= n:
+            if n % f == 0:
+                return False
+            f += 2
+        return True
+
+    modular.prime(11)
+    seen = []
+    for p, s in modular._PRIMES:
+        assert p < 2**31
+        assert p % 4 == 1
+        assert is_prime(p)
+        assert s * s % p == p - 1
+        seen.append(p)
+    assert seen == sorted(set(seen), reverse=True)
+
+
+def test_rational_reconstruction():
+    m = 2**61 - 1
+    for n, d in [(3, 7), (-5, 12), (0, 1), (1, 1), (-1, 10**8)]:
+        u = n * pow(d, -1, m) % m
+        assert modular._ratrecon(u, m, 2**30) == (n, d)
