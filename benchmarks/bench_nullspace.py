@@ -69,11 +69,11 @@ def lift(m):
     routed = modular._lifting_pays
     modular._lifting_pays = lambda *args: True
     try:
-        re, im = m._to_int_rows_reduced()
+        re, im = m._primitive_rows()
         ker = modular.nullspace(re, im, m.rows, m.cols)
     finally:
         modular._lifting_pays = routed
-    return Matrix(m.cols, len(ker.free), EXACT, entries=ker.entries), ker.primes
+    return Matrix._ints(m.cols, len(ker.free), ker.re, ker.im, ker.den), ker.primes
 
 
 def compare(m):
@@ -86,7 +86,7 @@ def compare(m):
 
 def route(m):
     """The path relpos.modular.nullspace picks for m (MIN_COLS aside)."""
-    re, im = m._to_int_rows_reduced()
+    re, im = m._primitive_rows()
     return "bareiss" if modular.nullspace(re, im, m.rows, m.cols) is None else "lift"
 
 

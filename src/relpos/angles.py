@@ -52,18 +52,14 @@ def _mgs(cols: np.ndarray) -> np.ndarray:
 class TwoSubspaceDecomposition:
     """Five-part splitting of the ambient space for a pair (E, F).
 
-    part_dims maps the five parts to dimensions; the generic part counts the
-    K+K block as 2*len(angles)... nope: 'generic' is the K-dimension (pairs).
+    part_dims maps the five parts to dimensions; 'generic' is the dimension
+    of K, the number of angle pairs, so the K+K block has twice that.
     """
 
     part_dims: dict
     angles: np.ndarray
     unitary: np.ndarray
     residual: float
-
-    @property
-    def generic_dim(self) -> int:
-        return self.part_dims["generic"]
 
 
 def halmos_decompose(e: Subspace, f: Subspace, corner_tol: float = CORNER_TOL) -> TwoSubspaceDecomposition:

@@ -9,7 +9,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import __version__
 from .angles import classify_two_system, halmos_decompose
@@ -64,12 +63,6 @@ def _load_system(path: str, tol: float):
     return system_from_text(_read_text(path), tol)
 
 
-def _frac(x) -> str:
-    if isinstance(x, Fraction):
-        return str(x)
-    return str(x)
-
-
 def _render_report(report: dict, as_json: bool) -> str:
     if as_json:
         return json.dumps(report, sort_keys=True, default=str)
@@ -111,7 +104,7 @@ def cmd_defect(args) -> int:
         "command": "defect",
         "ambient_dim": rep.ambient_dim,
         "dims": list(rep.dims),
-        "defect": _frac(rep.defect),
+        "defect": str(rep.defect),
         "m": {f"{i},{j}": v for (i, j), v in rep.m.items()},
         "n_perp": {f"{i},{j}": v for (i, j), v in rep.nperp.items()},
         "consistency": rep.consistency,
@@ -241,7 +234,7 @@ def cmd_toeplitz(args) -> int:
         parts = single_operator_defect_report(sym)
         report = {
             "command": "toeplitz defect",
-            "defect": _frac(parts.defect),
+            "defect": str(parts.defect),
             "contributions": parts.contributions,
             "certifications": parts.certifications,
         }
@@ -253,7 +246,7 @@ def cmd_toeplitz(args) -> int:
         report = {
             "command": "toeplitz regions",
             "alpha": format_gq(alpha),
-            "defect": _frac(value),
+            "defect": str(value),
         }
         _emit(report, args)
         return EXIT_OK
@@ -268,7 +261,7 @@ def cmd_toeplitz(args) -> int:
         "pair_intersections": {f"{i},{j}": v for (i, j), v in rep.pair_intersections.items()},
         "pair_angles": {f"{i},{j}": v for (i, j), v in rep.pair_angles.items()},
         "not_operator_system": rep.not_operator_system,
-        "defect_estimate": _frac(rep.defect_estimate),
+        "defect_estimate": str(rep.defect_estimate),
     }
     _emit(report, args)
     return EXIT_OK

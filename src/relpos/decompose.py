@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, ExactOnlyError, InvariantViolation
-from .gaussian import GQ
+from .gaussian import GQ, ZERO
 from .matrix import EXACT, Matrix
 from .poly import coprime_split, factor_over_gaussian_rationals
 from .subspace import Subspace, intersect
@@ -51,7 +51,7 @@ class EndAlgebra:
                 # vec(B_j^T), so trace(B_j B_k) = vec(B_j^T)^T vec(B_k) makes
                 # the trace form one product; the radical elements, the
                 # combinations of the B_j by the kernel vectors, are another.
-                flat = Matrix(m, d * d, EXACT, entries=[z for b in self.basis for z in b.entries()])
+                flat = Matrix.vstack([b.reshape(1, d * d) for b in self.basis])
                 gram = flat @ Matrix.hstack([b.vec() for b in self.basis])
                 ker = gram.nullspace()
                 if ker.cols:
@@ -493,8 +493,7 @@ def _match_summands(s, t, ds: DecompositionTree, dt: DecompositionTree, seed) ->
     for c in dt.components:
         t_off.append(off)
         off += c.ambient_dim
-    mid = Matrix.zeros(d, d)
-    ents = list(mid._e)
+    ents = [ZERO] * (d * d)
     for j, (k, wj) in enumerate(matches):
         rj = ds.components[j].ambient_dim
         for a in range(rj):

@@ -7,6 +7,7 @@ scientific parts: `1.5`, `2e-3-0.25i`.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .errors import ParseError
@@ -177,10 +178,14 @@ def _parse_real(body: str, exact: bool):
     try:
         if "/" in body:
             num, den = body.split("/", 1)
-            return float(num) / float(den)
-        return float(body)
+            val = float(num) / float(den)
+        else:
+            val = float(body)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad float {body!r}") from exc
+    if not math.isfinite(val):
+        raise ParseError(f"non-finite float {body!r}")
+    return val
 
 
 def _parse(text: str, exact: bool):

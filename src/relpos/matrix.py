@@ -1,8 +1,11 @@
 """Dense matrices over Q(i) (exact) or complex doubles (float, with tolerance).
 
-Both backends sit behind one class; the exact path routes pivoting work
-through the integer kernel (relpos.kernel), the float path through numpy.
-Backends never mix inside one matrix or one operation.
+Both backends sit behind one class.  Exact data is two flat row-major int
+tuples (real and imaginary numerators) over one positive denominator, with
+gcd(den, numerators) = 1 so that equal matrices have equal storage; exact
+operations work on these integers through relpos.kernel, and GQ scalars
+appear only at the edges.  The float path runs through numpy.  Backends
+never mix inside one matrix or one operation.
 """
 
 from __future__ import annotations
@@ -22,34 +25,38 @@ FLOAT = "float"
 DEFAULT_TOL = 1e-9
 
 
-def _as_gq(x):
-    if isinstance(x, GQ):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return GQ(x)
-    raise TypeError(f"cannot use {type(x).__name__} as an exact scalar")
-
-
 def _integerize(entries):
-    """(re, im, den): the entries times their common denominator den, as ints."""
-    parts = [(z.re.numerator, z.re.denominator, z.im.numerator, z.im.denominator) for z in entries]
-    den = 1
-    for _, rd, _, idn in parts:
-        if rd != 1:
-            den = math.lcm(den, rd)
-        if idn != 1:
-            den = math.lcm(den, idn)
-    if den == 1:
-        return [p[0] for p in parts], [p[2] for p in parts], 1
-    re = [rn * (den // rd) for rn, rd, _, _ in parts]
-    im = [inum * (den // idn) for _, _, inum, idn in parts]
+    """(re, im, den): the exact scalars times their least common denominator."""
+    zs = []
+    for z in entries:
+        if not isinstance(z, (GQ, int, Fraction)):
+            raise TypeError(f"cannot use {type(z).__name__} as an exact scalar")
+        zs.append(z if isinstance(z, GQ) else GQ(z))
+    den = math.lcm(*(z.re.denominator for z in zs), *(z.im.denominator for z in zs))
+    re = [z.re.numerator * (den // z.re.denominator) for z in zs]
+    im = [z.im.numerator * (den // z.im.denominator) for z in zs]
     return re, im, den
+
+
+def _pivot_rows(reduced, width, columns, out_rows, sign=1):
+    """From the kernel's fraction-free rref of a matrix with `width` columns:
+    the out_rows x len(columns) matrix whose row c is sign times the reduced
+    row with pivot c, restricted to `columns`, other rows zero, as
+    (re, im, dre, dim) for (re + i*im) / (dre + i*dim)."""
+    rre, rim, pivots, dre, dim = reduced
+    k = len(columns)
+    re = [0] * (out_rows * k)
+    im = [0] * (out_rows * k)
+    for r, c in enumerate(pivots):
+        re[c * k : (c + 1) * k] = [sign * rre[r * width + j] for j in columns]
+        im[c * k : (c + 1) * k] = [sign * rim[r * width + j] for j in columns]
+    return re, im, dre, dim
 
 
 class Matrix:
     """Immutable rows x cols matrix over Q(i) or complex128."""
 
-    __slots__ = ("rows", "cols", "field", "_e", "_f", "tol")
+    __slots__ = ("rows", "cols", "field", "_re", "_im", "_den", "_f", "tol")
 
     def __init__(self, rows, cols, field, entries=None, array=None, tol=DEFAULT_TOL):
         self.rows = rows
@@ -59,18 +66,40 @@ class Matrix:
         if field == EXACT:
             if len(entries) != rows * cols:
                 raise DimensionMismatch("entry count does not match shape")
-            self._e = tuple(entries)
-            self._f = None
+            re, im, self._den = _integerize(entries)
+            self._re, self._im, self._f = tuple(re), tuple(im), None
         else:
             a = np.asarray(array, dtype=complex).reshape(rows, cols)
             self._f = a
-            self._e = None
+            self._re = self._im = self._den = None
+
+    @classmethod
+    def _ints(cls, rows, cols, re, im, den=1, den_im=0) -> "Matrix":
+        """Exact matrix (re + i*im) / (den + i*den_im), stored normalised."""
+        if den_im:
+            re, im, den = (
+                [a * den + b * den_im for a, b in zip(re, im)],
+                [b * den - a * den_im for a, b in zip(re, im)],
+                den * den + den_im * den_im,
+            )
+        if den != 1:
+            g = math.gcd(den, *re, *im)
+            if den < 0:
+                g = -g
+            if g != 1:
+                re = [v // g for v in re]
+                im = [v // g for v in im]
+                den //= g
+        m = cls.__new__(cls)
+        m.rows, m.cols, m.field, m.tol = rows, cols, EXACT, DEFAULT_TOL
+        m._re, m._im, m._den, m._f = tuple(re), tuple(im), den, None
+        return m
 
     # -- constructors --------------------------------------------------------
 
     @classmethod
     def exact(cls, rows, cols, entries) -> "Matrix":
-        return cls(rows, cols, EXACT, entries=[_as_gq(x) for x in entries])
+        return cls(rows, cols, EXACT, entries=list(entries))
 
     @classmethod
     def from_rows(cls, rowlist) -> "Matrix":
@@ -80,22 +109,21 @@ class Matrix:
         for r in rowlist:
             if len(r) != cols:
                 raise DimensionMismatch("ragged rows")
-            flat.extend(_as_gq(x) for x in r)
+            flat.extend(r)
         return cls(rows, cols, EXACT, entries=flat)
 
     @classmethod
     def zeros(cls, rows, cols, field=EXACT, tol=DEFAULT_TOL) -> "Matrix":
         if field == EXACT:
-            return cls(rows, cols, EXACT, entries=[ZERO] * (rows * cols))
+            return cls._ints(rows, cols, [0] * (rows * cols), [0] * (rows * cols))
         return cls(rows, cols, FLOAT, array=np.zeros((rows, cols), dtype=complex), tol=tol)
 
     @classmethod
     def identity(cls, n, field=EXACT, tol=DEFAULT_TOL) -> "Matrix":
         if field == EXACT:
-            ents = [ZERO] * (n * n)
-            for i in range(n):
-                ents[i * n + i] = ONE
-            return cls(n, n, EXACT, entries=ents)
+            re = [0] * (n * n)
+            re[:: n + 1] = [1] * n
+            return cls._ints(n, n, re, [0] * (n * n))
         return cls(n, n, FLOAT, array=np.eye(n, dtype=complex), tol=tol)
 
     @classmethod
@@ -111,44 +139,50 @@ class Matrix:
     def shape(self):
         return (self.rows, self.cols)
 
+    def _gq(self, a, b):
+        if not (a or b):
+            return ZERO
+        return GQ(Fraction(a, self._den), Fraction(b, self._den))
+
     def entry(self, i, j):
         if self.field == EXACT:
-            return self._e[i * self.cols + j]
+            k = i * self.cols + j
+            return self._gq(self._re[k], self._im[k])
         return self._f[i, j]
 
     def entries(self):
-        return self._e if self.field == EXACT else self._f
-
-    def row_list(self, i):
         if self.field == EXACT:
-            return list(self._e[i * self.cols : (i + 1) * self.cols])
-        return list(self._f[i, :])
+            return tuple(self._gq(a, b) for a, b in zip(self._re, self._im))
+        return self._f
+
+    def _pick(self, rows, cols, idx) -> "Matrix":
+        """Exact rows x cols matrix of the stored entries at the flat indices idx."""
+        re, im = self._re, self._im
+        return Matrix._ints(rows, cols, [re[k] for k in idx], [im[k] for k in idx], self._den)
 
     def column(self, j) -> "Matrix":
         return self.take_columns([j])
 
     def take_columns(self, idx) -> "Matrix":
-        if self.field == EXACT:
-            ents = []
-            for i in range(self.rows):
-                base = i * self.cols
-                ents.extend(self._e[base + j] for j in idx)
-            return Matrix(self.rows, len(idx), EXACT, entries=ents)
-        return Matrix(self.rows, len(idx), FLOAT, array=self._f[:, list(idx)], tol=self.tol)
+        idx = list(idx)
+        if self.field == FLOAT:
+            return Matrix(self.rows, len(idx), FLOAT, array=self._f[:, idx], tol=self.tol)
+        flat = [i * self.cols + j for i in range(self.rows) for j in idx]
+        return self._pick(self.rows, len(idx), flat)
 
     def take_rows(self, idx) -> "Matrix":
-        if self.field == EXACT:
-            ents = []
-            for i in idx:
-                ents.extend(self._e[i * self.cols : (i + 1) * self.cols])
-            return Matrix(len(idx), self.cols, EXACT, entries=ents)
-        return Matrix(len(idx), self.cols, FLOAT, array=self._f[list(idx), :], tol=self.tol)
+        idx = list(idx)
+        if self.field == FLOAT:
+            return Matrix(len(idx), self.cols, FLOAT, array=self._f[idx, :], tol=self.tol)
+        flat = [i * self.cols + j for i in idx for j in range(self.cols)]
+        return self._pick(len(idx), self.cols, flat)
 
     def to_array(self) -> np.ndarray:
         if self.field == FLOAT:
             return self._f.copy()
+        d = self._den
         return np.array(
-            [z.to_complex() for z in self._e], dtype=complex
+            [complex(a / d, b / d) for a, b in zip(self._re, self._im)], dtype=complex
         ).reshape(self.rows, self.cols)
 
     def to_float(self, tol=DEFAULT_TOL) -> "Matrix":
@@ -159,7 +193,7 @@ class Matrix:
     def __repr__(self):
         if self.field == EXACT:
             body = "; ".join(
-                " ".join(str(self._e[i * self.cols + j]) for j in range(self.cols))
+                " ".join(str(self.entry(i, j)) for j in range(self.cols))
                 for i in range(self.rows)
             )
             return f"Matrix({self.rows}x{self.cols} exact [{body}])"
@@ -177,89 +211,85 @@ class Matrix:
         if self.field != other.field or self.shape != other.shape:
             return False
         if self.field == EXACT:
-            return self._e == other._e
+            return (self._den, self._re, self._im) == (other._den, other._re, other._im)
         return bool(np.array_equal(self._f, other._f))
 
     def __hash__(self):
         if self.field != EXACT:
             raise TypeError("float matrices are unhashable")
-        return hash((self.rows, self.cols, self._e))
+        return hash((self.rows, self.cols, self._den, self._re, self._im))
 
     def transpose(self) -> "Matrix":
-        if self.field == EXACT:
-            ents = [self._e[i * self.cols + j] for j in range(self.cols) for i in range(self.rows)]
-            return Matrix(self.cols, self.rows, EXACT, entries=ents)
-        return Matrix(self.cols, self.rows, FLOAT, array=self._f.T, tol=self.tol)
+        if self.field == FLOAT:
+            return Matrix(self.cols, self.rows, FLOAT, array=self._f.T, tol=self.tol)
+        flat = [i * self.cols + j for j in range(self.cols) for i in range(self.rows)]
+        return self._pick(self.cols, self.rows, flat)
 
     def conj_transpose(self) -> "Matrix":
-        if self.field == EXACT:
-            ents = [
-                self._e[i * self.cols + j].conj()
-                for j in range(self.cols)
-                for i in range(self.rows)
-            ]
-            return Matrix(self.cols, self.rows, EXACT, entries=ents)
-        return Matrix(self.cols, self.rows, FLOAT, array=self._f.conj().T, tol=self.tol)
+        if self.field == FLOAT:
+            return Matrix(self.cols, self.rows, FLOAT, array=self._f.conj().T, tol=self.tol)
+        t = self.transpose()
+        return Matrix._ints(t.rows, t.cols, t._re, [-v for v in t._im], t._den)
+
+    @staticmethod
+    def _common(mats):
+        """The exact matrices' numerators over their least common denominator."""
+        den = math.lcm(*(m._den for m in mats))
+        return den, [
+            (m._re, m._im) if m._den == den
+            else ([v * (den // m._den) for v in m._re], [v * (den // m._den) for v in m._im])
+            for m in mats
+        ]
+
+    @staticmethod
+    def _stackable(mats, attr, name, noun):
+        mats = list(mats)
+        for m in mats:
+            if getattr(m, attr) != getattr(mats[0], attr):
+                raise DimensionMismatch(f"{name}: {noun} counts differ")
+            if m.field != mats[0].field:
+                raise BackendMismatch(f"{name}: backends differ")
+        return mats
 
     @staticmethod
     def hstack(mats) -> "Matrix":
-        mats = list(mats)
-        rows = mats[0].rows
-        field = mats[0].field
-        for m in mats:
-            if m.rows != rows:
-                raise DimensionMismatch("hstack: row counts differ")
-            if m.field != field:
-                raise BackendMismatch("hstack: backends differ")
-        if field == EXACT:
-            ents = []
-            for i in range(rows):
-                for m in mats:
-                    ents.extend(m._e[i * m.cols : (i + 1) * m.cols])
-            return Matrix(rows, sum(m.cols for m in mats), EXACT, entries=ents)
-        return Matrix.from_array(np.hstack([m._f for m in mats]), tol=mats[0].tol)
+        mats = Matrix._stackable(mats, "rows", "hstack", "row")
+        if mats[0].field == FLOAT:
+            return Matrix.from_array(np.hstack([m._f for m in mats]), tol=mats[0].tol)
+        den, parts = Matrix._common(mats)
+        re, im = [], []
+        for i in range(mats[0].rows):
+            for m, (mre, mim) in zip(mats, parts):
+                re.extend(mre[i * m.cols : (i + 1) * m.cols])
+                im.extend(mim[i * m.cols : (i + 1) * m.cols])
+        return Matrix._ints(mats[0].rows, sum(m.cols for m in mats), re, im, den)
 
     @staticmethod
     def vstack(mats) -> "Matrix":
-        mats = list(mats)
-        cols = mats[0].cols
-        field = mats[0].field
-        for m in mats:
-            if m.cols != cols:
-                raise DimensionMismatch("vstack: column counts differ")
-            if m.field != field:
-                raise BackendMismatch("vstack: backends differ")
-        if field == EXACT:
-            ents = []
-            for m in mats:
-                ents.extend(m._e)
-            return Matrix(sum(m.rows for m in mats), cols, EXACT, entries=ents)
-        return Matrix.from_array(np.vstack([m._f for m in mats]), tol=mats[0].tol)
+        mats = Matrix._stackable(mats, "cols", "vstack", "column")
+        if mats[0].field == FLOAT:
+            return Matrix.from_array(np.vstack([m._f for m in mats]), tol=mats[0].tol)
+        den, parts = Matrix._common(mats)
+        re, im = [], []
+        for mre, mim in parts:
+            re.extend(mre)
+            im.extend(mim)
+        return Matrix._ints(sum(m.rows for m in mats), mats[0].cols, re, im, den)
 
     @staticmethod
     def block_diag(mats) -> "Matrix":
         mats = list(mats)
-        field = mats[0].field if mats else EXACT
-        rows = sum(m.rows for m in mats)
+        if not mats:
+            return Matrix.zeros(0, 0)
         cols = sum(m.cols for m in mats)
-        if field == EXACT:
-            ents = [ZERO] * (rows * cols)
-            r0 = c0 = 0
-            for m in mats:
-                for i in range(m.rows):
-                    base = (r0 + i) * cols + c0
-                    for j in range(m.cols):
-                        ents[base + j] = m._e[i * m.cols + j]
-                r0 += m.rows
-                c0 += m.cols
-            return Matrix(rows, cols, EXACT, entries=ents)
-        out = np.zeros((rows, cols), dtype=complex)
-        r0 = c0 = 0
+        rows = []
+        c0 = 0
         for m in mats:
-            out[r0 : r0 + m.rows, c0 : c0 + m.cols] = m._f
-            r0 += m.rows
+            left = Matrix.zeros(m.rows, c0, m.field, m.tol)
+            right = Matrix.zeros(m.rows, cols - c0 - m.cols, m.field, m.tol)
+            rows.append(Matrix.hstack([left, m, right]))
             c0 += m.cols
-        return Matrix.from_array(out, tol=mats[0].tol if mats else DEFAULT_TOL)
+        return Matrix.vstack(rows)
 
     # -- arithmetic -------------------------------------------------------------
 
@@ -268,9 +298,10 @@ class Matrix:
         if self.shape != other.shape:
             raise DimensionMismatch("add: shapes differ")
         if self.field == EXACT:
-            return Matrix(
-                self.rows, self.cols, EXACT,
-                entries=[a + b for a, b in zip(self._e, other._e)],
+            den, ((are, aim), (bre, bim)) = Matrix._common([self, other])
+            return Matrix._ints(
+                self.rows, self.cols,
+                [a + b for a, b in zip(are, bre)], [a + b for a, b in zip(aim, bim)], den,
             )
         return Matrix.from_array(self._f + other._f, tol=self.tol)
 
@@ -279,38 +310,30 @@ class Matrix:
         if self.shape != other.shape:
             raise DimensionMismatch("sub: shapes differ")
         if self.field == EXACT:
-            return Matrix(
-                self.rows, self.cols, EXACT,
-                entries=[a - b for a, b in zip(self._e, other._e)],
-            )
+            return self + (-other)
         return Matrix.from_array(self._f - other._f, tol=self.tol)
 
     def __neg__(self):
         if self.field == EXACT:
-            return Matrix(self.rows, self.cols, EXACT, entries=[-a for a in self._e])
+            return self.scale(-1)
         return Matrix.from_array(-self._f, tol=self.tol)
 
     def scale(self, c) -> "Matrix":
         if self.field == EXACT:
-            c = _as_gq(c)
-            return Matrix(self.rows, self.cols, EXACT, entries=[c * a for a in self._e])
+            return Matrix.exact(1, 1, [c]).kron(self)  # c (x) A = cA
         return Matrix.from_array(complex(c) * self._f, tol=self.tol)
 
-    def _to_int_rows_reduced(self):
-        """Row-wise integerization with gcd stripping.
-
-        Row scaling preserves the row space, hence rref/nullspace; per-row
-        denominators stay small where a global lcm would blow every row up."""
-        re = []
-        im = []
-        for i in range(self.rows):
-            rre, rim, _ = _integerize(self._e[i * self.cols : (i + 1) * self.cols])
-            g = math.gcd(*rre, *rim)
+    def _primitive_rows(self):
+        """The stored rows, each divided by the gcd of its numerators: the
+        kernel's input.  Row scaling preserves the row space, hence rref and
+        nullspace, and keeps each row's integers as small as they can be."""
+        re, im = list(self._re), list(self._im)
+        c = self.cols or 1
+        for i in range(0, len(re), c):
+            g = math.gcd(*re[i : i + c], *im[i : i + c])
             if g > 1:
-                rre = [v // g for v in rre]
-                rim = [v // g for v in rim]
-            re.extend(rre)
-            im.extend(rim)
+                re[i : i + c] = [v // g for v in re[i : i + c]]
+                im[i : i + c] = [v // g for v in im[i : i + c]]
         return re, im
 
     def __matmul__(self, other):
@@ -319,26 +342,22 @@ class Matrix:
             raise DimensionMismatch("matmul: inner dimensions differ")
         if self.field == FLOAT:
             return Matrix.from_array(self._f @ other._f, tol=self.tol)
-        are, aim, da = _integerize(self._e)
-        bre, bim, db = _integerize(other._e)
-        cre, cim = kernel.matmul(are, aim, self.rows, self.cols, bre, bim, other.cols)
-        d = da * db
-        ents = [GQ(Fraction(a, d), Fraction(b, d)) for a, b in zip(cre, cim)]
-        return Matrix(self.rows, other.cols, EXACT, entries=ents)
+        cre, cim = kernel.matmul(
+            self._re, self._im, self.rows, self.cols, other._re, other._im, other.cols
+        )
+        return Matrix._ints(self.rows, other.cols, cre, cim, self._den * other._den)
 
     def trace(self):
         if self.rows != self.cols:
             raise DimensionMismatch("trace: not square")
         if self.field == EXACT:
-            t = ZERO
-            for i in range(self.rows):
-                t = t + self._e[i * self.cols + i]
-            return t
+            diag = slice(None, None, self.cols + 1)
+            return self._gq(sum(self._re[diag]), sum(self._im[diag]))
         return complex(np.trace(self._f))
 
     def is_zero(self) -> bool:
         if self.field == EXACT:
-            return all(not z for z in self._e)
+            return not any(self._re) and not any(self._im)
         return bool(np.all(np.abs(self._f) <= self.tol))
 
     def is_identity(self) -> bool:
@@ -350,29 +369,21 @@ class Matrix:
 
     # -- elimination -----------------------------------------------------------
 
+    def _ffgj(self, int_rows=None):
+        return kernel.ffgj(*(int_rows or self._primitive_rows()), self.rows, self.cols)
+
     def rref(self):
         """Reduced row echelon form and pivot columns.
 
         Exact backend: fraction-free elimination then one exact normalization.
         Float backend: partial-pivot elimination, rank decided by tolerance.
         """
-        if self.field == EXACT:
-            return self._rref_exact()
-        return self._rref_float()
-
-    def _rref_exact(self):
+        if self.field == FLOAT:
+            return self._rref_float()
         if self.rows == 0 or self.cols == 0:
             return self, ()
-        re, im = self._to_int_rows_reduced()
-        rre, rim, pivots, dre, dim = kernel.ffgj(re, im, self.rows, self.cols)
-        den = GQ(dre, dim)
-        ents = []
-        for a, b in zip(rre, rim):
-            if a == 0 and b == 0:
-                ents.append(ZERO)
-            else:
-                ents.append(GQ(a, b) / den)
-        return Matrix(self.rows, self.cols, EXACT, entries=ents), tuple(pivots)
+        rre, rim, pivots, dre, dim = self._ffgj()
+        return Matrix._ints(self.rows, self.cols, rre, rim, dre, dim), tuple(pivots)
 
     def _rref_float(self):
         a = self._f.copy()
@@ -399,10 +410,10 @@ class Matrix:
         return Matrix.from_array(a, tol=self.tol), tuple(pivots)
 
     def rank(self) -> int:
-        if self.field == EXACT:
-            return len(self.rref()[1])
         if self.rows == 0 or self.cols == 0:
             return 0
+        if self.field == EXACT:
+            return len(self._ffgj()[2])
         s = np.linalg.svd(self._f, compute_uv=False)
         if s.size == 0:
             return 0
@@ -426,29 +437,25 @@ class Matrix:
             return Matrix.zeros(0, 0)
         if self.rows == 0:
             return Matrix.identity(self.cols)
-        int_rows = self._to_int_rows_reduced()
+        int_rows = self._primitive_rows()
         if self.cols >= modular.MIN_COLS:
             ker = modular.nullspace(*int_rows, self.rows, self.cols)
             if ker is not None:
-                return Matrix(self.cols, len(ker.free), EXACT, entries=ker.entries)
+                return Matrix._ints(self.cols, len(ker.free), ker.re, ker.im, ker.den)
         return self._nullspace_ffgj(int_rows)
 
     def _nullspace_ffgj(self, int_rows=None) -> "Matrix":
         """The canonical exact basis read off the fraction-free rref of the
-        integerised rows (computed here when not given)."""
-        re, im = int_rows or self._to_int_rows_reduced()
-        rre, rim, pivots, dre, dim = kernel.ffgj(re, im, self.rows, self.cols)
-        den = GQ(dre, dim)
+        primitive rows (computed here when not given): for the j-th free
+        column f, 1 in row f and minus column f of the rref in the pivot rows."""
+        reduced = self._ffgj(int_rows)
+        pivots = set(reduced[2])
         free = [c for c in range(self.cols) if c not in pivots]
+        re, im, dre, dim = _pivot_rows(reduced, self.cols, free, self.cols, sign=-1)
         k = len(free)
-        ents = [ZERO] * (self.cols * k)
         for jf, f in enumerate(free):
-            ents[f * k + jf] = ONE
-            for r, c in enumerate(pivots):
-                a, b = rre[r * self.cols + f], rim[r * self.cols + f]
-                if a or b:
-                    ents[c * k + jf] = -(GQ(a, b) / den)
-        return Matrix(self.cols, k, EXACT, entries=ents)
+            re[f * k + jf], im[f * k + jf] = dre, dim
+        return Matrix._ints(self.cols, k, re, im, dre, dim)
 
     def solve(self, rhs: "Matrix"):
         """One exact solution X of self @ X = rhs, or None if inconsistent.
@@ -464,15 +471,12 @@ class Matrix:
         if self.rows != rhs.rows:
             raise DimensionMismatch("solve: row counts differ")
         aug = Matrix.hstack([self, rhs])
-        R, pivots = aug.rref()
-        for p in pivots:
-            if p >= self.cols:
-                return None
-        ents = [ZERO] * (self.cols * rhs.cols)
-        for r, c in enumerate(pivots):
-            for j in range(rhs.cols):
-                ents[c * rhs.cols + j] = R._e[r * aug.cols + self.cols + j]
-        return Matrix(self.cols, rhs.cols, EXACT, entries=ents)
+        reduced = aug._ffgj()
+        pivots = reduced[2]
+        if pivots and pivots[-1] >= self.cols:
+            return None
+        re, im, dre, dim = _pivot_rows(reduced, aug.cols, range(self.cols, aug.cols), self.cols)
+        return Matrix._ints(self.cols, rhs.cols, re, im, dre, dim)
 
     def inverse(self) -> "Matrix":
         if self.rows != self.cols:
@@ -495,22 +499,19 @@ class Matrix:
         self._check_same_backend(other)
         if self.field == FLOAT:
             return Matrix.from_array(np.kron(self._f, other._f), tol=self.tol)
-        rows = self.rows * other.rows
-        cols = self.cols * other.cols
-        ents = [ZERO] * (rows * cols)
-        for i in range(self.rows):
-            for j in range(self.cols):
-                a = self._e[i * self.cols + j]
-                if not a:
-                    continue
-                for p in range(other.rows):
-                    base = (i * other.rows + p) * cols + j * other.cols
-                    orow = p * other.cols
-                    for q in range(other.cols):
-                        b = other._e[orow + q]
-                        if b:
-                            ents[base + q] = a * b
-        return Matrix(rows, cols, EXACT, entries=ents)
+        # Every product of an entry of self and one of other, row-major over
+        # the pairs (self entry, other entry), then laid out block by block.
+        n = len(other._re)
+        pre, pim = kernel.matmul(self._re, self._im, len(self._re), 1, other._re, other._im, n)
+        flat = [
+            (i * self.cols + j) * n + p * other.cols + q
+            for i in range(self.rows) for p in range(other.rows)
+            for j in range(self.cols) for q in range(other.cols)
+        ]
+        return Matrix._ints(
+            self.rows * other.rows, self.cols * other.cols,
+            [pre[t] for t in flat], [pim[t] for t in flat], self._den * other._den,
+        )
 
     def power(self, k: int) -> "Matrix":
         if self.rows != self.cols:
@@ -532,7 +533,7 @@ class Matrix:
         if rows * cols != self.rows * self.cols:
             raise DimensionMismatch("reshape: size differs")
         if self.field == EXACT:
-            return Matrix(rows, cols, EXACT, entries=self._e)
+            return Matrix._ints(rows, cols, self._re, self._im, self._den)
         return Matrix.from_array(self._f.reshape(rows, cols), tol=self.tol)
 
     @staticmethod

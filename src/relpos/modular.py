@@ -27,12 +27,10 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from . import kernel
-from .gaussian import GQ, ONE, ZERO
 
 # Matrices with fewer columns stay on fraction-free elimination.  On the
 # classify traffic in benchmarks/bench_nullspace.py the lift, whose fixed
@@ -171,11 +169,14 @@ def _images(are, aim, p, s):
 
 @dataclass
 class Nullspace:
-    """Certified canonical nullspace: free columns and the basis, flat
-    row-major ncols x len(free), plus how it was found."""
+    """Certified canonical nullspace: free columns and the basis
+    (re + i*im) / den, flat row-major ncols x len(free), plus how it was
+    found."""
 
     free: list
-    entries: list
+    re: list
+    im: list
+    den: int
     primes: int
     discarded: int
     checks: int
@@ -294,37 +295,31 @@ def nullspace(re, im, nrows, ncols):
         if got is None:
             continue
         checks += 1
-        entries = _certify(re, im, nrows, ncols, lift.key[1], free, got, real)
-        if entries is not None:
-            return Nullspace(free, entries, i + 1, discarded, checks)
+        basis = _certify(re, im, nrows, ncols, lift.key[1], free, got, real)
+        if basis is not None:
+            return Nullspace(free, *basis, i + 1, discarded, checks)
 
 
 def _certify(re, im, nrows, ncols, pivots, free, fracs, real):
-    """Assemble the candidate basis and check C @ N = 0 exactly over Z[i].
+    """Assemble the candidate basis over one denominator and check C @ N = 0
+    exactly over Z[i].
 
-    Returns the basis as flat GQ entries, or None when the check fails."""
+    Returns the basis as (re, im, den), or None when the check fails."""
     k = len(free)
-    rank = len(pivots)
-    count = rank * k
+    count = len(pivots) * k
+    den = math.lcm(*(d for _, d in fracs))
     nre = [0] * (ncols * k)
     nim = [0] * (ncols * k)
-    ents = [ZERO] * (ncols * k)
     for jf, f in enumerate(free):
-        den = 1
-        for r in range(rank):
-            den = math.lcm(den, fracs[r * k + jf][1])
-            if not real:
-                den = math.lcm(den, fracs[count + r * k + jf][1])
         nre[f * k + jf] = den
-        ents[f * k + jf] = ONE
-        for r, c in enumerate(pivots):
+    for r, c in enumerate(pivots):
+        for jf in range(k):
             xn, xd = fracs[r * k + jf]
-            yn, yd = (0, 1) if real else fracs[count + r * k + jf]
-            if xn or yn:
-                nre[c * k + jf] = -xn * (den // xd)
+            nre[c * k + jf] = -xn * (den // xd)
+            if not real:
+                yn, yd = fracs[count + r * k + jf]
                 nim[c * k + jf] = -yn * (den // yd)
-                ents[c * k + jf] = GQ(Fraction(-xn, xd), Fraction(-yn, yd))
     cre, cim = kernel.matmul(re, im, nrows, ncols, nre, nim, k)
     if any(cre) or any(cim):
         return None
-    return ents
+    return nre, nim, den

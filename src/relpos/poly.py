@@ -74,10 +74,6 @@ class Polynomial:
     def zero(cls):
         return cls([])
 
-    @classmethod
-    def monomial(cls, degree, coeff=ONE):
-        return cls([ZERO] * degree + [coeff])
-
     @property
     def degree(self) -> int:
         """Degree; the zero polynomial reports -1."""
@@ -158,10 +154,6 @@ class Polynomial:
 
     def __mod__(self, other):
         return self.divmod(other)[1]
-
-    def divides_exactly(self, other) -> bool:
-        """True when self divides other with zero remainder."""
-        return other.divmod(self)[1].is_zero()
 
     def derivative(self) -> "Polynomial":
         return Polynomial([GQ(i) * c for i, c in enumerate(self.coeffs)][1:])
@@ -289,9 +281,6 @@ class FactorReport:
             if f.degree == 1:
                 out.append((-f.coeffs[0] / f.coeffs[1], m))
         return out
-
-    def fully_factored(self) -> bool:
-        return self.remainder is None
 
 
 def _rationalize(x: float, bounds=(10**4, 10**8, 10**12)):

@@ -115,11 +115,6 @@ class Subspace:
     def __repr__(self):
         return f"Subspace(dim {self.dim} of C^{self.ambient_dim}, {self.field})"
 
-    def contains_vector(self, v: Matrix) -> bool:
-        if self.dim == 0:
-            return v.is_zero()
-        return self.basis.solve(v) is not None
-
     def contains(self, other: "Subspace") -> bool:
         self._check(other)
         if other.dim == 0:

@@ -161,10 +161,6 @@ def _hom_constraints(s: SubspaceSystem, t: SubspaceSystem) -> Matrix:
     return Matrix.vstack(blocks)
 
 
-def end_basis(s: SubspaceSystem):
-    return hom_space(s, s).basis
-
-
 def hom_dim(s: SubspaceSystem, t: SubspaceSystem) -> int:
     return hom_space(s, t).dim
 

@@ -115,19 +115,6 @@ class LaurentSymbol:
                     out[i * b : (i + 1) * b, j * b : (j + 1) * b] = arr
         return out
 
-    def exact_truncation(self, n_rows: int, n_cols: int) -> Matrix:
-        b = self.block_size
-        ents = [ZERO] * (n_rows * b * n_cols * b)
-        width = n_cols * b
-        for k, m in self.coeffs:
-            for i in range(n_rows):
-                j = i - k
-                if 0 <= j < n_cols:
-                    for p in range(b):
-                        for q in range(b):
-                            ents[(i * b + p) * width + j * b + q] = m.entry(p, q)
-        return Matrix(n_rows * b, n_cols * b, EXACT, entries=ents)
-
     def text(self) -> str:
         parts = [f"block={self.block_size}"]
         for k, m in self.coeffs:
@@ -508,8 +495,7 @@ def truncate_exotic(gamma: GQ, n: int) -> SubspaceSystem:
         Matrix.vstack([Matrix.zeros(two_n, two_n), Matrix.identity(two_n)])
     )
     graph = Matrix.vstack([Matrix.identity(two_n), t_gamma])
-    extra = Matrix.zeros(d, 1)
-    ents = list(extra._e)
+    ents = [ZERO] * d
     ents[3 * n] = ONE  # (0,0,0,e_1)
     extra = Matrix(d, 1, EXACT, entries=ents)
     e3 = Subspace.span(Matrix.hstack([graph, extra]))

@@ -179,6 +179,25 @@ def test_negative_subspace_dim_exit_code():
     assert "negative dimension" in err
 
 
+FLOAT_SYSTEM = (
+    "relpos-system 1\nfield complex-float\nambient 2\n"
+    "subspace E1 dim 1\n{} 1.0\nsubspace E2 dim 1\n0.0 1.0\n"
+    "subspace E3 dim 1\n1.0 1.0\nsubspace E4 dim 1\n1.0 2.0\n"
+)
+
+
+def test_nan_float_entry_exit_code():
+    code, _, err = run_cli(["defect", "-"], stdin_text=FLOAT_SYSTEM.format("nan"))
+    assert code == 2
+    assert "non-finite float" in err
+
+
+def test_inf_float_entry_exit_code():
+    code, _, err = run_cli(["defect", "-"], stdin_text=FLOAT_SYSTEM.format("-inf"))
+    assert code == 2
+    assert "non-finite float" in err
+
+
 def test_non_integer_catalog_size_exit_code():
     code, _, err = run_cli(["catalog", "build", "gp4:S(2k+1,2).k=x"])
     assert code == 2

@@ -1,19 +1,13 @@
-"""Kernel twins: fraction-free elimination against a Fraction-based oracle,
-and pure-vs-compiled agreement."""
+"""The exact kernel: fraction-free elimination against a Fraction-based
+oracle, and exact matmul."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from relpos import _gaussint
 from relpos import kernel
 from relpos.gaussian import GQ
-
-try:
-    from relpos import _gaussint_c
-except ImportError:
-    _gaussint_c = None
 
 
 def fraction_rref(rows, ncols):
@@ -63,7 +57,7 @@ def test_ffgj_matches_fraction_oracle(seed):
     nrows = rng.randint(1, 7)
     ncols = rng.randint(1, 7)
     re, im = random_int_matrix(rng, nrows, ncols)
-    got, pivots = run_ffgj(_gaussint, re, im, nrows, ncols)
+    got, pivots = run_ffgj(kernel, re, im, nrows, ncols)
     rows = [
         [GQ(re[i * ncols + j], im[i * ncols + j]) for j in range(ncols)]
         for i in range(nrows)
@@ -78,32 +72,16 @@ def test_ffgj_matches_fraction_oracle(seed):
 def test_ffgj_identity():
     re = [1, 0, 0, 0, 1, 0, 0, 0, 1]
     im = [0] * 9
-    got, pivots = run_ffgj(_gaussint, re, im, 3, 3)
+    got, pivots = run_ffgj(kernel, re, im, 3, 3)
     assert list(pivots) == [0, 1, 2]
     assert got[0] == GQ(1) and got[4] == GQ(1) and got[8] == GQ(1)
 
 
 def test_matmul_small():
     # (1+i) * (1-i) = 2
-    cre, cim = _gaussint.matmul([1], [1], 1, 1, [1], [-1], 1)
+    cre, cim = kernel.matmul([1], [1], 1, 1, [1], [-1], 1)
     assert cre == [2] and cim == [0]
 
 
-@pytest.mark.skipif(_gaussint_c is None, reason="compiled kernel not built")
-@pytest.mark.parametrize("seed", range(10))
-def test_compiled_matches_pure(seed):
-    rng = random.Random(1000 + seed)
-    nrows = rng.randint(1, 8)
-    ncols = rng.randint(1, 8)
-    re, im = random_int_matrix(rng, nrows, ncols, -9, 9)
-    assert _gaussint.ffgj(re, im, nrows, ncols) == _gaussint_c.ffgj(re, im, nrows, ncols)
-    k = rng.randint(1, 5)
-    are, aim = random_int_matrix(rng, nrows, k)
-    bre, bim = random_int_matrix(rng, k, ncols)
-    assert _gaussint.matmul(are, aim, nrows, k, bre, bim, ncols) == _gaussint_c.matmul(
-        are, aim, nrows, k, bre, bim, ncols
-    )
-
-
 def test_selected_backend_reports_name():
-    assert kernel.backend_name() in ("pure", "cython")
+    assert kernel.backend_name() == "pure"

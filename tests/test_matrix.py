@@ -1,4 +1,5 @@
-"""Exact and float matrix kernels: rref, nullspace, solve, minimal polynomial."""
+"""Exact and float matrices: rref, nullspace, solve, minimal polynomial, and
+the exact representation (integers over one normalised denominator)."""
 
 import random
 from fractions import Fraction
@@ -6,10 +7,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from relpos import modular
 from relpos.errors import ExactOnlyError, SingularMatrixError
 from relpos.gaussian import GQ, I, ONE, ZERO
 from relpos.matrix import EXACT, Matrix
 from relpos.poly import Polynomial
+from test_kernel import fraction_rref
 
 
 def rand_exact(rng, rows, cols, span=3):
@@ -141,3 +144,132 @@ def test_kron_vec_identity():
     lhs = (c @ a @ b).vec()
     rhs = b.transpose().kron(c) @ a.vec()
     assert lhs == rhs
+
+
+# -- the exact representation: integers over one normalised denominator --------
+
+
+def test_equal_values_from_different_denominators_are_equal():
+    a = Matrix.from_rows([[Fraction(1, 2), GQ(0, Fraction(2, 4))]])
+    b = Matrix.from_rows([[Fraction(2, 4), GQ(0, Fraction(1, 2))]])
+    assert a == b and hash(a) == hash(b)
+    # 1/3 + 1/6 meets over the denominator 6 and reduces to 1/2
+    c = Matrix.from_rows([[Fraction(1, 3), I]]) + Matrix.from_rows([[Fraction(1, 6), ZERO]])
+    d = Matrix.from_rows([[Fraction(1, 2), I]])
+    assert c == d and hash(c) == hash(d)
+    # a negative or non-reduced denominator is normalised away
+    e = Matrix._ints(1, 2, [-4, 0], [0, -4], -8)
+    assert e == a and hash(e) == hash(a)
+
+
+def test_scale_round_trip_is_equal_and_hash_equal():
+    rng = random.Random(3)
+    m = Matrix.exact(3, 3, [mixed_entry(rng) for _ in range(9)])
+    back = m.scale(2).scale(Fraction(1, 2))
+    assert back == m and hash(back) == hash(m)
+    assert m.scale(0) == Matrix.zeros(3, 3)
+
+
+def test_entry_and_entries_round_trip():
+    rng = random.Random(4)
+    ents = [mixed_entry(rng) for _ in range(12)] + [ZERO, GQ(3), GQ(0, -1)]
+    m = Matrix.exact(3, 5, ents)
+    assert m.entries() == tuple(ents)
+    assert [m.entry(i, j) for i in range(3) for j in range(5)] == ents
+    assert m.take_columns([0, 1, 2]).trace() == ents[0] + ents[6] + ents[12]
+
+
+def mixed_entry(rng):
+    """A Q(i) scalar whose two parts have unrelated small denominators."""
+    return GQ(
+        Fraction(rng.randint(-5, 5), rng.randint(1, 6)),
+        Fraction(rng.randint(-5, 5), rng.randint(1, 6)),
+    )
+
+
+def mixed_matrix(rng, rows, cols, rank=None):
+    """rows x cols with mixed denominators; of the given rank when set."""
+    if rank is None:
+        return Matrix.exact(rows, cols, [mixed_entry(rng) for _ in range(rows * cols)])
+    return mixed_matrix(rng, rows, rank) @ mixed_matrix(rng, rank, cols)
+
+
+def grid(m):
+    return [[m.entry(i, j) for j in range(m.cols)] for i in range(m.rows)]
+
+
+def oracle_nullspace(rows, ncols):
+    reduced, pivots = fraction_rref(rows, ncols)
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = [[ZERO] * len(free) for _ in range(ncols)]
+    for jf, f in enumerate(free):
+        basis[f][jf] = ONE
+        for r, c in enumerate(pivots):
+            basis[c][jf] = -reduced[r][f]
+    return basis
+
+
+def oracle_solve(a, b):
+    aug = [ra + rb for ra, rb in zip(a, b)]
+    ncols = len(a[0])
+    reduced, pivots = fraction_rref(aug, ncols + len(b[0]))
+    if pivots and pivots[-1] >= ncols:
+        return None
+    x = [[ZERO] * len(b[0]) for _ in range(ncols)]
+    for r, c in enumerate(pivots):
+        x[c] = reduced[r][ncols:]
+    return x
+
+
+# (rows, cols, rank): square, tall and wide, full and deficient rank, and
+# wide enough (12 columns) for the multimodular nullspace, which the test
+# takes there by switching its routing test off.
+ORACLE_SHAPES = [
+    (3, 3, None), (4, 4, 2), (5, 3, None), (3, 6, None), (5, 5, 3), (4, 12, None), (6, 12, 3),
+]
+
+
+@pytest.mark.parametrize("shape", ORACLE_SHAPES)
+def test_elimination_matches_fraction_oracle(shape, monkeypatch):
+    monkeypatch.setattr(modular, "_lifting_pays", lambda *args: True)
+    rows, cols, rank = shape
+    rng = random.Random(rows * 100 + cols * 10 + (rank or 0))
+    m = mixed_matrix(rng, rows, cols, rank)
+    want, want_pivots = fraction_rref(grid(m), cols)
+    r, pivots = m.rref()
+    assert list(pivots) == want_pivots
+    assert grid(r) == want
+    assert grid(m.nullspace()) == oracle_nullspace(grid(m), cols)
+    b = mixed_matrix(rng, rows, 2)
+    x = m.solve(b)
+    want_x = oracle_solve(grid(m), grid(b))
+    assert (x is None) == (want_x is None)
+    if x is not None:
+        assert grid(x) == want_x
+    consistent = m @ mixed_matrix(rng, cols, 2)
+    assert grid(m.solve(consistent)) == oracle_solve(grid(m), grid(consistent))
+    if rows == cols:
+        want_inv = oracle_solve(grid(m), grid(Matrix.identity(rows)))
+        if want_inv is None:
+            with pytest.raises(SingularMatrixError):
+                m.inverse()
+        else:
+            assert grid(m.inverse()) == want_inv
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_products_match_fraction_oracle(seed):
+    rng = random.Random(50 + seed)
+    a = mixed_matrix(rng, 2, 3)
+    b = mixed_matrix(rng, 3, 2)
+    ga, gb = grid(a), grid(b)
+    want = [[sum((ga[i][t] * gb[t][j] for t in range(3)), ZERO) for j in range(2)]
+            for i in range(2)]
+    assert grid(a @ b) == want
+    k = a.kron(b)
+    assert k.shape == (6, 6)
+    for i in range(2):
+        for j in range(3):
+            for p in range(3):
+                for q in range(2):
+                    assert k.entry(i * 3 + p, j * 2 + q) == ga[i][j] * gb[p][q]

@@ -10,7 +10,7 @@ import pytest
 from relpos import modular
 from relpos.catalog import build_gp4, jordan_block, single_operator_system
 from relpos.gaussian import GQ
-from relpos.matrix import EXACT, Matrix
+from relpos.matrix import Matrix
 from relpos.sampling import random_system
 from relpos.system import _hom_constraints
 
@@ -49,10 +49,10 @@ def lift_always(monkeypatch):
 
 
 def modular_nullspace(m):
-    re, im = m._to_int_rows_reduced()
+    re, im = m._primitive_rows()
     ker = modular.nullspace(re, im, m.rows, m.cols)
     assert ker is not None
-    return Matrix(m.cols, len(ker.free), EXACT, entries=ker.entries), ker
+    return Matrix._ints(m.cols, len(ker.free), ker.re, ker.im, ker.den), ker
 
 
 # (rows, cols, rank, bits, kind): tall, wide and square; full, deficient and
@@ -174,7 +174,7 @@ def test_failed_checks_fall_back_to_fraction_free(monkeypatch):
     m = rand_matrix(rng, 6, 34, 4, 6, "zi")
     want = m._nullspace_ffgj()
     monkeypatch.setattr(modular, "_certify", lambda *args: None)
-    re, im = m._to_int_rows_reduced()
+    re, im = m._primitive_rows()
     assert modular.nullspace(re, im, m.rows, m.cols) is None
     assert m.nullspace() == want
 
@@ -193,7 +193,7 @@ def test_wide_large_entries_go_to_fraction_free(monkeypatch):
     # The shape alone bounds the nullity from below, so no prime is tried.
     m = rand_matrix(random.Random(9), 20, 40, None, 61, "zi")
     images = count_images(monkeypatch)
-    re, im = m._to_int_rows_reduced()
+    re, im = m._primitive_rows()
     assert modular.nullspace(re, im, m.rows, m.cols) is None
     assert images == []
     assert m.nullspace() == m._nullspace_ffgj()
@@ -204,7 +204,7 @@ def test_large_kernel_found_by_the_first_prime_goes_to_fraction_free(monkeypatch
     # and a 20-dimensional kernel, and the lift stops after its two images.
     m = rand_matrix(random.Random(10), 30, 30, 10, 61, "zi")
     images = count_images(monkeypatch)
-    re, im = m._to_int_rows_reduced()
+    re, im = m._primitive_rows()
     assert modular.nullspace(re, im, m.rows, m.cols) is None
     assert len(images) == 2
     assert m.nullspace() == m._nullspace_ffgj()
