@@ -30,6 +30,10 @@ ORACLE_N = 200
 ORACLE_SIGMA_TOL = 1e-7
 ORACLE_GAP = 1e4
 CIRCLE_MARGIN = 1e-7
+# Largest |offset| a symbol may carry.  It keeps the band (lower + upper <=
+# 2 * MAX_SYMBOL_OFFSET) below ORACLE_N // 2, the smaller oracle size, and
+# bounds every allocation that grows with the band before it is made.
+MAX_SYMBOL_OFFSET = 32
 
 
 @dataclass(frozen=True)
@@ -43,6 +47,10 @@ class LaurentSymbol:
     def make(block_size: int, coeffs: dict) -> "LaurentSymbol":
         clean = []
         for k, m in sorted(coeffs.items()):
+            if abs(k) > MAX_SYMBOL_OFFSET:
+                raise DimensionMismatch(
+                    f"symbol offset {k} exceeds the bound {MAX_SYMBOL_OFFSET}"
+                )
             if isinstance(m, Matrix):
                 mat = m
             else:
@@ -96,24 +104,6 @@ class LaurentSymbol:
         return LaurentSymbol.make(
             self.block_size, {-k: m.conj_transpose() for k, m in self.coeffs}
         )
-
-    def eval_complex(self, z: complex) -> np.ndarray:
-        acc = np.zeros((self.block_size, self.block_size), dtype=complex)
-        for k, m in self.coeffs:
-            acc += m.to_array() * (z**k)
-        return acc
-
-    def truncation(self, n_rows: int, n_cols: int) -> np.ndarray:
-        """Dense numeric truncation with the hard cutoff (no wrap-around)."""
-        b = self.block_size
-        out = np.zeros((n_rows * b, n_cols * b), dtype=complex)
-        for k, m in self.coeffs:
-            arr = m.to_array()
-            for i in range(n_rows):
-                j = i - k
-                if 0 <= j < n_cols:
-                    out[i * b : (i + 1) * b, j * b : (j + 1) * b] = arr
-        return out
 
     def text(self) -> str:
         parts = [f"block={self.block_size}"]
@@ -173,7 +163,13 @@ def _winding_on_grid(sym: LaurentSymbol, grid: int):
         for k, c in coeff.items():
             vals += c * z**k
     else:
-        vals = np.array([np.linalg.det(sym.eval_complex(zz)) for zz in z])
+        b = sym.block_size
+        stack = np.zeros((grid, b, b), dtype=complex)
+        for k, m in sym.coeffs:
+            # np.power rounds each point like the scalar zz**k; the array
+            # operator ** takes square and reciprocal shortcuts that differ
+            stack += m.to_array() * np.power(z, k)[:, None, None]
+        vals = np.linalg.det(stack)
     absvals = np.abs(vals)
     mx = float(absvals.max()) if grid else 0.0
     mn = float(absvals.min()) if grid else 0.0
@@ -281,17 +277,53 @@ def fredholm_index(sym: LaurentSymbol, grid: int = 512) -> IndexReport:
     raise UncertifiedError("winding did not stabilize under grid doubling")
 
 
-def _truncation_kernel_count(sym: LaurentSymbol, n: int) -> int:
-    """Numeric near-kernel count of the tall truncation (rows padded past the
-    band, so cut-off growing solutions hit nonzero bottom rows).
+def _truncation_singular_values(sym: LaurentSymbol, n_rows: int, n_cols: int) -> np.ndarray:
+    """Singular values, ascending, of the hard-cutoff truncation A with
+    n_rows x n_cols blocks, block (i, j) = a-hat_{i-j}.
 
-    A decaying kernel vector leaves an exponentially small singular value,
-    separated from the rest by a large ratio gap; symbols whose determinant
-    merely vanishes on the circle produce polynomially small tails with no
-    gap, which must not be counted."""
-    pad = sym.lower + sym.upper + 2
-    a = sym.truncation(n + pad, n)
-    svals = np.sort(np.linalg.svd(a, compute_uv=False))
+    They are the n_cols * b largest eigenvalues of the Hermitian
+    Jordan-Wielandt matrix H = [[0, A], [A*, 0]].  Sorting the rows and the
+    columns of A together by block index, the columns shifted by
+    (lower - upper) / 2 to centre the band, makes H banded, of bandwidth
+    below b * (lower + upper + 2).  H is built directly in LAPACK upper band
+    storage, and its eigenvalues cost O(N^2 bw) instead of the O(N^3) of a
+    dense SVD."""
+    from scipy.linalg import eigvals_banded
+
+    b = sym.block_size
+    m, c = n_rows * b, n_cols * b
+    keys = np.concatenate(
+        [
+            2 * np.repeat(np.arange(n_rows), b),
+            2 * np.repeat(np.arange(n_cols), b) + (sym.lower - sym.upper),
+        ]
+    )
+    pos = np.empty(m + c, dtype=np.intp)
+    pos[np.argsort(keys, kind="stable")] = np.arange(m + c)
+    rows, cols, vals = [], [], []
+    for k, mat in sym.coeffs:
+        arr = mat.to_array()
+        alpha, beta = np.nonzero(arr)
+        i = np.arange(max(k, 0), min(n_rows, n_cols + k))
+        rows.append(((i * b)[:, None] + alpha).ravel())
+        cols.append((((i - k) * b)[:, None] + beta).ravel())
+        vals.append(np.broadcast_to(arr[alpha, beta], (len(i), len(alpha))).ravel())
+    pr = pos[np.concatenate(rows)]
+    pc = pos[m + np.concatenate(cols)]
+    vals = np.concatenate(vals)
+    # H[pr, pc] = A[row, col] and H[pc, pr] is its conjugate: keep the upper one
+    lo, hi = np.minimum(pr, pc), np.maximum(pr, pc)
+    bw = int((hi - lo).max(initial=0))
+    band = np.zeros((bw + 1, m + c), dtype=complex)
+    band[bw + lo - hi, hi] = np.where(pr < pc, vals, vals.conj())
+    eig = eigvals_banded(band, overwrite_a_band=True, check_finite=False)
+    # noise-level singular values may come out as small negative eigenvalues
+    return np.sort(np.abs(eig[m:]))
+
+
+def _gap_count(svals: np.ndarray) -> int:
+    """Number of ascending singular values below ORACLE_SIGMA_TOL * max that
+    end in a ratio gap of at least ORACLE_GAP."""
     if len(svals) == 0:
         return 0
     smax = max(float(svals[-1]), 1.0)
@@ -304,6 +336,18 @@ def _truncation_kernel_count(sym: LaurentSymbol, n: int) -> int:
         if nxt > s * ORACLE_GAP:
             count = i + 1
     return count
+
+
+def _truncation_kernel_count(sym: LaurentSymbol, n: int) -> int:
+    """Numeric near-kernel count of the tall truncation (rows padded past the
+    band, so cut-off growing solutions hit nonzero bottom rows).
+
+    A decaying kernel vector leaves an exponentially small singular value,
+    separated from the rest by a large ratio gap; symbols whose determinant
+    merely vanishes on the circle produce polynomially small tails with no
+    gap, which must not be counted."""
+    pad = sym.lower + sym.upper + 2
+    return _gap_count(_truncation_singular_values(sym, n + pad, n))
 
 
 def _scalar_kernel_by_roots(sym: LaurentSymbol):

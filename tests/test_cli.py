@@ -13,6 +13,7 @@ from relpos.cli import main
 from relpos.gaussian import GQ
 from relpos.sampling import random_system
 from relpos.system import SubspaceSystem
+from relpos.toeplitz import MAX_SYMBOL_OFFSET
 
 
 def run_cli(args, stdin_text=None, capsys=None):
@@ -208,6 +209,28 @@ def test_repeated_symbol_offset_exit_code():
     code, _, err = run_cli(["toeplitz", "index", "--symbol", "block=1; k:1=[[1]]; k:1=[[2]]"])
     assert code == 2
     assert "repeated coefficient offset" in err
+
+
+def test_symbol_offset_bound_exit_code():
+    symbol = f"block=1; k:0=[[1]]; k:{MAX_SYMBOL_OFFSET + 1}=[[1]]"
+    code, _, err = run_cli(["toeplitz", "index", "--symbol", symbol])
+    assert code == 2
+    assert "exceeds the bound" in err
+
+
+def test_unreadable_input_file_exit_code(tmp_path):
+    missing = tmp_path / "missing.sys"
+    binary = tmp_path / "binary.sys"
+    binary.write_bytes(b"\xff\xfe\x00")
+    for path in (missing, binary):
+        proc = subprocess.run(
+            [sys.executable, "-m", "relpos.cli", "defect", str(path)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert f"cannot read {path}" in proc.stderr
 
 
 def test_boundary_alpha_exit_code():

@@ -1,6 +1,8 @@
 """Symbol-level Fredholm theory, fractional defects, and the exotic lab."""
 
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +12,12 @@ from relpos.errors import DegenerateSymbolError, DimensionMismatch, ParseError
 from relpos.gaussian import GQ, ONE
 from relpos.matrix import Matrix
 from relpos.toeplitz import (
+    MAX_SYMBOL_OFFSET,
+    ORACLE_N,
     LaurentSymbol,
+    _gap_count,
+    _truncation_kernel_count,
+    _truncation_singular_values,
     exotic_hom_dim,
     exotic_report,
     fredholm_index,
@@ -35,6 +42,20 @@ def block_v_symbol(n):
         n, n, [ONE if i == j + 1 else GQ(0) for i in range(n) for j in range(n)]
     )
     return LaurentSymbol.make(n, {1: Matrix.identity(n), 0: sub})
+
+
+def dense_truncation(sym, n_rows, n_cols):
+    """Reference for the banded oracle: the dense hard-cutoff truncation with
+    block (i, j) = a-hat_{i-j}."""
+    b = sym.block_size
+    out = np.zeros((n_rows * b, n_cols * b), dtype=complex)
+    for k, m in sym.coeffs:
+        arr = m.to_array()
+        for i in range(n_rows):
+            j = i - k
+            if 0 <= j < n_cols:
+                out[i * b : (i + 1) * b, j * b : (j + 1) * b] = arr
+    return out
 
 
 def test_winding_shift():
@@ -200,3 +221,66 @@ def test_exotic_hom_dims_constant_one():
     dims = hom_dimension_decay(GQ(2), GQ(3), sizes=(4, 8, 16))
     assert dims == [1, 1, 1]
     assert exotic_hom_dim(GQ(2), GQ(2), 8) == 1
+
+
+@pytest.mark.parametrize("b", [1, 2, 3, 4])
+def test_banded_oracle_matches_dense_svd(b):
+    rng = random.Random(b)
+    syms = [block_v_symbol(b), block_v_symbol(b).shift_constant(GQ(-1))]
+    for gaussian in (False, True):
+        for offsets in ((-1, 0), (0, 1), (-2, 0, 1), (-1, 2)):
+            coeffs = {
+                k: Matrix.from_rows(
+                    [
+                        [GQ(rng.choice((-2, -1, 1, 2)), rng.randint(-2, 2) if gaussian else 0)
+                         for _ in range(b)]
+                        for _ in range(b)
+                    ]
+                )
+                for k in offsets
+            }
+            syms.append(LaurentSymbol.make(b, coeffs))
+    n = 40
+    counts = []
+    for sym in syms:
+        for which in (sym, sym.adjoint()):
+            pad = which.lower + which.upper + 2
+            ref = np.sort(np.linalg.svd(dense_truncation(which, n + pad, n), compute_uv=False))
+            got = _truncation_singular_values(which, n + pad, n)
+            assert got.shape == ref.shape
+            assert np.max(np.abs(got - ref)) <= 1e-12 * ref[-1], which.text()
+            count = _truncation_kernel_count(which, n)
+            assert count == _gap_count(ref), which.text()
+            counts.append(count)
+    assert any(counts)
+
+
+def test_block_kernel_dims_nonzero_count():
+    # diag(z - 1, 1 - 2z): T(z - 1) has dense range and no kernel, T(1 - 2z)
+    # has a one-dimensional cokernel
+    sym = LaurentSymbol.make(
+        2,
+        {
+            0: Matrix.from_rows([[-1, 0], [0, 1]]),
+            1: Matrix.from_rows([[1, 0], [0, -2]]),
+        },
+    )
+    assert kernel_dims(sym) == (0, 1, "truncation")
+
+
+def test_symbol_offset_bound():
+    LaurentSymbol.scalar({-MAX_SYMBOL_OFFSET: 1, MAX_SYMBOL_OFFSET: 1})
+    for k in (MAX_SYMBOL_OFFSET + 1, -MAX_SYMBOL_OFFSET - 1):
+        with pytest.raises(DimensionMismatch, match="exceeds the bound"):
+            LaurentSymbol.scalar({0: 1, k: 1})
+    assert 2 * MAX_SYMBOL_OFFSET < ORACLE_N // 2
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, relpos.cli; print('scipy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
