@@ -1,0 +1,96 @@
+"""Digest the output of a fixed set of `relpos` CLI commands.
+
+Runs the README CLI examples on five catalog systems (catalog build, then
+defect, decompose, coxeter plus/minus/perp, diagram and isom on the file it
+wrote), the four README `toeplitz` commands and `verify two-types`, all with
+`--json` before the subcommand, against the `src/` next to this script.
+Prints one line per command: the command, its exit code and the sha256 of
+its stdout and of its stderr.  Two checkouts give byte-identical CLI output
+when their lines are equal:
+
+    python3 benchmarks/cli_digest.py > after.txt
+    (cd ../parent && python3 benchmarks/cli_digest.py) > before.txt
+    diff before.txt after.txt
+
+Sysfiles go to a temporary directory, named by their position in KEYS, and
+the commands run inside it, so no line depends on where it is.  Exits 1
+when a command ends in an undocumented exit code (0, 2, 3 and 4 are
+documented; an uncaught exception gives 1).
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import shlex
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+KEYS = (
+    "gp4:S(2k+1,2).k=1",
+    "gp4:S(2k,0;l).k=2.l=1/2+i",
+    "gp3:5",
+    "example:6",
+    "jordan:k=3.l=2",
+)
+# "{f}" stands for the sysfile that catalog build wrote
+PER_FILE = (
+    ("defect", "{f}"),
+    ("decompose", "{f}", "--seed", "7"),
+    ("coxeter", "plus", "{f}"),
+    ("coxeter", "minus", "{f}"),
+    ("coxeter", "perp", "{f}"),
+    ("diagram", "{f}", "--threshold", "1e-6"),
+    ("isom", "{f}", "{f}"),
+)
+OTHERS = (
+    ("toeplitz", "index", "--symbol", "block=1; k:1=[[1]]"),
+    ("toeplitz", "defect", "--symbol", "block=1; k:1=[[1]]"),
+    ("toeplitz", "regions", "--alpha", "1/2"),
+    ("toeplitz", "exotic", "--gamma", "2", "--N", "32", "--threshold", "1e-6"),
+    ("verify", "two-types"),
+)
+DOCUMENTED_EXIT_CODES = {0, 2, 3, 4}
+
+
+def _commands():
+    """(argv after `relpos --json`, sysfile to write stdout to or None)."""
+    for n, key in enumerate(KEYS):
+        name = f"s{n}.sys"
+        yield ("catalog", "build", key), name
+        for cmd in PER_FILE:
+            yield tuple(name if w == "{f}" else w for w in cmd), None
+    for cmd in OTHERS:
+        yield cmd, None
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def main() -> int:
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    bad = 0
+    with tempfile.TemporaryDirectory() as work:
+        for cmd, write_to in _commands():
+            proc = subprocess.run(
+                [sys.executable, "-m", "relpos.cli", "--json", *cmd],
+                cwd=work,
+                env=env,
+                capture_output=True,
+            )
+            if write_to is not None:
+                with open(os.path.join(work, write_to), "wb") as fh:
+                    fh.write(proc.stdout)
+            if proc.returncode not in DOCUMENTED_EXIT_CODES:
+                bad += 1
+            print(f"relpos --json {shlex.join(cmd)}  exit={proc.returncode}"
+                  f"  stdout={_sha(proc.stdout)}  stderr={_sha(proc.stderr)}", flush=True)
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -95,8 +95,11 @@ def cmd_catalog(args) -> int:
     s = build(key)
     text = render(SystemFile.from_system(s, metadata={"catalog-key": key.text()}))
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ParseError(f"cannot write {args.output}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
     return EXIT_OK

@@ -230,9 +230,9 @@ def find_nontrivial_idempotent(alg: EndAlgebra, seed: int = 0) -> IdempotentSear
         if _is_scalar_mod_radical(alg, x):
             continue
         p = x.minimal_polynomial()
-        split = coprime_split(p)
+        rep = factor_over_gaussian_rationals(p)
+        split = coprime_split(p, rep)
         if split is None:
-            rep = factor_over_gaussian_rationals(p)
             if rep.remainder is not None or any(f.degree > 1 for f, _ in rep.factors):
                 saw_nonsplit = x
                 quads = [f for f, _ in rep.factors if f.degree == 2]

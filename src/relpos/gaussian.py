@@ -14,101 +14,158 @@ from .errors import ParseError
 
 
 class GQ:
-    """An element of Q(i); immutable, hashable, exact."""
+    """An element of Q(i); immutable, hashable, exact.
 
-    __slots__ = ("re", "im")
+    Stored as three ints (a, b, d) with value (a + b*i) / d, d > 0 and
+    gcd(a, b, d) = 1, so equal values have equal storage.
+    """
+
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        if type(re) is int and type(im) is int:
+            a, b, d = re, im, 1
+        else:
+            if not isinstance(re, Fraction):
+                re = Fraction(re)
+            if not isinstance(im, Fraction):
+                im = Fraction(im)
+            # both parts are in lowest terms, so gcd(a, b, d) = 1 already
+            dr, di = re.denominator, im.denominator
+            d = math.lcm(dr, di)
+            a = re.numerator * (d // dr)
+            b = im.numerator * (d // di)
+        _set_a(self, a)
+        _set_b(self, b)
+        _set_d(self, d)
+
+    @classmethod
+    def _make(cls, a, b, d):
+        """(a + b*i) / d for ints a, b and d > 0, normalised."""
+        g = math.gcd(a, b, d)
+        if g != 1:
+            a, b, d = a // g, b // g, d // g
+        z = _new(cls)
+        _set_a(z, a)
+        _set_b(z, b)
+        _set_d(z, d)
+        return z
 
     def __setattr__(self, *a):
         raise AttributeError("GQ is immutable")
 
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
+
     # -- arithmetic ---------------------------------------------------------
 
     @staticmethod
-    def _coerce(x):
+    def _triple(x):
+        """(a, b, d) of an exact scalar, or None for other types."""
         if isinstance(x, GQ):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return GQ(x)
-        return NotImplemented
+            return x._a, x._b, x._d
+        if isinstance(x, int):
+            return x, 0, 1
+        if isinstance(x, Fraction):
+            return x.numerator, 0, x.denominator
+        return None
 
     def __add__(self, other):
-        o = GQ._coerce(other)
-        if o is NotImplemented:
+        o = GQ._triple(other)
+        if o is None:
             return NotImplemented
-        return GQ(self.re + o.re, self.im + o.im)
+        a, b, d = o
+        e = self._d
+        if d == e:
+            return GQ._make(self._a + a, self._b + b, d)
+        return GQ._make(self._a * d + a * e, self._b * d + b * e, d * e)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = GQ._coerce(other)
-        if o is NotImplemented:
+        o = GQ._triple(other)
+        if o is None:
             return NotImplemented
-        return GQ(self.re - o.re, self.im - o.im)
+        a, b, d = o
+        e = self._d
+        if d == e:
+            return GQ._make(self._a - a, self._b - b, d)
+        return GQ._make(self._a * d - a * e, self._b * d - b * e, d * e)
 
     def __rsub__(self, other):
-        o = GQ._coerce(other)
-        if o is NotImplemented:
+        o = GQ._triple(other)
+        if o is None:
             return NotImplemented
-        return GQ(o.re - self.re, o.im - self.im)
+        a, b, d = o
+        e = self._d
+        return GQ._make(a * e - self._a * d, b * e - self._b * d, d * e)
 
     def __neg__(self):
-        return GQ(-self.re, -self.im)
+        return GQ._make(-self._a, -self._b, self._d)
 
     def __mul__(self, other):
-        o = GQ._coerce(other)
-        if o is NotImplemented:
+        o = GQ._triple(other)
+        if o is None:
             return NotImplemented
-        return GQ(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
+        a, b, d = o
+        x, y = self._a, self._b
+        return GQ._make(x * a - y * b, x * b + y * a, self._d * d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = GQ._coerce(other)
-        if o is NotImplemented:
+        o = GQ._triple(other)
+        if o is None:
             return NotImplemented
-        n = o.re * o.re + o.im * o.im
-        if n == 0:
-            raise ZeroDivisionError("division by zero in Q(i)")
-        return GQ((self.re * o.re + self.im * o.im) / n, (self.im * o.re - self.re * o.im) / n)
+        return GQ._quotient(self._a, self._b, self._d, *o)
 
     def __rtruediv__(self, other):
-        o = GQ._coerce(other)
-        if o is NotImplemented:
+        o = GQ._triple(other)
+        if o is None:
             return NotImplemented
-        return o / self
+        return GQ._quotient(*o, self._a, self._b, self._d)
+
+    @staticmethod
+    def _quotient(x, y, e, a, b, d):
+        """((x + y*i) / e) / ((a + b*i) / d)."""
+        n = a * a + b * b
+        if n == 0:
+            raise ZeroDivisionError("division by zero in Q(i)")
+        return GQ._make((x * a + y * b) * d, (y * a - x * b) * d, e * n)
 
     def conj(self) -> "GQ":
-        return GQ(self.re, -self.im)
+        return GQ._make(self._a, -self._b, self._d)
 
     def norm2(self) -> Fraction:
         """|z|^2 as an exact rational."""
-        return self.re * self.re + self.im * self.im
+        return Fraction(self._a * self._a + self._b * self._b, self._d * self._d)
 
     # -- predicates / conversions -------------------------------------------
 
     def __bool__(self):
-        return bool(self.re) or bool(self.im)
+        return bool(self._a or self._b)
 
     def is_zero(self) -> bool:
         return not self
 
     def __eq__(self, other):
-        o = GQ._coerce(other)
-        if o is NotImplemented:
+        o = GQ._triple(other)
+        if o is None:
             return NotImplemented
-        return self.re == o.re and self.im == o.im
+        return self._a == o[0] and self._b == o[1] and self._d == o[2]
 
     def __hash__(self):
-        if not self.im:
+        if not self._b:
             return hash(self.re)
         return hash((self.re, self.im))
 
     def to_complex(self) -> complex:
-        return complex(self.re, self.im)
+        return complex(self._a / self._d, self._b / self._d)
 
     def __repr__(self):
         return f"GQ({format_gq(self)!r})"
@@ -117,30 +174,40 @@ class GQ:
         return format_gq(self)
 
 
+_new = object.__new__
+_set_a = GQ._a.__set__
+_set_b = GQ._b.__set__
+_set_d = GQ._d.__set__
+
 ZERO = GQ(0)
 ONE = GQ(1)
 I = GQ(0, 1)
 
 
-def _format_fraction(f: Fraction) -> str:
-    return str(f)
+def _format_part(n: int, d: int) -> str:
+    """str(Fraction(n, d)) for d > 0."""
+    g = math.gcd(n, d)
+    if g != 1:
+        n, d = n // g, d // g
+    return str(n) if d == 1 else f"{n}/{d}"
 
 
 def format_gq(z: GQ) -> str:
     """Canonical text for an exact scalar."""
-    if z.im == 0:
-        return _format_fraction(z.re)
-    if z.im == 1:
+    a, b, d = z._a, z._b, z._d
+    if not b:
+        return _format_part(a, d)
+    if b == d:
         imag = "i"
-    elif z.im == -1:
+    elif b == -d:
         imag = "-i"
     else:
-        imag = _format_fraction(z.im) + "i"
-    if z.re == 0:
+        imag = _format_part(b, d) + "i"
+    if not a:
         return imag
-    if z.im > 0 and not imag.startswith("+"):
+    if b > 0:
         imag = "+" + imag
-    return _format_fraction(z.re) + imag
+    return _format_part(a, d) + imag
 
 
 def format_cfloat(z: complex) -> str:

@@ -29,12 +29,14 @@ def _integerize(entries):
     """(re, im, den): the exact scalars times their least common denominator."""
     zs = []
     for z in entries:
-        if not isinstance(z, (GQ, int, Fraction)):
-            raise TypeError(f"cannot use {type(z).__name__} as an exact scalar")
-        zs.append(z if isinstance(z, GQ) else GQ(z))
-    den = math.lcm(*(z.re.denominator for z in zs), *(z.im.denominator for z in zs))
-    re = [z.re.numerator * (den // z.re.denominator) for z in zs]
-    im = [z.im.numerator * (den // z.im.denominator) for z in zs]
+        if not isinstance(z, GQ):
+            if not isinstance(z, (int, Fraction)):
+                raise TypeError(f"cannot use {type(z).__name__} as an exact scalar")
+            z = GQ(z)
+        zs.append(z)
+    den = math.lcm(*(z._d for z in zs))
+    re = [z._a * (den // z._d) for z in zs]
+    im = [z._b * (den // z._d) for z in zs]
     return re, im, den
 
 
@@ -142,7 +144,7 @@ class Matrix:
     def _gq(self, a, b):
         if not (a or b):
             return ZERO
-        return GQ(Fraction(a, self._den), Fraction(b, self._den))
+        return GQ._make(a, b, self._den)
 
     def entry(self, i, j):
         if self.field == EXACT:

@@ -417,14 +417,17 @@ def factor_over_gaussian_rationals(p: Polynomial, degree_bound=DEFAULT_DEGREE_BO
     return report
 
 
-def coprime_split(p: Polynomial):
+def coprime_split(p: Polynomial, rep: FactorReport | None = None):
     """A pair (f, g) of exact monic polynomials with p = unit*f*g,
     gcd(f, g) = 1 and both of positive degree, or None.
 
     Prefers certified factors but will split certified-versus-remainder;
-    never splits inside the uncertified remainder.
+    never splits inside the uncertified remainder.  `rep`, when given, is
+    the caller's factor_over_gaussian_rationals(p), so p is not factored
+    again.
     """
-    rep = factor_over_gaussian_rationals(p)
+    if rep is None:
+        rep = factor_over_gaussian_rationals(p)
     parts = []
     for f, m in rep.factors:
         q = Polynomial([ONE])

@@ -233,6 +233,19 @@ def test_unreadable_input_file_exit_code(tmp_path):
         assert f"cannot read {path}" in proc.stderr
 
 
+def test_unwritable_output_file_exit_code(tmp_path):
+    target = tmp_path / "missing-dir" / "x.sys"
+    proc = subprocess.run(
+        [sys.executable, "-m", "relpos.cli", "catalog", "build", "example:6", "--output", str(target)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert f"cannot write {target}" in proc.stderr
+    assert not target.parent.exists()
+
+
 def test_boundary_alpha_exit_code():
     code, _, err = run_cli(["toeplitz", "regions", "--alpha", "1"])
     assert code == 2
