@@ -403,6 +403,8 @@ def single_operator_system(t: Matrix) -> SubspaceSystem:
 
 
 def jordan_block(k: int, lam: GQ) -> Matrix:
+    if k < 1:
+        raise DimensionMismatch("jordan blocks need k >= 1")
     ents = []
     for i in range(k):
         for j in range(k):
@@ -447,6 +449,16 @@ def gp4_reference_keys(max_k: int, lambdas=(GQ(2),)):
             else:
                 keys.append(CatalogKey(kind="gp4", family=family, k=k))
     return keys
+
+
+_FINITE_TYPES = {3: ("gp3", 9), 2: ("two", 4), 1: ("one", 2)}
+
+
+def finite_type_keys(n: int):
+    """Every indecomposable type of n <= 3 subspaces, in index order (none
+    for other n)."""
+    kind, count = _FINITE_TYPES.get(n, (None, 0))
+    return [CatalogKey(kind=kind, index=i) for i in range(1, count + 1)]
 
 
 def gp4_variant_keys_for_dim(d: int, lambdas):

@@ -276,8 +276,8 @@ def cmd_toeplitz(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    sweep = verify_mod.ALL_SWEEPS[args.sweep]
-    rep = sweep()
+    (crit,) = [c for c in verify_mod.CRITERIA if c.name == args.sweep]
+    rep = crit.sweep()
     report = {
         "command": f"verify {args.sweep}",
         "name": rep.name,
@@ -360,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     pte.set_defaults(func=cmd_toeplitz)
 
     pv = sub.add_parser("verify", help="acceptance sweeps")
-    pv.add_argument("sweep", choices=sorted(verify_mod.ALL_SWEEPS))
+    pv.add_argument("sweep", choices=sorted(c.name for c in verify_mod.CRITERIA))
     pv.set_defaults(func=cmd_verify)
     return p
 

@@ -105,18 +105,12 @@ class IdempotentSearch:
     """Outcome of the nontrivial-idempotent search.
 
     status: 'found' | 'local' | 'complex_only' | 'inconclusive'.
-    'local' certifies dim(A/rad A) = 1, hence Idem = {0, I} over Q(i) and C.
-    For 'complex_only', quotient_field_certified marks the airtight case: the
-    semisimple quotient is two-dimensional and generated by an element whose
-    minimal polynomial is a power of a certified-irreducible quadratic, so the
-    quotient is a field and no Q(i)-idempotent exists at all."""
+    'local' certifies dim(A/rad A) = 1, hence Idem = {0, I} over Q(i) and C."""
 
     status: str
     idempotent: Matrix | None = None
     semisimple_dim: int = 0
-    complex_witness: ComplexSplitWitness | None = None
     attempts: int = 0
-    quotient_field_certified: bool = False
 
 
 def _span_solve(mats, target):
@@ -209,8 +203,7 @@ def find_nontrivial_idempotent(alg: EndAlgebra, seed: int = 0) -> IdempotentSear
 
     rng = random.Random(seed)
     attempts = 0
-    saw_nonsplit: Matrix | None = None
-    field_certified = False
+    saw_nonsplit = False
 
     def candidates():
         for b in alg.basis:
@@ -234,32 +227,15 @@ def find_nontrivial_idempotent(alg: EndAlgebra, seed: int = 0) -> IdempotentSear
         split = coprime_split(p, rep)
         if split is None:
             if rep.remainder is not None or any(f.degree > 1 for f, _ in rep.factors):
-                saw_nonsplit = x
-                quads = [f for f, _ in rep.factors if f.degree == 2]
-                if (
-                    q == 2
-                    and rep.remainder is None
-                    and len(quads) == 1
-                    and not any(f.degree == 1 for f, _ in rep.factors)
-                ):
-                    # the quotient is Q(i)[x] modulo one irreducible quadratic:
-                    # a field, so Idem(A) = {0, I} is certain over Q(i)
-                    field_certified = True
+                saw_nonsplit = True
             continue
         e = _spectral_idempotent(x, *split)
         if e is not None:
             return IdempotentSearch(
                 status="found", idempotent=e, semisimple_dim=q, attempts=attempts
             )
-    if saw_nonsplit is not None:
-        witness = _numeric_split_witness(alg, saw_nonsplit)
-        return IdempotentSearch(
-            status="complex_only",
-            semisimple_dim=q,
-            complex_witness=witness,
-            attempts=attempts,
-            quotient_field_certified=field_certified,
-        )
+    if saw_nonsplit:
+        return IdempotentSearch(status="complex_only", semisimple_dim=q, attempts=attempts)
     return IdempotentSearch(status="inconclusive", semisimple_dim=q, attempts=attempts)
 
 

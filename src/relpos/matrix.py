@@ -92,6 +92,12 @@ class Matrix:
                 re = [v // g for v in re]
                 im = [v // g for v in im]
                 den //= g
+        return cls._raw(rows, cols, re, im, den)
+
+    @classmethod
+    def _raw(cls, rows, cols, re, im, den) -> "Matrix":
+        """Exact matrix from storage that is already normalised (a permutation
+        or a conjugate of normalised storage is)."""
         m = cls.__new__(cls)
         m.rows, m.cols, m.field, m.tol = rows, cols, EXACT, DEFAULT_TOL
         m._re, m._im, m._den, m._f = tuple(re), tuple(im), den, None
@@ -224,14 +230,16 @@ class Matrix:
     def transpose(self) -> "Matrix":
         if self.field == FLOAT:
             return Matrix(self.cols, self.rows, FLOAT, array=self._f.T, tol=self.tol)
-        flat = [i * self.cols + j for j in range(self.cols) for i in range(self.rows)]
-        return self._pick(self.cols, self.rows, flat)
+        c = self.cols
+        re = [v for j in range(c) for v in self._re[j::c]]
+        im = [v for j in range(c) for v in self._im[j::c]]
+        return Matrix._raw(c, self.rows, re, im, self._den)
 
     def conj_transpose(self) -> "Matrix":
         if self.field == FLOAT:
             return Matrix(self.cols, self.rows, FLOAT, array=self._f.conj().T, tol=self.tol)
         t = self.transpose()
-        return Matrix._ints(t.rows, t.cols, t._re, [-v for v in t._im], t._den)
+        return Matrix._raw(t.rows, t.cols, t._re, [-v for v in t._im], t._den)
 
     @staticmethod
     def _common(mats):
@@ -535,7 +543,7 @@ class Matrix:
         if rows * cols != self.rows * self.cols:
             raise DimensionMismatch("reshape: size differs")
         if self.field == EXACT:
-            return Matrix._ints(rows, cols, self._re, self._im, self._den)
+            return Matrix._raw(rows, cols, self._re, self._im, self._den)
         return Matrix.from_array(self._f.reshape(rows, cols), tol=self.tol)
 
     @staticmethod

@@ -1,20 +1,22 @@
 """Acceptance sweeps: every numbered criterion as a callable returning a
-structured report.  The CLI `verify` subcommands and tests/test_acceptance.py
-both run these."""
+structured report, listed once in `CRITERIA`.  The CLI `verify` subcommand
+and tests/test_acceptance.py both run the entries of that table."""
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
 from .angles import halmos_decompose
 from .catalog import (
     GP4_DEFECTS,
-    CatalogKey,
     build,
+    finite_type_keys,
     gp4_reference_keys,
     gp4_variant_keys_for_dim,
 )
@@ -87,9 +89,8 @@ def gp_defect_range(max_k: int = 4, lambdas=ACCEPTANCE_LAMBDAS) -> SweepReport:
 
 def catalog_keys_for_indecomposability(max_k: int = 4, lambdas=ACCEPTANCE_LAMBDAS):
     keys = list(gp4_reference_keys(max_k, lambdas))
-    keys += [CatalogKey(kind="gp3", index=i) for i in range(1, 10)]
-    keys += [CatalogKey(kind="two", index=i) for i in range(1, 5)]
-    keys += [CatalogKey(kind="one", index=i) for i in range(1, 3)]
+    for n in (3, 2, 1):
+        keys += finite_type_keys(n)
     return keys
 
 
@@ -128,16 +129,9 @@ def match_component_to_catalog(comp: SubspaceSystem, seed: int = 0):
     """A catalog key certified isomorphic to the (indecomposable) component,
     with its witness, or None."""
     if comp.n == 4:
-        lambdas = _lambda_candidates(comp)
-        keys = gp4_variant_keys_for_dim(comp.ambient_dim, lambdas)
-    elif comp.n == 3:
-        keys = [CatalogKey(kind="gp3", index=i) for i in range(1, 10)]
-    elif comp.n == 2:
-        keys = [CatalogKey(kind="two", index=i) for i in range(1, 5)]
-    elif comp.n == 1:
-        keys = [CatalogKey(kind="one", index=i) for i in range(1, 3)]
+        keys = gp4_variant_keys_for_dim(comp.ambient_dim, _lambda_candidates(comp))
     else:
-        return None
+        keys = finite_type_keys(comp.n)
     dims = comp.dims()
     for key in keys:
         cand = build(key)
@@ -408,9 +402,29 @@ def infinite_dimensional_evidence(seed: int = 606) -> SweepReport:
     return rep
 
 
-ALL_SWEEPS = {
-    "gp-range": gp_defect_range,
-    "gp-complete": classification_completeness,
-    "three-types": lambda: classification_completeness(n=3, seed=203),
-    "two-types": lambda: classification_completeness(n=2, seed=204),
-}
+# -- the registry -------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Criterion:
+    """One acceptance criterion: its number, the name `relpos verify` takes,
+    the sweep with its pinned parameters, and the test time budget."""
+
+    number: int
+    name: str
+    sweep: Callable[[], SweepReport]
+    budget_s: int | None = None
+
+
+CRITERIA = (
+    Criterion(1, "gp-range", gp_defect_range, budget_s=120),
+    Criterion(2, "catalog-indecomposability", catalog_indecomposability, budget_s=300),
+    Criterion(3, "gp-complete", classification_completeness),
+    Criterion(4, "three-types", partial(classification_completeness, n=3, seed=203)),
+    Criterion(4, "two-types", partial(classification_completeness, n=2, seed=204)),
+    Criterion(5, "coxeter-duality", coxeter_duality_sweep),
+    Criterion(6, "fractional-defects", fractional_defects, budget_s=60),
+    Criterion(7, "strong-irreducibility", strong_irreducibility_agreement),
+    Criterion(8, "exotic-lab", exotic_lab),
+    Criterion(9, "halmos", halmos_sweep),
+    Criterion(10, "infinite-dim-evidence", infinite_dimensional_evidence),
+)

@@ -1,104 +1,28 @@
-"""Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
+"""Acceptance suite: one case per entry of relpos.verify.CRITERIA, each
+printing a PASS/FAIL line.
 
-Budgets and tolerances are pinned here exactly as stated; run with
-`pytest -s tests/test_acceptance.py` to see the lines stream."""
+The sweeps, their pinned parameters and the time budgets live in that table;
+run with `pytest -s tests/test_acceptance.py` to see the lines stream."""
 
 import time
 
 import pytest
 
-from relpos import verify
+from relpos.verify import CRITERIA
 
 
-def _report(num, rep, elapsed, budget=None):
+@pytest.mark.parametrize("crit", CRITERIA, ids=lambda c: f"{c.number}-{c.name}")
+def test_criterion(crit):
+    t0 = time.time()
+    rep = crit.sweep()
+    elapsed = time.time() - t0
     status = "PASS" if rep.passed else "FAIL"
-    extra = f" ({elapsed:.1f}s)" if budget is None else f" ({elapsed:.1f}s / budget {budget}s)"
-    print(f"ACCEPTANCE {num} {rep.name}: {status} [checked {rep.checked}]{extra}")
+    budget = "" if crit.budget_s is None else f" / budget {crit.budget_s}s"
+    print(f"ACCEPTANCE {crit.number} {rep.name}: {status} [checked {rep.checked}] ({elapsed:.1f}s{budget})")
     if rep.details:
         print(f"  details: {rep.details}")
     for f in rep.failures[:10]:
         print(f"  failure: {f}")
-
-
-def test_criterion_1_gp_defect_range():
-    t0 = time.time()
-    rep = verify.gp_defect_range(max_k=4)
-    elapsed = time.time() - t0
-    _report(1, rep, elapsed, budget=120)
     assert rep.passed
-    assert elapsed < 120
-
-
-def test_criterion_2_catalog_indecomposability():
-    t0 = time.time()
-    rep = verify.catalog_indecomposability(max_k=4)
-    elapsed = time.time() - t0
-    _report(2, rep, elapsed, budget=300)
-    assert rep.passed
-    assert elapsed < 300
-
-
-def test_criterion_3_classification_completeness():
-    t0 = time.time()
-    rep = verify.classification_completeness(count=200, max_dim=5, n=4, seed=202)
-    _report(3, rep, time.time() - t0)
-    assert rep.passed
-    assert rep.details["unmatched"] == 0
-
-
-def test_criterion_4_three_and_two_subspace_types():
-    t0 = time.time()
-    rep3 = verify.classification_completeness(count=200, max_dim=5, n=3, seed=203)
-    rep2 = verify.classification_completeness(count=200, max_dim=5, n=2, seed=204)
-    elapsed = time.time() - t0
-    _report(4, rep3, elapsed)
-    _report(4, rep2, elapsed)
-    assert rep3.passed and rep2.passed
-    assert rep3.details["complex_only_explained"] == 0
-    assert rep2.details["complex_only_explained"] == 0
-
-
-def test_criterion_5_coxeter_duality():
-    t0 = time.time()
-    rep = verify.coxeter_duality_sweep(catalog_max_k=4, random_count=100)
-    _report(5, rep, time.time() - t0)
-    assert rep.passed
-
-
-def test_criterion_6_fractional_defects():
-    t0 = time.time()
-    rep = verify.fractional_defects()
-    elapsed = time.time() - t0
-    _report(6, rep, elapsed, budget=60)
-    assert rep.passed
-    assert elapsed < 60
-
-
-def test_criterion_7_strong_irreducibility_agreement():
-    t0 = time.time()
-    rep = verify.strong_irreducibility_agreement(count=100)
-    _report(7, rep, time.time() - t0)
-    assert rep.passed
-    assert rep.checked == 100
-
-
-def test_criterion_8_exotic_lab():
-    t0 = time.time()
-    rep = verify.exotic_lab(sizes=(16, 24, 32), tol=1e-6)
-    _report(8, rep, time.time() - t0)
-    assert rep.passed
-
-
-def test_criterion_9_halmos():
-    t0 = time.time()
-    rep = verify.halmos_sweep(count=50, max_dim=40)
-    _report(9, rep, time.time() - t0)
-    assert rep.passed
-
-
-def test_criterion_10_infinite_dimensional_evidence():
-    t0 = time.time()
-    rep = verify.infinite_dimensional_evidence()
-    _report(10, rep, time.time() - t0)
-    assert rep.passed
-    assert rep.details["hom_dims"] == sorted(rep.details["hom_dims"], reverse=True)
+    if crit.budget_s is not None:
+        assert elapsed < crit.budget_s

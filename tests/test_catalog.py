@@ -16,6 +16,7 @@ from relpos.catalog import (
     build_gp4,
     build_one,
     build_two,
+    finite_type_keys,
     gp4_label_permutation,
     gp4_reference_keys,
     jordan_block,
@@ -129,6 +130,13 @@ def test_two_and_one_entries():
         assert decompose(build_two(i), seed=1).indecomposable
     for i in (1, 2):
         assert decompose(build_one(i), seed=1).indecomposable
+
+
+def test_finite_type_keys_in_index_order():
+    assert [k.text() for k in finite_type_keys(3)] == [f"gp3:{i}" for i in range(1, 10)]
+    assert [k.text() for k in finite_type_keys(2)] == [f"two:{i}" for i in range(1, 5)]
+    assert [k.text() for k in finite_type_keys(1)] == ["one:1", "one:2"]
+    assert finite_type_keys(4) == finite_type_keys(0) == []
 
 
 def test_distinct_gp4_keys_non_isomorphic_spotcheck():

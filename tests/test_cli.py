@@ -2,18 +2,34 @@
 deterministic machine reports."""
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import relpos
 from relpos import sysfile
 from relpos.catalog import build_gp3, build_gp4
-from relpos.cli import main
+from relpos.cli import build_parser, main
 from relpos.gaussian import GQ
 from relpos.sampling import random_system
 from relpos.system import SubspaceSystem
 from relpos.toeplitz import MAX_SYMBOL_OFFSET
+from relpos.verify import CRITERIA
+
+
+def run_python(argv):
+    """Run the interpreter on argv in a child process that imports relpos
+    from where this session does."""
+    src = os.path.dirname(os.path.dirname(relpos.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
 
 
 def run_cli(args, stdin_text=None, capsys=None):
@@ -223,11 +239,7 @@ def test_unreadable_input_file_exit_code(tmp_path):
     binary = tmp_path / "binary.sys"
     binary.write_bytes(b"\xff\xfe\x00")
     for path in (missing, binary):
-        proc = subprocess.run(
-            [sys.executable, "-m", "relpos.cli", "defect", str(path)],
-            capture_output=True,
-            text=True,
-        )
+        proc = run_python(["-m", "relpos.cli", "defect", str(path)])
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert f"cannot read {path}" in proc.stderr
@@ -235,15 +247,20 @@ def test_unreadable_input_file_exit_code(tmp_path):
 
 def test_unwritable_output_file_exit_code(tmp_path):
     target = tmp_path / "missing-dir" / "x.sys"
-    proc = subprocess.run(
-        [sys.executable, "-m", "relpos.cli", "catalog", "build", "example:6", "--output", str(target)],
-        capture_output=True,
-        text=True,
-    )
+    proc = run_python(["-m", "relpos.cli", "catalog", "build", "example:6", "--output", str(target)])
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert f"cannot write {target}" in proc.stderr
     assert not target.parent.exists()
+
+
+@pytest.mark.parametrize("size", ["0", "-2"])
+def test_jordan_size_below_one_exit_code(size):
+    proc = run_python(["-m", "relpos.cli", "catalog", "build", f"jordan:k={size}.l=1"])
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "jordan blocks need k >= 1" in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_boundary_alpha_exit_code():
@@ -259,6 +276,29 @@ def test_verify_subcommand():
     assert rep["checked"] == 53
 
 
+def test_criteria_registry():
+    names = [c.name for c in CRITERIA]
+    assert len(set(names)) == len(names)
+    assert sorted({c.number for c in CRITERIA}) == list(range(1, 11))
+    for name in names:
+        assert build_parser().parse_args(["verify", name]).sweep == name
+
+
+def test_verify_runs_a_registry_entry():
+    code, out, _ = run_cli(["--json", "verify", "halmos"])
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["command"] == "verify halmos"
+    assert rep["passed"] is True
+    assert rep["checked"] == 50
+
+
+def test_verify_unknown_sweep_refused():
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["verify", "no-such-sweep"])
+    assert exc.value.code == 2
+
+
 def test_decompose_reports_byte_identical():
     _, sysout, _ = run_cli(["catalog", "build", "example:6"])
     code1, out1, _ = run_cli(["--json", "decompose", "-", "--seed", "3"], stdin_text=sysout)
@@ -268,10 +308,6 @@ def test_decompose_reports_byte_identical():
 
 
 def test_console_script_entrypoint():
-    proc = subprocess.run(
-        [sys.executable, "-m", "relpos.cli", "--version"],
-        capture_output=True,
-        text=True,
-    )
+    proc = run_python(["-m", "relpos.cli", "--version"])
     assert proc.returncode == 0
     assert "relpos" in proc.stdout

@@ -179,6 +179,33 @@ def test_entry_and_entries_round_trip():
     assert m.take_columns([0, 1, 2]).trace() == ents[0] + ents[6] + ents[12]
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_permuted_storage_is_normalised(seed):
+    # transpose, conj_transpose, reshape, vec and unvec keep the storage as is
+    # (no gcd): it must equal that of the matrix rebuilt from its entries
+    rng = random.Random(70 + seed)
+    rows, cols = rng.randint(2, 4), rng.randint(2, 4)
+    m = Matrix.exact(rows, cols, [mixed_entry(rng) for _ in range(rows * cols)])
+    assert m._den > 1
+    for out in (
+        m.transpose(),
+        m.conj_transpose(),
+        m.reshape(cols, rows),
+        m.vec(),
+        Matrix.unvec(m.vec(), rows, cols),
+        Matrix.unvec(m.reshape(rows * cols, 1), cols, rows),
+    ):
+        rebuilt = Matrix.exact(out.rows, out.cols, out.entries())
+        assert (out._den, out._re, out._im) == (rebuilt._den, rebuilt._re, rebuilt._im)
+        assert hash(out) == hash(rebuilt)
+    assert m.transpose().entries() == tuple(
+        m.entry(i, j) for j in range(cols) for i in range(rows)
+    )
+    assert m.conj_transpose() == Matrix.exact(
+        cols, rows, [m.entry(i, j).conj() for j in range(cols) for i in range(rows)]
+    )
+
+
 def mixed_entry(rng):
     """A Q(i) scalar whose two parts have unrelated small denominators."""
     return GQ(

@@ -1,8 +1,6 @@
 """Symbol-level Fredholm theory, fractional defects, and the exotic lab."""
 
 import random
-import subprocess
-import sys
 from fractions import Fraction
 
 import numpy as np
@@ -31,6 +29,7 @@ from relpos.toeplitz import (
     truncate_exotic,
     upper_toeplitz,
 )
+from test_cli import run_python
 
 
 def scalar(coeffs):
@@ -277,10 +276,6 @@ def test_symbol_offset_bound():
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, relpos.cli; print('scipy' in sys.modules)"],
-        capture_output=True,
-        text=True,
-    )
+    proc = run_python(["-c", "import sys, relpos.cli; print('scipy' in sys.modules)"])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
