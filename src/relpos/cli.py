@@ -276,6 +276,8 @@ def cmd_toeplitz(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.sweep == "all":
+        return _verify_all(args)
     (crit,) = [c for c in verify_mod.CRITERIA if c.name == args.sweep]
     rep = crit.sweep()
     report = {
@@ -288,6 +290,28 @@ def cmd_verify(args) -> int:
     }
     _emit(report, args)
     return EXIT_OK if rep.passed else EXIT_INVARIANT
+
+
+def _verify_all(args) -> int:
+    """Every CRITERIA entry in order, one line (or one JSON record) each."""
+    results = []
+    for crit in verify_mod.CRITERIA:
+        rep = crit.sweep()
+        results.append({
+            "number": crit.number,
+            "name": crit.name,
+            "passed": rep.passed,
+            "checked": rep.checked,
+            "failures": rep.failures,
+        })
+    passed = all(r["passed"] for r in results)
+    if args.json:
+        _emit({"command": "verify all", "passed": passed, "criteria": results}, args)
+    else:
+        for r in results:
+            status = "PASS" if r["passed"] else "FAIL"
+            print(f"{r['number']} {r['name']}: {status} [checked {r['checked']}]")
+    return EXIT_OK if passed else EXIT_INVARIANT
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -360,7 +384,10 @@ def build_parser() -> argparse.ArgumentParser:
     pte.set_defaults(func=cmd_toeplitz)
 
     pv = sub.add_parser("verify", help="acceptance sweeps")
-    pv.add_argument("sweep", choices=sorted(c.name for c in verify_mod.CRITERIA))
+    pv.add_argument(
+        "sweep", choices=sorted(c.name for c in verify_mod.CRITERIA) + ["all"],
+        help="a criterion name, or all to run every criterion in order",
+    )
     pv.set_defaults(func=cmd_verify)
     return p
 

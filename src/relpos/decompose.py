@@ -12,12 +12,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, ExactOnlyError, InvariantViolation
+from .errors import DimensionMismatch, ExactOnlyError, InvariantViolation, SingularMatrixError
 from .gaussian import GQ, ZERO
 from .matrix import EXACT, Matrix
 from .poly import coprime_split, factor_over_gaussian_rationals
 from .subspace import Subspace, intersect
-from .system import SubspaceSystem, direct_sum_many, hom_space
+from .system import SubspaceSystem, direct_sum_many, hom_space, is_bounded_operator_system
 
 GRID_BUDGET = 20000
 SEARCH_ATTEMPTS = 32
@@ -67,10 +67,47 @@ class EndAlgebra:
 
 
 def end_algebra(s: SubspaceSystem) -> EndAlgebra:
+    """End(S) in the basis hom_space(s, s) gives; an operator system S_{T,S}
+    with invertible S takes it from the commutant of ST instead."""
     if s.field != EXACT:
         raise ExactOnlyError("end_algebra needs the exact backend")
-    basis = hom_space(s, s).basis
+    basis = _operator_end_basis(s)
+    if basis is None:
+        basis = hom_space(s, s).basis
     return EndAlgebra(basis=basis, system=s)
+
+
+def _operator_end_basis(s: SubspaceSystem):
+    """End(S_{T,S}) = {W^-1 diag(X, S^-1 X S) W : X commutes with ST} for
+    k1 = k2 and invertible S, or None for any other system.
+
+    The solve has k^2 unknowns where hom_space has d^2 = 4k^2.  hom_space
+    returns the one basis of its span that is the identity on the free
+    coordinates of the Hom constraints, the last nonzero coordinates of the
+    span's vectors.  The rref of the spanning set with its coordinates
+    reversed has these as pivots and is that basis, row order reversed."""
+    if s.n != 4 or s.ambient_dim == 0:
+        return None
+    real = is_bounded_operator_system(s)
+    if real is None or real.k1 != real.k2:
+        return None
+    try:
+        s_inv = real.S.inverse()
+    except SingularMatrixError:
+        return None
+    w = real.change_of_basis
+    w_inv = w.inverse()
+    d = s.ambient_dim
+    spans = [
+        (w_inv @ Matrix.block_diag([x, s_inv @ x @ real.S]) @ w).vec().transpose()
+        for x in commutant_basis(real.S @ real.T)
+    ]
+    flip = range(d * d - 1, -1, -1)
+    red, pivots = Matrix.vstack(spans).take_columns(flip).rref()
+    return [
+        Matrix.unvec(red.take_rows([r]).take_columns(flip).transpose(), d, d)
+        for r in reversed(range(len(pivots)))
+    ]
 
 
 def commutant_basis(t: Matrix):

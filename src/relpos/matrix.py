@@ -96,8 +96,8 @@ class Matrix:
 
     @classmethod
     def _raw(cls, rows, cols, re, im, den) -> "Matrix":
-        """Exact matrix from storage that is already normalised (a permutation
-        or a conjugate of normalised storage is)."""
+        """Exact matrix from storage that is already normalised (a permutation,
+        a conjugate or the negative of normalised storage is)."""
         m = cls.__new__(cls)
         m.rows, m.cols, m.field, m.tol = rows, cols, EXACT, DEFAULT_TOL
         m._re, m._im, m._den, m._f = tuple(re), tuple(im), den, None
@@ -325,7 +325,9 @@ class Matrix:
 
     def __neg__(self):
         if self.field == EXACT:
-            return self.scale(-1)
+            return Matrix._raw(
+                self.rows, self.cols, [-v for v in self._re], [-v for v in self._im], self._den
+            )
         return Matrix.from_array(-self._f, tol=self.tol)
 
     def scale(self, c) -> "Matrix":

@@ -350,9 +350,12 @@ def is_bounded_operator_system(s: SubspaceSystem):
         raise DimensionMismatch("operator-system test is for four-subspace systems")
     e1, e2, e3, e4 = s.subspaces
     d = s.ambient_dim
-    for (a, b) in ((e1, e2), (e2, e3), (e4, e1)):
-        if not intersect(a, b).is_zero() or not sum_(a, b).is_full():
-            return None
+    pairs = ((e1, e2), (e2, e3), (e4, e1))
+    # with dim a + dim b = d, a ∩ b = 0 already gives a + b = H
+    if any(a.dim + b.dim != d for a, b in pairs):
+        return None
+    if not all(intersect(a, b).is_zero() for a, b in pairs):
+        return None
     k1 = e1.dim
     k2 = e2.dim
     # coordinates in which E1 = first block, E2 = second block

@@ -16,7 +16,8 @@ from relpos.gaussian import GQ
 from relpos.sampling import random_system
 from relpos.system import SubspaceSystem
 from relpos.toeplitz import MAX_SYMBOL_OFFSET
-from relpos.verify import CRITERIA
+from relpos import verify as verify_mod
+from relpos.verify import CRITERIA, Criterion, SweepReport
 
 
 def run_python(argv):
@@ -291,6 +292,41 @@ def test_verify_runs_a_registry_entry():
     assert rep["command"] == "verify halmos"
     assert rep["passed"] is True
     assert rep["checked"] == 50
+
+
+def _cheap_criteria():
+    return tuple(c for c in CRITERIA if c.name in ("halmos", "two-types"))
+
+
+def test_verify_all_runs_every_entry_in_order(monkeypatch):
+    monkeypatch.setattr(verify_mod, "CRITERIA", _cheap_criteria())
+    code, out, _ = run_cli(["verify", "all"])
+    assert code == 0
+    assert out.splitlines() == [
+        "4 two-types: PASS [checked 200]",
+        "9 halmos: PASS [checked 50]",
+    ]
+    code, out1, _ = run_cli(["--json", "verify", "all"])
+    code2, out2, _ = run_cli(["--json", "verify", "all"])
+    assert code == code2 == 0
+    assert out1 == out2
+    rep = json.loads(out1)
+    assert rep["command"] == "verify all" and rep["passed"] is True
+    assert [(r["number"], r["name"], r["checked"]) for r in rep["criteria"]] == [
+        (4, "two-types", 200),
+        (9, "halmos", 50),
+    ]
+
+
+def test_verify_all_exits_4_on_a_failing_entry(monkeypatch):
+    def failing():
+        return SweepReport(name="broken", passed=False, checked=1, failures=["x"])
+
+    entries = _cheap_criteria()[1:] + (Criterion(11, "broken", failing),)
+    monkeypatch.setattr(verify_mod, "CRITERIA", entries)
+    code, out, _ = run_cli(["verify", "all"])
+    assert code == 4
+    assert out.splitlines() == ["9 halmos: PASS [checked 50]", "11 broken: FAIL [checked 1]"]
 
 
 def test_verify_unknown_sweep_refused():

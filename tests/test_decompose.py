@@ -11,9 +11,11 @@ from relpos.catalog import (
     build_gp3,
     build_gp4,
     jordan_block,
+    operator_system,
     single_operator_system,
 )
 from relpos.decompose import (
+    _operator_end_basis,
     are_isomorphic,
     commutant_basis,
     decompose,
@@ -28,7 +30,7 @@ from relpos.gaussian import GQ
 from relpos.matrix import Matrix
 from relpos.sampling import random_invertible, random_system
 from relpos.subspace import Subspace
-from relpos.system import SubspaceSystem, hom_dim
+from relpos.system import SubspaceSystem, hom_dim, hom_space, is_bounded_operator_system
 
 
 def line_system(*patterns):
@@ -224,3 +226,40 @@ def test_perp_preserves_indecomposability_and_transitivity():
         sp = s.orthocomplement()
         assert decompose(sp, seed=2).indecomposable
         assert is_transitive(s) == is_transitive(sp)
+
+
+def gaussian_integer_matrix(rng, rows, cols, span=2):
+    return Matrix.exact(
+        rows, cols,
+        [GQ(rng.randint(-span, span), rng.randint(-1, 1)) for _ in range(rows * cols)],
+    )
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_operator_end_algebra_is_the_hom_space_basis(k):
+    # End(S_{T,S}) through the commutant of ST, as built and in random
+    # coordinates, must return hom_space's own basis, element for element
+    rng = random.Random(40 + k)
+    ts = [gaussian_integer_matrix(rng, k, k) for _ in range(3)] + [
+        Matrix.identity(k).scale(GQ(rng.randint(-2, 2))),
+        Matrix.block_diag([jordan_block(k - k // 2, GQ(1, 1))] + [jordan_block(1, GQ(1, 1))] * (k // 2)),
+    ]
+    for t in ts:
+        s = operator_system(t, random_invertible(rng, k))
+        for sys in (s, s.apply(random_invertible(rng, 2 * k))):
+            assert _operator_end_basis(sys) is not None
+            assert end_algebra(sys).basis == hom_space(sys, sys).basis
+
+
+def test_end_algebra_falls_back_to_hom_space():
+    rng = random.Random(9)
+    singular_s = operator_system(gaussian_integer_matrix(rng, 2, 2), Matrix.from_rows([[1, 2], [2, 4]]))
+    uneven = operator_system(gaussian_integer_matrix(rng, 1, 2), gaussian_integer_matrix(rng, 2, 1))
+    three = random_system(rng, 4, 3)
+    five = SubspaceSystem(4, singular_s.subspaces + (Subspace.zero(4),))
+    # the first two are operator systems, but outside k1 = k2 with S invertible
+    assert is_bounded_operator_system(singular_s) is not None
+    assert is_bounded_operator_system(uneven).k1 == 2
+    for s in (singular_s, uneven, three, five, build_gp4("S(2k+1,2)", 1)):
+        assert _operator_end_basis(s) is None
+        assert end_algebra(s).basis == hom_space(s, s).basis

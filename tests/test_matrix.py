@@ -181,8 +181,9 @@ def test_entry_and_entries_round_trip():
 
 @pytest.mark.parametrize("seed", range(6))
 def test_permuted_storage_is_normalised(seed):
-    # transpose, conj_transpose, reshape, vec and unvec keep the storage as is
-    # (no gcd): it must equal that of the matrix rebuilt from its entries
+    # transpose, conj_transpose, reshape, vec, unvec and negation keep the
+    # storage as is (no gcd): it must equal that of the matrix rebuilt from
+    # its entries
     rng = random.Random(70 + seed)
     rows, cols = rng.randint(2, 4), rng.randint(2, 4)
     m = Matrix.exact(rows, cols, [mixed_entry(rng) for _ in range(rows * cols)])
@@ -194,6 +195,7 @@ def test_permuted_storage_is_normalised(seed):
         m.vec(),
         Matrix.unvec(m.vec(), rows, cols),
         Matrix.unvec(m.reshape(rows * cols, 1), cols, rows),
+        -m,
     ):
         rebuilt = Matrix.exact(out.rows, out.cols, out.entries())
         assert (out._den, out._re, out._im) == (rebuilt._den, rebuilt._re, rebuilt._im)
@@ -204,6 +206,8 @@ def test_permuted_storage_is_normalised(seed):
     assert m.conj_transpose() == Matrix.exact(
         cols, rows, [m.entry(i, j).conj() for j in range(cols) for i in range(rows)]
     )
+    assert -m == m.scale(-1)
+    assert (-m).entries() == tuple(-z for z in m.entries())
 
 
 def mixed_entry(rng):

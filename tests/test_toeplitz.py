@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from relpos.errors import DegenerateSymbolError, DimensionMismatch, ParseError
-from relpos.gaussian import GQ, ONE
+from relpos.gaussian import GQ, ONE, format_gq
 from relpos.matrix import Matrix
+from relpos.system import hom_dim
 from relpos.toeplitz import (
     MAX_SYMBOL_OFFSET,
     ORACLE_N,
@@ -220,6 +221,23 @@ def test_exotic_hom_dims_constant_one():
     dims = hom_dimension_decay(GQ(2), GQ(3), sizes=(4, 8, 16))
     assert dims == [1, 1, 1]
     assert exotic_hom_dim(GQ(2), GQ(2), 8) == 1
+
+
+EXOTIC_PAIRS = [
+    (GQ(2), GQ(3)),
+    (GQ(1, 1), GQ(Fraction(3, 2))),
+    (GQ(3), GQ(2)),
+    (GQ(2), GQ(2)),
+    (GQ(1, 1), GQ(1, 1)),
+]
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+@pytest.mark.parametrize("beta,gamma", EXOTIC_PAIRS, ids=lambda z: format_gq(z))
+def test_exotic_hom_dim_matches_generic_hom(beta, gamma, n):
+    # the sparse reduction against the generic Hom nullspace of the same pair
+    generic = hom_dim(truncate_exotic(beta, n), truncate_exotic(gamma, n))
+    assert exotic_hom_dim(beta, gamma, n) == generic
 
 
 @pytest.mark.parametrize("b", [1, 2, 3, 4])
