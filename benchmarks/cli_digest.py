@@ -2,8 +2,10 @@
 
 Runs the README CLI examples on five catalog systems (catalog build, then
 defect, decompose, coxeter plus/minus/perp, diagram and isom on the file it
-wrote), the four README `toeplitz` commands and `verify two-types`, all with
-`--json` before the subcommand, against the `src/` next to this script.
+wrote), the four README `toeplitz` commands, `toeplitz defect` on the block
+symbol zI + N and `toeplitz index` on zI + N - I for blocks 3 and 6 (the
+block truncation oracle), and `verify two-types`, all with `--json` before
+the subcommand, against the `src/` next to this script.
 Prints one line per command: the command, its exit code and the sha256 of
 its stdout and of its stderr.  Two checkouts give byte-identical CLI output
 when their lines are equal:
@@ -46,11 +48,27 @@ PER_FILE = (
     ("diagram", "{f}", "--threshold", "1e-6"),
     ("isom", "{f}", "{f}"),
 )
+
+
+def _block_v(b: int, shift: int) -> str:
+    """Symbol text of zI + N + shift*I, N the b x b nilpotent subdiagonal."""
+    def block(entry):
+        return "[" + ",".join(
+            "[" + ",".join(str(entry(i, j)) for j in range(b)) + "]" for i in range(b)
+        ) + "]"
+
+    k0 = block(lambda i, j: shift if i == j else int(i == j + 1))
+    k1 = block(lambda i, j: int(i == j))
+    return f"block={b}; k:0={k0}; k:1={k1}"
+
+
 OTHERS = (
     ("toeplitz", "index", "--symbol", "block=1; k:1=[[1]]"),
     ("toeplitz", "defect", "--symbol", "block=1; k:1=[[1]]"),
     ("toeplitz", "regions", "--alpha", "1/2"),
     ("toeplitz", "exotic", "--gamma", "2", "--N", "32", "--threshold", "1e-6"),
+    *(("toeplitz", "defect", "--symbol", _block_v(b, 0)) for b in (3, 6)),
+    *(("toeplitz", "index", "--symbol", _block_v(b, -1)) for b in (3, 6)),
     ("verify", "two-types"),
 )
 DOCUMENTED_EXIT_CODES = {0, 2, 3, 4}

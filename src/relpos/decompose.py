@@ -96,7 +96,8 @@ def _operator_end_basis(s: SubspaceSystem):
     except SingularMatrixError:
         return None
     w = real.change_of_basis
-    w_inv = w.inverse()
+    # W is the inverse of the E1 | E2 basis matrix: no second inversion
+    w_inv = Matrix.hstack([s.subspaces[0].basis, s.subspaces[1].basis])
     d = s.ambient_dim
     spans = [
         (w_inv @ Matrix.block_diag([x, s_inv @ x @ real.S]) @ w).vec().transpose()

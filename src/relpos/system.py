@@ -358,10 +358,10 @@ def is_bounded_operator_system(s: SubspaceSystem):
         return None
     k1 = e1.dim
     k2 = e2.dim
-    # coordinates in which E1 = first block, E2 = second block
+    # coordinates in which E1 = first block, E2 = second block; only the
+    # images of E3 and E4 are read
     w = Matrix.hstack([e1.basis, e2.basis]).inverse()
-    sys2 = s.apply(w)
-    f1, f2, f3, f4 = sys2.subspaces
+    f3, f4 = image_under(w, e3), image_under(w, e4)
     t = _graph_matrix(f3, k1)
     if t is None:
         return None

@@ -8,6 +8,7 @@ is the subdiagonal (the unilateral shift is the symbol z)."""
 
 from __future__ import annotations
 
+import functools
 import re as _re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -34,6 +35,11 @@ CIRCLE_MARGIN = 1e-7
 # 2 * MAX_SYMBOL_OFFSET) below ORACLE_N // 2, the smaller oracle size, and
 # bounds every allocation that grows with the band before it is made.
 MAX_SYMBOL_OFFSET = 32
+# Largest winding grid fredholm_index evaluates: the default 512 reaches it
+# after its seven doublings.
+MAX_GRID = 65536
+# Largest exotic truncation size: ambient 4 * 128 = 512, about 5 s.
+MAX_EXOTIC_N = 128
 
 
 @dataclass(frozen=True)
@@ -228,9 +234,12 @@ def symbol_char_poly(sym: LaurentSymbol) -> Polynomial:
 
 def fredholm_index(sym: LaurentSymbol, grid: int = 512) -> IndexReport:
     """Winding of det(symbol) on the unit circle, Richardson-doubled until
-    the rounded integer is stable twice; index = -winding."""
+    the rounded integer is stable twice, never past MAX_GRID;
+    index = -winding."""
     if grid < 256:
         raise DimensionMismatch("grid must be at least 256")
+    if grid > MAX_GRID:
+        raise DimensionMismatch(f"grid {grid} exceeds the bound {MAX_GRID}")
     if sym.block_size == 1 and sym.is_exact():
         circle = _exact_circle_roots(symbol_char_poly(sym))
         if circle is None:
@@ -245,6 +254,8 @@ def fredholm_index(sym: LaurentSymbol, grid: int = 512) -> IndexReport:
     g = grid
     result = None
     for _ in range(8):
+        if g > MAX_GRID:
+            break
         raw, mn, mx = _winding_on_grid(sym, g)
         if raw is None:
             return IndexReport(
@@ -277,29 +288,52 @@ def fredholm_index(sym: LaurentSymbol, grid: int = 512) -> IndexReport:
     raise UncertifiedError("winding did not stabilize under grid doubling")
 
 
+@functools.cache
+def _lapack_routine(name: str, nargs: int):
+    """The LAPACK routine `name` as a ctypes function of `nargs` pointers.
+
+    scipy.linalg.lapack wraps neither zgbbrd nor dbdsqr, but
+    scipy.linalg.cython_lapack exports both as function-pointer capsules
+    (Fortran argument order, no hidden string lengths).  Each routine is
+    resolved once, on first use, so scipy loads here and not on import."""
+    import ctypes
+
+    from scipy.linalg import cython_lapack
+
+    capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", ctypes.pythonapi)
+    )
+    capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi)
+    )
+    capsule = cython_lapack.__pyx_capi__[name]
+    address = capsule_pointer(capsule, capsule_name(capsule))
+    return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * nargs)(address)
+
+
+def _lapack(name: str, *args) -> None:
+    """Call the LAPACK routine `name`, every argument by pointer: an int as
+    an int32, a str as its characters, an array as its data."""
+    bufs = [
+        np.array([a], dtype=np.int32) if isinstance(a, int)
+        else np.frombuffer(a.encode(), dtype=np.uint8) if isinstance(a, str)
+        else a
+        for a in args
+    ]
+    _lapack_routine(name, len(bufs))(*(buf.ctypes.data for buf in bufs))
+
+
 def _truncation_singular_values(sym: LaurentSymbol, n_rows: int, n_cols: int) -> np.ndarray:
     """Singular values, ascending, of the hard-cutoff truncation A with
     n_rows x n_cols blocks, block (i, j) = a-hat_{i-j}.
 
-    They are the n_cols * b largest eigenvalues of the Hermitian
-    Jordan-Wielandt matrix H = [[0, A], [A*, 0]].  Sorting the rows and the
-    columns of A together by block index, the columns shifted by
-    (lower - upper) / 2 to centre the band, makes H banded, of bandwidth
-    below b * (lower + upper + 2).  H is built directly in LAPACK upper band
-    storage, and its eigenvalues cost O(N^2 bw) instead of the O(N^3) of a
-    dense SVD."""
-    from scipy.linalg import eigvals_banded
-
+    A is built directly in LAPACK general band storage, its lower and upper
+    bandwidths read from the nonzero pattern.  zgbbrd reduces it to a real
+    bidiagonal matrix (Golub-Kahan, no vectors) in O(N^2 bw) instead of the
+    O(N^3) of a dense SVD, and dbdsqr takes the bidiagonal singular values
+    to high relative accuracy (Demmel-Kahan)."""
     b = sym.block_size
     m, c = n_rows * b, n_cols * b
-    keys = np.concatenate(
-        [
-            2 * np.repeat(np.arange(n_rows), b),
-            2 * np.repeat(np.arange(n_cols), b) + (sym.lower - sym.upper),
-        ]
-    )
-    pos = np.empty(m + c, dtype=np.intp)
-    pos[np.argsort(keys, kind="stable")] = np.arange(m + c)
     rows, cols, vals = [], [], []
     for k, mat in sym.coeffs:
         arr = mat.to_array()
@@ -308,17 +342,32 @@ def _truncation_singular_values(sym: LaurentSymbol, n_rows: int, n_cols: int) ->
         rows.append(((i * b)[:, None] + alpha).ravel())
         cols.append((((i - k) * b)[:, None] + beta).ravel())
         vals.append(np.broadcast_to(arr[alpha, beta], (len(i), len(alpha))).ravel())
-    pr = pos[np.concatenate(rows)]
-    pc = pos[m + np.concatenate(cols)]
-    vals = np.concatenate(vals)
-    # H[pr, pc] = A[row, col] and H[pc, pr] is its conjugate: keep the upper one
-    lo, hi = np.minimum(pr, pc), np.maximum(pr, pc)
-    bw = int((hi - lo).max(initial=0))
-    band = np.zeros((bw + 1, m + c), dtype=complex)
-    band[bw + lo - hi, hi] = np.where(pr < pc, vals, vals.conj())
-    eig = eigvals_banded(band, overwrite_a_band=True, check_finite=False)
-    # noise-level singular values may come out as small negative eigenvalues
-    return np.sort(np.abs(eig[m:]))
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    kl = int(max((rows - cols).max(initial=0), 0))
+    ku = int(max((cols - rows).max(initial=0), 0))
+    # Fortran AB(ku + 1 + i - j, j) = A(i, j): row j of this C-order array
+    # is Fortran column j
+    ab = np.zeros((c, kl + ku + 1), dtype=complex)
+    ab[cols, ku + rows - cols] = np.concatenate(vals)
+    nd = min(m, c)
+    d = np.zeros(nd)
+    e = np.zeros(max(nd - 1, 1))
+    info = np.zeros(1, dtype=np.int32)
+    none_c, none_d = np.zeros(1, dtype=complex), np.zeros(1)
+    _lapack(
+        "zgbbrd", "N", m, c, 0, kl, ku, ab, kl + ku + 1, d, e,
+        none_c, 1, none_c, 1, none_c, 1,
+        np.zeros(max(m, c), dtype=complex), np.zeros(max(m, c)), info,
+    )
+    if info[0]:
+        raise UncertifiedError(f"zgbbrd failed with info {info[0]}")
+    _lapack(
+        "dbdsqr", "U" if m >= c else "L", nd, 0, 0, 0, d, e,
+        none_d, 1, none_d, 1, none_d, 1, np.zeros(4 * nd), info,
+    )
+    if info[0]:
+        raise UncertifiedError(f"dbdsqr failed with info {info[0]}")
+    return d[::-1]
 
 
 def _gap_count(svals: np.ndarray) -> int:
@@ -520,6 +569,8 @@ def truncate_exotic(gamma: GQ, n: int) -> SubspaceSystem:
     subspace = graph of the two-by-two block operator plus one extra line."""
     if n < 4:
         raise DimensionMismatch("truncation needs n >= 4")
+    if n > MAX_EXOTIC_N:
+        raise DimensionMismatch(f"truncation size {n} exceeds the bound {MAX_EXOTIC_N}")
     s = shift_matrix(n)
     sstar = s.transpose()  # real entries; adjoint = transpose
     ident = Matrix.identity(n)

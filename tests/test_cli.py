@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -15,7 +16,7 @@ from relpos.cli import build_parser, main
 from relpos.gaussian import GQ
 from relpos.sampling import random_system
 from relpos.system import SubspaceSystem
-from relpos.toeplitz import MAX_SYMBOL_OFFSET
+from relpos.toeplitz import MAX_EXOTIC_N, MAX_GRID, MAX_SYMBOL_OFFSET
 from relpos import verify as verify_mod
 from relpos.verify import CRITERIA, Criterion, SweepReport
 
@@ -233,6 +234,30 @@ def test_symbol_offset_bound_exit_code():
     code, _, err = run_cli(["toeplitz", "index", "--symbol", symbol])
     assert code == 2
     assert "exceeds the bound" in err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["toeplitz", "index", "--symbol", "block=1; k:0=[[2]]; k:1=[[1]]",
+         "--grid", str(MAX_GRID + 1)],
+        ["toeplitz", "exotic", "--gamma", "2", "--N", str(MAX_EXOTIC_N + 1)],
+    ],
+    ids=["grid", "exotic-N"],
+)
+def test_size_bound_exit_code(args):
+    # refused before anything of that size is allocated: unchecked, the
+    # grid alone peaks at about 10 MB
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert out == ""
+    assert "exceeds the bound" in err
+    assert peak < 1 << 20
 
 
 def test_unreadable_input_file_exit_code(tmp_path):

@@ -6,11 +6,18 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from relpos.errors import DegenerateSymbolError, DimensionMismatch, ParseError
+from relpos import toeplitz
+from relpos.errors import (
+    DegenerateSymbolError,
+    DimensionMismatch,
+    ParseError,
+    UncertifiedError,
+)
 from relpos.gaussian import GQ, ONE, format_gq
 from relpos.matrix import Matrix
 from relpos.system import hom_dim
 from relpos.toeplitz import (
+    MAX_GRID,
     MAX_SYMBOL_OFFSET,
     ORACLE_N,
     LaurentSymbol,
@@ -270,6 +277,89 @@ def test_banded_oracle_matches_dense_svd(b):
             assert count == _gap_count(ref), which.text()
             counts.append(count)
     assert any(counts)
+
+
+def assert_oracle_matches_dense_svd(which, n):
+    """The oracle's values against dense SVD of the same truncation, and its
+    count against the dense values' gap count; returns the count."""
+    pad = which.lower + which.upper + 2
+    ref = np.sort(np.linalg.svd(dense_truncation(which, n + pad, n), compute_uv=False))
+    got = _truncation_singular_values(which, n + pad, n)
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref)) <= 1e-12 * ref[-1], which.text()
+    count = _truncation_kernel_count(which, n)
+    assert count == _gap_count(ref), which.text()
+    return count
+
+
+def test_oracle_matches_dense_svd_at_oracle_sizes():
+    # the criterion-6 block symbol zI + N minus one at b = 6 (618 x 600),
+    # and diag(z^-1, z^-2, 1), whose kernel has dimension 1 + 2 = 3
+    sym = block_v_symbol(6).shift_constant(GQ(-1))
+    for which in (sym, sym.adjoint()):
+        assert_oracle_matches_dense_svd(which, ORACLE_N // 2)
+    diag = LaurentSymbol.make(
+        3,
+        {
+            -1: Matrix.from_rows([[1, 0, 0], [0, 0, 0], [0, 0, 0]]),
+            -2: Matrix.from_rows([[0, 0, 0], [0, 1, 0], [0, 0, 0]]),
+            0: Matrix.from_rows([[0, 0, 0], [0, 0, 0], [0, 0, 1]]),
+        },
+    )
+    assert assert_oracle_matches_dense_svd(diag, ORACLE_N) == 3
+    assert assert_oracle_matches_dense_svd(diag.adjoint(), ORACLE_N) == 0
+
+
+def test_oracle_counts_match_dense_svd_on_random_symbols():
+    rng = random.Random(20)
+    counts = []
+    while len(counts) < 80:
+        b = rng.randint(1, 4)
+        gaussian = rng.random() < 0.5
+        offsets = rng.sample(range(-3, 4), rng.randint(1, 3))
+        coeffs = {
+            k: [
+                [GQ(rng.randint(-2, 2), rng.randint(-2, 2) if gaussian else 0)
+                 for _ in range(b)]
+                for _ in range(b)
+            ]
+            for k in offsets
+        }
+        try:
+            sym = LaurentSymbol.make(b, coeffs)
+        except DegenerateSymbolError:
+            continue
+        for which in (sym, sym.adjoint()):
+            pad = which.lower + which.upper + 2
+            ref = np.linalg.svd(dense_truncation(which, 30 + pad, 30), compute_uv=False)
+            count = _truncation_kernel_count(which, 30)
+            assert count == _gap_count(np.sort(ref)), which.text()
+            counts.append(count)
+    assert sum(1 for c in counts if c) >= 10
+
+
+def test_grid_doubling_stops_at_the_bound(monkeypatch):
+    # a winding that never rounds cleanly doubles the grid up to MAX_GRID,
+    # and never past it
+    seen = []
+
+    def unrounded(sym, grid):
+        seen.append(grid)
+        return 0.5, 1.0, 1.0
+
+    monkeypatch.setattr(toeplitz, "_winding_on_grid", unrounded)
+    sym = scalar({1: 1, 0: 3})
+    for start in (512, 40000, MAX_GRID):
+        seen.clear()
+        with pytest.raises(UncertifiedError):
+            fredholm_index(sym, grid=start)
+        assert seen[0] == start and max(seen) <= MAX_GRID
+    seen.clear()
+    with pytest.raises(UncertifiedError):
+        fredholm_index(sym)
+    assert seen == [512 * 2**i for i in range(8)] and seen[-1] == MAX_GRID
+    with pytest.raises(DimensionMismatch, match="exceeds the bound"):
+        fredholm_index(sym, grid=MAX_GRID + 1)
 
 
 def test_block_kernel_dims_nonzero_count():
