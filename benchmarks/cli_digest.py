@@ -2,9 +2,10 @@
 
 Runs the README CLI examples on five catalog systems (catalog build, then
 defect, decompose, coxeter plus/minus/perp, diagram and isom on the file it
-wrote), the four README `toeplitz` commands, `toeplitz defect` on the block
-symbol zI + N and `toeplitz index` on zI + N - I for blocks 3 and 6 (the
-block truncation oracle), and `verify two-types`, all with `--json` before
+wrote), the four README `toeplitz` commands, `toeplitz exotic` at gamma = 1+i
+(N = 16) and gamma = -2i (N = 24), `toeplitz defect` on the block symbol
+zI + N and `toeplitz index` on zI + N - I for blocks 3 and 6 (the block
+truncation oracle), and `verify two-types`, all with `--json` before
 the subcommand, against the `src/` next to this script.
 Prints one line per command: the command, its exit code and the sha256 of
 its stdout and of its stderr.  Two checkouts give byte-identical CLI output
@@ -67,6 +68,9 @@ OTHERS = (
     ("toeplitz", "defect", "--symbol", "block=1; k:1=[[1]]"),
     ("toeplitz", "regions", "--alpha", "1/2"),
     ("toeplitz", "exotic", "--gamma", "2", "--N", "32", "--threshold", "1e-6"),
+    # the = form: argparse would read a bare -2i as a flag
+    ("toeplitz", "exotic", "--gamma=1+i", "--N", "16"),
+    ("toeplitz", "exotic", "--gamma=-2i", "--N", "24"),
     *(("toeplitz", "defect", "--symbol", _block_v(b, 0)) for b in (3, 6)),
     *(("toeplitz", "index", "--symbol", _block_v(b, -1)) for b in (3, 6)),
     ("verify", "two-types"),

@@ -50,9 +50,7 @@ def _sum_map(s: SubspaceSystem):
     if off == 0:
         tau = Matrix.zeros(s.ambient_dim, 0, s.field)
     else:
-        tau = Matrix.hstack([b for b in blocks if b.cols > 0]) if any(
-            b.cols for b in blocks
-        ) else Matrix.zeros(s.ambient_dim, 0, s.field)
+        tau = Matrix.hstack([b for b in blocks if b.cols > 0])
     return tau, offsets, off
 
 

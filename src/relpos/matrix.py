@@ -525,18 +525,6 @@ class Matrix:
             [pre[t] for t in flat], [pim[t] for t in flat], self._den * other._den,
         )
 
-    def power(self, k: int) -> "Matrix":
-        if self.rows != self.cols:
-            raise DimensionMismatch("power: not square")
-        result = Matrix.identity(self.rows, self.field, tol=self.tol)
-        base = self
-        while k:
-            if k & 1:
-                result = result @ base
-            base = base @ base if k > 1 else base
-            k >>= 1
-        return result
-
     def vec(self) -> "Matrix":
         """Column-major flattening into a (rows*cols) x 1 matrix."""
         return self.transpose().reshape(self.rows * self.cols, 1)

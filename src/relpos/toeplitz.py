@@ -24,7 +24,7 @@ from .errors import (
 from .gaussian import GQ, ONE, ZERO, format_gq, parse_gq
 from .matrix import EXACT, Matrix
 from .poly import Polynomial, factor_over_gaussian_rationals
-from .subspace import Subspace, intersect, principal_angles, sum_
+from .subspace import Subspace, intersect, principal_angles
 from .system import SubspaceSystem, intersection_diagram
 
 ORACLE_N = 200
@@ -38,6 +38,9 @@ MAX_SYMBOL_OFFSET = 32
 # Largest winding grid fredholm_index evaluates: the default 512 reaches it
 # after its seven doublings.
 MAX_GRID = 65536
+# Largest symbol block size, above the 6 of every workload and criterion.
+# The winding stack holds grid x b^2 complex values: 64 MiB at MAX_GRID.
+MAX_SYMBOL_BLOCK = 8
 # Largest exotic truncation size: ambient 4 * 128 = 512, about 5 s.
 MAX_EXOTIC_N = 128
 
@@ -51,6 +54,10 @@ class LaurentSymbol:
 
     @staticmethod
     def make(block_size: int, coeffs: dict) -> "LaurentSymbol":
+        if block_size > MAX_SYMBOL_BLOCK:
+            raise DimensionMismatch(
+                f"symbol block size {block_size} exceeds the bound {MAX_SYMBOL_BLOCK}"
+            )
         clean = []
         for k, m in sorted(coeffs.items()):
             if abs(k) > MAX_SYMBOL_OFFSET:
@@ -82,12 +89,6 @@ class LaurentSymbol:
     def upper(self) -> int:
         """-(smallest offset) (superdiagonal width s)."""
         return -min(k for k, _ in self.coeffs)
-
-    def coeff(self, k: int) -> Matrix:
-        for kk, m in self.coeffs:
-            if kk == k:
-                return m
-        return Matrix.zeros(self.block_size, self.block_size)
 
     def is_exact(self) -> bool:
         return all(m.field == EXACT for _, m in self.coeffs)
@@ -571,16 +572,7 @@ def truncate_exotic(gamma: GQ, n: int) -> SubspaceSystem:
         raise DimensionMismatch("truncation needs n >= 4")
     if n > MAX_EXOTIC_N:
         raise DimensionMismatch(f"truncation size {n} exceeds the bound {MAX_EXOTIC_N}")
-    s = shift_matrix(n)
-    sstar = s.transpose()  # real entries; adjoint = transpose
-    ident = Matrix.identity(n)
-    zero = Matrix.zeros(n, n)
-    t_gamma = Matrix.vstack(
-        [
-            Matrix.hstack([sstar.scale(gamma), ident]),
-            Matrix.hstack([zero, s]),
-        ]
-    )
+    t_gamma = exotic_t_matrix(gamma, n)
     two_n = 2 * n
     d = 4 * n
     e1 = Subspace.span(
@@ -618,30 +610,24 @@ def exotic_report(gamma: GQ, n: int, tol: float = 1e-6) -> ExoticReport:
     if gamma.norm2() <= 1:
         raise DimensionMismatch("the lab needs |gamma| > 1")
     s = truncate_exotic(gamma, n)
+    sf = s.to_float()
     d = s.ambient_dim
-    m = {}
-    angles = {}
-    nperp = {}
+    m, nperp, angles, near = {}, {}, {}, {}
     for i in range(4):
         for j in range(i + 1, 4):
             a, b = s.subspaces[i], s.subspaces[j]
-            m[(i + 1, j + 1)] = intersect(a, b).dim
-            nperp[(i + 1, j + 1)] = d - sum_(a, b).dim
-            ang = principal_angles(a, b)
-            angles[(i + 1, j + 1)] = float(ang[0]) if len(ang) else float("nan")
+            pair = (i + 1, j + 1)
+            m[pair] = intersect(a, b).dim
+            # Grassmann: dim(a + b) = dim a + dim b - dim(a ∩ b)
+            nperp[pair] = d - a.dim - b.dim + m[pair]
+            ang = principal_angles(sf.subspaces[i], sf.subspaces[j])
+            angles[pair] = float(ang[0]) if len(ang) else float("nan")
+            # near-intersections past the exact part count on (3,4) only
+            near[pair] = max(int(np.sum(ang < tol)), m[pair]) if pair == (3, 4) else m[pair]
     for pair in ((1, 2), (1, 4), (2, 4)):
         if m[pair] != 0 or nperp[pair] != 0:
             raise UncertifiedError(f"pair {pair} is not exactly complementary")
-    near = {}
-    for pair, ang in angles.items():
-        exact_part = m[pair]
-        near_extra = 0
-        if pair == (3, 4):
-            full = principal_angles(s.subspaces[2], s.subspaces[3])
-            near_extra = int(np.sum(full < tol)) - exact_part
-            near_extra = max(near_extra, 0)
-        near[pair] = exact_part + near_extra
-    diagram = intersection_diagram(s.to_float(), tol=tol)
+    diagram = intersection_diagram(sf, tol=tol)
     not_op = diagram.isolated(3)
     total = sum(near[p] - nperp[p] for p in near)
     estimate = Fraction(total, 3)

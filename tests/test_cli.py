@@ -16,7 +16,7 @@ from relpos.cli import build_parser, main
 from relpos.gaussian import GQ
 from relpos.sampling import random_system
 from relpos.system import SubspaceSystem
-from relpos.toeplitz import MAX_EXOTIC_N, MAX_GRID, MAX_SYMBOL_OFFSET
+from relpos.toeplitz import MAX_EXOTIC_N, MAX_GRID, MAX_SYMBOL_BLOCK, MAX_SYMBOL_OFFSET
 from relpos import verify as verify_mod
 from relpos.verify import CRITERIA, Criterion, SweepReport
 
@@ -234,6 +234,21 @@ def test_symbol_offset_bound_exit_code():
     code, _, err = run_cli(["toeplitz", "index", "--symbol", symbol])
     assert code == 2
     assert "exceeds the bound" in err
+
+
+def test_symbol_block_bound_exit_code():
+    # I + zI one past the bound; unchecked, the Toeplitz paths grow as the
+    # cube of the block size
+    b = MAX_SYMBOL_BLOCK + 1
+    ident = "[" + ",".join(
+        "[" + ",".join(str(int(i == j)) for j in range(b)) + "]" for i in range(b)
+    ) + "]"
+    symbol = f"block={b}; k:0={ident}; k:1={ident}"
+    proc = run_python(["-m", "relpos.cli", "toeplitz", "index", "--symbol", symbol])
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "exceeds the bound" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize(

@@ -14,7 +14,8 @@ from relpos.errors import (
     UncertifiedError,
 )
 from relpos.gaussian import GQ, ONE, format_gq
-from relpos.matrix import Matrix
+from relpos.matrix import EXACT, Matrix
+from relpos.subspace import Subspace, intersect, principal_angles, sum_
 from relpos.system import hom_dim
 from relpos.toeplitz import (
     MAX_GRID,
@@ -199,6 +200,63 @@ def test_exotic_report_values():
         assert rep.pair_angles[pair] > 0.3
     assert rep.not_operator_system
     assert rep.defect_estimate == Fraction(1)
+
+
+def test_truncate_exotic_third_subspace():
+    # graph of T = [[gamma S*, I], [0, S]] plus the line (0, 0, 0, e_1)
+    n, gamma = 4, GQ(1, 1)
+    s = shift_matrix(n)
+    t = Matrix.vstack(
+        [
+            Matrix.hstack([s.transpose().scale(gamma), Matrix.identity(n)]),
+            Matrix.hstack([Matrix.zeros(n, n), s]),
+        ]
+    )
+    extra = Matrix(4 * n, 1, EXACT, entries=[GQ(int(k == 3 * n)) for k in range(4 * n)])
+    graph = Matrix.vstack([Matrix.identity(2 * n), t])
+    assert truncate_exotic(gamma, n).subspaces[2] == Subspace.span(Matrix.hstack([graph, extra]))
+
+
+def _exotic_reference(gamma, n, tol):
+    """exotic_report's pair facts the long way: each complement dimension
+    from an exact sum, each angle spectrum from the exact subspaces, the
+    diagram edges from the smallest angles."""
+    s = truncate_exotic(gamma, n)
+    m, nperp, angles, near, edges = {}, {}, {}, {}, set()
+    for i in range(4):
+        for j in range(i + 1, 4):
+            a, b = s.subspaces[i], s.subspaces[j]
+            pair = (i + 1, j + 1)
+            m[pair] = intersect(a, b).dim
+            nperp[pair] = s.ambient_dim - sum_(a, b).dim
+            ang = principal_angles(a, b)
+            angles[pair] = float(ang[0])
+            extra = int(np.sum(ang < tol)) - m[pair] if pair == (3, 4) else 0
+            near[pair] = m[pair] + max(extra, 0)
+            if ang[0] > tol:
+                edges.add(frozenset(pair))
+    defect = Fraction(sum(near[p] - nperp[p] for p in near), 3)
+    return m, nperp, angles, near, frozenset(edges), defect
+
+
+# at 0.15 the (3,4) near count exceeds the exact intersection (its second
+# angle is 0.03-0.09), so that count is read from the spectrum
+@pytest.mark.parametrize("tol", [1e-6, 0.15])
+@pytest.mark.parametrize("n", [8, 16])
+@pytest.mark.parametrize("gamma", [GQ(2), GQ(1, 1), GQ(0, -2), GQ(Fraction(3, 2))], ids=format_gq)
+def test_exotic_report_matches_reference(gamma, n, tol):
+    m, nperp, angles, near, edges, defect = _exotic_reference(gamma, n, tol)
+    rep = exotic_report(gamma, n, tol)
+    assert rep.pair_intersections == m
+    assert rep.details["nperp"] == nperp
+    assert rep.details["near_counts"] == near
+    assert rep.diagram.edges == edges
+    assert rep.not_operator_system == (not any(3 in e for e in edges))
+    assert rep.defect_estimate == defect
+    # bit for bit: both take the spectrum from the same float image
+    assert {p: v.hex() for p, v in rep.pair_angles.items()} == {
+        p: v.hex() for p, v in angles.items()
+    }
 
 
 def test_exotic_report_rejects_small_gamma():
