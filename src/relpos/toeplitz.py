@@ -9,6 +9,7 @@ is the subdiagonal (the unilateral shift is the symbol z)."""
 from __future__ import annotations
 
 import functools
+import os
 import re as _re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -25,7 +26,7 @@ from .gaussian import GQ, ONE, ZERO, format_gq, parse_gq
 from .matrix import EXACT, Matrix
 from .poly import Polynomial, factor_over_gaussian_rationals
 from .subspace import Subspace, intersect, principal_angles
-from .system import SubspaceSystem, intersection_diagram
+from .system import IntersectionDiagram, SubspaceSystem, _connected
 
 ORACLE_N = 200
 ORACLE_SIGMA_TOL = 1e-7
@@ -289,14 +290,19 @@ def fredholm_index(sym: LaurentSymbol, grid: int = 512) -> IndexReport:
     raise UncertifiedError("winding did not stabilize under grid doubling")
 
 
+# Pointer arguments of each LAPACK routine the oracle calls.
+_LAPACK_NARGS = {"zgbbrd": 19, "dbdsqr": 15}
+
+
 @functools.cache
-def _lapack_routine(name: str, nargs: int):
-    """The LAPACK routine `name` as a ctypes function of `nargs` pointers.
+def _lapack_routine(name: str):
+    """The LAPACK routine `name` as a ctypes function of pointers.
 
     scipy.linalg.lapack wraps neither zgbbrd nor dbdsqr, but
     scipy.linalg.cython_lapack exports both as function-pointer capsules
     (Fortran argument order, no hidden string lengths).  Each routine is
-    resolved once, on first use, so scipy loads here and not on import."""
+    resolved once, on first use, so scipy loads here and not on import.
+    A CFUNCTYPE call releases the GIL while LAPACK runs."""
     import ctypes
 
     from scipy.linalg import cython_lapack
@@ -309,7 +315,7 @@ def _lapack_routine(name: str, nargs: int):
     )
     capsule = cython_lapack.__pyx_capi__[name]
     address = capsule_pointer(capsule, capsule_name(capsule))
-    return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * nargs)(address)
+    return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * _LAPACK_NARGS[name])(address)
 
 
 def _lapack(name: str, *args) -> None:
@@ -321,18 +327,14 @@ def _lapack(name: str, *args) -> None:
         else a
         for a in args
     ]
-    _lapack_routine(name, len(bufs))(*(buf.ctypes.data for buf in bufs))
+    _lapack_routine(name)(*(buf.ctypes.data for buf in bufs))
 
 
-def _truncation_singular_values(sym: LaurentSymbol, n_rows: int, n_cols: int) -> np.ndarray:
-    """Singular values, ascending, of the hard-cutoff truncation A with
-    n_rows x n_cols blocks, block (i, j) = a-hat_{i-j}.
-
-    A is built directly in LAPACK general band storage, its lower and upper
-    bandwidths read from the nonzero pattern.  zgbbrd reduces it to a real
-    bidiagonal matrix (Golub-Kahan, no vectors) in O(N^2 bw) instead of the
-    O(N^3) of a dense SVD, and dbdsqr takes the bidiagonal singular values
-    to high relative accuracy (Demmel-Kahan)."""
+def _truncation_band(sym: LaurentSymbol, n_rows: int, n_cols: int):
+    """(ab, m, c, kl, ku): the hard-cutoff truncation A with n_rows x n_cols
+    blocks, block (i, j) = a-hat_{i-j}, in LAPACK general band storage, its
+    m x c shape and its lower and upper bandwidths read from the nonzero
+    pattern."""
     b = sym.block_size
     m, c = n_rows * b, n_cols * b
     rows, cols, vals = [], [], []
@@ -350,6 +352,16 @@ def _truncation_singular_values(sym: LaurentSymbol, n_rows: int, n_cols: int) ->
     # is Fortran column j
     ab = np.zeros((c, kl + ku + 1), dtype=complex)
     ab[cols, ku + rows - cols] = np.concatenate(vals)
+    return ab, m, c, kl, ku
+
+
+def _band_singular_values(ab: np.ndarray, m: int, c: int, kl: int, ku: int) -> np.ndarray:
+    """Singular values, ascending, of the m x c band matrix `ab` (which it
+    overwrites).  zgbbrd reduces it to a real bidiagonal matrix (Golub-Kahan,
+    no vectors) in O(N^2 bw) instead of the O(N^3) of a dense SVD, and
+    dbdsqr takes the bidiagonal singular values to high relative accuracy
+    (Demmel-Kahan).  Only numpy and LAPACK run here, so it may run on any
+    thread."""
     nd = min(m, c)
     d = np.zeros(nd)
     e = np.zeros(max(nd - 1, 1))
@@ -371,6 +383,12 @@ def _truncation_singular_values(sym: LaurentSymbol, n_rows: int, n_cols: int) ->
     return d[::-1]
 
 
+def _truncation_singular_values(sym: LaurentSymbol, n_rows: int, n_cols: int) -> np.ndarray:
+    """Singular values, ascending, of the hard-cutoff truncation with
+    n_rows x n_cols blocks."""
+    return _band_singular_values(*_truncation_band(sym, n_rows, n_cols))
+
+
 def _gap_count(svals: np.ndarray) -> int:
     """Number of ascending singular values below ORACLE_SIGMA_TOL * max that
     end in a ratio gap of at least ORACLE_GAP."""
@@ -388,16 +406,30 @@ def _gap_count(svals: np.ndarray) -> int:
     return count
 
 
+def _tall_band(sym: LaurentSymbol, n: int):
+    """The band of the tall truncation with n block columns: rows padded past
+    the band, so cut-off growing solutions hit nonzero bottom rows."""
+    pad = sym.lower + sym.upper + 2
+    return _truncation_band(sym, n + pad, n)
+
+
 def _truncation_kernel_count(sym: LaurentSymbol, n: int) -> int:
-    """Numeric near-kernel count of the tall truncation (rows padded past the
-    band, so cut-off growing solutions hit nonzero bottom rows).
+    """Numeric near-kernel count of the tall truncation.
 
     A decaying kernel vector leaves an exponentially small singular value,
     separated from the rest by a large ratio gap; symbols whose determinant
     merely vanishes on the circle produce polynomially small tails with no
     gap, which must not be counted."""
-    pad = sym.lower + sym.upper + 2
-    return _gap_count(_truncation_singular_values(sym, n + pad, n))
+    return _gap_count(_band_singular_values(*_tall_band(sym, n)))
+
+
+def _oracle_workers() -> int:
+    """Threads for the truncation oracle: min(4, usable CPUs)."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    return min(4, cpus)
 
 
 def _scalar_kernel_by_roots(sym: LaurentSymbol):
@@ -458,24 +490,45 @@ def kernel_dims(sym: LaurentSymbol, oracle_n: int = ORACLE_N):
     Scalar symbols: decaying characteristic solutions filtered by the leading
     boundary rows, validated against the tall-truncation oracle
     ('exact' when everything certifies).  Block symbols: truncation counts
-    only, stability-checked across two sizes ('truncation')."""
-    results = []
-    certs = []
-    for which in (sym, sym.adjoint()):
-        oracle_full = _truncation_kernel_count(which, oracle_n)
-        oracle_half = _truncation_kernel_count(which, oracle_n // 2)
-        stable = oracle_full == oracle_half
-        if sym.block_size == 1 and sym.is_exact():
-            count, certified = _scalar_kernel_by_roots(which)
-            if count != oracle_full:
-                raise UncertifiedError(
-                    f"root count {count} disagrees with truncation oracle {oracle_full}"
-                )
-            certs.append("exact" if (certified and stable) else ("truncation" if stable else "uncertified"))
-            results.append(count)
-        else:
-            certs.append("truncation" if stable else "uncertified")
-            results.append(oracle_full)
+    only, stability-checked across two sizes ('truncation').
+
+    The four truncations (symbol and adjoint, at oracle_n and oracle_n // 2)
+    are built on this thread and reduced concurrently on up to min(4, usable
+    CPUs) threads, which run LAPACK only; their counts are read in the
+    sequential order, so the same error surfaces first."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    whiches = (sym, sym.adjoint())
+    for name in _LAPACK_NARGS:
+        _lapack_routine(name)
+    with ThreadPoolExecutor(max_workers=_oracle_workers()) as pool:
+        try:
+            # the two full-size bands first, so two workers finish together
+            svals = {
+                (w, h): pool.submit(_band_singular_values, *_tall_band(which, n))
+                for h, n in enumerate((oracle_n, oracle_n // 2))
+                for w, which in enumerate(whiches)
+            }
+            results = []
+            certs = []
+            for w, which in enumerate(whiches):
+                oracle_full = _gap_count(svals[w, 0].result())
+                oracle_half = _gap_count(svals[w, 1].result())
+                stable = oracle_full == oracle_half
+                if sym.block_size == 1 and sym.is_exact():
+                    count, certified = _scalar_kernel_by_roots(which)
+                    if count != oracle_full:
+                        raise UncertifiedError(
+                            f"root count {count} disagrees with truncation oracle {oracle_full}"
+                        )
+                    certs.append("exact" if (certified and stable) else ("truncation" if stable else "uncertified"))
+                    results.append(count)
+                else:
+                    certs.append("truncation" if stable else "uncertified")
+                    results.append(oracle_full)
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
     certification = "exact"
     for c in certs:
         if c == "uncertified":
@@ -604,9 +657,10 @@ class ExoticReport:
 
 
 def exotic_report(gamma: GQ, n: int, tol: float = 1e-6) -> ExoticReport:
-    """Exact pair data for the truncated exotic system, the thresholded
-    intersection diagram, the not-an-operator-system flag, and the defect
-    estimate from near-intersections."""
+    """Exact pair data for the truncated exotic system, the intersection
+    diagram from that data and the thresholded angles, the
+    not-an-operator-system flag, and the defect estimate from
+    near-intersections."""
     if gamma.norm2() <= 1:
         raise DimensionMismatch("the lab needs |gamma| > 1")
     s = truncate_exotic(gamma, n)
@@ -627,7 +681,10 @@ def exotic_report(gamma: GQ, n: int, tol: float = 1e-6) -> ExoticReport:
     for pair in ((1, 2), (1, 4), (2, 4)):
         if m[pair] != 0 or nperp[pair] != 0:
             raise UncertifiedError(f"pair {pair} is not exactly complementary")
-    diagram = intersection_diagram(sf, tol=tol)
+    # an edge where the exact intersection is 0 and no angle is near 0: the
+    # float angle of an exact intersection reads 2e-8 to 3e-8, not 0
+    edges = frozenset(frozenset(p) for p in angles if m[p] == 0 and angles[p] > tol)
+    diagram = IntersectionDiagram(4, edges, _connected(4, edges), tol)
     not_op = diagram.isolated(3)
     total = sum(near[p] - nperp[p] for p in near)
     estimate = Fraction(total, 3)

@@ -1,6 +1,7 @@
 """Symbol-level Fredholm theory, fractional defects, and the exotic lab."""
 
 import random
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -23,6 +24,7 @@ from relpos.toeplitz import (
     ORACLE_N,
     LaurentSymbol,
     _gap_count,
+    _oracle_workers,
     _truncation_kernel_count,
     _truncation_singular_values,
     exotic_hom_dim,
@@ -38,7 +40,7 @@ from relpos.toeplitz import (
     truncate_exotic,
     upper_toeplitz,
 )
-from test_cli import run_python
+from test_cli import run_cli, run_python
 
 
 def scalar(coeffs):
@@ -264,6 +266,17 @@ def test_exotic_report_rejects_small_gamma():
         exotic_report(GQ(1), 8)
 
 
+def test_exotic_diagram_reads_exact_intersections_below_the_angle_floor():
+    # the float angle of the exact (3,4) intersection is about 2.1e-8, so a
+    # threshold below it must not draw the 3-4 edge from that angle
+    rep = exotic_report(GQ(2), 8, 1e-9)
+    assert rep.pair_intersections[(3, 4)] == 1
+    assert 1e-9 < rep.pair_angles[(3, 4)] < 1e-6
+    assert rep.diagram.edges == {frozenset(p) for p in ((1, 2), (1, 4), (2, 4))}
+    assert rep.diagram.threshold == 1e-9
+    assert rep.not_operator_system
+
+
 def test_toeplitz_idempotent_law_random():
     rng = random.Random(9)
     for _ in range(200):
@@ -442,6 +455,127 @@ def test_symbol_offset_bound():
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    proc = run_python(["-c", "import sys, relpos.cli; print('scipy' in sys.modules)"])
+    # and the oracle's thread pool
+    proc = run_python(
+        ["-c", "import sys, relpos.cli; print('scipy' in sys.modules, 'concurrent.futures' in sys.modules)"]
+    )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "False False"
+
+
+def lab_block_symbol(rng, b):
+    """The lab's block item: zI + N conjugated by a random unipotent
+    Gaussian-integer matrix P."""
+    p = Matrix.from_rows(
+        [
+            [ONE if i == j else GQ(rng.randint(-1, 1), rng.randint(-1, 1)) if j > i else GQ(0)
+             for j in range(b)]
+            for i in range(b)
+        ]
+    )
+    nil = Matrix.from_rows([[int(i == j + 1) for j in range(b)] for i in range(b)])
+    return LaurentSymbol.make(b, {0: p @ nil @ p.inverse(), 1: Matrix.identity(b)})
+
+
+def record_oracle_runs(monkeypatch):
+    """Wrap the band build and the LAPACK step of kernel_dims; returns the
+    list of (symbol text, n, band) builds, the list of (band, singular
+    values) results and the set of threads LAPACK ran on."""
+    builds, runs, threads = [], [], set()
+    tall_band, band_svals = toeplitz._tall_band, toeplitz._band_singular_values
+
+    def recording_tall_band(which, n):
+        band = tall_band(which, n)
+        builds.append((which.text(), n, band[0]))
+        return band
+
+    def recording_band_svals(ab, *shape):
+        threads.add(threading.current_thread())
+        out = band_svals(ab, *shape)
+        runs.append((ab, out))
+        return out
+
+    monkeypatch.setattr(toeplitz, "_tall_band", recording_tall_band)
+    monkeypatch.setattr(toeplitz, "_band_singular_values", recording_band_svals)
+    return builds, runs, threads
+
+
+@pytest.mark.parametrize("b", [1, 2, 3, 4, 5, 6])
+def test_pooled_oracle_matches_sequential_bit_for_bit(b, monkeypatch):
+    sym = lab_block_symbol(random.Random(b), b).shift_constant(GQ(-1))
+    builds, runs, threads = record_oracle_runs(monkeypatch)
+    ker, coker, cert = kernel_dims(sym)
+    monkeypatch.undo()
+    # a - 1 is not Fredholm, and its kernel and cokernel are 0
+    assert (ker, coker, cert) == (0, 0, "exact" if b == 1 else "truncation")
+    assert threading.current_thread() not in threads
+    texts = {sym.text(): sym, sym.adjoint().text(): sym.adjoint()}
+    # submitted full size first: symbol, adjoint, then both at half size
+    assert [(t, n) for t, n, _ in builds] == [
+        (which.text(), n) for n in (ORACLE_N, ORACLE_N // 2) for which in (sym, sym.adjoint())
+    ]
+    assert len(runs) == 4
+    for text, n, ab in builds:
+        (pooled,) = [out for band, out in runs if band is ab]
+        which = texts[text]
+        pad = which.lower + which.upper + 2
+        assert np.array_equal(pooled, _truncation_singular_values(which, n + pad, n)), (b, text, n)
+
+
+def test_oracle_builds_bands_on_the_calling_thread(monkeypatch):
+    sym = lab_block_symbol(random.Random(3), 3).shift_constant(GQ(-1))
+    seen = set()
+    to_array = Matrix.to_array
+
+    def recording_to_array(self, *args, **kwargs):
+        seen.add(threading.current_thread())
+        return to_array(self, *args, **kwargs)
+
+    monkeypatch.setattr(Matrix, "to_array", recording_to_array)
+    assert kernel_dims(sym) == (0, 0, "truncation")
+    assert seen == {threading.current_thread()}
+
+
+def test_lapack_failure_is_uncertified_and_leaves_no_threads(monkeypatch):
+    # the symbol's determinant vanishes at z = 1, so `toeplitz index` asks
+    # the truncation oracle
+    sym = lab_block_symbol(random.Random(3), 3).shift_constant(GQ(-1))
+    baseline = threading.active_count()
+
+    def failing_lapack(name, *args):
+        args[-1][0] = 1  # info
+
+    monkeypatch.setattr(toeplitz, "_lapack", failing_lapack)
+    with pytest.raises(UncertifiedError, match="zgbbrd failed with info 1"):
+        kernel_dims(sym)
+    assert threading.active_count() == baseline
+    code, out, err = run_cli(["--json", "toeplitz", "index", "--symbol", sym.text()])
+    assert code == 3
+    assert out == ""
+    assert "zgbbrd failed" in err and "Traceback" not in err
+    assert threading.active_count() == baseline
+
+
+def test_oracle_on_one_cpu_gives_the_same_results(monkeypatch):
+    syms = [
+        lab_block_symbol(random.Random(4), 4).shift_constant(GQ(-1)),
+        scalar({1: 1, 0: -1}),
+        scalar({-1: 1, 0: 2, 1: 3}).shift_constant(GQ(-6)),
+        LaurentSymbol.make(
+            2,
+            {
+                0: Matrix.from_rows([[-1, 0], [0, 1]]),
+                1: Matrix.from_rows([[1, 0], [0, -2]]),
+            },
+        ),
+    ]
+    pooled = [kernel_dims(sym) for sym in syms]
+    monkeypatch.setattr(toeplitz.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert _oracle_workers() == 1
+    assert [kernel_dims(sym) for sym in syms] == pooled
+    # hosts without sched_getaffinity count os.cpu_count()
+    monkeypatch.delattr(toeplitz.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(toeplitz.os, "cpu_count", lambda: None)
+    assert _oracle_workers() == 1
+    monkeypatch.setattr(toeplitz.os, "cpu_count", lambda: 16)
+    assert _oracle_workers() == 4
