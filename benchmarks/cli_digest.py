@@ -5,8 +5,11 @@ defect, decompose, coxeter plus/minus/perp, diagram and isom on the file it
 wrote), the four README `toeplitz` commands, `toeplitz exotic` at gamma = 1+i
 (N = 16) and gamma = -2i (N = 24), `toeplitz defect` on the block symbol
 zI + N and `toeplitz index` on zI + N - I for blocks 3 and 6 (the block
-truncation oracle), and `verify two-types`, all with `--json` before
-the subcommand, against the `src/` next to this script.
+truncation oracle), `verify two-types`, and `decompose` on two operator
+systems S_T written here (one per commutant route: T conjugate to
+J_2(1) + J_1(1), which is derogatory, and the companion matrix of x^2 - 2,
+which is cyclic), all with `--json` before the subcommand, against the
+`src/` next to this script.
 Prints one line per command: the command, its exit code and the sha256 of
 its stdout and of its stderr.  Two checkouts give byte-identical CLI output
 when their lines are equal:
@@ -75,6 +78,30 @@ OTHERS = (
     *(("toeplitz", "index", "--symbol", _block_v(b, -1)) for b in (3, 6)),
     ("verify", "two-types"),
 )
+
+
+def _operator_sysfile(t) -> str:
+    """Sysfile of S_T = (C^k + 0, 0 + C^k, graph of T, diagonal) for the
+    k x k integer matrix t, given by its rows."""
+    k = len(t)
+    unit = [[int(i == j) for i in range(k)] for j in range(k)]
+    zero = [[0] * k] * k
+    columns = [[t[i][j] for i in range(k)] for j in range(k)]
+    lines = ["relpos-system 1", "field gaussian-rational", f"ambient {2 * k}"]
+    for name, left, right in (
+        ("E1", unit, zero), ("E2", zero, unit), ("E3", unit, columns), ("E4", unit, unit)
+    ):
+        lines.append(f"subspace {name} dim {k}")
+        lines += [" ".join(str(v) for v in a + b) for a, b in zip(left, right)]
+    return "\n".join(lines) + "\n"
+
+
+# T = W (J_2(1) + J_1(1)) W^-1 with W = [[1, 1, 0], [0, 1, 1], [0, 0, 1]],
+# and the companion matrix of x^2 - 2
+OPERATOR_FILES = {
+    "t0.sys": _operator_sysfile([[1, 1, -1], [0, 1, 0], [0, 0, 1]]),
+    "t1.sys": _operator_sysfile([[0, 2], [1, 0]]),
+}
 DOCUMENTED_EXIT_CODES = {0, 2, 3, 4}
 
 
@@ -87,6 +114,8 @@ def _commands():
             yield tuple(name if w == "{f}" else w for w in cmd), None
     for cmd in OTHERS:
         yield cmd, None
+    for name in OPERATOR_FILES:
+        yield ("decompose", name, "--seed", "7"), None
 
 
 def _sha(data: bytes) -> str:
@@ -97,6 +126,9 @@ def main() -> int:
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     bad = 0
     with tempfile.TemporaryDirectory() as work:
+        for name, text in OPERATOR_FILES.items():
+            with open(os.path.join(work, name), "w") as fh:
+                fh.write(text)
         for cmd, write_to in _commands():
             proc = subprocess.run(
                 [sys.executable, "-m", "relpos.cli", "--json", *cmd],

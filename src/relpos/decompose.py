@@ -81,11 +81,8 @@ def _operator_end_basis(s: SubspaceSystem):
     """End(S_{T,S}) = {W^-1 diag(X, S^-1 X S) W : X commutes with ST} for
     k1 = k2 and invertible S, or None for any other system.
 
-    The solve has k^2 unknowns where hom_space has d^2 = 4k^2.  hom_space
-    returns the one basis of its span that is the identity on the free
-    coordinates of the Hom constraints, the last nonzero coordinates of the
-    span's vectors.  The rref of the spanning set with its coordinates
-    reversed has these as pivots and is that basis, row order reversed."""
+    The solve has k^2 unknowns where hom_space has d^2 = 4k^2, and
+    _canonical_basis turns the spanning set into hom_space's basis."""
     if s.n != 4 or s.ambient_dim == 0:
         return None
     real = is_bounded_operator_system(s)
@@ -98,13 +95,22 @@ def _operator_end_basis(s: SubspaceSystem):
     w = real.change_of_basis
     # W is the inverse of the E1 | E2 basis matrix: no second inversion
     w_inv = Matrix.hstack([s.subspaces[0].basis, s.subspaces[1].basis])
-    d = s.ambient_dim
-    spans = [
-        (w_inv @ Matrix.block_diag([x, s_inv @ x @ real.S]) @ w).vec().transpose()
+    return _canonical_basis([
+        w_inv @ Matrix.block_diag([x, s_inv @ x @ real.S]) @ w
         for x in commutant_basis(real.S @ real.T)
-    ]
+    ])
+
+
+def _canonical_basis(spans):
+    """The basis of span(spans) that a nullspace returns for it: the basis
+    that is the identity on the free coordinates of the linear constraints
+    cutting the span out, which are the last nonzero coordinates of the
+    span's vectors (column-major vec of each square matrix).  The rref of
+    the spanning set with its coordinates reversed has these as pivots and
+    is that basis, row order reversed."""
+    d = spans[0].rows
     flip = range(d * d - 1, -1, -1)
-    red, pivots = Matrix.vstack(spans).take_columns(flip).rref()
+    red, pivots = Matrix.vstack([x.vec().transpose() for x in spans]).take_columns(flip).rref()
     return [
         Matrix.unvec(red.take_rows([r]).take_columns(flip).transpose(), d, d)
         for r in reversed(range(len(pivots)))
@@ -112,10 +118,19 @@ def _operator_end_basis(s: SubspaceSystem):
 
 
 def commutant_basis(t: Matrix):
-    """Basis of {B : BT = TB} via one Sylvester nullspace."""
+    """Basis of {B : BT = TB}: the canonical basis of the Sylvester
+    nullspace of T^T (x) I - I (x) T.  An exact cyclic T (deg mu_T = n) has
+    commutant Q(i)[T] (Jacobson, Basic Algebra I, 3.10), and the same basis
+    comes from one rref of I, T, ..., T^(n-1); derogatory and float T take
+    the nullspace."""
     if t.rows != t.cols:
         raise DimensionMismatch("commutant of a non-square matrix")
     n = t.rows
+    if t.field == EXACT and t.minimal_polynomial().degree == n:
+        powers = [Matrix.identity(n)]
+        for _ in range(n - 1):
+            powers.append(powers[-1] @ t)
+        return _canonical_basis(powers)
     ident = Matrix.identity(n, t.field)
     m = t.transpose().kron(ident) - ident.kron(t)
     ker = m.nullspace()
@@ -526,19 +541,23 @@ def is_transitive(s: SubspaceSystem) -> bool:
 
 
 def strongly_irreducible(t: Matrix, seed: int = 0) -> bool:
-    """No nontrivial idempotent commutes with t (over Q(i); cross-check with
-    jordan_oracle for matrices with Gaussian-rational spectra)."""
+    """No nontrivial idempotent over Q(i) commutes with t.  By the structure
+    theorem for Q(i)[x]-modules that holds exactly when t is cyclic
+    (deg mu_t = n) and mu_t is a power of one irreducible (Jacobson, Basic
+    Algebra I, 3.10), which certified factoring decides.  Where factoring
+    leaves an uncertified remainder, a search of the commutant decides: a
+    found idempotent gives False, and a search that finds none gives True,
+    which a non-split commutant can make wrong."""
     if t.field != EXACT:
         raise ExactOnlyError("strongly_irreducible needs the exact backend")
-    alg = commutant_algebra(t)
-    res = find_nontrivial_idempotent(alg, seed)
-    if res.status == "found":
+    p = t.minimal_polynomial()
+    if p.degree < t.rows:
         return False
-    if res.status == "local":
-        return True
-    # non-split commutant: no Q(i)-idempotent exists, which is what the
-    # predicate asks; the jordan_oracle reports such spectra as uncertified
-    return True
+    rep = factor_over_gaussian_rationals(p)
+    if rep.remainder is None:
+        # at n = 0, mu = 1 is the empty power
+        return len(rep.factors) <= 1
+    return find_nontrivial_idempotent(commutant_algebra(t), seed).status != "found"
 
 
 @dataclass

@@ -542,25 +542,60 @@ class Matrix:
         return v.reshape(cols, rows).transpose()
 
     def minimal_polynomial(self):
-        """Monic least-degree annihilating polynomial, by Krylov dependence."""
+        """Monic least-degree annihilating polynomial, by vector Krylov.
+
+        p starts at 1.  For each unit vector e_j, w = p(T) e_j by Horner;
+        when w != 0, the first dependence among w, Tw, ..., T^(n - deg p) w,
+        read off one rref, is the minimal polynomial q of w, and p q is
+        lcm(p, mu_{e_j}) because q = mu_{e_j} / gcd(mu_{e_j}, p).  Once every
+        e_j is annihilated p = mu_T, and deg p = n ends the loop early.  The
+        vectors are integer: with M = den T the stored numerators, Krylov
+        column i is den^i T^i w."""
         from .poly import Polynomial
 
         if self.field != EXACT:
             raise ExactOnlyError("minimal_polynomial needs the exact backend")
         if self.rows != self.cols:
             raise DimensionMismatch("minimal_polynomial: not square")
-        n = self.rows
-        if n == 0:
-            return Polynomial([ONE])
-        powers = [Matrix.identity(n)]
-        while True:
-            k = len(powers)
-            stacked = Matrix.hstack([p.vec() for p in powers])
-            target = (powers[-1] @ self).vec()
-            sol = stacked.solve(target)
-            if sol is not None:
-                coeffs = [-sol.entry(i, 0) for i in range(k)] + [ONE]
-                return Polynomial(coeffs)
-            powers.append(powers[-1] @ self)
-            if len(powers) > n + 1:
-                raise RuntimeError("Krylov dependence not found below dimension bound")
+        n, den = self.rows, self._den
+        p = Polynomial([ONE])
+        for j in range(n):
+            m = p.degree
+            if m == n:
+                break
+            w = [0] * n, [0] * n
+            if m:
+                # L den^m p(T) e_j, with L the lcm of p's denominators
+                lcm = math.lcm(*(c._d for c in p.coeffs))
+                w[0][j] = lcm
+                for k in range(m - 1, -1, -1):
+                    c = p.coeffs[k]
+                    f = den ** (m - k) * (lcm // c._d)
+                    w = kernel.matmul(self._re, self._im, n, n, *w, 1)
+                    w[0][j] += f * c._a
+                    w[1][j] += f * c._b
+                g = math.gcd(*w[0], *w[1])
+                if not g:
+                    continue
+                w = [v // g for v in w[0]], [v // g for v in w[1]]
+            else:
+                w[0][j] = 1
+            width = n - m + 1
+            krylov = [w]
+            for _ in range(width - 1):
+                krylov.append(kernel.matmul(self._re, self._im, n, n, *krylov[-1], 1))
+            re = [u[0][r] for r in range(n) for u in krylov]
+            im = [u[1][r] for r in range(n) for u in krylov]
+            rre, rim, pivots, dre, dim = kernel.ffgj(re, im, n, width)
+            # pivots are 0..c-1: T^c w = sum_i R[i, c] den^(i - c) T^i w
+            c, norm = len(pivots), dre * dre + dim * dim
+            q = [
+                GQ._make(
+                    -(rre[i * width + c] * dre + rim[i * width + c] * dim),
+                    -(rim[i * width + c] * dre - rre[i * width + c] * dim),
+                    norm * den ** (c - i),
+                )
+                for i in range(c)
+            ]
+            p = p * Polynomial(q + [ONE])
+        return p

@@ -295,17 +295,49 @@ _LAPACK_NARGS = {"zgbbrd": 19, "dbdsqr": 15}
 
 
 @functools.cache
+def _cython_lapack_capi() -> dict:
+    """The function-pointer capsules of scipy's cython_lapack extension.
+
+    Only that extension file is loaded, found by name in scipy's linalg
+    directory: importing scipy.linalg.cython_lapack would first run
+    scipy.linalg's package init, which costs more than the file.  Its Cython
+    init enters the module into sys.modules; that entry is taken out again
+    unless it was there before, so a later import of scipy.linalg binds the
+    module as usual (Cython hands back the same module object).  Loaded
+    once, on first use, so scipy loads here and not on import."""
+    import importlib.machinery
+    import importlib.util
+    import sys
+
+    import scipy
+
+    linalg = os.path.join(os.path.dirname(scipy.__file__), "linalg")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(linalg, "cython_lapack" + suffix)
+        if os.path.isfile(path):
+            break
+    else:
+        raise ImportError(f"no cython_lapack extension in {linalg}")
+    name = "scipy.linalg.cython_lapack"
+    known = name in sys.modules
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    if not known:
+        sys.modules.pop(name, None)
+    return module.__pyx_capi__
+
+
+@functools.cache
 def _lapack_routine(name: str):
     """The LAPACK routine `name` as a ctypes function of pointers.
 
     scipy.linalg.lapack wraps neither zgbbrd nor dbdsqr, but
     scipy.linalg.cython_lapack exports both as function-pointer capsules
     (Fortran argument order, no hidden string lengths).  Each routine is
-    resolved once, on first use, so scipy loads here and not on import.
-    A CFUNCTYPE call releases the GIL while LAPACK runs."""
+    resolved once, on first use.  A CFUNCTYPE call releases the GIL while
+    LAPACK runs."""
     import ctypes
-
-    from scipy.linalg import cython_lapack
 
     capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
         ("PyCapsule_GetName", ctypes.pythonapi)
@@ -313,7 +345,7 @@ def _lapack_routine(name: str):
     capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
         ("PyCapsule_GetPointer", ctypes.pythonapi)
     )
-    capsule = cython_lapack.__pyx_capi__[name]
+    capsule = _cython_lapack_capi()[name]
     address = capsule_pointer(capsule, capsule_name(capsule))
     return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * _LAPACK_NARGS[name])(address)
 

@@ -15,6 +15,7 @@ from relpos.catalog import (
     single_operator_system,
 )
 from relpos.decompose import (
+    EndAlgebra,
     _operator_end_basis,
     are_isomorphic,
     commutant_basis,
@@ -263,3 +264,79 @@ def test_end_algebra_falls_back_to_hom_space():
     for s in (singular_s, uneven, three, five, build_gp4("S(2k+1,2)", 1)):
         assert _operator_end_basis(s) is None
         assert end_algebra(s).basis == hom_space(s, s).basis
+
+
+def sylvester_commutant(t):
+    """Reference: the commutant as the nullspace of T^T (x) I - I (x) T."""
+    n = t.rows
+    ident = Matrix.identity(n)
+    ker = (t.transpose().kron(ident) - ident.kron(t)).nullspace()
+    return [Matrix.unvec(ker.column(j), n, n) for j in range(ker.cols)]
+
+
+def companion(*coeffs):
+    """Companion matrix of the monic x^k + c_(k-1) x^(k-1) + ... + c_0."""
+    k = len(coeffs)
+    return Matrix.from_rows(
+        [[int(i == j + 1) for j in range(k - 1)] + [-coeffs[i]] for i in range(k)]
+    )
+
+
+def conjugate(rng, blocks):
+    j = Matrix.block_diag(blocks)
+    w = random_invertible(rng, j.rows)
+    return w @ j @ w.inverse()
+
+
+def random_jordan_blocks(rng, n):
+    pool = [GQ(0), GQ(1), GQ(-1), GQ(0, 1), GQ(Fraction(1, 2), 1)]
+    blocks = []
+    while n:
+        k = rng.randint(1, n)
+        blocks.append(jordan_block(k, rng.choice(pool)))
+        n -= k
+    return blocks
+
+
+def commutant_cases():
+    rng = random.Random(77)
+    cyclic = [conjugate(rng, random_jordan_blocks(rng, n)) for n in range(1, 7) for _ in range(2)]
+    cyclic = [t for t in cyclic if t.minimal_polynomial().degree == t.rows]
+    cyclic += [companion(-2, 0), companion(1, -3, 0, 1, GQ(0, 1)), companion(5, 0, 0, 0, 0, 0)]
+    cyclic.append(conjugate(rng, [jordan_block(3, GQ(1)), jordan_block(2, GQ(2)), jordan_block(1, GQ(0, 1))]))
+    derogatory = [
+        Matrix.identity(3).scale(GQ(Fraction(2, 3), 1)),
+        conjugate(rng, [jordan_block(2, GQ(1)), jordan_block(1, GQ(1))]),
+        conjugate(rng, [companion(-2, 0), companion(-2, 0)]),
+    ]
+    return cyclic, derogatory
+
+
+def test_commutant_basis_is_the_sylvester_nullspace_basis():
+    cyclic, derogatory = commutant_cases()
+    assert len(cyclic) >= 10
+    for t in cyclic + derogatory:
+        assert commutant_basis(t) == sylvester_commutant(t)
+    assert all(len(commutant_basis(t)) == t.rows for t in cyclic)
+    assert [len(commutant_basis(t)) for t in derogatory] == [9, 5, 8]
+
+
+def searched_strong_irreducibility(t, seed):
+    """Reference: no idempotent found by searching the Sylvester commutant."""
+    found = find_nontrivial_idempotent(EndAlgebra(basis=sylvester_commutant(t)), seed)
+    return found.status != "found"
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_strong_irreducibility_theorem_matches_the_commutant_search(seed):
+    rng = random.Random(500 + seed)
+    ts = [conjugate(rng, random_jordan_blocks(rng, n)) for n in (rng.randint(1, 4), 5, 6)]
+    ts.append(conjugate(rng, [jordan_block(rng.randint(1, 6), GQ(1, -1))]))
+    quad = conjugate(rng, [companion(-2, 0)])
+    twice = conjugate(rng, [companion(-2, 0), companion(-2, 0)])
+    thrice = conjugate(rng, [companion(-3, 0)] * 3)
+    for t in ts + [quad, twice, thrice]:
+        assert strongly_irreducible(t, seed=seed) == searched_strong_irreducibility(t, seed)
+    assert strongly_irreducible(quad, seed=seed)
+    assert not strongly_irreducible(twice, seed=seed)
+    assert not strongly_irreducible(thrice, seed=seed)

@@ -109,6 +109,69 @@ def test_minimal_polynomial_annihilates(seed):
     assert p.degree <= 4
 
 
+def krylov_minimal_polynomial(m):
+    """Reference: the first k with T^k in span{I, ..., T^(k-1)}, by one
+    n^2 x k solve per k over the vectorised powers."""
+    n = m.rows
+    powers = [Matrix.identity(n)]
+    while True:
+        if n == 0:
+            return Polynomial([ONE])
+        sol = Matrix.hstack([p.vec() for p in powers]).solve((powers[-1] @ m).vec())
+        if sol is not None:
+            return Polynomial([-sol.entry(i, 0) for i in range(len(powers))] + [ONE])
+        powers.append(powers[-1] @ m)
+
+
+def conjugated(rng, j):
+    w = rand_exact(rng, j.rows, j.cols, span=2)
+    while not w.is_invertible():
+        w = rand_exact(rng, j.rows, j.cols, span=2)
+    return w @ j @ w.inverse()
+
+
+def jordan(k, lam):
+    return Matrix.exact(k, k, [lam if i == c else ONE if c == i + 1 else ZERO
+                               for i in range(k) for c in range(k)])
+
+
+def minimal_polynomial_cases():
+    rng = random.Random(2024)
+    half, lam = GQ(Fraction(1, 2), Fraction(-1, 3)), GQ(2, -1)
+    cases = [rand_exact(rng, n, n) for n in range(9)]
+    cases += [Matrix.zeros(n, n) for n in (1, 4)]
+    cases += [Matrix.identity(3).scale(half), jordan(5, ZERO)]
+    cases += [Matrix.block_diag([Matrix.identity(1).scale(lam), jordan(2, lam)])]
+    cases += [
+        conjugated(rng, Matrix.block_diag([jordan(k, z) for k, z in blocks]))
+        for blocks in (
+            [(3, ONE)], [(2, ONE), (1, ONE)], [(2, I), (2, I), (1, -ONE)],
+            [(4, half)], [(1, ZERO), (1, ZERO), (2, ZERO)], [(3, lam), (3, half)],
+        )
+    ]
+    # e_0 spans the first block only, so later unit vectors go through p(T) e_j
+    cases += [
+        Matrix.block_diag([jordan(1, I), rand_exact(rng, 3, 3)]),
+        Matrix.block_diag([conjugated(rng, jordan(2, half)), conjugated(rng, jordan(3, lam))]),
+    ]
+    # Gaussian-rational entries with denominators
+    cases += [
+        Matrix.exact(n, n, [GQ(Fraction(rng.randint(-4, 4), rng.randint(1, 6)),
+                               Fraction(rng.randint(-2, 2), rng.randint(1, 3)))
+                            for _ in range(n * n)])
+        for n in (2, 3, 5, 6)
+    ]
+    return cases
+
+
+@pytest.mark.parametrize("m", minimal_polynomial_cases())
+def test_minimal_polynomial_matches_the_power_krylov_reference(m):
+    p = m.minimal_polynomial()
+    assert p.coeffs == krylov_minimal_polynomial(m).coeffs
+    assert p.leading() == ONE
+    assert p.eval_matrix(m).is_zero()
+
+
 def test_float_rref_and_rank():
     m = Matrix.from_array(np.array([[1.0, 1.0], [1.0, 1.0 + 1e-13]]))
     assert m.rank() == 1

@@ -463,6 +463,28 @@ def test_cli_import_leaves_scipy_unloaded():
     assert proc.stdout.strip() == "False False"
 
 
+def test_lapack_capsules_load_without_scipy_linalg():
+    # only the cython_lapack extension file: scipy.linalg's package init never
+    # runs, both routines resolve and reduce a block truncation, and a later
+    # import of scipy.linalg binds the same module as its attribute
+    script = (
+        "import ctypes, sys\n"
+        "from relpos import toeplitz\n"
+        "from relpos.matrix import Matrix\n"
+        "sym = toeplitz.LaurentSymbol.make(2, {0: Matrix.from_rows([[-1, 0], [0, 1]]),\n"
+        "                                      1: Matrix.from_rows([[1, 0], [0, -2]])})\n"
+        "print(toeplitz.kernel_dims(sym),\n"
+        "      all(ctypes.cast(toeplitz._lapack_routine(n), ctypes.c_void_p).value\n"
+        "          for n in ('zgbbrd', 'dbdsqr')),\n"
+        "      'scipy.linalg' in sys.modules)\n"
+        "import scipy.linalg.cython_lapack\n"
+        "print(scipy.linalg.cython_lapack.__pyx_capi__ is toeplitz._cython_lapack_capi())\n"
+    )
+    proc = run_python(["-c", script])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[:2] == ["(0, 1, 'truncation') True False", "True"]
+
+
 def lab_block_symbol(rng, b):
     """The lab's block item: zI + N conjugated by a random unipotent
     Gaussian-integer matrix P."""
