@@ -8,8 +8,9 @@ zI + N and `toeplitz index` on zI + N - I for blocks 3 and 6 (the block
 truncation oracle), `verify two-types`, and `decompose` on two operator
 systems S_T written here (one per commutant route: T conjugate to
 J_2(1) + J_1(1), which is derogatory, and the companion matrix of x^2 - 2,
-which is cyclic), all with `--json` before the subcommand, against the
-`src/` next to this script.
+which is cyclic) and on a direct sum of three catalog members under a Z[i]
+change of basis (it splits twice), all with `--json` before the
+subcommand, against the `src/` next to this script.
 Prints one line per command: the command, its exit code and the sha256 of
 its stdout and of its stderr.  Two checkouts give byte-identical CLI output
 when their lines are equal:
@@ -96,11 +97,49 @@ def _operator_sysfile(t) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _moved_sum_sysfile(members, w) -> str:
+    """Sysfile of W (M_1 + ... + M_m): the direct sum of four-subspace
+    systems, each given by its ambient dimension and the spanning vectors of
+    its subspaces, moved by the Gaussian-integer matrix w (rows of complex
+    numbers with integer parts)."""
+    d = sum(dim for dim, _ in members)
+    lines = ["relpos-system 1", "field gaussian-rational", f"ambient {d}"]
+    for i in range(4):
+        vectors = []
+        off = 0
+        for dim, subspaces in members:
+            vectors += [[0] * off + v + [0] * (d - off - dim) for v in subspaces[i]]
+            off += dim
+        lines.append(f"subspace E{i + 1} dim {len(vectors)}")
+        for v in vectors:
+            moved = [sum(w[r][c] * v[c] for c in range(d)) for r in range(d)]
+            lines.append(" ".join(f"{int(z.real)}{int(z.imag):+d}i" for z in moved))
+    return "\n".join(lines) + "\n"
+
+
 # T = W (J_2(1) + J_1(1)) W^-1 with W = [[1, 1, 0], [0, 1, 1], [0, 0, 1]],
 # and the companion matrix of x^2 - 2
 OPERATOR_FILES = {
     "t0.sys": _operator_sysfile([[1, 1, -1], [0, 1, 0], [0, 0, 1]]),
     "t1.sys": _operator_sysfile([[0, 2], [1, 0]]),
+}
+# gp4:S(2k,0;l).k=1.l=2 + gp4:S3(2k,-1).k=1 + gp4:S(2k+1,2).k=0 under a
+# unitriangular Z[i] change of basis: decompose splits it twice
+SUM_FILES = {
+    "m0.sys": _moved_sum_sysfile(
+        [
+            (2, [[[1, 0]], [[0, 1]], [[1, 2]], [[1, 1]]]),
+            (2, [[[1, 0]], [[0, 1]], [], [[1, 1]]]),
+            (1, [[[1]], [[1]], [[1]], [[1]]]),
+        ],
+        [
+            [1, 1j, 0, 1, 0],
+            [0, 1, 1 - 1j, 0, 2],
+            [0, 0, 1, -1j, 1],
+            [0, 0, 0, 1, 1 + 1j],
+            [0, 0, 0, 0, 1],
+        ],
+    ),
 }
 DOCUMENTED_EXIT_CODES = {0, 2, 3, 4}
 
@@ -114,7 +153,7 @@ def _commands():
             yield tuple(name if w == "{f}" else w for w in cmd), None
     for cmd in OTHERS:
         yield cmd, None
-    for name in OPERATOR_FILES:
+    for name in (*OPERATOR_FILES, *SUM_FILES):
         yield ("decompose", name, "--seed", "7"), None
 
 
@@ -126,7 +165,7 @@ def main() -> int:
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     bad = 0
     with tempfile.TemporaryDirectory() as work:
-        for name, text in OPERATOR_FILES.items():
+        for name, text in (OPERATOR_FILES | SUM_FILES).items():
             with open(os.path.join(work, name), "w") as fh:
                 fh.write(text)
         for cmd, write_to in _commands():

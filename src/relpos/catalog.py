@@ -9,6 +9,7 @@ order, so the generated matrices can be audited line by line.
 
 from __future__ import annotations
 
+import functools
 import re as _re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,6 +31,10 @@ GP4_FAMILIES = (
     "S(2k+1,-2)",
     "S(2k+1,2)",
 )
+
+# catalog.build keeps this many systems; a classification sweep meets a few
+# dozen keys, each many times
+BUILD_CACHE_SIZE = 512
 
 GP4_DEFECTS = {
     "S3(2k,-1)": -1,
@@ -278,7 +283,10 @@ def gp4_label_permutation(family: str, i: int | None = None, j: int | None = Non
     return perm
 
 
+@functools.lru_cache(maxsize=BUILD_CACHE_SIZE)
 def build(key: CatalogKey) -> SubspaceSystem:
+    """The system of a catalog key, built once per key and process (systems
+    are immutable, so every caller may share it)."""
     if key.kind == "gp4":
         return build_gp4(key.family, key.k, key.lam, key.perm)
     if key.kind == "gp3":

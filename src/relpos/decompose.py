@@ -16,7 +16,7 @@ from .errors import DimensionMismatch, ExactOnlyError, InvariantViolation, Singu
 from .gaussian import GQ, ZERO
 from .matrix import EXACT, Matrix
 from .poly import coprime_split, factor_over_gaussian_rationals
-from .subspace import Subspace, intersect
+from .subspace import Subspace
 from .system import SubspaceSystem, direct_sum_many, hom_space, is_bounded_operator_system
 
 GRID_BUDGET = 20000
@@ -323,7 +323,16 @@ def decompose(s: SubspaceSystem, seed: int = 0) -> DecompositionTree:
         raise ExactOnlyError("decompose needs the exact backend (see decompose_float)")
     if s.ambient_dim == 0:
         return DecompositionTree(components=[], witness=Matrix.identity(0))
-    alg = end_algebra(s)
+    return _decompose(s, end_algebra(s), seed)
+
+
+def _decompose(s: SubspaceSystem, alg: EndAlgebra, seed: int) -> DecompositionTree:
+    """decompose of a nonzero exact s, given End(s) in hom_space's basis.
+
+    A found idempotent e splits H = H1 + H2 (image and kernel).  Every E_i is
+    e-invariant, so E_i = (E_i ∩ H1) + (E_i ∩ H2), and in the coordinates
+    w0 = [H1 | H2]^-1 the two parts are the spans of the top r and bottom
+    d - r rows of w0 B_i.  Each summand's End algebra is a corner of alg."""
     found = find_nontrivial_idempotent(alg, seed)
     if found.status != "found":
         return DecompositionTree(
@@ -339,27 +348,40 @@ def decompose(s: SubspaceSystem, seed: int = 0) -> DecompositionTree:
         raise InvariantViolation("idempotent image split failed")
     w0 = Matrix.hstack([h1.basis, h2.basis]).inverse()
     r = h1.dim
+    top, bottom = w0.take_rows(range(r)), w0.take_rows(range(r, d))
     subs1 = []
     subs2 = []
     for e_i in s.subspaces:
-        f1 = intersect(e_i, h1)
-        f2 = intersect(e_i, h2)
+        f1 = Subspace.span(top @ e_i.basis)
+        f2 = Subspace.span(bottom @ e_i.basis)
+        # E_i lies in its two projections' sum, with equality iff e E_i <= E_i
         if f1.dim + f2.dim != e_i.dim:
             raise InvariantViolation("subspace does not split along the idempotent")
-        c1 = w0 @ f1.basis
-        c2 = w0 @ f2.basis
-        if not c1.take_rows(range(r, d)).is_zero() or not c2.take_rows(range(r)).is_zero():
-            raise InvariantViolation("split coordinates are not block separated")
-        subs1.append(Subspace.span(c1.take_rows(range(r))))
-        subs2.append(Subspace.span(c2.take_rows(range(r, d))))
-    t1 = decompose(SubspaceSystem(r, subs1), seed * 2 + 1)
-    t2 = decompose(SubspaceSystem(d - r, subs2), seed * 2 + 2)
+        subs1.append(f1)
+        subs2.append(f2)
+    s1, s2 = SubspaceSystem(r, subs1), SubspaceSystem(d - r, subs2)
+    t1 = _decompose(s1, corner_algebra(alg, top, h1.basis, s1), seed * 2 + 1)
+    t2 = _decompose(s2, corner_algebra(alg, bottom, h2.basis, s2), seed * 2 + 2)
     witness = Matrix.block_diag([t1.witness, t2.witness]) @ w0
     return DecompositionTree(
         components=t1.components + t2.components,
         witness=witness,
         certificates=[r_idem] + t1.certificates + t2.certificates,
         leaf_status=t1.leaf_status + t2.leaf_status,
+    )
+
+
+def corner_algebra(alg: EndAlgebra, left: Matrix, right: Matrix, summand: SubspaceSystem) -> EndAlgebra:
+    """End of the summand e(H) of alg.system, with e an idempotent of alg,
+    right a basis matrix of e(H) and left the rows that read e(H)-coordinates
+    off H (left @ right = I, left @ e = left): the corner e End e, as the maps
+    left X right, in hom_space's basis.  Its radical is e rad e, since
+    J(eRe) = e J(R) e (Lam, A First Course in Noncommutative Rings, 21.10)."""
+    basis = _canonical_basis([left @ x @ right for x in alg.basis])
+    rad = [left @ x @ right for x in alg.radical_basis()]
+    rad = _canonical_basis(rad) if rad else []
+    return EndAlgebra(
+        basis=basis, system=summand, _radical=rad, _semisimple_dim=len(basis) - len(rad)
     )
 
 

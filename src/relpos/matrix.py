@@ -58,13 +58,15 @@ def _pivot_rows(reduced, width, columns, out_rows, sign=1):
 class Matrix:
     """Immutable rows x cols matrix over Q(i) or complex128."""
 
-    __slots__ = ("rows", "cols", "field", "_re", "_im", "_den", "_f", "tol")
+    # _rank memoises the exact rank (None until known)
+    __slots__ = ("rows", "cols", "field", "_re", "_im", "_den", "_f", "tol", "_rank")
 
     def __init__(self, rows, cols, field, entries=None, array=None, tol=DEFAULT_TOL):
         self.rows = rows
         self.cols = cols
         self.field = field
         self.tol = tol
+        self._rank = None
         if field == EXACT:
             if len(entries) != rows * cols:
                 raise DimensionMismatch("entry count does not match shape")
@@ -100,7 +102,7 @@ class Matrix:
         a conjugate or the negative of normalised storage is)."""
         m = cls.__new__(cls)
         m.rows, m.cols, m.field, m.tol = rows, cols, EXACT, DEFAULT_TOL
-        m._re, m._im, m._den, m._f = tuple(re), tuple(im), den, None
+        m._re, m._im, m._den, m._f, m._rank = tuple(re), tuple(im), den, None, None
         return m
 
     # -- constructors --------------------------------------------------------
@@ -425,7 +427,9 @@ class Matrix:
         if self.rows == 0 or self.cols == 0:
             return 0
         if self.field == EXACT:
-            return len(self._ffgj()[2])
+            if self._rank is None:
+                self._rank = len(self._ffgj()[2])
+            return self._rank
         s = np.linalg.svd(self._f, compute_uv=False)
         if s.size == 0:
             return 0
@@ -502,6 +506,8 @@ class Matrix:
         x = self.solve(Matrix.identity(self.rows))
         if x is None:
             raise SingularMatrixError("matrix is not invertible")
+        # both are invertible now: is_invertible needs no elimination
+        self._rank = x._rank = self.rows
         return x
 
     def is_invertible(self) -> bool:

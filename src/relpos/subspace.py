@@ -155,14 +155,24 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
     return Subspace(a.basis @ coeff)
 
 
-def image_under(t: Matrix, a: Subspace) -> Subspace:
-    """Image of a under an invertible map t."""
-    if t.cols != a.ambient_dim or t.rows != t.cols:
+def check_invertible_map(t: Matrix, d: int, field):
+    """Raise unless t is an invertible map of C^d on the given backend."""
+    if t.cols != d or t.rows != t.cols:
         raise DimensionMismatch("map shape does not match the ambient space")
-    if t.field != a.field:
+    if t.field != field:
         raise BackendMismatch("map and subspace have different backends")
     if not t.is_invertible():
-        raise SingularMatrixError("image_under requires an invertible map")
+        raise SingularMatrixError("the map is not invertible")
+
+
+def image_under(t: Matrix, a: Subspace) -> Subspace:
+    """Image of a under an invertible map t."""
+    check_invertible_map(t, a.ambient_dim, a.field)
+    return _image(t, a)
+
+
+def _image(t: Matrix, a: Subspace) -> Subspace:
+    """Image of a under t, which check_invertible_map has passed."""
     if a.dim == 0:
         return Subspace.zero(a.ambient_dim, a.field, a.basis.tol)
     return Subspace(t @ a.basis)

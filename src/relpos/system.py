@@ -10,6 +10,8 @@ from .errors import BackendMismatch, DimensionMismatch, InvariantViolation
 from .matrix import DEFAULT_TOL, EXACT, Matrix
 from .subspace import (
     Subspace,
+    _image,
+    check_invertible_map,
     image_under,
     intersect,
     orthoprojection,
@@ -69,8 +71,10 @@ class SubspaceSystem:
         return SubspaceSystem(self.ambient_dim, [s.orthocomplement() for s in self.subspaces])
 
     def apply(self, t: Matrix) -> "SubspaceSystem":
-        """Image system under an invertible map."""
-        return SubspaceSystem(t.rows, [image_under(t, s) for s in self.subspaces])
+        """Image system under an invertible map, whose shape, backend and
+        invertibility are checked once for all the subspaces."""
+        check_invertible_map(t, self.ambient_dim, self.field)
+        return SubspaceSystem(t.rows, [_image(t, s) for s in self.subspaces])
 
 
 def zero_system(n: int, field=EXACT) -> SubspaceSystem:

@@ -209,3 +209,14 @@ def test_examples_build():
     assert decompose(s5, seed=1).indecomposable
     with pytest.raises(ParseError):
         build_example(11)
+
+
+def test_build_is_memoised_on_the_key():
+    # equal keys, parsed apart, share one built system; a bad key still raises
+    text = "gp4:S(2k,0;l).k=2.l=1/2+i"
+    first = build(CatalogKey.parse(text))
+    assert build(CatalogKey.parse(text)) is first
+    assert first == build_gp4("S(2k,0;l)", 2, parse_gq("1/2+i"))
+    for _ in range(2):
+        with pytest.raises(ParseError):
+            build(CatalogKey(kind="gp3", index=10))

@@ -14,6 +14,7 @@ from relpos.catalog import (
     operator_system,
     single_operator_system,
 )
+from relpos import decompose as dec
 from relpos.decompose import (
     EndAlgebra,
     _operator_end_basis,
@@ -30,7 +31,7 @@ from relpos.decompose import (
 from relpos.gaussian import GQ
 from relpos.matrix import Matrix
 from relpos.sampling import random_invertible, random_system
-from relpos.subspace import Subspace
+from relpos.subspace import Subspace, intersect
 from relpos.system import SubspaceSystem, hom_dim, hom_space, is_bounded_operator_system
 
 
@@ -340,3 +341,41 @@ def test_strong_irreducibility_theorem_matches_the_commutant_search(seed):
     assert strongly_irreducible(quad, seed=seed)
     assert not strongly_irreducible(twice, seed=seed)
     assert not strongly_irreducible(thrice, seed=seed)
+
+
+def corner_cases():
+    rng = random.Random(808)
+    systems = [
+        random_system(rng, rng.randint(1, 5), n) for n in (2, 3, 4) for _ in range(20)
+    ]
+    for n in (3, 4, 5):
+        t = conjugate(rng, random_jordan_blocks(rng, n))
+        systems.append(single_operator_system(t))
+        systems.append(single_operator_system(Matrix.block_diag(random_jordan_blocks(rng, n))))
+    return systems
+
+
+def test_summands_inherit_their_end_algebra_as_corners(monkeypatch):
+    # at every split: the corner of the parent's End algebra is the
+    # summand's hom_space basis, its inherited radical gives the trace-form
+    # semisimple dimension, and the projected subspaces are the reference
+    # E_i ∩ H read in the summand's coordinates
+    corner = dec.corner_algebra
+    splits = []
+
+    def checked(alg, left, right, summand):
+        out = corner(alg, left, right, summand)
+        assert out.basis == hom_space(summand, summand).basis
+        assert out.semisimple_dim() == EndAlgebra(basis=out.basis).semisimple_dim()
+        h = Subspace.span(right)
+        want = [Subspace.span(left @ intersect(e_i, h).basis) for e_i in alg.system.subspaces]
+        assert list(summand.subspaces) == want
+        splits.append(summand.dims())
+        return out
+
+    monkeypatch.setattr(dec, "corner_algebra", checked)
+    for k, s in enumerate(corner_cases()):
+        tree = decompose(s, seed=k)
+        assert verify_decomposition(s, tree)
+        assert len(tree.components) == len(tree.certificates) + 1
+    assert len(splits) >= 200

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from relpos import modular
+from relpos import kernel, modular
 from relpos.errors import ExactOnlyError, SingularMatrixError
 from relpos.gaussian import GQ, I, ONE, ZERO
 from relpos.matrix import EXACT, Matrix
@@ -367,3 +367,16 @@ def test_products_match_fraction_oracle(seed):
             for p in range(3):
                 for q in range(2):
                     assert k.entry(i * 3 + p, j * 2 + q) == ga[i][j] * gb[p][q]
+
+
+def test_inverse_result_is_known_invertible(monkeypatch):
+    rng = random.Random(14)
+    m = mixed_matrix(rng, 4, 4)
+    inv = m.inverse()
+
+    def refuse(*args):
+        raise AssertionError("is_invertible eliminated again")
+
+    monkeypatch.setattr(kernel, "ffgj", refuse)
+    assert inv.is_invertible() and m.is_invertible()
+    assert inv.rank() == 4

@@ -14,10 +14,11 @@ from relpos.catalog import (
     operator_system,
     single_operator_system,
 )
-from relpos.errors import DimensionMismatch
+from relpos import kernel
+from relpos.errors import BackendMismatch, DimensionMismatch, SingularMatrixError
 from relpos.gaussian import GQ
 from relpos.matrix import Matrix
-from relpos.sampling import random_invertible, random_system
+from relpos.sampling import random_invertible, random_subspace, random_system
 from relpos.subspace import Subspace
 from relpos.system import (
     SubspaceSystem,
@@ -197,3 +198,36 @@ def test_is_bounded_operator_system_after_change_of_basis():
     assert real is not None
     rebuilt = operator_system(real.T, real.S)
     assert moved.apply(real.change_of_basis) == rebuilt
+
+
+def test_apply_rejects_bad_maps_and_keeps_zero_subspaces():
+    rng = random.Random(12)
+    s = SubspaceSystem(3, random_system(rng, 3, 3).subspaces + (Subspace.zero(3),))
+    with pytest.raises(SingularMatrixError):
+        s.apply(Matrix.from_rows([[1, 2, 0], [2, 4, 0], [0, 0, 1]]))
+    with pytest.raises(DimensionMismatch):
+        s.apply(random_invertible(rng, 4))
+    with pytest.raises(BackendMismatch):
+        s.apply(random_invertible(rng, 3).to_float())
+    t = s.apply(random_invertible(rng, 3))
+    assert t.subspaces[3] == Subspace.zero(3)
+    assert t.dims() == s.dims()
+
+
+def test_apply_eliminates_the_map_at_most_once(monkeypatch):
+    # every subspace has dim < d, so a d x d elimination can only be the map's
+    rng = random.Random(13)
+    d = 5
+    s = SubspaceSystem(d, [random_subspace(rng, d, k) for k in (1, 2, 3, 4)])
+    w = random_invertible(rng, d)
+    calls = []
+    ffgj = kernel.ffgj
+
+    def counted(re, im, nrows, ncols):
+        calls.append((nrows, ncols))
+        return ffgj(re, im, nrows, ncols)
+
+    monkeypatch.setattr(kernel, "ffgj", counted)
+    t = s.apply(w)
+    assert calls.count((d, d)) <= 1
+    assert t.dims() == s.dims()
