@@ -9,8 +9,11 @@ truncation oracle), `verify two-types`, and `decompose` on two operator
 systems S_T written here (one per commutant route: T conjugate to
 J_2(1) + J_1(1), which is derogatory, and the companion matrix of x^2 - 2,
 which is cyclic) and on a direct sum of three catalog members under a Z[i]
-change of basis (it splits twice), all with `--json` before the
-subcommand, against the `src/` next to this script.
+change of basis (it splits twice), `angles` on a float pair in C^4 (its
+reconstruction residual comes from LAPACK's QR), and `diagram --threshold
+1e-9` on an exact system whose E1 ∩ E2 is a line with a float angle of
+about 2.6e-8, all with `--json` before the subcommand, against the `src/`
+next to this script.
 Prints one line per command: the command, its exit code and the sha256 of
 its stdout and of its stderr.  Two checkouts give byte-identical CLI output
 when their lines are equal:
@@ -141,6 +144,22 @@ SUM_FILES = {
         ],
     ),
 }
+# a float pair with two generic angles, and an exact system with
+# dim E1 ∩ E2 = 1 that a threshold below the angle noise must not join
+PAIR_FILES = {
+    "p0.sys": "\n".join([
+        "relpos-system 1", "field complex-float", "ambient 4",
+        "subspace E1 dim 2", "1.0 0.5 -0.25+0.5i 0.0", "0.0 1.0 0.75 -1.5i",
+        "subspace E2 dim 2", "0.5 1.0 0.0 2.0", "1.25-0.5i 0.0 1.0 0.25",
+    ]) + "\n",
+    "r0.sys": "\n".join([
+        "relpos-system 1", "field gaussian-rational", "ambient 4",
+        "subspace E1 dim 2", "1 1 0 3", "0 1 1 -2",
+        "subspace E2 dim 2", "1 2 1 1", "1 0 0 5",
+        "subspace E3 dim 1", "1 1 1 1",
+        "subspace E4 dim 1", "0 1 -1 2",
+    ]) + "\n",
+}
 DOCUMENTED_EXIT_CODES = {0, 2, 3, 4}
 
 
@@ -155,6 +174,8 @@ def _commands():
         yield cmd, None
     for name in (*OPERATOR_FILES, *SUM_FILES):
         yield ("decompose", name, "--seed", "7"), None
+    yield ("angles", "p0.sys"), None
+    yield ("diagram", "r0.sys", "--threshold", "1e-9"), None
 
 
 def _sha(data: bytes) -> str:
@@ -165,7 +186,7 @@ def main() -> int:
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     bad = 0
     with tempfile.TemporaryDirectory() as work:
-        for name, text in (OPERATOR_FILES | SUM_FILES).items():
+        for name, text in (OPERATOR_FILES | SUM_FILES | PAIR_FILES).items():
             with open(os.path.join(work, name), "w") as fh:
                 fh.write(text)
         for cmd, write_to in _commands():

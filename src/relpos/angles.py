@@ -33,19 +33,15 @@ def _complement_within(cols: np.ndarray, d: int) -> np.ndarray:
     return q[:, r:d]
 
 
-def _mgs(cols: np.ndarray) -> np.ndarray:
-    """Modified Gram-Schmidt with one re-orthogonalization pass."""
+def _unitary_columns(cols: np.ndarray) -> np.ndarray:
+    """The Gram-Schmidt orthonormalisation of the columns, by one Householder
+    QR: each column of Q takes the phase of R's diagonal entry, so that R has
+    a positive diagonal, which makes the factorisation Gram-Schmidt's."""
     if cols.size == 0:
         return cols
-    q = cols.astype(complex).copy()
-    n = q.shape[1]
-    for j in range(n):
-        for _ in range(2):
-            for i in range(j):
-                q[:, j] -= (q[:, i].conj() @ q[:, j]) * q[:, i]
-        nrm = np.linalg.norm(q[:, j])
-        q[:, j] /= nrm
-    return q
+    q, r = np.linalg.qr(cols)
+    diag = np.diagonal(r)
+    return q * (diag / np.abs(diag))
 
 
 @dataclass
@@ -115,7 +111,7 @@ def halmos_decompose(e: Subspace, f: Subspace, corner_tol: float = CORNER_TOL) -
     blocks = [col(ef_cols), col(gen_e), col(gen_w), col(e_only), col(f_only)]
     used = np.hstack(blocks) if any(b.size for b in blocks) else np.zeros((d, 0), dtype=complex)
     rest = _complement_within(used, d)
-    unitary = _mgs(np.hstack([used, rest]))
+    unitary = _unitary_columns(np.hstack([used, rest]))
 
     a = len(ef_cols)
     g = len(gen_e)

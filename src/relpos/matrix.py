@@ -190,10 +190,12 @@ class Matrix:
     def to_array(self) -> np.ndarray:
         if self.field == FLOAT:
             return self._f.copy()
-        d = self._den
-        return np.array(
-            [complex(a / d, b / d) for a, b in zip(self._re, self._im)], dtype=complex
-        ).reshape(self.rows, self.cols)
+        # int / int is correctly rounded, also past 2^53 where a float64
+        # cast of the numerators would round first
+        out = np.empty((self.rows, self.cols), dtype=complex)
+        out.real.flat = np.array(self._re, dtype=object) / self._den
+        out.imag.flat = np.array(self._im, dtype=object) / self._den
+        return out
 
     def to_float(self, tol=DEFAULT_TOL) -> "Matrix":
         if self.field == FLOAT:

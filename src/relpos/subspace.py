@@ -120,7 +120,7 @@ class Subspace:
         if other.dim == 0:
             return True
         if self.field == EXACT:
-            return self.basis.solve(other.basis) is not None
+            return _annihilate(self, other.basis).is_zero()
         return sum_(self, other).dim == self.dim
 
     # -- lattice operations ------------------------------------------------------
@@ -145,13 +145,55 @@ def sum_(a: Subspace, b: Subspace) -> Subspace:
     return Subspace(Matrix.hstack([a.basis, b.basis]))
 
 
+def _pivot_split(a: Subspace):
+    """(P, F) for an exact subspace: P[r] is the pivot row of column r of the
+    canonical basis (its first nonzero entry, a 1), F lists the other rows.
+    The basis transposed is an rref, so its pivot rows increase with r."""
+    b = a.basis
+    pivots = []
+    i = 0
+    for r in range(b.cols):
+        while not b.entry(i, r):
+            i += 1
+        pivots.append(i)
+        i += 1
+    taken = set(pivots)
+    return pivots, [f for f in range(b.rows) if f not in taken]
+
+
+def _annihilate(a: Subspace, x: Matrix) -> Matrix:
+    """annihilator(a) @ x for an exact subspace, as x[F] - B[F, :] x[P]."""
+    pivots, free = _pivot_split(a)
+    rest = x.take_rows(free)
+    if not pivots:
+        return rest
+    return rest - a.basis.take_rows(free) @ x.take_rows(pivots)
+
+
+def annihilator(a: Subspace) -> Matrix:
+    """A (d - dim a) x d matrix C with a = ker C.
+
+    Exact: the canonical basis B transposed is already an rref, so the
+    canonical nullspace of B^T is read off with no elimination: one row
+    e_f - sum_r B[f, r] e_{P[r]} per non-pivot row f of B.  Float: the
+    nullspace of B^T."""
+    if a.field != EXACT:
+        return a.basis.transpose().nullspace().transpose()
+    return _annihilate(a, Matrix.identity(a.ambient_dim))
+
+
 def intersect(a: Subspace, b: Subspace) -> Subspace:
-    """Basis of a∩b via the nullspace of [B_a | -B_b], mapped through B_a."""
+    """Basis of a∩b.  Exact: B_a ker(C_b B_a) with C_b = annihilator(b),
+    whose product with B_a is read off b's canonical basis.  Float: the
+    nullspace of [B_a | -B_b], mapped through B_a."""
     a._check(b)
     if a.dim == 0 or b.dim == 0:
         return Subspace.zero(a.ambient_dim, a.field, a.basis.tol)
-    ker = Matrix.hstack([a.basis, -b.basis]).nullspace()
-    coeff = ker.take_rows(range(a.dim))
+    if a.field == EXACT:
+        coeff = _annihilate(b, a.basis).nullspace()
+    else:
+        ker = Matrix.hstack([a.basis, -b.basis]).nullspace()
+        coeff = ker.take_rows(range(a.dim))
     return Subspace(a.basis @ coeff)
 
 

@@ -3,14 +3,17 @@ intersection diagrams, structural predicates, operator-system recognition."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from .errors import BackendMismatch, DimensionMismatch, InvariantViolation
 from .matrix import DEFAULT_TOL, EXACT, Matrix
 from .subspace import (
     Subspace,
     _image,
+    annihilator,
     check_invertible_map,
     image_under,
     intersect,
@@ -156,7 +159,7 @@ def _hom_constraints(s: SubspaceSystem, t: SubspaceSystem) -> Matrix:
     for e_i, f_i in zip(s.subspaces, t.subspaces):
         if e_i.dim == 0:
             continue
-        c_i = f_i.basis.transpose().nullspace().transpose()
+        c_i = annihilator(f_i)
         if c_i.rows == 0:
             continue
         blocks.append(e_i.basis.transpose().kron(c_i))
@@ -243,27 +246,37 @@ def _connected(n, edges) -> bool:
     return len(seen) == n
 
 
+def diagram_from_pairs(n, meets, smallest, threshold=None) -> IntersectionDiagram:
+    """The intersection diagram from per-pair data keyed by (i, j), i < j.
+
+    meets[(i, j)] is dim(E_i ∩ E_j) where it is known exactly (absent on a
+    float system); smallest[(i, j)] is the pair's smallest principal angle
+    (absent where a subspace is 0).  A pair is joined when its exact
+    intersection is 0 and, given a threshold, its smallest angle exceeds
+    it.  The exact test comes first because the float angle of an exact
+    intersection reads 2e-8 to 3e-8, not 0."""
+    edges = frozenset(
+        frozenset(p)
+        for p in combinations(range(1, n + 1), 2)
+        if not meets.get(p) and (threshold is None or smallest.get(p, math.inf) > threshold)
+    )
+    return IntersectionDiagram(n, edges, _connected(n, edges), threshold)
+
+
 def intersection_diagram(s: SubspaceSystem, tol: float | None = None) -> IntersectionDiagram:
-    """Exact zero-intersection test per pair; float backend uses the smallest
-    principal angle > threshold as the zero surrogate and records it."""
-    edges = set()
-    threshold = None
-    for i in range(s.n):
-        for j in range(i + 1, s.n):
-            a, b = s.subspaces[i], s.subspaces[j]
-            if s.field == EXACT and tol is None:
-                empty = intersect(a, b).is_zero()
-            else:
-                threshold = tol if tol is not None else 1e-6
-                if a.dim == 0 or b.dim == 0:
-                    empty = True
-                else:
-                    ang = principal_angles(a, b)
-                    empty = bool(ang[0] > threshold)
-            if empty:
-                edges.add(frozenset((i + 1, j + 1)))
-    edges = frozenset(edges)
-    return IntersectionDiagram(s.n, edges, _connected(s.n, edges), threshold)
+    """Edge i-j iff E_i ∩ E_j = 0, by `diagram_from_pairs`: an exact system
+    decides each intersection exactly, and a threshold (1e-6 by default on
+    a float system) also asks the smallest principal angle to exceed it."""
+    exact = s.field == EXACT
+    threshold = tol if tol is not None or exact else 1e-6
+    meets, smallest = {}, {}
+    for i, j in combinations(range(s.n), 2):
+        a, b = s.subspaces[i], s.subspaces[j]
+        if exact:
+            meets[(i + 1, j + 1)] = intersect(a, b).dim
+        if threshold is not None and a.dim and b.dim:
+            smallest[(i + 1, j + 1)] = principal_angles(a, b)[0]
+    return diagram_from_pairs(s.n, meets, smallest, threshold)
 
 
 @dataclass

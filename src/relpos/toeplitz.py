@@ -26,7 +26,7 @@ from .gaussian import GQ, ONE, ZERO, format_gq, parse_gq
 from .matrix import EXACT, Matrix
 from .poly import Polynomial, factor_over_gaussian_rationals
 from .subspace import Subspace, intersect, principal_angles
-from .system import IntersectionDiagram, SubspaceSystem, _connected
+from .system import SubspaceSystem, diagram_from_pairs
 
 ORACLE_N = 200
 ORACLE_SIGMA_TOL = 1e-7
@@ -713,10 +713,7 @@ def exotic_report(gamma: GQ, n: int, tol: float = 1e-6) -> ExoticReport:
     for pair in ((1, 2), (1, 4), (2, 4)):
         if m[pair] != 0 or nperp[pair] != 0:
             raise UncertifiedError(f"pair {pair} is not exactly complementary")
-    # an edge where the exact intersection is 0 and no angle is near 0: the
-    # float angle of an exact intersection reads 2e-8 to 3e-8, not 0
-    edges = frozenset(frozenset(p) for p in angles if m[p] == 0 and angles[p] > tol)
-    diagram = IntersectionDiagram(4, edges, _connected(4, edges), tol)
+    diagram = diagram_from_pairs(4, m, angles, tol)
     not_op = diagram.isolated(3)
     total = sum(near[p] - nperp[p] for p in near)
     estimate = Fraction(total, 3)

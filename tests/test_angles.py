@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from relpos import angles
 from relpos.angles import classify_two_system, halmos_decompose
 from relpos.decompose import decompose
 from relpos.matrix import Matrix
@@ -129,3 +130,46 @@ def test_classification_matches_decompose(seed):
         )
         counts[key] += 1
     assert counts == cls.multiplicities
+
+
+def gram_schmidt(cols):
+    """Modified Gram-Schmidt with one re-orthogonalisation pass: the loop
+    the Householder QR of `halmos_decompose` replaced, kept as reference."""
+    q = cols.astype(complex).copy()
+    for j in range(q.shape[1]):
+        for _ in range(2):
+            for i in range(j):
+                q[:, j] -= (q[:, i].conj() @ q[:, j]) * q[:, i]
+        q[:, j] /= np.linalg.norm(q[:, j])
+    return q
+
+
+def test_halmos_unitary_matches_gram_schmidt(monkeypatch):
+    rng = np.random.default_rng(29)
+    pairs = []
+    for t in range(50):
+        d = int(rng.integers(2, 41))
+        e = random_float_subspace(rng, d, int(rng.integers(1, d)))
+        f = random_float_subspace(rng, d, int(rng.integers(1, d)))
+        if t % 3 == 0:
+            # a shared direction puts columns into the E ∩ F corner
+            shared = e.basis.to_array()[:, :1]
+            f = Subspace.span(Matrix.from_array(np.hstack([shared, f.basis.to_array()])))
+        pairs.append((e, f))
+    inputs = []
+    unitary_columns = angles._unitary_columns
+    monkeypatch.setattr(
+        angles, "_unitary_columns", lambda cols: inputs.append(cols) or unitary_columns(cols)
+    )
+    got = [halmos_decompose(e, f) for e, f in pairs]
+    monkeypatch.setattr(angles, "_unitary_columns", gram_schmidt)
+    want = [halmos_decompose(e, f) for e, f in pairs]
+    assert any(dec.part_dims["intersection"] for dec in got)
+    for cols, dec, ref in zip(inputs, got, want):
+        u = dec.unitary
+        d = u.shape[0]
+        assert np.max(np.abs(u - gram_schmidt(cols))) < 1e-12
+        assert np.max(np.abs(u.conj().T @ u - np.eye(d))) < 1e-13
+        assert dec.residual < 1e-12
+        assert dec.part_dims == ref.part_dims
+        assert dec.angles.tobytes() == ref.angles.tobytes()

@@ -380,3 +380,26 @@ def test_inverse_result_is_known_invertible(monkeypatch):
     monkeypatch.setattr(kernel, "ffgj", refuse)
     assert inv.is_invertible() and m.is_invertible()
     assert inv.rank() == 4
+
+
+def test_to_array_rounds_each_entry_once():
+    """Bit-identical to the per-entry division, also with numerators and
+    denominators past 2^53, where a float64 cast would round twice."""
+    rng = random.Random(23)
+    for bits, den in ((4, 1), (4, 7), (60, 3), (200, 2**60 + 3), (70, 2**55 + 1)):
+        for rows, cols in ((0, 3), (3, 0), (1, 1), (4, 5)):
+            m = Matrix.exact(rows, cols, [
+                GQ(Fraction(rng.randint(-2**bits, 2**bits), den),
+                   Fraction(rng.randint(-2**bits, 2**bits), den))
+                for _ in range(rows * cols)
+            ])
+            want = np.array([
+                [complex(z.re.numerator / z.re.denominator, z.im.numerator / z.im.denominator)
+                 for z in (m.entry(i, j) for j in range(cols))]
+                for i in range(rows)
+            ], dtype=complex).reshape(rows, cols)
+            got = m.to_array()
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    # 2^53 + 1 is not a double: a cast first would round it to 2^53
+    assert Matrix.exact(1, 1, [GQ(Fraction(2**54 + 3, 2))]).to_array()[0, 0] == 2**53 + 2

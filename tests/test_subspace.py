@@ -9,8 +9,10 @@ from hypothesis import given, settings, strategies as st
 from relpos.errors import DimensionMismatch, SingularMatrixError
 from relpos.gaussian import GQ, I, ONE
 from relpos.matrix import Matrix
+from relpos.toeplitz import truncate_exotic
 from relpos.subspace import (
     Subspace,
+    annihilator,
     image_under,
     intersect,
     orthoprojection,
@@ -146,3 +148,72 @@ def test_principal_angles_known():
 def test_dimension_mismatch_raises():
     with pytest.raises(DimensionMismatch):
         intersect(sp(2, (1, 0)), sp(3, (1, 0, 0)))
+
+
+def rand_gq_subspace(rng, d, k):
+    """Span of k random vectors with sparse Gaussian-rational entries."""
+    rows = [
+        [GQ(rng.randint(-3, 3), rng.randint(-2, 2)) / rng.choice((1, 2, 3))
+         if rng.random() < 0.6 else GQ(0) for _ in range(d)]
+        for _ in range(k)
+    ]
+    return Subspace.span_rows(d, rows)
+
+
+def stacked_intersect(a, b):
+    """The nullspace of [B_a | -B_b] mapped through B_a: the elimination
+    that exact `intersect` replaced, kept as reference."""
+    if a.dim == 0 or b.dim == 0:
+        return Subspace.zero(a.ambient_dim)
+    ker = Matrix.hstack([a.basis, -b.basis]).nullspace()
+    return Subspace(a.basis @ ker.take_rows(range(a.dim)))
+
+
+def test_annihilator_is_the_nullspace_of_the_transposed_basis():
+    rng = random.Random(41)
+    cases = [Subspace.zero(4), Subspace.full(4), Subspace.zero(1), Subspace.full(1)]
+    for _ in range(120):
+        d = rng.randint(1, 7)
+        cases.append(rand_gq_subspace(rng, d, rng.randint(0, d)))
+    assert {a.dim for a in cases if a.ambient_dim == 5} == set(range(6))
+    for a in cases:
+        c = annihilator(a)
+        assert c == a.basis.transpose().nullspace().transpose()
+        assert c.shape == (a.ambient_dim - a.dim, a.ambient_dim)
+        assert (c @ a.basis).is_zero()
+    f = Subspace.span(Matrix.from_array(np.random.default_rng(3).standard_normal((5, 2))))
+    assert np.allclose(annihilator(f).to_array() @ f.basis.to_array(), 0)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_intersect_matches_the_stacked_nullspace(seed):
+    rng = random.Random(seed)
+    for _ in range(40):
+        d = rng.randint(1, 6)
+        a = rand_gq_subspace(rng, d, rng.randint(0, d))
+        b = rand_gq_subspace(rng, d, rng.randint(0, d))
+        if a.dim and rng.random() < 0.3:
+            # a shared direction makes the intersection nonzero
+            b = sum_(b, Subspace(a.basis.column(0)))
+        for x, y in ((a, b), (b, a), (a, a)):
+            assert intersect(x, y) == stacked_intersect(x, y)
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_intersect_matches_the_stacked_nullspace_on_exotic_pairs(n):
+    s = truncate_exotic(GQ(2), n)
+    for i in range(4):
+        for j in range(i + 1, 4):
+            a, b = s.subspaces[i], s.subspaces[j]
+            assert intersect(a, b) == stacked_intersect(a, b)
+
+
+def test_exact_contains_matches_solve():
+    rng = random.Random(17)
+    for _ in range(150):
+        d = rng.randint(1, 6)
+        a = rand_gq_subspace(rng, d, rng.randint(0, d))
+        b = rand_gq_subspace(rng, d, rng.randint(0, d))
+        for x, y in ((a, b), (sum_(a, b), b), (a, intersect(a, b))):
+            want = y.dim == 0 or x.basis.solve(y.basis) is not None
+            assert x.contains(y) is want

@@ -231,3 +231,19 @@ def test_apply_eliminates_the_map_at_most_once(monkeypatch):
     t = s.apply(w)
     assert calls.count((d, d)) <= 1
     assert t.dims() == s.dims()
+
+
+def test_thresholded_diagram_of_an_exact_system_decides_exactly_first():
+    """dim E1 ∩ E2 = 1, yet its float angle reads about 2.6e-8: a threshold
+    below that must not draw the edge 1-2."""
+    s = SubspaceSystem(4, [
+        Subspace.span_rows(4, [[1, 1, 0, 3], [0, 1, 1, -2]]),
+        Subspace.span_rows(4, [[1, 2, 1, 1], [1, 0, 0, 5]]),
+        Subspace.span_rows(4, [[1, 1, 1, 1]]),
+        Subspace.span_rows(4, [[0, 1, -1, 2]]),
+    ])
+    exact = intersection_diagram(s)
+    assert not exact.has_edge(1, 2) and exact.threshold is None
+    for tol in (1e-12, 1e-9, 1e-6):
+        dia = intersection_diagram(s, tol)
+        assert dia.edges == exact.edges and dia.threshold == tol
