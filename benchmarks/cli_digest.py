@@ -12,8 +12,9 @@ which is cyclic) and on a direct sum of three catalog members under a Z[i]
 change of basis (it splits twice), `angles` on a float pair in C^4 (its
 reconstruction residual comes from LAPACK's QR), and `diagram --threshold
 1e-9` on an exact system whose E1 ∩ E2 is a line with a float angle of
-about 2.6e-8, all with `--json` before the subcommand, against the `src/`
-next to this script.
+about 2.6e-8, and `defect` on an exact system and `angles` on a float pair
+whose entries use every form of the scalar syntax, all with `--json` before
+the subcommand, against the `src/` next to this script.
 Prints one line per command: the command, its exit code and the sha256 of
 its stdout and of its stderr.  Two checkouts give byte-identical CLI output
 when their lines are equal:
@@ -160,6 +161,23 @@ PAIR_FILES = {
         "subspace E4 dim 1", "0 1 -1 2",
     ]) + "\n",
 }
+# entries in every form of the scalar syntax (signed zero, a bare i, a
+# leading dot, exponents, fractions), in the shapes read by int() and
+# complex() and in those left to the general parser
+SCALAR_FILES = {
+    "x0.sys": "\n".join([
+        "relpos-system 1", "field gaussian-rational", "ambient 3",
+        "subspace E1 dim 2", "-0 i .5", "1e-3 2-1/3i -3/4i",
+        "subspace E2 dim 1", "1.5 -i 1e2",
+        "subspace E3 dim 1", "i 1 -0",
+        "subspace E4 dim 1", ".5 1e2 2-1/3i",
+    ]) + "\n",
+    "x1.sys": "\n".join([
+        "relpos-system 1", "field complex-float", "ambient 3",
+        "subspace E1 dim 2", "-0.0 .5i 1.0", "2e-3-0.25i 1.0 -0.0",
+        "subspace E2 dim 2", ".5i -0.0 2e-3-0.25i", "0.25 1.0 .5i",
+    ]) + "\n",
+}
 DOCUMENTED_EXIT_CODES = {0, 2, 3, 4}
 
 
@@ -176,6 +194,8 @@ def _commands():
         yield ("decompose", name, "--seed", "7"), None
     yield ("angles", "p0.sys"), None
     yield ("diagram", "r0.sys", "--threshold", "1e-9"), None
+    yield ("defect", "x0.sys"), None
+    yield ("angles", "x1.sys"), None
 
 
 def _sha(data: bytes) -> str:
@@ -186,7 +206,7 @@ def main() -> int:
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     bad = 0
     with tempfile.TemporaryDirectory() as work:
-        for name, text in (OPERATOR_FILES | SUM_FILES | PAIR_FILES).items():
+        for name, text in (OPERATOR_FILES | SUM_FILES | PAIR_FILES | SCALAR_FILES).items():
             with open(os.path.join(work, name), "w") as fh:
                 fh.write(text)
         for cmd, write_to in _commands():

@@ -3,11 +3,21 @@
 The text form is `a/b+c/di` with zero parts omitted: `3`, `-1/2i`, `2+1/3i`.
 Floats (for the complex-float backend) reuse the same shape with decimal or
 scientific parts: `1.5`, `2e-3-0.25i`.
+
+A scalar is a real part, an imaginary part (ending in `i`, a bare `i` being
+1) or both, in either order, each with an optional sign; spaces are ignored.
+An exact part is anything `Fraction` reads from text (`-3`, `1/2`, `1.5`,
+`1e-3`); a float part is a float literal or `x/y` of two.  The common shapes
+(digits only, the real part first) are read by `int()` and `complex()`;
+everything else goes through the general parser, which reads the same
+language, so both give the same values and the same errors.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
+import re
 from fractions import Fraction
 
 from .errors import ParseError
@@ -220,6 +230,29 @@ def format_cfloat(z: complex) -> str:
     return repr(z.real) + sep + repr(z.imag) + "i"
 
 
+# An exact part written with an exponent (`12.5e-3`) is refused when its
+# mantissa digits plus the magnitude of its exponent exceed this, before any
+# power of ten is taken.  Its numerator and denominator then have at most
+# 4,300 digits, which format_gq prints under Python's default int/str limit;
+# the largest power of ten allowed is 1e4298.
+MAX_EXACT_DIGITS = 4299
+
+# the common shapes: a real part, an imaginary part or both, in that order,
+# of ASCII digits.  Exact groups: the real numerator (signed) and
+# denominator, the imaginary sign, numerator and denominator, and the same
+# three for an imaginary part alone.
+_EXACT_SHAPE = re.compile(
+    r"([+-]?[0-9]+)(?:/([0-9]+))?(?:([+-])(?:([0-9]+)(?:/([0-9]+))?)?i)?"
+    r"|([+-]?)(?:([0-9]+)(?:/([0-9]+))?)?i"
+)
+_FLOAT = r"(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
+_FLOAT_SCALAR = rf"(?:[+-]?{_FLOAT}(?:[+-](?:{_FLOAT})?i)?|[+-]?(?:{_FLOAT})?i)"
+# a row of float scalars, one space apart
+_FLOAT_ROW = re.compile(rf"{_FLOAT_SCALAR}(?: {_FLOAT_SCALAR})*")
+# an exponent at the end of an exact part, as Fraction reads it
+_EXPONENT = re.compile(r"[eE]([+-]?\d+(?:_\d+)*)\s*\Z")
+
+
 def _split_terms(text: str):
     terms = []
     cur = ""
@@ -236,12 +269,27 @@ def _split_terms(text: str):
     return terms
 
 
+def _parse_rational(body: str) -> Fraction:
+    try:
+        m = _EXPONENT.search(body)
+        if m is not None:
+            exp = m.group(1).replace("_", "").lstrip("+-").lstrip("0")
+            digits = sum(map(str.isdecimal, body[: m.start()]))
+            if len(exp) > 9 or digits + int(exp or 0) > MAX_EXACT_DIGITS:
+                # a malformed mantissa is reported as such
+                Fraction(body[: m.start()] + "e0")
+                raise ParseError(
+                    f"exponent out of range in {body!r} (mantissa digits plus "
+                    f"|exponent| above {MAX_EXACT_DIGITS})"
+                )
+        return Fraction(body)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParseError(f"bad rational {body!r}") from exc
+
+
 def _parse_real(body: str, exact: bool):
     if exact:
-        try:
-            return Fraction(body)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"bad rational {body!r}") from exc
+        return _parse_rational(body)
     try:
         if "/" in body:
             num, den = body.split("/", 1)
@@ -285,13 +333,53 @@ def _parse(text: str, exact: bool):
     return re_part, im_part
 
 
+def _common_gq(m):
+    """The GQ of a match of _EXACT_SHAPE, or None for a zero denominator."""
+    re_num, re_den, im_sign, im_num, im_den, lone_sign, lone_num, lone_den = m.groups()
+    if re_num is None:  # an imaginary part alone
+        a, p = 0, 1
+        im_sign, im_num, im_den = lone_sign, lone_num, lone_den
+    else:
+        a, p = int(re_num), int(re_den or 1)
+    if im_sign is None:  # a real part alone
+        b, q = 0, 1
+    else:
+        b, q = int(im_num or 1), int(im_den or 1)
+        if im_sign == "-":
+            b = -b
+    if not (p and q):
+        return None
+    return GQ._make(a * q, b * p, p * q)
+
+
 def parse_gq(text: str) -> GQ:
     """Parse the exact scalar syntax into a GQ."""
+    m = _EXACT_SHAPE.fullmatch(text)
+    if m is not None:
+        try:
+            z = _common_gq(m)
+        except ValueError:  # past int()'s digit limit
+            z = None
+        if z is not None:
+            return z
     re_part, im_part = _parse(text, exact=True)
     return GQ(re_part, im_part)
 
 
 def parse_cfloat(text: str) -> complex:
     """Parse the scalar syntax with float parts into a complex."""
-    re_part, im_part = _parse(text, exact=False)
-    return complex(re_part, im_part)
+    return parse_cfloat_row([text])[0]
+
+
+def parse_cfloat_row(texts) -> list:
+    """[parse_cfloat(t) for t in texts].  A row of common shapes is read in
+    one pass: its only letters i are the imaginary units, so one replace
+    makes it complex() text."""
+    row = " ".join(texts)
+    if _FLOAT_ROW.fullmatch(row):
+        # + 0j turns a -0.0 part into 0.0, as the general parser's 0.0 + x does
+        zs = [complex(t) + 0j for t in row.replace("i", "j").split(" ")]
+        # a text with a space in it splits in two
+        if len(zs) == len(texts) and all(map(cmath.isfinite, zs)):
+            return zs
+    return [complex(*_parse(t, exact=False)) for t in texts]

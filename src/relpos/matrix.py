@@ -184,8 +184,15 @@ class Matrix:
         idx = list(idx)
         if self.field == FLOAT:
             return Matrix(len(idx), self.cols, FLOAT, array=self._f[idx, :], tol=self.tol)
-        flat = [i * self.cols + j for i in idx for j in range(self.cols)]
-        return self._pick(len(idx), self.cols, flat)
+        k = self.cols
+        re, im = [], []
+        if k:
+            starts = range(0, len(self._re), k)
+            for i in idx:
+                s = starts[i]
+                re += self._re[s : s + k]
+                im += self._im[s : s + k]
+        return Matrix._ints(len(idx), k, re, im, self._den)
 
     def to_array(self) -> np.ndarray:
         if self.field == FLOAT:

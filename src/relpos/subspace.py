@@ -13,8 +13,31 @@ from .errors import BackendMismatch, DimensionMismatch, SingularMatrixError
 from .matrix import DEFAULT_TOL, EXACT, FLOAT, Matrix
 
 
+def _is_canonical(m: Matrix) -> bool:
+    """Whether the columns of m are already their canonical basis: m
+    transposed is in reduced row echelon form with no zero rows.  Row i of m
+    is column i of that rref: the unit vector of the next pivot, or zero from
+    the next pivot on.  Stops at the first row that is neither."""
+    k = m.cols
+    if not k:
+        return True
+    re, im, den = m._re, m._im, m._den
+    j = 0  # pivots so far
+    for s in range(0, len(re), k):
+        if j < k and (re[s + j] or im[s + j]):
+            if (re[s + j] != den or any(im[s : s + k])
+                    or any(re[s : s + j]) or any(re[s + j + 1 : s + k])):
+                return False
+            j += 1
+        elif any(re[s + j : s + k]) or any(im[s + j : s + k]):
+            return False
+    return j == k
+
+
 def _canonical_columns(m: Matrix) -> Matrix:
     """Canonical column-reduced basis of the column span (exact backend)."""
+    if _is_canonical(m):
+        return m
     r, pivots = m.transpose().rref()
     return r.take_rows(range(len(pivots))).transpose()
 
@@ -27,13 +50,23 @@ def _orthonormal_columns(m: Matrix) -> Matrix:
     u, s, _ = np.linalg.svd(a, full_matrices=False)
     r = int(np.sum(s > m.tol * max(1.0, s[0] if s.size else 0.0)))
     basis = u[:, :r]
-    # fix phases so the basis is reproducible for identical input
-    for j in range(r):
-        col = basis[:, j]
-        k = int(np.argmax(np.abs(col) > 0.5 / np.sqrt(len(col))))
-        ph = col[k] / abs(col[k]) if col[k] != 0 else 1.0
-        basis[:, j] = col / ph
+    _fix_phases(basis)
     return Matrix.from_array(basis, tol=m.tol)
+
+
+def _fix_phases(basis: np.ndarray) -> None:
+    """Make a float basis reproducible for identical input: divide each
+    column, in place, by the phase of its first entry above 1/(2 sqrt d)
+    (of its first entry when none is, and by 1 when that is 0).  np.hypot
+    is the scalar abs() (np.abs of an array can round differently), so the
+    bits are those of fixing one column at a time."""
+    k = np.argmax(np.abs(basis) > 0.5 / np.sqrt(len(basis)), axis=0)
+    lead = basis[k, np.arange(basis.shape[1])]
+    nonzero = lead != 0
+    ph = np.ones(len(lead), dtype=complex)
+    lead = lead[nonzero]
+    ph[nonzero] = lead / np.hypot(lead.real, lead.imag)
+    basis /= ph
 
 
 class Subspace:

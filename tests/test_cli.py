@@ -275,6 +275,44 @@ def test_size_bound_exit_code(args):
     assert peak < 1 << 20
 
 
+EXPONENT_SYSFILE = "\n".join([
+    "relpos-system 1", "field gaussian-rational", "ambient 2",
+    "subspace E1 dim 1", "1 1e99999999",
+    "subspace E2 dim 1", "0 1",
+    "subspace E3 dim 1", "1 0",
+    "subspace E4 dim 1", "1 1",
+]) + "\n"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["defect", "{sysfile}"],
+        ["toeplitz", "exotic", "--gamma", "1e99999999", "--N", "8"],
+        ["toeplitz", "regions", "--alpha=-1e-99999999i"],
+        ["catalog", "build", "jordan:k=1.l=1e99999999"],
+        ["catalog", "build", "gp4:S(2k,0;l).k=1.l=2+1e99999999i"],
+    ],
+    ids=["sysfile", "gamma", "alpha", "jordan-key", "gp4-key"],
+)
+def test_exact_exponent_bound_exit_code(args, tmp_path):
+    # refused before 10**99999999 is taken: unchecked, it never finishes
+    path = tmp_path / "e.sys"
+    path.write_text(EXPONENT_SYSFILE)
+    args = [str(path) if a == "{sysfile}" else a for a in args]
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert out == ""
+    assert "exponent out of range" in err
+    assert "Traceback" not in err
+    assert peak < 1 << 20
+
+
 def test_unreadable_input_file_exit_code(tmp_path):
     missing = tmp_path / "missing.sys"
     binary = tmp_path / "binary.sys"

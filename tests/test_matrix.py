@@ -403,3 +403,29 @@ def test_to_array_rounds_each_entry_once():
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
     # 2^53 + 1 is not a double: a cast first would round it to 2^53
     assert Matrix.exact(1, 1, [GQ(Fraction(2**54 + 3, 2))]).to_array()[0, 0] == 2**53 + 2
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_take_rows_matches_take_columns_of_the_transpose(seed):
+    rng = random.Random(seed)
+    rows, cols = rng.randint(0, 6), rng.randint(0, 5)
+    # mixed denominators, so a selection can have a smaller common one
+    ents = [GQ(Fraction(rng.randint(-4, 4), rng.choice([1, 2, 3, 6])), rng.choice([0, Fraction(1, rng.randint(1, 5))]))
+            for _ in range(rows * cols)]
+    m = Matrix.exact(rows, cols, ents)
+    picks = [[], list(range(rows)), list(range(rows))[::-1]]
+    if rows:
+        picks += [[rng.randrange(rows)] * 3, [rng.randrange(rows) for _ in range(rng.randint(1, 8))]]
+    for idx in picks:
+        got = m.take_rows(idx)
+        want = m.transpose().take_columns(idx).transpose()
+        assert got.shape == (len(idx), cols)
+        assert (got._re, got._im, got._den) == (want._re, want._im, want._den)
+        assert got == Matrix.exact(len(idx), cols, [m.entry(i, j) for i in idx for j in range(cols)])
+
+
+def test_take_rows_out_of_range():
+    m = Matrix.exact(2, 2, [ONE, ZERO, ZERO, ONE])
+    with pytest.raises(IndexError):
+        m.take_rows([2])
+    assert m.take_rows([-2]) == m.take_rows([0])

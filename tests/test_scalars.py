@@ -1,13 +1,23 @@
 """Exact scalar arithmetic and the shared text syntax."""
 
 import math
+import re
+import struct
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from relpos.errors import ParseError
-from relpos.gaussian import GQ, format_cfloat, format_gq, parse_cfloat, parse_gq
+from relpos.gaussian import (
+    GQ,
+    MAX_EXACT_DIGITS,
+    format_cfloat,
+    format_gq,
+    parse_cfloat,
+    parse_cfloat_row,
+    parse_gq,
+)
 
 
 @pytest.mark.parametrize(
@@ -235,3 +245,217 @@ def _format_pair(re, im):
 @given(gq_pairs)
 def test_format_matches_fraction_text(xp):
     assert format_gq(GQ(*xp)) == _format_pair(*xp)
+
+
+# -- the read path against the character-by-character reference -------------
+#
+# The parser before int()/complex() fast shapes, kept here as the reference:
+# every text reads to the same value, bit for bit, or fails with the same
+# exception type and message.  It has no exponent bound.
+
+
+def _ref_split_terms(text):
+    terms = []
+    cur = ""
+    prev = ""
+    for ch in text:
+        if ch in "+-" and cur and prev not in "eE":
+            terms.append(cur)
+            cur = ch
+        else:
+            cur += ch
+        prev = ch
+    if cur:
+        terms.append(cur)
+    return terms
+
+
+def _ref_parse_real(body, exact):
+    if exact:
+        try:
+            return Fraction(body)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ParseError(f"bad rational {body!r}") from exc
+    try:
+        if "/" in body:
+            num, den = body.split("/", 1)
+            val = float(num) / float(den)
+        else:
+            val = float(body)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParseError(f"bad float {body!r}") from exc
+    if not math.isfinite(val):
+        raise ParseError(f"non-finite float {body!r}")
+    return val
+
+
+def _ref_parse(text, exact):
+    s = text.strip().replace(" ", "")
+    if not s:
+        raise ParseError("empty scalar")
+    re_part = Fraction(0) if exact else 0.0
+    im_part = Fraction(0) if exact else 0.0
+    seen_re = seen_im = False
+    for term in _ref_split_terms(s):
+        sign = 1
+        body = term
+        if body and body[0] in "+-":
+            sign = -1 if body[0] == "-" else 1
+            body = body[1:]
+        if body.endswith("i"):
+            body = body[:-1]
+            if seen_im:
+                raise ParseError(f"two imaginary parts in {text!r}")
+            seen_im = True
+            val = (Fraction(1) if exact else 1.0) if body == "" else _ref_parse_real(body, exact)
+            im_part = im_part + sign * val
+        else:
+            if body == "":
+                raise ParseError(f"bad scalar {text!r}")
+            if seen_re:
+                raise ParseError(f"two real parts in {text!r}")
+            seen_re = True
+            re_part = re_part + sign * _ref_parse_real(body, exact)
+    return re_part, im_part
+
+
+def _ref_parse_gq(text):
+    return GQ(*_ref_parse(text, exact=True))
+
+
+def _ref_parse_cfloat(text):
+    return complex(*_ref_parse(text, exact=False))
+
+
+def _outcome(parse, text):
+    """What parse makes of text: the exact triple or the bits of a float
+    complex, or the exception type and message."""
+    try:
+        z = parse(text)
+    except Exception as exc:  # noqa: BLE001 - the type is part of the outcome
+        return ("error", type(exc).__name__, str(exc))
+    if isinstance(z, complex):
+        return ("value", z.real.hex(), z.imag.hex())
+    return ("value", z._a, z._b, z._d)
+
+
+# an exponent long enough to pass the bound on an exact part
+_LONG_EXPONENT = re.compile(r"[eE][+-]?[0-9]{4,}")
+
+
+def _assert_same_reading(text):
+    assert _outcome(parse_cfloat, text) == _outcome(_ref_parse_cfloat, text)
+    new = _outcome(parse_gq, text)
+    if new[0] == "error" and new[2].startswith("exponent out of range"):
+        # refused before 10**exponent is taken; the reference would build it
+        assert _LONG_EXPONENT.search(text.replace(" ", ""))
+        return
+    assert new == _outcome(_ref_parse_gq, text)
+
+
+scalar_text = st.text(alphabet="0123456789.eE+-i/ ", max_size=12)
+
+
+@given(scalar_text)
+def test_read_path_matches_reference_on_scalar_alphabet(text):
+    _assert_same_reading(text)
+
+
+@given(st.lists(st.sampled_from(["", "0", "1", "-", "+", "i", ".", "/", "e", "E", "00", "5", "9"]), max_size=8))
+def test_read_path_matches_reference_on_token_soup(pieces):
+    _assert_same_reading("".join(pieces))
+
+
+def _float_bits(n):
+    return struct.unpack("<d", struct.pack("<Q", n))[0]
+
+
+any_finite_float = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(0, 2**64 - 1).map(_float_bits).filter(math.isfinite),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.0]),
+)
+
+
+@given(any_finite_float, any_finite_float)
+def test_read_path_matches_reference_on_format_cfloat(re_part, im_part):
+    z = complex(re_part, im_part)
+    for text in (format_cfloat(z), repr(re_part), repr(im_part) + "i", f"{re_part!r}{im_part:+e}i"):
+        assert _outcome(parse_cfloat, text) == _outcome(_ref_parse_cfloat, text)
+    w = parse_cfloat(format_cfloat(z))
+    # signed zeros read as +0.0, the rest bit for bit
+    assert w.real.hex() == (re_part + 0.0).hex() and w.imag.hex() == (im_part + 0.0).hex()
+
+
+@given(gq_pairs)
+def test_read_path_matches_reference_on_format_gq(xp):
+    text = format_gq(GQ(*xp))
+    assert _outcome(parse_gq, text) == _outcome(_ref_parse_gq, text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["-0.0", "-0.0-0.0i", "-0", "-0i", "-1e-400", "-1e-400i", "1e400", "-1e400i",
+     "1e308+1e308i", ".5i", "5.", "2e-3-0.25i", "1.e5", "2i+1", "1/2", "1/0",
+     "i", "-i", "+i", "1+i", "1-i", "1/0i", "2-1/0i", "0/5+0/3i", " 3 ", "1 + 2i", "1_0", "inf", "nan", "nani",
+     "0x10", "1+2", "i+i", "1e", "e5", "1e+i", "--1", "3/4i", "-3/4+1/2i", "1/-2",
+     "1.5", "1e2", "1e-3", "2-1/3i", "\u0661", "1" * 4301, "1/" + "1" * 4301],
+)
+def test_read_path_matches_reference_on_edge_cases(text):
+    _assert_same_reading(text)
+
+
+def test_negative_zero_reads_as_positive_zero():
+    for text in ("-0.0", "-0.0-0.0i", "-0e5-0.0i", "-1e-400-1e-400i"):
+        z = parse_cfloat(text)
+        assert z.real.hex() == "0x0.0p+0" and z.imag.hex() == "0x0.0p+0"
+        (w,) = parse_cfloat_row([text])
+        assert w.real.hex() == "0x0.0p+0" and w.imag.hex() == "0x0.0p+0"
+
+
+float_token = st.one_of(
+    scalar_text,
+    st.tuples(any_finite_float, any_finite_float).map(lambda p: format_cfloat(complex(*p))),
+    st.sampled_from(["-0.0", "1e400", "1 2", "", "2i+1", "1/2"]),
+)
+
+
+@given(st.lists(float_token, max_size=6))
+def test_float_rows_match_per_scalar_reads(texts):
+    def row(parse):
+        try:
+            zs = parse(texts)
+        except Exception as exc:  # noqa: BLE001
+            return ("error", type(exc).__name__, str(exc))
+        return [(z.real.hex(), z.imag.hex()) for z in zs]
+
+    assert row(parse_cfloat_row) == row(lambda ts: [_ref_parse_cfloat(t) for t in ts])
+
+
+# -- the exponent bound on exact parts ---------------------------------------
+
+
+def test_largest_exact_exponent_round_trips():
+    top = MAX_EXACT_DIGITS - 1  # one mantissa digit
+    for text in (f"1e{top}", f"1e-{top}", f"9e{top}i", f"-.1e-{top - 1}", f"1e{top}+1e-{top}i"):
+        z = parse_gq(text)
+        assert z == _ref_parse_gq(text)
+        assert parse_gq(format_gq(z)) == z
+    assert format_gq(parse_gq(f"1e{top}")) == "1" + "0" * top
+    assert format_gq(parse_gq(f"1e-{top}")) == "1/1" + "0" * top
+
+
+@pytest.mark.parametrize(
+    "text",
+    [f"1e{MAX_EXACT_DIGITS}", f"10e{MAX_EXACT_DIGITS - 1}", f"1.5e-{MAX_EXACT_DIGITS - 1}",
+     "1e99999999", "1e-99999999i", "2+1e4000000i", "1e" + "9" * 5000, "1e1_000_000"],
+)
+def test_exact_exponent_past_the_bound_is_refused(text):
+    with pytest.raises(ParseError, match="exponent out of range"):
+        parse_gq(text)
+
+
+def test_malformed_mantissa_with_long_exponent_is_a_bad_rational():
+    for text in ("1x2e99999999", "1/2e99999999", "..5e99999999"):
+        with pytest.raises(ParseError, match="bad rational"):
+            parse_gq(text)

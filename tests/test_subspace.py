@@ -9,9 +9,14 @@ from hypothesis import given, settings, strategies as st
 from relpos.errors import DimensionMismatch, SingularMatrixError
 from relpos.gaussian import GQ, I, ONE
 from relpos.matrix import Matrix
+from relpos.system import SubspaceSystem, direct_sum
 from relpos.toeplitz import truncate_exotic
 from relpos.subspace import (
     Subspace,
+    _canonical_columns,
+    _fix_phases,
+    _is_canonical,
+    _orthonormal_columns,
     annihilator,
     image_under,
     intersect,
@@ -217,3 +222,128 @@ def test_exact_contains_matches_solve():
         for x, y in ((a, b), (sum_(a, b), b), (a, intersect(a, b))):
             want = y.dim == 0 or x.basis.solve(y.basis) is not None
             assert x.contains(y) is want
+
+
+# -- canonical bases that are already canonical -------------------------------
+
+
+def _rref_columns(m):
+    """The canonical basis by a full elimination, whatever the input."""
+    r, pivots = m.transpose().rref()
+    return r.take_rows(range(len(pivots))).transpose()
+
+
+def _assert_canonical_path(m):
+    want = _rref_columns(m)
+    got = _canonical_columns(m)
+    assert got == want
+    assert (got._re, got._im, got._den) == (want._re, want._im, want._den)
+    # the check answers whether the input is its own canonical basis
+    assert _is_canonical(m) == (m == want)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_canonical_columns_matches_rref_on_random_bases(seed):
+    rng = random.Random(seed)
+    d, k = rng.randint(0, 6), rng.randint(0, 6)
+    ents = [GQ(rng.randint(-2, 2), rng.choice([0, 0, rng.randint(-2, 2)])) / rng.randint(1, 3)
+            for _ in range(d * k)]
+    m = Matrix.exact(d, k, ents)
+    _assert_canonical_path(m)
+    # its canonical basis, and that basis with a column or a row disturbed
+    c = _rref_columns(m)
+    _assert_canonical_path(c)
+    if c.rows and c.cols:
+        i, j = rng.randrange(c.rows), rng.randrange(c.cols)
+        ents = list(c.entries())
+        ents[i * c.cols + j] += rng.choice([ONE, I, GQ(1, 2)])
+        _assert_canonical_path(Matrix.exact(c.rows, c.cols, ents))
+        _assert_canonical_path(Matrix.hstack([c, c.column(j)]))
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_canonical_columns_matches_rref_on_exotic_bases(n):
+    s = truncate_exotic(GQ(1, 1), n)
+    d = s.ambient_dim
+    spans = [
+        Matrix.vstack([Matrix.identity(d // 2), Matrix.zeros(d // 2, d // 2)]),
+        Matrix.vstack([Matrix.zeros(d // 2, d // 2), Matrix.identity(d // 2)]),
+        Matrix.vstack([Matrix.identity(d // 2), Matrix.identity(d // 2)]),
+    ]
+    for m in spans:
+        assert _is_canonical(m)
+        _assert_canonical_path(m)
+    for sub in s.subspaces:
+        _assert_canonical_path(sub.basis)
+
+
+def test_canonical_columns_matches_rref_on_block_sums():
+    rng = random.Random(11)
+    for _ in range(10):
+        a = SubspaceSystem(3, [rand_subspace(rng, 3) for _ in range(4)])
+        b = SubspaceSystem(2, [rand_subspace(rng, 2) for _ in range(4)])
+        for x, y in zip(a.subspaces, b.subspaces):
+            blocks = Matrix.block_diag([x.basis, y.basis])
+            assert _is_canonical(blocks)
+            _assert_canonical_path(blocks)
+        for sub in direct_sum(a, b).subspaces:
+            _assert_canonical_path(sub.basis)
+
+
+# -- the float basis phase fix against the per-column loop ---------------------
+
+
+def _loop_fix_phases(basis):
+    """_fix_phases one column at a time."""
+    for j in range(basis.shape[1]):
+        col = basis[:, j]
+        k = int(np.argmax(np.abs(col) > 0.5 / np.sqrt(len(col))))
+        ph = col[k] / abs(col[k]) if col[k] != 0 else 1.0
+        basis[:, j] = col / ph
+
+
+def _loop_orthonormal_columns(m):
+    """_orthonormal_columns with the phases fixed one column at a time."""
+    a = m.to_array()
+    u, s, _ = np.linalg.svd(a, full_matrices=False)
+    r = int(np.sum(s > m.tol * max(1.0, s[0] if s.size else 0.0)))
+    basis = u[:, :r]
+    _loop_fix_phases(basis)
+    return basis
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_phase_fix_is_bitwise_the_column_loop(seed):
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(1, 41))
+    k = int(rng.integers(1, 41))
+    a = rng.standard_normal((d, k)) + 1j * rng.standard_normal((d, k))
+    if seed % 3 == 0:
+        a = np.round(a)  # small integers: ties and exact zeros
+    if seed % 4 == 1:
+        a[:, : k // 2] = a[:, k // 2 :][:, : k // 2]  # rank below k
+    if seed % 5 == 2:
+        a = np.vstack([np.zeros((2, k)), a])  # zero rows on top
+    m = Matrix.from_array(a)
+    got = _orthonormal_columns(m).to_array()
+    want = _loop_orthonormal_columns(m)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_phase_fix_on_columns_with_zero_pivots(seed):
+    # not what an SVD returns, but every branch: zero columns, columns with
+    # no entry above the threshold (the first entry, 0 or not, leads), and
+    # columns led by a later entry
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(1, 41))
+    k = int(rng.integers(1, 41))
+    u = rng.standard_normal((d, k)) + 1j * rng.standard_normal((d, k))
+    u[:, rng.random(k) < 0.3] *= 0.1 / np.sqrt(d)
+    u[0, rng.random(k) < 0.5] = 0
+    u[:, rng.random(k) < 0.2] = 0
+    got, want = u.copy(), u.copy()
+    _fix_phases(got[:, :k])
+    _loop_fix_phases(want[:, :k])
+    assert got.tobytes() == want.tobytes()
