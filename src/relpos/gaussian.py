@@ -7,10 +7,11 @@ scientific parts: `1.5`, `2e-3-0.25i`.
 A scalar is a real part, an imaginary part (ending in `i`, a bare `i` being
 1) or both, in either order, each with an optional sign; spaces are ignored.
 An exact part is anything `Fraction` reads from text (`-3`, `1/2`, `1.5`,
-`1e-3`); a float part is a float literal or `x/y` of two.  The common shapes
-(digits only, the real part first) are read by `int()` and `complex()`;
-everything else goes through the general parser, which reads the same
-language, so both give the same values and the same errors.
+`1e-3`) within MAX_EXACT_DIGITS; a float part is a float literal or `x/y`
+of two.  The common shapes (digits only, the real part first) are read by
+`int()` and `complex()`; everything else goes through the general parser,
+which reads the same language, so both give the same values and the same
+errors.
 """
 
 from __future__ import annotations
@@ -230,11 +231,13 @@ def format_cfloat(z: complex) -> str:
     return repr(z.real) + sep + repr(z.imag) + "i"
 
 
-# An exact part written with an exponent (`12.5e-3`) is refused when its
-# mantissa digits plus the magnitude of its exponent exceed this, before any
-# power of ten is taken.  Its numerator and denominator then have at most
-# 4,300 digits, which format_gq prints under Python's default int/str limit;
-# the largest power of ten allowed is 1e4298.
+# An exact part written as a decimal or with an exponent (`1.25`, `12.5e-3`)
+# is refused when its mantissa digits plus the magnitude of its exponent (0
+# if it has none) exceed this, before any power of ten is taken.  Its
+# numerator and denominator then have at most 4,300 digits, which format_gq
+# prints under Python's default int/str limit; the largest power of ten
+# allowed is 1e4298.  Integers and `a/b` parts are limited to 4,300 digits
+# each by int() itself.
 MAX_EXACT_DIGITS = 4299
 
 # the common shapes: a real part, an imaginary part or both, in that order,
@@ -245,10 +248,10 @@ _EXACT_SHAPE = re.compile(
     r"([+-]?[0-9]+)(?:/([0-9]+))?(?:([+-])(?:([0-9]+)(?:/([0-9]+))?)?i)?"
     r"|([+-]?)(?:([0-9]+)(?:/([0-9]+))?)?i"
 )
-_FLOAT = r"(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
-_FLOAT_SCALAR = rf"(?:[+-]?{_FLOAT}(?:[+-](?:{_FLOAT})?i)?|[+-]?(?:{_FLOAT})?i)"
-# a row of float scalars, one space apart
-_FLOAT_ROW = re.compile(rf"{_FLOAT_SCALAR}(?: {_FLOAT_SCALAR})*")
+# a float literal; its mantissa has a single reading, so a failed match
+# backtracks little
+_FLOAT = r"(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
+_FLOAT_SHAPE = re.compile(rf"[+-]?{_FLOAT}(?:[+-](?:{_FLOAT})?i)?|[+-]?(?:{_FLOAT})?i")
 # an exponent at the end of an exact part, as Fraction reads it
 _EXPONENT = re.compile(r"[eE]([+-]?\d+(?:_\d+)*)\s*\Z")
 
@@ -272,14 +275,15 @@ def _split_terms(text: str):
 def _parse_rational(body: str) -> Fraction:
     try:
         m = _EXPONENT.search(body)
-        if m is not None:
-            exp = m.group(1).replace("_", "").lstrip("+-").lstrip("0")
-            digits = sum(map(str.isdecimal, body[: m.start()]))
+        mantissa = body if m is None else body[: m.start()]
+        if m is not None or "." in mantissa:
+            exp = "" if m is None else m.group(1).replace("_", "").lstrip("+-").lstrip("0")
+            digits = sum(map(str.isdecimal, mantissa))
             if len(exp) > 9 or digits + int(exp or 0) > MAX_EXACT_DIGITS:
                 # a malformed mantissa is reported as such
-                Fraction(body[: m.start()] + "e0")
+                Fraction(mantissa + "e0")
                 raise ParseError(
-                    f"exponent out of range in {body!r} (mantissa digits plus "
+                    f"exact part out of range in {body!r} (mantissa digits plus "
                     f"|exponent| above {MAX_EXACT_DIGITS})"
                 )
         return Fraction(body)
@@ -368,18 +372,9 @@ def parse_gq(text: str) -> GQ:
 
 def parse_cfloat(text: str) -> complex:
     """Parse the scalar syntax with float parts into a complex."""
-    return parse_cfloat_row([text])[0]
-
-
-def parse_cfloat_row(texts) -> list:
-    """[parse_cfloat(t) for t in texts].  A row of common shapes is read in
-    one pass: its only letters i are the imaginary units, so one replace
-    makes it complex() text."""
-    row = " ".join(texts)
-    if _FLOAT_ROW.fullmatch(row):
+    if _FLOAT_SHAPE.fullmatch(text):
         # + 0j turns a -0.0 part into 0.0, as the general parser's 0.0 + x does
-        zs = [complex(t) + 0j for t in row.replace("i", "j").split(" ")]
-        # a text with a space in it splits in two
-        if len(zs) == len(texts) and all(map(cmath.isfinite, zs)):
-            return zs
-    return [complex(*_parse(t, exact=False)) for t in texts]
+        z = complex(text.replace("i", "j")) + 0j
+        if cmath.isfinite(z):
+            return z
+    return complex(*_parse(text, exact=False))

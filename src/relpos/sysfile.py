@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParseError
-from .gaussian import format_cfloat, format_gq, parse_cfloat_row, parse_gq
+from .gaussian import format_cfloat, format_gq, parse_cfloat, parse_gq
 from .matrix import DEFAULT_TOL, EXACT, FLOAT, Matrix
 from .subspace import Subspace
 from .system import SubspaceSystem
@@ -135,7 +135,7 @@ def parse(text: str) -> SystemFile:
                 raise ParseError(f"subspace {name}: negative dimension {dim}")
             idx += 1
             rows = []
-            exact = field_name == FIELD_NAMES[EXACT]
+            scalar = parse_gq if field_name == FIELD_NAMES[EXACT] else parse_cfloat
             for _ in range(dim):
                 if idx >= len(lines):
                     raise ParseError(f"subspace {name}: missing basis rows")
@@ -144,7 +144,7 @@ def parse(text: str) -> SystemFile:
                     raise ParseError(
                         f"subspace {name}: vector length {len(entries)} != ambient {ambient}"
                     )
-                rows.append([parse_gq(e) for e in entries] if exact else parse_cfloat_row(entries))
+                rows.append([scalar(e) for e in entries])
                 idx += 1
             subspaces.append((name, rows))
         elif parts[0] == "meta":

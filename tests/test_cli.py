@@ -308,7 +308,7 @@ def test_exact_exponent_bound_exit_code(args, tmp_path):
         tracemalloc.stop()
     assert code == 2
     assert out == ""
-    assert "exponent out of range" in err
+    assert "exact part out of range" in err
     assert "Traceback" not in err
     assert peak < 1 << 20
 

@@ -3,11 +3,13 @@
 import math
 import re
 import struct
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from relpos import sysfile
 from relpos.errors import ParseError
 from relpos.gaussian import (
     GQ,
@@ -15,7 +17,6 @@ from relpos.gaussian import (
     format_cfloat,
     format_gq,
     parse_cfloat,
-    parse_cfloat_row,
     parse_gq,
 )
 
@@ -346,7 +347,7 @@ _LONG_EXPONENT = re.compile(r"[eE][+-]?[0-9]{4,}")
 def _assert_same_reading(text):
     assert _outcome(parse_cfloat, text) == _outcome(_ref_parse_cfloat, text)
     new = _outcome(parse_gq, text)
-    if new[0] == "error" and new[2].startswith("exponent out of range"):
+    if new[0] == "error" and new[2].startswith("exact part out of range"):
         # refused before 10**exponent is taken; the reference would build it
         assert _LONG_EXPONENT.search(text.replace(" ", ""))
         return
@@ -409,27 +410,30 @@ def test_negative_zero_reads_as_positive_zero():
     for text in ("-0.0", "-0.0-0.0i", "-0e5-0.0i", "-1e-400-1e-400i"):
         z = parse_cfloat(text)
         assert z.real.hex() == "0x0.0p+0" and z.imag.hex() == "0x0.0p+0"
-        (w,) = parse_cfloat_row([text])
-        assert w.real.hex() == "0x0.0p+0" and w.imag.hex() == "0x0.0p+0"
 
 
-float_token = st.one_of(
-    scalar_text,
-    st.tuples(any_finite_float, any_finite_float).map(lambda p: format_cfloat(complex(*p))),
-    st.sampled_from(["-0.0", "1e400", "1 2", "", "2i+1", "1/2"]),
-)
-
-
-@given(st.lists(float_token, max_size=6))
-def test_float_rows_match_per_scalar_reads(texts):
-    def row(parse):
-        try:
-            zs = parse(texts)
-        except Exception as exc:  # noqa: BLE001
-            return ("error", type(exc).__name__, str(exc))
-        return [(z.real.hex(), z.imag.hex()) for z in zs]
-
-    assert row(parse_cfloat_row) == row(lambda ts: [_ref_parse_cfloat(t) for t in ts])
+def test_float_rows_with_a_late_bad_token_read_quickly():
+    # a row of integer tokens whose last token the common shape does not take:
+    # the shape check must fail at once, not try every split of every digit run
+    for last, expect in (("1/2", None), ("nan", "non-finite float"), ("10x", "bad float")):
+        row = " ".join(["10"] * 39 + [last])
+        text = "\n".join([
+            "relpos-system 1", "field complex-float", "ambient 40",
+            "subspace E1 dim 1", row,
+        ]) + "\n"
+        t0 = time.perf_counter()
+        if expect is None:
+            rows = dict(sysfile.parse(text).subspaces)["E1"]
+            assert rows[0][-1] == 0.5 and rows[0][0] == 10
+        else:
+            with pytest.raises(ParseError, match=expect):
+                sysfile.parse(text)
+        assert time.perf_counter() - t0 < 0.5
+    for text in ("1" * 5000 + "x", "1" * 5000 + "-" + "1" * 5000 + "x", "." + "1" * 5000 + "ii"):
+        t0 = time.perf_counter()
+        assert _outcome(parse_cfloat, text) == _outcome(_ref_parse_cfloat, text)
+        assert _outcome(parse_gq, text) == _outcome(_ref_parse_gq, text)
+        assert time.perf_counter() - t0 < 0.5
 
 
 # -- the exponent bound on exact parts ---------------------------------------
@@ -443,15 +447,21 @@ def test_largest_exact_exponent_round_trips():
         assert parse_gq(format_gq(z)) == z
     assert format_gq(parse_gq(f"1e{top}")) == "1" + "0" * top
     assert format_gq(parse_gq(f"1e-{top}")) == "1/1" + "0" * top
+    # a decimal without exponent: all its digits count
+    for text in ("1" * 2000 + "." + "1" * (MAX_EXACT_DIGITS - 2000), "." + "3" * MAX_EXACT_DIGITS):
+        z = parse_gq(text)
+        assert z == _ref_parse_gq(text)
+        assert parse_gq(format_gq(z)) == z
 
 
 @pytest.mark.parametrize(
     "text",
     [f"1e{MAX_EXACT_DIGITS}", f"10e{MAX_EXACT_DIGITS - 1}", f"1.5e-{MAX_EXACT_DIGITS - 1}",
-     "1e99999999", "1e-99999999i", "2+1e4000000i", "1e" + "9" * 5000, "1e1_000_000"],
+     "1e99999999", "1e-99999999i", "2+1e4000000i", "1e" + "9" * 5000, "1e1_000_000",
+     "1" * 3000 + "." + "1" * 3000, "." + "3" * MAX_EXACT_DIGITS + "1i"],
 )
 def test_exact_exponent_past_the_bound_is_refused(text):
-    with pytest.raises(ParseError, match="exponent out of range"):
+    with pytest.raises(ParseError, match="exact part out of range"):
         parse_gq(text)
 
 
