@@ -4,8 +4,10 @@ Runs the README CLI examples on five catalog systems (catalog build, then
 defect, decompose, coxeter plus/minus/perp, diagram and isom on the file it
 wrote), the four README `toeplitz` commands, `toeplitz exotic` at gamma = 1+i
 (N = 16) and gamma = -2i (N = 24), `toeplitz defect` on the block symbol
-zI + N and `toeplitz index` on zI + N - I for blocks 3 and 6 (the block
-truncation oracle), `verify two-types`, and `decompose` on two operator
+zI + N and `toeplitz index` on zI + N - I for blocks 3 and 6 (one-sided, so
+their kernel dimensions are counted exactly), `toeplitz index` on the
+two-sided zI + N - 3I + 2I/z for block 3 (the block truncation oracle),
+`verify two-types`, and `decompose` on two operator
 systems S_T written here (one per commutant route: T conjugate to
 J_2(1) + J_1(1), which is derogatory, and the companion matrix of x^2 - 2,
 which is cyclic) and on a direct sum of three catalog members under a Z[i]
@@ -59,8 +61,9 @@ PER_FILE = (
 )
 
 
-def _block_v(b: int, shift: int) -> str:
-    """Symbol text of zI + N + shift*I, N the b x b nilpotent subdiagonal."""
+def _block_v(b: int, shift: int, inverse: int = 0) -> str:
+    """Symbol text of zI + N + shift*I + inverse*I/z, N the b x b nilpotent
+    subdiagonal."""
     def block(entry):
         return "[" + ",".join(
             "[" + ",".join(str(entry(i, j)) for j in range(b)) + "]" for i in range(b)
@@ -68,7 +71,10 @@ def _block_v(b: int, shift: int) -> str:
 
     k0 = block(lambda i, j: shift if i == j else int(i == j + 1))
     k1 = block(lambda i, j: int(i == j))
-    return f"block={b}; k:0={k0}; k:1={k1}"
+    parts = [f"block={b}"]
+    if inverse:
+        parts.append(f"k:-1={block(lambda i, j: inverse * int(i == j))}")
+    return "; ".join(parts + [f"k:0={k0}", f"k:1={k1}"])
 
 
 OTHERS = (
@@ -81,6 +87,7 @@ OTHERS = (
     ("toeplitz", "exotic", "--gamma=-2i", "--N", "24"),
     *(("toeplitz", "defect", "--symbol", _block_v(b, 0)) for b in (3, 6)),
     *(("toeplitz", "index", "--symbol", _block_v(b, -1)) for b in (3, 6)),
+    ("toeplitz", "index", "--symbol", _block_v(3, -3, 2)),
     ("verify", "two-types"),
 )
 

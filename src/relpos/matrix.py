@@ -174,7 +174,8 @@ class Matrix:
         return self.take_columns([j])
 
     def take_columns(self, idx) -> "Matrix":
-        idx = list(idx)
+        # negative indices count from the end, as in take_rows
+        idx = [range(self.cols)[j] for j in idx]
         if self.field == FLOAT:
             return Matrix(self.rows, len(idx), FLOAT, array=self._f[:, idx], tol=self.tol)
         flat = [i * self.cols + j for i in range(self.rows) for j in idx]

@@ -445,3 +445,168 @@ def coprime_split(p: Polynomial, rep: FactorReport | None = None):
     if f.gcd(g).degree != 0:
         return None
     return f.monic(), g.monic()
+
+
+# -- zeros in the unit disk ---------------------------------------------------
+#
+# Integer polynomials below are lists of ints, ascending by degree, with no
+# trailing zeros; the zero polynomial is [].
+
+
+def _strip(p: list) -> list:
+    while p and not p[-1]:
+        p.pop()
+    return p
+
+
+def _primitive(p: list) -> list:
+    """p divided by its positive integer content."""
+    g = math.gcd(*p)
+    return [c // g for c in p] if g > 1 else p
+
+
+def _negated_remainder(f: list, g: list) -> list:
+    """A positive multiple of -(f mod g), made primitive: the next term of a
+    Sturm chain.  Each step scales by |lc g|, never by a negative number."""
+    r = list(f)
+    lc = g[-1]
+    scale, sign = abs(lc), (1 if lc > 0 else -1)
+    dg = len(g) - 1
+    while len(r) - 1 >= dg:
+        shift = len(r) - 1 - dg
+        lead = sign * r[-1]
+        r = [scale * c for c in r]
+        for i, c in enumerate(g):
+            r[shift + i] -= lead * c
+        _strip(r)
+    return _primitive([-c for c in r]) if r else r
+
+
+def _sign_changes(signs) -> int:
+    signs = [s for s in signs if s]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+def _cauchy_index(f: list, g: list):
+    """(Cauchy index of g/f over the real line, gcd of f and g up to a
+    constant), from the chain f, g, -(f mod g), ...: the index is the sign
+    changes of the chain at -inf minus those at +inf (Sturm)."""
+    chain = [f]
+    while g:
+        chain.append(g)
+        f, g = g, _negated_remainder(f, g)
+    at_plus = [1 if p[-1] > 0 else -1 for p in chain]
+    at_minus = [s if (len(p) - 1) % 2 == 0 else -s for s, p in zip(at_plus, chain)]
+    return _sign_changes(at_minus) - _sign_changes(at_plus), chain[-1]
+
+
+def _real_zero_count(p: list) -> int:
+    """Real zeros of the integer polynomial p, counted with multiplicity: the
+    distinct ones by Sturm's theorem on (p, p'), whose gcd holds every
+    repeated zero once less."""
+    if len(p) < 2:
+        return 0
+    distinct, g = _cauchy_index(p, [i * c for i, c in enumerate(p)][1:])
+    return distinct + _real_zero_count(g)
+
+
+def _cayley_counts(re: list, im: list):
+    """(zeros in |z| < 1, zeros on |z| = 1) of p = re + i*im, counted with
+    multiplicity, through its Cayley image P(t) = (1 - it)^n p((1 + it)/(1 - it)).
+
+    The map sends the upper half-plane onto the open disk and the real line
+    onto the circle less z = -1, whose multiplicity is the degree P loses.
+    With the leading coefficient of P made real, P = A + iB with deg B <
+    deg A; its real zeros are those of gcd(A, B) = D, and it has
+    (deg P - I - (real zeros of D)) / 2 zeros in the upper half-plane, I the
+    Cauchy index of B/A."""
+    n = len(re) - 1
+    # homogeneous Horner: P = sum_k a_k (1 + it)^k (1 - it)^(n - k)
+    p_re, p_im = [re[n]], [im[n]]
+    v_re, v_im = [1], [0]
+    for k in range(n - 1, -1, -1):
+        p_re, p_im = (  # times (1 + it)
+            [a - b for a, b in zip(p_re + [0], [0] + p_im)],
+            [a + b for a, b in zip(p_im + [0], [0] + p_re)],
+        )
+        v_re, v_im = (  # times (1 - it)
+            [a + b for a, b in zip(v_re + [0], [0] + v_im)],
+            [a - b for a, b in zip(v_im + [0], [0] + v_re)],
+        )
+        x, y = re[k], im[k]
+        p_re = [a + x * c - y * d for a, c, d in zip(p_re, v_re, v_im)]
+        p_im = [a + x * d + y * c for a, c, d in zip(p_im, v_re, v_im)]
+    m = n
+    while not (p_re[m] or p_im[m]):
+        m -= 1
+    # times conj(lead): the leading coefficient becomes x^2 + y^2 > 0
+    x, y = p_re[m], p_im[m]
+    a = [x * c + y * d for c, d in zip(p_re[: m + 1], p_im[: m + 1])]
+    b = _strip([x * d - y * c for c, d in zip(p_re[: m + 1], p_im[: m + 1])])
+    index, d = _cauchy_index(_primitive(a), _primitive(b))
+    real = _real_zero_count(d)
+    return (m - index - real) // 2, real + n - m
+
+
+def disk_zero_counts(p: Polynomial):
+    """(zeros in the open unit disk, zeros on the unit circle) of p != 0,
+    counted with multiplicity, exactly.
+
+    Schur-Cohn recursion (Marden, *Geometry of Polynomials*, ch. X) on the
+    Gaussian-integer multiple of p: T p = conj(a_0) p - a_n p*, with p*(z) =
+    z^n conj(p(1/conj z)) and n = deg p, has degree below n and the real
+    constant |a_0|^2 - |a_n|^2.  By Rouche's theorem T p has the zeros of p
+    in the disk when that constant is positive, and n - (circle zeros) -
+    (those of p) when it is negative; the circle zeros of p divide T p and
+    no others appear.  The integer content is divided out at every step.
+    The recursion stops at a polynomial whose transform vanishes (it is
+    self-inversive: its zeros pair off as z, 1/conj z) or at a singular step
+    (constant 0, T p != 0); that polynomial is counted by its Cayley image,
+    and the counts are carried back through the steps."""
+    if p.is_zero():
+        raise ValueError("the zero polynomial has no zero count")
+    den = math.lcm(*(c._d for c in p.coeffs))
+    re = [c._a * (den // c._d) for c in p.coeffs]
+    im = [c._b * (den // c._d) for c in p.coeffs]
+    g = math.gcd(*re, *im)
+    re, im = [c // g for c in re], [c // g for c in im]
+    flips = []  # degrees of the steps whose constant was negative
+    consts = []  # constants of the polynomials since the last content division
+    while len(re) > 1:
+        n = len(re) - 1
+        # conj(a_0) = x0 + i y0 and a_n = xn + i yn, three real products per
+        # complex one (Gauss)
+        x0, y0, xn, yn = re[0], -im[0], re[n], im[n]
+        s0, d0, sn, dn = x0 + y0, y0 - x0, xn + yn, yn - xn
+        t_re, t_im = [], []
+        for k in range(n):
+            # conj(a_0) a_k - a_n conj(a_(n - k))
+            u, v, u2, w = re[k], im[k], re[n - k], -im[n - k]
+            a = x0 * (u + v)
+            b = xn * (u2 + w)
+            t_re.append(a - v * s0 - b + w * sn)
+            t_im.append(a + u * d0 - b - u2 * dn)
+        delta = t_re[0]
+        if delta == 0:
+            break
+        if delta < 0:
+            flips.append(n)
+        m = n
+        while not (t_re[m - 1] or t_im[m - 1]):
+            m -= 1
+        del t_re[m:], t_im[m:]
+        # T p_k is divisible by the constant of p_(k - 1) when the steps in
+        # between were regular (Bareiss-like); where the division is not
+        # exact, the integer content is divided out and the chain restarts
+        d = abs(consts[-2]) if len(consts) > 1 else 1
+        parts = [divmod(c, d) for c in t_re + t_im]
+        if any(r for _, r in parts):
+            g = math.gcd(*t_re, *t_im)
+            parts = [(c // g, 0) for c in t_re + t_im]
+            consts = []
+        re, im = [q for q, _ in parts[:m]], [q for q, _ in parts[m:]]
+        consts.append(re[0])
+    inside, circle = _cayley_counts(re, im) if len(re) > 1 else (0, 0)
+    for n in reversed(flips):
+        inside = n - circle - inside
+    return inside, circle

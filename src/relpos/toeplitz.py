@@ -9,6 +9,7 @@ is the subdiagonal (the unilateral shift is the symbol z)."""
 from __future__ import annotations
 
 import functools
+import math
 import os
 import re as _re
 from dataclasses import dataclass, field
@@ -24,7 +25,7 @@ from .errors import (
 )
 from .gaussian import GQ, ONE, ZERO, format_gq, parse_gq
 from .matrix import EXACT, Matrix
-from .poly import Polynomial, factor_over_gaussian_rationals
+from .poly import Polynomial, disk_zero_counts, factor_over_gaussian_rationals
 from .subspace import Subspace, intersect, principal_angles
 from .system import SubspaceSystem, diagram_from_pairs
 
@@ -44,6 +45,22 @@ MAX_GRID = 65536
 MAX_SYMBOL_BLOCK = 8
 # Largest exotic truncation size: ambient 4 * 128 = 512, about 5 s.
 MAX_EXOTIC_N = 128
+
+
+def _past_float_range(mat: Matrix) -> bool:
+    """Whether an entry of the exact matrix rounds past the largest float;
+    the winding grid and the oracle read the coefficients in floats."""
+    if mat.field != EXACT:
+        return False
+    # |a / d| < 2^(bits(a) - bits(d) + 1), so only wider entries can overflow
+    widest = max(map(abs, mat._re + mat._im), default=0).bit_length()
+    if widest - mat._den.bit_length() <= 1022:
+        return False
+    try:
+        mat.to_array()
+    except OverflowError:
+        return True
+    return False
 
 
 @dataclass(frozen=True)
@@ -71,6 +88,10 @@ class LaurentSymbol:
                 mat = Matrix.from_rows(m)
             if mat.rows != block_size or mat.cols != block_size:
                 raise DimensionMismatch("symbol coefficient has wrong block size")
+            if _past_float_range(mat):
+                raise DimensionMismatch(
+                    f"symbol coefficient at offset {k} is past the float range"
+                )
             if not mat.is_zero():
                 clean.append((k, mat))
         if not clean:
@@ -220,18 +241,96 @@ def _exact_circle_roots(p: Polynomial):
     return roots
 
 
+def _gaussian_det(re: list, im: list, b: int):
+    """(re, im) of the determinant of the b x b Gaussian-integer matrix
+    re + i*im (flat row-major), by Bareiss's fraction-free elimination: every
+    division by the previous pivot is exact."""
+    re, im = list(re), list(im)
+    sign, prev_re, prev_im = 1, 1, 0
+    for k in range(b - 1):
+        pivot = next((r for r in range(k, b) if re[r * b + k] or im[r * b + k]), None)
+        if pivot is None:
+            return 0, 0
+        if pivot != k:
+            sign = -sign
+            for c in range(k, b):
+                i, j = k * b + c, pivot * b + c
+                re[i], re[j], im[i], im[j] = re[j], re[i], im[j], im[i]
+        p_re, p_im = re[k * b + k], im[k * b + k]
+        norm = prev_re * prev_re + prev_im * prev_im
+        for r in range(k + 1, b):
+            f_re, f_im = re[r * b + k], im[r * b + k]
+            for c in range(k + 1, b):
+                x, y = re[r * b + c], im[r * b + c]
+                u, v = re[k * b + c], im[k * b + c]
+                n_re = p_re * x - p_im * y - (f_re * u - f_im * v)
+                n_im = p_re * y + p_im * x - (f_re * v + f_im * u)
+                re[r * b + c] = (n_re * prev_re + n_im * prev_im) // norm
+                im[r * b + c] = (n_im * prev_re - n_re * prev_im) // norm
+        prev_re, prev_im = p_re, p_im
+    return sign * re[-1], sign * im[-1]
+
+
+def _interpolate(values: list, x0: int) -> list:
+    """Integer coefficients, ascending, of the polynomial of degree below
+    len(values) whose values at x0, x0 + 1, ... are the given ints, read off
+    Newton's forward differences; exact when the polynomial has integer
+    coefficients.  With N = len(values) - 1, N! f is expanded in Horner form
+    over the Newton basis, in integers, and divided by N! once."""
+    diffs, row = [], list(values)
+    while row:
+        diffs.append(row[0])
+        row = [b - a for a, b in zip(row, row[1:])]
+    n = len(values) - 1
+    scale = [1] * (n + 1)  # scale[k] = n! / k!
+    for k in range(n - 1, -1, -1):
+        scale[k] = scale[k + 1] * (k + 1)
+    acc = [diffs[n]]
+    for k in range(n - 1, -1, -1):
+        # acc * (x - (x0 + k)) + diffs[k] * n! / k!
+        root = x0 + k
+        acc = [a - root * b for a, b in zip([0] + acc, acc + [0])]
+        acc[0] += diffs[k] * scale[k]
+    return [c // scale[0] for c in acc]
+
+
 def symbol_char_poly(sym: LaurentSymbol) -> Polynomial:
-    """z^s * a(z) as an exact polynomial (scalar symbols only)."""
-    if sym.block_size != 1:
-        raise DimensionMismatch("char poly is for scalar symbols")
+    """det(z^s a(z)), s = sym.upper, as an exact polynomial of degree at most
+    (lower + upper) * block_size.
+
+    A scalar symbol gives z^s a(z), read off its coefficients.  For blocks,
+    the coefficients are put over one integer denominator, the Gaussian-
+    integer determinant is taken fraction-free at deg + 1 consecutive integer
+    points around 0, and the polynomial is interpolated exactly."""
     if not sym.is_exact():
         raise DimensionMismatch("char poly needs exact coefficients")
-    s = sym.upper
-    deg = sym.lower + s
-    coeffs = [ZERO] * (deg + 1)
+    b, s = sym.block_size, sym.upper
+    width = sym.lower + s
+    deg = width * b
+    if b == 1:
+        coeffs = [ZERO] * (deg + 1)
+        for k, m in sym.coeffs:
+            coeffs[k + s] = m.entry(0, 0)
+        return Polynomial(coeffs)
+    den = math.lcm(*(m._den for _, m in sym.coeffs))
+    # entry (i, j) of z^s a(z) has the coefficient of z^e in column i * b + j
+    coef_re = np.zeros((width + 1, b * b), dtype=object)
+    coef_im = np.zeros((width + 1, b * b), dtype=object)
     for k, m in sym.coeffs:
-        coeffs[k + s] = m.entry(0, 0)
-    return Polynomial(coeffs)
+        scale = den // m._den
+        coef_re[k + s] = [v * scale for v in m._re]
+        coef_im[k + s] = [v * scale for v in m._im]
+    x0 = -(deg // 2)
+    powers = np.array(
+        [[x**e for e in range(width + 1)] for x in range(x0, x0 + deg + 1)], dtype=object
+    )
+    dets = [
+        _gaussian_det(list(re), list(im), b)
+        for re, im in zip(powers.dot(coef_re), powers.dot(coef_im))
+    ]
+    re = _interpolate([d[0] for d in dets], x0)
+    im = _interpolate([d[1] for d in dets], x0)
+    return Polynomial([GQ._make(a, c, den**b) for a, c in zip(re, im)])
 
 
 def fredholm_index(sym: LaurentSymbol, grid: int = 512) -> IndexReport:
@@ -516,18 +615,48 @@ def _scalar_kernel_by_roots(sym: LaurentSymbol):
     return free + cand.shape[1] - rank, certified
 
 
+def _one_sided_kernel_dims(sym: LaurentSymbol):
+    """(ker, coker) of an exact symbol with offsets 0..r, or -s..0, whose
+    extreme coefficients are invertible; None for any other symbol.
+
+    For offsets 0..r, T(a) is block lower triangular with the invertible
+    diagonal a_0, so ker = 0.  Its cokernel is the l^2 kernel of the adjoint
+    recurrence sum_k a_k^* y_(j+k) = 0, whose solutions are fixed by r
+    blocks (a_r is invertible): the stable subspace of the block companion,
+    of dimension the number of zeros of det a(z) in |z| < 1 counted with
+    multiplicity (Boettcher-Silbermann, *Analysis of Toeplitz Operators*).
+    Offsets -s..0 go through the adjoint, with ker and coker swapped."""
+    if not sym.is_exact():
+        return None
+    for which, swapped in ((sym, False), (sym.adjoint(), True)):
+        if which.upper == 0:
+            p = symbol_char_poly(which)
+            # det a_r and det a_0 are its z^(rb) and constant coefficients
+            if p.degree != which.lower * which.block_size or not p.coeffs[0]:
+                return None
+            inside, _ = disk_zero_counts(p)
+            return (inside, 0) if swapped else (0, inside)
+    return None
+
+
 def kernel_dims(sym: LaurentSymbol, oracle_n: int = ORACLE_N):
     """(ker, coker, certification) of the half-line operator of the symbol.
 
-    Scalar symbols: decaying characteristic solutions filtered by the leading
-    boundary rows, validated against the tall-truncation oracle
-    ('exact' when everything certifies).  Block symbols: truncation counts
-    only, stability-checked across two sizes ('truncation').
+    Exact one-sided symbols with invertible extreme coefficients: ker = 0 and
+    coker = the zeros of det a(z) in the open disk, counted exactly
+    (`_one_sided_kernel_dims`; 'exact', no oracle runs).  Other exact scalar
+    symbols: decaying characteristic solutions filtered by the leading
+    boundary rows, validated against the tall-truncation oracle ('exact'
+    when everything certifies).  Other block symbols: truncation counts only,
+    stability-checked across two sizes ('truncation').
 
     The four truncations (symbol and adjoint, at oracle_n and oracle_n // 2)
     are built on this thread and reduced concurrently on up to min(4, usable
     CPUs) threads, which run LAPACK only; their counts are read in the
     sequential order, so the same error surfaces first."""
+    exact = _one_sided_kernel_dims(sym)
+    if exact is not None:
+        return (*exact, "exact")
     from concurrent.futures import ThreadPoolExecutor
 
     whiches = (sym, sym.adjoint())

@@ -342,6 +342,38 @@ def test_jordan_size_below_one_exit_code(size):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["toeplitz", "regions", "--alpha", "1e400"],
+        ["toeplitz", "index", "--symbol", "block=1; k:0=[[-1e400]]; k:1=[[1e400]]"],
+        ["toeplitz", "defect", "--symbol", "block=2; k:0=[[1,0],[0,1]]; k:1=[[0,1e309i],[0,0]]"],
+    ],
+    ids=["alpha", "index", "defect"],
+)
+def test_exact_values_past_the_float_range_exit_code(args):
+    # the winding grid and the oracle read the coefficients in floats
+    code, out, err = run_cli(args)
+    assert code == 2
+    assert out == ""
+    assert "past the float range" in err and "Traceback" not in err
+    # the largest float is still accepted
+    code, out, _ = run_cli(["--json", "toeplitz", "regions", "--alpha", "17976931348623157e292"])
+    assert code == 0 and json.loads(out)["defect"] == "0"
+
+
+def test_index_counts_the_cokernel_of_a_zero_near_the_circle():
+    # diag(z - 1, z - 99/100): T(z - 99/100) has a one-dimensional cokernel,
+    # whose decay the truncation oracle does not resolve
+    symbol = "block=2; k:0=[[-1,0],[0,-99/100]]; k:1=[[1,0],[0,1]]"
+    code, out, err = run_cli(["--json", "toeplitz", "index", "--symbol", symbol])
+    assert code == 0, err
+    report = json.loads(out)
+    assert not report["fredholm"]
+    assert (report["ker"], report["coker"]) == (0, 1)
+    assert report["certification"]["kernel_certification"] == "exact"
+
+
 def test_boundary_alpha_exit_code():
     code, _, err = run_cli(["toeplitz", "regions", "--alpha", "1"])
     assert code == 2

@@ -429,3 +429,14 @@ def test_take_rows_out_of_range():
     with pytest.raises(IndexError):
         m.take_rows([2])
     assert m.take_rows([-2]) == m.take_rows([0])
+
+
+def test_take_columns_reads_negative_indices_as_take_rows_does():
+    m = Matrix.from_rows([[1, 2], [3, 4]])
+    assert m.take_columns([-1]) == Matrix.from_rows([[2], [4]])
+    assert m.take_columns([-2, 1]) == m.take_columns([0, 1]) == m
+    assert m.take_columns([-1]) == m.transpose().take_rows([-1]).transpose()
+    with pytest.raises(IndexError):
+        m.take_columns([2])
+    with pytest.raises(IndexError):
+        m.take_columns([-3])

@@ -3,13 +3,16 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from relpos.errors import DegreeBoundExceeded
 from relpos.gaussian import GQ, I, ONE
 from relpos.poly import (
     Polynomial,
     coprime_split,
+    disk_zero_counts,
     factor_over_gaussian_rationals,
     fraction_sqrt,
     gq_sqrt,
@@ -137,3 +140,65 @@ def test_squarefree_decomposition():
     sf = p.squarefree_decomposition()
     assert (Polynomial([-2, 1]), 1) in sf
     assert (Polynomial([-1, 1]), 2) in sf
+
+
+GAUSSIAN_RATIONALS = st.builds(
+    lambda a, b, d: GQ(Fraction(a, d), Fraction(b, d)),
+    st.integers(-6, 6), st.integers(-6, 6), st.integers(1, 4),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(GAUSSIAN_RATIONALS, min_size=2, max_size=14))
+def test_disk_zero_counts_match_numpy_roots(coeffs):
+    p = Polynomial(coeffs)
+    assume(p.degree >= 1)
+    roots = np.roots(p.to_complex_coeffs()[::-1])
+    assume(np.min(np.abs(np.abs(roots) - 1.0)) >= 1e-3)
+    assert disk_zero_counts(p) == (int(np.sum(np.abs(roots) < 1.0)), 0)
+
+
+def test_disk_zero_counts_random_high_degree():
+    rng = random.Random(11)
+    for degree in (40, 64):
+        p = Polynomial([GQ(rng.randint(-9, 9), rng.randint(-9, 9)) for _ in range(degree)] + [ONE])
+        roots = np.roots(p.to_complex_coeffs()[::-1])
+        assert np.min(np.abs(np.abs(roots) - 1.0)) >= 1e-6
+        assert disk_zero_counts(p) == (int(np.sum(np.abs(roots) < 1.0)), 0)
+
+
+CIRCLE = [GQ(1), GQ(-1), I, -I, GQ(Fraction(3, 5), Fraction(4, 5)), GQ(Fraction(-5, 13), Fraction(12, 13))]
+
+
+@pytest.mark.parametrize(
+    "roots,counts",
+    [
+        # on the circle, with multiplicity
+        ([GQ(1), GQ(1), GQ(-1), I], (0, 4)),
+        (CIRCLE, (0, 6)),
+        ([CIRCLE[4], CIRCLE[4].conj(), GQ(2), GQ(Fraction(1, 3))], (1, 2)),
+        # pairs lambda, 1/conj(lambda): a self-inversive product
+        ([GQ(Fraction(1, 2), Fraction(1, 3)), ONE / GQ(Fraction(1, 2), Fraction(-1, 3))], (1, 0)),
+        ([GQ(0, Fraction(1, 2)), GQ(0, 2), GQ(0, Fraction(1, 2)), GQ(0, 2), GQ(1)], (2, 1)),
+        ([GQ(Fraction(2, 3)), GQ(Fraction(3, 2)), GQ(3), GQ(Fraction(-1, 4), 1)], (1, 0)),
+        # zeros at 0 and at -1 (the Cayley image loses a degree per zero at -1)
+        ([GQ(0), GQ(0), GQ(-1), GQ(Fraction(1, 2))], (3, 1)),
+        ([GQ(-1), GQ(-1), GQ(-1), GQ(0), GQ(5)], (1, 3)),
+        ([GQ(0)] * 5, (5, 0)),
+        # the singular step: |a_0| = |a_n| while T p does not vanish
+        ([GQ(2), GQ(0, Fraction(1, 2))], (1, 0)),
+        ([GQ(2), GQ(0, Fraction(1, 2)), GQ(Fraction(1, 3)), GQ(-3)], (2, 0)),
+        ([GQ(2), GQ(0, Fraction(1, 2)), GQ(1), I], (1, 2)),
+        # no zeros at all
+        ([], (0, 0)),
+    ],
+)
+def test_disk_zero_counts_constructed(roots, counts):
+    p = poly_from_roots(roots)
+    for scale in (ONE, GQ(Fraction(-3, 7), 2)):
+        assert disk_zero_counts(p * scale) == counts
+
+
+def test_disk_zero_counts_rejects_the_zero_polynomial():
+    with pytest.raises(ValueError):
+        disk_zero_counts(Polynomial.zero())

@@ -16,6 +16,7 @@ from relpos.errors import (
 )
 from relpos.gaussian import GQ, ONE, format_gq
 from relpos.matrix import EXACT, Matrix
+from relpos.poly import Polynomial
 from relpos.subspace import Subspace, intersect, principal_angles, sum_
 from relpos.system import hom_dim
 from relpos.toeplitz import (
@@ -443,7 +444,7 @@ def test_block_kernel_dims_nonzero_count():
             1: Matrix.from_rows([[1, 0], [0, -2]]),
         },
     )
-    assert kernel_dims(sym) == (0, 1, "truncation")
+    assert kernel_dims(sym) == (0, 1, "exact")
 
 
 def test_symbol_offset_bound():
@@ -466,12 +467,14 @@ def test_cli_import_leaves_scipy_unloaded():
 def test_lapack_capsules_load_without_scipy_linalg():
     # only the cython_lapack extension file: scipy.linalg's package init never
     # runs, both routines resolve and reduce a block truncation, and a later
-    # import of scipy.linalg binds the same module as its attribute
+    # import of scipy.linalg binds the same module as its attribute; the
+    # two-sided symbol diag((z - 1)(z - 2)/z, 1 - 2z) goes to the oracle
     script = (
         "import ctypes, sys\n"
         "from relpos import toeplitz\n"
         "from relpos.matrix import Matrix\n"
-        "sym = toeplitz.LaurentSymbol.make(2, {0: Matrix.from_rows([[-1, 0], [0, 1]]),\n"
+        "sym = toeplitz.LaurentSymbol.make(2, {-1: Matrix.from_rows([[2, 0], [0, 0]]),\n"
+        "                                      0: Matrix.from_rows([[-3, 0], [0, 1]]),\n"
         "                                      1: Matrix.from_rows([[1, 0], [0, -2]])})\n"
         "print(toeplitz.kernel_dims(sym),\n"
         "      all(ctypes.cast(toeplitz._lapack_routine(n), ctypes.c_void_p).value\n"
@@ -499,6 +502,19 @@ def lab_block_symbol(rng, b):
     return LaurentSymbol.make(b, {0: p @ nil @ p.inverse(), 1: Matrix.identity(b)})
 
 
+def two_sided_lab_symbol(rng, b):
+    """The lab's block item minus one, plus E/z - E with E = 2I: the same
+    value at z = 1, so its determinant still vanishes there, but two-sided,
+    so kernel_dims asks the truncation oracle.  Its kernel and cokernel are
+    0: it is (z - 1)(z - 2)/z I + N conjugated, triangular with a diagonal
+    whose Toeplitz operator is injective with dense range."""
+    sym = lab_block_symbol(rng, b).shift_constant(GQ(-1))
+    coeffs = dict(sym.coeffs)
+    e = Matrix.identity(b).scale(GQ(2))
+    coeffs[-1], coeffs[0] = e, coeffs[0] - e
+    return LaurentSymbol.make(b, coeffs)
+
+
 def record_oracle_runs(monkeypatch):
     """Wrap the band build and the LAPACK step of kernel_dims; returns the
     list of (symbol text, n, band) builds, the list of (band, singular
@@ -524,11 +540,11 @@ def record_oracle_runs(monkeypatch):
 
 @pytest.mark.parametrize("b", [1, 2, 3, 4, 5, 6])
 def test_pooled_oracle_matches_sequential_bit_for_bit(b, monkeypatch):
-    sym = lab_block_symbol(random.Random(b), b).shift_constant(GQ(-1))
+    sym = two_sided_lab_symbol(random.Random(b), b)
     builds, runs, threads = record_oracle_runs(monkeypatch)
     ker, coker, cert = kernel_dims(sym)
     monkeypatch.undo()
-    # a - 1 is not Fredholm, and its kernel and cokernel are 0
+    # not Fredholm, and its kernel and cokernel are 0
     assert (ker, coker, cert) == (0, 0, "exact" if b == 1 else "truncation")
     assert threading.current_thread() not in threads
     texts = {sym.text(): sym, sym.adjoint().text(): sym.adjoint()}
@@ -545,7 +561,7 @@ def test_pooled_oracle_matches_sequential_bit_for_bit(b, monkeypatch):
 
 
 def test_oracle_builds_bands_on_the_calling_thread(monkeypatch):
-    sym = lab_block_symbol(random.Random(3), 3).shift_constant(GQ(-1))
+    sym = two_sided_lab_symbol(random.Random(3), 3)
     seen = set()
     to_array = Matrix.to_array
 
@@ -559,9 +575,9 @@ def test_oracle_builds_bands_on_the_calling_thread(monkeypatch):
 
 
 def test_lapack_failure_is_uncertified_and_leaves_no_threads(monkeypatch):
-    # the symbol's determinant vanishes at z = 1, so `toeplitz index` asks
-    # the truncation oracle
-    sym = lab_block_symbol(random.Random(3), 3).shift_constant(GQ(-1))
+    # the symbol is two-sided and its determinant vanishes at z = 1, so
+    # `toeplitz index` asks the truncation oracle
+    sym = two_sided_lab_symbol(random.Random(3), 3)
     baseline = threading.active_count()
 
     def failing_lapack(name, *args):
@@ -579,14 +595,16 @@ def test_lapack_failure_is_uncertified_and_leaves_no_threads(monkeypatch):
 
 
 def test_oracle_on_one_cpu_gives_the_same_results(monkeypatch):
+    # two-sided symbols whose determinant vanishes on the circle
     syms = [
-        lab_block_symbol(random.Random(4), 4).shift_constant(GQ(-1)),
-        scalar({1: 1, 0: -1}),
+        two_sided_lab_symbol(random.Random(4), 4),
+        scalar({1: 1, 0: -3, -1: 2}),
         scalar({-1: 1, 0: 2, 1: 3}).shift_constant(GQ(-6)),
         LaurentSymbol.make(
             2,
             {
-                0: Matrix.from_rows([[-1, 0], [0, 1]]),
+                -1: Matrix.from_rows([[2, 0], [0, 0]]),
+                0: Matrix.from_rows([[-3, 0], [0, 1]]),
                 1: Matrix.from_rows([[1, 0], [0, -2]]),
             },
         ),
@@ -601,3 +619,85 @@ def test_oracle_on_one_cpu_gives_the_same_results(monkeypatch):
     assert _oracle_workers() == 1
     monkeypatch.setattr(toeplitz.os, "cpu_count", lambda: 16)
     assert _oracle_workers() == 4
+
+
+def test_kernel_dims_of_a_zero_near_the_circle_is_exact():
+    # diag(z - 1, z - 99/100): T(z - 1) has dense range and no kernel, and
+    # T(z - 99/100) a one-dimensional cokernel spanned by a sequence decaying
+    # like 0.99^j, too slowly for a truncation at 200 blocks to show
+    sym = LaurentSymbol.make(
+        2,
+        {
+            0: Matrix.from_rows([[-1, 0], [0, GQ(Fraction(-99, 100))]]),
+            1: Matrix.identity(2),
+        },
+    )
+    assert kernel_dims(sym) == (0, 1, "exact")
+    assert kernel_dims(sym.adjoint()) == (1, 0, "exact")
+
+
+def test_one_sided_kernel_dims_run_no_oracle(monkeypatch):
+    def no_oracle(*args):
+        raise AssertionError("the oracle ran")
+
+    monkeypatch.setattr(toeplitz, "_band_singular_values", no_oracle)
+    monkeypatch.setattr(toeplitz, "_scalar_kernel_by_roots", no_oracle)
+    for b in (1, 3, 6):
+        sym = lab_block_symbol(random.Random(b), b).shift_constant(GQ(-1))
+        assert kernel_dims(sym) == (0, 0, "exact")
+        assert kernel_dims(sym.adjoint()) == (0, 0, "exact")
+    # a singular a_0 (a zero of det a at z = 0) leaves the symbol to the oracle
+    sym = LaurentSymbol.make(2, {0: Matrix.from_rows([[1, 0], [0, 0]]), 1: Matrix.identity(2)})
+    with pytest.raises(AssertionError, match="the oracle ran"):
+        kernel_dims(sym)
+
+
+# zeros on the unit circle, and zeros inside or outside it
+CIRCLE_POINTS = [GQ(1), GQ(-1), GQ(0, 1), GQ(0, -1), GQ(Fraction(3, 5), Fraction(4, 5)),
+                 GQ(Fraction(-4, 5), Fraction(3, 5)), GQ(Fraction(5, 13), Fraction(-12, 13))]
+
+
+def _off_circle_point(rng):
+    """A Gaussian rational lambda != 0 at least 0.1 away from the circle."""
+    while True:
+        lam = GQ(Fraction(rng.randint(-8, 8), 4), Fraction(rng.randint(-8, 8), 4))
+        if lam and abs(abs(lam.to_complex()) - 1.0) >= 0.1:
+            return lam
+
+
+def test_one_sided_kernel_dims_match_the_oracle_and_the_construction():
+    # P diag(prod_j (z - lambda_ij)) P^-1 for b = 1..4 and r = 1..2 in both
+    # orientations: the exact counts are the constructed ones (ker 0, coker
+    # the lambdas inside the disk), and the oracle's counts at both of its
+    # sizes agree with them
+    rng = random.Random(2026)
+    for trial in range(150):
+        b, r = rng.randint(1, 4), rng.randint(1, 2)
+        zeros = [
+            [rng.choice(CIRCLE_POINTS) if rng.random() < 0.3 else _off_circle_point(rng)
+             for _ in range(r)]
+            for _ in range(b)
+        ]
+        p = Matrix.from_rows(
+            [[ONE if i == j else GQ(rng.randint(-1, 1), rng.randint(-1, 1)) if j > i else GQ(0)
+              for j in range(b)] for i in range(b)]
+        )
+        p = p if trial % 2 else p.transpose()
+        coeffs = {}
+        for i, lams in enumerate(zeros):
+            poly = Polynomial([ONE])
+            for lam in lams:
+                poly = poly * Polynomial([-lam, ONE])
+            for k, c in enumerate(poly.coeffs):
+                coeffs.setdefault(k, [[GQ(0)] * b for _ in range(b)])[i][i] = c
+        sym = LaurentSymbol.make(
+            b, {k: p @ Matrix.from_rows(rows) @ p.inverse() for k, rows in coeffs.items()}
+        )
+        inside = sum(1 for lams in zeros for lam in lams if lam.norm2() < 1)
+        want = (0, inside)
+        if rng.random() < 0.5:
+            sym, want = sym.adjoint(), (inside, 0)
+        assert kernel_dims(sym) == (*want, "exact"), sym.text()
+        for n in (ORACLE_N, ORACLE_N // 2):
+            oracle = (_truncation_kernel_count(sym, n), _truncation_kernel_count(sym.adjoint(), n))
+            assert oracle == want, (sym.text(), n)
