@@ -558,7 +558,10 @@ def disk_zero_counts(p: Polynomial):
     constant |a_0|^2 - |a_n|^2.  By Rouche's theorem T p has the zeros of p
     in the disk when that constant is positive, and n - (circle zeros) -
     (those of p) when it is negative; the circle zeros of p divide T p and
-    no others appear.  The integer content is divided out at every step.
+    no others appear.  Each transform is divided by the constant of the
+    polynomial two steps back, which divides it after regular steps, as in
+    Bareiss's elimination (checked: where it does not, the integer content
+    is divided out instead), so the integers grow linearly, not doubling.
     The recursion stops at a polynomial whose transform vanishes (it is
     self-inversive: its zeros pair off as z, 1/conj z) or at a singular step
     (constant 0, T p != 0); that polynomial is counted by its Cayley image,
@@ -596,8 +599,8 @@ def disk_zero_counts(p: Polynomial):
             m -= 1
         del t_re[m:], t_im[m:]
         # T p_k is divisible by the constant of p_(k - 1) when the steps in
-        # between were regular (Bareiss-like); where the division is not
-        # exact, the integer content is divided out and the chain restarts
+        # between were regular; where the division is not exact, the integer
+        # content is divided out and the chain starts again
         d = abs(consts[-2]) if len(consts) > 1 else 1
         parts = [divmod(c, d) for c in t_re + t_im]
         if any(r for _, r in parts):

@@ -1,7 +1,8 @@
 """Banded (block-)Toeplitz symbols on the half-line sequence space: winding
-index, kernel/cokernel dimensions with truncation oracles, fractional
-defects of the associated four-subspace systems, and the truncation lab for
-the exotic deformed-graph systems.
+index, kernel/cokernel dimensions (exact for one-sided symbols, from
+truncation oracles otherwise), fractional defects of the associated
+four-subspace systems, and the truncation lab for the exotic deformed-graph
+systems.
 
 Matrix convention: T(a)_{ij} = a-hat_{i-j}, so the coefficient at offset +1
 is the subdiagonal (the unilateral shift is the symbol z)."""
@@ -325,7 +326,7 @@ def symbol_char_poly(sym: LaurentSymbol) -> Polynomial:
         [[x**e for e in range(width + 1)] for x in range(x0, x0 + deg + 1)], dtype=object
     )
     dets = [
-        _gaussian_det(list(re), list(im), b)
+        _gaussian_det(re, im, b)
         for re, im in zip(powers.dot(coef_re), powers.dot(coef_im))
     ]
     re = _interpolate([d[0] for d in dets], x0)
@@ -626,17 +627,16 @@ def _one_sided_kernel_dims(sym: LaurentSymbol):
     of dimension the number of zeros of det a(z) in |z| < 1 counted with
     multiplicity (Boettcher-Silbermann, *Analysis of Toeplitz Operators*).
     Offsets -s..0 go through the adjoint, with ker and coker swapped."""
-    if not sym.is_exact():
+    if not sym.is_exact() or (sym.upper and sym.lower):
         return None
-    for which, swapped in ((sym, False), (sym.adjoint(), True)):
-        if which.upper == 0:
-            p = symbol_char_poly(which)
-            # det a_r and det a_0 are its z^(rb) and constant coefficients
-            if p.degree != which.lower * which.block_size or not p.coeffs[0]:
-                return None
-            inside, _ = disk_zero_counts(p)
-            return (inside, 0) if swapped else (0, inside)
-    return None
+    swapped = sym.upper != 0
+    which = sym.adjoint() if swapped else sym
+    p = symbol_char_poly(which)
+    # det a_r and det a_0 are its z^(rb) and constant coefficients
+    if p.degree != which.lower * which.block_size or not p.coeffs[0]:
+        return None
+    inside, _ = disk_zero_counts(p)
+    return (inside, 0) if swapped else (0, inside)
 
 
 def kernel_dims(sym: LaurentSymbol, oracle_n: int = ORACLE_N):
@@ -824,6 +824,8 @@ def exotic_report(gamma: GQ, n: int, tol: float = 1e-6) -> ExoticReport:
     near-intersections."""
     if gamma.norm2() <= 1:
         raise DimensionMismatch("the lab needs |gamma| > 1")
+    if _past_float_range(Matrix.exact(1, 1, [gamma])):
+        raise DimensionMismatch("gamma is past the float range")
     s = truncate_exotic(gamma, n)
     sf = s.to_float()
     d = s.ambient_dim

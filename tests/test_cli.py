@@ -348,8 +348,9 @@ def test_jordan_size_below_one_exit_code(size):
         ["toeplitz", "regions", "--alpha", "1e400"],
         ["toeplitz", "index", "--symbol", "block=1; k:0=[[-1e400]]; k:1=[[1e400]]"],
         ["toeplitz", "defect", "--symbol", "block=2; k:0=[[1,0],[0,1]]; k:1=[[0,1e309i],[0,0]]"],
+        ["toeplitz", "exotic", "--gamma=-1e400i", "--N", "8"],
     ],
-    ids=["alpha", "index", "defect"],
+    ids=["alpha", "index", "defect", "gamma"],
 )
 def test_exact_values_past_the_float_range_exit_code(args):
     # the winding grid and the oracle read the coefficients in floats

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from relpos.errors import DegreeBoundExceeded
-from relpos.gaussian import GQ, I, ONE
+from relpos.gaussian import GQ, I, ONE, parse_gq
 from relpos.poly import (
     Polynomial,
     coprime_split,
@@ -197,6 +197,23 @@ def test_disk_zero_counts_constructed(roots, counts):
     p = poly_from_roots(roots)
     for scale in (ONE, GQ(Fraction(-3, 7), 2)):
         assert disk_zero_counts(p * scale) == counts
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [
+        ["i", "i", "i", "2", "-2", "-2"],
+        ["-1-2i", "1+2i", "-1+i", "2+2i", "-2-2i"],
+        ["0", "-1", "-i", "-1-i", "-1-2i", "-1-2i", "-2-i", "1-2i"],
+    ],
+)
+def test_disk_zero_counts_after_a_degree_drop(coeffs):
+    # a transform loses more than one degree, so the next division by the
+    # constant two steps back is not exact and the content is divided out
+    p = Polynomial([parse_gq(c) for c in coeffs])
+    roots = np.roots(p.to_complex_coeffs()[::-1])
+    assert np.min(np.abs(np.abs(roots) - 1.0)) >= 1e-2
+    assert disk_zero_counts(p) == (int(np.sum(np.abs(roots) < 1.0)), 0)
 
 
 def test_disk_zero_counts_rejects_the_zero_polynomial():
