@@ -652,6 +652,18 @@ def test_one_sided_kernel_dims_run_no_oracle(monkeypatch):
         kernel_dims(sym)
 
 
+def test_one_sided_kernel_dims_load_neither_scipy_nor_a_thread_pool():
+    proc = run_python(
+        ["-c", "import sys\n"
+               "from relpos.toeplitz import LaurentSymbol, kernel_dims\n"
+               "sym = LaurentSymbol.parse('block=2; k:0=[[-1,0],[1,-1]]; k:1=[[1,0],[0,1]]')\n"
+               "print(kernel_dims(sym), kernel_dims(sym.adjoint()),\n"
+               "      'scipy' in sys.modules, 'concurrent.futures' in sys.modules)"]
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "(0, 0, 'exact') (0, 0, 'exact') False False"
+
+
 # zeros on the unit circle, and zeros inside or outside it
 CIRCLE_POINTS = [GQ(1), GQ(-1), GQ(0, 1), GQ(0, -1), GQ(Fraction(3, 5), Fraction(4, 5)),
                  GQ(Fraction(-4, 5), Fraction(3, 5)), GQ(Fraction(5, 13), Fraction(-12, 13))]
@@ -669,8 +681,12 @@ def test_one_sided_kernel_dims_match_the_oracle_and_the_construction():
     # P diag(prod_j (z - lambda_ij)) P^-1 for b = 1..4 and r = 1..2 in both
     # orientations: the exact counts are the constructed ones (ker 0, coker
     # the lambdas inside the disk), and the oracle's counts at both of its
-    # sizes agree with them
+    # sizes agree with them (reduced on a pool, as kernel_dims does: LAPACK
+    # releases the GIL)
+    from concurrent.futures import ThreadPoolExecutor
+
     rng = random.Random(2026)
+    cases = []
     for trial in range(150):
         b, r = rng.randint(1, 4), rng.randint(1, 2)
         zeros = [
@@ -698,6 +714,12 @@ def test_one_sided_kernel_dims_match_the_oracle_and_the_construction():
         if rng.random() < 0.5:
             sym, want = sym.adjoint(), (inside, 0)
         assert kernel_dims(sym) == (*want, "exact"), sym.text()
-        for n in (ORACLE_N, ORACLE_N // 2):
-            oracle = (_truncation_kernel_count(sym, n), _truncation_kernel_count(sym.adjoint(), n))
-            assert oracle == want, (sym.text(), n)
+        cases += [(sym, n, want) for n in (ORACLE_N, ORACLE_N // 2)]
+    with ThreadPoolExecutor(max_workers=_oracle_workers()) as pool:
+        counts = list(pool.map(
+            lambda case: (_truncation_kernel_count(case[0], case[1]),
+                          _truncation_kernel_count(case[0].adjoint(), case[1])),
+            cases,
+        ))
+    for (sym, n, want), oracle in zip(cases, counts):
+        assert oracle == want, (sym.text(), n)
