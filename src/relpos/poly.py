@@ -1,5 +1,6 @@
-"""Exact polynomials over Q(i): arithmetic, gcd, square-free parts, and
-root-driven factoring with exact certification.
+"""Exact polynomials over Q(i): arithmetic, gcd, square-free parts,
+root-driven factoring with exact certification, and exact counts of the
+zeros in the unit disk.
 
 Factoring never splits anything it cannot certify: residual factors that
 resist exact reconstruction come back as an uncertified remainder.
