@@ -563,10 +563,12 @@ def disk_zero_counts(p: Polynomial):
     polynomial two steps back, which divides it after regular steps, as in
     Bareiss's elimination (checked: where it does not, the integer content
     is divided out instead), so the integers grow linearly, not doubling.
-    The recursion stops at a polynomial whose transform vanishes (it is
-    self-inversive: its zeros pair off as z, 1/conj z) or at a singular step
-    (constant 0, T p != 0); that polynomial is counted by its Cayley image,
-    and the counts are carried back through the steps."""
+    A singular step (constant 0, T p != 0, e.g. (z - 2)(z - i/2)) goes on
+    with (2z - 1) p.  The recursion stops at a polynomial whose transform
+    vanishes (it is self-inversive: its zeros pair off as z, 1/conj z), or at
+    a singular step no lower than the previous one; that polynomial is
+    counted by its Cayley image, and the counts are carried back through the
+    steps."""
     if p.is_zero():
         raise ValueError("the zero polynomial has no zero count")
     den = math.lcm(*(c._d for c in p.coeffs))
@@ -574,8 +576,11 @@ def disk_zero_counts(p: Polynomial):
     im = [c._b * (den // c._d) for c in p.coeffs]
     g = math.gcd(*re, *im)
     re, im = [c // g for c in re], [c // g for c in im]
-    flips = []  # degrees of the steps whose constant was negative
+    # the steps to carry the count back through: the degree of a step whose
+    # constant was negative, or None for a factor 2z - 1 put in
+    steps = []
     consts = []  # constants of the polynomials since the last content division
+    fixed = len(re)  # degree at the last singular step
     while len(re) > 1:
         n = len(re) - 1
         # conj(a_0) = x0 + i y0 and a_n = xn + i yn, three real products per
@@ -592,9 +597,17 @@ def disk_zero_counts(p: Polynomial):
             t_im.append(a + u * d0 - b - u2 * dn)
         delta = t_re[0]
         if delta == 0:
-            break
+            if n >= fixed or not (any(t_re) or any(t_im)):
+                break
+            # a singular step: (2z - 1) p has one zero more inside, the same
+            # circle zeros, and the regular constant |a_0|^2 - 4|a_n|^2 < 0
+            re = [2 * a - b for a, b in zip([0] + re, re + [0])]
+            im = [2 * a - b for a, b in zip([0] + im, im + [0])]
+            steps.append(None)
+            fixed, consts = n, []
+            continue
         if delta < 0:
-            flips.append(n)
+            steps.append(n)
         m = n
         while not (t_re[m - 1] or t_im[m - 1]):
             m -= 1
@@ -611,6 +624,6 @@ def disk_zero_counts(p: Polynomial):
         re, im = [q for q, _ in parts[:m]], [q for q, _ in parts[m:]]
         consts.append(re[0])
     inside, circle = _cayley_counts(re, im) if len(re) > 1 else (0, 0)
-    for n in reversed(flips):
-        inside = n - circle - inside
+    for n in reversed(steps):
+        inside = inside - 1 if n is None else n - circle - inside
     return inside, circle

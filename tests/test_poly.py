@@ -162,9 +162,11 @@ def test_disk_zero_counts_random_high_degree():
     rng = random.Random(11)
     for degree in (40, 64):
         p = Polynomial([GQ(rng.randint(-9, 9), rng.randint(-9, 9)) for _ in range(degree)] + [ONE])
-        roots = np.roots(p.to_complex_coeffs()[::-1])
-        assert np.min(np.abs(np.abs(roots) - 1.0)) >= 1e-6
-        assert disk_zero_counts(p) == (int(np.sum(np.abs(roots) < 1.0)), 0)
+        # and with |a_0| = |a_n|, a singular first step
+        for q in (p, p + Polynomial([I - p.coeffs[0]])):
+            roots = np.roots(q.to_complex_coeffs()[::-1])
+            assert np.min(np.abs(np.abs(roots) - 1.0)) >= 1e-6
+            assert disk_zero_counts(q) == (int(np.sum(np.abs(roots) < 1.0)), 0)
 
 
 CIRCLE = [GQ(1), GQ(-1), I, -I, GQ(Fraction(3, 5), Fraction(4, 5)), GQ(Fraction(-5, 13), Fraction(12, 13))]
@@ -185,7 +187,8 @@ CIRCLE = [GQ(1), GQ(-1), I, -I, GQ(Fraction(3, 5), Fraction(4, 5)), GQ(Fraction(
         ([GQ(0), GQ(0), GQ(-1), GQ(Fraction(1, 2))], (3, 1)),
         ([GQ(-1), GQ(-1), GQ(-1), GQ(0), GQ(5)], (1, 3)),
         ([GQ(0)] * 5, (5, 0)),
-        # the singular step: |a_0| = |a_n| while T p does not vanish
+        # the singular step: |a_0| = |a_n| while T p does not vanish, so the
+        # count goes on with (2z - 1) p
         ([GQ(2), GQ(0, Fraction(1, 2))], (1, 0)),
         ([GQ(2), GQ(0, Fraction(1, 2)), GQ(Fraction(1, 3)), GQ(-3)], (2, 0)),
         ([GQ(2), GQ(0, Fraction(1, 2)), GQ(1), I], (1, 2)),
@@ -202,14 +205,17 @@ def test_disk_zero_counts_constructed(roots, counts):
 @pytest.mark.parametrize(
     "coeffs",
     [
+        # singular again after the factor 2z - 1: counted on the Cayley image
+        ["-2i", "2-i", "-2"],
+        ["2i", "1-i", "2", "1+2i", "2i", "1+i", "-2i"],
+        # a transform loses more than one degree, so the next division by the
+        # constant two steps back is not exact and the content is divided out
         ["i", "i", "i", "2", "-2", "-2"],
         ["-1-2i", "1+2i", "-1+i", "2+2i", "-2-2i"],
         ["0", "-1", "-i", "-1-i", "-1-2i", "-1-2i", "-2-i", "1-2i"],
     ],
 )
-def test_disk_zero_counts_after_a_degree_drop(coeffs):
-    # a transform loses more than one degree, so the next division by the
-    # constant two steps back is not exact and the content is divided out
+def test_disk_zero_counts_irregular_chains(coeffs):
     p = Polynomial([parse_gq(c) for c in coeffs])
     roots = np.roots(p.to_complex_coeffs()[::-1])
     assert np.min(np.abs(np.abs(roots) - 1.0)) >= 1e-2
