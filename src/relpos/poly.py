@@ -549,33 +549,136 @@ def _cayley_counts(re: list, im: list):
     return (m - index - real) // 2, real + n - m
 
 
-def disk_zero_counts(p: Polynomial):
-    """(zeros in the open unit disk, zeros on the unit circle) of p != 0,
-    counted with multiplicity, exactly.
+# Unit roundoff of IEEE double arithmetic.
+_U = 2.0**-53
+# Largest integers, in bits, the exact disk count may work with: its
+# Schur-Cohn recursion grows them to about degree times coefficient bits (a
+# degree-256 count at the bound takes about 5 s), the Cayley count to about
+# degree times (bits + degree).  Past it `disk_zero_counts` gives up.
+MAX_EXACT_COUNT_BITS = 4096
 
-    Schur-Cohn recursion (Marden, *Geometry of Polynomials*, ch. X) on the
-    Gaussian-integer multiple of p: T p = conj(a_0) p - a_n p*, with p*(z) =
-    z^n conj(p(1/conj z)) and n = deg p, has degree below n and the real
-    constant |a_0|^2 - |a_n|^2.  By Rouche's theorem T p has the zeros of p
-    in the disk when that constant is positive, and n - (circle zeros) -
-    (those of p) when it is negative; the circle zeros of p divide T p and
-    no others appear.  Each transform is divided by the constant of the
-    polynomial two steps back, which divides it after regular steps, as in
-    Bareiss's elimination (checked: where it does not, the integer content
-    is divided out instead), so the integers grow linearly, not doubling.
-    A singular step (constant 0, T p != 0, e.g. (z - 2)(z - i/2)) goes on
-    with (2z - 1) p.  The recursion stops at a polynomial whose transform
-    vanishes (it is self-inversive: its zeros pair off as z, 1/conj z), or at
-    a singular step no lower than the previous one; that polynomial is
-    counted by its Cayley image, and the counts are carried back through the
-    steps."""
-    if p.is_zero():
-        raise ValueError("the zero polynomial has no zero count")
-    den = math.lcm(*(c._d for c in p.coeffs))
-    re = [c._a * (den // c._d) for c in p.coeffs]
-    im = [c._b * (den // c._d) for c in p.coeffs]
-    g = math.gcd(*re, *im)
-    re, im = [c // g for c in re], [c // g for c in im]
+
+def _gerschgorin_counts(re: list, im: list):
+    """(zeros in |z| < 1, zeros on |z| = 1) of p = re + i*im, of degree n >= 1,
+    from float approximations z_j of its zeros, or None where they settle
+    nothing.
+
+    The zeros of p are the eigenvalues of diag(z_j - W_j) - [W_j]_(j,k != j),
+    W_j = p(z_j) / (a_n prod_(k != j) (z_j - z_k)) (its characteristic
+    polynomial is p / a_n by Lagrange interpolation).  The disks |z - z_j|
+    <= n |W_j| hold the Gerschgorin disks of that matrix and of every matrix
+    on the way to it from its diagonal, so a union of m of them apart from
+    the others holds exactly m zeros.  |W_j| is bounded above with the rounding
+    errors of Horner's rule and of the product (the disks only grow).  A
+    union inside or outside the circle is counted; one that meets it is
+    counted as m zeros on it only when a Gaussian rational on the circle
+    inside it is an exact zero of multiplicity m."""
+    n = len(re) - 1
+    # p / 2^e with every |coefficient| <= 1, each rounded once (int / int is)
+    scale = 1 << max(map(abs, re + im)).bit_length()
+    c = np.array([complex(a / scale, b / scale) for a, b in zip(re, im)])
+    try:
+        z = np.roots(c[::-1])
+    except np.linalg.LinAlgError:
+        return None
+    if len(z) != n or not np.all(np.isfinite(z)):
+        return None
+    az = np.abs(z)
+    ac = np.abs(c)
+    val = np.full(n, c[n])
+    size = np.full(n, ac[n])  # sum |c_k| |z|^k, which bounds the rounding
+    for k in range(n - 1, -1, -1):
+        val = val * z + c[k]
+        size = size * az + ac[k]
+    err = 16 * (n + 2) * _U * size + (n + 1) * 2.0**-1000 * np.maximum(az, 1.0) ** n
+    diff = z[:, None] - z[None, :]
+    np.fill_diagonal(diff, 1.0)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        # a_n prod (z_j - z_k), each step erring by at most 4u while every
+        # partial product stays normal
+        den = np.abs(np.cumprod(np.column_stack([np.full(n, c[n]), diff]), axis=1))
+        if not np.all((den > 2.0**-1000) & (den < 2.0**1000)):
+            return None
+        bound = (np.abs(val) + err) / (den[:, -1] * (1 - 16 * (n + 2) * _U))
+        # an underflow in the quotient loses less than 2^-1000
+        radius = n * bound * (1 + 1e-9) + 2.0**-1000
+    if not np.all(np.isfinite(radius)):
+        return None
+    touch = np.abs(diff) * (1 - 1e-9) <= radius[:, None] + radius[None, :]
+    seen = np.zeros(n, dtype=bool)
+    inside = circle = 0
+    for j in range(n):
+        if seen[j]:
+            continue
+        union, todo = [], [j]
+        seen[j] = True
+        while todo:
+            k = todo.pop()
+            union.append(k)
+            new = np.flatnonzero(touch[k] & ~seen)
+            seen[new] = True
+            todo.extend(new.tolist())
+        m = len(union)
+        if np.all(az[union] * (1 + 1e-9) + radius[union] < 1):
+            inside += m
+        elif not np.all(az[union] * (1 - 1e-9) - radius[union] > 1):
+            centre = complex(np.mean(z[union]))
+            x = Fraction(centre.real).limit_denominator(1 << 16)
+            y = Fraction(centre.imag).limit_denominator(1 << 16)
+            near = np.abs(z[union] - complex(x, y)) * (1 + 1e-9) + 1e-15 < radius[union]
+            if x * x + y * y != 1 or not near.any() or not _zero_of_order(re, im, x, y, m):
+                return None
+            circle += m
+    return inside, circle
+
+
+def _zero_of_order(re: list, im: list, x: Fraction, y: Fraction, m: int) -> bool:
+    """Whether x + iy is a zero of re + i*im of multiplicity at least m: p and
+    its first m - 1 derivatives vanish there, by Horner's rule in integers."""
+    d = math.lcm(x.denominator, y.denominator)
+    wr, wi = x.numerator * (d // x.denominator), y.numerator * (d // y.denominator)
+    for _ in range(m):
+        # d^deg p((wr + i wi) / d)
+        vr, vi, dk = re[-1], im[-1], 1
+        for k in range(len(re) - 2, -1, -1):
+            dk *= d
+            vr, vi = vr * wr - vi * wi + re[k] * dk, vr * wi + vi * wr + im[k] * dk
+        if vr or vi:
+            return False
+        re = [k * c for k, c in enumerate(re)][1:]
+        im = [k * c for k, c in enumerate(im)][1:]
+    return True
+
+
+def _schur_cohn_counts(re: list, im: list, max_bits):
+    """(zeros in |z| < 1, zeros on |z| = 1) of p = re + i*im, exactly, or None
+    when max_bits is not None and the integers would outgrow it.
+
+    Schur-Cohn recursion (Marden, *Geometry of Polynomials*, ch. X): T p =
+    conj(a_0) p - a_n p*, with p*(z) = z^n conj(p(1/conj z)) and n = deg p,
+    has degree below n and the real constant |a_0|^2 - |a_n|^2.  By Rouche's
+    theorem T p has the zeros of p in the disk when that constant is
+    positive, and n - (circle zeros) - (those of p) when it is negative; the
+    circle zeros of p divide T p and no others appear.  Each transform is
+    divided by the constant of the polynomial two steps back, which divides
+    it after regular steps, as in Bareiss's elimination (checked: where it
+    does not, the integer content is divided out instead), so the integers
+    grow by about the coefficient size per step, to about n times it.  A
+    singular step (constant 0, T p != 0, e.g. (z - 2)(z - i/2)) goes on with
+    (2z - 1) p.  The recursion stops at a polynomial whose transform vanishes
+    (it is self-inversive: its zeros pair off as z, 1/conj z), or at a
+    singular step no lower than the previous one; that polynomial is
+    counted by its Cayley image, whose coefficients are about its degree in
+    bits larger, and the counts are carried back through the steps.  The
+    bound is degree times coefficient bits, before the recursion and before
+    the Cayley count."""
+
+    def too_big(re, im, extra=0):
+        bits = max(map(abs, re + im)).bit_length() + extra
+        return max_bits is not None and (len(re) - 1) * bits > max_bits
+
+    if too_big(re, im):
+        return None
     # the steps to carry the count back through: the degree of a step whose
     # constant was negative, or None for a factor 2z - 1 put in
     steps = []
@@ -583,18 +686,13 @@ def disk_zero_counts(p: Polynomial):
     fixed = len(re)  # degree at the last singular step
     while len(re) > 1:
         n = len(re) - 1
-        # conj(a_0) = x0 + i y0 and a_n = xn + i yn, three real products per
-        # complex one (Gauss)
-        x0, y0, xn, yn = re[0], -im[0], re[n], im[n]
-        s0, d0, sn, dn = x0 + y0, y0 - x0, xn + yn, yn - xn
+        x0, y0, xn, yn = re[0], im[0], re[n], im[n]
         t_re, t_im = [], []
         for k in range(n):
             # conj(a_0) a_k - a_n conj(a_(n - k))
-            u, v, u2, w = re[k], im[k], re[n - k], -im[n - k]
-            a = x0 * (u + v)
-            b = xn * (u2 + w)
-            t_re.append(a - v * s0 - b + w * sn)
-            t_im.append(a + u * d0 - b - u2 * dn)
+            u, v, u2, v2 = re[k], im[k], re[n - k], im[n - k]
+            t_re.append(x0 * u + y0 * v - xn * u2 - yn * v2)
+            t_im.append(x0 * v - y0 * u + xn * v2 - yn * u2)
         delta = t_re[0]
         if delta == 0:
             if n >= fixed or not (any(t_re) or any(t_im)):
@@ -623,7 +721,40 @@ def disk_zero_counts(p: Polynomial):
             consts = []
         re, im = [q for q, _ in parts[:m]], [q for q, _ in parts[m:]]
         consts.append(re[0])
-    inside, circle = _cayley_counts(re, im) if len(re) > 1 else (0, 0)
+    if len(re) == 1:
+        inside, circle = 0, 0
+    elif too_big(re, im, len(re) - 1):
+        return None
+    else:
+        inside, circle = _cayley_counts(re, im)
     for n in reversed(steps):
         inside = inside - 1 if n is None else n - circle - inside
     return inside, circle
+
+
+def _gaussian_integer_parts(p: Polynomial):
+    """(re, im): a primitive Gaussian-integer multiple of p, as two int lists."""
+    den = math.lcm(*(c._d for c in p.coeffs))
+    re = [c._a * (den // c._d) for c in p.coeffs]
+    im = [c._b * (den // c._d) for c in p.coeffs]
+    g = math.gcd(*re, *im)
+    return [c // g for c in re], [c // g for c in im]
+
+
+def disk_zero_counts(p: Polynomial):
+    """(zeros in the open unit disk, zeros on the unit circle) of p != 0,
+    counted with multiplicity, exactly; None when the exact recursion is
+    needed and would pass MAX_EXACT_COUNT_BITS.
+
+    First from float approximations of the zeros, proved by Gerschgorin
+    disks with rounding bounds (`_gerschgorin_counts`), at a cost that does
+    not grow with the size of the coefficients; where a disk meets the
+    circle and no exact zero on it settles it, by the Schur-Cohn recursion
+    in integers (`_schur_cohn_counts`)."""
+    if p.is_zero():
+        raise ValueError("the zero polynomial has no zero count")
+    if p.degree == 0:
+        return 0, 0
+    re, im = _gaussian_integer_parts(p)
+    counts = _gerschgorin_counts(re, im)
+    return counts if counts is not None else _schur_cohn_counts(re, im, MAX_EXACT_COUNT_BITS)

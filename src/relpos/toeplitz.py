@@ -26,7 +26,12 @@ from .errors import (
 )
 from .gaussian import GQ, ONE, ZERO, format_gq, parse_gq
 from .matrix import EXACT, Matrix
-from .poly import Polynomial, disk_zero_counts, factor_over_gaussian_rationals
+from .poly import (
+    MAX_EXACT_COUNT_BITS,
+    Polynomial,
+    disk_zero_counts,
+    factor_over_gaussian_rationals,
+)
 from .subspace import Subspace, intersect, principal_angles
 from .system import SubspaceSystem, diagram_from_pairs
 
@@ -293,6 +298,27 @@ def _interpolate(values: list, x0: int) -> list:
         acc = [a - root * b for a, b in zip([0] + acc, acc + [0])]
         acc[0] += diffs[k] * scale[k]
     return [c // scale[0] for c in acc]
+
+
+def _char_poly_fits(sym: LaurentSymbol) -> bool:
+    """Whether `symbol_char_poly` of the exact symbol works with integers
+    within MAX_EXACT_COUNT_BITS, the bound of the disk count: for blocks, b
+    times the bits of an entry of a(x) at its evaluation points, over the
+    common denominator (whose lcm is given up as soon as it alone passes the
+    bound; the determinants of a block-8 symbol at the bound take about
+    2 s).  A scalar symbol is read off its coefficients."""
+    b, width = sym.block_size, sym.lower + sym.upper
+    if b == 1:
+        return True
+    den = 1
+    for _, m in sym.coeffs:
+        den = math.lcm(den, m._den)
+        if den.bit_length() > MAX_EXACT_COUNT_BITS:
+            return False
+    entry = max(max(map(abs, m._re + m._im)) * (den // m._den) for _, m in sym.coeffs)
+    point = (width * b // 2 + 1).bit_length()
+    bits = b * (entry.bit_length() + width * point + (width + 1).bit_length())
+    return bits <= MAX_EXACT_COUNT_BITS
 
 
 def symbol_char_poly(sym: LaurentSymbol) -> Polynomial:
@@ -626,29 +652,34 @@ def _one_sided_kernel_dims(sym: LaurentSymbol):
     blocks (a_r is invertible): the stable subspace of the block companion,
     of dimension the number of zeros of det a(z) in |z| < 1 counted with
     multiplicity (Boettcher-Silbermann, *Analysis of Toeplitz Operators*).
-    Offsets -s..0 go through the adjoint, with ker and coker swapped."""
+    Offsets -s..0 go through the adjoint, with ker and coker swapped.
+    None too where the exact work would pass MAX_EXACT_COUNT_BITS."""
     if not sym.is_exact() or (sym.upper and sym.lower):
         return None
     swapped = sym.upper != 0
     which = sym.adjoint() if swapped else sym
+    if not _char_poly_fits(which):
+        return None
     p = symbol_char_poly(which)
     # det a_r and det a_0 are its z^(rb) and constant coefficients
     if p.degree != which.lower * which.block_size or not p.coeffs[0]:
         return None
-    inside, _ = disk_zero_counts(p)
-    return (inside, 0) if swapped else (0, inside)
+    counts = disk_zero_counts(p)
+    if counts is None:
+        return None
+    return (counts[0], 0) if swapped else (0, counts[0])
 
 
 def kernel_dims(sym: LaurentSymbol, oracle_n: int = ORACLE_N):
     """(ker, coker, certification) of the half-line operator of the symbol.
 
     Exact one-sided symbols with invertible extreme coefficients: ker = 0 and
-    coker = the zeros of det a(z) in the open disk, counted exactly
-    (`_one_sided_kernel_dims`; 'exact', no oracle runs).  Other exact scalar
-    symbols: decaying characteristic solutions filtered by the leading
-    boundary rows, validated against the tall-truncation oracle ('exact'
-    when everything certifies).  Other block symbols: truncation counts only,
-    stability-checked across two sizes ('truncation').
+    coker = the zeros of det a(z) in the open disk, counted exactly within
+    MAX_EXACT_COUNT_BITS (`_one_sided_kernel_dims`; 'exact', no oracle runs).
+    Other exact scalar symbols: decaying characteristic solutions filtered by
+    the leading boundary rows, validated against the tall-truncation oracle
+    ('exact' when everything certifies).  Other block symbols: truncation
+    counts only, stability-checked across two sizes ('truncation').
 
     The four truncations (symbol and adjoint, at oracle_n and oracle_n // 2)
     are built on this thread and reduced concurrently on up to min(4, usable

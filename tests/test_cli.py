@@ -5,7 +5,9 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 
@@ -373,6 +375,35 @@ def test_index_counts_the_cokernel_of_a_zero_near_the_circle():
     assert not report["fredholm"]
     assert (report["ker"], report["coker"]) == (0, 1)
     assert report["certification"]["kernel_certification"] == "exact"
+
+
+def tall_entry_symbol(digits=300):
+    """Text of a(z) = (z - 1)(z - 1/2)(z - 3) S, S = I plus twelve entries
+    near 1/10 off the diagonal with distinct `digits`-digit denominators:
+    T(a) = T((z - 1)(z - 1/2)(z - 3)) (x) S has ker 0 and coker 4."""
+    b = 4
+    s = [[Fraction(int(i == j)) for j in range(b)] for i in range(b)]
+    for k, (i, j) in enumerate((i, j) for i in range(b) for j in range(b) if i != j):
+        den = 10**digits + 2 * k + 1
+        s[i][j] = Fraction(den // 10 + k, den)
+    q = {0: Fraction(-3, 2), 1: Fraction(5), 2: Fraction(-9, 2), 3: Fraction(1)}
+    def rows(c):
+        return "[" + ",".join("[" + ",".join(str(c * v) for v in row) + "]" for row in s) + "]"
+
+    return f"block={b}; " + "; ".join(f"k:{e}={rows(c)}" for e, c in q.items())
+
+
+def test_index_of_a_symbol_with_tall_entries_leaves_the_count_to_the_oracle():
+    # the determinants of the exact count would work with integers of about
+    # 48,000 bits, past MAX_EXACT_COUNT_BITS, so the truncation oracle decides
+    start = time.perf_counter()
+    code, out, err = run_cli(["--json", "toeplitz", "index", "--symbol", tall_entry_symbol()])
+    assert code == 0, err
+    report = json.loads(out)
+    assert not report["fredholm"]
+    assert (report["ker"], report["coker"]) == (0, 4)
+    assert report["certification"]["kernel_certification"] == "truncation"
+    assert time.perf_counter() - start < 10
 
 
 def test_boundary_alpha_exit_code():

@@ -11,6 +11,9 @@ from relpos.errors import DegreeBoundExceeded
 from relpos.gaussian import GQ, I, ONE, parse_gq
 from relpos.poly import (
     Polynomial,
+    _gaussian_integer_parts,
+    _gerschgorin_counts,
+    _schur_cohn_counts,
     coprime_split,
     disk_zero_counts,
     factor_over_gaussian_rationals,
@@ -148,17 +151,29 @@ GAUSSIAN_RATIONALS = st.builds(
 )
 
 
+def schur_cohn(p):
+    """The exact recursion alone, without the float certificate."""
+    return _schur_cohn_counts(*_gaussian_integer_parts(p), None)
+
+
+# every count is checked through disk_zero_counts (the float certificate,
+# then the recursion where it settles nothing) and through the recursion alone
+COUNTS = pytest.mark.parametrize("count", [disk_zero_counts, schur_cohn], ids=["disk", "recursion"])
+
+
+@COUNTS
 @settings(max_examples=200, deadline=None)
 @given(st.lists(GAUSSIAN_RATIONALS, min_size=2, max_size=14))
-def test_disk_zero_counts_match_numpy_roots(coeffs):
+def test_disk_zero_counts_match_numpy_roots(count, coeffs):
     p = Polynomial(coeffs)
     assume(p.degree >= 1)
     roots = np.roots(p.to_complex_coeffs()[::-1])
     assume(np.min(np.abs(np.abs(roots) - 1.0)) >= 1e-3)
-    assert disk_zero_counts(p) == (int(np.sum(np.abs(roots) < 1.0)), 0)
+    assert count(p) == (int(np.sum(np.abs(roots) < 1.0)), 0)
 
 
-def test_disk_zero_counts_random_high_degree():
+@COUNTS
+def test_disk_zero_counts_random_high_degree(count):
     rng = random.Random(11)
     for degree in (40, 64):
         p = Polynomial([GQ(rng.randint(-9, 9), rng.randint(-9, 9)) for _ in range(degree)] + [ONE])
@@ -166,7 +181,7 @@ def test_disk_zero_counts_random_high_degree():
         for q in (p, p + Polynomial([I - p.coeffs[0]])):
             roots = np.roots(q.to_complex_coeffs()[::-1])
             assert np.min(np.abs(np.abs(roots) - 1.0)) >= 1e-6
-            assert disk_zero_counts(q) == (int(np.sum(np.abs(roots) < 1.0)), 0)
+            assert count(q) == (int(np.sum(np.abs(roots) < 1.0)), 0)
 
 
 CIRCLE = [GQ(1), GQ(-1), I, -I, GQ(Fraction(3, 5), Fraction(4, 5)), GQ(Fraction(-5, 13), Fraction(12, 13))]
@@ -196,10 +211,11 @@ CIRCLE = [GQ(1), GQ(-1), I, -I, GQ(Fraction(3, 5), Fraction(4, 5)), GQ(Fraction(
         ([], (0, 0)),
     ],
 )
-def test_disk_zero_counts_constructed(roots, counts):
+@COUNTS
+def test_disk_zero_counts_constructed(count, roots, counts):
     p = poly_from_roots(roots)
     for scale in (ONE, GQ(Fraction(-3, 7), 2)):
-        assert disk_zero_counts(p * scale) == counts
+        assert count(p * scale) == counts
 
 
 @pytest.mark.parametrize(
@@ -215,11 +231,50 @@ def test_disk_zero_counts_constructed(roots, counts):
         ["0", "-1", "-i", "-1-i", "-1-2i", "-1-2i", "-2-i", "1-2i"],
     ],
 )
-def test_disk_zero_counts_irregular_chains(coeffs):
+@COUNTS
+def test_disk_zero_counts_irregular_chains(count, coeffs):
     p = Polynomial([parse_gq(c) for c in coeffs])
     roots = np.roots(p.to_complex_coeffs()[::-1])
     assert np.min(np.abs(np.abs(roots) - 1.0)) >= 1e-2
-    assert disk_zero_counts(p) == (int(np.sum(np.abs(roots) < 1.0)), 0)
+    assert count(p) == (int(np.sum(np.abs(roots) < 1.0)), 0)
+
+
+def test_float_certificate_checks_rational_circle_zeros_exactly():
+    # a cluster of float zeros meeting the circle counts as circle zeros only
+    # when a Gaussian rational on the circle is an exact zero of the cluster's
+    # multiplicity; the irrational ones of z^2 - z + 1 (exp(+-i pi / 3)) are
+    # left to the recursion
+    w = GQ(Fraction(3, 5), Fraction(4, 5))
+    p = poly_from_roots([w, w, w, GQ(2), GQ(Fraction(1, 2), Fraction(1, 3)), GQ(-1)])
+    assert _gerschgorin_counts(*_gaussian_integer_parts(p)) == (1, 4)
+    q = Polynomial([ONE, -ONE, ONE]) * poly_from_roots([GQ(Fraction(1, 2))])
+    assert _gerschgorin_counts(*_gaussian_integer_parts(q)) is None
+    assert disk_zero_counts(q) == (1, 2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(
+    st.tuples(st.sampled_from(CIRCLE), st.integers(-4, 4), st.integers(2, 12)),
+    min_size=1, max_size=10,
+))
+def test_float_certificate_agrees_with_the_recursion_near_the_circle(zeros):
+    # zeros (1 + k 10^-e) w with w on the circle: on it, or inside or outside
+    # it by as little as 10^-12; where the certificate settles, its counts
+    # are the constructed ones, as the recursion's always are
+    roots = [w * GQ(1 + Fraction(k, 10**e)) for w, k, e in zeros]
+    want = (sum(1 for r in roots if r.norm2() < 1), sum(1 for r in roots if r.norm2() == 1))
+    re, im = _gaussian_integer_parts(poly_from_roots(roots))
+    assert _schur_cohn_counts(re, im, None) == want
+    assert _gerschgorin_counts(re, im) in (None, want)
+
+
+def test_disk_zero_counts_stop_at_the_bit_bound():
+    # irrational circle zeros leave the count to the recursion, whose
+    # integers would pass MAX_EXACT_COUNT_BITS here (degree 3 times about
+    # 5,000 bits)
+    q = Polynomial([ONE, -ONE, ONE]) * poly_from_roots([GQ(Fraction(10**1500 + 1, 10**1500))])
+    assert disk_zero_counts(q) is None
+    assert _schur_cohn_counts(*_gaussian_integer_parts(q), None) == (0, 2)
 
 
 def test_disk_zero_counts_rejects_the_zero_polynomial():

@@ -41,7 +41,7 @@ from relpos.toeplitz import (
     truncate_exotic,
     upper_toeplitz,
 )
-from test_cli import run_cli, run_python
+from test_cli import run_cli, run_python, tall_entry_symbol
 
 
 def scalar(coeffs):
@@ -662,6 +662,26 @@ def test_one_sided_kernel_dims_load_neither_scipy_nor_a_thread_pool():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "(0, 0, 'exact') (0, 0, 'exact') False False"
+
+
+def test_tall_entries_leave_the_one_sided_count_to_the_oracle(monkeypatch):
+    def no_exact_work(*args):
+        raise AssertionError("the exact count ran")
+
+    sym = LaurentSymbol.parse(tall_entry_symbol())
+    assert not toeplitz._char_poly_fits(sym)
+    monkeypatch.setattr(toeplitz, "symbol_char_poly", no_exact_work)
+    assert kernel_dims(sym) == (0, 4, "truncation")
+    assert kernel_dims(sym.adjoint()) == (4, 0, "truncation")
+
+
+def test_tall_scalar_coefficients_are_counted_exactly():
+    # z - a/b with 1,000-digit a and b: the float certificate settles the
+    # zero near 1/3, at a cost that does not grow with the digits
+    a, b = 10**999 + 7, 3 * 10**999 + 1
+    sym = scalar({0: GQ(Fraction(-a, b)), 1: 1})
+    assert kernel_dims(sym) == (0, 1, "exact")
+    assert kernel_dims(sym.adjoint()) == (1, 0, "exact")
 
 
 # zeros on the unit circle, and zeros inside or outside it
