@@ -590,6 +590,9 @@ def _gerschgorin_counts(re: list, im: list):
     for k in range(n - 1, -1, -1):
         val = val * z + c[k]
         size = size * az + ac[k]
+    # |p(z_j) - val| / 2^e: each Horner step errs by at most 4u relative to
+    # size, the rounded coefficients by u, with size itself rounded (16 for a
+    # margin), and each underflow by less than 2^-1000 times |z|^k
     err = 16 * (n + 2) * _U * size + (n + 1) * 2.0**-1000 * np.maximum(az, 1.0) ** n
     diff = z[:, None] - z[None, :]
     np.fill_diagonal(diff, 1.0)
@@ -604,6 +607,9 @@ def _gerschgorin_counts(re: list, im: list):
         radius = n * bound * (1 + 1e-9) + 2.0**-1000
     if not np.all(np.isfinite(radius)):
         return None
+    # the 1e-9 margins below cover the few roundings in each comparison:
+    # disks join whenever the exact ones could touch, and a union counts
+    # inside or outside only when the exact disks lie there
     touch = np.abs(diff) * (1 - 1e-9) <= radius[:, None] + radius[None, :]
     seen = np.zeros(n, dtype=bool)
     inside = circle = 0
