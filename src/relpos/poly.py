@@ -587,16 +587,17 @@ def _gerschgorin_counts(re: list, im: list):
     ac = np.abs(c)
     val = np.full(n, c[n])
     size = np.full(n, ac[n])  # sum |c_k| |z|^k, which bounds the rounding
-    for k in range(n - 1, -1, -1):
-        val = val * z + c[k]
-        size = size * az + ac[k]
-    # |p(z_j) - val| / 2^e: each Horner step errs by at most 4u relative to
-    # size, the rounded coefficients by u, with size itself rounded (16 for a
-    # margin), and each underflow by less than 2^-1000 times |z|^k
-    err = 16 * (n + 2) * _U * size + (n + 1) * 2.0**-1000 * np.maximum(az, 1.0) ** n
     diff = z[:, None] - z[None, :]
     np.fill_diagonal(diff, 1.0)
+    # overflow and underflow are caught by the checks below
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        for k in range(n - 1, -1, -1):
+            val = val * z + c[k]
+            size = size * az + ac[k]
+        # |p(z_j) - val| / 2^e: each Horner step errs by at most 4u relative
+        # to size, the rounded coefficients by u, with size itself rounded
+        # (16 for a margin), and each underflow by less than 2^-1000 |z|^k
+        err = 16 * (n + 2) * _U * size + (n + 1) * 2.0**-1000 * np.maximum(az, 1.0) ** n
         # a_n prod (z_j - z_k), each step erring by at most 4u while every
         # partial product stays normal
         den = np.abs(np.cumprod(np.column_stack([np.full(n, c[n]), diff]), axis=1))
