@@ -301,24 +301,27 @@ def _interpolate(values: list, x0: int) -> list:
 
 
 def _char_poly_fits(sym: LaurentSymbol) -> bool:
-    """Whether `symbol_char_poly` of the exact symbol works with integers
-    within MAX_EXACT_COUNT_BITS, the bound of the disk count: for blocks, b
-    times the bits of an entry of a(x) at its evaluation points, over the
-    common denominator (whose lcm is given up as soon as it alone passes the
-    bound; the determinants of a block-8 symbol at the bound take about
-    2 s).  A scalar symbol is read off its coefficients."""
+    """Whether `symbol_char_poly` of the exact symbol costs no more than on
+    the largest block symbol (b = 8, offsets 0..32) whose integers have
+    MAX_EXACT_COUNT_BITS, about 2 s.  Its deg + 1 fraction-free determinants
+    take about b^3 products each, of integers of b times the bits of an
+    entry of a(x) at the evaluation points over the common denominator; so
+    those may have MAX_EXACT_COUNT_BITS times the square root of the largest
+    symbol's product count over this one's (the lcm is given up as soon as
+    it alone passes that).  A scalar symbol is read off its coefficients."""
     b, width = sym.block_size, sym.lower + sym.upper
     if b == 1:
         return True
+    largest = (MAX_SYMBOL_BLOCK * MAX_SYMBOL_OFFSET + 1) * MAX_SYMBOL_BLOCK**3
+    limit = MAX_EXACT_COUNT_BITS * math.isqrt(largest // ((width * b + 1) * b**3))
     den = 1
     for _, m in sym.coeffs:
         den = math.lcm(den, m._den)
-        if den.bit_length() > MAX_EXACT_COUNT_BITS:
+        if den.bit_length() > limit:
             return False
     entry = max(max(map(abs, m._re + m._im)) * (den // m._den) for _, m in sym.coeffs)
     point = (width * b // 2 + 1).bit_length()
-    bits = b * (entry.bit_length() + width * point + (width + 1).bit_length())
-    return bits <= MAX_EXACT_COUNT_BITS
+    return b * (entry.bit_length() + width * point + (width + 1).bit_length()) <= limit
 
 
 def symbol_char_poly(sym: LaurentSymbol) -> Polynomial:

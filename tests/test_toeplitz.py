@@ -665,10 +665,16 @@ def test_one_sided_kernel_dims_load_neither_scipy_nor_a_thread_pool():
 
 
 def test_tall_entries_leave_the_one_sided_count_to_the_oracle(monkeypatch):
+    # with 300-digit denominators (integers of about 48,000 bits in the
+    # determinants of a degree-12 symbol) the count is exact; with 800-digit
+    # ones the oracle decides, and no exact work starts
+    sym = LaurentSymbol.parse(tall_entry_symbol(300))
+    assert kernel_dims(sym) == (0, 4, "exact")
+
     def no_exact_work(*args):
         raise AssertionError("the exact count ran")
 
-    sym = LaurentSymbol.parse(tall_entry_symbol())
+    sym = LaurentSymbol.parse(tall_entry_symbol(800))
     assert not toeplitz._char_poly_fits(sym)
     monkeypatch.setattr(toeplitz, "symbol_char_poly", no_exact_work)
     assert kernel_dims(sym) == (0, 4, "truncation")
