@@ -15,8 +15,10 @@ change of basis (it splits twice), `angles` on a float pair in C^4 (its
 reconstruction residual comes from LAPACK's QR), and `diagram --threshold
 1e-9` on an exact system whose E1 ∩ E2 is a line with a float angle of
 about 2.6e-8, and `defect` on an exact system and `angles` on a float pair
-whose entries use every form of the scalar syntax, all with `--json` before
-the subcommand, against the `src/` next to this script.
+whose entries use every form of the scalar syntax, then `toeplitz exotic` at
+gamma = 3/2 (N = 16), gamma = 2+i (N = 24) and gamma = 2 with `--threshold
+1e-9` (N = 16), all with `--json` before the subcommand, against the `src/`
+next to this script.
 Prints one line per command: the command, its exit code and the sha256 of
 its stdout and of its stderr.  Two checkouts give byte-identical CLI output
 when their lines are equal:
@@ -185,6 +187,13 @@ SCALAR_FILES = {
         "subspace E2 dim 2", ".5i -0.0 2e-3-0.25i", "0.25 1.0 .5i",
     ]) + "\n",
 }
+# appended after the lines above, which keep their order: the exotic report
+# at a rational and at a Gaussian gamma, and below its (3,4) angle floor
+EXOTIC = (
+    ("toeplitz", "exotic", "--gamma=3/2", "--N", "16"),
+    ("toeplitz", "exotic", "--gamma=2+i", "--N", "24"),
+    ("toeplitz", "exotic", "--gamma", "2", "--N", "16", "--threshold", "1e-9"),
+)
 DOCUMENTED_EXIT_CODES = {0, 2, 3, 4}
 
 
@@ -203,6 +212,8 @@ def _commands():
     yield ("diagram", "r0.sys", "--threshold", "1e-9"), None
     yield ("defect", "x0.sys"), None
     yield ("angles", "x1.sys"), None
+    for cmd in EXOTIC:
+        yield cmd, None
 
 
 def _sha(data: bytes) -> str:

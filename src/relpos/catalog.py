@@ -32,6 +32,12 @@ GP4_FAMILIES = (
     "S(2k+1,2)",
 )
 
+# Largest ambient dimension a gp4 or jordan key may ask for: 4 * 128, the
+# ambient dimension of the largest exotic truncation, and above every key
+# of the tests, the criteria and the benchmark.  The system file of a key
+# grows as the square of its dimension.
+MAX_CATALOG_DIM = 512
+
 # catalog.build keeps this many systems; a classification sweep meets a few
 # dozen keys, each many times
 BUILD_CACHE_SIZE = 512
@@ -71,6 +77,16 @@ class CatalogKey:
         if self.kind == "jordan":
             return f"jordan:k={self.k}.l={format_gq(self.lam)}"
         return f"{self.kind}:{self.index}"
+
+    def ambient_dim(self) -> int | None:
+        """Ambient dimension of a gp4 or jordan key, read from the key: 2k
+        or 2k + 1 for gp4, 2k for S_T of the k x k Jordan block.  None for
+        the indexed kinds, whose systems are fixed and small."""
+        if self.kind == "gp4":
+            return 2 * self.k + ("2k+1" in self.family)
+        if self.kind == "jordan":
+            return 2 * self.k
+        return None
 
     @staticmethod
     def parse(text: str) -> "CatalogKey":
@@ -286,7 +302,14 @@ def gp4_label_permutation(family: str, i: int | None = None, j: int | None = Non
 @functools.lru_cache(maxsize=BUILD_CACHE_SIZE)
 def build(key: CatalogKey) -> SubspaceSystem:
     """The system of a catalog key, built once per key and process (systems
-    are immutable, so every caller may share it)."""
+    are immutable, so every caller may share it).  A key past
+    MAX_CATALOG_DIM is refused before anything is built."""
+    d = key.ambient_dim()
+    if d is not None and d > MAX_CATALOG_DIM:
+        raise DimensionMismatch(
+            f"catalog key {key.text()} has ambient dimension {d},"
+            f" which exceeds the bound {MAX_CATALOG_DIM}"
+        )
     if key.kind == "gp4":
         return build_gp4(key.family, key.k, key.lam, key.perm)
     if key.kind == "gp3":

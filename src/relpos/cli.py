@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -32,7 +33,6 @@ from .toeplitz import (
     kernel_dims,
     region_classify,
     single_operator_defect_report,
-    truncate_exotic,
 )
 from . import verify as verify_mod
 
@@ -50,6 +50,17 @@ def _default_tol() -> float:
         except ValueError:
             raise ParseError(f"bad RELPOS_TOL value {env!r}")
     return DEFAULT_TOL
+
+
+def _threshold(text: str) -> float:
+    """argparse type of --threshold: a finite float above 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and above 0: {text!r}")
+    return value
 
 
 def _read_text(path: str) -> str:
@@ -236,6 +247,8 @@ def cmd_toeplitz(args) -> int:
             "certification": rep.certification,
         }
         _emit(report, args)
+        if rep.certification.get("kernel_certification") == "uncertified":
+            return EXIT_UNCERTIFIED
         return EXIT_OK
     if args.mode == "defect":
         sym = LaurentSymbol.parse(args.symbol)
@@ -357,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pdia = sub.add_parser("diagram", help="intersection diagram")
     pdia.add_argument("file")
-    pdia.add_argument("--threshold", type=float, default=None,
+    pdia.add_argument("--threshold", type=_threshold, default=None,
                       help="near-intersection threshold (float surrogate)")
     pdia.set_defaults(func=cmd_diagram)
 
@@ -380,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     pte = ptsub.add_parser("exotic", help="truncation lab report")
     pte.add_argument("--gamma", required=True)
     pte.add_argument("--N", dest="size", type=int, default=32)
-    pte.add_argument("--threshold", type=float, default=1e-6)
+    pte.add_argument("--threshold", type=_threshold, default=1e-6)
     pte.set_defaults(func=cmd_toeplitz)
 
     pv = sub.add_parser("verify", help="acceptance sweeps")

@@ -25,14 +25,15 @@ from .errors import (
     UncertifiedError,
 )
 from .gaussian import GQ, ONE, ZERO, format_gq, parse_gq
-from .matrix import EXACT, Matrix
+from .matrix import DEFAULT_TOL, EXACT, Matrix
 from .poly import (
     MAX_EXACT_COUNT_BITS,
     Polynomial,
     disk_zero_counts,
     factor_over_gaussian_rationals,
 )
-from .subspace import Subspace, intersect, principal_angles
+from .sparsesolve import sparse_nullity
+from .subspace import Subspace, principal_angles
 from .system import SubspaceSystem, diagram_from_pairs
 
 ORACLE_N = 200
@@ -49,7 +50,8 @@ MAX_GRID = 65536
 # Largest symbol block size, above the 6 of every workload and criterion.
 # The winding stack holds grid x b^2 complex values: 64 MiB at MAX_GRID.
 MAX_SYMBOL_BLOCK = 8
-# Largest exotic truncation size: ambient 4 * 128 = 512, about 5 s.
+# Largest exotic truncation size: ambient 4 * 128 = 512, about 0.3 s for
+# exotic_report.
 MAX_EXOTIC_N = 128
 
 
@@ -813,13 +815,18 @@ def shift_matrix(n: int) -> Matrix:
     return Matrix(n, n, EXACT, entries=ents)
 
 
-def truncate_exotic(gamma: GQ, n: int) -> SubspaceSystem:
-    """The deformed-graph system at cutoff n: ambient dimension 4n, third
-    subspace = graph of the two-by-two block operator plus one extra line."""
+def _check_exotic_size(n: int) -> None:
+    """Refuse a cutoff outside 4..MAX_EXOTIC_N."""
     if n < 4:
         raise DimensionMismatch("truncation needs n >= 4")
     if n > MAX_EXOTIC_N:
         raise DimensionMismatch(f"truncation size {n} exceeds the bound {MAX_EXOTIC_N}")
+
+
+def truncate_exotic(gamma: GQ, n: int) -> SubspaceSystem:
+    """The deformed-graph system at cutoff n: ambient dimension 4n, third
+    subspace = graph of the two-by-two block operator plus one extra line."""
+    _check_exotic_size(n)
     t_gamma = exotic_t_matrix(gamma, n)
     two_n = 2 * n
     d = 4 * n
@@ -836,6 +843,50 @@ def truncate_exotic(gamma: GQ, n: int) -> SubspaceSystem:
     e3 = Subspace.span(Matrix.hstack([graph, extra]))
     e4 = Subspace.span(Matrix.vstack([Matrix.identity(two_n), Matrix.identity(two_n)]))
     return SubspaceSystem(d, [e1, e2, e3, e4])
+
+
+def _exotic_nullity(gamma: GQ, n: int, lam: GQ) -> int:
+    """Exact nullity of the 2n x (2n + 1) matrix [T_gamma - lam I | e], with
+    e = e_{n+1} the extra line's second half, from the band of
+    T_gamma = [[gamma S^T, I], [0, S]]: at most three entries a row."""
+    rows = []
+    for r in range(n):
+        row = {n + r: ONE}
+        if r + 1 < n:
+            row[r + 1] = gamma
+        if lam:
+            row[r] = -lam
+        rows.append(row)
+    for r in range(n):
+        row = {2 * n: ONE} if r == 0 else {n + r - 1: ONE}
+        if lam:
+            row[n + r] = -lam
+        rows.append(row)
+    return sparse_nullity(rows, 2 * n + 1)
+
+
+def _exotic_float_subspaces(gamma: GQ, n: int) -> list:
+    """Orthonormal bases of E1..E4 built from their canonical exact bases
+    [I; 0], [0; I], [[I; T_gamma] | e] and [I; I], with gamma rounded as
+    Matrix.to_array rounds it, so the SVD input equals that of
+    truncate_exotic(gamma, n).to_float()."""
+    two_n = 2 * n
+    eye = np.eye(two_n, dtype=complex)
+    zero = np.zeros((two_n, two_n), dtype=complex)
+    t = np.zeros((two_n, two_n), dtype=complex)
+    k = np.arange(n - 1)
+    t[k, k + 1] = gamma.to_complex()  # gamma S^T
+    t[np.arange(n), n + np.arange(n)] = 1  # I
+    t[n + 1 + k, n + k] = 1  # S
+    extra = np.zeros((4 * n, 1), dtype=complex)
+    extra[3 * n] = 1  # (0,0,0,e_1)
+    bases = [
+        np.vstack([eye, zero]),
+        np.vstack([zero, eye]),
+        np.hstack([np.vstack([eye, t]), extra]),
+        np.vstack([eye, eye]),
+    ]
+    return [Subspace(Matrix.from_array(a, tol=DEFAULT_TOL)) for a in bases]
 
 
 @dataclass
@@ -855,26 +906,39 @@ def exotic_report(gamma: GQ, n: int, tol: float = 1e-6) -> ExoticReport:
     """Exact pair data for the truncated exotic system, the intersection
     diagram from that data and the thresholded angles, the
     not-an-operator-system flag, and the defect estimate from
-    near-intersections."""
+    near-intersections.
+
+    The pair data come from the system's graph structure, not from a 4n
+    dimensional truncation: two sparse nullities, checked against
+    truncate_exotic and intersect in the tests."""
     if gamma.norm2() <= 1:
         raise DimensionMismatch("the lab needs |gamma| > 1")
     if _past_float_range(Matrix.exact(1, 1, [gamma])):
         raise DimensionMismatch("gamma is past the float range")
-    s = truncate_exotic(gamma, n)
-    sf = s.to_float()
-    d = s.ambient_dim
-    m, nperp, angles, near = {}, {}, {}, {}
-    for i in range(4):
-        for j in range(i + 1, 4):
-            a, b = s.subspaces[i], s.subspaces[j]
-            pair = (i + 1, j + 1)
-            m[pair] = intersect(a, b).dim
-            # Grassmann: dim(a + b) = dim a + dim b - dim(a ∩ b)
-            nperp[pair] = d - a.dim - b.dim + m[pair]
-            ang = principal_angles(sf.subspaces[i], sf.subspaces[j])
-            angles[pair] = float(ang[0]) if len(ang) else float("nan")
-            # near-intersections past the exact part count on (3,4) only
-            near[pair] = max(int(np.sum(ang < tol)), m[pair]) if pair == (3, 4) else m[pair]
+    _check_exotic_size(n)
+    # E1 = H + 0, E2 = 0 + H, E3 = graph(T) + Ce with e = (0, e_{n+1}) and
+    # E4 the diagonal: a point (u, Tu + ce) of E3 lies in E1 when Tu + ce = 0
+    # and in E4 when (T - I)u + ce = 0, and in E2 only when u = 0
+    d = 4 * n
+    dims = (2 * n, 2 * n, 2 * n + 1, 2 * n)
+    m = {
+        (1, 2): 0,
+        (1, 3): _exotic_nullity(gamma, n, ZERO),
+        (1, 4): 0,
+        (2, 3): 1,
+        (2, 4): 0,
+        (3, 4): _exotic_nullity(gamma, n, ONE),
+    }
+    sf = _exotic_float_subspaces(gamma, n)
+    nperp, angles, near = {}, {}, {}
+    for pair, mij in m.items():
+        i, j = pair[0] - 1, pair[1] - 1
+        # Grassmann: dim(a + b) = dim a + dim b - dim(a ∩ b)
+        nperp[pair] = d - dims[i] - dims[j] + mij
+        ang = principal_angles(sf[i], sf[j])
+        angles[pair] = float(ang[0]) if len(ang) else float("nan")
+        # near-intersections past the exact part count on (3,4) only
+        near[pair] = max(int(np.sum(ang < tol)), mij) if pair == (3, 4) else mij
     for pair in ((1, 2), (1, 4), (2, 4)):
         if m[pair] != 0 or nperp[pair] != 0:
             raise UncertifiedError(f"pair {pair} is not exactly complementary")
@@ -958,8 +1022,6 @@ def exotic_hom_dim(beta: GQ, gamma: GQ, n: int) -> int:
     remains: all rows of U T_beta - T_gamma U away from the extra line must
     vanish, and U must preserve the extra line.  The resulting constraints
     are a few entries per row; solved by exact sparse elimination."""
-    from .sparsesolve import sparse_nullity
-
     two_n = 2 * n
     tb = _sparse_entries(exotic_t_matrix(beta, n))
     tg = _sparse_entries(exotic_t_matrix(gamma, n))

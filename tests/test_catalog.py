@@ -9,6 +9,7 @@ import pytest
 from relpos.catalog import (
     GP4_DEFECTS,
     GP4_FAMILIES,
+    MAX_CATALOG_DIM,
     CatalogKey,
     build,
     build_example,
@@ -220,3 +221,22 @@ def test_build_is_memoised_on_the_key():
     for _ in range(2):
         with pytest.raises(ParseError):
             build(CatalogKey(kind="gp3", index=10))
+
+
+def test_key_ambient_dim_matches_the_built_system():
+    keys = [f"gp4:{f}.k=2" + (".l=2" if f == "S(2k,0;l)" else "") for f in GP4_FAMILIES]
+    for text in keys + ["jordan:k=3.l=1"]:
+        key = CatalogKey.parse(text)
+        assert key.ambient_dim() == build(key).ambient_dim
+    assert CatalogKey.parse("gp3:5").ambient_dim() is None
+
+
+@pytest.mark.parametrize(
+    "text,d",
+    [("gp4:S3(2k,-1).k=257", 514), ("gp4:S(2k+1,2).k=256", 513), ("jordan:k=257.l=1", 514)],
+)
+def test_keys_past_the_dimension_bound_are_refused(text, d):
+    key = CatalogKey.parse(text)
+    assert key.ambient_dim() == d > MAX_CATALOG_DIM
+    with pytest.raises(DimensionMismatch, match="exceeds the bound"):
+        build(key)

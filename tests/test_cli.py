@@ -407,6 +407,55 @@ def test_index_of_a_symbol_with_tall_entries_leaves_the_count_to_the_oracle():
     assert time.perf_counter() - start < 10
 
 
+UNCERTIFIED_SYMBOL = "block=2; k:-1=[[23/50,0],[0,0]]; k:0=[[-71/50,0],[0,1]]; k:1=[[1,0],[0,-1]]"
+
+
+def test_index_with_uncertified_kernel_dims_exits_3():
+    # two-sided, so the truncation oracle decides, and its counts at its two
+    # sizes differ
+    code, out, err = run_cli(["--json", "toeplitz", "index", "--symbol", UNCERTIFIED_SYMBOL])
+    assert code == 3, err
+    report = json.loads(out)
+    assert not report["fredholm"]
+    assert report["certification"]["kernel_certification"] == "uncertified"
+
+
+@pytest.mark.parametrize("value", ["nan", "-1", "0", "inf", "-inf", "x"])
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["diagram", "{sysfile}"],
+        ["toeplitz", "exotic", "--gamma", "2", "--N", "8"],
+    ],
+    ids=["diagram", "exotic"],
+)
+def test_threshold_must_be_finite_and_positive(args, value, tmp_path, capsys):
+    path = tmp_path / "s.sys"
+    path.write_text(run_cli(["catalog", "build", "gp3:9"])[1])
+    args = [str(path) if a == "{sysfile}" else a for a in args]
+    with pytest.raises(SystemExit) as exc:
+        main([*args, f"--threshold={value}"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--threshold" in err and "Traceback" not in err
+
+
+def test_catalog_key_past_the_dimension_bound_exit_code():
+    # refused from the key alone: built, the file would hold about 4e10 entries
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(["catalog", "build", "gp4:S3(2k,-1).k=99999"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert out == ""
+    assert "exceeds the bound 512" in err
+    assert peak < 1 << 20
+    assert time.perf_counter() - start < 1
+
+
 def test_boundary_alpha_exit_code():
     code, _, err = run_cli(["toeplitz", "regions", "--alpha", "1"])
     assert code == 2

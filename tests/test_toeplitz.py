@@ -1,5 +1,6 @@
 """Symbol-level Fredholm theory, fractional defects, and the exotic lab."""
 
+import functools
 import random
 import threading
 from fractions import Fraction
@@ -20,6 +21,7 @@ from relpos.poly import Polynomial
 from relpos.subspace import Subspace, intersect, principal_angles, sum_
 from relpos.system import hom_dim
 from relpos.toeplitz import (
+    MAX_EXOTIC_N,
     MAX_GRID,
     MAX_SYMBOL_OFFSET,
     ORACLE_N,
@@ -30,6 +32,7 @@ from relpos.toeplitz import (
     _truncation_singular_values,
     exotic_hom_dim,
     exotic_report,
+    exotic_t_matrix,
     fredholm_index,
     hom_dimension_decay,
     kernel_dims,
@@ -220,24 +223,34 @@ def test_truncate_exotic_third_subspace():
     assert truncate_exotic(gamma, n).subspaces[2] == Subspace.span(Matrix.hstack([graph, extra]))
 
 
-def _exotic_reference(gamma, n, tol):
-    """exotic_report's pair facts the long way: each complement dimension
-    from an exact sum, each angle spectrum from the exact subspaces, the
-    diagram edges from the smallest angles."""
+@functools.lru_cache(maxsize=None)
+def _exotic_reference_spectra(gamma, n):
+    """Each pair's exact intersection dimension, its complement dimension
+    from an exact sum, and its angle spectrum from the exact subspaces; both
+    thresholds of a case share them."""
     s = truncate_exotic(gamma, n)
-    m, nperp, angles, near, edges = {}, {}, {}, {}, set()
+    m, nperp, spectra = {}, {}, {}
     for i in range(4):
         for j in range(i + 1, 4):
             a, b = s.subspaces[i], s.subspaces[j]
             pair = (i + 1, j + 1)
             m[pair] = intersect(a, b).dim
             nperp[pair] = s.ambient_dim - sum_(a, b).dim
-            ang = principal_angles(a, b)
-            angles[pair] = float(ang[0])
-            extra = int(np.sum(ang < tol)) - m[pair] if pair == (3, 4) else 0
-            near[pair] = m[pair] + max(extra, 0)
-            if ang[0] > tol:
-                edges.add(frozenset(pair))
+            spectra[pair] = principal_angles(a, b)
+    return m, nperp, spectra
+
+
+def _exotic_reference(gamma, n, tol):
+    """exotic_report's pair facts the long way: the exact data and spectra
+    of the truncation, the diagram edges from the smallest angles."""
+    m, nperp, spectra = _exotic_reference_spectra(gamma, n)
+    angles, near, edges = {}, {}, set()
+    for pair, ang in spectra.items():
+        angles[pair] = float(ang[0])
+        extra = int(np.sum(ang < tol)) - m[pair] if pair == (3, 4) else 0
+        near[pair] = m[pair] + max(extra, 0)
+        if ang[0] > tol:
+            edges.add(frozenset(pair))
     defect = Fraction(sum(near[p] - nperp[p] for p in near), 3)
     return m, nperp, angles, near, frozenset(edges), defect
 
@@ -245,8 +258,12 @@ def _exotic_reference(gamma, n, tol):
 # at 0.15 the (3,4) near count exceeds the exact intersection (its second
 # angle is 0.03-0.09), so that count is read from the spectrum
 @pytest.mark.parametrize("tol", [1e-6, 0.15])
-@pytest.mark.parametrize("n", [8, 16])
-@pytest.mark.parametrize("gamma", [GQ(2), GQ(1, 1), GQ(0, -2), GQ(Fraction(3, 2))], ids=format_gq)
+@pytest.mark.parametrize("n", [4, 5, 8, 16, 32])
+@pytest.mark.parametrize(
+    "gamma",
+    [GQ(2), GQ(1, 1), GQ(0, -2), GQ(Fraction(3, 2)), GQ(Fraction(7, 3), Fraction(-5, 7))],
+    ids=format_gq,
+)
 def test_exotic_report_matches_reference(gamma, n, tol):
     m, nperp, angles, near, edges, defect = _exotic_reference(gamma, n, tol)
     rep = exotic_report(gamma, n, tol)
@@ -260,6 +277,24 @@ def test_exotic_report_matches_reference(gamma, n, tol):
     assert {p: v.hex() for p, v in rep.pair_angles.items()} == {
         p: v.hex() for p, v in angles.items()
     }
+
+
+@pytest.mark.parametrize("n", range(4, 13))
+def test_exotic_sparse_nullities_match_dense(n):
+    # [T_gamma - lam I | e] from the band, against the dense exact matrix
+    e = Matrix(2 * n, 1, EXACT, entries=[GQ(int(k == n)) for k in range(2 * n)])
+    for gamma in (GQ(2), GQ(1, 1), GQ(Fraction(7, 3), Fraction(-5, 7))):
+        t = exotic_t_matrix(gamma, n)
+        for lam in (GQ(0), GQ(1)):
+            dense = Matrix.hstack([t - Matrix.identity(2 * n).scale(lam), e])
+            assert toeplitz._exotic_nullity(gamma, n, lam) == dense.nullity()
+
+
+@pytest.mark.parametrize("n", [3, MAX_EXOTIC_N + 1])
+def test_exotic_size_bounds(n):
+    for build in (truncate_exotic, exotic_report):
+        with pytest.raises(DimensionMismatch):
+            build(GQ(2), n)
 
 
 def test_exotic_report_rejects_small_gamma():
