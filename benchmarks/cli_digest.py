@@ -17,8 +17,10 @@ reconstruction residual comes from LAPACK's QR), and `diagram --threshold
 about 2.6e-8, and `defect` on an exact system and `angles` on a float pair
 whose entries use every form of the scalar syntax, then `toeplitz exotic` at
 gamma = 3/2 (N = 16), gamma = 2+i (N = 24) and gamma = 2 with `--threshold
-1e-9` (N = 16), all with `--json` before the subcommand, against the `src/`
-next to this script.
+1e-9` (N = 16), then `toeplitz index` on three symbols that the exact zero
+count decides (a scalar with three zeros near the circle, a block symbol
+with two zeros on it, and a block-diagonal one), all with `--json` before
+the subcommand, against the `src/` next to this script.
 Prints one line per command: the command, its exit code and the sha256 of
 its stdout and of its stderr.  Two checkouts give byte-identical CLI output
 when their lines are equal:
@@ -194,6 +196,18 @@ EXOTIC = (
     ("toeplitz", "exotic", "--gamma=2+i", "--N", "24"),
     ("toeplitz", "exotic", "--gamma", "2", "--N", "16", "--threshold", "1e-9"),
 )
+# appended after those: `toeplitz index` on (z - 1)(z - 97/100)(z - 98/100)
+# (z - 99/100)/z, on a block symbol whose determinant vanishes at
+# exp(+-i pi/3), and on diag((z - 1/2)(z - 19/20)/z, 1 - z)
+ZERO_COUNTS = (
+    ("toeplitz", "index", "--symbol",
+     "block=1; k:-1=[[470547/500000]]; k:0=[[-1911097/500000]]; k:1=[[58211/10000]];"
+     " k:2=[[-197/50]]; k:3=[[1]]"),
+    ("toeplitz", "index", "--symbol",
+     "block=2; k:0=[[1,-1],[0,1/2]]; k:1=[[-1,1/2],[0,1]]; k:2=[[1,0],[0,0]]"),
+    ("toeplitz", "index", "--symbol",
+     "block=2; k:-1=[[19/40,0],[0,0]]; k:0=[[-29/20,0],[0,1]]; k:1=[[1,0],[0,-1]]"),
+)
 DOCUMENTED_EXIT_CODES = {0, 2, 3, 4}
 
 
@@ -212,7 +226,7 @@ def _commands():
     yield ("diagram", "r0.sys", "--threshold", "1e-9"), None
     yield ("defect", "x0.sys"), None
     yield ("angles", "x1.sys"), None
-    for cmd in EXOTIC:
+    for cmd in (*EXOTIC, *ZERO_COUNTS):
         yield cmd, None
 
 

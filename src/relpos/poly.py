@@ -577,20 +577,21 @@ def _gerschgorin_counts(re: list, im: list):
     # p / 2^e with every |coefficient| <= 1, each rounded once (int / int is)
     scale = 1 << max(map(abs, re + im)).bit_length()
     c = np.array([complex(a / scale, b / scale) for a, b in zip(re, im)])
-    try:
-        z = np.roots(c[::-1])
-    except np.linalg.LinAlgError:
-        return None
-    if len(z) != n or not np.all(np.isfinite(z)):
-        return None
-    az = np.abs(z)
-    ac = np.abs(c)
-    val = np.full(n, c[n])
-    size = np.full(n, ac[n])  # sum |c_k| |z|^k, which bounds the rounding
-    diff = z[:, None] - z[None, :]
-    np.fill_diagonal(diff, 1.0)
-    # overflow and underflow are caught by the checks below
+    # overflow, underflow and invalid values, in np.roots too, are caught
+    # by the finiteness checks
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        try:
+            z = np.roots(c[::-1])
+        except np.linalg.LinAlgError:
+            return None
+        if len(z) != n or not np.all(np.isfinite(z)):
+            return None
+        az = np.abs(z)
+        ac = np.abs(c)
+        val = np.full(n, c[n])
+        size = np.full(n, ac[n])  # sum |c_k| |z|^k, which bounds the rounding
+        diff = z[:, None] - z[None, :]
+        np.fill_diagonal(diff, 1.0)
         for k in range(n - 1, -1, -1):
             val = val * z + c[k]
             size = size * az + ac[k]

@@ -1,8 +1,13 @@
 """Banded (block-)Toeplitz symbols on the half-line sequence space: winding
-index, kernel/cokernel dimensions (exact for one-sided symbols, from
-truncation oracles otherwise), fractional defects of the associated
+index and kernel/cokernel dimensions, fractional defects of the associated
 four-subspace systems, and the truncation lab for the exotic deformed-graph
 systems.
+
+An exact symbol is decided by one exact count of the zeros of det(z^s a(z))
+in the disk and on the circle: its winding, and the kernel dimensions of a
+scalar or one-sided symbol.  A float symbol, or an exact one past the
+bounds of that count, gets its winding from a float grid, and a two-sided
+block symbol its kernel dimensions from truncation oracles.
 
 Matrix convention: T(a)_{ij} = a-hat_{i-j}, so the coefficient at offset +1
 is the subdiagonal (the unilateral shift is the symbol z)."""
@@ -26,12 +31,7 @@ from .errors import (
 )
 from .gaussian import GQ, ONE, ZERO, format_gq, parse_gq
 from .matrix import DEFAULT_TOL, EXACT, Matrix
-from .poly import (
-    MAX_EXACT_COUNT_BITS,
-    Polynomial,
-    disk_zero_counts,
-    factor_over_gaussian_rationals,
-)
+from .poly import MAX_EXACT_COUNT_BITS, Polynomial, disk_zero_counts
 from .sparsesolve import sparse_nullity
 from .subspace import Subspace, principal_angles
 from .system import SubspaceSystem, diagram_from_pairs
@@ -39,7 +39,6 @@ from .system import SubspaceSystem, diagram_from_pairs
 ORACLE_N = 200
 ORACLE_SIGMA_TOL = 1e-7
 ORACLE_GAP = 1e4
-CIRCLE_MARGIN = 1e-7
 # Largest |offset| a symbol may carry.  It keeps the band (lower + upper <=
 # 2 * MAX_SYMBOL_OFFSET) below ORACLE_N // 2, the smaller oracle size, and
 # bounds every allocation that grows with the band before it is made.
@@ -194,19 +193,13 @@ class IndexReport:
 
 def _winding_on_grid(sym: LaurentSymbol, grid: int):
     z = np.exp(2j * np.pi * np.arange(grid) / grid)
-    if sym.block_size == 1:
-        coeff = {k: m.entry(0, 0).to_complex() for k, m in sym.coeffs}
-        vals = np.zeros(grid, dtype=complex)
-        for k, c in coeff.items():
-            vals += c * z**k
-    else:
-        b = sym.block_size
-        stack = np.zeros((grid, b, b), dtype=complex)
-        for k, m in sym.coeffs:
-            # np.power rounds each point like the scalar zz**k; the array
-            # operator ** takes square and reciprocal shortcuts that differ
-            stack += m.to_array() * np.power(z, k)[:, None, None]
-        vals = np.linalg.det(stack)
+    b = sym.block_size
+    stack = np.zeros((grid, b, b), dtype=complex)
+    for k, m in sym.coeffs:
+        # np.power rounds each point like the scalar zz**k; the array
+        # operator ** takes square and reciprocal shortcuts that differ
+        stack += m.to_array() * np.power(z, k)[:, None, None]
+    vals = np.linalg.det(stack)
     absvals = np.abs(vals)
     mx = float(absvals.max()) if grid else 0.0
     mn = float(absvals.min()) if grid else 0.0
@@ -218,35 +211,6 @@ def _winding_on_grid(sym: LaurentSymbol, grid: int):
     dphi = np.angle(closed[1:] / closed[:-1])
     raw = float(np.sum(dphi) / (2 * np.pi))
     return raw, mn, mx
-
-
-def _exact_circle_roots(p: Polynomial):
-    """Certified roots of p on the unit circle, or None when not certifiable.
-
-    Uses gcd with the conjugate-reciprocal polynomial: every unit-circle root
-    divides it; the gcd factor is then analyzed exactly."""
-    if p.degree < 1:
-        return []
-    rev = Polynomial(list(reversed([c.conj() for c in p.coeffs])))
-    g = p.gcd(rev)
-    if g.degree == 0:
-        return []
-    rep = factor_over_gaussian_rationals(g)
-    if rep.remainder is not None:
-        quad_ok = rep.remainder.degree == 2
-        if not quad_ok:
-            return None
-        # an irreducible quadratic factor: its two roots are conjugate-
-        # reciprocal; they lie on the circle iff |constant term| = 1
-        c0 = rep.remainder.coeffs[0]
-        if c0.norm2() == 1:
-            return ["irreducible-pair"]
-        return None
-    roots = []
-    for lam, _ in rep.certified_roots():
-        if lam.norm2() == 1:
-            roots.append(lam)
-    return roots
 
 
 def _gaussian_det(re: list, im: list, b: int):
@@ -365,23 +329,44 @@ def symbol_char_poly(sym: LaurentSymbol) -> Polynomial:
     return Polynomial([GQ._make(a, c, den**b) for a, c in zip(re, im)])
 
 
+def _exact_zero_counts(sym: LaurentSymbol):
+    """(zeros in |z| < 1, zeros on |z| = 1) of det(z^s a(z)), s = sym.upper,
+    counted exactly with multiplicity (`disk_zero_counts`); None for a float
+    symbol, or where the exact work would pass `_char_poly_fits` or
+    MAX_EXACT_COUNT_BITS."""
+    if not sym.is_exact() or not _char_poly_fits(sym):
+        return None
+    p = symbol_char_poly(sym)
+    if p.is_zero():
+        raise DegenerateSymbolError("symbol determinant vanishes identically")
+    return disk_zero_counts(p)
+
+
 def fredholm_index(sym: LaurentSymbol, grid: int = 512) -> IndexReport:
-    """Winding of det(symbol) on the unit circle, Richardson-doubled until
-    the rounded integer is stable twice, never past MAX_GRID;
-    index = -winding."""
+    """Fredholm property, winding of det a on the unit circle and index =
+    -winding.
+
+    An exact symbol is counted (`_exact_zero_counts`): with S = upper * b,
+    det a(z) = z^-S p(z), so T(a) is Fredholm iff p has no zero on the
+    circle, and then the winding is (zeros of p in the disk) - S.  Any other
+    symbol gets the winding on a float grid, Richardson-doubled from `grid`
+    until the rounded integer is stable twice, never past MAX_GRID."""
     if grid < 256:
         raise DimensionMismatch("grid must be at least 256")
     if grid > MAX_GRID:
         raise DimensionMismatch(f"grid {grid} exceeds the bound {MAX_GRID}")
-    if sym.block_size == 1 and sym.is_exact():
-        circle = _exact_circle_roots(symbol_char_poly(sym))
-        if circle is None:
-            circle = []
+    counts = _exact_zero_counts(sym)
+    if counts is not None:
+        inside, circle = counts
+        certification = {"method": "exact zero count", "inside": inside, "circle": circle}
         if circle:
             return IndexReport(
-                fredholm=False, winding=None, index=None,
-                certification={"method": "exact circle root", "roots": len(circle)},
+                fredholm=False, winding=None, index=None, certification=certification
             )
+        winding = inside - sym.upper * sym.block_size
+        return IndexReport(
+            fredholm=True, winding=winding, index=-winding, certification=certification
+        )
     raw_prev = None
     stable = 0
     g = grid
@@ -595,104 +580,72 @@ def _oracle_workers() -> int:
     return min(4, cpus)
 
 
-def _scalar_kernel_by_roots(sym: LaurentSymbol):
-    """(count, certified_exact) from decaying characteristic solutions."""
-    p = symbol_char_poly(sym)
-    r = sym.lower
-    s = sym.upper
-    free = max(-r, 0)
-    # characteristic polynomial c(t) = sum a_k t^(r-k) = reversed p
-    c = Polynomial(list(reversed(p.coeffs)))
-    certified = True
-    circle = _exact_circle_roots(c)
-    if circle is None:
-        certified = False
-        circle = []
-    inside = []
-    work = c
-    sf = work.squarefree_decomposition()
-    for factor, mult in sf:
-        roots = np.roots(factor.to_complex_coeffs()[::-1]) if factor.degree else []
-        for t in roots:
-            t = complex(t)
-            if abs(abs(t) - 1.0) < CIRCLE_MARGIN:
-                # must be one of the exactly-certified circle roots
-                if not circle:
-                    certified = False
-                continue
-            if abs(t) < 1.0:
-                inside.append((t, mult))
-    if not inside:
-        return free, certified
-    boundary_rows = max(r, 0)
-    if boundary_rows == 0:
-        return free + sum(m for _, m in inside), certified
-    length = boundary_rows + s + 1
-    cols = []
-    for t, mult in inside:
-        for l in range(mult):
-            seq = np.array([(j**l) * (t**j) for j in range(length)], dtype=complex)
-            cols.append(seq)
-    cand = np.array(cols).T  # length x ncand
-    coeff = {k: m.entry(0, 0).to_complex() for k, m in sym.coeffs}
-    bmat = np.zeros((boundary_rows, cand.shape[1]), dtype=complex)
-    for i in range(boundary_rows):
-        for k, cval in coeff.items():
-            j = i - k
-            if 0 <= j < length:
-                bmat[i, :] += cval * cand[j, :]
-    svals = np.linalg.svd(bmat, compute_uv=False)
-    smax = svals[0] if len(svals) else 1.0
-    rank = int(np.sum(svals > 1e-9 * max(1.0, smax)))
-    return free + cand.shape[1] - rank, certified
+def _exact_kernel_dims(sym: LaurentSymbol):
+    """(ker, coker) of an exact scalar or one-sided symbol from the zeros of
+    p = det(z^S a(z)), S = upper * b, in the open disk (in) and on the
+    circle (circ): ker = max(S - in - circ, 0), coker = max(in - S, 0).
+    None for a two-sided block symbol, or where the count is refused.
 
-
-def _one_sided_kernel_dims(sym: LaurentSymbol):
-    """(ker, coker) of an exact symbol with offsets 0..r, or -s..0, whose
-    extreme coefficients are invertible; None for any other symbol.
-
-    For offsets 0..r, T(a) is block lower triangular with the invertible
-    diagonal a_0, so ker = 0.  Its cokernel is the l^2 kernel of the adjoint
-    recurrence sum_k a_k^* y_(j+k) = 0, whose solutions are fixed by r
-    blocks (a_r is invertible): the stable subspace of the block companion,
-    of dimension the number of zeros of det a(z) in |z| < 1 counted with
-    multiplicity (Boettcher-Silbermann, *Analysis of Toeplitz Operators*).
-    Offsets -s..0 go through the adjoint, with ker and coker swapped.
-    None too where the exact work would pass MAX_EXACT_COUNT_BITS."""
-    if not sym.is_exact() or (sym.upper and sym.lower):
+    For a scalar a = z^-S p, T(a)x = 0 iff p x = q with deg q < S, and q / p
+    lies in H^2 iff q vanishes at the zeros of p in the closed disk; the
+    adjoint swaps inside and outside (Coburn's lemma, Boettcher-Silbermann,
+    *Analysis of Toeplitz Operators*).  A one-sided block symbol reduces to
+    its diagonal through its Smith form a = E D F over C[z], E and F
+    unimodular."""
+    if sym.block_size > 1 and sym.upper > 0 and sym.lower > 0:
         return None
-    swapped = sym.upper != 0
-    which = sym.adjoint() if swapped else sym
-    if not _char_poly_fits(which):
-        return None
-    p = symbol_char_poly(which)
-    # det a_r and det a_0 are its z^(rb) and constant coefficients
-    if p.degree != which.lower * which.block_size or not p.coeffs[0]:
-        return None
-    counts = disk_zero_counts(p)
+    counts = _exact_zero_counts(sym)
     if counts is None:
         return None
-    return (counts[0], 0) if swapped else (0, counts[0])
+    inside, circle = counts
+    s = sym.upper * sym.block_size
+    return max(s - inside - circle, 0), max(inside - s, 0)
+
+
+def _diagonal_parts(sym: LaurentSymbol) -> list:
+    """The symbols on the connected components of the graph on 0..b-1 that
+    joins i and j when some coefficient has a nonzero (i, j) or (j, i)
+    entry: up to one permutation of the basis, T(a) is their direct sum."""
+    b = sym.block_size
+    label = list(range(b))  # the component of each coordinate
+    for _, m in sym.coeffs:
+        for i in range(b):
+            for j in range(b):
+                if m.entry(i, j) and label[i] != label[j]:
+                    old = label[j]
+                    label = [label[i] if x == old else x for x in label]
+    parts = [[i for i in range(b) if label[i] == x] for x in dict.fromkeys(label)]
+    if len(parts) == 1:
+        return [sym]
+    return [
+        LaurentSymbol.make(len(p), {k: m.take_rows(p).take_columns(p) for k, m in sym.coeffs})
+        for p in parts
+    ]
 
 
 def kernel_dims(sym: LaurentSymbol, oracle_n: int = ORACLE_N):
     """(ker, coker, certification) of the half-line operator of the symbol.
 
-    Exact one-sided symbols with invertible extreme coefficients: ker = 0 and
-    coker = the zeros of det a(z) in the open disk, counted exactly within
-    MAX_EXACT_COUNT_BITS (`_one_sided_kernel_dims`; 'exact', no oracle runs).
-    Other exact scalar symbols: decaying characteristic solutions filtered by
-    the leading boundary rows, validated against the tall-truncation oracle
-    ('exact' when everything certifies).  Other block symbols: truncation
-    counts only, stability-checked across two sizes ('truncation').
+    Exact scalar and one-sided symbols are counted (`_exact_kernel_dims`;
+    'exact', no oracle runs).  A block-diagonal symbol, up to a permutation,
+    is the sum of its diagonal parts (`_diagonal_parts`), each decided on
+    its own.  Any other symbol gets the counts of the tall-truncation
+    oracle, stability-checked across two sizes ('truncation', or
+    'uncertified' when the sizes disagree).
 
     The four truncations (symbol and adjoint, at oracle_n and oracle_n // 2)
     are built on this thread and reduced concurrently on up to min(4, usable
     CPUs) threads, which run LAPACK only; their counts are read in the
     sequential order, so the same error surfaces first."""
-    exact = _one_sided_kernel_dims(sym)
+    exact = _exact_kernel_dims(sym)
     if exact is not None:
         return (*exact, "exact")
+    parts = _diagonal_parts(sym)
+    if len(parts) > 1:
+        dims = [kernel_dims(part, oracle_n) for part in parts]
+        certs = {cert for _, _, cert in dims}
+        cert = next(c for c in ("uncertified", "truncation", "exact") if c in certs)
+        return sum(d[0] for d in dims), sum(d[1] for d in dims), cert
     from concurrent.futures import ThreadPoolExecutor
 
     whiches = (sym, sym.adjoint())
@@ -706,34 +659,14 @@ def kernel_dims(sym: LaurentSymbol, oracle_n: int = ORACLE_N):
                 for h, n in enumerate((oracle_n, oracle_n // 2))
                 for w, which in enumerate(whiches)
             }
-            results = []
-            certs = []
-            for w, which in enumerate(whiches):
-                oracle_full = _gap_count(svals[w, 0].result())
-                oracle_half = _gap_count(svals[w, 1].result())
-                stable = oracle_full == oracle_half
-                if sym.block_size == 1 and sym.is_exact():
-                    count, certified = _scalar_kernel_by_roots(which)
-                    if count != oracle_full:
-                        raise UncertifiedError(
-                            f"root count {count} disagrees with truncation oracle {oracle_full}"
-                        )
-                    certs.append("exact" if (certified and stable) else ("truncation" if stable else "uncertified"))
-                    results.append(count)
-                else:
-                    certs.append("truncation" if stable else "uncertified")
-                    results.append(oracle_full)
+            counts = [
+                [_gap_count(svals[w, h].result()) for h in range(2)] for w in range(2)
+            ]
         except BaseException:
             pool.shutdown(cancel_futures=True)
             raise
-    certification = "exact"
-    for c in certs:
-        if c == "uncertified":
-            certification = "uncertified"
-            break
-        if c == "truncation":
-            certification = "truncation"
-    return results[0], results[1], certification
+    stable = all(full == half for full, half in counts)
+    return counts[0][0], counts[1][0], "truncation" if stable else "uncertified"
 
 
 @dataclass

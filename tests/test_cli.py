@@ -360,9 +360,13 @@ def test_exact_values_past_the_float_range_exit_code(args):
     assert code == 2
     assert out == ""
     assert "past the float range" in err and "Traceback" not in err
-    # the largest float is still accepted
-    code, out, _ = run_cli(["--json", "toeplitz", "regions", "--alpha", "17976931348623157e292"])
-    assert code == 0 and json.loads(out)["defect"] == "0"
+    # the largest float is still accepted, and its zero count warns of no
+    # float overflow (in a fresh process, where warnings reach stderr)
+    proc = run_python(
+        ["-m", "relpos.cli", "--json", "toeplitz", "regions", "--alpha", "17976931348623157e292"]
+    )
+    assert proc.returncode == 0 and json.loads(proc.stdout)["defect"] == "0"
+    assert proc.stderr == ""
 
 
 def test_index_counts_the_cokernel_of_a_zero_near_the_circle():
@@ -376,6 +380,36 @@ def test_index_counts_the_cokernel_of_a_zero_near_the_circle():
     assert (report["ker"], report["coker"]) == (0, 1)
     assert report["certification"]["kernel_certification"] == "exact"
 
+
+def test_index_counts_zeros_too_close_to_the_circle_for_the_oracle():
+    # (z - 1)(z - 97/100)(z - 98/100)(z - 99/100)/z: three zeros inside, one
+    # on the circle, so ker 0 and coker 3 - 1; the truncation oracle at 200
+    # blocks sees none of the slowly decaying cokernel
+    symbol = ("block=1; k:-1=[[470547/500000]]; k:0=[[-1911097/500000]];"
+              " k:1=[[58211/10000]]; k:2=[[-197/50]]; k:3=[[1]]")
+    code, out, err = run_cli(["--json", "toeplitz", "index", "--symbol", symbol])
+    assert code == 0, err
+    report = json.loads(out)
+    assert (report["fredholm"], report["ker"], report["coker"]) == (False, 0, 2)
+    assert report["certification"] == {
+        "method": "exact zero count", "inside": 3, "circle": 1, "kernel_certification": "exact",
+    }
+
+
+def test_block_diagonal_symbol_is_the_sum_of_its_parts():
+    # diag((z - 1/2)(z - 19/20)/z, 1 - z): T of the first part has a
+    # one-dimensional cokernel (decay 0.95^j), T(1 - z) none, and a - 1 =
+    # diag(a_1 - 1, -z) has winding 1
+    symbol = "block=2; k:-1=[[19/40,0],[0,0]]; k:0=[[-29/20,0],[0,1]]; k:1=[[1,0],[0,-1]]"
+    code, out, err = run_cli(["--json", "toeplitz", "index", "--symbol", symbol])
+    assert code == 0, err
+    report = json.loads(out)
+    assert (report["ker"], report["coker"]) == (0, 1)
+    assert report["certification"]["kernel_certification"] == "exact"
+    code, out, err = run_cli(["--json", "toeplitz", "defect", "--symbol", symbol])
+    assert code == 0, err
+    report = json.loads(out)
+    assert report["defect"] == "-2/3" and report["contributions"] == [-1, -1]
 
 def tall_entry_symbol(digits):
     """Text of a(z) = (z - 1)(z - 1/2)(z - 3) S, S = I plus twelve entries
@@ -407,12 +441,16 @@ def test_index_of_a_symbol_with_tall_entries_leaves_the_count_to_the_oracle():
     assert time.perf_counter() - start < 10
 
 
-UNCERTIFIED_SYMBOL = "block=2; k:-1=[[23/50,0],[0,0]]; k:0=[[-71/50,0],[0,1]]; k:1=[[1,0],[0,-1]]"
+# P diag((z - 1/2)(z - 23/25)/z, 1 - z) P^-1 with P = [[1, 1], [0, 1]]: the
+# cokernel vector decays like 0.92^j
+UNCERTIFIED_SYMBOL = (
+    "block=2; k:-1=[[23/50,-23/50],[0,0]]; k:0=[[-71/50,121/50],[0,1]]; k:1=[[1,-2],[0,-1]]"
+)
 
 
 def test_index_with_uncertified_kernel_dims_exits_3():
-    # two-sided, so the truncation oracle decides, and its counts at its two
-    # sizes differ
+    # a two-sided block symbol that is not block-diagonal, so the truncation
+    # oracle decides, and its counts at its two sizes differ
     code, out, err = run_cli(["--json", "toeplitz", "index", "--symbol", UNCERTIFIED_SYMBOL])
     assert code == 3, err
     report = json.loads(out)

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from relpos import toeplitz
 from relpos.errors import (
@@ -455,7 +456,10 @@ def test_grid_doubling_stops_at_the_bound(monkeypatch):
         return 0.5, 1.0, 1.0
 
     monkeypatch.setattr(toeplitz, "_winding_on_grid", unrounded)
-    sym = scalar({1: 1, 0: 3})
+    # an exact symbol past the bound of the zero count reaches the grid
+    ident = Matrix.identity(8)
+    sym = LaurentSymbol.make(8, {-MAX_SYMBOL_OFFSET: ident, MAX_SYMBOL_OFFSET: ident})
+    assert not toeplitz._char_poly_fits(sym)
     for start in (512, 40000, MAX_GRID):
         seen.clear()
         with pytest.raises(UncertifiedError):
@@ -503,14 +507,15 @@ def test_lapack_capsules_load_without_scipy_linalg():
     # only the cython_lapack extension file: scipy.linalg's package init never
     # runs, both routines resolve and reduce a block truncation, and a later
     # import of scipy.linalg binds the same module as its attribute; the
-    # two-sided symbol diag((z - 1)(z - 2)/z, 1 - 2z) goes to the oracle
+    # two-sided symbol P diag((z - 1)(z - 2)/z, 1 - 2z) P^-1, P = [[1, 1],
+    # [0, 1]], goes to the oracle
     script = (
         "import ctypes, sys\n"
         "from relpos import toeplitz\n"
         "from relpos.matrix import Matrix\n"
-        "sym = toeplitz.LaurentSymbol.make(2, {-1: Matrix.from_rows([[2, 0], [0, 0]]),\n"
-        "                                      0: Matrix.from_rows([[-3, 0], [0, 1]]),\n"
-        "                                      1: Matrix.from_rows([[1, 0], [0, -2]])})\n"
+        "sym = toeplitz.LaurentSymbol.make(2, {-1: Matrix.from_rows([[2, -2], [0, 0]]),\n"
+        "                                      0: Matrix.from_rows([[-3, 4], [0, 1]]),\n"
+        "                                      1: Matrix.from_rows([[1, -3], [0, -2]])})\n"
         "print(toeplitz.kernel_dims(sym),\n"
         "      all(ctypes.cast(toeplitz._lapack_routine(n), ctypes.c_void_p).value\n"
         "          for n in ('zgbbrd', 'dbdsqr')),\n"
@@ -573,14 +578,14 @@ def record_oracle_runs(monkeypatch):
     return builds, runs, threads
 
 
-@pytest.mark.parametrize("b", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("b", [2, 3, 4, 5, 6])
 def test_pooled_oracle_matches_sequential_bit_for_bit(b, monkeypatch):
     sym = two_sided_lab_symbol(random.Random(b), b)
     builds, runs, threads = record_oracle_runs(monkeypatch)
     ker, coker, cert = kernel_dims(sym)
     monkeypatch.undo()
     # not Fredholm, and its kernel and cokernel are 0
-    assert (ker, coker, cert) == (0, 0, "exact" if b == 1 else "truncation")
+    assert (ker, coker, cert) == (0, 0, "truncation")
     assert threading.current_thread() not in threads
     texts = {sym.text(): sym, sym.adjoint().text(): sym.adjoint()}
     # submitted full size first: symbol, adjoint, then both at half size
@@ -676,15 +681,26 @@ def test_one_sided_kernel_dims_run_no_oracle(monkeypatch):
         raise AssertionError("the oracle ran")
 
     monkeypatch.setattr(toeplitz, "_band_singular_values", no_oracle)
-    monkeypatch.setattr(toeplitz, "_scalar_kernel_by_roots", no_oracle)
     for b in (1, 3, 6):
         sym = lab_block_symbol(random.Random(b), b).shift_constant(GQ(-1))
         assert kernel_dims(sym) == (0, 0, "exact")
         assert kernel_dims(sym.adjoint()) == (0, 0, "exact")
-    # a singular a_0 (a zero of det a at z = 0) leaves the symbol to the oracle
+    # a singular a_0: det a = z (z + 1) has a zero at 0 inside and one on the
+    # circle
     sym = LaurentSymbol.make(2, {0: Matrix.from_rows([[1, 0], [0, 0]]), 1: Matrix.identity(2)})
-    with pytest.raises(AssertionError, match="the oracle ran"):
-        kernel_dims(sym)
+    assert kernel_dims(sym) == (0, 1, "exact")
+    assert kernel_dims(sym.adjoint()) == (1, 0, "exact")
+    # two-sided scalars: (z - 3)/z^2, (z - 1/2)(z - 1/3)/z, (z - 1)(z - 2)/z
+    assert kernel_dims(scalar({-2: -3, -1: 1})) == (2, 0, "exact")
+    assert kernel_dims(scalar({-1: GQ(Fraction(1, 6)), 0: GQ(Fraction(-5, 6)), 1: 1})) == (
+        0, 1, "exact")
+    assert kernel_dims(scalar({-1: 2, 0: -3, 1: 1})) == (0, 0, "exact")
+    # the parts of a block-diagonal two-sided symbol
+    sym = LaurentSymbol.make(
+        2, {-1: Matrix.from_rows([[2, 0], [0, 0]]), 0: Matrix.from_rows([[-3, 0], [0, 1]]),
+            1: Matrix.from_rows([[1, 0], [0, -2]])},
+    )
+    assert kernel_dims(sym) == (0, 1, "exact")
 
 
 def test_one_sided_kernel_dims_load_neither_scipy_nor_a_thread_pool():
@@ -738,12 +754,24 @@ def _off_circle_point(rng):
             return lam
 
 
+def _with_zeros(zeros) -> Polynomial:
+    """prod (z - lambda) over the given lambdas."""
+    poly = Polynomial([ONE])
+    for lam in zeros:
+        poly = poly * Polynomial([-lam, ONE])
+    return poly
+
+
 def test_one_sided_kernel_dims_match_the_oracle_and_the_construction():
     # P diag(prod_j (z - lambda_ij)) P^-1 for b = 1..4 and r = 1..2 in both
-    # orientations: the exact counts are the constructed ones (ker 0, coker
-    # the lambdas inside the disk), and the oracle's counts at both of its
-    # sizes agree with them (reduced on a pool, as kernel_dims does: LAPACK
-    # releases the GIL)
+    # orientations, and two-sided scalars z^-s prod_j (z - lambda_j) with
+    # every lambda at least 0.1 off the circle: the exact counts are the
+    # constructed ones (for the block symbols ker 0 and coker the lambdas
+    # inside the disk), and the oracle's counts agree with them (reduced on
+    # a pool, as kernel_dims does: LAPACK releases the GIL).  The block
+    # symbols are checked at both oracle sizes; the scalars at the full one,
+    # since a kernel vector decaying like 1.118^-j (the nearest outside
+    # lambda, 1 + i/2) is still 1e-5 at 100 blocks, above the oracle's floor
     from concurrent.futures import ThreadPoolExecutor
 
     rng = random.Random(2026)
@@ -762,10 +790,7 @@ def test_one_sided_kernel_dims_match_the_oracle_and_the_construction():
         p = p if trial % 2 else p.transpose()
         coeffs = {}
         for i, lams in enumerate(zeros):
-            poly = Polynomial([ONE])
-            for lam in lams:
-                poly = poly * Polynomial([-lam, ONE])
-            for k, c in enumerate(poly.coeffs):
+            for k, c in enumerate(_with_zeros(lams).coeffs):
                 coeffs.setdefault(k, [[GQ(0)] * b for _ in range(b)])[i][i] = c
         sym = LaurentSymbol.make(
             b, {k: p @ Matrix.from_rows(rows) @ p.inverse() for k, rows in coeffs.items()}
@@ -776,6 +801,14 @@ def test_one_sided_kernel_dims_match_the_oracle_and_the_construction():
             sym, want = sym.adjoint(), (inside, 0)
         assert kernel_dims(sym) == (*want, "exact"), sym.text()
         cases += [(sym, n, want) for n in (ORACLE_N, ORACLE_N // 2)]
+    for trial in range(50):
+        zeros = [_off_circle_point(rng) for _ in range(rng.randint(1, 4))]
+        s = rng.randint(0, len(zeros))
+        sym = scalar({k - s: c for k, c in enumerate(_with_zeros(zeros).coeffs)})
+        inside = sum(1 for lam in zeros if lam.norm2() < 1)
+        want = (max(s - inside, 0), max(inside - s, 0))
+        assert kernel_dims(sym) == (*want, "exact"), sym.text()
+        cases.append((sym, ORACLE_N, want))
     with ThreadPoolExecutor(max_workers=_oracle_workers()) as pool:
         counts = list(pool.map(
             lambda case: (_truncation_kernel_count(case[0], case[1]),
@@ -784,3 +817,157 @@ def test_one_sided_kernel_dims_match_the_oracle_and_the_construction():
         ))
     for (sym, n, want), oracle in zip(cases, counts):
         assert oracle == want, (sym.text(), n)
+
+
+# Gaussian rationals in the open disk (0 among them) and outside the closed one
+INSIDE_POINTS = [GQ(0), GQ(Fraction(1, 2)), GQ(0, Fraction(-1, 2)), GQ(Fraction(19, 20)),
+                 GQ(Fraction(1, 2), Fraction(1, 2))]
+OUTSIDE_POINTS = [GQ(2), GQ(Fraction(21, 20)), GQ(Fraction(-3, 2), 1), GQ(1, 1)]
+
+
+def zeros_strategy(size, multiplicity):
+    """Lists of up to `size` (lambda, multiplicity, where lambda lies)."""
+    return st.lists(
+        st.one_of(
+            *(st.tuples(st.sampled_from(points), st.integers(1, multiplicity), st.just(where))
+              for points, where in ((INSIDE_POINTS, "inside"), (CIRCLE_POINTS, "circle"),
+                                    (OUTSIDE_POINTS, "outside")))
+        ),
+        max_size=size,
+    )
+
+
+def _constructed(zeros):
+    """(the polynomial with these zeros, zeros inside, zeros on the circle)."""
+    poly = _with_zeros([lam for lam, m, _ in zeros for _ in range(m)])
+    inside = sum(m for _, m, where in zeros if where == "inside")
+    circle = sum(m for _, m, where in zeros if where == "circle")
+    return poly, inside, circle
+
+
+@settings(max_examples=80, deadline=None)
+@given(zeros=zeros_strategy(3, 3), s=st.integers(0, 10))
+def test_scalar_counts_match_constructed_zeros(zeros, s):
+    # a = z^-s prod (z - lambda)^m: ker = max(s - in - circ, 0), coker =
+    # max(in - s, 0), Fredholm iff circ = 0, and then winding in - s
+    poly, inside, circle = _constructed(zeros)
+    sym = scalar({k - s: c for k, c in enumerate(poly.coeffs)})
+    rep = fredholm_index(sym)
+    assert rep.fredholm == (circle == 0)
+    if rep.fredholm:
+        assert (rep.winding, rep.index) == (inside - s, s - inside)
+    else:
+        assert rep.winding is None and rep.index is None
+    assert rep.certification["method"] == "exact zero count"
+    ker, coker = max(s - inside - circle, 0), max(inside - s, 0)
+    assert kernel_dims(sym) == (ker, coker, "exact")
+    assert kernel_dims(sym.adjoint()) == (coker, ker, "exact")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    parts=st.lists(zeros_strategy(2, 2), min_size=2, max_size=4),
+    t=st.integers(0, 3),
+    seed=st.integers(0, 2**16),
+    adjoint=st.booleans(),
+)
+def test_one_sided_block_counts_match_constructed_zeros(parts, t, seed, adjoint):
+    # a = z^t P diag(p_1, ..., p_b) P^-1 with P unipotent: offsets >= 0, so
+    # ker 0 and coker the zeros of det a in the disk, z = 0 counted t*b
+    # times; the adjoint has offsets <= 0 and the counts swapped
+    rng = random.Random(seed)
+    b = len(parts)
+    p = Matrix.from_rows(
+        [[ONE if i == j else GQ(rng.randint(-1, 1), rng.randint(-1, 1)) if j > i else GQ(0)
+          for j in range(b)] for i in range(b)]
+    )
+    diag, inside, circle = {}, t * b, 0
+    for i, zeros in enumerate(parts):
+        poly, part_inside, part_circle = _constructed(zeros)
+        inside, circle = inside + part_inside, circle + part_circle
+        for k, c in enumerate(poly.coeffs):
+            diag.setdefault(k + t, [[GQ(0)] * b for _ in range(b)])[i][i] = c
+    sym = LaurentSymbol.make(
+        b, {k: p @ Matrix.from_rows(rows) @ p.inverse() for k, rows in diag.items()}
+    )
+    want, winding = (0, inside), inside
+    if adjoint:
+        sym, want, winding = sym.adjoint(), (inside, 0), -inside
+    rep = fredholm_index(sym)
+    assert rep.fredholm == (circle == 0)
+    if rep.fredholm:
+        assert rep.winding == winding
+    assert kernel_dims(sym) == (*want, "exact")
+
+
+def test_block_symbol_with_zeros_on_the_circle_is_not_fredholm():
+    # det a = (z + 1/2)(z^2 - z + 1) vanishes at exp(+-i pi/3); the grid read
+    # it as Fredholm with winding 1
+    sym = LaurentSymbol.parse(
+        "block=2; k:0=[[1,-1],[0,1/2]]; k:1=[[-1,1/2],[0,1]]; k:2=[[1,0],[0,0]]"
+    )
+    rep = fredholm_index(sym)
+    assert not rep.fredholm
+    assert rep.certification == {"method": "exact zero count", "inside": 1, "circle": 2}
+    assert kernel_dims(sym) == (0, 1, "exact")
+
+
+def test_singular_leading_block_counts_its_zero_at_the_origin():
+    # a_0 is singular: det a has zeros at 0 and at |z| = 0.979 inside the
+    # disk; the oracle counted only the first
+    sym = LaurentSymbol.parse(
+        "block=3; k:0=[[i,1/2,0],[1,2,2],[0,0,0]]; k:1=[[0,2,i],[-1,1/2,0],[1/2,2,-1]]"
+    )
+    assert kernel_dims(sym) == (0, 2, "exact")
+    assert kernel_dims(sym.adjoint()) == (2, 0, "exact")
+
+
+def test_exact_winding_of_a_block_symbol_with_zeros_near_the_circle():
+    # b = 8, offsets 0..32: two of the 256 zeros of det a lie 3e-4 from the
+    # circle, and the default float grid read the winding as 126
+    rng = random.Random(5)
+    sym = LaurentSymbol.make(
+        8,
+        {k: [[GQ(rng.randint(-9, 9), rng.randint(-9, 9)) for _ in range(8)] for _ in range(8)]
+         for k in range(33)},
+    )
+    rep = fredholm_index(sym)
+    assert (rep.fredholm, rep.winding) == (True, 127)
+    roots = np.roots(toeplitz.symbol_char_poly(sym).to_complex_coeffs()[::-1])
+    assert int(np.sum(np.abs(roots) < 1)) == 127
+
+
+def test_identically_singular_symbol_is_degenerate():
+    ones = Matrix.from_rows([[1, 1], [1, 1]])
+    sym = LaurentSymbol.make(2, {0: ones, 1: ones.scale(GQ(2))})
+    with pytest.raises(DegenerateSymbolError, match="vanishes identically"):
+        fredholm_index(sym)
+    with pytest.raises(DegenerateSymbolError, match="vanishes identically"):
+        kernel_dims(sym)
+
+
+def test_block_diagonal_symbol_takes_the_weakest_certification_of_its_parts():
+    # coordinates 0 and 2 carry a two-sided block part the oracle decides,
+    # coordinate 1 the scalar 1 - 2z, counted exactly
+    sym = LaurentSymbol.make(
+        3,
+        {
+            -1: Matrix.from_rows([[2, 0, -2], [0, 0, 0], [0, 0, 0]]),
+            0: Matrix.from_rows([[-3, 0, 4], [0, 1, 0], [0, 0, 1]]),
+            1: Matrix.from_rows([[1, 0, -3], [0, -2, 0], [0, 0, -2]]),
+        },
+    )
+    assert [part.block_size for part in toeplitz._diagonal_parts(sym)] == [2, 1]
+    assert kernel_dims(sym) == (0, 2, "truncation")
+
+
+def test_float_symbols_take_the_winding_grid():
+    def float_scalar(c0):
+        return LaurentSymbol.make(
+            1, {0: Matrix.from_array(np.array([[c0]])), 1: Matrix.from_array(np.array([[1.0]]))}
+        )
+
+    for c0, winding in ((0.5, 1), (2.0, 0)):
+        rep = fredholm_index(float_scalar(c0))
+        assert (rep.fredholm, rep.winding) == (True, winding)
+        assert rep.certification["method"] == "grid"
