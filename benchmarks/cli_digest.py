@@ -19,8 +19,9 @@ whose entries use every form of the scalar syntax, then `toeplitz exotic` at
 gamma = 3/2 (N = 16), gamma = 2+i (N = 24) and gamma = 2 with `--threshold
 1e-9` (N = 16), then `toeplitz index` on three symbols that the exact zero
 count decides (a scalar with three zeros near the circle, a block symbol
-with two zeros on it, and a block-diagonal one), all with `--json` before
-the subcommand, against the `src/` next to this script.
+with two zeros on it, and a block-diagonal one), then `toeplitz defect` on
+zI + N - 3I + 2I/z for block 3 and on those three symbols, all with
+`--json` before the subcommand, against the `src/` next to this script.
 Prints one line per command: the command, its exit code and the sha256 of
 its stdout and of its stderr.  Two checkouts give byte-identical CLI output
 when their lines are equal:
@@ -208,6 +209,12 @@ ZERO_COUNTS = (
     ("toeplitz", "index", "--symbol",
      "block=2; k:-1=[[19/40,0],[0,0]]; k:0=[[-29/20,0],[0,1]]; k:1=[[1,0],[0,-1]]"),
 )
+# appended after those: `toeplitz defect` on the two-sided block symbol and
+# the zero-count symbols, whose parts are not Fredholm
+DEFECTS = tuple(
+    ("toeplitz", "defect", "--symbol", symbol)
+    for symbol in (_block_v(3, -3, 2), *(cmd[-1] for cmd in ZERO_COUNTS))
+)
 DOCUMENTED_EXIT_CODES = {0, 2, 3, 4}
 
 
@@ -226,7 +233,7 @@ def _commands():
     yield ("diagram", "r0.sys", "--threshold", "1e-9"), None
     yield ("defect", "x0.sys"), None
     yield ("angles", "x1.sys"), None
-    for cmd in (*EXOTIC, *ZERO_COUNTS):
+    for cmd in (*EXOTIC, *ZERO_COUNTS, *DEFECTS):
         yield cmd, None
 
 

@@ -30,7 +30,6 @@ from .toeplitz import (
     LaurentSymbol,
     exotic_report,
     fredholm_index,
-    kernel_dims,
     region_classify,
     single_operator_defect_report,
 )
@@ -232,18 +231,14 @@ def cmd_angles(args) -> int:
 def cmd_toeplitz(args) -> int:
     if args.mode == "index":
         sym = LaurentSymbol.parse(args.symbol)
-        rep = fredholm_index(sym, grid=args.grid)
-        ker = coker = None
-        if not rep.fredholm:
-            ker, coker, cert = kernel_dims(sym)
-            rep.certification["kernel_certification"] = cert
+        rep = fredholm_index(sym)
         report = {
             "command": "toeplitz index",
             "fredholm": rep.fredholm,
             "winding": rep.winding,
             "index": rep.index,
-            "ker": ker,
-            "coker": coker,
+            "ker": rep.ker_dim,
+            "coker": rep.coker_dim,
             "certification": rep.certification,
         }
         _emit(report, args)
@@ -382,7 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
     ptsub = pt.add_subparsers(dest="mode", required=True)
     pti = ptsub.add_parser("index", help="winding index of a symbol")
     pti.add_argument("--symbol", required=True)
-    pti.add_argument("--grid", type=int, default=512)
     pti.set_defaults(func=cmd_toeplitz)
     ptd = ptsub.add_parser("defect", help="defect of the symbol's system")
     ptd.add_argument("--symbol", required=True)

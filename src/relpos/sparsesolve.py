@@ -1,7 +1,7 @@
 """Exact sparse Gaussian elimination for rank/nullity of very sparse
-Gaussian-rational systems (the structured intertwiner constraints of the
-truncation lab).  Rows are dicts column -> GQ; pivoting is Markowitz-style
-to limit fill-in."""
+Gaussian-rational systems: the intertwiner constraints of
+`toeplitz.exotic_hom_dim`, its only caller.  Rows are dicts column -> GQ;
+pivoting is Markowitz-style to limit fill-in."""
 
 from __future__ import annotations
 

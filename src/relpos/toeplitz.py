@@ -3,11 +3,11 @@ index and kernel/cokernel dimensions, fractional defects of the associated
 four-subspace systems, and the truncation lab for the exotic deformed-graph
 systems.
 
-An exact symbol is decided by one exact count of the zeros of det(z^s a(z))
-in the disk and on the circle: its winding, and the kernel dimensions of a
-scalar or one-sided symbol.  A float symbol, or an exact one past the
-bounds of that count, gets its winding from a float grid, and a two-sided
-block symbol its kernel dimensions from truncation oracles.
+Symbols are exact.  Each is decided by one exact count of the zeros of
+det(z^s a(z)) in the disk and on the circle: its winding, and the kernel
+dimensions of a scalar or one-sided symbol.  A symbol past the bounds of
+that count gets its winding from a float grid, and a two-sided block symbol
+its kernel dimensions from truncation oracles.
 
 Matrix convention: T(a)_{ij} = a-hat_{i-j}, so the coefficient at offset +1
 is the subdiagonal (the unilateral shift is the symbol z)."""
@@ -26,6 +26,8 @@ import numpy as np
 from .errors import (
     DegenerateSymbolError,
     DimensionMismatch,
+    ExactOnlyError,
+    InvariantViolation,
     ParseError,
     UncertifiedError,
 )
@@ -43,8 +45,8 @@ ORACLE_GAP = 1e4
 # 2 * MAX_SYMBOL_OFFSET) below ORACLE_N // 2, the smaller oracle size, and
 # bounds every allocation that grows with the band before it is made.
 MAX_SYMBOL_OFFSET = 32
-# Largest winding grid fredholm_index evaluates: the default 512 reaches it
-# after its seven doublings.
+# Largest winding grid fredholm_index evaluates: its start of 512 points
+# reaches it after seven doublings.
 MAX_GRID = 65536
 # Largest symbol block size, above the 6 of every workload and criterion.
 # The winding stack holds grid x b^2 complex values: 64 MiB at MAX_GRID.
@@ -57,8 +59,6 @@ MAX_EXOTIC_N = 128
 def _past_float_range(mat: Matrix) -> bool:
     """Whether an entry of the exact matrix rounds past the largest float;
     the winding grid and the oracle read the coefficients in floats."""
-    if mat.field != EXACT:
-        return False
     # |a / d| < 2^(bits(a) - bits(d) + 1), so only wider entries can overflow
     widest = max(map(abs, mat._re + mat._im), default=0).bit_length()
     if widest - mat._den.bit_length() <= 1022:
@@ -95,6 +95,8 @@ class LaurentSymbol:
                 mat = Matrix.from_rows(m)
             if mat.rows != block_size or mat.cols != block_size:
                 raise DimensionMismatch("symbol coefficient has wrong block size")
+            if mat.field != EXACT:
+                raise ExactOnlyError(f"symbol coefficient at offset {k} is not exact")
             if _past_float_range(mat):
                 raise DimensionMismatch(
                     f"symbol coefficient at offset {k} is past the float range"
@@ -118,9 +120,6 @@ class LaurentSymbol:
     def upper(self) -> int:
         """-(smallest offset) (superdiagonal width s)."""
         return -min(k for k, _ in self.coeffs)
-
-    def is_exact(self) -> bool:
-        return all(m.field == EXACT for _, m in self.coeffs)
 
     def shift_constant(self, c: GQ) -> "LaurentSymbol":
         """Symbol plus c times the identity block."""
@@ -298,8 +297,6 @@ def symbol_char_poly(sym: LaurentSymbol) -> Polynomial:
     the coefficients are put over one integer denominator, the Gaussian-
     integer determinant is taken fraction-free at deg + 1 consecutive integer
     points around 0, and the polynomial is interpolated exactly."""
-    if not sym.is_exact():
-        raise DimensionMismatch("char poly needs exact coefficients")
     b, s = sym.block_size, sym.upper
     width = sym.lower + s
     deg = width * b
@@ -331,10 +328,9 @@ def symbol_char_poly(sym: LaurentSymbol) -> Polynomial:
 
 def _exact_zero_counts(sym: LaurentSymbol):
     """(zeros in |z| < 1, zeros on |z| = 1) of det(z^s a(z)), s = sym.upper,
-    counted exactly with multiplicity (`disk_zero_counts`); None for a float
-    symbol, or where the exact work would pass `_char_poly_fits` or
-    MAX_EXACT_COUNT_BITS."""
-    if not sym.is_exact() or not _char_poly_fits(sym):
+    counted exactly with multiplicity (`disk_zero_counts`); None where the
+    exact work would pass `_char_poly_fits` or MAX_EXACT_COUNT_BITS."""
+    if not _char_poly_fits(sym):
         return None
     p = symbol_char_poly(sym)
     if p.is_zero():
@@ -342,68 +338,64 @@ def _exact_zero_counts(sym: LaurentSymbol):
     return disk_zero_counts(p)
 
 
-def fredholm_index(sym: LaurentSymbol, grid: int = 512) -> IndexReport:
-    """Fredholm property, winding of det a on the unit circle and index =
-    -winding.
-
-    An exact symbol is counted (`_exact_zero_counts`): with S = upper * b,
-    det a(z) = z^-S p(z), so T(a) is Fredholm iff p has no zero on the
-    circle, and then the winding is (zeros of p in the disk) - S.  Any other
-    symbol gets the winding on a float grid, Richardson-doubled from `grid`
-    until the rounded integer is stable twice, never past MAX_GRID."""
-    if grid < 256:
-        raise DimensionMismatch("grid must be at least 256")
-    if grid > MAX_GRID:
-        raise DimensionMismatch(f"grid {grid} exceeds the bound {MAX_GRID}")
-    counts = _exact_zero_counts(sym)
-    if counts is not None:
-        inside, circle = counts
-        certification = {"method": "exact zero count", "inside": inside, "circle": circle}
-        if circle:
-            return IndexReport(
-                fredholm=False, winding=None, index=None, certification=certification
-            )
-        winding = inside - sym.upper * sym.block_size
-        return IndexReport(
-            fredholm=True, winding=winding, index=-winding, certification=certification
-        )
-    raw_prev = None
-    stable = 0
-    g = grid
-    result = None
-    for _ in range(8):
-        if g > MAX_GRID:
-            break
-        raw, mn, mx = _winding_on_grid(sym, g)
+def _grid_index(sym: LaurentSymbol) -> IndexReport:
+    """Fredholm property and winding of det a read on a float grid of 512
+    points, doubled until the rounded winding is stable twice, never past
+    MAX_GRID."""
+    prev, stable = None, 0
+    g = 512
+    while g <= MAX_GRID:
+        raw, mn, _ = _winding_on_grid(sym, g)
         if raw is None:
             return IndexReport(
                 fredholm=False, winding=None, index=None,
                 certification={"method": "grid", "grid": g, "min_modulus": mn},
             )
         rounded = int(np.round(raw))
-        if abs(raw - rounded) > 0.1:
-            g *= 2
-            continue
-        if raw_prev == rounded:
-            stable += 1
-        else:
-            stable = 1
-        raw_prev = rounded
-        result = IndexReport(
-            fredholm=True,
-            winding=rounded,
-            index=-rounded,
-            certification={
-                "method": "grid",
-                "grid": g,
-                "min_modulus": mn,
-                "closure": abs(raw - rounded),
-            },
-        )
-        if stable >= 2:
-            return result
+        if abs(raw - rounded) <= 0.1:
+            stable = stable + 1 if rounded == prev else 1
+            prev = rounded
+            if stable >= 2:
+                return IndexReport(
+                    fredholm=True, winding=rounded, index=-rounded,
+                    certification={
+                        "method": "grid",
+                        "grid": g,
+                        "min_modulus": mn,
+                        "closure": abs(raw - rounded),
+                    },
+                )
         g *= 2
     raise UncertifiedError("winding did not stabilize under grid doubling")
+
+
+def fredholm_index(sym: LaurentSymbol) -> IndexReport:
+    """Fredholm property, winding of det a on the unit circle and index =
+    -winding; where T(a) is not Fredholm, also its kernel and cokernel
+    dimensions, with their certification last in the report's.
+
+    The symbol is counted once (`_exact_zero_counts`): with S = upper * b,
+    det a(z) = z^-S p(z), so T(a) is Fredholm iff p has no zero on the
+    circle, and then the winding is (zeros of p in the disk) - S.  Where the
+    count is refused the winding comes from the float grid (`_grid_index`).
+    The same count, or its refusal, decides the kernel dimensions
+    (`_kernel_dims`)."""
+    counts = _exact_zero_counts(sym)
+    if counts is None:
+        rep = _grid_index(sym)
+    else:
+        inside, circle = counts
+        winding = None if circle else inside - sym.upper * sym.block_size
+        rep = IndexReport(
+            fredholm=not circle,
+            winding=winding,
+            index=None if circle else -winding,
+            certification={"method": "exact zero count", "inside": inside, "circle": circle},
+        )
+    if not rep.fredholm:
+        rep.ker_dim, rep.coker_dim, cert = _kernel_dims(sym, counts)
+        rep.certification["kernel_certification"] = cert
+    return rep
 
 
 # Pointer arguments of each LAPACK routine the oracle calls.
@@ -580,28 +572,6 @@ def _oracle_workers() -> int:
     return min(4, cpus)
 
 
-def _exact_kernel_dims(sym: LaurentSymbol):
-    """(ker, coker) of an exact scalar or one-sided symbol from the zeros of
-    p = det(z^S a(z)), S = upper * b, in the open disk (in) and on the
-    circle (circ): ker = max(S - in - circ, 0), coker = max(in - S, 0).
-    None for a two-sided block symbol, or where the count is refused.
-
-    For a scalar a = z^-S p, T(a)x = 0 iff p x = q with deg q < S, and q / p
-    lies in H^2 iff q vanishes at the zeros of p in the closed disk; the
-    adjoint swaps inside and outside (Coburn's lemma, Boettcher-Silbermann,
-    *Analysis of Toeplitz Operators*).  A one-sided block symbol reduces to
-    its diagonal through its Smith form a = E D F over C[z], E and F
-    unimodular."""
-    if sym.block_size > 1 and sym.upper > 0 and sym.lower > 0:
-        return None
-    counts = _exact_zero_counts(sym)
-    if counts is None:
-        return None
-    inside, circle = counts
-    s = sym.upper * sym.block_size
-    return max(s - inside - circle, 0), max(inside - s, 0)
-
-
 def _diagonal_parts(sym: LaurentSymbol) -> list:
     """The symbols on the connected components of the graph on 0..b-1 that
     joins i and j when some coefficient has a nonzero (i, j) or (j, i)
@@ -623,26 +593,42 @@ def _diagonal_parts(sym: LaurentSymbol) -> list:
     ]
 
 
-def kernel_dims(sym: LaurentSymbol, oracle_n: int = ORACLE_N):
-    """(ker, coker, certification) of the half-line operator of the symbol.
+def _two_sided_block(sym: LaurentSymbol) -> bool:
+    """Whether the zero count leaves the kernel dimensions open: a block
+    symbol with offsets of both signs."""
+    return sym.block_size > 1 and sym.upper > 0 and sym.lower > 0
 
-    Exact scalar and one-sided symbols are counted (`_exact_kernel_dims`;
-    'exact', no oracle runs).  A block-diagonal symbol, up to a permutation,
-    is the sum of its diagonal parts (`_diagonal_parts`), each decided on
-    its own.  Any other symbol gets the counts of the tall-truncation
-    oracle, stability-checked across two sizes ('truncation', or
-    'uncertified' when the sizes disagree).
 
-    The four truncations (symbol and adjoint, at oracle_n and oracle_n // 2)
+def _kernel_dims(sym: LaurentSymbol, counts):
+    """(ker, coker, certification) of the half-line operator of the symbol,
+    given `counts`, its `_exact_zero_counts` (None where refused).
+
+    A scalar or one-sided symbol is read off the counts ('exact', no oracle
+    runs): with S = upper * b, (in, circ) the zeros of p = det(z^S a(z)) in
+    the open disk and on the circle, ker = max(S - in - circ, 0) and coker =
+    max(in - S, 0).  For a scalar a = z^-S p, T(a)x = 0 iff p x = q with
+    deg q < S, and q / p lies in H^2 iff q vanishes at the zeros of p in the
+    closed disk; the adjoint swaps inside and outside (Coburn's lemma,
+    Boettcher-Silbermann, *Analysis of Toeplitz Operators*).  A one-sided
+    block symbol reduces to its diagonal through its Smith form a = E D F
+    over C[z], E and F unimodular.
+
+    A block-diagonal symbol, up to a permutation, is the sum of its diagonal
+    parts (`_diagonal_parts`), each decided on its own.  Any other symbol
+    gets the counts of the tall-truncation oracle, stability-checked across
+    two sizes ('truncation', or 'uncertified' when the sizes disagree).
+
+    The four truncations (symbol and adjoint, at ORACLE_N and ORACLE_N // 2)
     are built on this thread and reduced concurrently on up to min(4, usable
     CPUs) threads, which run LAPACK only; their counts are read in the
     sequential order, so the same error surfaces first."""
-    exact = _exact_kernel_dims(sym)
-    if exact is not None:
-        return (*exact, "exact")
+    if counts is not None and not _two_sided_block(sym):
+        inside, circle = counts
+        s = sym.upper * sym.block_size
+        return max(s - inside - circle, 0), max(inside - s, 0), "exact"
     parts = _diagonal_parts(sym)
     if len(parts) > 1:
-        dims = [kernel_dims(part, oracle_n) for part in parts]
+        dims = [kernel_dims(part) for part in parts]
         certs = {cert for _, _, cert in dims}
         cert = next(c for c in ("uncertified", "truncation", "exact") if c in certs)
         return sum(d[0] for d in dims), sum(d[1] for d in dims), cert
@@ -656,17 +642,21 @@ def kernel_dims(sym: LaurentSymbol, oracle_n: int = ORACLE_N):
             # the two full-size bands first, so two workers finish together
             svals = {
                 (w, h): pool.submit(_band_singular_values, *_tall_band(which, n))
-                for h, n in enumerate((oracle_n, oracle_n // 2))
+                for h, n in enumerate((ORACLE_N, ORACLE_N // 2))
                 for w, which in enumerate(whiches)
             }
-            counts = [
-                [_gap_count(svals[w, h].result()) for h in range(2)] for w in range(2)
-            ]
+            gaps = [[_gap_count(svals[w, h].result()) for h in range(2)] for w in range(2)]
         except BaseException:
             pool.shutdown(cancel_futures=True)
             raise
-    stable = all(full == half for full, half in counts)
-    return counts[0][0], counts[1][0], "truncation" if stable else "uncertified"
+    stable = all(full == half for full, half in gaps)
+    return gaps[0][0], gaps[1][0], "truncation" if stable else "uncertified"
+
+
+def kernel_dims(sym: LaurentSymbol):
+    """(ker, coker, certification) of the half-line operator of the symbol
+    (`_kernel_dims` on its own zero count, taken only where it decides)."""
+    return _kernel_dims(sym, None if _two_sided_block(sym) else _exact_zero_counts(sym))
 
 
 @dataclass
@@ -676,13 +666,13 @@ class DefectParts:
     defect: Fraction
 
 
-def single_operator_defect(sym: LaurentSymbol, oracle_n: int = ORACLE_N) -> Fraction:
+def single_operator_defect(sym: LaurentSymbol) -> Fraction:
     """One third of the index sum of the symbol and the symbol minus one,
     using winding where Fredholm and kernel counts in the quasi case."""
-    return single_operator_defect_report(sym, oracle_n).defect
+    return single_operator_defect_report(sym).defect
 
 
-def single_operator_defect_report(sym: LaurentSymbol, oracle_n: int = ORACLE_N) -> DefectParts:
+def single_operator_defect_report(sym: LaurentSymbol) -> DefectParts:
     contributions = []
     certifications = []
     for part in (sym, sym.shift_constant(GQ(-1))):
@@ -691,10 +681,10 @@ def single_operator_defect_report(sym: LaurentSymbol, oracle_n: int = ORACLE_N) 
             contributions.append(rep.index)
             certifications.append(rep.certification | {"kind": "winding"})
             continue
-        ker, coker, cert = kernel_dims(part, oracle_n)
+        cert = rep.certification["kernel_certification"]
         if cert == "uncertified":
             raise UncertifiedError("kernel dimensions could not be certified")
-        contributions.append(ker - coker)
+        contributions.append(rep.ker_dim - rep.coker_dim)
         certifications.append({"kind": "kernel", "certification": cert})
     return DefectParts(
         contributions=contributions,
@@ -711,28 +701,17 @@ REGION_TABLE = {
 }
 
 
-def region_classify(alpha) -> Fraction:
-    """Defect of the shift-plus-constant system, computed through the symbol
-    machinery and cross-checked against the region table; boundary values of
-    the parameter are rejected."""
-    from .errors import InvariantViolation
-
-    if isinstance(alpha, GQ):
-        a0 = alpha
-        if a0.norm2() == 1 or (a0 - GQ(1)).norm2() == 1:
-            raise DimensionMismatch("alpha on a region boundary")
-        in0 = a0.norm2() < 1
-        in1 = (a0 - GQ(1)).norm2() < 1
-        sym = LaurentSymbol.scalar({1: ONE, 0: a0})
-    else:
-        z = complex(alpha)
-        if abs(abs(z) - 1) < 1e-9 or abs(abs(z - 1) - 1) < 1e-9:
-            raise DimensionMismatch("alpha on a region boundary")
-        in0 = abs(z) < 1
-        in1 = abs(z - 1) < 1
-        frac = Fraction(z.real).limit_denominator(10**6)
-        fraci = Fraction(z.imag).limit_denominator(10**6)
-        sym = LaurentSymbol.scalar({1: ONE, 0: GQ(frac, fraci)})
+def region_classify(alpha: GQ) -> Fraction:
+    """Defect of the shift-plus-constant system at the exact alpha, computed
+    through the symbol machinery and cross-checked against the region table;
+    boundary values of the parameter are rejected."""
+    if not isinstance(alpha, GQ):
+        raise ExactOnlyError("alpha must be an exact Gaussian rational")
+    if alpha.norm2() == 1 or (alpha - GQ(1)).norm2() == 1:
+        raise DimensionMismatch("alpha on a region boundary")
+    in0 = alpha.norm2() < 1
+    in1 = (alpha - GQ(1)).norm2() < 1
+    sym = LaurentSymbol.scalar({1: ONE, 0: alpha})
     got = single_operator_defect(sym)
     want = REGION_TABLE[(in0, in1)]
     if got != want:
@@ -776,26 +755,6 @@ def truncate_exotic(gamma: GQ, n: int) -> SubspaceSystem:
     e3 = Subspace.span(Matrix.hstack([graph, extra]))
     e4 = Subspace.span(Matrix.vstack([Matrix.identity(two_n), Matrix.identity(two_n)]))
     return SubspaceSystem(d, [e1, e2, e3, e4])
-
-
-def _exotic_nullity(gamma: GQ, n: int, lam: GQ) -> int:
-    """Exact nullity of the 2n x (2n + 1) matrix [T_gamma - lam I | e], with
-    e = e_{n+1} the extra line's second half, from the band of
-    T_gamma = [[gamma S^T, I], [0, S]]: at most three entries a row."""
-    rows = []
-    for r in range(n):
-        row = {n + r: ONE}
-        if r + 1 < n:
-            row[r + 1] = gamma
-        if lam:
-            row[r] = -lam
-        rows.append(row)
-    for r in range(n):
-        row = {2 * n: ONE} if r == 0 else {n + r - 1: ONE}
-        if lam:
-            row[n + r] = -lam
-        rows.append(row)
-    return sparse_nullity(rows, 2 * n + 1)
 
 
 def _exotic_float_subspaces(gamma: GQ, n: int) -> list:
@@ -842,8 +801,8 @@ def exotic_report(gamma: GQ, n: int, tol: float = 1e-6) -> ExoticReport:
     near-intersections.
 
     The pair data come from the system's graph structure, not from a 4n
-    dimensional truncation: two sparse nullities, checked against
-    truncate_exotic and intersect in the tests."""
+    dimensional truncation; the tests check them against truncate_exotic
+    and intersect."""
     if gamma.norm2() <= 1:
         raise DimensionMismatch("the lab needs |gamma| > 1")
     if _past_float_range(Matrix.exact(1, 1, [gamma])):
@@ -851,17 +810,15 @@ def exotic_report(gamma: GQ, n: int, tol: float = 1e-6) -> ExoticReport:
     _check_exotic_size(n)
     # E1 = H + 0, E2 = 0 + H, E3 = graph(T) + Ce with e = (0, e_{n+1}) and
     # E4 the diagonal: a point (u, Tu + ce) of E3 lies in E1 when Tu + ce = 0
-    # and in E4 when (T - I)u + ce = 0, and in E2 only when u = 0
+    # and in E4 when (T - I)u + ce = 0, and in E2 only when u = 0.  With
+    # u = (x, y) and T = [[gamma S^T, I], [0, S]], (T - lam I)u + ce = 0 reads
+    # c = lam y_1, y_k = lam y_{k+1} and y_k + gamma x_{k+1} = lam x_k, with
+    # x_{n+1} = 0.  At lam = 0 that leaves x = t e_1, y = 0, c = 0; at lam = 1,
+    # y = c (1, ..., 1), and x follows from x_n = c.  Both are lines, for
+    # every gamma != 0 and n.
     d = 4 * n
     dims = (2 * n, 2 * n, 2 * n + 1, 2 * n)
-    m = {
-        (1, 2): 0,
-        (1, 3): _exotic_nullity(gamma, n, ZERO),
-        (1, 4): 0,
-        (2, 3): 1,
-        (2, 4): 0,
-        (3, 4): _exotic_nullity(gamma, n, ONE),
-    }
+    m = {(1, 2): 0, (1, 3): 1, (1, 4): 0, (2, 3): 1, (2, 4): 0, (3, 4): 1}
     sf = _exotic_float_subspaces(gamma, n)
     nperp, angles, near = {}, {}, {}
     for pair, mij in m.items():

@@ -18,7 +18,8 @@ from relpos.cli import build_parser, main
 from relpos.gaussian import GQ
 from relpos.sampling import random_system
 from relpos.system import SubspaceSystem
-from relpos.toeplitz import MAX_EXOTIC_N, MAX_GRID, MAX_SYMBOL_BLOCK, MAX_SYMBOL_OFFSET
+from relpos import toeplitz
+from relpos.toeplitz import MAX_EXOTIC_N, MAX_SYMBOL_BLOCK, MAX_SYMBOL_OFFSET
 from relpos import verify as verify_mod
 from relpos.verify import CRITERIA, Criterion, SweepReport
 
@@ -255,16 +256,11 @@ def test_symbol_block_bound_exit_code():
 
 @pytest.mark.parametrize(
     "args",
-    [
-        ["toeplitz", "index", "--symbol", "block=1; k:0=[[2]]; k:1=[[1]]",
-         "--grid", str(MAX_GRID + 1)],
-        ["toeplitz", "exotic", "--gamma", "2", "--N", str(MAX_EXOTIC_N + 1)],
-    ],
-    ids=["grid", "exotic-N"],
+    [["toeplitz", "exotic", "--gamma", "2", "--N", str(MAX_EXOTIC_N + 1)]],
+    ids=["exotic-N"],
 )
 def test_size_bound_exit_code(args):
-    # refused before anything of that size is allocated: unchecked, the
-    # grid alone peaks at about 10 MB
+    # refused before anything of that size is allocated
     tracemalloc.start()
     try:
         code, out, err = run_cli(args)
@@ -394,6 +390,43 @@ def test_index_counts_zeros_too_close_to_the_circle_for_the_oracle():
     assert report["certification"] == {
         "method": "exact zero count", "inside": 3, "circle": 1, "kernel_certification": "exact",
     }
+
+
+# det a = (z + 1/2)(z^2 - z + 1) vanishes at exp(+-i pi/3): not Fredholm, and
+# one-sided, so its kernel dimensions come from the same exact count
+CIRCLE_SYMBOL = "block=2; k:0=[[1,-1],[0,1/2]]; k:1=[[-1,1/2],[0,1]]; k:2=[[1,0],[0,0]]"
+
+
+@pytest.mark.parametrize("mode, counts", [("index", 1), ("defect", 2)])
+def test_toeplitz_counts_each_symbol_once(monkeypatch, mode, counts):
+    # `index` decides the symbol, `defect` the symbol and the symbol minus
+    # one; the winding and the kernel dimensions share one count
+    seen = []
+    count = toeplitz._exact_zero_counts
+
+    def counting(sym):
+        seen.append(sym.text())
+        return count(sym)
+
+    monkeypatch.setattr(toeplitz, "_exact_zero_counts", counting)
+    code, _, err = run_cli(["--json", "toeplitz", mode, "--symbol", CIRCLE_SYMBOL])
+    assert code == 0, err
+    assert len(seen) == counts and len(set(seen)) == counts
+
+
+def test_plain_toeplitz_index_ends_with_the_kernel_certification():
+    code, out, err = run_cli(["toeplitz", "index", "--symbol", CIRCLE_SYMBOL])
+    assert code == 0, err
+    assert out.splitlines()[-1] == "certification.kernel_certification: exact"
+    assert "ker: 0" in out.splitlines() and "coker: 1" in out.splitlines()
+
+
+def test_toeplitz_index_takes_no_grid_option(capsys):
+    # the winding grid starts at 512 points; --grid is an unknown argument
+    with pytest.raises(SystemExit) as exc:
+        main(["toeplitz", "index", "--symbol", "block=1; k:1=[[1]]", "--grid", "1024"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --grid 1024" in capsys.readouterr().err
 
 
 def test_block_diagonal_symbol_is_the_sum_of_its_parts():
