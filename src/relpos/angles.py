@@ -166,6 +166,9 @@ class TwoSystemClassification:
 
     multiplicities: dict
     angles: np.ndarray
+    # the Halmos decomposition the angles were read from, None where the
+    # lattice found no generic part
+    decomposition: TwoSubspaceDecomposition | None = None
 
     def total_dim(self) -> int:
         """Each generic pair is already absorbed as one (C;C,0) + one (C;0,C)."""
@@ -193,11 +196,8 @@ def classify_two_system(s: SubspaceSystem) -> TwoSystemClassification:
         if g2 % 2:
             raise DimensionMismatch("generic part has odd dimension; bad lattice data")
         g = g2 // 2
-        if g:
-            dec = halmos_decompose(e, f)
-            angles = dec.angles
-        else:
-            angles = np.array([])
+        dec = halmos_decompose(e, f) if g else None
+        angles = dec.angles if g else np.array([])
     else:
         dec = halmos_decompose(e, f)
         a = dec.part_dims["intersection"]
@@ -214,4 +214,5 @@ def classify_two_system(s: SubspaceSystem) -> TwoSystemClassification:
             "(C;0,0)": z,
         },
         angles=angles,
+        decomposition=dec,
     )

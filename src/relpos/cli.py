@@ -216,7 +216,9 @@ def cmd_diagram(args) -> int:
 def cmd_angles(args) -> int:
     s = _load_system(args.file, args.tol)
     cls = classify_two_system(s)
-    dec = halmos_decompose(s.subspaces[0].to_float(args.tol), s.subspaces[1].to_float(args.tol))
+    dec = cls.decomposition  # a float pair's, taken once by classify_two_system
+    if s.field == EXACT:
+        dec = halmos_decompose(*(sub.to_float(args.tol) for sub in s.subspaces))
     report = {
         "command": "angles",
         "tolerance": args.tol,

@@ -11,7 +11,9 @@ never mix inside one matrix or one operation.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
+from itertools import compress
 
 import numpy as np
 
@@ -164,6 +166,10 @@ class Matrix:
         if self.field == EXACT:
             return tuple(self._gq(a, b) for a, b in zip(self._re, self._im))
         return self._f
+
+    def nonzero_indices(self) -> list:
+        """Flat indices i * cols + j of the nonzero entries of an exact matrix."""
+        return list(compress(range(len(self._re)), map(operator.or_, self._re, self._im)))
 
     def _pick(self, rows, cols, idx) -> "Matrix":
         """Exact rows x cols matrix of the stored entries at the flat indices idx."""

@@ -3,11 +3,12 @@ index and kernel/cokernel dimensions, fractional defects of the associated
 four-subspace systems, and the truncation lab for the exotic deformed-graph
 systems.
 
-Symbols are exact.  Each is decided by one exact count of the zeros of
-det(z^s a(z)) in the disk and on the circle: its winding, and the kernel
-dimensions of a scalar or one-sided symbol.  A symbol past the bounds of
-that count gets its winding from a float grid, and a two-sided block symbol
-its kernel dimensions from truncation oracles.
+Symbols are exact.  Each diagonal part of a symbol is decided by one exact
+count of the zeros of det(z^s a(z)) in the disk and on the circle: the
+parts' counts add up to the winding, and each decides the kernel dimensions
+of a scalar or one-sided part.  A symbol past the bounds of that count gets
+its winding from a float grid, and a two-sided block part its kernel
+dimensions from truncation oracles.
 
 Matrix convention: T(a)_{ij} = a-hat_{i-j}, so the coefficient at offset +1
 is the subdiagonal (the unilateral shift is the symbol z)."""
@@ -374,17 +375,21 @@ def fredholm_index(sym: LaurentSymbol) -> IndexReport:
     -winding; where T(a) is not Fredholm, also its kernel and cokernel
     dimensions, with their certification last in the report's.
 
-    The symbol is counted once (`_exact_zero_counts`): with S = upper * b,
-    det a(z) = z^-S p(z), so T(a) is Fredholm iff p has no zero on the
-    circle, and then the winding is (zeros of p in the disk) - S.  Where the
-    count is refused the winding comes from the float grid (`_grid_index`).
-    The same count, or its refusal, decides the kernel dimensions
-    (`_kernel_dims`)."""
-    counts = _exact_zero_counts(sym)
-    if counts is None:
+    Each diagonal part (`_diagonal_parts`) is counted once
+    (`_exact_zero_counts`).  With S = upper * b, det a(z) = z^-S p(z), where
+    p is the product of the parts' p_j times z^((upper - upper_j) * b_j); so
+    T(a) is Fredholm iff no p_j has a zero on the circle, and then the
+    winding is (zeros of p in the disk) - S.  Where a part's count is
+    refused, as the whole symbol's then is, the winding comes from the float
+    grid (`_grid_index`).  The same counts, or their refusal, decide the
+    kernel dimensions (`_kernel_dims`)."""
+    parts = _diagonal_parts(sym)
+    counts = [_exact_zero_counts(part) for part in parts]
+    if None in counts:
         rep = _grid_index(sym)
     else:
-        inside, circle = counts
+        inside = sum(c[0] + (sym.upper - p.upper) * p.block_size for p, c in zip(parts, counts))
+        circle = sum(c[1] for c in counts)
         winding = None if circle else inside - sym.upper * sym.block_size
         rep = IndexReport(
             fredholm=not circle,
@@ -393,7 +398,7 @@ def fredholm_index(sym: LaurentSymbol) -> IndexReport:
             certification={"method": "exact zero count", "inside": inside, "circle": circle},
         )
     if not rep.fredholm:
-        rep.ker_dim, rep.coker_dim, cert = _kernel_dims(sym, counts)
+        rep.ker_dim, rep.coker_dim, cert = _kernel_dims(parts, counts)
         rep.certification["kernel_certification"] = cert
     return rep
 
@@ -577,61 +582,68 @@ def _diagonal_parts(sym: LaurentSymbol) -> list:
     joins i and j when some coefficient has a nonzero (i, j) or (j, i)
     entry: up to one permutation of the basis, T(a) is their direct sum."""
     b = sym.block_size
-    label = list(range(b))  # the component of each coordinate
+    if b == 1:
+        return [sym]
+    nonzero = set()  # flat positions i * b + j of the nonzero entries
     for _, m in sym.coeffs:
-        for i in range(b):
-            for j in range(b):
-                if m.entry(i, j) and label[i] != label[j]:
-                    old = label[j]
-                    label = [label[i] if x == old else x for x in label]
+        nonzero.update(m.nonzero_indices())
+    label = list(range(b))  # the component of each coordinate
+    for k in nonzero:
+        i, j = divmod(k, b)
+        if label[i] != label[j]:
+            old = label[j]
+            label = [label[i] if c == old else c for c in label]
     parts = [[i for i in range(b) if label[i] == x] for x in dict.fromkeys(label)]
     if len(parts) == 1:
         return [sym]
+    if any(len(p) == 1 and p[0] * (b + 1) not in nonzero for p in parts):
+        # a coordinate whose row and column are zero in every coefficient
+        raise DegenerateSymbolError("symbol determinant vanishes identically")
     return [
         LaurentSymbol.make(len(p), {k: m.take_rows(p).take_columns(p) for k, m in sym.coeffs})
         for p in parts
     ]
 
 
-def _two_sided_block(sym: LaurentSymbol) -> bool:
-    """Whether the zero count leaves the kernel dimensions open: a block
-    symbol with offsets of both signs."""
-    return sym.block_size > 1 and sym.upper > 0 and sym.lower > 0
+def _kernel_dims(parts: list, counts: list | None = None):
+    """(ker, coker, certification) of the direct sum of the `parts` of a
+    symbol (`_diagonal_parts`): sums over the parts, the weakest
+    certification.  Each scalar or one-sided part is read off its
+    `_exact_zero_counts`, from `counts` when given, else taken here.
+
+    Such a part is 'exact' (no oracle runs): with S = upper * b, (in, circ)
+    the zeros of p = det(z^S a(z)) in the open disk and on the circle, ker =
+    max(S - in - circ, 0) and coker = max(in - S, 0).  For a scalar a = z^-S
+    p, T(a)x = 0 iff p x = q with deg q < S, and q / p lies in H^2 iff q
+    vanishes at the zeros of p in the closed disk; the adjoint swaps inside
+    and outside (Coburn's lemma, Boettcher-Silbermann, *Analysis of Toeplitz
+    Operators*).  A one-sided block symbol reduces to its diagonal through
+    its Smith form a = E D F over C[z], E and F unimodular.  A two-sided
+    block part, or one whose count is refused, goes to the tall-truncation
+    oracle (`_oracle_kernel_dims`)."""
+    dims = []
+    for i, part in enumerate(parts):
+        count = None
+        if part.block_size == 1 or not (part.upper > 0 and part.lower > 0):
+            count = _exact_zero_counts(part) if counts is None else counts[i]
+        if count is None:
+            dims.append(_oracle_kernel_dims(part))
+        else:
+            s = part.upper * part.block_size
+            dims.append((max(s - count[0] - count[1], 0), max(count[0] - s, 0), "exact"))
+    kers, cokers, certs = zip(*dims)
+    return sum(kers), sum(cokers), min(certs, key=("uncertified", "truncation", "exact").index)
 
 
-def _kernel_dims(sym: LaurentSymbol, counts):
-    """(ker, coker, certification) of the half-line operator of the symbol,
-    given `counts`, its `_exact_zero_counts` (None where refused).
-
-    A scalar or one-sided symbol is read off the counts ('exact', no oracle
-    runs): with S = upper * b, (in, circ) the zeros of p = det(z^S a(z)) in
-    the open disk and on the circle, ker = max(S - in - circ, 0) and coker =
-    max(in - S, 0).  For a scalar a = z^-S p, T(a)x = 0 iff p x = q with
-    deg q < S, and q / p lies in H^2 iff q vanishes at the zeros of p in the
-    closed disk; the adjoint swaps inside and outside (Coburn's lemma,
-    Boettcher-Silbermann, *Analysis of Toeplitz Operators*).  A one-sided
-    block symbol reduces to its diagonal through its Smith form a = E D F
-    over C[z], E and F unimodular.
-
-    A block-diagonal symbol, up to a permutation, is the sum of its diagonal
-    parts (`_diagonal_parts`), each decided on its own.  Any other symbol
-    gets the counts of the tall-truncation oracle, stability-checked across
-    two sizes ('truncation', or 'uncertified' when the sizes disagree).
+def _oracle_kernel_dims(sym: LaurentSymbol):
+    """(ker, coker, certification) from the tall-truncation oracle,
+    stability-checked across two sizes ('truncation', or 'uncertified' when
+    the sizes disagree).
 
     The four truncations (symbol and adjoint, at ORACLE_N and ORACLE_N // 2)
     are built on this thread and reduced concurrently on up to min(4, usable
     CPUs) threads, which run LAPACK only; their counts are read in the
     sequential order, so the same error surfaces first."""
-    if counts is not None and not _two_sided_block(sym):
-        inside, circle = counts
-        s = sym.upper * sym.block_size
-        return max(s - inside - circle, 0), max(inside - s, 0), "exact"
-    parts = _diagonal_parts(sym)
-    if len(parts) > 1:
-        dims = [kernel_dims(part) for part in parts]
-        certs = {cert for _, _, cert in dims}
-        cert = next(c for c in ("uncertified", "truncation", "exact") if c in certs)
-        return sum(d[0] for d in dims), sum(d[1] for d in dims), cert
     from concurrent.futures import ThreadPoolExecutor
 
     whiches = (sym, sym.adjoint())
@@ -655,8 +667,8 @@ def _kernel_dims(sym: LaurentSymbol, counts):
 
 def kernel_dims(sym: LaurentSymbol):
     """(ker, coker, certification) of the half-line operator of the symbol
-    (`_kernel_dims` on its own zero count, taken only where it decides)."""
-    return _kernel_dims(sym, None if _two_sided_block(sym) else _exact_zero_counts(sym))
+    (`_kernel_dims` on its diagonal parts)."""
+    return _kernel_dims(_diagonal_parts(sym))
 
 
 @dataclass

@@ -155,6 +155,32 @@ def test_angles_cli():
     assert rep["multiplicities"]["(C;C,C)"] == 1
 
 
+FLOAT_PAIR = "\n".join([
+    "relpos-system 1", "field complex-float", "ambient 4",
+    "subspace E1 dim 2", "1.0 0.5 -0.25+0.5i 0.0", "0.0 1.0 0.75 -1.5i",
+    "subspace E2 dim 2", "0.5 1.0 0.0 2.0", "1.25-0.5i 0.0 1.0 0.25",
+]) + "\n"
+
+
+def test_angles_cli_decomposes_a_float_pair_once(monkeypatch):
+    from relpos import angles, cli
+
+    calls = []
+    decompose_pair = angles.halmos_decompose
+
+    def counting(e, f, *args):
+        calls.append((e, f))
+        return decompose_pair(e, f, *args)
+
+    monkeypatch.setattr(angles, "halmos_decompose", counting)
+    monkeypatch.setattr(cli, "halmos_decompose", counting)
+    code, out, err = run_cli(["--json", "angles", "-"], stdin_text=FLOAT_PAIR)
+    assert code == 0, err
+    assert len(calls) == 1
+    rep = json.loads(out)
+    assert len(rep["angles"]) == 2 and rep["reconstruction_residual"] < 1e-12
+
+
 def test_toeplitz_cli():
     code, out, _ = run_cli(["--json", "toeplitz", "regions", "--alpha", "1/2"])
     assert code == 0
@@ -237,6 +263,15 @@ def test_symbol_offset_bound_exit_code():
     code, _, err = run_cli(["toeplitz", "index", "--symbol", symbol])
     assert code == 2
     assert "exceeds the bound" in err
+
+
+@pytest.mark.parametrize("mode", ["index", "defect"])
+def test_symbol_with_a_zero_coordinate_exit_code(mode):
+    # row and column 1 are zero in every coefficient, so det a is 0
+    symbol = "block=2; k:0=[[1,0],[0,0]]; k:1=[[1,0],[0,0]]"
+    code, _, err = run_cli(["toeplitz", mode, "--symbol", symbol])
+    assert code == 2
+    assert "symbol determinant vanishes identically" in err
 
 
 def test_symbol_block_bound_exit_code():
@@ -397,21 +432,36 @@ def test_index_counts_zeros_too_close_to_the_circle_for_the_oracle():
 CIRCLE_SYMBOL = "block=2; k:0=[[1,-1],[0,1/2]]; k:1=[[-1,1/2],[0,1]]; k:2=[[1,0],[0,0]]"
 
 
-@pytest.mark.parametrize("mode, counts", [("index", 1), ("defect", 2)])
-def test_toeplitz_counts_each_symbol_once(monkeypatch, mode, counts):
+# diag((z - 1/2)(z - 19/20)/z, 1 - z): two-sided, not Fredholm, and split into
+# two scalar parts, each counted once for the winding and the kernel dimensions
+PARTS_SYMBOL = "block=2; k:-1=[[19/40,0],[0,0]]; k:0=[[-29/20,0],[0,1]]; k:1=[[1,0],[0,-1]]"
+
+
+@pytest.mark.parametrize(
+    "mode, symbol, sizes",
+    [
+        pytest.param("index", CIRCLE_SYMBOL, [2], id="index-1"),
+        pytest.param("defect", CIRCLE_SYMBOL, [2, 2], id="defect-2"),
+        pytest.param("index", PARTS_SYMBOL, [1, 1], id="index-parts"),
+        pytest.param("defect", PARTS_SYMBOL, [1, 1, 1, 1], id="defect-parts"),
+    ],
+)
+def test_toeplitz_counts_each_symbol_once(monkeypatch, mode, symbol, sizes):
     # `index` decides the symbol, `defect` the symbol and the symbol minus
-    # one; the winding and the kernel dimensions share one count
+    # one; the winding and the kernel dimensions share one count per
+    # diagonal part
     seen = []
     count = toeplitz._exact_zero_counts
 
     def counting(sym):
-        seen.append(sym.text())
+        seen.append((sym.block_size, sym.text()))
         return count(sym)
 
     monkeypatch.setattr(toeplitz, "_exact_zero_counts", counting)
-    code, _, err = run_cli(["--json", "toeplitz", mode, "--symbol", CIRCLE_SYMBOL])
+    code, _, err = run_cli(["--json", "toeplitz", mode, "--symbol", symbol])
     assert code == 0, err
-    assert len(seen) == counts and len(set(seen)) == counts
+    assert [size for size, _ in seen] == sizes
+    assert len(set(seen)) == len(seen)
 
 
 def test_plain_toeplitz_index_ends_with_the_kernel_certification():

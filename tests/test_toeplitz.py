@@ -974,6 +974,93 @@ def test_block_diagonal_symbol_takes_the_weakest_certification_of_its_parts(monk
     assert counted == [1]
 
 
+def random_block_diagonal_symbol(rng):
+    """A symbol of block size 2..5 whose coordinates are cut into random
+    groups, each with its own offset range in -2..2 and random Gaussian
+    integer entries; about one group in three with two offsets or more gets
+    det a(1) = 0, a zero on the circle, by moving the sum of the other
+    coefficients' first rows into its last coefficient."""
+    b = rng.randint(2, 5)
+    coords = list(range(b))
+    rng.shuffle(coords)
+    coeffs, ranges = {}, []
+    while coords:
+        cut = rng.randint(1, len(coords))
+        group, coords = coords[:cut], coords[cut:]
+        lo = rng.randint(-2, 2)
+        hi = rng.randint(lo, 2)
+        ranges.append((lo, hi))
+        blocks = {
+            k: [[GQ(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in group] for _ in group]
+            for k in range(lo, hi + 1)
+        }
+        for k in (lo, hi):
+            blocks[k][0][0] = GQ(rng.randint(1, 3), rng.randint(-3, 3))
+        if lo < hi and rng.random() < 1 / 3:
+            blocks[hi][0] = [
+                blocks[hi][0][c] - sum((blocks[k][0][c] for k in blocks), GQ(0))
+                for c in range(len(group))
+            ]
+        for k, rows in blocks.items():
+            full = coeffs.setdefault(k, [[GQ(0)] * b for _ in range(b)])
+            for r, i in enumerate(group):
+                for c, j in enumerate(group):
+                    full[i][j] = rows[r][c]
+    return LaurentSymbol.make(b, coeffs), ranges
+
+
+def test_index_counted_part_by_part_equals_the_whole_count():
+    # det a is the product of the parts' determinants: the index and the
+    # kernel dimensions, decided part by part, agree with the count of the
+    # whole symbol and with the public kernel_dims
+    rng = random.Random(19)
+    ranges, not_fredholm = [], 0
+    for _ in range(100):
+        sym, part_ranges = random_block_diagonal_symbol(rng)
+        ranges += part_ranges
+        rep = fredholm_index(sym)
+        inside, circle = toeplitz.disk_zero_counts(toeplitz.symbol_char_poly(sym))
+        cert = rep.certification
+        assert (cert["inside"], cert["circle"]) == (inside, circle), sym.text()
+        assert rep.fredholm == (circle == 0)
+        if not rep.fredholm:
+            not_fredholm += 1
+            ker, coker, kernel_cert = kernel_dims(sym)
+            assert (rep.ker_dim, rep.coker_dim) == (ker, coker), sym.text()
+            assert cert["kernel_certification"] == kernel_cert
+    # parts with different upper widths, offsets all >= 1 among them
+    assert len({-lo for lo, _ in ranges}) == 5 and any(lo >= 1 for lo, _ in ranges)
+    assert 20 <= not_fredholm <= 100
+
+
+def test_a_refused_part_goes_to_the_grid_and_the_oracle(monkeypatch):
+    # the tall-entry part on coordinates 0..3 is past `_char_poly_fits`, so
+    # the grid decides the winding and the oracle that part's kernel; the
+    # backward shift z^-1 on coordinate 4 is still read off its own count
+    tall = LaurentSymbol.parse(tall_entry_symbol(800))
+
+    def widen(m, corner):
+        rows = [[m.entry(i, j) for j in range(4)] + [GQ(0)] for i in range(4)]
+        return rows + [[GQ(0)] * 4 + [GQ(corner)]]
+
+    coeffs = {k: widen(m, 0) for k, m in tall.coeffs}
+    coeffs[-1] = widen(Matrix.zeros(4, 4), 1)
+    sym = LaurentSymbol.make(5, coeffs)
+    counted = []
+    count = toeplitz._exact_zero_counts
+
+    def counting(part):
+        counted.append((part.block_size, count(part)))
+        return counted[-1][1]
+
+    monkeypatch.setattr(toeplitz, "_exact_zero_counts", counting)
+    rep = fredholm_index(sym)
+    assert counted == [(4, None), (1, (0, 0))]
+    assert rep.certification["method"] == "grid"
+    assert (rep.fredholm, rep.ker_dim, rep.coker_dim) == (False, 1, 4)
+    assert rep.certification["kernel_certification"] == "truncation"
+
+
 def test_float_symbol_coefficients_are_refused():
     exact = Matrix.from_rows([[1]])
     for c0 in (0.5, 2.0):
