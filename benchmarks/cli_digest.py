@@ -20,8 +20,10 @@ gamma = 3/2 (N = 16), gamma = 2+i (N = 24) and gamma = 2 with `--threshold
 1e-9` (N = 16), then `toeplitz index` on three symbols that the exact zero
 count decides (a scalar with three zeros near the circle, a block symbol
 with two zeros on it, and a block-diagonal one), then `toeplitz defect` on
-zI + N - 3I + 2I/z for block 3 and on those three symbols, all with
-`--json` before the subcommand, against the `src/` next to this script.
+zI + N - 3I + 2I/z for block 3 and on those three symbols, then `verify
+infinite-dim-evidence` (criterion 10: the exotic Hom dimensions at N = 8,
+16 and 32), all with `--json` before the subcommand, against the `src/`
+next to this script.
 Prints one line per command: the command, its exit code and the sha256 of
 its stdout and of its stderr.  Two checkouts give byte-identical CLI output
 when their lines are equal:
@@ -215,6 +217,9 @@ DEFECTS = tuple(
     ("toeplitz", "defect", "--symbol", symbol)
     for symbol in (_block_v(3, -3, 2), *(cmd[-1] for cmd in ZERO_COUNTS))
 )
+# appended after those: criterion 10, whose hom_dims come from the exotic
+# Hom constraints
+CRITERIA = (("verify", "infinite-dim-evidence"),)
 DOCUMENTED_EXIT_CODES = {0, 2, 3, 4}
 
 
@@ -233,7 +238,7 @@ def _commands():
     yield ("diagram", "r0.sys", "--threshold", "1e-9"), None
     yield ("defect", "x0.sys"), None
     yield ("angles", "x1.sys"), None
-    for cmd in (*EXOTIC, *ZERO_COUNTS, *DEFECTS):
+    for cmd in (*EXOTIC, *ZERO_COUNTS, *DEFECTS, *CRITERIA):
         yield cmd, None
 
 

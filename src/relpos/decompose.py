@@ -188,15 +188,10 @@ def _spectral_idempotent(x: Matrix, f, g):
     if gg.degree != 0:
         return None
     e = (v * g).eval_matrix(x)
-    # cubic lifting guard; exact construction terminates immediately, the loop
-    # is the spec'd fallback for radical perturbations
-    bound = x.rows + 1
-    it = 0
-    while not (e @ e == e):
-        e = (e @ e).scale(GQ(3)) - (e @ e @ e).scale(GQ(2))
-        it += 1
-        if it > bound:
-            return None
+    # f g is the minimal polynomial of x and u f + v g = 1, so e^2 - e =
+    # -(u v f g)(x) = 0 exactly
+    if not (e @ e == e):
+        raise InvariantViolation("v(x) g(x) is not idempotent")
     if e.is_zero() or e.is_identity():
         return None
     return e

@@ -556,6 +556,22 @@ _U = 2.0**-53
 # degree-256 count at the bound takes about 5 s), the Cayley count to about
 # degree times (bits + degree).  Past it `disk_zero_counts` gives up.
 MAX_EXACT_COUNT_BITS = 4096
+# Largest degree^2 times coefficient bits at which `disk_zero_counts` runs
+# the exact recursion before the float certificate.  The certificate's cost
+# hardly grows with the coefficients, the recursion's grows with both.  Time
+# in ms, certificate / recursion, mean of 4 random Gaussian-integer
+# polynomials per cell (2-core Xeon); each cell's degree^2 x bits is in
+# brackets:
+#   degree 2:   256 bits [1024] 0.20 / 0.02,  1024 [4096] 0.20 / 0.08,
+#               2048 [8192] 0.21 / 0.25
+#   degree 4:   256 [4096] 0.29 / 0.12,  1024 [16384] 0.29 / 0.84
+#   degree 8:   16 [1024] 0.42 / 0.10,  64 [4096] 0.45 / 0.22,
+#               128 [8192] 0.46 / 0.49,  256 [16384] 0.44 / 1.32
+#   degree 16:  16 [4096] 0.84 / 0.48,  64 [16384] 0.86 / 1.84
+#   degree 32:  4 [4096] 1.99 / 1.38,  8 [8192] 1.99 / 1.98,  16 [16384] 1.94 / 3.26
+#   degree 64:  1 [4096] 4.92 / 2.32,  4 [16384] 5.86 / 8.17
+# The two meet near 8192; every Toeplitz count of the lab has degree <= 6.
+SCHUR_COHN_FIRST_WORK = 4096
 
 
 def _gerschgorin_counts(re: list, im: list):
@@ -754,15 +770,20 @@ def disk_zero_counts(p: Polynomial):
     counted with multiplicity, exactly; None when the exact recursion is
     needed and would pass MAX_EXACT_COUNT_BITS.
 
-    First from float approximations of the zeros, proved by Gerschgorin
-    disks with rounding bounds (`_gerschgorin_counts`), at a cost that does
-    not grow with the size of the coefficients; where a disk meets the
-    circle and no exact zero on it settles it, by the Schur-Cohn recursion
-    in integers (`_schur_cohn_counts`)."""
+    Two exact methods, the cheaper first (`SCHUR_COHN_FIRST_WORK`): the
+    Schur-Cohn recursion in integers (`_schur_cohn_counts`), and float
+    approximations of the zeros proved by Gerschgorin disks with rounding
+    bounds (`_gerschgorin_counts`), at a cost that does not grow with the
+    size of the coefficients.  The second runs where the first settles
+    nothing: a disk meets the circle and no exact zero on it settles it, or
+    the recursion's integers would pass the bound."""
     if p.is_zero():
         raise ValueError("the zero polynomial has no zero count")
     if p.degree == 0:
         return 0, 0
     re, im = _gaussian_integer_parts(p)
+    if p.degree**2 * max(map(abs, re + im)).bit_length() <= SCHUR_COHN_FIRST_WORK:
+        counts = _schur_cohn_counts(re, im, MAX_EXACT_COUNT_BITS)
+        return counts if counts is not None else _gerschgorin_counts(re, im)
     counts = _gerschgorin_counts(re, im)
     return counts if counts is not None else _schur_cohn_counts(re, im, MAX_EXACT_COUNT_BITS)

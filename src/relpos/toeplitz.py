@@ -35,7 +35,6 @@ from .errors import (
 from .gaussian import GQ, ONE, ZERO, format_gq, parse_gq
 from .matrix import DEFAULT_TOL, EXACT, Matrix
 from .poly import MAX_EXACT_COUNT_BITS, Polynomial, disk_zero_counts
-from .sparsesolve import sparse_nullity
 from .subspace import Subspace, principal_angles
 from .system import SubspaceSystem, diagram_from_pairs
 
@@ -915,6 +914,51 @@ def _sparse_entries(m: Matrix):
     return out
 
 
+def _peeled_rank(rows) -> int:
+    """Exact rank over Q(i) of sparse rows (dicts column -> GQ).
+
+    The singleton steps of sparse LU (Duff, Erisman and Reid): a row with
+    one entry forces its variable to 0, and a column with one entry makes
+    its row independent of the others.  Either way the row and the column
+    leave and the rank grows by 1, with no arithmetic.  The rows left when
+    neither step applies, the core, go to exact elimination."""
+    rows = {i: dict(r) for i, r in enumerate(rows) if r}
+    cols: dict[int, set] = {}
+    for i, r in rows.items():
+        for c in r:
+            cols.setdefault(c, set()).add(i)
+    single_rows = [i for i, r in rows.items() if len(r) == 1]
+    single_cols = [c for c, s in cols.items() if len(s) == 1]
+    rank = 0
+    while single_rows or single_cols:
+        if single_rows:
+            i = single_rows.pop()
+            if len(rows.get(i, ())) != 1:
+                continue
+            (c,) = rows[i]
+        else:
+            c = single_cols.pop()
+            if len(cols.get(c, ())) != 1:
+                continue
+            (i,) = cols[c]
+        rank += 1
+        for k in rows.pop(i):
+            cols[k].discard(i)
+            if len(cols[k]) == 1:
+                single_cols.append(k)
+        for j in cols.pop(c):
+            r = rows[j]
+            del r[c]
+            if len(r) == 1:
+                single_rows.append(j)
+            elif not r:
+                del rows[j]
+    if not rows:
+        return rank
+    core = sorted(c for c, s in cols.items() if s)
+    return rank + Matrix.from_rows([[r.get(c, ZERO) for c in core] for r in rows.values()]).rank()
+
+
 def exotic_hom_dim(beta: GQ, gamma: GQ, n: int) -> int:
     """Exact dimension of the intertwiner space between two truncated exotic
     systems.
@@ -923,7 +967,7 @@ def exotic_hom_dim(beta: GQ, gamma: GQ, n: int) -> int:
     into the form U + U exactly, so only the deformed-graph condition
     remains: all rows of U T_beta - T_gamma U away from the extra line must
     vanish, and U must preserve the extra line.  The resulting constraints
-    are a few entries per row; solved by exact sparse elimination."""
+    are a few entries per row, and `_peeled_rank` takes their rank."""
     two_n = 2 * n
     tb = _sparse_entries(exotic_t_matrix(beta, n))
     tg = _sparse_entries(exotic_t_matrix(gamma, n))
@@ -959,7 +1003,7 @@ def exotic_hom_dim(beta: GQ, gamma: GQ, n: int) -> int:
     for r in range(two_n):
         if r != n:
             rows.append({uidx(r, n): GQ(1)})
-    return sparse_nullity(rows, two_n * two_n)
+    return two_n * two_n - _peeled_rank(rows)
 
 
 def hom_dimension_decay(gamma: GQ, beta: GQ, sizes=(8, 16, 32)):

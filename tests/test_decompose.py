@@ -28,8 +28,10 @@ from relpos.decompose import (
     strongly_irreducible,
     verify_decomposition,
 )
+from relpos.errors import InvariantViolation
 from relpos.gaussian import GQ
 from relpos.matrix import Matrix
+from relpos.poly import Polynomial
 from relpos.sampling import random_invertible, random_system
 from relpos.subspace import Subspace, intersect
 from relpos.system import SubspaceSystem, hom_dim, hom_space, is_bounded_operator_system
@@ -379,3 +381,15 @@ def test_summands_inherit_their_end_algebra_as_corners(monkeypatch):
         assert verify_decomposition(s, tree)
         assert len(tree.components) == len(tree.certificates) + 1
     assert len(splits) >= 200
+
+
+def test_spectral_idempotent_is_exact_or_refused():
+    # v(x) g(x), with u f + v g = 1, is idempotent exactly when f g
+    # annihilates x; a split of a polynomial that does not is refused
+    x = Matrix.from_rows([[1, 0, 0], [0, 2, 0], [0, 0, 3]])
+    f, g, h = (Polynomial([GQ(-r), GQ(1)]) for r in (1, 2, 3))
+    assert dec._spectral_idempotent(x, f, g * h) == Matrix.from_rows(
+        [[1, 0, 0], [0, 0, 0], [0, 0, 0]]
+    )
+    with pytest.raises(InvariantViolation):
+        dec._spectral_idempotent(x, f, g)

@@ -156,9 +156,19 @@ def schur_cohn(p):
     return _schur_cohn_counts(*_gaussian_integer_parts(p), None)
 
 
-# every count is checked through disk_zero_counts (the float certificate,
-# then the recursion where it settles nothing) and through the recursion alone
-COUNTS = pytest.mark.parametrize("count", [disk_zero_counts, schur_cohn], ids=["disk", "recursion"])
+def certificate(p):
+    """The float certificate, and the recursion where it settles nothing."""
+    parts = _gaussian_integer_parts(p)
+    counts = _gerschgorin_counts(*parts)
+    return counts if counts is not None else _schur_cohn_counts(*parts, None)
+
+
+# every count is checked through disk_zero_counts (the cheaper method first,
+# which on these small polynomials is mostly the recursion), through the
+# float certificate first and through the recursion alone
+COUNTS = pytest.mark.parametrize(
+    "count", [disk_zero_counts, certificate, schur_cohn], ids=["disk", "certificate", "recursion"]
+)
 
 
 @COUNTS

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from relpos import toeplitz
+from relpos import poly, toeplitz
 from relpos.errors import (
     DegenerateSymbolError,
     DimensionMismatch,
@@ -30,6 +30,7 @@ from relpos.toeplitz import (
     LaurentSymbol,
     _gap_count,
     _oracle_workers,
+    _peeled_rank,
     _truncation_kernel_count,
     _truncation_singular_values,
     exotic_hom_dim,
@@ -344,8 +345,8 @@ def test_toeplitz_idempotent_trivial_cases():
 
 
 def test_exotic_hom_dims_constant_one():
-    dims = hom_dimension_decay(GQ(2), GQ(3), sizes=(4, 8, 16))
-    assert dims == [1, 1, 1]
+    dims = hom_dimension_decay(GQ(2), GQ(3), sizes=(4, 8, 16, 32))
+    assert dims == [1, 1, 1, 1]
     assert exotic_hom_dim(GQ(2), GQ(2), 8) == 1
 
 
@@ -364,6 +365,53 @@ def test_exotic_hom_dim_matches_generic_hom(beta, gamma, n):
     # the sparse reduction against the generic Hom nullspace of the same pair
     generic = hom_dim(truncate_exotic(beta, n), truncate_exotic(gamma, n))
     assert exotic_hom_dim(beta, gamma, n) == generic
+
+
+def _sparse_gaussian_rows(rng, n_rows, n_cols):
+    """Rows (dicts column -> GQ) of up to three entries each; in about half
+    of the matrices up to two dense 3 x 3 blocks, random or of rank 1, that
+    the singleton steps cannot peel."""
+
+    def entry():
+        v = GQ(Fraction(rng.randint(-3, 3), rng.randint(1, 3)), rng.randint(-2, 2))
+        return v if v else GQ(1)
+
+    rows = [{rng.randrange(n_cols): entry() for _ in range(rng.randint(0, 3))} for _ in range(n_rows)]
+    if min(n_rows, n_cols) >= 3 and rng.random() < 0.5:
+        for _ in range(rng.randint(1, 2)):
+            left, right = [entry() for _ in range(3)], [entry() for _ in range(3)]
+            rank_one = rng.random() < 0.5
+            cols = rng.sample(range(n_cols), 3)
+            for a, i in zip(left, rng.sample(range(n_rows), 3)):
+                for b, j in zip(right, cols):
+                    rows[i][j] = a * b if rank_one else entry()
+    return rows
+
+
+def test_peeled_rank_matches_dense_rank(monkeypatch):
+    rng = random.Random(20)
+    cores = []
+    rank = Matrix.rank
+    monkeypatch.setattr(Matrix, "rank", lambda m: cores.append(m.shape) or rank(m))
+    for _ in range(300):
+        n_rows, n_cols = rng.randint(1, 12), rng.randint(1, 12)
+        rows = _sparse_gaussian_rows(rng, n_rows, n_cols)
+        dense = Matrix.from_rows([[r.get(j, GQ(0)) for j in range(n_cols)] for r in rows])
+        assert _peeled_rank(rows) == rank(dense)
+    # the exact elimination of a core ran on a good share of them
+    assert len(cores) >= 60
+
+
+def test_exotic_hom_constraints_peel_to_an_empty_core(monkeypatch):
+    # criterion 10's pair, and the pairs of the generic check, need no
+    # arithmetic: every pivot is a singleton row or column
+    def refuse(m):
+        raise AssertionError(f"a {m.shape} core reached exact elimination")
+
+    monkeypatch.setattr(Matrix, "rank", refuse)
+    assert hom_dimension_decay(GQ(2), GQ(3), sizes=(8, 16, 32)) == [1, 1, 1]
+    for beta, gamma in EXOTIC_PAIRS:
+        assert [exotic_hom_dim(beta, gamma, n) for n in (4, 5, 6, 8)] == [1, 1, 1, 1]
 
 
 @pytest.mark.parametrize("b", [1, 2, 3, 4])
@@ -928,19 +976,45 @@ def test_singular_leading_block_counts_its_zero_at_the_origin():
     assert kernel_dims(sym.adjoint()) == (2, 0, "exact")
 
 
-def test_exact_winding_of_a_block_symbol_with_zeros_near_the_circle():
-    # b = 8, offsets 0..32: two of the 256 zeros of det a lie 3e-4 from the
-    # circle, and the default float grid read the winding as 126
+def near_circle_block_symbol():
+    """b = 8, offsets 0..32: two of the 256 zeros of det a lie 3e-4 from the
+    circle."""
     rng = random.Random(5)
-    sym = LaurentSymbol.make(
+    return LaurentSymbol.make(
         8,
         {k: [[GQ(rng.randint(-9, 9), rng.randint(-9, 9)) for _ in range(8)] for _ in range(8)]
          for k in range(33)},
     )
+
+
+def test_exact_winding_of_a_block_symbol_with_zeros_near_the_circle():
+    # the default float grid read the winding as 126
+    sym = near_circle_block_symbol()
     rep = fredholm_index(sym)
     assert (rep.fredholm, rep.winding) == (True, 127)
     roots = np.roots(toeplitz.symbol_char_poly(sym).to_complex_coeffs()[::-1])
     assert int(np.sum(np.abs(roots) < 1)) == 127
+
+
+def test_zero_counts_run_the_cheaper_method_first(monkeypatch):
+    # the exact recursion first where degree^2 x coefficient bits is at most
+    # SCHUR_COHN_FIRST_WORK, the float certificate first above it
+    calls = []
+
+    def record(name):
+        method = getattr(poly, name)
+        return lambda *args: calls.append(name) or method(*args)
+
+    for name in ("_gerschgorin_counts", "_schur_cohn_counts"):
+        monkeypatch.setattr(poly, name, record(name))
+    # (z - 1)(2z - 1)
+    assert poly.disk_zero_counts(Polynomial([GQ(1), GQ(-3), GQ(2)])) == (1, 1)
+    assert calls == ["_schur_cohn_counts"]
+    calls.clear()
+    det = toeplitz.symbol_char_poly(near_circle_block_symbol())
+    assert det.degree == 256
+    assert poly.disk_zero_counts(det) == (127, 0)
+    assert calls[0] == "_gerschgorin_counts"
 
 
 def test_identically_singular_symbol_is_degenerate():
