@@ -153,23 +153,115 @@ def hom_space(s: SubspaceSystem, t: SubspaceSystem) -> HomBasis:
     return HomBasis(s, t, basis)
 
 
-def _hom_constraints(s: SubspaceSystem, t: SubspaceSystem) -> Matrix:
-    """The constraint matrix of hom_space: the blocks B_i^T (x) C_i, stacked."""
-    blocks = []
+def _nonzero_by_row(m: Matrix) -> list:
+    """For each row of an exact matrix, its nonzero (column, re, im)."""
+    out = [[] for _ in range(m.rows)]
+    for k in m.nonzero_indices():
+        r, c = divmod(k, m.cols)
+        out[r].append((c, m._re[k], m._im[k]))
+    return out
+
+
+def _hom_rows(s: SubspaceSystem, t: SubspaceSystem) -> list:
+    """The rows of the exact blocks B_i^T (x) C_i (B_i the basis of E_i, C_i
+    the annihilator of F_i), each a dict column -> (re, im) of Gaussian
+    integers.  Each entry is one product B[b, j] C[r, a], never a sum, so
+    the rows are read off the nonzero entries; scaling each block by its
+    denominators moves neither the rank nor the null space."""
+    dt = t.ambient_dim
+    rows = []
     for e_i, f_i in zip(s.subspaces, t.subspaces):
         if e_i.dim == 0:
             continue
-        c_i = annihilator(f_i)
-        if c_i.rows == 0:
-            continue
-        blocks.append(e_i.basis.transpose().kron(c_i))
+        c_rows = _nonzero_by_row(annihilator(f_i))
+        for b_row in _nonzero_by_row(e_i.basis.transpose()):
+            for c_row in c_rows:
+                rows.append({
+                    b * dt + a: (br * cr - bi * ci, br * ci + bi * cr)
+                    for b, br, bi in b_row
+                    for a, cr, ci in c_row
+                })
+    return rows
+
+
+def _dense(rows: list, columns) -> Matrix:
+    """The exact matrix of sparse rows (`_hom_rows`) on `columns`, in order."""
+    at = {c: k for k, c in enumerate(columns)}
+    w = len(at)
+    re, im = [0] * (len(rows) * w), [0] * (len(rows) * w)
+    for i, row in enumerate(rows):
+        for c, (a, b) in row.items():
+            re[i * w + at[c]], im[i * w + at[c]] = a, b
+    return Matrix._ints(len(rows), w, re, im)
+
+
+def _hom_constraints(s: SubspaceSystem, t: SubspaceSystem) -> Matrix:
+    """The constraint matrix of hom_space: the blocks B_i^T (x) C_i, stacked.
+    Exact rows come from `_hom_rows`; their primitive rows are those of the
+    stacked Kronecker products, so the canonical nullspace is the same."""
+    width = t.ambient_dim * s.ambient_dim
+    if s.field == EXACT:
+        return _dense(_hom_rows(s, t), range(width))
+    blocks = [
+        e_i.basis.transpose().kron(c_i)
+        for e_i, f_i in zip(s.subspaces, t.subspaces)
+        if e_i.dim and (c_i := annihilator(f_i)).rows
+    ]
     if not blocks:
-        return Matrix.zeros(0, t.ambient_dim * s.ambient_dim, s.field)
+        return Matrix.zeros(0, width, s.field)
     return Matrix.vstack(blocks)
 
 
+def _peeled_rank(rows: list) -> int:
+    """Exact rank over Q(i) of sparse rows (dicts column -> (re, im)) by the
+    singleton steps of sparse LU (Duff, Erisman and Reid): a row with one
+    entry forces its unknown to 0, and a column with one entry makes its row
+    independent of the others; either way the row and the column leave and
+    the rank grows by 1, with no arithmetic.  The rows left, the core, go to
+    `Matrix.nullspace`, multimodular where that pays."""
+    rows = {i: dict(r) for i, r in enumerate(rows) if r}
+    cols: dict[int, set] = {}
+    for i, r in rows.items():
+        for c in r:
+            cols.setdefault(c, set()).add(i)
+    single_rows = [i for i, r in rows.items() if len(r) == 1]
+    single_cols = [c for c, s in cols.items() if len(s) == 1]
+    rank = 0
+    while single_rows or single_cols:
+        if single_rows:
+            i = single_rows.pop()
+            if len(rows.get(i, ())) != 1:
+                continue
+            (c,) = rows[i]
+        else:
+            c = single_cols.pop()
+            if len(cols.get(c, ())) != 1:
+                continue
+            (i,) = cols[c]
+        rank += 1
+        for k in rows.pop(i):
+            cols[k].discard(i)
+            if len(cols[k]) == 1:
+                single_cols.append(k)
+        for j in cols.pop(c):
+            r = rows[j]
+            del r[c]
+            if len(r) == 1:
+                single_rows.append(j)
+            elif not r:
+                del rows[j]
+    if not rows:
+        return rank
+    core = _dense(list(rows.values()), sorted(c for c, s in cols.items() if s))
+    return rank + core.cols - core.nullspace().cols
+
+
 def hom_dim(s: SubspaceSystem, t: SubspaceSystem) -> int:
-    return hom_space(s, t).dim
+    """dim Hom(S, T).  Exact: d_S d_T minus the rank of the `_hom_rows`,
+    taken by `_peeled_rank` without a dense matrix of all the constraints."""
+    if s.n != t.n or s.field != EXACT or t.field != EXACT:
+        return hom_space(s, t).dim  # the float path, or its refusal
+    return s.ambient_dim * t.ambient_dim - _peeled_rank(_hom_rows(s, t))
 
 
 @dataclass

@@ -36,7 +36,7 @@ from .gaussian import GQ, ONE, ZERO, format_gq, parse_gq
 from .matrix import DEFAULT_TOL, EXACT, Matrix
 from .poly import MAX_EXACT_COUNT_BITS, Polynomial, disk_zero_counts
 from .subspace import Subspace, principal_angles
-from .system import SubspaceSystem, diagram_from_pairs
+from .system import SubspaceSystem, diagram_from_pairs, hom_dim
 
 ORACLE_N = 200
 ORACLE_SIGMA_TOL = 1e-7
@@ -380,11 +380,16 @@ def fredholm_index(sym: LaurentSymbol) -> IndexReport:
     T(a) is Fredholm iff no p_j has a zero on the circle, and then the
     winding is (zeros of p in the disk) - S.  Where a part's count is
     refused, as the whole symbol's then is, the winding comes from the float
-    grid (`_grid_index`).  The same counts, or their refusal, decide the
-    kernel dimensions (`_kernel_dims`)."""
+    grid (`_grid_index`), and the parts after it are not counted here.  The
+    same counts, or their refusal, decide the kernel dimensions
+    (`_kernel_dims`)."""
     parts = _diagonal_parts(sym)
-    counts = [_exact_zero_counts(part) for part in parts]
-    if None in counts:
+    counts = []
+    for part in parts:
+        counts.append(_exact_zero_counts(part))
+        if counts[-1] is None:
+            break
+    if counts[-1] is None:
         rep = _grid_index(sym)
     else:
         inside = sum(c[0] + (sym.upper - p.upper) * p.block_size for p, c in zip(parts, counts))
@@ -598,17 +603,20 @@ def _diagonal_parts(sym: LaurentSymbol) -> list:
     if any(len(p) == 1 and p[0] * (b + 1) not in nonzero for p in parts):
         # a coordinate whose row and column are zero in every coefficient
         raise DegenerateSymbolError("symbol determinant vanishes identically")
-    return [
-        LaurentSymbol.make(len(p), {k: m.take_rows(p).take_columns(p) for k, m in sym.coeffs})
-        for p in parts
-    ]
+    # picked from the flat positions: the whole symbol passed validation
+    out = []
+    for p in parts:
+        flat = [i * b + j for i in p for j in p]
+        coeffs = ((k, m._pick(len(p), len(p), flat)) for k, m in sym.coeffs)
+        out.append(LaurentSymbol(len(p), tuple((k, c) for k, c in coeffs if not c.is_zero())))
+    return out
 
 
-def _kernel_dims(parts: list, counts: list | None = None):
+def _kernel_dims(parts: list, counts: list = ()):
     """(ker, coker, certification) of the direct sum of the `parts` of a
     symbol (`_diagonal_parts`): sums over the parts, the weakest
     certification.  Each scalar or one-sided part is read off its
-    `_exact_zero_counts`, from `counts` when given, else taken here.
+    `_exact_zero_counts`, from `counts` as far as given, else taken here.
 
     Such a part is 'exact' (no oracle runs): with S = upper * b, (in, circ)
     the zeros of p = det(z^S a(z)) in the open disk and on the circle, ker =
@@ -624,7 +632,7 @@ def _kernel_dims(parts: list, counts: list | None = None):
     for i, part in enumerate(parts):
         count = None
         if part.block_size == 1 or not (part.upper > 0 and part.lower > 0):
-            count = _exact_zero_counts(part) if counts is None else counts[i]
+            count = counts[i] if i < len(counts) else _exact_zero_counts(part)
         if count is None:
             dims.append(_oracle_kernel_dims(part))
         else:
@@ -904,109 +912,7 @@ def exotic_t_matrix(gamma: GQ, n: int) -> Matrix:
     )
 
 
-def _sparse_entries(m: Matrix):
-    out = {}
-    for i in range(m.rows):
-        for j in range(m.cols):
-            v = m.entry(i, j)
-            if v:
-                out[(i, j)] = v
-    return out
-
-
-def _peeled_rank(rows) -> int:
-    """Exact rank over Q(i) of sparse rows (dicts column -> GQ).
-
-    The singleton steps of sparse LU (Duff, Erisman and Reid): a row with
-    one entry forces its variable to 0, and a column with one entry makes
-    its row independent of the others.  Either way the row and the column
-    leave and the rank grows by 1, with no arithmetic.  The rows left when
-    neither step applies, the core, go to exact elimination."""
-    rows = {i: dict(r) for i, r in enumerate(rows) if r}
-    cols: dict[int, set] = {}
-    for i, r in rows.items():
-        for c in r:
-            cols.setdefault(c, set()).add(i)
-    single_rows = [i for i, r in rows.items() if len(r) == 1]
-    single_cols = [c for c, s in cols.items() if len(s) == 1]
-    rank = 0
-    while single_rows or single_cols:
-        if single_rows:
-            i = single_rows.pop()
-            if len(rows.get(i, ())) != 1:
-                continue
-            (c,) = rows[i]
-        else:
-            c = single_cols.pop()
-            if len(cols.get(c, ())) != 1:
-                continue
-            (i,) = cols[c]
-        rank += 1
-        for k in rows.pop(i):
-            cols[k].discard(i)
-            if len(cols[k]) == 1:
-                single_cols.append(k)
-        for j in cols.pop(c):
-            r = rows[j]
-            del r[c]
-            if len(r) == 1:
-                single_rows.append(j)
-            elif not r:
-                del rows[j]
-    if not rows:
-        return rank
-    core = sorted(c for c, s in cols.items() if s)
-    return rank + Matrix.from_rows([[r.get(c, ZERO) for c in core] for r in rows.values()]).rank()
-
-
-def exotic_hom_dim(beta: GQ, gamma: GQ, n: int) -> int:
-    """Exact dimension of the intertwiner space between two truncated exotic
-    systems.
-
-    The coordinate-summand and diagonal subspaces force every intertwiner
-    into the form U + U exactly, so only the deformed-graph condition
-    remains: all rows of U T_beta - T_gamma U away from the extra line must
-    vanish, and U must preserve the extra line.  The resulting constraints
-    are a few entries per row, and `_peeled_rank` takes their rank."""
-    two_n = 2 * n
-    tb = _sparse_entries(exotic_t_matrix(beta, n))
-    tg = _sparse_entries(exotic_t_matrix(gamma, n))
-    tb_by_col: dict[int, list] = {}
-    for (k, j), v in tb.items():
-        tb_by_col.setdefault(j, []).append((k, v))
-    tg_by_row: dict[int, list] = {}
-    for (r, k), v in tg.items():
-        tg_by_row.setdefault(r, []).append((k, v))
-
-    def uidx(a, b):
-        return b * two_n + a  # column-major vec
-
-    rows = []
-    for r in range(two_n):
-        if r == n:
-            continue
-        for j in range(two_n):
-            row: dict[int, GQ] = {}
-            for k, v in tb_by_col.get(j, ()):
-                idx = uidx(r, k)
-                row[idx] = row.get(idx, GQ(0)) + v
-            for k, v in tg_by_row.get(r, ()):
-                idx = uidx(k, j)
-                cur = row.get(idx, GQ(0)) - v
-                if cur:
-                    row[idx] = cur
-                elif idx in row:
-                    del row[idx]
-            row = {c: v for c, v in row.items() if v}
-            if row:
-                rows.append(row)
-    for r in range(two_n):
-        if r != n:
-            rows.append({uidx(r, n): GQ(1)})
-    return two_n * two_n - _peeled_rank(rows)
-
-
 def hom_dimension_decay(gamma: GQ, beta: GQ, sizes=(8, 16, 32)):
     """Exact intertwiner-space dimensions between truncated exotic systems
-    across cutoffs: the evidence for the non-isomorphism claim."""
-    return [exotic_hom_dim(gamma, beta, n) for n in sizes]
+    across cutoffs (`hom_dim`): the evidence for the non-isomorphism claim."""
+    return [hom_dim(truncate_exotic(gamma, n), truncate_exotic(beta, n)) for n in sizes]

@@ -426,5 +426,5 @@ CRITERIA = (
     Criterion(7, "strong-irreducibility", strong_irreducibility_agreement),
     Criterion(8, "exotic-lab", exotic_lab),
     Criterion(9, "halmos", halmos_sweep),
-    Criterion(10, "infinite-dim-evidence", infinite_dimensional_evidence),
+    Criterion(10, "infinite-dim-evidence", infinite_dimensional_evidence, budget_s=10),
 )

@@ -18,10 +18,16 @@ from relpos import kernel
 from relpos.errors import BackendMismatch, DimensionMismatch, SingularMatrixError
 from relpos.gaussian import GQ
 from relpos.matrix import Matrix
-from relpos.sampling import random_invertible, random_subspace, random_system
-from relpos.subspace import Subspace
+from relpos.sampling import (
+    random_invertible,
+    random_jordan_conjugate,
+    random_subspace,
+    random_system,
+)
+from relpos.subspace import Subspace, annihilator
 from relpos.system import (
     SubspaceSystem,
+    _hom_constraints,
     defect,
     direct_sum,
     hom_dim,
@@ -32,6 +38,7 @@ from relpos.system import (
     predicates,
     zero_system,
 )
+from test_modular import catalog_pairs
 
 
 def line_system(*patterns):
@@ -107,6 +114,57 @@ def test_hom_dim_invariant_under_change_of_basis():
     s2 = s.apply(g)
     t2 = t.apply(g)
     assert hom_dim(s, t) == hom_dim(s2, t2)
+
+
+def kron_constraints(s, t):
+    """The Hom constraints as dense Kronecker blocks B_i^T (x) C_i, stacked."""
+    blocks = [
+        e_i.basis.transpose().kron(annihilator(f_i))
+        for e_i, f_i in zip(s.subspaces, t.subspaces)
+        if e_i.dim and f_i.dim < f_i.ambient_dim
+    ]
+    if not blocks:
+        return Matrix.zeros(0, t.ambient_dim * s.ambient_dim)
+    return Matrix.vstack(blocks)
+
+
+def hom_pairs():
+    """Seeded (kind, source, target): random systems (n in 2..4, d <= 5),
+    S_T of random Jordan conjugates against themselves and against a change
+    of basis of themselves, and the catalog pairs."""
+    rng = random.Random(21)
+    for _ in range(180):
+        n = rng.randint(2, 4)
+        yield "random", random_system(rng, rng.randint(1, 5), n), random_system(rng, rng.randint(1, 5), n)
+    for k in range(30):
+        s = single_operator_system(random_jordan_conjugate(rng, max_dim=4)[0])
+        yield "operator", s, (s if k % 2 else s.apply(random_invertible(rng, s.ambient_dim)))
+    for s, t in catalog_pairs():
+        yield "catalog", s, t
+
+
+def test_sparse_hom_constraints_have_the_kronecker_primitive_rows():
+    # the same kernel input, so the same canonical nullspace bit for bit
+    for _, s, t in hom_pairs():
+        got, ref = _hom_constraints(s, t), kron_constraints(s, t)
+        assert got.shape == ref.shape
+        assert got._primitive_rows() == ref._primitive_rows()
+
+
+def test_peeled_hom_dim_is_the_hom_space_dim(monkeypatch):
+    nullspace = Matrix.nullspace
+    pairs, cores = 0, {"random": 0, "operator": 0, "catalog": 0}
+    for kind, s, t in hom_pairs():
+        expected = hom_space(s, t).dim
+        calls = []
+        with monkeypatch.context() as mp:
+            mp.setattr(Matrix, "nullspace", lambda m: calls.append(m.shape) or nullspace(m))
+            assert hom_dim(s, t) == expected
+        pairs += 1
+        cores[kind] += bool(calls)
+    # the pairs whose constraints do not all peel include S_T pairs
+    assert pairs >= 200
+    assert cores["operator"] >= 10
 
 
 def test_defect_examples():

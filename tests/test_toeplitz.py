@@ -21,7 +21,7 @@ from relpos.gaussian import GQ, ONE, format_gq
 from relpos.matrix import EXACT, Matrix
 from relpos.poly import Polynomial
 from relpos.subspace import Subspace, intersect, principal_angles, sum_
-from relpos.system import hom_dim
+from relpos.system import _peeled_rank, hom_dim, hom_space
 from relpos.toeplitz import (
     MAX_EXOTIC_N,
     MAX_GRID,
@@ -30,10 +30,8 @@ from relpos.toeplitz import (
     LaurentSymbol,
     _gap_count,
     _oracle_workers,
-    _peeled_rank,
     _truncation_kernel_count,
     _truncation_singular_values,
-    exotic_hom_dim,
     exotic_report,
     exotic_t_matrix,
     fredholm_index,
@@ -347,7 +345,7 @@ def test_toeplitz_idempotent_trivial_cases():
 def test_exotic_hom_dims_constant_one():
     dims = hom_dimension_decay(GQ(2), GQ(3), sizes=(4, 8, 16, 32))
     assert dims == [1, 1, 1, 1]
-    assert exotic_hom_dim(GQ(2), GQ(2), 8) == 1
+    assert hom_dim(truncate_exotic(GQ(2), 8), truncate_exotic(GQ(2), 8)) == 1
 
 
 EXOTIC_PAIRS = [
@@ -362,19 +360,22 @@ EXOTIC_PAIRS = [
 @pytest.mark.parametrize("n", [4, 5, 6])
 @pytest.mark.parametrize("beta,gamma", EXOTIC_PAIRS, ids=lambda z: format_gq(z))
 def test_exotic_hom_dim_matches_generic_hom(beta, gamma, n):
-    # the sparse reduction against the generic Hom nullspace of the same pair
-    generic = hom_dim(truncate_exotic(beta, n), truncate_exotic(gamma, n))
-    assert exotic_hom_dim(beta, gamma, n) == generic
+    # the peeled rank of the sparse rows against the dense Hom nullspace
+    s, t = truncate_exotic(beta, n), truncate_exotic(gamma, n)
+    assert hom_dim(s, t) == hom_space(s, t).dim == 1
 
 
 def _sparse_gaussian_rows(rng, n_rows, n_cols):
-    """Rows (dicts column -> GQ) of up to three entries each; in about half
-    of the matrices up to two dense 3 x 3 blocks, random or of rank 1, that
-    the singleton steps cannot peel."""
+    """Rows (dicts column -> (re, im) Gaussian integer) of up to three
+    entries each; in about half of the matrices up to two dense 3 x 3
+    blocks, random or of rank 1, that the singleton steps cannot peel."""
 
     def entry():
-        v = GQ(Fraction(rng.randint(-3, 3), rng.randint(1, 3)), rng.randint(-2, 2))
-        return v if v else GQ(1)
+        v = (rng.randint(-3, 3), rng.randint(-2, 2))
+        return v if v != (0, 0) else (1, 0)
+
+    def times(a, b):
+        return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
 
     rows = [{rng.randrange(n_cols): entry() for _ in range(rng.randint(0, 3))} for _ in range(n_rows)]
     if min(n_rows, n_cols) >= 3 and rng.random() < 0.5:
@@ -384,34 +385,44 @@ def _sparse_gaussian_rows(rng, n_rows, n_cols):
             cols = rng.sample(range(n_cols), 3)
             for a, i in zip(left, rng.sample(range(n_rows), 3)):
                 for b, j in zip(right, cols):
-                    rows[i][j] = a * b if rank_one else entry()
+                    rows[i][j] = times(a, b) if rank_one else entry()
     return rows
 
 
 def test_peeled_rank_matches_dense_rank(monkeypatch):
     rng = random.Random(20)
     cores = []
-    rank = Matrix.rank
-    monkeypatch.setattr(Matrix, "rank", lambda m: cores.append(m.shape) or rank(m))
+    nullspace = Matrix.nullspace
+    monkeypatch.setattr(Matrix, "nullspace", lambda m: cores.append(m.shape) or nullspace(m))
     for _ in range(300):
         n_rows, n_cols = rng.randint(1, 12), rng.randint(1, 12)
         rows = _sparse_gaussian_rows(rng, n_rows, n_cols)
-        dense = Matrix.from_rows([[r.get(j, GQ(0)) for j in range(n_cols)] for r in rows])
-        assert _peeled_rank(rows) == rank(dense)
-    # the exact elimination of a core ran on a good share of them
+        dense = Matrix.from_rows(
+            [[GQ(*r.get(j, (0, 0))) for j in range(n_cols)] for r in rows]
+        )
+        assert _peeled_rank(rows) == dense.rank()
+    # the exact nullspace of a core ran on a good share of them
     assert len(cores) >= 60
 
 
 def test_exotic_hom_constraints_peel_to_an_empty_core(monkeypatch):
     # criterion 10's pair, and the pairs of the generic check, need no
-    # arithmetic: every pivot is a singleton row or column
-    def refuse(m):
-        raise AssertionError(f"a {m.shape} core reached exact elimination")
+    # arithmetic once the truncations are built: every pivot of their Hom
+    # constraints is a singleton row or column
+    sizes = (8, 16, 32)
+    systems = [(truncate_exotic(GQ(2), n), truncate_exotic(GQ(3), n)) for n in sizes]
+    pairs = [
+        (truncate_exotic(beta, n), truncate_exotic(gamma, n))
+        for beta, gamma in EXOTIC_PAIRS
+        for n in (4, 5, 6, 8)
+    ]
 
-    monkeypatch.setattr(Matrix, "rank", refuse)
-    assert hom_dimension_decay(GQ(2), GQ(3), sizes=(8, 16, 32)) == [1, 1, 1]
-    for beta, gamma in EXOTIC_PAIRS:
-        assert [exotic_hom_dim(beta, gamma, n) for n in (4, 5, 6, 8)] == [1, 1, 1, 1]
+    def refuse(m):
+        raise AssertionError(f"a {m.shape} core reached the exact nullspace")
+
+    monkeypatch.setattr(Matrix, "nullspace", refuse)
+    assert [hom_dim(s, t) for s, t in systems] == [1, 1, 1]
+    assert [hom_dim(s, t) for s, t in pairs] == [1] * len(pairs)
 
 
 @pytest.mark.parametrize("b", [1, 2, 3, 4])
@@ -1057,10 +1068,11 @@ def random_block_diagonal_symbol(rng):
     b = rng.randint(2, 5)
     coords = list(range(b))
     rng.shuffle(coords)
-    coeffs, ranges = {}, []
+    coeffs, ranges, groups = {}, [], []
     while coords:
         cut = rng.randint(1, len(coords))
         group, coords = coords[:cut], coords[cut:]
+        groups.append(sorted(group))
         lo = rng.randint(-2, 2)
         hi = rng.randint(lo, 2)
         ranges.append((lo, hi))
@@ -1080,7 +1092,7 @@ def random_block_diagonal_symbol(rng):
             for r, i in enumerate(group):
                 for c, j in enumerate(group):
                     full[i][j] = rows[r][c]
-    return LaurentSymbol.make(b, coeffs), ranges
+    return LaurentSymbol.make(b, coeffs), ranges, sorted(groups)
 
 
 def test_index_counted_part_by_part_equals_the_whole_count():
@@ -1090,8 +1102,13 @@ def test_index_counted_part_by_part_equals_the_whole_count():
     rng = random.Random(19)
     ranges, not_fredholm = [], 0
     for _ in range(100):
-        sym, part_ranges = random_block_diagonal_symbol(rng)
+        sym, part_ranges, groups = random_block_diagonal_symbol(rng)
         ranges += part_ranges
+        # the parts, picked from the flat positions, are the validated ones
+        assert toeplitz._diagonal_parts(sym) == [
+            LaurentSymbol.make(len(g), {k: m.take_rows(g).take_columns(g) for k, m in sym.coeffs})
+            for g in groups
+        ]
         rep = fredholm_index(sym)
         inside, circle = toeplitz.disk_zero_counts(toeplitz.symbol_char_poly(sym))
         cert = rep.certification
@@ -1133,6 +1150,31 @@ def test_a_refused_part_goes_to_the_grid_and_the_oracle(monkeypatch):
     assert rep.certification["method"] == "grid"
     assert (rep.fredholm, rep.ker_dim, rep.coker_dim) == (False, 1, 4)
     assert rep.certification["kernel_certification"] == "truncation"
+
+
+def test_a_refused_part_leaves_the_later_parts_uncounted_when_fredholm(monkeypatch):
+    # (z - 2)(z - 1/2)(z - 3) S on coordinates 0..3, S the tall-entry matrix,
+    # is past `_char_poly_fits` and has no zero on the circle; the grid finds
+    # T(a) Fredholm, so the scalar part z^-1 on coordinate 4 is never counted
+    tall = dict(LaurentSymbol.parse(tall_entry_symbol(800)).coeffs)
+    s = tall[3]  # the leading coefficient of the cubic is 1
+
+    def widen(m, corner):
+        rows = [[m.entry(i, j) for j in range(4)] + [GQ(0)] for i in range(4)]
+        return rows + [[GQ(0)] * 4 + [GQ(corner)]]
+
+    cubic = {0: Fraction(-3), 1: Fraction(17, 2), 2: Fraction(-11, 2), 3: Fraction(1)}
+    coeffs = {k: widen(s.scale(GQ(c)), 0) for k, c in cubic.items()}
+    coeffs[-1] = widen(Matrix.zeros(4, 4), 1)
+    sym = LaurentSymbol.make(5, coeffs)
+    counted = []
+    count = toeplitz._exact_zero_counts
+    monkeypatch.setattr(toeplitz, "_exact_zero_counts", lambda part: counted.append(part) or count(part))
+    rep = fredholm_index(sym)
+    assert [part.block_size for part in counted] == [4]
+    assert rep.certification["method"] == "grid"
+    # four zeros 1/2 inside the circle, and z^-1: winding 4 - 1
+    assert (rep.fredholm, rep.winding, rep.index) == (True, 3, -3)
 
 
 def test_float_symbol_coefficients_are_refused():
