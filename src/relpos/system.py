@@ -153,6 +153,21 @@ def hom_space(s: SubspaceSystem, t: SubspaceSystem) -> HomBasis:
     return HomBasis(s, t, basis)
 
 
+def _hom_constraints(s: SubspaceSystem, t: SubspaceSystem) -> Matrix:
+    """The constraint matrix of hom_space: the blocks B_i^T (x) C_i, stacked."""
+    blocks = []
+    for e_i, f_i in zip(s.subspaces, t.subspaces):
+        if e_i.dim == 0:
+            continue
+        c_i = annihilator(f_i)
+        if c_i.rows == 0:
+            continue
+        blocks.append(e_i.basis.transpose().kron(c_i))
+    if not blocks:
+        return Matrix.zeros(0, t.ambient_dim * s.ambient_dim, s.field)
+    return Matrix.vstack(blocks)
+
+
 def _nonzero_by_row(m: Matrix) -> list:
     """For each row of an exact matrix, its nonzero (column, re, im)."""
     out = [[] for _ in range(m.rows)]
@@ -193,23 +208,6 @@ def _dense(rows: list, columns) -> Matrix:
         for c, (a, b) in row.items():
             re[i * w + at[c]], im[i * w + at[c]] = a, b
     return Matrix._ints(len(rows), w, re, im)
-
-
-def _hom_constraints(s: SubspaceSystem, t: SubspaceSystem) -> Matrix:
-    """The constraint matrix of hom_space: the blocks B_i^T (x) C_i, stacked.
-    Exact rows come from `_hom_rows`; their primitive rows are those of the
-    stacked Kronecker products, so the canonical nullspace is the same."""
-    width = t.ambient_dim * s.ambient_dim
-    if s.field == EXACT:
-        return _dense(_hom_rows(s, t), range(width))
-    blocks = [
-        e_i.basis.transpose().kron(c_i)
-        for e_i, f_i in zip(s.subspaces, t.subspaces)
-        if e_i.dim and (c_i := annihilator(f_i)).rows
-    ]
-    if not blocks:
-        return Matrix.zeros(0, width, s.field)
-    return Matrix.vstack(blocks)
 
 
 def _peeled_rank(rows: list) -> int:

@@ -380,9 +380,9 @@ def fredholm_index(sym: LaurentSymbol) -> IndexReport:
     T(a) is Fredholm iff no p_j has a zero on the circle, and then the
     winding is (zeros of p in the disk) - S.  Where a part's count is
     refused, as the whole symbol's then is, the winding comes from the float
-    grid (`_grid_index`), and the parts after it are not counted here.  The
-    same counts, or their refusal, decide the kernel dimensions
-    (`_kernel_dims`)."""
+    grid (`_grid_index`), and the parts after it are counted only where the
+    grid finds T(a) not Fredholm.  The same counts, or their refusal, decide
+    the kernel dimensions (`_kernel_dims`)."""
     parts = _diagonal_parts(sym)
     counts = []
     for part in parts:
@@ -402,6 +402,7 @@ def fredholm_index(sym: LaurentSymbol) -> IndexReport:
             certification={"method": "exact zero count", "inside": inside, "circle": circle},
         )
     if not rep.fredholm:
+        counts += [_exact_zero_counts(part) for part in parts[len(counts):]]
         rep.ker_dim, rep.coker_dim, cert = _kernel_dims(parts, counts)
         rep.certification["kernel_certification"] = cert
     return rep
@@ -612,11 +613,11 @@ def _diagonal_parts(sym: LaurentSymbol) -> list:
     return out
 
 
-def _kernel_dims(parts: list, counts: list = ()):
+def _kernel_dims(parts: list, counts: list | None = None):
     """(ker, coker, certification) of the direct sum of the `parts` of a
     symbol (`_diagonal_parts`): sums over the parts, the weakest
     certification.  Each scalar or one-sided part is read off its
-    `_exact_zero_counts`, from `counts` as far as given, else taken here.
+    `_exact_zero_counts`, from `counts` when given, else taken here.
 
     Such a part is 'exact' (no oracle runs): with S = upper * b, (in, circ)
     the zeros of p = det(z^S a(z)) in the open disk and on the circle, ker =
@@ -632,7 +633,7 @@ def _kernel_dims(parts: list, counts: list = ()):
     for i, part in enumerate(parts):
         count = None
         if part.block_size == 1 or not (part.upper > 0 and part.lower > 0):
-            count = counts[i] if i < len(counts) else _exact_zero_counts(part)
+            count = _exact_zero_counts(part) if counts is None else counts[i]
         if count is None:
             dims.append(_oracle_kernel_dims(part))
         else:

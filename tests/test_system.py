@@ -24,10 +24,9 @@ from relpos.sampling import (
     random_subspace,
     random_system,
 )
-from relpos.subspace import Subspace, annihilator
+from relpos.subspace import Subspace
 from relpos.system import (
     SubspaceSystem,
-    _hom_constraints,
     defect,
     direct_sum,
     hom_dim,
@@ -116,18 +115,6 @@ def test_hom_dim_invariant_under_change_of_basis():
     assert hom_dim(s, t) == hom_dim(s2, t2)
 
 
-def kron_constraints(s, t):
-    """The Hom constraints as dense Kronecker blocks B_i^T (x) C_i, stacked."""
-    blocks = [
-        e_i.basis.transpose().kron(annihilator(f_i))
-        for e_i, f_i in zip(s.subspaces, t.subspaces)
-        if e_i.dim and f_i.dim < f_i.ambient_dim
-    ]
-    if not blocks:
-        return Matrix.zeros(0, t.ambient_dim * s.ambient_dim)
-    return Matrix.vstack(blocks)
-
-
 def hom_pairs():
     """Seeded (kind, source, target): random systems (n in 2..4, d <= 5),
     S_T of random Jordan conjugates against themselves and against a change
@@ -141,14 +128,6 @@ def hom_pairs():
         yield "operator", s, (s if k % 2 else s.apply(random_invertible(rng, s.ambient_dim)))
     for s, t in catalog_pairs():
         yield "catalog", s, t
-
-
-def test_sparse_hom_constraints_have_the_kronecker_primitive_rows():
-    # the same kernel input, so the same canonical nullspace bit for bit
-    for _, s, t in hom_pairs():
-        got, ref = _hom_constraints(s, t), kron_constraints(s, t)
-        assert got.shape == ref.shape
-        assert got._primitive_rows() == ref._primitive_rows()
 
 
 def test_peeled_hom_dim_is_the_hom_space_dim(monkeypatch):

@@ -1177,6 +1177,26 @@ def test_a_refused_part_leaves_the_later_parts_uncounted_when_fredholm(monkeypat
     assert (rep.fredholm, rep.winding, rep.index) == (True, 3, -3)
 
 
+def test_a_refused_part_before_an_identically_singular_part_is_degenerate():
+    # the tall-entry part on coordinates 0..3 is refused and the grid finds
+    # T(a) not Fredholm; the two-sided part D (z + 1/z) on coordinates 4, 5,
+    # det D = 0, is still counted, so its vanishing determinant is reported
+    # and no kernel dimension is
+    tall = LaurentSymbol.parse(tall_entry_symbol(800))
+    d = [[GQ(1), GQ(Fraction(1, 3))], [GQ(3), GQ(1)]]
+
+    def widen(m, corner):
+        rows = [[m.entry(i, j) for j in range(4)] + [GQ(0)] * 2 for i in range(4)]
+        return rows + [[GQ(0)] * 4 + row for row in corner]
+
+    coeffs = {k: widen(m, d if k == 1 else [[GQ(0)] * 2] * 2) for k, m in tall.coeffs}
+    coeffs[-1] = widen(Matrix.zeros(4, 4), d)
+    sym = LaurentSymbol.make(6, coeffs)
+    assert [part.block_size for part in toeplitz._diagonal_parts(sym)] == [4, 2]
+    with pytest.raises(DegenerateSymbolError, match="vanishes identically"):
+        fredholm_index(sym)
+
+
 def test_float_symbol_coefficients_are_refused():
     exact = Matrix.from_rows([[1]])
     for c0 in (0.5, 2.0):
