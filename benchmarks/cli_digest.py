@@ -13,8 +13,8 @@ J_2(1) + J_1(1), which is derogatory, and the companion matrix of x^2 - 2,
 which is cyclic) and on a direct sum of three catalog members under a Z[i]
 change of basis (it splits twice), `angles` on a float pair in C^4 (its
 reconstruction residual comes from LAPACK's QR), and `diagram --threshold
-1e-9` on an exact system whose E1 ∩ E2 is a line with a float angle of
-about 2.6e-8, and `defect` on an exact system and `angles` on a float pair
+1e-9` on an exact system whose E1 ∩ E2 is a line (its float angle is
+small, but not 0), and `defect` on an exact system and `angles` on a float pair
 whose entries use every form of the scalar syntax, then `toeplitz exotic` at
 gamma = 3/2 (N = 16), gamma = 2+i (N = 24) and gamma = 2 with `--threshold
 1e-9` (N = 16), then `toeplitz index` on three symbols that the exact zero
@@ -160,7 +160,7 @@ SUM_FILES = {
     ),
 }
 # a float pair with two generic angles, and an exact system with
-# dim E1 ∩ E2 = 1 that a threshold below the angle noise must not join
+# dim E1 ∩ E2 = 1 that a small threshold must not join
 PAIR_FILES = {
     "p0.sys": "\n".join([
         "relpos-system 1", "field complex-float", "ambient 4",
@@ -193,7 +193,7 @@ SCALAR_FILES = {
     ]) + "\n",
 }
 # appended after the lines above, which keep their order: the exotic report
-# at a rational and at a Gaussian gamma, and below its (3,4) angle floor
+# at a rational and at a Gaussian gamma, and with a 1e-9 threshold
 EXOTIC = (
     ("toeplitz", "exotic", "--gamma=3/2", "--N", "16"),
     ("toeplitz", "exotic", "--gamma=2+i", "--N", "24"),

@@ -1,9 +1,9 @@
 """Two-subspace numerics: the five-part canonical decomposition, principal
 angles, and the classification of two-subspace systems.
 
-Angles come from singular values of the cross-Gram matrix, clipped to [0,1]
-before arccos so floating drift cannot produce NaN.  Corner membership
-(angle 0 or pi/2) is decided against `corner_tol` on the cosine scale."""
+Vectors, cosines, sines and angles all come from `subspace.principal_pairs`.
+Corner membership (angle 0 or pi/2) is decided against `corner_tol` on the
+angle scale."""
 
 from __future__ import annotations
 
@@ -13,9 +13,11 @@ import numpy as np
 
 from .errors import DimensionMismatch
 from .matrix import EXACT, Matrix
-from .subspace import Subspace, intersect, principal_angles, sum_
+from .subspace import Subspace, intersect, principal_pairs, sum_
 from .system import SubspaceSystem
 
+# radians: an angle within it of 0 puts its pair into E ∩ F, within it of
+# pi/2 into E ∩ F⊥ and E⊥ ∩ F
 CORNER_TOL = 1e-8
 
 
@@ -66,57 +68,27 @@ def halmos_decompose(e: Subspace, f: Subspace, corner_tol: float = CORNER_TOL) -
     d = e.ambient_dim
     ue = _orthobasis(e)
     uf = _orthobasis(f)
-    p, q = ue.shape[1], uf.shape[1]
-    m = ue.conj().T @ uf
-    if min(p, q) == 0:
-        w = np.eye(p, dtype=complex)
-        v = np.eye(q, dtype=complex)
-        sig = np.zeros(0)
-    else:
-        w, sig, vh = np.linalg.svd(m)
-        v = vh.conj().T
-    pe = ue @ w  # principal directions in E
-    qf = uf @ v  # principal directions in F
-    nang = len(sig)
-    sig = np.clip(sig, 0.0, 1.0)
-
-    ef_cols = []       # E ∩ F
-    gen_e = []         # generic E-directions
-    gen_w = []         # generic companions (F-direction minus cosine part)
-    gen_cos = []
-    e_only = []        # E ∩ F⊥
-    f_only = []        # E⊥ ∩ F
-    for i in range(nang):
-        c = sig[i]
-        if c >= 1.0 - corner_tol:
-            ef_cols.append(pe[:, i])
-        elif c <= corner_tol:
-            e_only.append(pe[:, i])
-            f_only.append(qf[:, i])
-        else:
-            s = float(np.sqrt(1.0 - c * c))
-            wvec = (qf[:, i] - c * pe[:, i]) / s
-            gen_e.append(pe[:, i])
-            gen_w.append(wvec)
-            gen_cos.append(c)
-    # extra directions beyond min(p, q) are orthogonal to the other space
-    for i in range(nang, p):
-        e_only.append(pe[:, i])
-    for i in range(nang, q):
-        f_only.append(qf[:, i])
-
-    def col(ls):
-        return np.array(ls, dtype=complex).T if ls else np.zeros((d, 0), dtype=complex)
-
-    blocks = [col(ef_cols), col(gen_e), col(gen_w), col(e_only), col(f_only)]
-    used = np.hstack(blocks) if any(b.size for b in blocks) else np.zeros((d, 0), dtype=complex)
+    pe, qf, cos, sin, theta = principal_pairs(ue, uf)
+    k = len(theta)
+    meet = theta <= corner_tol
+    perp = theta >= np.pi / 2 - corner_tol
+    gen = ~(meet | perp)
+    cos_v, sin_v = cos[gen], sin[gen]
+    pk, qk = pe[:, :k], qf[:, :k]
+    gen_e = pk[:, gen]
+    # companions: the unit part of each generic F-direction orthogonal to E
+    gen_w = (qk[:, gen] - cos_v * gen_e) / sin_v
+    # directions past k are orthogonal to the other space
+    e_only = np.hstack([pk[:, perp], pe[:, k:]])
+    f_only = np.hstack([qk[:, perp], qf[:, k:]])
+    used = np.hstack([pk[:, meet], gen_e, gen_w, e_only, f_only])
     rest = _complement_within(used, d)
     unitary = _unitary_columns(np.hstack([used, rest]))
 
-    a = len(ef_cols)
-    g = len(gen_e)
-    b = len(e_only)
-    c_ = len(f_only)
+    a = int(np.sum(meet))
+    g = len(cos_v)
+    b = e_only.shape[1]
+    c_ = f_only.shape[1]
     z = d - (a + 2 * g + b + c_)
     part_dims = {
         "intersection": a,
@@ -125,7 +97,7 @@ def halmos_decompose(e: Subspace, f: Subspace, corner_tol: float = CORNER_TOL) -
         "f_only": c_,
         "perp_both": z,
     }
-    angles = np.sort(np.arccos(np.clip(np.array(gen_cos), 0.0, 1.0)))
+    angles = np.sort(theta[gen])
 
     # reconstruction check against the canonical block model
     proj_e = ue @ ue.conj().T
@@ -135,8 +107,6 @@ def halmos_decompose(e: Subspace, f: Subspace, corner_tol: float = CORNER_TOL) -
     model_e[:a, :a] = np.eye(a)
     model_f[:a, :a] = np.eye(a)
     # generic blocks keep the original (unsorted) order used in the unitary
-    cos_v = np.array(gen_cos)
-    sin_v = np.sqrt(1.0 - cos_v**2)
     i0 = a
     model_e[i0 : i0 + g, i0 : i0 + g] = np.eye(g)
     cc = np.diag(cos_v**2)

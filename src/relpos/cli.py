@@ -45,14 +45,14 @@ def _default_tol() -> float:
     env = os.environ.get("RELPOS_TOL")
     if env:
         try:
-            return float(env)
-        except ValueError:
-            raise ParseError(f"bad RELPOS_TOL value {env!r}")
+            return _threshold(env)
+        except argparse.ArgumentTypeError:
+            raise ParseError(f"bad RELPOS_TOL value {env!r}") from None
     return DEFAULT_TOL
 
 
 def _threshold(text: str) -> float:
-    """argparse type of --threshold: a finite float above 0."""
+    """argparse type of --tol and --threshold: a finite float above 0."""
     try:
         value = float(text)
     except ValueError:
@@ -332,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=f"relpos {__version__}")
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.add_argument(
-        "--tol", type=float, default=None,
+        "--tol", type=_threshold, default=None,
         help="float-backend tolerance (default 1e-9 or RELPOS_TOL)",
     )
     sub = p.add_subparsers(dest="command", required=True)
@@ -404,9 +404,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.tol is None:
-        args.tol = _default_tol()
     try:
+        if args.tol is None:
+            args.tol = _default_tol()
         return args.func(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

@@ -265,18 +265,41 @@ def orthoprojection(a: Subspace) -> Matrix:
     return b @ gram.inverse() @ b.conj_transpose()
 
 
+def principal_pairs(ua: np.ndarray, ub: np.ndarray):
+    """Principal vectors, cosines, sines and angles of the spans of two
+    orthonormal bases ua (d x p) and ub (d x q), largest cosine first.
+
+    Returns (pe, qf, cos, sin, theta).  One SVD W diag(cos) V* of ua* ub
+    gives the principal vectors pe = ua W and qf = ub V; their first
+    k = min(p, q) columns pair up, and the columns past k are orthogonal to
+    the other span.  sin[j] is the norm of qf_j - cos_j pe_j, the part of
+    the F-vector orthogonal to E, and theta = atan2(sin, cos), which is
+    accurate near 0 as well as near pi/2 (Björck and Golub, Math. Comp. 27,
+    1973).
+
+    Known limit: within a cluster of angles whose cosines agree to the last
+    bit (all angles below about 1.5e-8), the vectors of the SVD mix, and
+    each angle of the cluster is read only within the cluster's spread.  An
+    isolated angle is accurate to a few ulps plus about 1e-16."""
+    if not (ua.shape[1] and ub.shape[1]):
+        empty = np.zeros(0)
+        return ua, ub, empty, empty, empty
+    w, cos, vh = np.linalg.svd(ua.conj().T @ ub)
+    pe = ua @ w
+    qf = ub @ vh.conj().T
+    k = len(cos)
+    sin = np.linalg.norm(qf[:, :k] - cos * pe[:, :k], axis=0)
+    return pe, qf, cos, sin, np.arctan2(sin, cos)
+
+
 def principal_angles(a: Subspace, b: Subspace) -> np.ndarray:
-    """Sorted principal angles between two subspaces (radians, float path).
+    """Sorted principal angles between two subspaces (radians, float path),
+    by `principal_pairs`.
 
     Accepts mixed backends; everything is converted to float here.
     """
     if a.ambient_dim != b.ambient_dim:
         raise DimensionMismatch("subspaces live in different ambient spaces")
-    if a.dim == 0 or b.dim == 0:
-        return np.array([])
     ua = a.to_float().basis.to_array()
     ub = b.to_float().basis.to_array()
-    g = ua.conj().T @ ub
-    s = np.linalg.svd(g, compute_uv=False)
-    s = np.clip(s, 0.0, 1.0)
-    return np.sort(np.arccos(s))
+    return np.sort(principal_pairs(ua, ub)[-1])

@@ -343,8 +343,8 @@ def diagram_from_pairs(n, meets, smallest, threshold=None) -> IntersectionDiagra
     float system); smallest[(i, j)] is the pair's smallest principal angle
     (absent where a subspace is 0).  A pair is joined when its exact
     intersection is 0 and, given a threshold, its smallest angle exceeds
-    it.  The exact test comes first because the float angle of an exact
-    intersection reads 2e-8 to 3e-8, not 0."""
+    it.  The exact test comes first: the float angle of an exact
+    intersection is small, but not 0."""
     edges = frozenset(
         frozenset(p)
         for p in combinations(range(1, n + 1), 2)

@@ -533,15 +533,15 @@ def _band_singular_values(ab: np.ndarray, m: int, c: int, kl: int, ku: int) -> n
     return d[::-1]
 
 
-def _truncation_singular_values(sym: LaurentSymbol, n_rows: int, n_cols: int) -> np.ndarray:
-    """Singular values, ascending, of the hard-cutoff truncation with
-    n_rows x n_cols blocks."""
-    return _band_singular_values(*_truncation_band(sym, n_rows, n_cols))
-
-
 def _gap_count(svals: np.ndarray) -> int:
     """Number of ascending singular values below ORACLE_SIGMA_TOL * max that
-    end in a ratio gap of at least ORACLE_GAP."""
+    end in a ratio gap of at least ORACLE_GAP: the numeric near-kernel count
+    of a tall truncation.
+
+    A decaying kernel vector leaves an exponentially small singular value,
+    separated from the rest by a large ratio gap; symbols whose determinant
+    merely vanishes on the circle produce polynomially small tails with no
+    gap, which must not be counted."""
     if len(svals) == 0:
         return 0
     smax = max(float(svals[-1]), 1.0)
@@ -561,16 +561,6 @@ def _tall_band(sym: LaurentSymbol, n: int):
     the band, so cut-off growing solutions hit nonzero bottom rows."""
     pad = sym.lower + sym.upper + 2
     return _truncation_band(sym, n + pad, n)
-
-
-def _truncation_kernel_count(sym: LaurentSymbol, n: int) -> int:
-    """Numeric near-kernel count of the tall truncation.
-
-    A decaying kernel vector leaves an exponentially small singular value,
-    separated from the rest by a large ratio gap; symbols whose determinant
-    merely vanishes on the circle produce polynomially small tails with no
-    gap, which must not be counted."""
-    return _gap_count(_band_singular_values(*_tall_band(sym, n)))
 
 
 def _oracle_workers() -> int:
@@ -778,9 +768,10 @@ def truncate_exotic(gamma: GQ, n: int) -> SubspaceSystem:
 
 
 def _exotic_float_subspaces(gamma: GQ, n: int) -> list:
-    """Orthonormal bases of E1..E4 built from their canonical exact bases
-    [I; 0], [0; I], [[I; T_gamma] | e] and [I; I], with gamma rounded as
-    Matrix.to_array rounds it, so the SVD input equals that of
+    """Float E1..E4 with orthonormal bases.  E1 = [I; 0] and E2 = [0; I] are
+    their own orthonormal bases.  E3 and E4 are orthonormalised from their
+    canonical exact bases [[I; T_gamma] | e] and [I; I], with gamma rounded
+    as Matrix.to_array rounds it, so the SVD input equals that of
     truncate_exotic(gamma, n).to_float()."""
     two_n = 2 * n
     eye = np.eye(two_n, dtype=complex)
@@ -798,7 +789,10 @@ def _exotic_float_subspaces(gamma: GQ, n: int) -> list:
         np.hstack([np.vstack([eye, t]), extra]),
         np.vstack([eye, eye]),
     ]
-    return [Subspace(Matrix.from_array(a, tol=DEFAULT_TOL)) for a in bases]
+    return [
+        Subspace(Matrix.from_array(a, tol=DEFAULT_TOL), _canonical=i < 2)
+        for i, a in enumerate(bases)
+    ]
 
 
 @dataclass
@@ -839,16 +833,22 @@ def exotic_report(gamma: GQ, n: int, tol: float = 1e-6) -> ExoticReport:
     d = 4 * n
     dims = (2 * n, 2 * n, 2 * n + 1, 2 * n)
     m = {(1, 2): 0, (1, 3): 1, (1, 4): 0, (2, 3): 1, (2, 4): 0, (3, 4): 1}
+    # E1 ⊥ E2, and the diagonal E4 is at pi/4 to both, for every gamma and n
+    known = {(1, 2): math.pi / 2, (1, 4): math.pi / 4, (2, 4): math.pi / 4}
     sf = _exotic_float_subspaces(gamma, n)
-    nperp, angles, near = {}, {}, {}
+    nperp, angles, near = {}, {}, dict(m)
     for pair, mij in m.items():
         i, j = pair[0] - 1, pair[1] - 1
         # Grassmann: dim(a + b) = dim a + dim b - dim(a ∩ b)
         nperp[pair] = d - dims[i] - dims[j] + mij
+        if pair in known:
+            angles[pair] = known[pair]
+            continue
         ang = principal_angles(sf[i], sf[j])
-        angles[pair] = float(ang[0]) if len(ang) else float("nan")
+        angles[pair] = float(ang[0])
         # near-intersections past the exact part count on (3,4) only
-        near[pair] = max(int(np.sum(ang < tol)), mij) if pair == (3, 4) else mij
+        if pair == (3, 4):
+            near[pair] = max(int(np.sum(ang < tol)), mij)
     for pair in ((1, 2), (1, 4), (2, 4)):
         if m[pair] != 0 or nperp[pair] != 0:
             raise UncertifiedError(f"pair {pair} is not exactly complementary")

@@ -1,5 +1,6 @@
 """Halmos decomposition and two-subspace classification."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -9,9 +10,10 @@ import pytest
 from relpos import angles
 from relpos.angles import classify_two_system, halmos_decompose
 from relpos.decompose import decompose
+from relpos.gaussian import GQ
 from relpos.matrix import Matrix
 from relpos.sampling import random_system
-from relpos.subspace import Subspace
+from relpos.subspace import Subspace, principal_angles
 from relpos.system import SubspaceSystem
 
 
@@ -25,19 +27,65 @@ def random_float_subspace(rng, d, k):
 
 
 def test_single_angle_pair():
+    # 1e-4 and 1e-5 once fell into E ∩ F and E⊥ ∩ F⊥, with a residual of
+    # about 1.4 times the angle
     e = tofloat([[1, 0]], 2)
-    th = np.pi / 6
-    f = tofloat([[np.cos(th), np.sin(th)]], 2)
+    for th in (np.pi / 6, 1e-4, 1e-5):
+        f = tofloat([[np.cos(th), np.sin(th)]], 2)
+        dec = halmos_decompose(e, f)
+        assert dec.part_dims == {
+            "intersection": 0,
+            "generic": 1,
+            "e_only": 0,
+            "f_only": 0,
+            "perp_both": 0,
+        }, th
+        assert abs(dec.angles[0] - th) < 1e-12
+        assert dec.residual < 1e-12
+
+
+def _tan_pair(theta, d):
+    """E and F in C^d at the one angle atan(t), for t = tan(theta) rounded to
+    a float and taken as an exact rational (F = span(e2) at pi/2), and that
+    angle.  In C^6, e3 lies in E only, e4 in F only, e5 and e6 in neither."""
+    if theta == math.pi / 2:
+        f_row, want = [0, 1], theta
+    else:
+        t = math.tan(theta)
+        f_row, want = [1, GQ(Fraction(t))], math.atan(t)
+    pad = [0] * (d - 2)
+    e_rows, f_rows = [[1, 0, *pad]], [[*f_row, *pad]]
+    if d == 6:
+        e_rows.append([0, 0, 1, 0, 0, 0])
+        f_rows.append([0, 0, 0, 1, 0, 0])
+    return Subspace.span_rows(d, e_rows), Subspace.span_rows(d, f_rows), want
+
+
+@pytest.mark.parametrize("d", [2, 6])
+@pytest.mark.parametrize("theta", [1e-12, 1e-9, 1e-5, 1e-4, 0.3, math.pi / 4, 1.2, math.pi / 2])
+def test_angles_of_constructed_pairs_are_accurate(theta, d):
+    e, f, want = _tan_pair(theta, d)
+    tol = 4 * math.ulp(want) + 1e-15
+    got = principal_angles(e, f)
+    extra = d == 6
+    assert len(got) == 1 + extra
+    assert abs(got[0] - want) <= tol, got
+    if extra:
+        assert abs(got[1] - math.pi / 2) <= 4 * math.ulp(math.pi / 2) + 1e-15, got
     dec = halmos_decompose(e, f)
-    assert dec.part_dims == {
-        "intersection": 0,
-        "generic": 1,
-        "e_only": 0,
-        "f_only": 0,
-        "perp_both": 0,
-    }
-    assert abs(dec.angles[0] - th) < 1e-12
-    assert dec.residual < 1e-12
+    meet = want <= angles.CORNER_TOL
+    perp = want >= math.pi / 2 - angles.CORNER_TOL
+    generic = not (meet or perp)
+    dims = {"intersection": int(meet), "generic": int(generic),
+            "e_only": perp + extra, "f_only": perp + extra}
+    dims["perp_both"] = d - sum(dims.values()) - generic
+    assert dec.part_dims == dims
+    if generic:
+        assert abs(dec.angles[0] - want) <= tol, dec.angles
+        assert dec.residual < 1e-12
+    else:
+        # a corner pair is read at its corner, a distance of about sqrt(2) theta
+        assert dec.residual < 2 * min(want, math.pi / 2 - want) + 1e-12
 
 
 def test_equal_subspaces():

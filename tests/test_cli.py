@@ -8,6 +8,7 @@ import sys
 import time
 import tracemalloc
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -21,7 +22,7 @@ from relpos.system import SubspaceSystem
 from relpos import toeplitz
 from relpos.toeplitz import MAX_EXOTIC_N, MAX_SYMBOL_BLOCK, MAX_SYMBOL_OFFSET
 from relpos import verify as verify_mod
-from relpos.verify import CRITERIA, Criterion, SweepReport
+from relpos.verify import CRITERIA, Criterion, SweepReport, classification_completeness
 
 
 def run_python(argv):
@@ -561,6 +562,38 @@ def test_threshold_must_be_finite_and_positive(args, value, tmp_path, capsys):
     assert "--threshold" in err and "Traceback" not in err
 
 
+# E1 = (1, 0), E2 = (1, 0.5): a nan or inf tolerance read both subspaces as zero
+TOL_PAIR = (
+    "relpos-system 1\nfield complex-float\nambient 2\n"
+    "subspace E1 dim 1\n1.0 0.0\nsubspace E2 dim 1\n1.0 0.5\n"
+)
+
+
+@pytest.mark.parametrize("value", ["nan", "-1", "0", "inf", "-inf", "x"])
+def test_tol_must_be_finite_and_positive(value, capsys, monkeypatch):
+    with pytest.raises(SystemExit) as exc:
+        main([f"--tol={value}", "--json", "angles", "-"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--tol" in err and "Traceback" not in err
+    # the same value from the environment is a parse error, not a traceback
+    monkeypatch.setenv("RELPOS_TOL", value)
+    code, out, err = run_cli(["--json", "angles", "-"], stdin_text=TOL_PAIR)
+    assert (code, out) == (2, "")
+    assert err == f"parse error: bad RELPOS_TOL value {value!r}\n"
+
+
+def test_good_tol_reads_the_pair(monkeypatch):
+    runs = [run_cli(["--tol=1e-6", "--json", "angles", "-"], stdin_text=TOL_PAIR)]
+    monkeypatch.setenv("RELPOS_TOL", "1e-6")
+    runs.append(run_cli(["--json", "angles", "-"], stdin_text=TOL_PAIR))
+    for code, out, err in runs:
+        assert code == 0, err
+        rep = json.loads(out)
+        assert rep["tolerance"] == 1e-6
+        assert rep["multiplicities"] == {"(C;C,C)": 0, "(C;C,0)": 1, "(C;0,C)": 1, "(C;0,0)": 0}
+
+
 def test_catalog_key_past_the_dimension_bound_exit_code():
     # refused from the key alone: built, the file would hold about 4e10 entries
     start = time.perf_counter()
@@ -608,7 +641,11 @@ def test_verify_runs_a_registry_entry():
 
 
 def _cheap_criteria():
-    return tuple(c for c in CRITERIA if c.name in ("halmos", "two-types"))
+    # real entries on small inputs; criterion 4 runs at its full count of 200
+    # in test_acceptance
+    halmos = next(c for c in CRITERIA if c.name == "halmos")
+    two_types = partial(classification_completeness, count=5, n=2, seed=204)
+    return (Criterion(4, "two-types", two_types), halmos)
 
 
 def test_verify_all_runs_every_entry_in_order(monkeypatch):
@@ -616,7 +653,7 @@ def test_verify_all_runs_every_entry_in_order(monkeypatch):
     code, out, _ = run_cli(["verify", "all"])
     assert code == 0
     assert out.splitlines() == [
-        "4 two-types: PASS [checked 200]",
+        "4 two-types: PASS [checked 5]",
         "9 halmos: PASS [checked 50]",
     ]
     code, out1, _ = run_cli(["--json", "verify", "all"])
@@ -626,7 +663,7 @@ def test_verify_all_runs_every_entry_in_order(monkeypatch):
     rep = json.loads(out1)
     assert rep["command"] == "verify all" and rep["passed"] is True
     assert [(r["number"], r["name"], r["checked"]) for r in rep["criteria"]] == [
-        (4, "two-types", 200),
+        (4, "two-types", 5),
         (9, "halmos", 50),
     ]
 
