@@ -35,12 +35,17 @@ from relpos.decompose import are_isomorphic, decompose
 from relpos.gaussian import GQ
 from relpos.matrix import EXACT, Matrix
 from relpos.sampling import random_invertible, random_system
-from relpos.system import _hom_constraints
+from relpos.system import _dense, _hom_rows
 
 REPEATS = 3
 BATCH_REPEATS = 7
 DRAWS = 4  # classify systems per (n, d)
 D_MAX = 6
+
+
+def hom_constraints(s, t):
+    """The dense constraint matrix whose nullspace hom_space(s, t) takes."""
+    return _dense(_hom_rows(s, t), range(s.ambient_dim * t.ambient_dim))
 
 
 def best_of(fn):
@@ -128,12 +133,12 @@ def operator_constraints(rng, size):
     p = random_invertible(rng, size)
     t = p @ Matrix.block_diag(blocks) @ p.inverse()
     s = single_operator_system(t)
-    return _hom_constraints(s, s)
+    return hom_constraints(s, s)
 
 
 def iso_constraints(rng, family, k):
     s = build_gp4(family, k)
-    return _hom_constraints(s, s.apply(random_invertible(rng, s.ambient_dim)))
+    return hom_constraints(s, s.apply(random_invertible(rng, s.ambient_dim)))
 
 
 def hom_shapes():

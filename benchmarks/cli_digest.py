@@ -22,8 +22,9 @@ count decides (a scalar with three zeros near the circle, a block symbol
 with two zeros on it, and a block-diagonal one), then `toeplitz defect` on
 zI + N - 3I + 2I/z for block 3 and on those three symbols, then `verify
 infinite-dim-evidence` (criterion 10: the exotic Hom dimensions at N = 8,
-16 and 32), all with `--json` before the subcommand, against the `src/`
-next to this script.
+16 and 32), then `angles` on an exact pair whose one generic angle, 1e-9,
+lies below the corner tolerance, all with `--json` before the subcommand,
+against the `src/` next to this script.
 Prints one line per command: the command, its exit code and the sha256 of
 its stdout and of its stderr.  Two checkouts give byte-identical CLI output
 when their lines are equal:
@@ -220,6 +221,15 @@ DEFECTS = tuple(
 # appended after those: criterion 10, whose hom_dims come from the exotic
 # Hom constraints
 CRITERIA = (("verify", "infinite-dim-evidence"),)
+# appended after those: an exact pair at angle 1e-9, which the lattice
+# counts as one generic pair
+TINY_ANGLE_FILES = {
+    "a0.sys": "\n".join([
+        "relpos-system 1", "field gaussian-rational", "ambient 2",
+        "subspace E1 dim 1", "1 0",
+        "subspace E2 dim 1", "1 1/1000000000",
+    ]) + "\n",
+}
 DOCUMENTED_EXIT_CODES = {0, 2, 3, 4}
 
 
@@ -240,6 +250,7 @@ def _commands():
     yield ("angles", "x1.sys"), None
     for cmd in (*EXOTIC, *ZERO_COUNTS, *DEFECTS, *CRITERIA):
         yield cmd, None
+    yield ("angles", "a0.sys"), None
 
 
 def _sha(data: bytes) -> str:
@@ -250,7 +261,8 @@ def main() -> int:
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     bad = 0
     with tempfile.TemporaryDirectory() as work:
-        for name, text in (OPERATOR_FILES | SUM_FILES | PAIR_FILES | SCALAR_FILES).items():
+        files = OPERATOR_FILES | SUM_FILES | PAIR_FILES | SCALAR_FILES | TINY_ANGLE_FILES
+        for name, text in files.items():
             with open(os.path.join(work, name), "w") as fh:
                 fh.write(text)
         for cmd, write_to in _commands():

@@ -2,18 +2,18 @@
 angles, and the classification of two-subspace systems.
 
 Vectors, cosines, sines and angles all come from `subspace.principal_pairs`.
-Corner membership (angle 0 or pi/2) is decided against `corner_tol` on the
+Corner membership (angle 0 or pi/2) is decided against `CORNER_TOL` on the
 angle scale."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatch
-from .matrix import EXACT, Matrix
-from .subspace import Subspace, intersect, principal_pairs, sum_
+from .matrix import EXACT
+from .subspace import Subspace, intersect, principal_angles, principal_pairs
 from .system import SubspaceSystem
 
 # radians: an angle within it of 0 puts its pair into E ∩ F, within it of
@@ -60,7 +60,7 @@ class TwoSubspaceDecomposition:
     residual: float
 
 
-def halmos_decompose(e: Subspace, f: Subspace, corner_tol: float = CORNER_TOL) -> TwoSubspaceDecomposition:
+def halmos_decompose(e: Subspace, f: Subspace) -> TwoSubspaceDecomposition:
     """Split C^d into (E∩F) + (K+K generic) + (E∩F⊥) + (E⊥∩F) + (E⊥∩F⊥) with
     a unitary carrying both projections into the canonical block form."""
     if e.ambient_dim != f.ambient_dim:
@@ -70,8 +70,8 @@ def halmos_decompose(e: Subspace, f: Subspace, corner_tol: float = CORNER_TOL) -
     uf = _orthobasis(f)
     pe, qf, cos, sin, theta = principal_pairs(ue, uf)
     k = len(theta)
-    meet = theta <= corner_tol
-    perp = theta >= np.pi / 2 - corner_tol
+    meet = theta <= CORNER_TOL
+    perp = theta >= np.pi / 2 - CORNER_TOL
     gen = ~(meet | perp)
     cos_v, sin_v = cos[gen], sin[gen]
     pk, qk = pe[:, :k], qf[:, :k]
@@ -136,8 +136,8 @@ class TwoSystemClassification:
 
     multiplicities: dict
     angles: np.ndarray
-    # the Halmos decomposition the angles were read from, None where the
-    # lattice found no generic part
+    # the Halmos decomposition a float pair's counts and angles were read
+    # from; None on an exact pair
     decomposition: TwoSubspaceDecomposition | None = None
 
     def total_dim(self) -> int:
@@ -148,7 +148,9 @@ class TwoSystemClassification:
 def classify_two_system(s: SubspaceSystem) -> TwoSystemClassification:
     """Corner multiplicities and generic angles of a two-subspace system.
 
-    Exact systems get exact corner dimensions (lattice operations); each
+    Exact systems get exact corner dimensions (lattice operations), and
+    their g generic angles are the principal angles past the a = dim(E ∩ F)
+    zeros, so a generic angle below CORNER_TOL is still reported.  Each
     generic angle block itself splits into (C;C,0) + (C;0,C) under plain
     isomorphism, so those multiplicities absorb the generic count."""
     if s.n != 2:
@@ -166,8 +168,8 @@ def classify_two_system(s: SubspaceSystem) -> TwoSystemClassification:
         if g2 % 2:
             raise DimensionMismatch("generic part has odd dimension; bad lattice data")
         g = g2 // 2
-        dec = halmos_decompose(e, f) if g else None
-        angles = dec.angles if g else np.array([])
+        dec = None
+        angles = principal_angles(e, f)[a : a + g]
     else:
         dec = halmos_decompose(e, f)
         a = dec.part_dims["intersection"]

@@ -3,14 +3,12 @@ testing, transitivity, strong irreducibility, and the Jordan oracle.
 
 Everything on the exact backend is certified where it claims to be; outcomes
 that hold only over C (non-split minimal polynomials over Q(i)) are reported
-as such with a numeric witness, never silently."""
+as such, never silently."""
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .errors import DimensionMismatch, ExactOnlyError, InvariantViolation, SingularMatrixError
 from .gaussian import GQ, ZERO
@@ -121,17 +119,19 @@ def commutant_basis(t: Matrix):
     """Basis of {B : BT = TB}: the canonical basis of the Sylvester
     nullspace of T^T (x) I - I (x) T.  An exact cyclic T (deg mu_T = n) has
     commutant Q(i)[T] (Jacobson, Basic Algebra I, 3.10), and the same basis
-    comes from one rref of I, T, ..., T^(n-1); derogatory and float T take
-    the nullspace."""
+    comes from one rref of I, T, ..., T^(n-1); a derogatory T takes the
+    nullspace.  Exact only."""
+    if t.field != EXACT:
+        raise ExactOnlyError("commutant_basis needs the exact backend")
     if t.rows != t.cols:
         raise DimensionMismatch("commutant of a non-square matrix")
     n = t.rows
-    if t.field == EXACT and t.minimal_polynomial().degree == n:
+    if t.minimal_polynomial().degree == n:
         powers = [Matrix.identity(n)]
         for _ in range(n - 1):
             powers.append(powers[-1] @ t)
         return _canonical_basis(powers)
-    ident = Matrix.identity(n, t.field)
+    ident = Matrix.identity(n)
     m = t.transpose().kron(ident) - ident.kron(t)
     ker = m.nullspace()
     return [Matrix.unvec(ker.column(j), n, n) for j in range(ker.cols)]
@@ -139,18 +139,6 @@ def commutant_basis(t: Matrix):
 
 def commutant_algebra(t: Matrix) -> EndAlgebra:
     return EndAlgebra(basis=commutant_basis(t))
-
-
-@dataclass
-class ComplexSplitWitness:
-    """Numeric eigenprojector evidence for a split that exists only over C."""
-
-    element: np.ndarray
-    eigenvalues: np.ndarray
-    cluster: list
-    projector: np.ndarray
-    idempotency_residual: float
-    containment_residual: float
 
 
 @dataclass
@@ -195,47 +183,6 @@ def _spectral_idempotent(x: Matrix, f, g):
     if e.is_zero() or e.is_identity():
         return None
     return e
-
-
-def _numeric_split_witness(alg: EndAlgebra, x: Matrix) -> ComplexSplitWitness | None:
-    a = x.to_array()
-    w, v = np.linalg.eig(a)
-    order = np.lexsort((w.imag, w.real))
-    w = w[order]
-    v = v[:, order]
-    groups = [[0]]
-    for i in range(1, len(w)):
-        if abs(w[i] - w[groups[-1][-1]]) < 1e-6:
-            groups[-1].append(i)
-        else:
-            groups.append([i])
-    if len(groups) < 2:
-        return None
-    cluster = groups[0]
-    ind = np.zeros(len(w))
-    ind[cluster] = 1.0
-    try:
-        proj = v @ np.diag(ind) @ np.linalg.inv(v)
-    except np.linalg.LinAlgError:
-        return None
-    idem_res = float(np.linalg.norm(proj @ proj - proj))
-    cont = 0.0
-    if alg.system is not None:
-        for sub in alg.system.subspaces:
-            if sub.dim == 0:
-                continue
-            b = sub.to_float().basis.to_array()
-            pb = proj @ b
-            resid = pb - b @ (b.conj().T @ pb)
-            cont = max(cont, float(np.linalg.norm(resid)))
-    return ComplexSplitWitness(
-        element=a,
-        eigenvalues=w,
-        cluster=list(cluster),
-        projector=proj,
-        idempotency_residual=idem_res,
-        containment_residual=cont,
-    )
 
 
 def find_nontrivial_idempotent(alg: EndAlgebra, seed: int = 0) -> IdempotentSearch:
@@ -315,7 +262,7 @@ class DecompositionTree:
 
 def decompose(s: SubspaceSystem, seed: int = 0) -> DecompositionTree:
     if s.field != EXACT:
-        raise ExactOnlyError("decompose needs the exact backend (see decompose_float)")
+        raise ExactOnlyError("decompose needs the exact backend")
     if s.ambient_dim == 0:
         return DecompositionTree(components=[], witness=Matrix.identity(0))
     return _decompose(s, end_algebra(s), seed)
@@ -626,62 +573,3 @@ def jordan_oracle(t: Matrix) -> JordanReport:
     if total != n:
         raise InvariantViolation("jordan block sizes do not fill the dimension")
     return JordanReport(certified=True, blocks=blocks)
-
-
-@dataclass
-class FloatDecomposition:
-    components: list
-    projector: np.ndarray
-    idempotency_residual: float
-    containment_residual: float
-    split: bool
-
-
-def decompose_float(s: SubspaceSystem, seed: int = 0, tol: float = 1e-8) -> FloatDecomposition:
-    """Numeric split evidence for the truncation lab: a seeded random End
-    element, eigenvalue clustering, and an approximate spectral projector."""
-    sf = s.to_float(tol)
-    basis = hom_space(sf, sf).basis
-    rng = np.random.default_rng(seed)
-    d = sf.ambient_dim
-    x = np.zeros((d, d), dtype=complex)
-    for b in basis:
-        x += complex(rng.standard_normal(), rng.standard_normal()) * b.to_array()
-    alg = EndAlgebra(basis=basis, system=sf)
-    witness = _numeric_split_witness(alg, Matrix.from_array(x, tol=tol))
-    if witness is None:
-        return FloatDecomposition(
-            components=[sf], projector=np.eye(d), idempotency_residual=0.0,
-            containment_residual=0.0, split=False,
-        )
-    proj = witness.projector
-    h1 = Subspace.span(Matrix.from_array(proj, tol=tol))
-    h2 = Subspace.span(Matrix.from_array(np.eye(d) - proj, tol=tol))
-    comps = []
-    for h in (h1, h2):
-        subs = []
-        hb = h.basis.to_array()
-        for e_i in sf.subspaces:
-            if e_i.dim == 0:
-                subs.append(Subspace.zero(h.dim, "float", tol))
-                continue
-            b = e_i.basis.to_array()
-            coords = hb.conj().T @ b
-            keep = []
-            for j in range(b.shape[1]):
-                col = b[:, j]
-                resid = col - hb @ (hb.conj().T @ col)
-                if np.linalg.norm(resid) < 1e-4:
-                    keep.append(coords[:, j])
-            if keep:
-                subs.append(Subspace.span(Matrix.from_array(np.array(keep).T, tol=tol)))
-            else:
-                subs.append(Subspace.zero(h.dim, "float", tol))
-        comps.append(SubspaceSystem(h.dim, subs))
-    return FloatDecomposition(
-        components=comps,
-        projector=proj,
-        idempotency_residual=witness.idempotency_residual,
-        containment_residual=witness.containment_residual,
-        split=True,
-    )

@@ -405,46 +405,22 @@ class Matrix:
     def rref(self):
         """Reduced row echelon form and pivot columns.
 
-        Exact backend: fraction-free elimination then one exact normalization.
-        Float backend: partial-pivot elimination, rank decided by tolerance.
+        Fraction-free elimination then one exact normalization; exact only.
         """
         if self.field == FLOAT:
-            return self._rref_float()
+            raise ExactOnlyError("rref needs the exact backend")
         if self.rows == 0 or self.cols == 0:
             return self, ()
         rre, rim, pivots, dre, dim = self._ffgj()
         return Matrix._ints(self.rows, self.cols, rre, rim, dre, dim), tuple(pivots)
-
-    def _rref_float(self):
-        a = self._f.copy()
-        rows, cols = a.shape
-        scale = max(1.0, float(np.max(np.abs(a))) if a.size else 1.0)
-        pivots = []
-        pr = 0
-        for pc in range(cols):
-            if pr >= rows:
-                break
-            col = np.abs(a[pr:, pc])
-            imax = int(np.argmax(col))
-            if col[imax] <= self.tol * scale:
-                a[pr:, pc] = 0.0
-                continue
-            if imax != 0:
-                a[[pr, pr + imax], :] = a[[pr + imax, pr], :]
-            a[pr, :] = a[pr, :] / a[pr, pc]
-            for r in range(rows):
-                if r != pr and a[r, pc] != 0:
-                    a[r, :] = a[r, :] - a[r, pc] * a[pr, :]
-            pivots.append(pc)
-            pr += 1
-        return Matrix.from_array(a, tol=self.tol), tuple(pivots)
 
     def rank(self) -> int:
         if self.rows == 0 or self.cols == 0:
             return 0
         if self.field == EXACT:
             if self._rank is None:
-                self._rank = len(self._ffgj()[2])
+                # the nullspace takes the multimodular route where it pays
+                self._rank = self.cols - self.nullspace().cols
             return self._rank
         s = np.linalg.svd(self._f, compute_uv=False)
         if s.size == 0:
@@ -532,7 +508,7 @@ class Matrix:
     def kron(self, other: "Matrix") -> "Matrix":
         self._check_same_backend(other)
         if self.field == FLOAT:
-            return Matrix.from_array(np.kron(self._f, other._f), tol=self.tol)
+            raise ExactOnlyError("kron needs the exact backend")
         # Every product of an entry of self and one of other, row-major over
         # the pairs (self entry, other entry), then laid out block by block.
         n = len(other._re)

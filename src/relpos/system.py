@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .errors import BackendMismatch, DimensionMismatch, InvariantViolation
+from .errors import BackendMismatch, DimensionMismatch, ExactOnlyError, InvariantViolation
 from .matrix import DEFAULT_TOL, EXACT, Matrix
 from .subspace import (
     Subspace,
@@ -134,38 +134,41 @@ class HomBasis:
         return len(self.basis)
 
 
+# hom_space refuses more unknowns d_S d_T than this (exit 2): its dense
+# constraint matrix has d_S d_T columns and its nullspace up to (d_S d_T)^2
+# entries.  The largest Hom that the tests, the acceptance criteria,
+# perfbench and benchmarks/cli_digest.py take has 24 x 24 = 576 unknowns
+# (the exotic truncation at N = 6 against itself); 32 x 32 is the one at
+# N = 8.
+MAX_HOM_UNKNOWNS = 1024
+
+
+def _check_hom_pair(s: SubspaceSystem, t: SubspaceSystem) -> None:
+    if s.n != t.n:
+        raise DimensionMismatch("Hom: systems have different arity")
+    if s.field != t.field:
+        raise BackendMismatch("Hom: backends differ")
+    if s.field != EXACT:
+        raise ExactOnlyError("Hom spaces need the exact backend")
+
+
 def hom_space(s: SubspaceSystem, t: SubspaceSystem) -> HomBasis:
-    """Intertwiner space via one stacked nullspace over the matrix entries.
+    """Intertwiner space via one canonical nullspace over the matrix entries.
 
     Each containment A E_i <= F_i contributes C_i A B_i = 0 with C_i the left
-    annihilator of the target basis; rows stack Kronecker-style over vec(A)
-    (column-major).
+    annihilator of the target basis: the `_hom_rows` over vec(A)
+    (column-major), laid out dense.  Exact only; past MAX_HOM_UNKNOWNS
+    unknowns d_S d_T it is refused before any row is built.
     """
-    if s.n != t.n:
-        raise DimensionMismatch("hom_space: systems have different arity")
-    if s.field != t.field:
-        raise BackendMismatch("hom_space: backends differ")
+    _check_hom_pair(s, t)
     ds, dt = s.ambient_dim, t.ambient_dim
-    if ds == 0 or dt == 0:
-        return HomBasis(s, t, [])
-    ker = _hom_constraints(s, t).nullspace()
+    if ds * dt > MAX_HOM_UNKNOWNS:
+        raise DimensionMismatch(
+            f"hom_space: {ds} x {dt} = {ds * dt} unknowns exceeds the bound {MAX_HOM_UNKNOWNS}"
+        )
+    ker = _dense(_hom_rows(s, t), range(ds * dt)).nullspace()
     basis = [Matrix.unvec(ker.column(j), dt, ds) for j in range(ker.cols)]
     return HomBasis(s, t, basis)
-
-
-def _hom_constraints(s: SubspaceSystem, t: SubspaceSystem) -> Matrix:
-    """The constraint matrix of hom_space: the blocks B_i^T (x) C_i, stacked."""
-    blocks = []
-    for e_i, f_i in zip(s.subspaces, t.subspaces):
-        if e_i.dim == 0:
-            continue
-        c_i = annihilator(f_i)
-        if c_i.rows == 0:
-            continue
-        blocks.append(e_i.basis.transpose().kron(c_i))
-    if not blocks:
-        return Matrix.zeros(0, t.ambient_dim * s.ambient_dim, s.field)
-    return Matrix.vstack(blocks)
 
 
 def _nonzero_by_row(m: Matrix) -> list:
@@ -255,10 +258,10 @@ def _peeled_rank(rows: list) -> int:
 
 
 def hom_dim(s: SubspaceSystem, t: SubspaceSystem) -> int:
-    """dim Hom(S, T).  Exact: d_S d_T minus the rank of the `_hom_rows`,
-    taken by `_peeled_rank` without a dense matrix of all the constraints."""
-    if s.n != t.n or s.field != EXACT or t.field != EXACT:
-        return hom_space(s, t).dim  # the float path, or its refusal
+    """dim Hom(S, T): d_S d_T minus the rank of the `_hom_rows`, taken by
+    `_peeled_rank` without a dense matrix of all the constraints, so it has
+    no MAX_HOM_UNKNOWNS bound."""
+    _check_hom_pair(s, t)
     return s.ambient_dim * t.ambient_dim - _peeled_rank(_hom_rows(s, t))
 
 

@@ -159,6 +159,21 @@ def test_classify_two_system_exact_cases():
     assert cls.total_dim() == 1
 
 
+def test_exact_generic_angle_below_the_corner_tolerance():
+    # the lattice counts one generic pair; its angle, about 1e-9, lies
+    # below CORNER_TOL and must still be reported
+    s = SubspaceSystem(
+        2,
+        [Subspace.span_rows(2, [[1, 0]]),
+         Subspace.span_rows(2, [[1, GQ(Fraction(1, 10**9))]])],
+    )
+    cls = classify_two_system(s)
+    assert cls.multiplicities == {"(C;C,C)": 0, "(C;C,0)": 1, "(C;0,C)": 1, "(C;0,0)": 0}
+    assert len(cls.angles) == 1
+    assert abs(cls.angles[0] - 1e-9) < 1e-20
+    assert cls.angles[0] < angles.CORNER_TOL
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_classification_matches_decompose(seed):
     rng = random.Random(seed)

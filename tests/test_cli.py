@@ -18,7 +18,7 @@ from relpos.catalog import build_gp3, build_gp4
 from relpos.cli import build_parser, main
 from relpos.gaussian import GQ
 from relpos.sampling import random_system
-from relpos.system import SubspaceSystem
+from relpos.system import MAX_HOM_UNKNOWNS, SubspaceSystem
 from relpos import toeplitz
 from relpos.toeplitz import MAX_EXOTIC_N, MAX_SYMBOL_BLOCK, MAX_SYMBOL_OFFSET
 from relpos import verify as verify_mod
@@ -608,6 +608,31 @@ def test_catalog_key_past_the_dimension_bound_exit_code():
     assert "exceeds the bound 512" in err
     assert peak < 1 << 20
     assert time.perf_counter() - start < 1
+
+
+ZERO_SUBSPACES_SYSFILE = "\n".join([
+    "relpos-system 1", "field gaussian-rational", "ambient 100000",
+    "subspace E1 dim 0", "subspace E2 dim 0", "subspace E3 dim 0", "subspace E4 dim 0",
+]) + "\n"
+
+
+@pytest.mark.parametrize("command", ["decompose", "isom"])
+def test_hom_past_the_unknowns_bound_exit_code(command, tmp_path):
+    # End(S) would have 10^10 unknowns: refused before any constraint row
+    path = tmp_path / "z.sys"
+    path.write_text(ZERO_SUBSPACES_SYSFILE)
+    args = [command, str(path)] + ([str(path)] if command == "isom" else [])
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert out == ""
+    assert f"exceeds the bound {MAX_HOM_UNKNOWNS}" in err
+    assert "Traceback" not in err
+    assert peak < 1 << 20
 
 
 def test_boundary_alpha_exit_code():

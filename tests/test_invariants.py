@@ -1,17 +1,17 @@
 """Cross-module invariant sweeps drawn from the structural theory: catalog
-distinctness, the (n-1)-subfamily property, float split evidence, defect
-arithmetic on random data."""
+distinctness, the (n-1)-subfamily property, defect arithmetic on random
+data."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from relpos.catalog import CatalogKey, build, gp4_reference_keys
-from relpos.decompose import are_isomorphic, decompose, decompose_float
+from relpos.catalog import build, gp4_reference_keys
+from relpos.decompose import are_isomorphic, decompose
 from relpos.gaussian import GQ
 from relpos.sampling import random_system
-from relpos.system import defect, direct_sum, hom_dim, predicates
+from relpos.system import defect, hom_dim, predicates
 from relpos.verify import catalog_keys_for_indecomposability
 
 SMALL_LAMBDAS = (GQ(2), GQ(-1), GQ(3, 1), GQ(Fraction(1, 2)))
@@ -49,24 +49,6 @@ def test_catalog_indecomposability_preserved_under_perp():
         s = build(key)
         tree = decompose(s.orthocomplement(), seed=5)
         assert tree.indecomposable, key.text()
-
-
-def test_decompose_float_splits_product_system():
-    rng = random.Random(17)
-    a = build(CatalogKey(kind="gp3", index=9))
-    b = build(CatalogKey(kind="gp3", index=8))
-    s = direct_sum(a, b)
-    res = decompose_float(s, seed=3, tol=1e-9)
-    assert res.split
-    assert res.idempotency_residual < 1e-6
-    assert res.containment_residual < 1e-6
-    assert sorted(c.ambient_dim for c in res.components) == [1, 2]
-
-
-def test_decompose_float_no_split_for_transitive():
-    s = build(CatalogKey(kind="gp3", index=9))
-    res = decompose_float(s, seed=3)
-    assert not res.split
 
 
 def test_defect_always_thirds_on_random_data():

@@ -8,10 +8,13 @@ import numpy as np
 import pytest
 
 from relpos import kernel, modular
+from relpos.decompose import commutant_basis
 from relpos.errors import ExactOnlyError, SingularMatrixError
 from relpos.gaussian import GQ, I, ONE, ZERO
 from relpos.matrix import EXACT, Matrix
 from relpos.poly import Polynomial
+from relpos.subspace import Subspace
+from relpos.system import SubspaceSystem, hom_space
 from test_kernel import fraction_rref
 
 
@@ -173,10 +176,14 @@ def test_minimal_polynomial_matches_the_power_krylov_reference(m):
 
 
 def test_float_rref_and_rank():
+    # float rank is the SVD's; elimination, Kronecker products, Hom spaces
+    # and commutants are exact only
     m = Matrix.from_array(np.array([[1.0, 1.0], [1.0, 1.0 + 1e-13]]))
     assert m.rank() == 1
-    r, pivots = m.rref()
-    assert pivots == (0,)
+    s = SubspaceSystem(2, [Subspace.span(m)])
+    for call in (m.rref, lambda: m.kron(m), lambda: hom_space(s, s), lambda: commutant_basis(m)):
+        with pytest.raises(ExactOnlyError):
+            call()
 
 
 def test_float_nullspace():

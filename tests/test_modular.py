@@ -12,7 +12,7 @@ from relpos.catalog import build_gp4, jordan_block, single_operator_system
 from relpos.gaussian import GQ
 from relpos.matrix import Matrix
 from relpos.sampling import random_system
-from relpos.system import _hom_constraints
+from relpos.system import _dense, _hom_rows
 
 
 def rand_entry(rng, bits, kind):
@@ -109,11 +109,16 @@ def catalog_pairs():
     yield random_system(rng, 6, 4), random_system(rng, 6, 4)
 
 
+def hom_constraints(s, t):
+    """The dense constraint matrix whose nullspace hom_space(s, t) takes."""
+    return _dense(_hom_rows(s, t), range(s.ambient_dim * t.ambient_dim))
+
+
 @pytest.mark.usefixtures("lift_always")
 @pytest.mark.parametrize("pair", range(6))
 def test_hom_constraints_of_catalog_pairs(pair):
     s, t = list(catalog_pairs())[pair]
-    c = _hom_constraints(s, t)
+    c = hom_constraints(s, t)
     assert c.cols >= modular.MIN_COLS
     got, _ = modular_nullspace(c)
     assert got == c._nullspace_ffgj()
@@ -124,7 +129,7 @@ def test_catalog_and_operator_hom_constraints_take_the_lift():
     # random pair, nullity 13 of 36 columns, is sent to Bareiss although its
     # lift would stop after two primes.)
     for s, t in list(catalog_pairs())[:5]:
-        modular_nullspace(_hom_constraints(s, t))
+        modular_nullspace(hom_constraints(s, t))
 
 
 @pytest.mark.usefixtures("lift_always")

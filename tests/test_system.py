@@ -24,7 +24,7 @@ from relpos.sampling import (
     random_subspace,
     random_system,
 )
-from relpos.subspace import Subspace
+from relpos.subspace import Subspace, annihilator
 from relpos.system import (
     SubspaceSystem,
     defect,
@@ -130,11 +130,26 @@ def hom_pairs():
         yield "catalog", s, t
 
 
+def kronecker_hom_basis(s, t):
+    """Hom(S, T) as the canonical nullspace of the stacked blocks
+    B_i^T (x) C_i (B_i the basis of E_i, C_i the annihilator of F_i) over
+    vec(A), column-major: the reference for the `_hom_rows` that hom_space
+    and hom_dim share."""
+    ds, dt = s.ambient_dim, t.ambient_dim
+    blocks = [Matrix.zeros(0, ds * dt)] + [
+        e.basis.transpose().kron(annihilator(f)) for e, f in zip(s.subspaces, t.subspaces)
+    ]
+    ker = Matrix.vstack(blocks).nullspace()
+    return [Matrix.unvec(ker.column(j), dt, ds) for j in range(ker.cols)]
+
+
 def test_peeled_hom_dim_is_the_hom_space_dim(monkeypatch):
     nullspace = Matrix.nullspace
     pairs, cores = 0, {"random": 0, "operator": 0, "catalog": 0}
     for kind, s, t in hom_pairs():
-        expected = hom_space(s, t).dim
+        basis = hom_space(s, t).basis
+        assert basis == kronecker_hom_basis(s, t)
+        expected = len(basis)
         calls = []
         with monkeypatch.context() as mp:
             mp.setattr(Matrix, "nullspace", lambda m: calls.append(m.shape) or nullspace(m))
