@@ -23,7 +23,9 @@ with two zeros on it, and a block-diagonal one), then `toeplitz defect` on
 zI + N - 3I + 2I/z for block 3 and on those three symbols, then `verify
 infinite-dim-evidence` (criterion 10: the exotic Hom dimensions at N = 8,
 16 and 32), then `angles` on an exact pair whose one generic angle, 1e-9,
-lies below the corner tolerance, all with `--json` before the subcommand,
+lies below the corner tolerance, then `toeplitz index` on the two-sided
+zI + N - 3I + 2I/z for block 6 (the oracle at its largest band), all with
+`--json` before the subcommand,
 against the `src/` next to this script.
 Prints one line per command: the command, its exit code and the sha256 of
 its stdout and of its stderr.  Two checkouts give byte-identical CLI output
@@ -230,6 +232,8 @@ TINY_ANGLE_FILES = {
         "subspace E2 dim 1", "1 1/1000000000",
     ]) + "\n",
 }
+# appended after those: the block truncation oracle at block 6
+LARGEST_BAND = (("toeplitz", "index", "--symbol", _block_v(6, -3, 2)),)
 DOCUMENTED_EXIT_CODES = {0, 2, 3, 4}
 
 
@@ -251,6 +255,8 @@ def _commands():
     for cmd in (*EXOTIC, *ZERO_COUNTS, *DEFECTS, *CRITERIA):
         yield cmd, None
     yield ("angles", "a0.sys"), None
+    for cmd in LARGEST_BAND:
+        yield cmd, None
 
 
 def _sha(data: bytes) -> str:

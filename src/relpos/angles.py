@@ -3,7 +3,8 @@ angles, and the classification of two-subspace systems.
 
 Vectors, cosines, sines and angles all come from `subspace.principal_pairs`.
 Corner membership (angle 0 or pi/2) is decided against `CORNER_TOL` on the
-angle scale."""
+angle scale for a float pair, and by the exact lattice counts for an exact
+one."""
 
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ import numpy as np
 
 from .errors import DimensionMismatch
 from .matrix import EXACT
-from .subspace import Subspace, intersect, principal_angles, principal_pairs
+from .subspace import Subspace, intersect, principal_pairs
 from .system import SubspaceSystem
 
 # radians: an angle within it of 0 puts its pair into E ∩ F, within it of
@@ -60,9 +61,13 @@ class TwoSubspaceDecomposition:
     residual: float
 
 
-def halmos_decompose(e: Subspace, f: Subspace) -> TwoSubspaceDecomposition:
+def halmos_decompose(e: Subspace, f: Subspace, *, _corners=None) -> TwoSubspaceDecomposition:
     """Split C^d into (E∩F) + (K+K generic) + (E∩F⊥) + (E⊥∩F) + (E⊥∩F⊥) with
-    a unitary carrying both projections into the canonical block form."""
+    a unitary carrying both projections into the canonical block form.
+
+    An angle goes to a corner when it lies within CORNER_TOL of 0 or pi/2;
+    `_corners` = (a, p), from the exact lattice, instead sends the a
+    smallest angles to E ∩ F and the p largest to E ∩ F⊥ and E⊥ ∩ F."""
     if e.ambient_dim != f.ambient_dim:
         raise DimensionMismatch("subspaces live in different ambient spaces")
     d = e.ambient_dim
@@ -70,8 +75,14 @@ def halmos_decompose(e: Subspace, f: Subspace) -> TwoSubspaceDecomposition:
     uf = _orthobasis(f)
     pe, qf, cos, sin, theta = principal_pairs(ue, uf)
     k = len(theta)
-    meet = theta <= CORNER_TOL
-    perp = theta >= np.pi / 2 - CORNER_TOL
+    if _corners is None:
+        meet = theta <= CORNER_TOL
+        perp = theta >= np.pi / 2 - CORNER_TOL
+    else:
+        rank = np.empty(k, dtype=int)
+        rank[np.argsort(theta, kind="stable")] = np.arange(k)
+        meet = rank < _corners[0]
+        perp = (rank >= k - _corners[1]) & ~meet
     gen = ~(meet | perp)
     cos_v, sin_v = cos[gen], sin[gen]
     pk, qk = pe[:, :k], qf[:, :k]
@@ -136,9 +147,9 @@ class TwoSystemClassification:
 
     multiplicities: dict
     angles: np.ndarray
-    # the Halmos decomposition a float pair's counts and angles were read
-    # from; None on an exact pair
-    decomposition: TwoSubspaceDecomposition | None = None
+    # the Halmos decomposition of the float image, with an exact pair's
+    # corner parts set by its lattice counts
+    decomposition: TwoSubspaceDecomposition
 
     def total_dim(self) -> int:
         """Each generic pair is already absorbed as one (C;C,0) + one (C;0,C)."""
@@ -149,10 +160,12 @@ def classify_two_system(s: SubspaceSystem) -> TwoSystemClassification:
     """Corner multiplicities and generic angles of a two-subspace system.
 
     Exact systems get exact corner dimensions (lattice operations), and
-    their g generic angles are the principal angles past the a = dim(E ∩ F)
-    zeros, so a generic angle below CORNER_TOL is still reported.  Each
-    generic angle block itself splits into (C;C,0) + (C;0,C) under plain
-    isomorphism, so those multiplicities absorb the generic count."""
+    their Halmos decomposition puts the a = dim(E ∩ F) smallest angles into
+    E ∩ F and the dim(E ∩ F⊥) - (dim E - k) largest, k = min(dim E, dim F),
+    into the pi/2 corners, so a generic angle below CORNER_TOL is still
+    reported.  Each generic angle block itself splits into (C;C,0) + (C;0,C)
+    under plain isomorphism, so those multiplicities absorb the generic
+    count."""
     if s.n != 2:
         raise DimensionMismatch("classify_two_system needs exactly two subspaces")
     e, f = s.subspaces
@@ -168,8 +181,7 @@ def classify_two_system(s: SubspaceSystem) -> TwoSystemClassification:
         if g2 % 2:
             raise DimensionMismatch("generic part has odd dimension; bad lattice data")
         g = g2 // 2
-        dec = None
-        angles = principal_angles(e, f)[a : a + g]
+        dec = halmos_decompose(e, f, _corners=(a, b - (e.dim - min(e.dim, f.dim))))
     else:
         dec = halmos_decompose(e, f)
         a = dec.part_dims["intersection"]
@@ -177,7 +189,6 @@ def classify_two_system(s: SubspaceSystem) -> TwoSystemClassification:
         c = dec.part_dims["f_only"]
         z = dec.part_dims["perp_both"]
         g = dec.part_dims["generic"]
-        angles = dec.angles
     return TwoSystemClassification(
         multiplicities={
             "(C;C,C)": a,
@@ -185,6 +196,6 @@ def classify_two_system(s: SubspaceSystem) -> TwoSystemClassification:
             "(C;0,C)": c + g,
             "(C;0,0)": z,
         },
-        angles=angles,
+        angles=dec.angles,
         decomposition=dec,
     )

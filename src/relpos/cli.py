@@ -12,7 +12,7 @@ import os
 import sys
 
 from . import __version__
-from .angles import classify_two_system, halmos_decompose
+from .angles import classify_two_system
 from .catalog import CatalogKey, build
 from .coxeter import check_duality, phi_minus, phi_perp, phi_plus, phi_zero
 from .decompose import are_isomorphic, decompose, verify_decomposition
@@ -23,7 +23,7 @@ from .errors import (
     UncertifiedError,
 )
 from .gaussian import GQ, format_gq, parse_gq
-from .matrix import DEFAULT_TOL, EXACT
+from .matrix import DEFAULT_TOL
 from .sysfile import SystemFile, parse as parse_sysfile, render, system_from_text
 from .system import defect, intersection_diagram
 from .toeplitz import (
@@ -216,15 +216,12 @@ def cmd_diagram(args) -> int:
 def cmd_angles(args) -> int:
     s = _load_system(args.file, args.tol)
     cls = classify_two_system(s)
-    dec = cls.decomposition  # a float pair's, taken once by classify_two_system
-    if s.field == EXACT:
-        dec = halmos_decompose(*(sub.to_float(args.tol) for sub in s.subspaces))
     report = {
         "command": "angles",
         "tolerance": args.tol,
         "multiplicities": cls.multiplicities,
         "angles": [float(a) for a in cls.angles],
-        "reconstruction_residual": dec.residual,
+        "reconstruction_residual": cls.decomposition.residual,
     }
     _emit(report, args)
     return EXIT_OK

@@ -10,7 +10,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .errors import DimensionMismatch, ExactOnlyError, InvariantViolation, SingularMatrixError
+from .errors import (
+    DimensionMismatch,
+    ExactOnlyError,
+    InvariantViolation,
+    SingularMatrixError,
+    UncertifiedError,
+)
 from .gaussian import GQ, ZERO
 from .matrix import EXACT, Matrix
 from .poly import coprime_split, factor_over_gaussian_rationals
@@ -135,10 +141,6 @@ def commutant_basis(t: Matrix):
     m = t.transpose().kron(ident) - ident.kron(t)
     ker = m.nullspace()
     return [Matrix.unvec(ker.column(j), n, n) for j in range(ker.cols)]
-
-
-def commutant_algebra(t: Matrix) -> EndAlgebra:
-    return EndAlgebra(basis=commutant_basis(t))
 
 
 @dataclass
@@ -508,10 +510,12 @@ def strongly_irreducible(t: Matrix, seed: int = 0) -> bool:
     """No nontrivial idempotent over Q(i) commutes with t.  By the structure
     theorem for Q(i)[x]-modules that holds exactly when t is cyclic
     (deg mu_t = n) and mu_t is a power of one irreducible (Jacobson, Basic
-    Algebra I, 3.10), which certified factoring decides.  Where factoring
-    leaves an uncertified remainder, a search of the commutant decides: a
-    found idempotent gives False, and a search that finds none gives True,
-    which a non-split commutant can make wrong."""
+    Algebra I, 3.10), which is read off the certified factoring of mu_t.
+    Two coprime parts of mu_t (a certified factor beside the uncertified
+    remainder, or two square-free parts) give an idempotent of Q(i)[t], so
+    False; a single root-free square-free part of degree 3 or more, which
+    factoring cannot split or certify, raises UncertifiedError.  `seed` is
+    accepted for callers that pass one and is not used."""
     if t.field != EXACT:
         raise ExactOnlyError("strongly_irreducible needs the exact backend")
     p = t.minimal_polynomial()
@@ -521,7 +525,9 @@ def strongly_irreducible(t: Matrix, seed: int = 0) -> bool:
     if rep.remainder is None:
         # at n = 0, mu = 1 is the empty power
         return len(rep.factors) <= 1
-    return find_nontrivial_idempotent(commutant_algebra(t), seed).status != "found"
+    if rep.factors or len(p.squarefree_decomposition()) > 1:
+        return False
+    raise UncertifiedError(f"strongly_irreducible: {rep.remainder_note}")
 
 
 @dataclass

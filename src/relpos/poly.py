@@ -387,11 +387,11 @@ def _extract_certified_roots(sf: Polynomial):
     return roots, rest
 
 
-def factor_over_gaussian_rationals(p: Polynomial, degree_bound=DEFAULT_DEGREE_BOUND) -> FactorReport:
+def factor_over_gaussian_rationals(p: Polynomial) -> FactorReport:
     """Factor p over Q(i): square-free decomposition, then certified root
     extraction; what cannot be certified is returned as a remainder."""
-    if p.degree > degree_bound:
-        raise DegreeBoundExceeded(f"degree {p.degree} exceeds bound {degree_bound}")
+    if p.degree > DEFAULT_DEGREE_BOUND:
+        raise DegreeBoundExceeded(f"degree {p.degree} exceeds bound {DEFAULT_DEGREE_BOUND}")
     if p.is_zero():
         return FactorReport(unit=ZERO)
     unit = p.leading()

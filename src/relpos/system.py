@@ -219,7 +219,7 @@ def _peeled_rank(rows: list) -> int:
     entry forces its unknown to 0, and a column with one entry makes its row
     independent of the others; either way the row and the column leave and
     the rank grows by 1, with no arithmetic.  The rows left, the core, go to
-    `Matrix.nullspace`, multimodular where that pays."""
+    `Matrix.rank`, whose nullspace is multimodular where that pays."""
     rows = {i: dict(r) for i, r in enumerate(rows) if r}
     cols: dict[int, set] = {}
     for i, r in rows.items():
@@ -254,7 +254,7 @@ def _peeled_rank(rows: list) -> int:
     if not rows:
         return rank
     core = _dense(list(rows.values()), sorted(c for c, s in cols.items() if s))
-    return rank + core.cols - core.nullspace().cols
+    return rank + core.rank()
 
 
 def hom_dim(s: SubspaceSystem, t: SubspaceSystem) -> int:

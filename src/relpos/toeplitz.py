@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import functools
 import math
-import os
 import re as _re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -413,49 +412,16 @@ _LAPACK_NARGS = {"zgbbrd": 19, "dbdsqr": 15}
 
 
 @functools.cache
-def _cython_lapack_capi() -> dict:
-    """The function-pointer capsules of scipy's cython_lapack extension.
-
-    Only that extension file is loaded, found by name in scipy's linalg
-    directory: importing scipy.linalg.cython_lapack would first run
-    scipy.linalg's package init, which costs more than the file.  Its Cython
-    init enters the module into sys.modules; that entry is taken out again
-    unless it was there before, so a later import of scipy.linalg binds the
-    module as usual (Cython hands back the same module object).  Loaded
-    once, on first use, so scipy loads here and not on import."""
-    import importlib.machinery
-    import importlib.util
-    import sys
-
-    import scipy
-
-    linalg = os.path.join(os.path.dirname(scipy.__file__), "linalg")
-    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-        path = os.path.join(linalg, "cython_lapack" + suffix)
-        if os.path.isfile(path):
-            break
-    else:
-        raise ImportError(f"no cython_lapack extension in {linalg}")
-    name = "scipy.linalg.cython_lapack"
-    known = name in sys.modules
-    spec = importlib.util.spec_from_file_location(name, path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    if not known:
-        sys.modules.pop(name, None)
-    return module.__pyx_capi__
-
-
-@functools.cache
 def _lapack_routine(name: str):
     """The LAPACK routine `name` as a ctypes function of pointers.
 
     scipy.linalg.lapack wraps neither zgbbrd nor dbdsqr, but
     scipy.linalg.cython_lapack exports both as function-pointer capsules
     (Fortran argument order, no hidden string lengths).  Each routine is
-    resolved once, on first use.  A CFUNCTYPE call releases the GIL while
-    LAPACK runs."""
+    resolved once, on first use, so scipy loads here and not on import."""
     import ctypes
+
+    from scipy.linalg import cython_lapack
 
     capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
         ("PyCapsule_GetName", ctypes.pythonapi)
@@ -463,7 +429,7 @@ def _lapack_routine(name: str):
     capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
         ("PyCapsule_GetPointer", ctypes.pythonapi)
     )
-    capsule = _cython_lapack_capi()[name]
+    capsule = cython_lapack.__pyx_capi__[name]
     address = capsule_pointer(capsule, capsule_name(capsule))
     return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * _LAPACK_NARGS[name])(address)
 
@@ -563,15 +529,6 @@ def _tall_band(sym: LaurentSymbol, n: int):
     return _truncation_band(sym, n + pad, n)
 
 
-def _oracle_workers() -> int:
-    """Threads for the truncation oracle: min(4, usable CPUs)."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:
-        cpus = os.cpu_count() or 1
-    return min(4, cpus)
-
-
 def _diagonal_parts(sym: LaurentSymbol) -> list:
     """The symbols on the connected components of the graph on 0..b-1 that
     joins i and j when some coefficient has a nonzero (i, j) or (j, i)
@@ -638,27 +595,14 @@ def _oracle_kernel_dims(sym: LaurentSymbol):
     stability-checked across two sizes ('truncation', or 'uncertified' when
     the sizes disagree).
 
-    The four truncations (symbol and adjoint, at ORACLE_N and ORACLE_N // 2)
-    are built on this thread and reduced concurrently on up to min(4, usable
-    CPUs) threads, which run LAPACK only; their counts are read in the
-    sequential order, so the same error surfaces first."""
-    from concurrent.futures import ThreadPoolExecutor
-
-    whiches = (sym, sym.adjoint())
-    for name in _LAPACK_NARGS:
-        _lapack_routine(name)
-    with ThreadPoolExecutor(max_workers=_oracle_workers()) as pool:
-        try:
-            # the two full-size bands first, so two workers finish together
-            svals = {
-                (w, h): pool.submit(_band_singular_values, *_tall_band(which, n))
-                for h, n in enumerate((ORACLE_N, ORACLE_N // 2))
-                for w, which in enumerate(whiches)
-            }
-            gaps = [[_gap_count(svals[w, h].result()) for h in range(2)] for w in range(2)]
-        except BaseException:
-            pool.shutdown(cancel_futures=True)
-            raise
+    The four tall truncations (the symbol and its adjoint, each at ORACLE_N
+    and ORACLE_N // 2) are reduced one after another, in the order their
+    counts are read, so a LAPACK failure stops the rest."""
+    gaps = [
+        [_gap_count(_band_singular_values(*_tall_band(which, n)))
+         for n in (ORACLE_N, ORACLE_N // 2)]
+        for which in (sym, sym.adjoint())
+    ]
     stable = all(full == half for full, half in gaps)
     return gaps[0][0], gaps[1][0], "truncation" if stable else "uncertified"
 

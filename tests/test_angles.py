@@ -174,12 +174,44 @@ def test_exact_generic_angle_below_the_corner_tolerance():
     assert cls.angles[0] < angles.CORNER_TOL
 
 
+def test_exact_pair_decomposition_follows_the_lattice_counts():
+    # the same pair: its decomposition has the one generic part the lattice
+    # counts, not E ∩ F + E⊥ ∩ F⊥, so it reconstructs both projections
+    s = SubspaceSystem(
+        2,
+        [Subspace.span_rows(2, [[1, 0]]),
+         Subspace.span_rows(2, [[1, GQ(Fraction(1, 10**9))]])],
+    )
+    dec = classify_two_system(s).decomposition
+    assert dec.part_dims["intersection"] == 0 and dec.part_dims["generic"] == 1
+    assert dec.residual < 1e-12
+    # E = (e1, e2, e4), F = (e1, e2 + e3, e5): one of each part, and the
+    # angle pi/2 between e4 and e5 is one of the min(dim E, dim F) = 3
+    e1, e2, e3, e4, e5 = [[int(i == j) for i in range(6)] for j in range(5)]
+    e23 = [a + b for a, b in zip(e2, e3)]
+    s = SubspaceSystem(
+        6, [Subspace.span_rows(6, [e1, e2, e4]), Subspace.span_rows(6, [e1, e23, e5])]
+    )
+    dec = classify_two_system(s).decomposition
+    assert set(dec.part_dims.values()) == {1}
+    assert dec.residual < 1e-12
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_classification_matches_decompose(seed):
     rng = random.Random(seed)
     s = random_system(rng, rng.randint(1, 6), 2)
     cls = classify_two_system(s)
     assert cls.total_dim() == s.ambient_dim
+    dims = cls.decomposition.part_dims
+    g = dims["generic"]
+    assert {
+        "(C;C,C)": dims["intersection"],
+        "(C;C,0)": dims["e_only"] + g,
+        "(C;0,C)": dims["f_only"] + g,
+        "(C;0,0)": dims["perp_both"],
+    } == cls.multiplicities
+    assert cls.decomposition.residual < 1e-9
     tree = decompose(s, seed=seed)
     counts = {"(C;C,C)": 0, "(C;C,0)": 0, "(C;0,C)": 0, "(C;0,0)": 0}
     for comp in tree.components:

@@ -164,7 +164,7 @@ FLOAT_PAIR = "\n".join([
 
 
 def test_angles_cli_decomposes_a_float_pair_once(monkeypatch):
-    from relpos import angles, cli
+    from relpos import angles
 
     calls = []
     decompose_pair = angles.halmos_decompose
@@ -174,7 +174,6 @@ def test_angles_cli_decomposes_a_float_pair_once(monkeypatch):
         return decompose_pair(e, f, *args)
 
     monkeypatch.setattr(angles, "halmos_decompose", counting)
-    monkeypatch.setattr(cli, "halmos_decompose", counting)
     code, out, err = run_cli(["--json", "angles", "-"], stdin_text=FLOAT_PAIR)
     assert code == 0, err
     assert len(calls) == 1

@@ -28,7 +28,7 @@ from relpos.decompose import (
     strongly_irreducible,
     verify_decomposition,
 )
-from relpos.errors import InvariantViolation
+from relpos.errors import InvariantViolation, UncertifiedError
 from relpos.gaussian import GQ
 from relpos.matrix import Matrix
 from relpos.poly import Polynomial
@@ -343,6 +343,27 @@ def test_strong_irreducibility_theorem_matches_the_commutant_search(seed):
     assert strongly_irreducible(quad, seed=seed)
     assert not strongly_irreducible(twice, seed=seed)
     assert not strongly_irreducible(thrice, seed=seed)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_strong_irreducibility_never_claimed_for_two_uncertified_quadratics(seed):
+    # T = W (C(x^2 - 2) + C(x^2 - 3)) W^-1 commutes with the projection onto
+    # either block, but factoring certifies neither quadratic inside the
+    # square-free mu_T = (x^2 - 2)(x^2 - 3), so no answer is given
+    t = conjugate(random.Random(seed), [companion(-2, 0), companion(-3, 0)])
+    with pytest.raises(UncertifiedError):
+        strongly_irreducible(t)
+
+
+def test_strong_irreducibility_from_coprime_parts_beside_a_remainder():
+    # (x - 1)(x^3 - 2): a certified root beside the remainder x^3 - 2
+    assert not strongly_irreducible(companion(2, -2, 0, -1))
+    # (x^3 - 2)(x^3 - 3)^2: two square-free parts, no certified factor
+    mu = Polynomial([-2, 0, 0, 1]) * Polynomial([-3, 0, 0, 1]) * Polynomial([-3, 0, 0, 1])
+    assert not strongly_irreducible(companion(*mu.monic().coeffs[:-1]))
+    # x^3 - 2 alone is irreducible, but factoring cannot certify it
+    with pytest.raises(UncertifiedError):
+        strongly_irreducible(companion(-2, 0, 0))
 
 
 def corner_cases():

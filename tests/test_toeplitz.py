@@ -2,6 +2,7 @@
 
 import functools
 import math
+import os
 import random
 import threading
 from fractions import Fraction
@@ -31,7 +32,6 @@ from relpos.toeplitz import (
     LaurentSymbol,
     _band_singular_values,
     _gap_count,
-    _oracle_workers,
     _tall_band,
     _truncation_band,
     exotic_report,
@@ -565,7 +565,6 @@ def test_symbol_offset_bound():
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    # and the oracle's thread pool
     proc = run_python(
         ["-c", "import sys, relpos.cli; print('scipy' in sys.modules, 'concurrent.futures' in sys.modules)"]
     )
@@ -574,13 +573,11 @@ def test_cli_import_leaves_scipy_unloaded():
 
 
 def test_lapack_capsules_load_without_scipy_linalg():
-    # only the cython_lapack extension file: scipy.linalg's package init never
-    # runs, both routines resolve and reduce a block truncation, and a later
-    # import of scipy.linalg binds the same module as its attribute; the
-    # two-sided symbol P diag((z - 1)(z - 2)/z, 1 - 2z) P^-1, P = [[1, 1],
-    # [0, 1]], goes to the oracle
+    # both routines resolve from scipy.linalg.cython_lapack and reduce a
+    # block truncation; the two-sided symbol P diag((z - 1)(z - 2)/z,
+    # 1 - 2z) P^-1, P = [[1, 1], [0, 1]], goes to the oracle
     script = (
-        "import ctypes, sys\n"
+        "import ctypes\n"
         "from relpos import toeplitz\n"
         "from relpos.matrix import Matrix\n"
         "sym = toeplitz.LaurentSymbol.make(2, {-1: Matrix.from_rows([[2, -2], [0, 0]]),\n"
@@ -588,14 +585,11 @@ def test_lapack_capsules_load_without_scipy_linalg():
         "                                      1: Matrix.from_rows([[1, -3], [0, -2]])})\n"
         "print(toeplitz.kernel_dims(sym),\n"
         "      all(ctypes.cast(toeplitz._lapack_routine(n), ctypes.c_void_p).value\n"
-        "          for n in ('zgbbrd', 'dbdsqr')),\n"
-        "      'scipy.linalg' in sys.modules)\n"
-        "import scipy.linalg.cython_lapack\n"
-        "print(scipy.linalg.cython_lapack.__pyx_capi__ is toeplitz._cython_lapack_capi())\n"
+        "          for n in ('zgbbrd', 'dbdsqr')))\n"
     )
     proc = run_python(["-c", script])
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split("\n")[:2] == ["(0, 1, 'truncation') True False", "True"]
+    assert proc.stdout.strip() == "(0, 1, 'truncation') True"
 
 
 def lab_block_symbol(rng, b):
@@ -627,9 +621,9 @@ def two_sided_lab_symbol(rng, b):
 
 def record_oracle_runs(monkeypatch):
     """Wrap the band build and the LAPACK step of kernel_dims; returns the
-    list of (symbol text, n, band) builds, the list of (band, singular
-    values) results and the set of threads LAPACK ran on."""
-    builds, runs, threads = [], [], set()
+    list of (symbol text, n, band) builds and the list of (band, singular
+    values) results."""
+    builds, runs = [], []
     tall_band, band_svals = toeplitz._tall_band, toeplitz._band_singular_values
 
     def recording_tall_band(which, n):
@@ -638,51 +632,50 @@ def record_oracle_runs(monkeypatch):
         return band
 
     def recording_band_svals(ab, *shape):
-        threads.add(threading.current_thread())
         out = band_svals(ab, *shape)
         runs.append((ab, out))
         return out
 
     monkeypatch.setattr(toeplitz, "_tall_band", recording_tall_band)
     monkeypatch.setattr(toeplitz, "_band_singular_values", recording_band_svals)
-    return builds, runs, threads
+    return builds, runs
 
 
 @pytest.mark.parametrize("b", [2, 3, 4, 5, 6])
 def test_pooled_oracle_matches_sequential_bit_for_bit(b, monkeypatch):
+    # each of the oracle's four reductions equals a direct call on the tall
+    # truncation it reduced
     sym = two_sided_lab_symbol(random.Random(b), b)
-    builds, runs, threads = record_oracle_runs(monkeypatch)
+    builds, runs = record_oracle_runs(monkeypatch)
     ker, coker, cert = kernel_dims(sym)
     monkeypatch.undo()
     # not Fredholm, and its kernel and cokernel are 0
     assert (ker, coker, cert) == (0, 0, "truncation")
-    assert threading.current_thread() not in threads
     texts = {sym.text(): sym, sym.adjoint().text(): sym.adjoint()}
-    # submitted full size first: symbol, adjoint, then both at half size
-    assert [(t, n) for t, n, _ in builds] == [
-        (which.text(), n) for n in (ORACLE_N, ORACLE_N // 2) for which in (sym, sym.adjoint())
-    ]
-    assert len(runs) == 4
+    assert len(builds) == len(runs) == 4
     for text, n, ab in builds:
-        (pooled,) = [out for band, out in runs if band is ab]
+        (reduced,) = [out for band, out in runs if band is ab]
         which = texts[text]
         pad = which.lower + which.upper + 2
         want = _band_singular_values(*_truncation_band(which, n + pad, n))
-        assert np.array_equal(pooled, want), (b, text, n)
+        assert np.array_equal(reduced, want), (b, text, n)
 
 
-def test_oracle_builds_bands_on_the_calling_thread(monkeypatch):
+def test_lapack_failure_in_the_first_reduction_stops_the_oracle(monkeypatch):
     sym = two_sided_lab_symbol(random.Random(3), 3)
-    seen = set()
-    to_array = Matrix.to_array
+    builds, runs = record_oracle_runs(monkeypatch)
+    calls = []
 
-    def recording_to_array(self, *args, **kwargs):
-        seen.add(threading.current_thread())
-        return to_array(self, *args, **kwargs)
+    def failing_lapack(name, *args):
+        calls.append(name)
+        args[-1][0] = 1  # info
 
-    monkeypatch.setattr(Matrix, "to_array", recording_to_array)
-    assert kernel_dims(sym) == (0, 0, "truncation")
-    assert seen == {threading.current_thread()}
+    monkeypatch.setattr(toeplitz, "_lapack", failing_lapack)
+    with pytest.raises(UncertifiedError, match="zgbbrd failed with info 1"):
+        kernel_dims(sym)
+    # the symbol at ORACLE_N was built and its zgbbrd failed; nothing after
+    assert [(t, n) for t, n, _ in builds] == [(sym.text(), ORACLE_N)]
+    assert calls == ["zgbbrd"] and runs == []
 
 
 def test_lapack_failure_is_uncertified_and_leaves_no_threads(monkeypatch):
@@ -703,33 +696,6 @@ def test_lapack_failure_is_uncertified_and_leaves_no_threads(monkeypatch):
     assert out == ""
     assert "zgbbrd failed" in err and "Traceback" not in err
     assert threading.active_count() == baseline
-
-
-def test_oracle_on_one_cpu_gives_the_same_results(monkeypatch):
-    # two-sided symbols whose determinant vanishes on the circle
-    syms = [
-        two_sided_lab_symbol(random.Random(4), 4),
-        scalar({1: 1, 0: -3, -1: 2}),
-        scalar({-1: 1, 0: 2, 1: 3}).shift_constant(GQ(-6)),
-        LaurentSymbol.make(
-            2,
-            {
-                -1: Matrix.from_rows([[2, 0], [0, 0]]),
-                0: Matrix.from_rows([[-3, 0], [0, 1]]),
-                1: Matrix.from_rows([[1, 0], [0, -2]]),
-            },
-        ),
-    ]
-    pooled = [kernel_dims(sym) for sym in syms]
-    monkeypatch.setattr(toeplitz.os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    assert _oracle_workers() == 1
-    assert [kernel_dims(sym) for sym in syms] == pooled
-    # hosts without sched_getaffinity count os.cpu_count()
-    monkeypatch.delattr(toeplitz.os, "sched_getaffinity", raising=False)
-    monkeypatch.setattr(toeplitz.os, "cpu_count", lambda: None)
-    assert _oracle_workers() == 1
-    monkeypatch.setattr(toeplitz.os, "cpu_count", lambda: 16)
-    assert _oracle_workers() == 4
 
 
 def test_kernel_dims_of_a_zero_near_the_circle_is_exact():
@@ -839,7 +805,7 @@ def test_one_sided_kernel_dims_match_the_oracle_and_the_construction():
     # every lambda at least 0.1 off the circle: the exact counts are the
     # constructed ones (for the block symbols ker 0 and coker the lambdas
     # inside the disk), and the oracle's counts agree with them (reduced on
-    # a pool, as kernel_dims does: LAPACK releases the GIL).  The block
+    # a pool of min(4, CPUs) threads: LAPACK releases the GIL).  The block
     # symbols are checked at both oracle sizes; the scalars at the full one,
     # since a kernel vector decaying like 1.118^-j (the nearest outside
     # lambda, 1 + i/2) is still 1e-5 at 100 blocks, above the oracle's floor
@@ -880,7 +846,7 @@ def test_one_sided_kernel_dims_match_the_oracle_and_the_construction():
         want = (max(s - inside, 0), max(inside - s, 0))
         assert kernel_dims(sym) == (*want, "exact"), sym.text()
         cases.append((sym, ORACLE_N, want))
-    with ThreadPoolExecutor(max_workers=_oracle_workers()) as pool:
+    with ThreadPoolExecutor(max_workers=min(4, os.cpu_count() or 1)) as pool:
         counts = list(pool.map(
             lambda case: tuple(
                 _gap_count(_band_singular_values(*_tall_band(which, case[1])))
