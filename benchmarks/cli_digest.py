@@ -24,8 +24,10 @@ zI + N - 3I + 2I/z for block 3 and on those three symbols, then `verify
 infinite-dim-evidence` (criterion 10: the exotic Hom dimensions at N = 8,
 16 and 32), then `angles` on an exact pair whose one generic angle, 1e-9,
 lies below the corner tolerance, then `toeplitz index` on the two-sided
-zI + N - 3I + 2I/z for block 6 (the oracle at its largest band), all with
-`--json` before the subcommand,
+zI + N - 3I + 2I/z for block 6 (the oracle at its largest band), then
+`decompose --seed 7` and `isom` with itself on S_T for T conjugate to
+J_2(1) + J_1(2) (cyclic: its End is taken in the basis of powers of T),
+all with `--json` before the subcommand,
 against the `src/` next to this script.
 Prints one line per command: the command, its exit code and the sha256 of
 its stdout and of its stderr.  Two checkouts give byte-identical CLI output
@@ -144,6 +146,10 @@ OPERATOR_FILES = {
     "t0.sys": _operator_sysfile([[1, 1, -1], [0, 1, 0], [0, 0, 1]]),
     "t1.sys": _operator_sysfile([[0, 2], [1, 0]]),
 }
+# appended after the block-6 oracle line: T = W (J_2(1) + J_1(2)) W^-1 with
+# W as for t0.sys.  T is cyclic, so End(S_T) is taken in the basis
+# diag(T^j, T^j), j < 3, and decompose's split follows that basis
+COMMUTANT_ORDER_FILES = {"t2.sys": _operator_sysfile([[1, 1, -1], [0, 1, 1], [0, 0, 2]])}
 # gp4:S(2k,0;l).k=1.l=2 + gp4:S3(2k,-1).k=1 + gp4:S(2k+1,2).k=0 under a
 # unitriangular Z[i] change of basis: decompose splits it twice
 SUM_FILES = {
@@ -257,6 +263,9 @@ def _commands():
     yield ("angles", "a0.sys"), None
     for cmd in LARGEST_BAND:
         yield cmd, None
+    for name in COMMUTANT_ORDER_FILES:
+        yield ("decompose", name, "--seed", "7"), None
+        yield ("isom", name, name), None
 
 
 def _sha(data: bytes) -> str:
@@ -267,7 +276,10 @@ def main() -> int:
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     bad = 0
     with tempfile.TemporaryDirectory() as work:
-        files = OPERATOR_FILES | SUM_FILES | PAIR_FILES | SCALAR_FILES | TINY_ANGLE_FILES
+        files = (
+            OPERATOR_FILES | SUM_FILES | PAIR_FILES | SCALAR_FILES | TINY_ANGLE_FILES
+            | COMMUTANT_ORDER_FILES
+        )
         for name, text in files.items():
             with open(os.path.join(work, name), "w") as fh:
                 fh.write(text)

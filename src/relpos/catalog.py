@@ -32,10 +32,10 @@ GP4_FAMILIES = (
     "S(2k+1,2)",
 )
 
-# Largest ambient dimension a gp4 or jordan key may ask for: 4 * 128, the
-# ambient dimension of the largest exotic truncation, and above every key
-# of the tests, the criteria and the benchmark.  The system file of a key
-# grows as the square of its dimension.
+# Largest ambient dimension a gp4 or jordan key may ask for, and a system
+# file may declare: 4 * 128, the ambient dimension of the largest exotic
+# truncation, and above every key of the tests, the criteria and the
+# benchmark.  The system file of a key grows as the square of its dimension.
 MAX_CATALOG_DIM = 512
 
 # catalog.build keeps this many systems; a classification sweep meets a few

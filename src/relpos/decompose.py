@@ -33,9 +33,8 @@ class EndAlgebra:
     """End(S) (or any unital matrix algebra) by a basis of d x d matrices."""
 
     basis: list
-    system: SubspaceSystem | None = None
-    _radical: list | None = None
-    _semisimple_dim: int | None = None
+    _radical: list | None = field(default=None, init=False, repr=False)
+    _semisimple_dim: int | None = field(default=None, init=False, repr=False)
 
     @property
     def dim(self) -> int:
@@ -71,22 +70,22 @@ class EndAlgebra:
 
 
 def end_algebra(s: SubspaceSystem) -> EndAlgebra:
-    """End(S) in the basis hom_space(s, s) gives; an operator system S_{T,S}
-    with invertible S takes it from the commutant of ST instead."""
+    """End(S) in the basis it is built in: hom_space(s, s).basis, or, for an
+    operator system S_{T,S} with k1 = k2 and invertible S, the maps
+    W^-1 diag(X, S^-1 X S) W over commutant_basis(ST)."""
     if s.field != EXACT:
         raise ExactOnlyError("end_algebra needs the exact backend")
     basis = _operator_end_basis(s)
     if basis is None:
         basis = hom_space(s, s).basis
-    return EndAlgebra(basis=basis, system=s)
+    return EndAlgebra(basis=basis)
 
 
 def _operator_end_basis(s: SubspaceSystem):
     """End(S_{T,S}) = {W^-1 diag(X, S^-1 X S) W : X commutes with ST} for
     k1 = k2 and invertible S, or None for any other system.
 
-    The solve has k^2 unknowns where hom_space has d^2 = 4k^2, and
-    _canonical_basis turns the spanning set into hom_space's basis."""
+    The solve has k^2 unknowns where hom_space has d^2 = 4k^2."""
     if s.n != 4 or s.ambient_dim == 0:
         return None
     real = is_bounded_operator_system(s)
@@ -99,34 +98,17 @@ def _operator_end_basis(s: SubspaceSystem):
     w = real.change_of_basis
     # W is the inverse of the E1 | E2 basis matrix: no second inversion
     w_inv = Matrix.hstack([s.subspaces[0].basis, s.subspaces[1].basis])
-    return _canonical_basis([
+    return [
         w_inv @ Matrix.block_diag([x, s_inv @ x @ real.S]) @ w
         for x in commutant_basis(real.S @ real.T)
-    ])
-
-
-def _canonical_basis(spans):
-    """The basis of span(spans) that a nullspace returns for it: the basis
-    that is the identity on the free coordinates of the linear constraints
-    cutting the span out, which are the last nonzero coordinates of the
-    span's vectors (column-major vec of each square matrix).  The rref of
-    the spanning set with its coordinates reversed has these as pivots and
-    is that basis, row order reversed."""
-    d = spans[0].rows
-    flip = range(d * d - 1, -1, -1)
-    red, pivots = Matrix.vstack([x.vec().transpose() for x in spans]).take_columns(flip).rref()
-    return [
-        Matrix.unvec(red.take_rows([r]).take_columns(flip).transpose(), d, d)
-        for r in reversed(range(len(pivots)))
     ]
 
 
 def commutant_basis(t: Matrix):
-    """Basis of {B : BT = TB}: the canonical basis of the Sylvester
-    nullspace of T^T (x) I - I (x) T.  An exact cyclic T (deg mu_T = n) has
-    commutant Q(i)[T] (Jacobson, Basic Algebra I, 3.10), and the same basis
-    comes from one rref of I, T, ..., T^(n-1); a derogatory T takes the
-    nullspace.  Exact only."""
+    """Basis of {B : BT = TB}.  An exact cyclic T (deg mu_T = n) has
+    commutant Q(i)[T] (Jacobson, Basic Algebra I, 3.10), with basis I, T,
+    ..., T^(n-1); a derogatory T takes the canonical nullspace basis of the
+    Sylvester matrix T^T (x) I - I (x) T.  Exact only."""
     if t.field != EXACT:
         raise ExactOnlyError("commutant_basis needs the exact backend")
     if t.rows != t.cols:
@@ -136,7 +118,7 @@ def commutant_basis(t: Matrix):
         powers = [Matrix.identity(n)]
         for _ in range(n - 1):
             powers.append(powers[-1] @ t)
-        return _canonical_basis(powers)
+        return powers
     ident = Matrix.identity(n)
     m = t.transpose().kron(ident) - ident.kron(t)
     ker = m.nullspace()
@@ -154,22 +136,6 @@ class IdempotentSearch:
     idempotent: Matrix | None = None
     semisimple_dim: int = 0
     attempts: int = 0
-
-
-def _span_solve(mats, target):
-    if not mats:
-        return None if not target.is_zero() else []
-    cols = Matrix.hstack([m.vec() for m in mats])
-    sol = cols.solve(target.vec())
-    if sol is None:
-        return None
-    return [sol.entry(j, 0) for j in range(len(mats))]
-
-
-def _is_scalar_mod_radical(alg: EndAlgebra, x: Matrix) -> bool:
-    d = alg.ambient_dim
-    mats = [Matrix.identity(d)] + alg.radical_basis()
-    return _span_solve(mats, x) is not None
 
 
 def _spectral_idempotent(x: Matrix, f, g):
@@ -217,8 +183,6 @@ def find_nontrivial_idempotent(alg: EndAlgebra, seed: int = 0) -> IdempotentSear
 
     for x in candidates():
         attempts += 1
-        if _is_scalar_mod_radical(alg, x):
-            continue
         p = x.minimal_polynomial()
         rep = factor_over_gaussian_rationals(p)
         split = coprime_split(p, rep)
@@ -263,29 +227,26 @@ class DecompositionTree:
 
 
 def decompose(s: SubspaceSystem, seed: int = 0) -> DecompositionTree:
-    if s.field != EXACT:
-        raise ExactOnlyError("decompose needs the exact backend")
-    if s.ambient_dim == 0:
-        return DecompositionTree(components=[], witness=Matrix.identity(0))
-    return _decompose(s, end_algebra(s), seed)
-
-
-def _decompose(s: SubspaceSystem, alg: EndAlgebra, seed: int) -> DecompositionTree:
-    """decompose of a nonzero exact s, given End(s) in hom_space's basis.
+    """Split s along a nontrivial idempotent of end_algebra(s), then each
+    summand the same way, until the search at a node finds none.
 
     A found idempotent e splits H = H1 + H2 (image and kernel).  Every E_i is
     e-invariant, so E_i = (E_i ∩ H1) + (E_i ∩ H2), and in the coordinates
     w0 = [H1 | H2]^-1 the two parts are the spans of the top r and bottom
-    d - r rows of w0 B_i.  Each summand's End algebra is a corner of alg."""
-    found = find_nontrivial_idempotent(alg, seed)
+    d - r rows of w0 B_i."""
+    if s.field != EXACT:
+        raise ExactOnlyError("decompose needs the exact backend")
+    d = s.ambient_dim
+    if d == 0:
+        return DecompositionTree(components=[], witness=Matrix.identity(0))
+    found = find_nontrivial_idempotent(end_algebra(s), seed)
     if found.status != "found":
         return DecompositionTree(
             components=[s],
-            witness=Matrix.identity(s.ambient_dim),
+            witness=Matrix.identity(d),
             leaf_status=[LEAF_STATUS[found.status]],
         )
     r_idem = found.idempotent
-    d = s.ambient_dim
     h1 = Subspace.span(r_idem)
     h2 = Subspace.span(Matrix.identity(d) - r_idem)
     if h1.dim == 0 or h2.dim == 0 or h1.dim + h2.dim != d:
@@ -303,29 +264,14 @@ def _decompose(s: SubspaceSystem, alg: EndAlgebra, seed: int) -> DecompositionTr
             raise InvariantViolation("subspace does not split along the idempotent")
         subs1.append(f1)
         subs2.append(f2)
-    s1, s2 = SubspaceSystem(r, subs1), SubspaceSystem(d - r, subs2)
-    t1 = _decompose(s1, corner_algebra(alg, top, h1.basis, s1), seed * 2 + 1)
-    t2 = _decompose(s2, corner_algebra(alg, bottom, h2.basis, s2), seed * 2 + 2)
+    t1 = decompose(SubspaceSystem(r, subs1), seed * 2 + 1)
+    t2 = decompose(SubspaceSystem(d - r, subs2), seed * 2 + 2)
     witness = Matrix.block_diag([t1.witness, t2.witness]) @ w0
     return DecompositionTree(
         components=t1.components + t2.components,
         witness=witness,
         certificates=[r_idem] + t1.certificates + t2.certificates,
         leaf_status=t1.leaf_status + t2.leaf_status,
-    )
-
-
-def corner_algebra(alg: EndAlgebra, left: Matrix, right: Matrix, summand: SubspaceSystem) -> EndAlgebra:
-    """End of the summand e(H) of alg.system, with e an idempotent of alg,
-    right a basis matrix of e(H) and left the rows that read e(H)-coordinates
-    off H (left @ right = I, left @ e = left): the corner e End e, as the maps
-    left X right, in hom_space's basis.  Its radical is e rad e, since
-    J(eRe) = e J(R) e (Lam, A First Course in Noncommutative Rings, 21.10)."""
-    basis = _canonical_basis([left @ x @ right for x in alg.basis])
-    rad = [left @ x @ right for x in alg.radical_basis()]
-    rad = _canonical_basis(rad) if rad else []
-    return EndAlgebra(
-        basis=basis, system=summand, _radical=rad, _semisimple_dim=len(basis) - len(rad)
     )
 
 

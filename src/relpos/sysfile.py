@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .catalog import MAX_CATALOG_DIM
 from .errors import ParseError
 from .gaussian import format_cfloat, format_gq, parse_cfloat, parse_gq
 from .matrix import DEFAULT_TOL, EXACT, FLOAT, Matrix
@@ -120,6 +121,8 @@ def parse(text: str) -> SystemFile:
                 raise ParseError("bad ambient line") from exc
             if ambient < 0:
                 raise ParseError(f"negative ambient dimension {ambient}")
+            if ambient > MAX_CATALOG_DIM:
+                raise ParseError(f"ambient dimension {ambient} exceeds the bound {MAX_CATALOG_DIM}")
             idx += 1
         elif parts[0] == "subspace":
             if field_name is None or ambient is None:

@@ -14,7 +14,7 @@ import pytest
 
 import relpos
 from relpos import sysfile
-from relpos.catalog import build_gp3, build_gp4
+from relpos.catalog import MAX_CATALOG_DIM, build_gp3, build_gp4
 from relpos.cli import build_parser, main
 from relpos.gaussian import GQ
 from relpos.sampling import random_system
@@ -25,14 +25,15 @@ from relpos import verify as verify_mod
 from relpos.verify import CRITERIA, Criterion, SweepReport, classification_completeness
 
 
-def run_python(argv):
+def run_python(argv, stdout=subprocess.PIPE):
     """Run the interpreter on argv in a child process that imports relpos
     from where this session does."""
     src = os.path.dirname(os.path.dirname(relpos.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, *argv],
-        capture_output=True,
+        stdout=stdout,
+        stderr=subprocess.PIPE,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
     )
@@ -609,17 +610,18 @@ def test_catalog_key_past_the_dimension_bound_exit_code():
     assert time.perf_counter() - start < 1
 
 
-ZERO_SUBSPACES_SYSFILE = "\n".join([
-    "relpos-system 1", "field gaussian-rational", "ambient 100000",
-    "subspace E1 dim 0", "subspace E2 dim 0", "subspace E3 dim 0", "subspace E4 dim 0",
-]) + "\n"
+def zero_subspaces_sysfile(d):
+    return "\n".join([
+        "relpos-system 1", "field gaussian-rational", f"ambient {d}",
+        "subspace E1 dim 0", "subspace E2 dim 0", "subspace E3 dim 0", "subspace E4 dim 0",
+    ]) + "\n"
 
 
 @pytest.mark.parametrize("command", ["decompose", "isom"])
 def test_hom_past_the_unknowns_bound_exit_code(command, tmp_path):
-    # End(S) would have 10^10 unknowns: refused before any constraint row
+    # End(S) would have 1600 unknowns: refused before any constraint row
     path = tmp_path / "z.sys"
-    path.write_text(ZERO_SUBSPACES_SYSFILE)
+    path.write_text(zero_subspaces_sysfile(40))
     args = [command, str(path)] + ([str(path)] if command == "isom" else [])
     tracemalloc.start()
     try:
@@ -632,6 +634,38 @@ def test_hom_past_the_unknowns_bound_exit_code(command, tmp_path):
     assert f"exceeds the bound {MAX_HOM_UNKNOWNS}" in err
     assert "Traceback" not in err
     assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("args", [["defect"], ["diagram"], ["coxeter", "perp"], ["coxeter", "minus"], ["angles"]])
+def test_sysfile_past_the_ambient_bound_exit_code(args, tmp_path):
+    # four zero subspaces of C^100000 in seven lines: their orthocomplements
+    # alone would hold 10^10 entries, so the ambient is refused at parse
+    path = tmp_path / "z.sys"
+    path.write_text(zero_subspaces_sysfile(100000))
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(args + [str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert out == ""
+    assert f"exceeds the bound {MAX_CATALOG_DIM}" in err
+    assert peak < 1 << 20
+
+
+def test_closed_stdout_exit_code():
+    # the reader is gone before relpos writes: exit 2, and no traceback from
+    # the write or from the flush at interpreter exit
+    for args in (["--json", "toeplitz", "regions", "--alpha", "1/2"], ["catalog", "build", "gp3:5"]):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = run_python(["-m", "relpos.cli", *args], stdout=write)
+        finally:
+            os.close(write)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
 
 
 def test_boundary_alpha_exit_code():

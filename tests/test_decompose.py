@@ -33,8 +33,8 @@ from relpos.gaussian import GQ
 from relpos.matrix import Matrix
 from relpos.poly import Polynomial
 from relpos.sampling import random_invertible, random_system
-from relpos.subspace import Subspace, intersect
-from relpos.system import SubspaceSystem, hom_dim, hom_space, is_bounded_operator_system
+from relpos.subspace import Subspace
+from relpos.system import MAX_HOM_UNKNOWNS, SubspaceSystem, hom_dim, hom_space, is_bounded_operator_system
 
 
 def line_system(*patterns):
@@ -239,10 +239,15 @@ def gaussian_integer_matrix(rng, rows, cols, span=2):
     )
 
 
+def span_of(mats):
+    """The span of square matrices, each read as its column-major vec."""
+    return Subspace.span(Matrix.hstack([b.vec() for b in mats]))
+
+
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
-def test_operator_end_algebra_is_the_hom_space_basis(k):
+def test_operator_end_algebra_spans_the_hom_space(k):
     # End(S_{T,S}) through the commutant of ST, as built and in random
-    # coordinates, must return hom_space's own basis, element for element
+    # coordinates, is a basis of the algebra hom_space's basis spans
     rng = random.Random(40 + k)
     ts = [gaussian_integer_matrix(rng, k, k) for _ in range(3)] + [
         Matrix.identity(k).scale(GQ(rng.randint(-2, 2))),
@@ -252,7 +257,10 @@ def test_operator_end_algebra_is_the_hom_space_basis(k):
         s = operator_system(t, random_invertible(rng, k))
         for sys in (s, s.apply(random_invertible(rng, 2 * k))):
             assert _operator_end_basis(sys) is not None
-            assert end_algebra(sys).basis == hom_space(sys, sys).basis
+            basis, hom = end_algebra(sys).basis, hom_space(sys, sys).basis
+            assert len(basis) == len(hom)
+            assert span_of(basis).dim == len(basis)
+            assert span_of(basis) == span_of(hom)
 
 
 def test_end_algebra_falls_back_to_hom_space():
@@ -315,11 +323,13 @@ def commutant_cases():
     return cyclic, derogatory
 
 
-def test_commutant_basis_is_the_sylvester_nullspace_basis():
+def test_commutant_basis_spans_the_sylvester_nullspace():
     cyclic, derogatory = commutant_cases()
     assert len(cyclic) >= 10
     for t in cyclic + derogatory:
-        assert commutant_basis(t) == sylvester_commutant(t)
+        basis = commutant_basis(t)
+        assert span_of(basis).dim == len(basis)
+        assert span_of(basis) == span_of(sylvester_commutant(t))
     assert all(len(commutant_basis(t)) == t.rows for t in cyclic)
     assert [len(commutant_basis(t)) for t in derogatory] == [9, 5, 8]
 
@@ -366,7 +376,7 @@ def test_strong_irreducibility_from_coprime_parts_beside_a_remainder():
         strongly_irreducible(companion(-2, 0, 0))
 
 
-def corner_cases():
+def split_cases():
     rng = random.Random(808)
     systems = [
         random_system(rng, rng.randint(1, 5), n) for n in (2, 3, 4) for _ in range(20)
@@ -378,30 +388,28 @@ def corner_cases():
     return systems
 
 
-def test_summands_inherit_their_end_algebra_as_corners(monkeypatch):
-    # at every split: the corner of the parent's End algebra is the
-    # summand's hom_space basis, its inherited radical gives the trace-form
-    # semisimple dimension, and the projected subspaces are the reference
-    # E_i ∩ H read in the summand's coordinates
-    corner = dec.corner_algebra
-    splits = []
-
-    def checked(alg, left, right, summand):
-        out = corner(alg, left, right, summand)
-        assert out.basis == hom_space(summand, summand).basis
-        assert out.semisimple_dim() == EndAlgebra(basis=out.basis).semisimple_dim()
-        h = Subspace.span(right)
-        want = [Subspace.span(left @ intersect(e_i, h).basis) for e_i in alg.system.subspaces]
-        assert list(summand.subspaces) == want
-        splits.append(summand.dims())
-        return out
-
-    monkeypatch.setattr(dec, "corner_algebra", checked)
-    for k, s in enumerate(corner_cases()):
+def test_every_split_is_certified_and_verified():
+    # verify_decomposition compares every subspace exactly, so each summand's
+    # subspaces are the E_i ∩ H of its split read in its own coordinates
+    splits = 0
+    for k, s in enumerate(split_cases()):
         tree = decompose(s, seed=k)
         assert verify_decomposition(s, tree)
         assert len(tree.components) == len(tree.certificates) + 1
-    assert len(splits) >= 200
+        splits += len(tree.certificates)
+    assert splits >= 100
+
+
+def test_summands_of_a_large_operator_system_stay_on_the_commutant_route():
+    # S_T has ambient 36, past MAX_HOM_UNKNOWNS for hom_space, and so must
+    # each summand be answered through its own commutant when it needs one
+    t = Matrix.block_diag([jordan_block(9, GQ(1)), jordan_block(8, GQ(2)), jordan_block(1, GQ(0, 1))])
+    s = single_operator_system(t)
+    assert s.ambient_dim ** 2 > MAX_HOM_UNKNOWNS
+    tree = decompose(s, seed=3)
+    assert sorted(c.ambient_dim for c in tree.components) == [2, 16, 18]
+    assert tree.certified()
+    assert verify_decomposition(s, tree)
 
 
 def test_spectral_idempotent_is_exact_or_refused():
