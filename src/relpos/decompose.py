@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from .errors import (
+    DegreeBoundExceeded,
     DimensionMismatch,
     ExactOnlyError,
     InvariantViolation,
@@ -51,11 +53,13 @@ class EndAlgebra:
             rad = []
             if m:
                 # Row j of `flat` is the row-major flattening of B_j, i.e.
-                # vec(B_j^T), so trace(B_j B_k) = vec(B_j^T)^T vec(B_k) makes
-                # the trace form one product; the radical elements, the
-                # combinations of the B_j by the kernel vectors, are another.
+                # vec(B_j^T), and row k of `vecs` is vec(B_k), so
+                # trace(B_j B_k) = vec(B_j^T)^T vec(B_k) makes the trace form
+                # one product; the radical elements, the combinations of the
+                # B_j by the kernel vectors, are another.
                 flat = Matrix.vstack([b.reshape(1, d * d) for b in self.basis])
-                gram = flat @ Matrix.hstack([b.vec() for b in self.basis])
+                vecs = Matrix.vstack([b.transpose().reshape(1, d * d) for b in self.basis])
+                gram = flat @ vecs.transpose()
                 ker = gram.nullspace()
                 if ker.cols:
                     combos = ker.transpose() @ flat
@@ -184,7 +188,11 @@ def find_nontrivial_idempotent(alg: EndAlgebra, seed: int = 0) -> IdempotentSear
     for x in candidates():
         attempts += 1
         p = x.minimal_polynomial()
-        rep = factor_over_gaussian_rationals(p)
+        try:
+            rep = factor_over_gaussian_rationals(p)
+        except DegreeBoundExceeded:
+            # too large to factor: this candidate cannot split
+            continue
         split = coprime_split(p, rep)
         if split is None:
             if rep.remainder is not None or any(f.degree > 1 for f, _ in rep.factors):
@@ -424,16 +432,8 @@ def _match_summands(s, t, ds: DecompositionTree, dt: DecompositionTree, seed) ->
         used[hit[0]] = True
         matches.append(hit)
     d = s.ambient_dim
-    s_off = []
-    off = 0
-    for c in ds.components:
-        s_off.append(off)
-        off += c.ambient_dim
-    t_off = []
-    off = 0
-    for c in dt.components:
-        t_off.append(off)
-        off += c.ambient_dim
+    s_off = list(accumulate((c.ambient_dim for c in ds.components), initial=0))
+    t_off = list(accumulate((c.ambient_dim for c in dt.components), initial=0))
     ents = [ZERO] * (d * d)
     for j, (k, wj) in enumerate(matches):
         rj = ds.components[j].ambient_dim
@@ -513,13 +513,8 @@ def jordan_oracle(t: Matrix) -> JordanReport:
         for _ in range(mult + 1):
             power = power @ shifted
             ranks.append(power.rank())
-        sizes = []
-        for k in range(1, mult + 1):
-            r_prev, r_k = ranks[k - 1], ranks[k]
-            r_next = ranks[k + 1] if k + 1 < len(ranks) else ranks[-1]
-            count = r_prev - 2 * r_k + r_next
-            sizes.extend([k] * count)
-        sizes.sort()
+        # r_(k-1) - 2 r_k + r_(k+1) blocks of size k, in increasing k
+        sizes = [k for k in range(1, mult + 1) for _ in range(ranks[k - 1] - 2 * ranks[k] + ranks[k + 1])]
         blocks[lam] = sizes
         total += sum(sizes)
     if total != n:

@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DegreeBoundExceeded
-from .gaussian import GQ, ONE, ZERO
+from .gaussian import GQ, I, ONE, ZERO
 
 DEFAULT_DEGREE_BOUND = 24
 
@@ -277,11 +277,7 @@ class FactorReport:
 
     def certified_roots(self):
         """(root, multiplicity) for each certified linear factor."""
-        out = []
-        for f, m in self.factors:
-            if f.degree == 1:
-                out.append((-f.coeffs[0] / f.coeffs[1], m))
-        return out
+        return [(-f.coeffs[0] / f.coeffs[1], m) for f, m in self.factors if f.degree == 1]
 
 
 def _rationalize(x: float, bounds=(10**4, 10**8, 10**12)):
@@ -343,28 +339,19 @@ def _mp_root_candidates(p: Polynomial):
             yield GQ(fr, fi)
 
 
-def _find_one_root(p: Polynomial):
-    """One exact root of p in Q(i), or None; every candidate is verified."""
-    for n in range(-6, 7):
-        for d in (1, 2, 3):
-            for cand in (GQ(Fraction(n, d)), GQ(0, Fraction(n, d))):
-                if p.eval_scalar(cand).is_zero():
-                    return cand
-    numeric = np.roots(p.to_complex_coeffs()[::-1])
-    for z in numeric:
-        for cand in _candidate_gq(complex(z)):
-            if p.eval_scalar(cand).is_zero():
-                return cand
-    for cand in _mp_root_candidates(p):
-        if p.eval_scalar(cand).is_zero():
-            return cand
-    return None
+def _root_stages(p: Polynomial):
+    """Candidate roots of p in Q(i), one list a stage, cheapest first: small
+    rationals, rounded numpy roots, rounded mpmath roots."""
+    yield [GQ(Fraction(n, d)) * u for n in range(-6, 7) for d in (1, 2, 3) for u in (ONE, I)]
+    yield [c for z in np.roots(p.to_complex_coeffs()[::-1]) for c in _candidate_gq(complex(z))]
+    yield _mp_root_candidates(p)
 
 
 def _extract_certified_roots(sf: Polynomial):
     """Split a square-free monic polynomial into exact Q(i) roots plus a
     cofactor that resisted certification (degree-2 cofactors are solved
-    exactly, so a quadratic remainder is certified irreducible)."""
+    exactly, so a quadratic remainder is certified irreducible).  Each
+    search takes out every verified root of the first stage that has one."""
     roots = []
     rest = sf.monic()
     while rest.degree >= 1:
@@ -379,26 +366,43 @@ def _extract_certified_roots(sf: Polynomial):
             roots.extend(pair)
             rest = Polynomial([ONE])
             break
-        cand = _find_one_root(rest)
-        if cand is None:
+        for stage in _root_stages(rest):
+            hits = list(dict.fromkeys(c for c in stage if rest.eval_scalar(c).is_zero()))
+            if hits:
+                break
+        else:
             break
-        roots.append(cand)
-        rest = rest.shift_root(cand)
+        for cand in hits:
+            roots.append(cand)
+            rest = rest.shift_root(cand)
     return roots, rest
 
 
 def factor_over_gaussian_rationals(p: Polynomial) -> FactorReport:
     """Factor p over Q(i): square-free decomposition, then certified root
-    extraction; what cannot be certified is returned as a remainder."""
-    if p.degree > DEFAULT_DEGREE_BOUND:
-        raise DegreeBoundExceeded(f"degree {p.degree} exceeds bound {DEFAULT_DEGREE_BOUND}")
+    extraction; what cannot be certified is returned as a remainder.
+
+    Past DEFAULT_DEGREE_BOUND the small rational roots are taken out first,
+    with their multiplicities, and the bound applies to what is left: so
+    x^k (x - 1) factors at any k, and DegreeBoundExceeded is raised before
+    any gcd or numeric root search on a larger cofactor."""
     if p.is_zero():
         return FactorReport(unit=ZERO)
     unit = p.leading()
     report = FactorReport(unit=unit)
+    cofactor = p
+    if p.degree > DEFAULT_DEGREE_BOUND:
+        for lam in next(_root_stages(p)):
+            mult = 0
+            while cofactor.degree >= 1 and cofactor.eval_scalar(lam).is_zero():
+                cofactor, mult = cofactor.shift_root(lam), mult + 1
+            if mult:
+                report.factors.append((Polynomial([-lam, ONE]), mult))
+        if cofactor.degree > DEFAULT_DEGREE_BOUND:
+            raise DegreeBoundExceeded(f"degree {cofactor.degree} exceeds bound {DEFAULT_DEGREE_BOUND}")
     remainder = Polynomial([ONE])
     note = ""
-    for sf, mult in p.squarefree_decomposition():
+    for sf, mult in cofactor.squarefree_decomposition():
         roots, rest = _extract_certified_roots(sf)
         for lam in roots:
             report.factors.append((Polynomial([-lam, ONE]), mult))

@@ -14,7 +14,7 @@ from relpos.catalog import (
     operator_system,
     single_operator_system,
 )
-from relpos import decompose as dec
+from relpos import decompose as dec, poly
 from relpos.decompose import (
     EndAlgebra,
     _operator_end_basis,
@@ -31,7 +31,7 @@ from relpos.decompose import (
 from relpos.errors import InvariantViolation, UncertifiedError
 from relpos.gaussian import GQ
 from relpos.matrix import Matrix
-from relpos.poly import Polynomial
+from relpos.poly import DEFAULT_DEGREE_BOUND, Polynomial
 from relpos.sampling import random_invertible, random_system
 from relpos.subspace import Subspace
 from relpos.system import MAX_HOM_UNKNOWNS, SubspaceSystem, hom_dim, hom_space, is_bounded_operator_system
@@ -410,6 +410,33 @@ def test_summands_of_a_large_operator_system_stay_on_the_commutant_route():
     assert sorted(c.ambient_dim for c in tree.components) == [2, 16, 18]
     assert tree.certified()
     assert verify_decomposition(s, tree)
+
+
+def test_cyclic_operator_past_the_degree_bound_still_splits():
+    # End(S_T) of a cyclic T has basis diag(T^j, T^j), so every candidate
+    # after I has a minimal polynomial of degree up to 26, past the bound 24;
+    # the bound applies after small roots are taken out, and x^25 (x - 1)
+    # has only small roots
+    t = Matrix.block_diag([jordan_block(25, GQ(0)), jordan_block(1, GQ(1))])
+    s = single_operator_system(t)
+    assert t.minimal_polynomial().degree > DEFAULT_DEGREE_BOUND
+    tree = decompose(s, seed=7)
+    assert sorted(c.ambient_dim for c in tree.components) == [2, 50]
+    assert tree.certified()
+    assert verify_decomposition(s, tree)
+
+
+def test_idempotent_search_skips_candidates_it_cannot_factor(monkeypatch):
+    # Q(i)[C], C the companion matrix of x^3 - 2, is a field of degree 3, so
+    # every element but a scalar has a minimal polynomial of degree 3 with
+    # no small root; with the degree bound at 2 none can be factored, and
+    # the search skips them and answers 'inconclusive' instead of raising
+    monkeypatch.setattr(poly, "DEFAULT_DEGREE_BOUND", 2)
+    alg = dec.EndAlgebra(basis=commutant_basis(companion(-2, 0, 0)))
+    found = find_nontrivial_idempotent(alg, seed=1)
+    assert found.status == "inconclusive"
+    assert found.semisimple_dim == 3
+    assert found.attempts == 3 + dec.SEARCH_ATTEMPTS
 
 
 def test_spectral_idempotent_is_exact_or_refused():

@@ -80,6 +80,20 @@ def test_degree_bound():
         factor_over_gaussian_rationals(p)
 
 
+def test_degree_bound_applies_after_small_roots_are_taken_out():
+    # x^25 (x - 1) has two linear square-free parts
+    rep = factor_over_gaussian_rationals(Polynomial([0] * 25 + [1]) * Polynomial([-1, 1]))
+    assert rep.remainder is None
+    assert rep.factors == [(Polynomial([-1, 1]), 1), (Polynomial([0, 1]), 25)]
+    # six small roots leave x^20 - 3, within the bound, for the numeric stages
+    p = poly_from_roots([GQ(r) for r in range(1, 7)]) * Polynomial([-3] + [0] * 19 + [1])
+    assert p.degree > 24
+    rep = factor_over_gaussian_rationals(p)
+    assert rep.factors == [(Polynomial([-r, 1]), 1) for r in range(1, 7)]
+    assert rep.remainder == Polynomial([-3] + [0] * 19 + [1])
+    assert rep.product() == p
+
+
 @pytest.mark.parametrize("seed", range(12))
 def test_refactor_product_identity(seed):
     rng = random.Random(seed)
