@@ -134,11 +134,14 @@ class IdempotentSearch:
     """Outcome of the nontrivial-idempotent search.
 
     status: 'found' | 'local' | 'complex_only' | 'inconclusive'.
-    'local' certifies dim(A/rad A) = 1, hence Idem = {0, I} over Q(i) and C."""
+    'local' certifies dim(A/rad A) = 1, hence Idem = {0, I} over Q(i) and C.
+    semisimple_dim is dim(A/rad A) wherever the search took the radical,
+    which is every outcome but 'found'; it is None for 'found', whose
+    idempotent is its own certificate."""
 
     status: str
     idempotent: Matrix | None = None
-    semisimple_dim: int = 0
+    semisimple_dim: int | None = None
     attempts: int = 0
 
 
@@ -157,16 +160,36 @@ def _spectral_idempotent(x: Matrix, f, g):
     return e
 
 
+def _split_candidate(x: Matrix):
+    """(idempotent, nonsplit): the spectral idempotent of a coprime split of
+    mu_x, or None, and whether mu_x showed a factor that is not linear over
+    Q(i)."""
+    p = x.minimal_polynomial()
+    try:
+        rep = factor_over_gaussian_rationals(p)
+    except DegreeBoundExceeded:
+        # too large to factor: this candidate cannot split
+        return None, False
+    split = coprime_split(p, rep)
+    if split is None:
+        return None, rep.remainder is not None or any(f.degree > 1 for f, _ in rep.factors)
+    return _spectral_idempotent(x, *split), False
+
+
 def find_nontrivial_idempotent(alg: EndAlgebra, seed: int = 0) -> IdempotentSearch:
-    """Radical quotient first; then a deterministic sweep of the basis and
-    seeded integer combinations, splitting minimal polynomials into coprime
-    parts to evaluate exact spectral idempotents."""
+    """A deterministic sweep of the basis and seeded integer combinations,
+    splitting minimal polynomials into coprime parts to evaluate exact
+    spectral idempotents.
+
+    A scalar candidate counts as an attempt but is passed over: its minimal
+    polynomial x - c cannot split.  The trace-form radical is taken only
+    once the first other candidate fails, and q = dim(A/rad A) = 1 then
+    answers 'local' (a local algebra splits on no candidate, and the
+    candidates do not depend on q, so no outcome moves).  An algebra of
+    dimension <= 1 is answered from q alone."""
     d = alg.ambient_dim
-    q = alg.semisimple_dim()
-    if alg.dim == 0 or d == 0:
-        return IdempotentSearch(status="local", semisimple_dim=q)
-    if q == 1:
-        return IdempotentSearch(status="local", semisimple_dim=1)
+    if alg.dim <= 1 or d == 0:
+        return IdempotentSearch(status="local", semisimple_dim=alg.semisimple_dim())
 
     rng = random.Random(seed)
     attempts = 0
@@ -187,25 +210,17 @@ def find_nontrivial_idempotent(alg: EndAlgebra, seed: int = 0) -> IdempotentSear
 
     for x in candidates():
         attempts += 1
-        p = x.minimal_polynomial()
-        try:
-            rep = factor_over_gaussian_rationals(p)
-        except DegreeBoundExceeded:
-            # too large to factor: this candidate cannot split
+        if x.is_scalar():
             continue
-        split = coprime_split(p, rep)
-        if split is None:
-            if rep.remainder is not None or any(f.degree > 1 for f, _ in rep.factors):
-                saw_nonsplit = True
-            continue
-        e = _spectral_idempotent(x, *split)
+        e, nonsplit = _split_candidate(x)
         if e is not None:
-            return IdempotentSearch(
-                status="found", idempotent=e, semisimple_dim=q, attempts=attempts
-            )
-    if saw_nonsplit:
-        return IdempotentSearch(status="complex_only", semisimple_dim=q, attempts=attempts)
-    return IdempotentSearch(status="inconclusive", semisimple_dim=q, attempts=attempts)
+            return IdempotentSearch(status="found", idempotent=e, attempts=attempts)
+        saw_nonsplit = saw_nonsplit or nonsplit
+        # the radical is cached, so it is computed after the first failure only
+        if alg.semisimple_dim() == 1:
+            return IdempotentSearch(status="local", semisimple_dim=1, attempts=attempts)
+    status = "complex_only" if saw_nonsplit else "inconclusive"
+    return IdempotentSearch(status=status, semisimple_dim=alg.semisimple_dim(), attempts=attempts)
 
 
 LEAF_STATUS = {
@@ -236,7 +251,9 @@ class DecompositionTree:
 
 def decompose(s: SubspaceSystem, seed: int = 0) -> DecompositionTree:
     """Split s along a nontrivial idempotent of end_algebra(s), then each
-    summand the same way, until the search at a node finds none.
+    summand the same way, until the search at a node finds none.  A node
+    in C^1 is an 'indecomposable' leaf without End: each subspace of C^1
+    is 0 or C^1, so End(S) is the scalars.
 
     A found idempotent e splits H = H1 + H2 (image and kernel).  Every E_i is
     e-invariant, so E_i = (E_i ∩ H1) + (E_i ∩ H2), and in the coordinates
@@ -247,6 +264,10 @@ def decompose(s: SubspaceSystem, seed: int = 0) -> DecompositionTree:
     d = s.ambient_dim
     if d == 0:
         return DecompositionTree(components=[], witness=Matrix.identity(0))
+    if d == 1:
+        return DecompositionTree(
+            components=[s], witness=Matrix.identity(1), leaf_status=["indecomposable"]
+        )
     found = find_nontrivial_idempotent(end_algebra(s), seed)
     if found.status != "found":
         return DecompositionTree(

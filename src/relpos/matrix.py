@@ -397,6 +397,19 @@ class Matrix:
             return self == Matrix.identity(self.rows)
         return bool(np.allclose(self._f, np.eye(self.rows), atol=self.tol))
 
+    def is_scalar(self) -> bool:
+        """c I for some scalar c, 0 included."""
+        n = self.rows
+        if n != self.cols:
+            return False
+        if self.field == EXACT:
+            step = n + 1
+            return (
+                len(set(zip(self._re[::step], self._im[::step]))) <= 1
+                and all(k % step == 0 for k in self.nonzero_indices())
+            )
+        return n == 0 or bool(np.allclose(self._f, self._f[0, 0] * np.eye(n), atol=self.tol))
+
     # -- elimination -----------------------------------------------------------
 
     def _ffgj(self, int_rows=None):

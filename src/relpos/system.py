@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import combinations
 
@@ -372,58 +373,71 @@ def intersection_diagram(s: SubspaceSystem, tol: float | None = None) -> Interse
     return diagram_from_pairs(s.n, meets, smallest, threshold)
 
 
-@dataclass
 class SystemPredicates:
-    reduced_above: bool
-    reduced_below: bool
-    nondegenerate: bool
-    projection_sum_invertible: bool
-    n_minus_1_property: bool
+    """The structural predicates of one system.  Each is computed from the
+    held system the first time it is read and kept, so a caller that reads
+    one pays for no other.
+
+    reduced_above: every n - 1 of the E_i span H.
+    reduced_below: every n - 1 of the orthocomplements span H.
+    nondegenerate: every pair E_i, E_j spans H and meets in 0.
+    projection_sum_invertible: the sum of the orthoprojections is invertible.
+    n_minus_1_property: every n - 1 of the E_i span H and meet in 0."""
+
+    def __init__(self, s: SubspaceSystem):
+        self.system = s
+
+    @cached_property
+    def reduced_above(self) -> bool:
+        return _every_n_minus_1_spans(self.system.subspaces)
+
+    @cached_property
+    def reduced_below(self) -> bool:
+        return _every_n_minus_1_spans([e.orthocomplement() for e in self.system.subspaces])
+
+    @cached_property
+    def nondegenerate(self) -> bool:
+        return all(
+            sum_(a, b).is_full() and intersect(a, b).is_zero()
+            for a, b in combinations(self.system.subspaces, 2)
+        )
+
+    @cached_property
+    def projection_sum_invertible(self) -> bool:
+        s = self.system
+        proj_sum = Matrix.zeros(s.ambient_dim, s.ambient_dim, s.field)
+        for e in s.subspaces:
+            proj_sum = proj_sum + orthoprojection(e)
+        return proj_sum.is_invertible()
+
+    @cached_property
+    def n_minus_1_property(self) -> bool:
+        s = self.system
+        subs = s.subspaces
+        for k in range(s.n):
+            rest = subs[:k] + subs[k + 1 :]
+            cap = Subspace.full(s.ambient_dim, s.field) if not rest else rest[0]
+            for e in rest[1:]:
+                cap = intersect(cap, e)
+            if not cap.is_zero():
+                return False
+        return self.reduced_above
+
+
+def _every_n_minus_1_spans(subs) -> bool:
+    """Every family of all the subspaces but one spans the ambient space."""
+    zero = Subspace.zero(subs[0].ambient_dim, subs[0].field)
+    for k in range(len(subs)):
+        acc = zero
+        for e in subs[:k] + subs[k + 1 :]:
+            acc = sum_(acc, e)
+        if not acc.is_full():
+            return False
+    return True
 
 
 def predicates(s: SubspaceSystem) -> SystemPredicates:
-    d = s.ambient_dim
-    n = s.n
-    subs = s.subspaces
-    perps = [e.orthocomplement() for e in subs]
-
-    def total(parts):
-        acc = Subspace.zero(d, s.field)
-        for p in parts:
-            acc = sum_(acc, p)
-        return acc
-
-    reduced_above = all(
-        total(subs[:k] + subs[k + 1 :]).is_full() for k in range(n)
-    )
-    reduced_below = all(
-        total(perps[:k] + perps[k + 1 :]).is_full() for k in range(n)
-    )
-    nondegenerate = all(
-        sum_(subs[i], subs[j]).is_full() and intersect(subs[i], subs[j]).is_zero()
-        for i in range(n)
-        for j in range(i + 1, n)
-    )
-    proj_sum = Matrix.zeros(d, d, s.field)
-    for e in subs:
-        proj_sum = proj_sum + orthoprojection(e)
-    projection_sum_invertible = proj_sum.is_invertible()
-    nm1 = True
-    for k in range(n):
-        rest = subs[:k] + subs[k + 1 :]
-        cap = Subspace.full(d, s.field) if not rest else rest[0]
-        for e in rest[1:]:
-            cap = intersect(cap, e)
-        if not cap.is_zero() or not total(rest).is_full():
-            nm1 = False
-            break
-    return SystemPredicates(
-        reduced_above=reduced_above,
-        reduced_below=reduced_below,
-        nondegenerate=nondegenerate,
-        projection_sum_invertible=projection_sum_invertible,
-        n_minus_1_property=nm1,
-    )
+    return SystemPredicates(s)
 
 
 @dataclass

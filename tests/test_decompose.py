@@ -439,6 +439,85 @@ def test_idempotent_search_skips_candidates_it_cannot_factor(monkeypatch):
     assert found.attempts == 3 + dec.SEARCH_ATTEMPTS
 
 
+def test_a_search_that_splits_on_its_first_candidate_takes_no_radical():
+    # two lines in general position in C^2: End is the diagonal matrices,
+    # and its first basis element is a nontrivial idempotent
+    alg = end_algebra(sysrows(2, [[1, 0]], [[0, 1]]))
+    assert not alg.basis[0].is_scalar()
+    found = find_nontrivial_idempotent(alg, seed=1)
+    assert found.status == "found"
+    assert found.attempts == 1
+    assert found.semisimple_dim is None
+    assert alg._radical is None
+
+
+def test_scalar_candidates_are_counted_but_not_factored(monkeypatch):
+    factored = []
+    original = Matrix.minimal_polynomial
+
+    def counting(self):
+        factored.append(self)
+        return original(self)
+
+    monkeypatch.setattr(Matrix, "minimal_polynomial", counting)
+    e11 = Matrix.from_rows([[1, 0], [0, 0]])
+    alg = EndAlgebra(basis=[Matrix.identity(2).scale(GQ(3)), e11])
+    found = find_nontrivial_idempotent(alg, seed=1)
+    assert found.status == "found" and found.idempotent == e11
+    assert found.attempts == 2
+    assert factored == [e11]
+
+
+def test_a_local_algebra_takes_its_radical_after_one_candidate():
+    # Q(i)[J_3(0)] has basis I, J, J^2: I is passed over, mu_J = x^3 does
+    # not split, and the radical (J, J^2) then certifies 'local'
+    alg = EndAlgebra(basis=commutant_basis(jordan_block(3, GQ(0))))
+    found = find_nontrivial_idempotent(alg, seed=1)
+    assert found.status == "local"
+    assert found.semisimple_dim == 1
+    assert found.attempts == 2
+    assert len(alg.radical_basis()) == 2
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_one_dimensional_systems_take_no_end(monkeypatch, n):
+    # every dimension vector of a system in C^1: the End path answers each
+    # with the leaf itself, and decompose now answers it without End
+    systems = [line_system(*((mask >> i) & 1 for i in range(n))) for mask in range(2 ** n)]
+    for s in systems:
+        assert find_nontrivial_idempotent(end_algebra(s)).status == "local"
+
+    def refuse(_s):
+        raise AssertionError("end_algebra called on a one-dimensional system")
+
+    monkeypatch.setattr(dec, "end_algebra", refuse)
+    for s in systems:
+        tree = decompose(s, seed=5)
+        assert tree.components == [s]
+        assert tree.witness == Matrix.identity(1)
+        assert tree.certificates == []
+        assert tree.leaf_status == ["indecomposable"]
+
+
+def test_zero_subspaces_split_without_a_radical(monkeypatch):
+    # (C^8; 0, 0, 0, 0) splits on E_11 at every node, so no node needs
+    # the radical to certify anything
+    calls = []
+    original = EndAlgebra.radical_basis
+
+    def counting(self):
+        calls.append(self.dim)
+        return original(self)
+
+    monkeypatch.setattr(EndAlgebra, "radical_basis", counting)
+    s = SubspaceSystem(8, [Subspace.zero(8) for _ in range(4)])
+    tree = decompose(s)
+    assert calls == []
+    assert len(tree.components) == 8
+    assert tree.certified()
+    assert verify_decomposition(s, tree)
+
+
 def test_spectral_idempotent_is_exact_or_refused():
     # v(x) g(x), with u f + v g = 1, is idempotent exactly when f g
     # annihilates x; a split of a polynomial that does not is refused

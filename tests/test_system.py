@@ -14,7 +14,7 @@ from relpos.catalog import (
     operator_system,
     single_operator_system,
 )
-from relpos import kernel
+from relpos import kernel, system as system_module
 from relpos.errors import BackendMismatch, DimensionMismatch, SingularMatrixError
 from relpos.gaussian import GQ
 from relpos.matrix import Matrix
@@ -24,7 +24,7 @@ from relpos.sampling import (
     random_subspace,
     random_system,
 )
-from relpos.subspace import Subspace, annihilator
+from relpos.subspace import Subspace, annihilator, intersect, orthoprojection, sum_
 from relpos.system import (
     SubspaceSystem,
     defect,
@@ -222,6 +222,70 @@ def test_reduced_above_implies_projection_sum_invertible():
             checked += 1
             assert p.projection_sum_invertible
     assert checked >= 10
+
+
+def eager_predicates(s):
+    """The five predicates computed all at once, by the formulas
+    `predicates` used before they were read on demand: the reference."""
+    d, n, subs = s.ambient_dim, s.n, s.subspaces
+    perps = [e.orthocomplement() for e in subs]
+
+    def total(parts):
+        acc = Subspace.zero(d, s.field)
+        for p in parts:
+            acc = sum_(acc, p)
+        return acc
+
+    proj_sum = Matrix.zeros(d, d, s.field)
+    for e in subs:
+        proj_sum = proj_sum + orthoprojection(e)
+    nm1 = True
+    for k in range(n):
+        rest = subs[:k] + subs[k + 1 :]
+        cap = Subspace.full(d, s.field) if not rest else rest[0]
+        for e in rest[1:]:
+            cap = intersect(cap, e)
+        if not cap.is_zero() or not total(rest).is_full():
+            nm1 = False
+            break
+    return {
+        "reduced_above": all(total(subs[:k] + subs[k + 1 :]).is_full() for k in range(n)),
+        "reduced_below": all(total(perps[:k] + perps[k + 1 :]).is_full() for k in range(n)),
+        "nondegenerate": all(
+            sum_(subs[i], subs[j]).is_full() and intersect(subs[i], subs[j]).is_zero()
+            for i in range(n)
+            for j in range(i + 1, n)
+        ),
+        "projection_sum_invertible": proj_sum.is_invertible(),
+        "n_minus_1_property": nm1,
+    }
+
+
+def test_predicates_read_on_demand_equal_the_eager_formulas():
+    rng = random.Random(11)
+    seen = {name: set() for name in eager_predicates(line_system(1))}
+    for _ in range(100):
+        s = random_system(rng, rng.randint(0, 5), rng.randint(2, 4))
+        want = eager_predicates(s)
+        p = predicates(s)
+        # read in a seeded order, so a predicate that reuses another is
+        # read both before and after it
+        names = list(want)
+        rng.shuffle(names)
+        for name in names:
+            assert getattr(p, name) == want[name], (name, s)
+            seen[name].add(want[name])
+    assert all(seen[name] == {True, False} for name in ("reduced_above", "reduced_below")), seen
+
+
+def test_reduced_above_alone_takes_no_orthoprojection(monkeypatch):
+    def refuse(*_args):
+        raise AssertionError("orthoprojection called")
+
+    monkeypatch.setattr(system_module, "orthoprojection", refuse)
+    monkeypatch.setattr(Subspace, "orthocomplement", refuse)
+    assert predicates(single_operator_system(jordan_block(3, GQ(1)))).reduced_above
+    assert not predicates(line_system(1, 0, 0, 0)).reduced_above
 
 
 def test_is_bounded_operator_system_roundtrip():
