@@ -1,8 +1,12 @@
 #!/usr/bin/env python3
-"""Time the exact nullspace on its two paths: fraction-free Bareiss
-(`Matrix._nullspace_ffgj`) and the multimodular lift (`relpos.modular`,
-exact check included, run past its routing test), checking that both give
-the same basis.  Three tables:
+"""Time exact elimination on its two paths: fraction-free Bareiss
+(`kernel.ffgj`, as in `Matrix._nullspace_ffgj`) and the multimodular lift
+(`relpos.modular`, exact check included, run past its shape gate and its
+price), checking that both give the same result.  Every exact elimination
+(`rref`, `nullspace`, `rank`, `solve`, `inverse` and the Krylov step of
+`minimal_polynomial`) takes the lift only where both sides of the matrix
+reach `relpos.modular.MIN_SIDE` and `relpos.modular._lifting_pays` accepts
+the price; the gate is read against these tables.  Four tables:
 
 1. Classify traffic.  Every exact nullspace that `decompose`,
    `are_isomorphic` and `phi_plus` take on random 2-, 3- and 4-subspace
@@ -10,14 +14,19 @@ the same basis.  Three tables:
    its next shapes), summed by column count: End and Hom constraints
    (d^2 columns), orthocomplements and the C_i blocks (d columns),
    intersections (dim a + dim b columns).  Each column count is timed as
-   one batch per path, the paths taking turns, best of seven.
-   `relpos.modular.MIN_COLS` is read against this table; "routed s" is
-   the time of `Matrix.nullspace`, which takes Bareiss below MIN_COLS
-   and where `relpos.modular._lifting_pays` refuses the lift.
+   one batch per path, the paths taking turns, best of seven.  "rows"
+   gives the fewest and most rows in the batch, "lifted" the matrices that
+   pass the gate and the price, and "routed s" the time of
+   `Matrix.nullspace`, which takes Bareiss for the others.
 2. Hom constraints of the operator workload, 36 to 144 columns.
 3. Wide generic matrices with large kernels and large entries, whose lifts
    run to the Hadamard bound, with the path `Matrix.nullspace` takes
    ("route") and its time ("routed s").
+4. Inverse traffic: the augmented [A | I] that `Matrix.inverse` reduces,
+   for random invertible A of 5 to 12 rows with entries of real and
+   imaginary part in -2..2 (as `sampling.random_invertible` draws them for
+   the operator workload), batched per size like table 1, with the path
+   `Matrix.inverse` takes.
 
 Other times are best of three, in seconds.  Run from the repository root:
 
@@ -29,11 +38,11 @@ import time
 from collections import defaultdict
 from fractions import Fraction
 
-from relpos import coxeter, modular
+from relpos import coxeter, kernel, modular
 from relpos.catalog import build_gp4, jordan_block, single_operator_system
 from relpos.decompose import are_isomorphic, decompose
 from relpos.gaussian import GQ
-from relpos.matrix import EXACT, Matrix
+from relpos.matrix import EXACT, Matrix, _echelon
 from relpos.sampling import random_invertible, random_system
 from relpos.system import _dense, _hom_rows
 
@@ -41,6 +50,8 @@ REPEATS = 3
 BATCH_REPEATS = 7
 DRAWS = 4  # classify systems per (n, d)
 D_MAX = 6
+INVERSE_SIZES = range(5, 13)
+INVERSE_DRAWS = 4  # matrices per size
 
 
 def hom_constraints(s, t):
@@ -69,15 +80,20 @@ def batch_times(fns, mats):
     return best
 
 
-def lift(m):
-    """The multimodular basis of m and the primes it used, routing test off."""
-    routed = modular._lifting_pays
-    modular._lifting_pays = lambda *args: True
+def unrouted(fn, *args):
+    """fn(*args) with the shape gate and the price of the lift switched off."""
+    gate, price = modular.MIN_SIDE, modular._lifting_pays
+    modular.MIN_SIDE, modular._lifting_pays = 1, lambda *args: True
     try:
-        re, im = m._primitive_rows()
-        ker = modular.nullspace(re, im, m.rows, m.cols)
+        return fn(*args)
     finally:
-        modular._lifting_pays = routed
+        modular.MIN_SIDE, modular._lifting_pays = gate, price
+
+
+def lift(m):
+    """The multimodular basis of m and the primes it used, routing off."""
+    re, im = m._primitive_rows()
+    ker = unrouted(modular.nullspace, re, im, m.rows, m.cols)
     return Matrix._ints(m.cols, len(ker.free), ker.re, ker.im, ker.den), ker.primes
 
 
@@ -90,9 +106,30 @@ def compare(m):
 
 
 def route(m):
-    """The path relpos.modular.nullspace picks for m (MIN_COLS aside)."""
+    """The path every exact elimination of m takes: gate and price."""
     re, im = m._primitive_rows()
     return "bareiss" if modular.nullspace(re, im, m.rows, m.cols) is None else "lift"
+
+
+def rref_of(reduced, m):
+    rre, rim, pivots, dre, dim = reduced
+    return Matrix._ints(m.rows, m.cols, rre, rim, dre, dim), pivots
+
+
+def bareiss_rref(m):
+    return rref_of(kernel.ffgj(*m._primitive_rows(), m.rows, m.cols), m)
+
+
+def lift_rref(m):
+    return rref_of(unrouted(_echelon, *m._primitive_rows(), m.rows, m.cols), m)
+
+
+def inverse_traffic():
+    """Per size n, the augmented [A | I] of INVERSE_DRAWS random invertible A."""
+    rng = random.Random(2024)
+    for n in INVERSE_SIZES:
+        yield n, [Matrix.hstack([random_invertible(rng, n), Matrix.identity(n)])
+                  for _ in range(INVERSE_DRAWS)]
 
 
 def classify_traffic():
@@ -164,7 +201,7 @@ def wide_shapes():
 
 def main():
     print("1. classify traffic, summed by column count")
-    print(f"{'cols':>4} {'calls':>6} {'nullity':>7} {'bareiss s':>10} {'lift s':>10} "
+    print(f"{'cols':>4} {'rows':>7} {'calls':>6} {'nullity':>7} {'bareiss s':>10} {'lift s':>10} "
           f"{'primes':>6} {'ratio':>6} {'lifted':>6} {'routed s':>9}")
     groups = defaultdict(list)
     for m in classify_traffic():
@@ -176,10 +213,11 @@ def main():
             got, p = lift(m)
             assert got == m._nullspace_ffgj(), f"{m.rows}x{m.cols}: the two paths disagree"
             primes, nullity = primes + p, nullity + got.cols
-            lifted += cols >= modular.MIN_COLS and route(m) == "lift"
+            lifted += route(m) == "lift"
         t_ff, t_mod, t_routed = batch_times(
             [Matrix._nullspace_ffgj, lift, Matrix.nullspace], mats)
-        print(f"{cols:>4} {len(groups[cols]):>6} {nullity:>7} {t_ff:>10.4f} {t_mod:>10.4f} "
+        rows = f"{min(m.rows for m in mats)}-{max(m.rows for m in mats)}"
+        print(f"{cols:>4} {rows:>7} {len(mats):>6} {nullity:>7} {t_ff:>10.4f} {t_mod:>10.4f} "
               f"{primes:>6} {t_ff / t_mod:>5.2f}x {lifted:>6} {t_routed:>9.4f}")
 
     head = (f"{'shape':<18} {'rows x cols':>11} {'nullity':>7} {'bareiss s':>10} "
@@ -196,7 +234,19 @@ def main():
         t_routed, _ = best_of(m.nullspace)
         print(f"{label:<18} {m.rows:>5} x {m.cols:<3} {nullity:>7} {t_ff:>10.4f} "
               f"{t_mod:>10.4f} {primes:>6} {t_ff / t_mod:>5.2f}x {route(m):>7} {t_routed:>9.4f}")
-    print(f"\nrelpos.modular.MIN_COLS = {modular.MIN_COLS}")
+
+    print("\n4. inverse traffic: [A | I], summed by size")
+    print(f"{'n':>3} {'rows x cols':>11} {'calls':>6} {'bareiss s':>10} {'lift s':>10} "
+          f"{'ratio':>6} {'route':>7}")
+    for n, mats in inverse_traffic():
+        for m in mats:
+            assert lift_rref(m) == bareiss_rref(m), f"{m.rows}x{m.cols}: the two paths disagree"
+        t_ff, t_mod = batch_times([bareiss_rref, lift_rref], mats)
+        print(f"{n:>3} {n:>5} x {2 * n:<3} {len(mats):>6} {t_ff:>10.4f} {t_mod:>10.4f} "
+              f"{t_ff / t_mod:>5.2f}x {route(mats[0]):>7}")
+    print(f"\nrelpos.modular.MIN_SIDE = {modular.MIN_SIDE}: a matrix takes the lift only with "
+          f"at least {modular.MIN_SIDE} rows and {modular.MIN_SIDE} columns, and only where "
+          "_lifting_pays accepts its price")
 
 
 if __name__ == "__main__":

@@ -42,6 +42,25 @@ def _integerize(entries):
     return re, im, den
 
 
+def _echelon(re, im, rows, cols):
+    """The one exact elimination: kernel.ffgj's fraction-free rref (re, im,
+    pivots, dre, dim) of the Z[i] matrix re + i*im, flat row-major.  Where
+    relpos.modular lifts the certified canonical nullspace N (pivots P, free
+    columns F), R is read off it: R[:, P] = I and R[:, F] = -N[P, :]."""
+    ker = modular.nullspace(re, im, rows, cols)
+    if ker is None:
+        return kernel.ffgj(re, im, rows, cols)
+    free, k = ker.free, len(ker.free)
+    pivots = sorted(set(range(cols)).difference(free))
+    rre, rim = [0] * (rows * cols), [0] * (rows * cols)
+    for r, c in enumerate(pivots):
+        rre[r * cols + c] = ker.den
+        for jf, f in enumerate(free):
+            rre[r * cols + f] = -ker.re[c * k + jf]
+            rim[r * cols + f] = -ker.im[c * k + jf]
+    return rre, rim, pivots, ker.den, 0
+
+
 def _pivot_rows(reduced, width, columns, out_rows, sign=1):
     """From the kernel's fraction-free rref of a matrix with `width` columns:
     the out_rows x len(columns) matrix whose row c is sign times the reduced
@@ -412,19 +431,16 @@ class Matrix:
 
     # -- elimination -----------------------------------------------------------
 
-    def _ffgj(self, int_rows=None):
-        return kernel.ffgj(*(int_rows or self._primitive_rows()), self.rows, self.cols)
-
     def rref(self):
         """Reduced row echelon form and pivot columns.
 
-        Fraction-free elimination then one exact normalization; exact only.
+        `_echelon` then one exact normalization; exact only.
         """
         if self.field == FLOAT:
             raise ExactOnlyError("rref needs the exact backend")
         if self.rows == 0 or self.cols == 0:
             return self, ()
-        rre, rim, pivots, dre, dim = self._ffgj()
+        rre, rim, pivots, dre, dim = _echelon(*self._primitive_rows(), self.rows, self.cols)
         return Matrix._ints(self.rows, self.cols, rre, rim, dre, dim), tuple(pivots)
 
     def rank(self) -> int:
@@ -458,18 +474,15 @@ class Matrix:
             return Matrix.zeros(0, 0)
         if self.rows == 0:
             return Matrix.identity(self.cols)
-        int_rows = self._primitive_rows()
-        if self.cols >= modular.MIN_COLS:
-            ker = modular.nullspace(*int_rows, self.rows, self.cols)
-            if ker is not None:
-                return Matrix._ints(self.cols, len(ker.free), ker.re, ker.im, ker.den)
-        return self._nullspace_ffgj(int_rows)
+        return self._basis(_echelon(*self._primitive_rows(), self.rows, self.cols))
 
-    def _nullspace_ffgj(self, int_rows=None) -> "Matrix":
-        """The canonical exact basis read off the fraction-free rref of the
-        primitive rows (computed here when not given): for the j-th free
-        column f, 1 in row f and minus column f of the rref in the pivot rows."""
-        reduced = self._ffgj(int_rows)
+    def _nullspace_ffgj(self) -> "Matrix":
+        """The same basis by fraction-free elimination only: the lift's reference."""
+        return self._basis(kernel.ffgj(*self._primitive_rows(), self.rows, self.cols))
+
+    def _basis(self, reduced) -> "Matrix":
+        """The canonical nullspace basis read off a fraction-free rref: for the
+        j-th free column f, 1 in row f and minus column f of the rref."""
         pivots = set(reduced[2])
         free = [c for c in range(self.cols) if c not in pivots]
         re, im, dre, dim = _pivot_rows(reduced, self.cols, free, self.cols, sign=-1)
@@ -492,7 +505,7 @@ class Matrix:
         if self.rows != rhs.rows:
             raise DimensionMismatch("solve: row counts differ")
         aug = Matrix.hstack([self, rhs])
-        reduced = aug._ffgj()
+        reduced = _echelon(*aug._primitive_rows(), aug.rows, aug.cols)
         pivots = reduced[2]
         if pivots and pivots[-1] >= self.cols:
             return None
@@ -597,7 +610,7 @@ class Matrix:
                 krylov.append(kernel.matmul(self._re, self._im, n, n, *krylov[-1], 1))
             re = [u[0][r] for r in range(n) for u in krylov]
             im = [u[1][r] for r in range(n) for u in krylov]
-            rre, rim, pivots, dre, dim = kernel.ffgj(re, im, n, width)
+            rre, rim, pivots, dre, dim = _echelon(re, im, n, width)
             # pivots are 0..c-1: T^c w = sum_i R[i, c] den^(i - c) T^i w
             c, norm = len(pivots), dre * dre + dim * dim
             q = [

@@ -15,11 +15,12 @@ N (identity on the free columns, pivot entries taken from the reconstructed
 echelon form) is then certified by one exact product C @ N = 0 over Z[i]:
 each column of N shows that its free column depends on earlier pivot
 columns over Q(i), so the pivots over Q(i) are exactly those mod p and N is
-exactly the canonical nullspace basis.  A failed check adds a prime; past a
-prime budget derived from the Hadamard bound the caller falls back to
-fraction-free elimination, so no uncertified basis is ever returned.  The
-caller also falls back at once, after the first prime, when the worst-case
-lift would cost more than that elimination (`_lifting_pays`).
+exactly the canonical nullspace basis, from which the rref is read.  A failed
+check adds a prime; past a prime budget derived from the Hadamard bound the
+caller (`relpos.matrix._echelon`) falls back to fraction-free elimination, so
+no uncertified result is ever returned.  It falls back at once for a side
+under MIN_SIDE, before any array is built, and when the worst-case lift would
+cost more than that elimination (`_lifting_pays`), before or after one prime.
 """
 
 from __future__ import annotations
@@ -32,11 +33,11 @@ import numpy as np
 
 from . import kernel
 
-# Matrices with fewer columns stay on fraction-free elimination.  On the
-# classify traffic in benchmarks/bench_nullspace.py the lift, whose fixed
-# cost is a few numpy calls, loses below 7 columns, ties at 7 to 9 and wins
-# by 1.1x to 2.5x from 10 columns on.
-MIN_COLS = 10
+# Matrices with a side under MIN_SIDE stay on fraction-free elimination: on
+# the traffic in benchmarks/bench_nullspace.py the lift, whose fixed cost is
+# a few numpy calls and one certifying product, loses 2-6x on the [A | I] of
+# the inverses (5 to 12 rows) and on most kernels with fewer than 16 rows.
+MIN_SIDE = 16
 
 # Primes below 2**31 keep every product of two residues inside int64.
 _PRIME_CEILING = 2**31
@@ -138,18 +139,21 @@ def _row_log2_norms(are, aim):
     return sorted((math.log2(v) / 2 for v in sq if v), reverse=True)
 
 
-def _lifting_pays(nrows, ncols, nullity, images, log2h):
+def _lifting_pays(nrows, ncols, nullity, images, log2h, bignum=False):
     """Whether the worst-case lift costs less than fraction-free elimination.
 
     The real and imaginary parts of the rank x nullity echelon entries of
     each image have numerators and denominators up to H^images, so
     reconstructing them takes at most 2 * images * log2 H bits of 31-bit
-    primes: rank * nullity * images CRT updates per prime.  Bareiss makes
-    rank * nrows * ncols cell updates on entries of the same sizes.  Hom
+    primes: rank * nullity * images CRT updates per prime, and, with entries
+    past int64 (`bignum`), nrows * ncols * images Python reductions.  Bareiss
+    makes rank * nrows * ncols cell updates on entries of the same sizes.  Hom
     constraints (small kernels) pass; wide matrices with large kernels and
-    large entries, whose lifts run to the bound, do not."""
+    large entries, whose lifts run to the bound, do not, nor sparse ones with
+    a few huge entries, which Bareiss barely touches."""
     primes = 2 * images * log2h / 31
-    return nullity * images * primes <= nrows * ncols
+    cost = (ncols - nullity) * nullity + (nrows * ncols if bignum else 0)
+    return cost * images * primes <= (ncols - nullity) * nrows * ncols
 
 
 def _images(are, aim, p, s):
@@ -236,8 +240,10 @@ class _Lift:
 def nullspace(re, im, nrows, ncols):
     """Canonical nullspace of the Z[i] matrix (re + i*im), flat row-major.
 
-    Returns a Nullspace, or None when the lift does not pay or once the
-    prime budget is spent (the caller then eliminates exactly)."""
+    Returns a Nullspace, or None (the caller then eliminates exactly) for a
+    side under MIN_SIDE, a lift that does not pay or a spent prime budget."""
+    if nrows < MIN_SIDE or ncols < MIN_SIDE:
+        return None
     bits = max(max(re), -min(re), max(im), -min(im)).bit_length()
     dtype = np.int64 if bits < 63 else object
     real = not any(im)
@@ -268,7 +274,8 @@ def nullspace(re, im, nrows, ncols):
         if i == 0:
             rank = len(key[1])
             log2h = sum(norms[:rank])
-            if not _lifting_pays(nrows, ncols, ncols - rank, images, log2h):
+            # entries past int64 are priced once the first prime fixed the rank
+            if not _lifting_pays(nrows, ncols, ncols - rank, images, log2h, dtype is object):
                 return None
             budget = 6 * log2h + 64
         if lift is None or key < lift.key:

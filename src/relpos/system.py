@@ -167,8 +167,8 @@ def hom_space(s: SubspaceSystem, t: SubspaceSystem) -> HomBasis:
         raise DimensionMismatch(
             f"hom_space: {ds} x {dt} = {ds * dt} unknowns exceeds the bound {MAX_HOM_UNKNOWNS}"
         )
-    ker = _dense(_hom_rows(s, t), range(ds * dt)).nullspace()
-    basis = [Matrix.unvec(ker.column(j), dt, ds) for j in range(ker.cols)]
+    ker = _dense(_hom_rows(s, t), range(ds * dt)).nullspace().transpose()
+    basis = [Matrix.unvec(ker.take_rows([j]), dt, ds) for j in range(ker.rows)]
     return HomBasis(s, t, basis)
 
 

@@ -164,6 +164,12 @@ def minimal_polynomial_cases():
                             for _ in range(n * n)])
         for n in (2, 3, 5, 6)
     ]
+    # n >= modular.MIN_SIDE: the Krylov steps of the random blocks take the lift
+    cases += [
+        rand_exact(rng, 16, 16), Matrix.zeros(16, 16),
+        conjugated(rng, Matrix.block_diag([jordan(6, ONE), jordan(5, lam), jordan(5, ONE)])),
+        Matrix.block_diag([jordan(1, half), rand_exact(rng, 17, 17, span=2)]),
+    ]
     return cases
 
 
@@ -323,10 +329,12 @@ def oracle_solve(a, b):
 
 
 # (rows, cols, rank): square, tall and wide, full and deficient rank, and
-# wide enough (12 columns) for the multimodular nullspace, which the test
-# takes there by switching its routing test off.
+# past the shape gate (modular.MIN_SIDE) on both sides, where rref, nullspace,
+# solve and inverse take the multimodular lift, since the test switches its
+# price off.
 ORACLE_SHAPES = [
     (3, 3, None), (4, 4, 2), (5, 3, None), (3, 6, None), (5, 5, 3), (4, 12, None), (6, 12, 3),
+    (16, 20, None), (18, 24, 10), (16, 16, None),
 ]
 
 

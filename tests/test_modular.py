@@ -1,13 +1,13 @@
 """The multimodular nullspace against fraction-free elimination: entry-by-entry
-equality on random and catalog matrices, unlucky primes, the routing test and
-the fallbacks, and the prime table."""
+equality on random and catalog matrices, unlucky primes, the routing test, the
+shape gate and the fallbacks, and the prime table."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from relpos import modular
+from relpos import kernel, modular
 from relpos.catalog import build_gp4, jordan_block, single_operator_system
 from relpos.gaussian import GQ
 from relpos.matrix import Matrix
@@ -43,8 +43,9 @@ def with_zero_rows(m, every):
 
 @pytest.fixture
 def lift_always(monkeypatch):
-    """Run the lift even where `_lifting_pays` would send the matrix to
-    fraction-free elimination."""
+    """Run the lift even where the shape gate MIN_SIDE or `_lifting_pays`
+    would send the matrix to fraction-free elimination."""
+    monkeypatch.setattr(modular, "MIN_SIDE", 1)
     monkeypatch.setattr(modular, "_lifting_pays", lambda *args: True)
 
 
@@ -57,7 +58,7 @@ def modular_nullspace(m):
 
 # (rows, cols, rank, bits, kind): tall, wide and square; full, deficient and
 # zero rank; Z[i], Q(i) and real entries up to about 200 bits; both sides of
-# MIN_COLS.
+# MIN_SIDE (the fixture opens the gate).
 CASES = [
     (6, 8, None, 4, "zi"),
     (9, 5, 3, 6, "qi"),
@@ -119,7 +120,7 @@ def hom_constraints(s, t):
 def test_hom_constraints_of_catalog_pairs(pair):
     s, t = list(catalog_pairs())[pair]
     c = hom_constraints(s, t)
-    assert c.cols >= modular.MIN_COLS
+    assert min(c.rows, c.cols) >= modular.MIN_SIDE
     got, _ = modular_nullspace(c)
     assert got == c._nullspace_ffgj()
 
@@ -213,6 +214,57 @@ def test_large_kernel_found_by_the_first_prime_goes_to_fraction_free(monkeypatch
     assert modular.nullspace(re, im, m.rows, m.cols) is None
     assert len(images) == 2
     assert m.nullspace() == m._nullspace_ffgj()
+
+
+def count_lifts(monkeypatch):
+    """The shapes of every elimination that modular.nullspace lifts from now on."""
+    lifted = []
+    nullspace = modular.nullspace
+
+    def counted(re, im, nrows, ncols):
+        ker = nullspace(re, im, nrows, ncols)
+        if ker is not None:
+            lifted.append((nrows, ncols))
+        return ker
+
+    monkeypatch.setattr(modular, "nullspace", counted)
+    return lifted
+
+
+def test_inverse_traffic_stays_under_the_gate(monkeypatch):
+    # The augmented [A | I] of an 8 x 8 inverse is 8 x 16: one side under
+    # MIN_SIDE, so the route is fixed before numpy is touched.
+    a = rand_matrix(random.Random(12), 8, 8, None, 4, "zi")
+    lifted = count_lifts(monkeypatch)
+    monkeypatch.setattr(modular, "np", None)
+    assert a @ a.inverse() == Matrix.identity(8)
+    assert a.rref()[1] == tuple(range(8))
+    assert lifted == []
+
+
+def test_rref_past_the_gate_takes_the_lift(monkeypatch):
+    m = rand_matrix(random.Random(13), 20, 24, None, 4, "zi")
+    rre, rim, pivots, dre, dim = kernel.ffgj(*m._primitive_rows(), m.rows, m.cols)
+    lifted = count_lifts(monkeypatch)
+    r, got_pivots = m.rref()
+    assert lifted == [(20, 24)]
+    assert got_pivots == tuple(pivots)
+    assert r == Matrix._ints(m.rows, m.cols, rre, rim, dre, dim)
+
+
+def test_sparse_matrix_with_a_huge_entry_goes_to_fraction_free(monkeypatch):
+    # [I | B] with one 997-bit entry in B: the lift would need about 65 primes,
+    # each reducing all 480 Python ints, while Bareiss barely touches the
+    # huge entry.  The first prime fixes the rank and the price refuses.
+    rng = random.Random(14)
+    m = Matrix.hstack([Matrix.identity(20), rand_matrix(rng, 20, 4, None, 3, "real")])
+    m = m + Matrix.exact(20, 24, [10**300 if k == 23 else 0 for k in range(20 * 24)])
+    rre, rim, pivots, dre, dim = kernel.ffgj(*m._primitive_rows(), m.rows, m.cols)
+    images = count_images(monkeypatch)
+    re, im = m._primitive_rows()
+    assert modular.nullspace(re, im, m.rows, m.cols) is None
+    assert len(images) == 1
+    assert m.rref() == (Matrix._ints(m.rows, m.cols, rre, rim, dre, dim), tuple(pivots))
 
 
 def test_lifting_pays():
