@@ -27,8 +27,10 @@ lies below the corner tolerance, then `toeplitz index` on the two-sided
 zI + N - 3I + 2I/z for block 6 (the oracle at its largest band), then
 `decompose --seed 7` and `isom` with itself on S_T for T conjugate to
 J_2(1) + J_1(2) (cyclic: its End is taken in the basis of powers of T),
-all with `--json` before the subcommand,
-against the `src/` next to this script.
+then `decompose --seed 7` on S_T for T = W (diag(1, 2, -1) + J_2(i)) W^-1,
+W = sampling.random_invertible(random.Random(0), 5), whose first split has
+four parts, all with `--json` before the subcommand,
+against the `src/` next to this script (which it also imports to build W).
 Prints one line per command: the command, its exit code and the sha256 of
 its stdout and of its stderr.  Two checkouts give byte-identical CLI output
 when their lines are equal:
@@ -47,12 +49,19 @@ from __future__ import annotations
 
 import hashlib
 import os
+import random
 import shlex
 import subprocess
 import sys
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
+
+from relpos.catalog import jordan_block  # noqa: E402
+from relpos.gaussian import GQ  # noqa: E402
+from relpos.matrix import Matrix  # noqa: E402
+from relpos.sampling import random_invertible  # noqa: E402
 
 KEYS = (
     "gp4:S(2k+1,2).k=1",
@@ -106,7 +115,7 @@ OTHERS = (
 
 def _operator_sysfile(t) -> str:
     """Sysfile of S_T = (C^k + 0, 0 + C^k, graph of T, diagonal) for the
-    k x k integer matrix t, given by its rows."""
+    k x k matrix t, given by its rows of integers or exact scalars."""
     k = len(t)
     unit = [[int(i == j) for i in range(k)] for j in range(k)]
     zero = [[0] * k] * k
@@ -240,6 +249,18 @@ TINY_ANGLE_FILES = {
 }
 # appended after those: the block truncation oracle at block 6
 LARGEST_BAND = (("toeplitz", "index", "--symbol", _block_v(6, -3, 2)),)
+# appended after those: mu_T = (x - 1)(x - 2)(x + 1)(x - i)^2 has four
+# coprime parts, so decompose splits the root four ways at once
+
+
+def _multi_part_rows():
+    w = random_invertible(random.Random(0), 5)
+    j = Matrix.block_diag([Matrix.from_rows([[1, 0, 0], [0, 2, 0], [0, 0, -1]]), jordan_block(2, GQ(0, 1))])
+    t = w @ j @ w.inverse()
+    return [[t.entry(r, c) for c in range(5)] for r in range(5)]
+
+
+MULTI_PART_FILES = {"t3.sys": _operator_sysfile(_multi_part_rows())}
 DOCUMENTED_EXIT_CODES = {0, 2, 3, 4}
 
 
@@ -266,6 +287,8 @@ def _commands():
     for name in COMMUTANT_ORDER_FILES:
         yield ("decompose", name, "--seed", "7"), None
         yield ("isom", name, name), None
+    for name in MULTI_PART_FILES:
+        yield ("decompose", name, "--seed", "7"), None
 
 
 def _sha(data: bytes) -> str:
@@ -278,7 +301,7 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as work:
         files = (
             OPERATOR_FILES | SUM_FILES | PAIR_FILES | SCALAR_FILES | TINY_ANGLE_FILES
-            | COMMUTANT_ORDER_FILES
+            | COMMUTANT_ORDER_FILES | MULTI_PART_FILES
         )
         for name, text in files.items():
             with open(os.path.join(work, name), "w") as fh:

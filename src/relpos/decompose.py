@@ -21,7 +21,7 @@ from .errors import (
 )
 from .gaussian import GQ, ZERO
 from .matrix import EXACT, Matrix
-from .poly import coprime_split, factor_over_gaussian_rationals
+from .poly import factor_over_gaussian_rationals
 from .subspace import Subspace
 from .system import SubspaceSystem, direct_sum_many, hom_space, is_bounded_operator_system
 
@@ -137,49 +137,60 @@ class IdempotentSearch:
     'local' certifies dim(A/rad A) = 1, hence Idem = {0, I} over Q(i) and C.
     semisimple_dim is dim(A/rad A) wherever the search took the radical,
     which is every outcome but 'found'; it is None for 'found', whose
-    idempotent is its own certificate."""
+    idempotents are their own certificate.
+
+    For 'found', kernels holds the canonical bases H_1, ..., H_k (k >= 2)
+    of ker p_j(x) for the coprime parts p_j of the minimal polynomial of a
+    candidate x, and w0 = [H_1 | ... | H_k]^-1.  With W_j the row blocks of
+    w0, the idempotents e_j = H_j W_j are orthogonal and sum to I."""
 
     status: str
-    idempotent: Matrix | None = None
+    kernels: list = field(default_factory=list)
+    w0: Matrix | None = None
     semisimple_dim: int | None = None
     attempts: int = 0
 
+    def row_blocks(self) -> list:
+        """W_1, ..., W_k: the rows of w0 that give coordinates in H_j."""
+        ends = list(accumulate(h.cols for h in self.kernels))
+        return [self.w0.take_rows(range(b - h.cols, b)) for h, b in zip(self.kernels, ends)]
 
-def _spectral_idempotent(x: Matrix, f, g):
-    """Exact idempotent acting as 1 on ker f(x), 0 on ker g(x)."""
-    gg, u, v = f.xgcd(g)
-    if gg.degree != 0:
-        return None
-    e = (v * g).eval_matrix(x)
-    # f g is the minimal polynomial of x and u f + v g = 1, so e^2 - e =
-    # -(u v f g)(x) = 0 exactly
-    if not (e @ e == e):
-        raise InvariantViolation("v(x) g(x) is not idempotent")
-    if e.is_zero() or e.is_identity():
-        return None
-    return e
+    @property
+    def idempotents(self) -> list:
+        return [h @ w for h, w in zip(self.kernels, self.row_blocks())]
+
+
+def _primary_split(x: Matrix, parts: list):
+    """(kernels, w0) for the pairwise coprime parts p_j of mu_x: the
+    canonical bases H_j of ker p_j(x) and w0 = [H_1 | ... | H_k]^-1.  The
+    H_j fill the space exactly when the parts multiply to mu_x."""
+    kernels = [Subspace.span(p.eval_matrix(x).nullspace()).basis for p in parts]
+    dims = [h.cols for h in kernels]
+    if 0 in dims or sum(dims) != x.rows:
+        raise InvariantViolation("the kernels of the coprime parts do not fill the space")
+    return kernels, Matrix.hstack(kernels).inverse()
 
 
 def _split_candidate(x: Matrix):
-    """(idempotent, nonsplit): the spectral idempotent of a coprime split of
-    mu_x, or None, and whether mu_x showed a factor that is not linear over
-    Q(i)."""
-    p = x.minimal_polynomial()
+    """(split, nonsplit): _primary_split along the coprime parts of mu_x,
+    or None when there are fewer than two, and whether mu_x showed a factor
+    that is not linear over Q(i)."""
     try:
-        rep = factor_over_gaussian_rationals(p)
+        rep = factor_over_gaussian_rationals(x.minimal_polynomial())
     except DegreeBoundExceeded:
         # too large to factor: this candidate cannot split
         return None, False
-    split = coprime_split(p, rep)
-    if split is None:
+    parts = rep.coprime_parts()
+    if len(parts) < 2:
         return None, rep.remainder is not None or any(f.degree > 1 for f, _ in rep.factors)
-    return _spectral_idempotent(x, *split), False
+    return _primary_split(x, parts), False
 
 
 def find_nontrivial_idempotent(alg: EndAlgebra, seed: int = 0) -> IdempotentSearch:
-    """A deterministic sweep of the basis and seeded integer combinations,
-    splitting minimal polynomials into coprime parts to evaluate exact
-    spectral idempotents.
+    """A deterministic sweep of the basis and seeded integer combinations
+    that stops at the first candidate x whose minimal polynomial has k >= 2
+    coprime parts (FactorReport.coprime_parts) and answers 'found' with the
+    primary decomposition ker p_1(x) + ... + ker p_k(x) of the space.
 
     A scalar candidate counts as an attempt but is passed over: its minimal
     polynomial x - c cannot split.  The trace-form radical is taken only
@@ -212,9 +223,10 @@ def find_nontrivial_idempotent(alg: EndAlgebra, seed: int = 0) -> IdempotentSear
         attempts += 1
         if x.is_scalar():
             continue
-        e, nonsplit = _split_candidate(x)
-        if e is not None:
-            return IdempotentSearch(status="found", idempotent=e, attempts=attempts)
+        split, nonsplit = _split_candidate(x)
+        if split is not None:
+            kernels, w0 = split
+            return IdempotentSearch(status="found", kernels=kernels, w0=w0, attempts=attempts)
         saw_nonsplit = saw_nonsplit or nonsplit
         # the radical is cached, so it is computed after the first failure only
         if alg.semisimple_dim() == 1:
@@ -234,7 +246,8 @@ LEAF_STATUS = {
 class DecompositionTree:
     """Flattened decomposition: witness maps the input onto the direct sum of
     the components, subspace by subspace; certificates are the idempotents
-    used at the successive splits."""
+    e_1, ..., e_(k-1) of each k-way split, in preorder (e_k = I - the others
+    is left out), so there is one fewer certificate than components."""
 
     components: list
     witness: Matrix
@@ -255,10 +268,12 @@ def decompose(s: SubspaceSystem, seed: int = 0) -> DecompositionTree:
     in C^1 is an 'indecomposable' leaf without End: each subspace of C^1
     is 0 or C^1, so End(S) is the scalars.
 
-    A found idempotent e splits H = H1 + H2 (image and kernel).  Every E_i is
-    e-invariant, so E_i = (E_i ∩ H1) + (E_i ∩ H2), and in the coordinates
-    w0 = [H1 | H2]^-1 the two parts are the spans of the top r and bottom
-    d - r rows of w0 B_i."""
+    A found candidate x splits H = H_1 + ... + H_k along the k coprime parts
+    of its minimal polynomial, H_j = ker p_j(x), all in one step.  Every E_i
+    is invariant under the idempotents e_j onto H_j, so E_i is the sum of
+    the E_i ∩ H_j, and in the coordinates w0 = [H_1 | ... | H_k]^-1 part j
+    is the span of W_j B_i, W_j the j-th row block of w0.  Child j gets seed
+    seed * k + j + 1."""
     if s.field != EXACT:
         raise ExactOnlyError("decompose needs the exact backend")
     d = s.ambient_dim
@@ -275,32 +290,22 @@ def decompose(s: SubspaceSystem, seed: int = 0) -> DecompositionTree:
             witness=Matrix.identity(d),
             leaf_status=[LEAF_STATUS[found.status]],
         )
-    r_idem = found.idempotent
-    h1 = Subspace.span(r_idem)
-    h2 = Subspace.span(Matrix.identity(d) - r_idem)
-    if h1.dim == 0 or h2.dim == 0 or h1.dim + h2.dim != d:
-        raise InvariantViolation("idempotent image split failed")
-    w0 = Matrix.hstack([h1.basis, h2.basis]).inverse()
-    r = h1.dim
-    top, bottom = w0.take_rows(range(r)), w0.take_rows(range(r, d))
-    subs1 = []
-    subs2 = []
-    for e_i in s.subspaces:
-        f1 = Subspace.span(top @ e_i.basis)
-        f2 = Subspace.span(bottom @ e_i.basis)
-        # E_i lies in its two projections' sum, with equality iff e E_i <= E_i
-        if f1.dim + f2.dim != e_i.dim:
-            raise InvariantViolation("subspace does not split along the idempotent")
-        subs1.append(f1)
-        subs2.append(f2)
-    t1 = decompose(SubspaceSystem(r, subs1), seed * 2 + 1)
-    t2 = decompose(SubspaceSystem(d - r, subs2), seed * 2 + 2)
-    witness = Matrix.block_diag([t1.witness, t2.witness]) @ w0
+    k = len(found.kernels)
+    blocks = found.row_blocks()
+    parts = [[Subspace.span(w @ e_i.basis) for e_i in s.subspaces] for w in blocks]
+    for i, e_i in enumerate(s.subspaces):
+        # E_i lies in the sum of its projections, with equality iff e_j E_i <= E_i
+        if sum(subs[i].dim for subs in parts) != e_i.dim:
+            raise InvariantViolation("subspace does not split along the idempotents")
+    trees = [
+        decompose(SubspaceSystem(w.rows, subs), seed * k + j + 1)
+        for j, (w, subs) in enumerate(zip(blocks, parts))
+    ]
     return DecompositionTree(
-        components=t1.components + t2.components,
-        witness=witness,
-        certificates=[r_idem] + t1.certificates + t2.certificates,
-        leaf_status=t1.leaf_status + t2.leaf_status,
+        components=[c for t in trees for c in t.components],
+        witness=Matrix.block_diag([t.witness for t in trees]) @ found.w0,
+        certificates=found.idempotents[:-1] + [e for t in trees for e in t.certificates],
+        leaf_status=[st for t in trees for st in t.leaf_status],
     )
 
 
@@ -478,22 +483,22 @@ def strongly_irreducible(t: Matrix, seed: int = 0) -> bool:
     theorem for Q(i)[x]-modules that holds exactly when t is cyclic
     (deg mu_t = n) and mu_t is a power of one irreducible (Jacobson, Basic
     Algebra I, 3.10), which is read off the certified factoring of mu_t.
-    Two coprime parts of mu_t (a certified factor beside the uncertified
-    remainder, or two square-free parts) give an idempotent of Q(i)[t], so
-    False; a single root-free square-free part of degree 3 or more, which
-    factoring cannot split or certify, raises UncertifiedError.  `seed` is
-    accepted for callers that pass one and is not used."""
+    Two coprime parts of mu_t (FactorReport.coprime_parts) give an
+    idempotent of Q(i)[t], so False; a single root-free square-free part of
+    degree 3 or more, which factoring cannot split or certify, raises
+    UncertifiedError.  `seed` is accepted for callers that pass one and is
+    not used."""
     if t.field != EXACT:
         raise ExactOnlyError("strongly_irreducible needs the exact backend")
     p = t.minimal_polynomial()
     if p.degree < t.rows:
         return False
     rep = factor_over_gaussian_rationals(p)
+    if len(rep.coprime_parts()) > 1:
+        return False
     if rep.remainder is None:
         # at n = 0, mu = 1 is the empty power
-        return len(rep.factors) <= 1
-    if rep.factors or len(p.squarefree_decomposition()) > 1:
-        return False
+        return True
     raise UncertifiedError(f"strongly_irreducible: {rep.remainder_note}")
 
 

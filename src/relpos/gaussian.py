@@ -195,12 +195,28 @@ ONE = GQ(1)
 I = GQ(0, 1)
 
 
+def _int_text(n: int) -> str:
+    """str(n), also past Python's int/str digit limit: there the digits are
+    taken off by divmod in chunks of 600, below the smallest limit Python
+    allows (640)."""
+    try:
+        return str(n)
+    except ValueError:
+        pass
+    sign, n = ("-", -n) if n < 0 else ("", n)
+    chunk, chunks = 10**600, []
+    while n >= chunk:
+        n, r = divmod(n, chunk)
+        chunks.append(str(r).zfill(600))
+    return sign + str(n) + "".join(reversed(chunks))
+
+
 def _format_part(n: int, d: int) -> str:
-    """str(Fraction(n, d)) for d > 0."""
+    """str(Fraction(n, d)) for d > 0, at any number of digits."""
     g = math.gcd(n, d)
     if g != 1:
         n, d = n // g, d // g
-    return str(n) if d == 1 else f"{n}/{d}"
+    return _int_text(n) if d == 1 else f"{_int_text(n)}/{_int_text(d)}"
 
 
 def format_gq(z: GQ) -> str:

@@ -133,6 +133,12 @@ class Polynomial:
                     cs[i + j] = cs[i + j] + a * b
         return Polynomial(cs)
 
+    def __pow__(self, m: int):
+        out = Polynomial([ONE])
+        for _ in range(m):
+            out = out * self
+        return out
+
     def divmod(self, other):
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
@@ -166,22 +172,6 @@ class Polynomial:
         if a.is_zero():
             return a
         return a.monic()
-
-    def xgcd(self, other):
-        """Extended gcd: (g, u, v) with u*self + v*other = g, g monic."""
-        a, b = self, other
-        ua, va = Polynomial([ONE]), Polynomial.zero()
-        ub, vb = Polynomial.zero(), Polynomial([ONE])
-        while not b.is_zero():
-            q, r = a.divmod(b)
-            a, b = b, r
-            ua, ub = ub, ua - q * ub
-            va, vb = vb, va - q * vb
-        if a.is_zero():
-            return a, ua, va
-        lead = a.leading()
-        inv = ONE / lead
-        return a * inv, ua * inv, va * inv
 
     def eval_scalar(self, x: GQ) -> GQ:
         acc = ZERO
@@ -269,11 +259,20 @@ class FactorReport:
     def product(self) -> Polynomial:
         p = Polynomial([self.unit])
         for f, m in self.factors:
-            for _ in range(m):
-                p = p * f
+            p = p * f ** m
         if self.remainder is not None:
             p = p * self.remainder
         return p
+
+    def coprime_parts(self) -> list:
+        """The pairwise coprime monic parts of the input: each certified
+        factor to its multiplicity, then the square-free parts of the
+        remainder to theirs (they have distinct multiplicities).  Their
+        product is the input over its unit."""
+        parts = [f ** m for f, m in self.factors]
+        if self.remainder is not None:
+            parts += [g ** m for g, m in self.remainder.squarefree_decomposition()]
+        return parts
 
     def certified_roots(self):
         """(root, multiplicity) for each certified linear factor."""
@@ -412,44 +411,13 @@ def factor_over_gaussian_rationals(p: Polynomial) -> FactorReport:
             report.factors.append((rest.monic(), mult))
             note = "quadratic factor certified irreducible over Q(i)"
         elif rest.degree >= 1:
-            for _ in range(mult):
-                remainder = remainder * rest.monic()
+            remainder = remainder * rest.monic() ** mult
             note = note or f"degree-{rest.degree} factor not certified over Q(i)"
     if remainder.degree >= 1:
         report.remainder = remainder
         report.remainder_note = note
     report.factors.sort(key=lambda fm: (fm[0].degree, [str(c) for c in fm[0].coeffs]))
     return report
-
-
-def coprime_split(p: Polynomial, rep: FactorReport | None = None):
-    """A pair (f, g) of exact monic polynomials with p = unit*f*g,
-    gcd(f, g) = 1 and both of positive degree, or None.
-
-    Prefers certified factors but will split certified-versus-remainder;
-    never splits inside the uncertified remainder.  `rep`, when given, is
-    the caller's factor_over_gaussian_rationals(p), so p is not factored
-    again.
-    """
-    if rep is None:
-        rep = factor_over_gaussian_rationals(p)
-    parts = []
-    for f, m in rep.factors:
-        q = Polynomial([ONE])
-        for _ in range(m):
-            q = q * f
-        parts.append(q)
-    if rep.remainder is not None:
-        parts.append(rep.remainder)
-    if len(parts) < 2:
-        return None
-    f = parts[0]
-    g = Polynomial([ONE])
-    for q in parts[1:]:
-        g = g * q
-    if f.gcd(g).degree != 0:
-        return None
-    return f.monic(), g.monic()
 
 
 # -- zeros in the unit disk ---------------------------------------------------

@@ -3,6 +3,7 @@ deterministic machine reports."""
 
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -345,6 +346,31 @@ def test_exact_exponent_bound_exit_code(args, tmp_path):
     assert "exact part out of range" in err
     assert "Traceback" not in err
     assert peak < 1 << 20
+
+
+# each entry is inside MAX_EXACT_DIGITS, but the perp basis holds
+# integers of up to 8,596 digits, and decompose's factoring sorts by the text of
+# coefficients past Python's 4,300-digit int/str limit
+WIDE_ENTRY_SYSFILE = """relpos-system 1
+field gaussian-rational
+ambient 3
+subspace E1 dim 2
+1e4298 1 0
+1 1e4298 1
+"""
+
+
+def test_reports_print_integers_past_the_str_digit_limit(tmp_path):
+    path = tmp_path / "w.sys"
+    path.write_text(WIDE_ENTRY_SYSFILE)
+    code, out, err = run_cli(["coxeter", "perp", str(path)])
+    assert (code, err) == (0, "")
+    assert max(len(digits) for digits in re.findall(r"[0-9]+", out)) > 4300
+    code, out, err = run_cli(["--json", "decompose", str(path)])
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["component_count"] == 3
+    assert report["certified"] and report["witness_verified"]
 
 
 def test_unreadable_input_file_exit_code(tmp_path):

@@ -51,11 +51,16 @@ def test_idempotent_found_for_example4():
     s = build_example(4)
     res = find_nontrivial_idempotent(end_algebra(s), seed=1)
     assert res.status == "found"
-    e = res.idempotent
-    assert e @ e == e
-    for sub in s.subspaces:
-        if sub.dim:
-            assert sub.contains(Subspace.span(e @ sub.basis))
+    assert len(res.idempotents) >= 2
+    for e in res.idempotents:
+        assert e @ e == e
+        for sub in s.subspaces:
+            if sub.dim:
+                assert sub.contains(Subspace.span(e @ sub.basis))
+    total = res.idempotents[0]
+    for e in res.idempotents[1:]:
+        total = total + e
+    assert total == Matrix.identity(s.ambient_dim)
 
 
 def test_idempotent_absent_for_s9():
@@ -370,7 +375,10 @@ def test_strong_irreducibility_from_coprime_parts_beside_a_remainder():
     assert not strongly_irreducible(companion(2, -2, 0, -1))
     # (x^3 - 2)(x^3 - 3)^2: two square-free parts, no certified factor
     mu = Polynomial([-2, 0, 0, 1]) * Polynomial([-3, 0, 0, 1]) * Polynomial([-3, 0, 0, 1])
-    assert not strongly_irreducible(companion(*mu.monic().coeffs[:-1]))
+    c = companion(*mu.monic().coeffs[:-1])
+    assert not strongly_irreducible(c)
+    tree = decompose(single_operator_system(c), seed=7)
+    assert sorted(comp.ambient_dim for comp in tree.components) == [6, 12]
     # x^3 - 2 alone is irreducible, but factoring cannot certify it
     with pytest.raises(UncertifiedError):
         strongly_irreducible(companion(-2, 0, 0))
@@ -463,7 +471,7 @@ def test_scalar_candidates_are_counted_but_not_factored(monkeypatch):
     e11 = Matrix.from_rows([[1, 0], [0, 0]])
     alg = EndAlgebra(basis=[Matrix.identity(2).scale(GQ(3)), e11])
     found = find_nontrivial_idempotent(alg, seed=1)
-    assert found.status == "found" and found.idempotent == e11
+    assert found.status == "found" and found.idempotents == [e11, Matrix.identity(2) - e11]
     assert found.attempts == 2
     assert factored == [e11]
 
@@ -518,13 +526,40 @@ def test_zero_subspaces_split_without_a_radical(monkeypatch):
     assert verify_decomposition(s, tree)
 
 
-def test_spectral_idempotent_is_exact_or_refused():
-    # v(x) g(x), with u f + v g = 1, is idempotent exactly when f g
-    # annihilates x; a split of a polynomial that does not is refused
+def test_primary_split_gives_the_diagonal_units():
+    # diag(1, 2, 3) with parts x - 1, x - 2, x - 3: the kernels are the
+    # coordinate axes and the idempotents the three diagonal units
     x = Matrix.from_rows([[1, 0, 0], [0, 2, 0], [0, 0, 3]])
     f, g, h = (Polynomial([GQ(-r), GQ(1)]) for r in (1, 2, 3))
-    assert dec._spectral_idempotent(x, f, g * h) == Matrix.from_rows(
-        [[1, 0, 0], [0, 0, 0], [0, 0, 0]]
-    )
+    kernels, w0 = dec._primary_split(x, [f, g, h])
+    found = dec.IdempotentSearch(status="found", kernels=kernels, w0=w0)
+    units = [Matrix.from_rows([[int(i == j == r) for j in range(3)] for i in range(3)]) for r in range(3)]
+    assert found.idempotents == units
+    # parts that do not multiply to mu_x leave a kernel out, or meet in one
     with pytest.raises(InvariantViolation):
-        dec._spectral_idempotent(x, f, g)
+        dec._primary_split(x, [f, g])
+    with pytest.raises(InvariantViolation):
+        dec._primary_split(x, [f, g * h, h])
+
+
+def test_one_factoring_splits_diag_1_to_8_into_its_eigenlines(monkeypatch):
+    # mu_T = (x - 1) ... (x - 8) has eight coprime parts, so the root splits
+    # into all eight at once, and every child, S_T of a 1 x 1 T, has End
+    # of dimension 1 and needs no factoring
+    calls = []
+    original = dec.factor_over_gaussian_rationals
+
+    def counting(p):
+        calls.append(p.degree)
+        return original(p)
+
+    monkeypatch.setattr(dec, "factor_over_gaussian_rationals", counting)
+    t = Matrix.block_diag([Matrix.from_rows([[r]]) for r in range(1, 9)])
+    s = single_operator_system(t)
+    tree = decompose(s, seed=7)
+    assert len(calls) == 1
+    assert len(tree.components) == 8
+    assert tree.certified()
+    assert verify_decomposition(s, tree)
+    assert len(tree.certificates) == 7
+    assert all(e @ e == e for e in tree.certificates)

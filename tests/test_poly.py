@@ -14,7 +14,6 @@ from relpos.poly import (
     _gaussian_integer_parts,
     _gerschgorin_counts,
     _schur_cohn_counts,
-    coprime_split,
     disk_zero_counts,
     factor_over_gaussian_rationals,
     fraction_sqrt,
@@ -37,15 +36,6 @@ def test_divmod_and_gcd():
     quo, rem = p.divmod(Polynomial([-2, 1]))
     assert rem.is_zero()
     assert quo == poly_from_roots([GQ(1), GQ(3)])
-
-
-def test_xgcd_bezout():
-    p = poly_from_roots([GQ(1), GQ(1), GQ(2)])
-    f = Polynomial([-1, 1]) * Polynomial([-1, 1])
-    g = Polynomial([-2, 1])
-    gg, u, v = f.xgcd(g)
-    assert gg == Polynomial([ONE])
-    assert (u * f + v * g) == Polynomial([ONE])
 
 
 def test_factor_z2_minus_1():
@@ -120,27 +110,36 @@ def test_refactor_product_identity(seed):
     assert got == want
 
 
-def test_coprime_split():
+def coprime_product(parts):
+    out = Polynomial([ONE])
+    for q in parts:
+        out = out * q
+    return out
+
+
+def test_coprime_parts_of_certified_factors():
+    # z^2 (z - 1): each certified root to its multiplicity
     p = poly_from_roots([GQ(0), GQ(0), GQ(1)])
-    split = coprime_split(p)
-    assert split is not None
-    f, g = split
-    assert (f * g).monic() == p.monic()
-    assert f.gcd(g).degree == 0
+    parts = factor_over_gaussian_rationals(p).coprime_parts()
+    assert sorted(q.degree for q in parts) == [1, 2]
+    assert coprime_product(parts) == p.monic()
+    assert parts[0].gcd(parts[1]).degree == 0
 
 
-def test_coprime_split_none_for_power():
+def test_coprime_parts_of_a_power_is_one_part():
     p = poly_from_roots([GQ(2), GQ(2), GQ(2)])
-    assert coprime_split(p) is None
+    assert factor_over_gaussian_rationals(p).coprime_parts() == [p.monic()]
 
 
-def test_coprime_split_against_uncertified_remainder():
-    # z^2 (z^2 - 2): the z^2-2 part stays unsplit but separates from z^2
-    p = Polynomial([0, 0, 1]) * Polynomial([-2, 0, 1])
-    split = coprime_split(p)
-    assert split is not None
-    f, g = split
-    assert (f * g) == p.monic()
+def test_coprime_parts_split_the_remainder_by_multiplicity():
+    # (z - 1)(z^3 - 2)(z^3 - 3)^2: a certified root, then the remainder's
+    # two square-free parts, which factoring cannot split further
+    c2, c3 = Polynomial([-2, 0, 0, 1]), Polynomial([-3, 0, 0, 1])
+    p = Polynomial([-1, 1]) * c2 * c3 * c3
+    rep = factor_over_gaussian_rationals(p)
+    assert rep.remainder is not None
+    assert rep.coprime_parts() == [Polynomial([-1, 1]), c2, c3 * c3]
+    assert coprime_product(rep.coprime_parts()) == p
 
 
 def test_gq_sqrt():

@@ -3,6 +3,7 @@
 import math
 import re
 import struct
+import sys
 import time
 from fractions import Fraction
 
@@ -52,6 +53,21 @@ def test_canonical_format_examples():
     assert format_gq(GQ(0)) == "0"
     assert format_gq(GQ(0, 1)) == "i"
     assert format_gq(GQ(1, -1)) == "1-i"
+
+
+@pytest.mark.parametrize("digits", [599, 600, 601, 4300, 4301, 9000])
+def test_format_past_the_str_digit_limit(digits):
+    # the chunked text is what str() gives with the limit lifted, at every
+    # chunk boundary, and with the zeros inside a chunk kept
+    big = 10 ** (digits - 1) + 7
+    text = format_gq(GQ(Fraction(-big, 3), Fraction(big, big + 2)))
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        want = f"-{big}/3+{big}/{big + 2}i"
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert text == want
 
 
 small_fractions = st.fractions(
