@@ -14,7 +14,7 @@ import re as _re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DimensionMismatch, InvariantViolation, ParseError
+from .errors import DimensionMismatch, InvariantViolation, ParseError, quote
 from .gaussian import GQ, ONE, format_gq, parse_gq
 from .matrix import EXACT, Matrix
 from .subspace import Subspace, intersect, sum_
@@ -92,7 +92,7 @@ class CatalogKey:
     def parse(text: str) -> "CatalogKey":
         text = text.strip()
         if ":" not in text:
-            raise ParseError(f"bad catalog key {text!r}")
+            raise ParseError(f"bad catalog key {quote(text)}")
         kind, rest = text.split(":", 1)
         kind = kind.lower()
         if kind in ("gp3", "two", "one", "example"):
@@ -103,22 +103,22 @@ class CatalogKey:
                 raise ParseError("jordan key needs k=<size>.l=<eigenvalue>")
             return CatalogKey(kind="jordan", k=_parse_int(fields["k"], text), lam=parse_gq(fields["l"]))
         if kind != "gp4":
-            raise ParseError(f"unknown catalog kind {kind!r}")
+            raise ParseError(f"unknown catalog kind {quote(kind)}")
         m = _re.match(r"(S[0-9]*\(2k(?:\+1)?,[^)]*\))(?:\.(.*))?$", rest)
         if not m:
-            raise ParseError(f"bad gp4 family in {text!r}")
+            raise ParseError(f"bad gp4 family in {quote(text)}")
         family = m.group(1)
         if family not in GP4_FAMILIES:
-            raise ParseError(f"unknown gp4 family {family!r}")
+            raise ParseError(f"unknown gp4 family {quote(family)}")
         fields = _parse_fields(m.group(2) or "")
         if "k" not in fields:
-            raise ParseError(f"gp4 key needs a size: {text!r}")
+            raise ParseError(f"gp4 key needs a size: {quote(text)}")
         lam = parse_gq(fields["l"]) if "l" in fields else None
         perm = None
         if "perm" in fields:
             digits = fields["perm"]
             if sorted(digits) != ["1", "2", "3", "4"]:
-                raise ParseError(f"bad permutation {digits!r}")
+                raise ParseError(f"bad permutation {quote(digits)}")
             perm = tuple(int(c) for c in digits)
         return CatalogKey(kind="gp4", family=family, k=_parse_int(fields["k"], text), lam=lam, perm=perm)
 
@@ -127,7 +127,7 @@ def _parse_int(value: str, text: str) -> int:
     try:
         return int(value)
     except ValueError as exc:
-        raise ParseError(f"bad integer {value!r} in catalog key {text!r}") from exc
+        raise ParseError(f"bad integer {quote(value)} in catalog key {quote(text)}") from exc
 
 
 def _parse_fields(rest: str) -> dict:
@@ -136,7 +136,7 @@ def _parse_fields(rest: str) -> dict:
         return fields
     for part in rest.split("."):
         if "=" not in part:
-            raise ParseError(f"bad key field {part!r}")
+            raise ParseError(f"bad key field {quote(part)}")
         k, v = part.split("=", 1)
         fields[k] = v
     return fields
@@ -168,7 +168,7 @@ def build_gp4(family: str, k: int, lam: GQ | None = None, perm=None) -> Subspace
     H = [e_1..e_{k+1}, f_1..f_k]; coordinates in that order.
     """
     if family not in GP4_FAMILIES:
-        raise ParseError(f"unknown family {family!r}")
+        raise ParseError(f"unknown family {quote(family)}")
     if family == "S(2k,0;l)":
         if lam is None:
             raise DimensionMismatch("family S(2k,0;l) needs a lambda parameter")

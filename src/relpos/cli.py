@@ -21,6 +21,7 @@ from .errors import (
     ParseError,
     RelposError,
     UncertifiedError,
+    quote,
 )
 from .gaussian import GQ, format_gq, parse_gq
 from .matrix import DEFAULT_TOL
@@ -47,7 +48,7 @@ def _default_tol() -> float:
         try:
             return _threshold(env)
         except argparse.ArgumentTypeError:
-            raise ParseError(f"bad RELPOS_TOL value {env!r}") from None
+            raise ParseError(f"bad RELPOS_TOL value {quote(env)}") from None
     return DEFAULT_TOL
 
 
@@ -56,9 +57,9 @@ def _threshold(text: str) -> float:
     try:
         value = float(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+        raise argparse.ArgumentTypeError(f"invalid float value: {quote(text)}") from None
     if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"must be finite and above 0: {text!r}")
+        raise argparse.ArgumentTypeError(f"must be finite and above 0: {quote(text)}")
     return value
 
 

@@ -484,10 +484,12 @@ def strongly_irreducible(t: Matrix, seed: int = 0) -> bool:
     (deg mu_t = n) and mu_t is a power of one irreducible (Jacobson, Basic
     Algebra I, 3.10), which is read off the certified factoring of mu_t.
     Two coprime parts of mu_t (FactorReport.coprime_parts) give an
-    idempotent of Q(i)[t], so False; a single root-free square-free part of
-    degree 3 or more, which factoring cannot split or certify, raises
-    UncertifiedError.  `seed` is accepted for callers that pass one and is
-    not used."""
+    idempotent of Q(i)[t], so False.  Factoring finds every root in Q(i),
+    so a single part that is a power of a linear factor or of a root-free
+    quadratic is a power of an irreducible, so True; a single root-free
+    square-free part of degree 3 or more, whose factors are not certified,
+    raises UncertifiedError.  `seed` is accepted for callers that pass one
+    and is not used."""
     if t.field != EXACT:
         raise ExactOnlyError("strongly_irreducible needs the exact backend")
     p = t.minimal_polynomial()

@@ -39,3 +39,12 @@ class UncertifiedError(RelposError):
 
 class InvariantViolation(RelposError):
     """An internal cross-check failed; indicates a bug, not bad input."""
+
+
+def quote(token: str) -> str:
+    """repr(token) for an error message, or for a token past 60 characters
+    the repr of its first 60 and its length: input text of any size is
+    echoed in a line."""
+    if len(token) <= 60:
+        return repr(token)
+    return f"{token[:60]!r}... ({len(token)} characters)"

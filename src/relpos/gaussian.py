@@ -21,7 +21,7 @@ import math
 import re
 from fractions import Fraction
 
-from .errors import ParseError
+from .errors import ParseError, quote
 
 
 class GQ:
@@ -299,12 +299,12 @@ def _parse_rational(body: str) -> Fraction:
                 # a malformed mantissa is reported as such
                 Fraction(mantissa + "e0")
                 raise ParseError(
-                    f"exact part out of range in {body!r} (mantissa digits plus "
+                    f"exact part out of range in {quote(body)} (mantissa digits plus "
                     f"|exponent| above {MAX_EXACT_DIGITS})"
                 )
         return Fraction(body)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"bad rational {body!r}") from exc
+        raise ParseError(f"bad rational {quote(body)}") from exc
 
 
 def _parse_real(body: str, exact: bool):
@@ -317,9 +317,9 @@ def _parse_real(body: str, exact: bool):
         else:
             val = float(body)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"bad float {body!r}") from exc
+        raise ParseError(f"bad float {quote(body)}") from exc
     if not math.isfinite(val):
-        raise ParseError(f"non-finite float {body!r}")
+        raise ParseError(f"non-finite float {quote(body)}")
     return val
 
 
@@ -339,15 +339,15 @@ def _parse(text: str, exact: bool):
         if body.endswith("i"):
             body = body[:-1]
             if seen_im:
-                raise ParseError(f"two imaginary parts in {text!r}")
+                raise ParseError(f"two imaginary parts in {quote(text)}")
             seen_im = True
             val = (Fraction(1) if exact else 1.0) if body == "" else _parse_real(body, exact)
             im_part = im_part + sign * val
         else:
             if body == "":
-                raise ParseError(f"bad scalar {text!r}")
+                raise ParseError(f"bad scalar {quote(text)}")
             if seen_re:
-                raise ParseError(f"two real parts in {text!r}")
+                raise ParseError(f"two real parts in {quote(text)}")
             seen_re = True
             re_part = re_part + sign * _parse_real(body, exact)
     return re_part, im_part

@@ -41,7 +41,11 @@ MIN_SIDE = 16
 
 # Primes below 2**31 keep every product of two residues inside int64.
 _PRIME_CEILING = 2**31
-_PRIMES: list = []  # (p, s) pairs, p = 1 (mod 4) descending, s*s = -1 (mod p)
+# (p, s) pairs, p = 1 (mod 4) and s*s = -1 (mod p): descending from
+# _PRIME_CEILING for the lifts here, ascending from 2**8 for the roots of
+# `relpos.poly._gaussian_roots`, which evaluates at every residue.
+_PRIMES: list = []
+_SMALL_PRIMES: list = []
 
 
 def _is_prime(n: int) -> bool:
@@ -68,17 +72,28 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def prime(i: int):
-    """The i-th table entry (p, s); the table grows on demand."""
-    while len(_PRIMES) <= i:
-        c = _PRIMES[-1][0] - 4 if _PRIMES else _PRIME_CEILING - 3
+def _table_entry(table: list, i: int, first: int, step: int):
+    """The i-th (p, s) of table, which grows on demand by step from first:
+    s = g^((p - 1)/4) for the least quadratic non-residue g."""
+    while len(table) <= i:
+        c = table[-1][0] + step if table else first
         while not _is_prime(c):
-            c -= 4
+            c += step
         g = 2
         while pow(g, (c - 1) // 2, c) != c - 1:
             g += 1
-        _PRIMES.append((c, pow(g, (c - 1) // 4, c)))
-    return _PRIMES[i]
+        table.append((c, pow(g, (c - 1) // 4, c)))
+    return table[i]
+
+
+def prime(i: int):
+    """The i-th (p, s) below _PRIME_CEILING, largest first."""
+    return _table_entry(_PRIMES, i, _PRIME_CEILING - 3, -4)
+
+
+def small_prime(i: int):
+    """The i-th (p, s) from 2**8 up, smallest first."""
+    return _table_entry(_SMALL_PRIMES, i, 2**8 + 1, 4)
 
 
 def _rref_mod(a, p):

@@ -1,13 +1,18 @@
 """Exact polynomials over Q(i): arithmetic, gcd, square-free parts,
-root-driven factoring with exact certification, and exact counts of the
-zeros in the unit disk.
+factoring by exact roots, and exact counts of the zeros in the unit disk.
 
-Factoring never splits anything it cannot certify: residual factors that
-resist exact reconstruction come back as an uncertified remainder.
+Factoring finds every root in Q(i) of each square-free part by p-adic
+lifting (`_gaussian_roots`): the roots modulo a small prime bound every
+root, since each root reduces to one of them, and Newton's iteration lifts
+them far enough to read the roots off exactly.  What is left has no root
+in Q(i): a quadratic is then certified irreducible, and a part of degree 3
+or more comes back as an uncertified remainder.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -16,48 +21,9 @@ import numpy as np
 
 from .errors import DegreeBoundExceeded
 from .gaussian import GQ, I, ONE, ZERO
+from .modular import small_prime
 
 DEFAULT_DEGREE_BOUND = 24
-
-
-def _isqrt_exact(n: int):
-    if n < 0:
-        return None
-    r = math.isqrt(n)
-    return r if r * r == n else None
-
-
-def fraction_sqrt(q: Fraction):
-    """Exact square root of a rational, or None."""
-    if q < 0:
-        return None
-    a = _isqrt_exact(q.numerator)
-    b = _isqrt_exact(q.denominator)
-    if a is None or b is None:
-        return None
-    return Fraction(a, b)
-
-
-def gq_sqrt(s: GQ):
-    """Exact square root of s in Q(i), or None if s is not a square there."""
-    if not s:
-        return ZERO
-    t = fraction_sqrt(s.norm2())
-    if t is None:
-        return None
-    x2 = (s.re + t) / 2
-    y2 = (t - s.re) / 2
-    x = fraction_sqrt(x2)
-    y = fraction_sqrt(y2)
-    if x is None or y is None:
-        return None
-    cand = GQ(x, y)
-    if cand * cand == s:
-        return cand
-    cand = GQ(x, -y)
-    if cand * cand == s:
-        return cand
-    return None
 
 
 class Polynomial:
@@ -246,9 +212,9 @@ class FactorReport:
     """Output of factor_over_gaussian_rationals.
 
     factors: certified (polynomial, multiplicity) pairs, linear or certified-
-    irreducible quadratic.  remainder: uncertified residual (None when fully
-    factored).  Re-multiplying factors * remainder * unit reproduces the input
-    exactly.
+    irreducible quadratic.  remainder: the rest, which has no root in Q(i)
+    and whose factors are not certified (None when fully factored).
+    Re-multiplying factors * remainder * unit reproduces the input exactly.
     """
 
     unit: GQ
@@ -279,119 +245,120 @@ class FactorReport:
         return [(-f.coeffs[0] / f.coeffs[1], m) for f, m in self.factors if f.degree == 1]
 
 
-def _rationalize(x: float, bounds=(10**4, 10**8, 10**12)):
-    for b in bounds:
-        yield Fraction(x).limit_denominator(b)
+def _gaussian_integer_parts(p: Polynomial):
+    """(re, im): a primitive Gaussian-integer multiple of p, as two int lists."""
+    den = math.lcm(*(c._d for c in p.coeffs))
+    re = [c._a * (den // c._d) for c in p.coeffs]
+    im = [c._b * (den // c._d) for c in p.coeffs]
+    g = math.gcd(*re, *im)
+    return [c // g for c in re], [c // g for c in im]
 
 
-def _candidate_gq(z: complex):
-    seen = set()
-    for fr in _rationalize(z.real):
-        for fi in _rationalize(z.imag):
-            c = GQ(fr, fi)
-            key = (c.re, c.im)
-            if key not in seen:
-                seen.add(key)
-                yield c
+@functools.lru_cache(maxsize=4)
+def _powers(p: int, rows: int):
+    """The int64 array of r^j mod p, row j for j < rows and column r for
+    every residue r: `_gaussian_roots` evaluates at every residue in one
+    product.  The few tables kept are for the primes last used, which are
+    almost always the first."""
+    r = np.arange(p, dtype=np.int64)
+    table = [np.ones(p, dtype=np.int64)]
+    for _ in range(rows - 1):
+        table.append(table[-1] * r % p)
+    return np.array(table)
 
 
-def quadratic_roots_exact(q: Polynomial):
-    """Exact Q(i) roots of a quadratic, or None when the discriminant is not
-    a square there (which certifies irreducibility over Q(i))."""
-    b = q.coeffs[1] / q.coeffs[2]
-    c = q.coeffs[0] / q.coeffs[2]
-    disc = b * b - GQ(4) * c
-    root = gq_sqrt(disc)
-    if root is None:
-        return None
-    half = GQ(Fraction(1, 2))
-    return [(-b + root) * half, (-b - root) * half]
+def _value_and_slope(g: list, r: int, m: int):
+    """(g(r), g'(r)) modulo m for the int polynomial g, by Horner's rule."""
+    v = d = 0
+    for c in reversed(g):
+        d = (d * r + v) % m
+        v = (v * r + c) % m
+    return v, d
 
 
-def _coeff_digits(p: Polynomial) -> int:
-    worst = 1
-    for c in p.coeffs:
-        for part in (c.re, c.im):
-            worst = max(worst, part.numerator.bit_length(), part.denominator.bit_length())
-    return int(worst * 0.302) + 1  # bits -> decimal digits
+def _lift_root(g: list, r: int, p: int, m: int) -> int:
+    """The root modulo m = p^(2^k) of g that is congruent to r, a simple root
+    of g modulo p: Newton's iteration doubles the exponent each step."""
+    q = p
+    while q < m:
+        q *= q
+        v, d = _value_and_slope(g, r, q)
+        r = (r - v * pow(d, -1, q)) % q
+    return r
 
 
-def _mp_root_candidates(p: Polynomial):
-    """High-precision roots rationalized via bounded continued fractions;
-    needed when exact roots have denominators far beyond double precision."""
-    import mpmath
+def _gaussian_roots(sf: Polynomial) -> list:
+    """Every root of the square-free polynomial sf in Q(i), exactly.
 
-    digits = min(400, max(60, 4 * _coeff_digits(p) + 30))
-    den_bound = 10 ** (digits // 2 - 5)
-    def to_mpf(fr: Fraction):
-        return mpmath.mpf(fr.numerator) / mpmath.mpf(fr.denominator)
-
-    with mpmath.workdps(digits):
-        coeffs = [mpmath.mpc(to_mpf(c.re), to_mpf(c.im)) for c in reversed(p.coeffs)]
-        try:
-            roots = mpmath.polyroots(coeffs, maxsteps=120, extraprec=80)
-        except Exception:
-            return
-        for z in roots:
-            fr = Fraction(mpmath.nstr(mpmath.re(z), digits)).limit_denominator(den_bound)
-            fi = Fraction(mpmath.nstr(mpmath.im(z), digits)).limit_denominator(den_bound)
-            yield GQ(fr, fi)
-
-
-def _root_stages(p: Polynomial):
-    """Candidate roots of p in Q(i), one list a stage, cheapest first: small
-    rationals, rounded numpy roots, rounded mpmath roots."""
-    yield [GQ(Fraction(n, d)) * u for n in range(-6, 7) for d in (1, 2, 3) for u in (ONE, I)]
-    yield [c for z in np.roots(p.to_complex_coeffs()[::-1]) for c in _candidate_gq(complex(z))]
-    yield _mp_root_candidates(p)
-
-
-def _extract_certified_roots(sf: Polynomial):
-    """Split a square-free monic polynomial into exact Q(i) roots plus a
-    cofactor that resisted certification (degree-2 cofactors are solved
-    exactly, so a quadratic remainder is certified irreducible).  Each
-    search takes out every verified root of the first stage that has one."""
-    roots = []
-    rest = sf.monic()
-    while rest.degree >= 1:
-        if rest.degree == 1:
-            roots.append(-rest.coeffs[0] / rest.coeffs[1])
-            rest = Polynomial([ONE])
+    Let f be the primitive Gaussian-integer multiple of sf, c its leading
+    coefficient.  A root a/b in lowest terms over Z[i] has b | c, so
+    c lambda = x + iy is a Gaussian integer, and by Cauchy's bound |x| and
+    |y| are at most B = |c| + max |f_j|.  Take a prime p = 1 (mod 4) with
+    s^2 = -1 (mod p) under which neither image of c (i -> s, i -> -s)
+    vanishes and every root of both images of f modulo p is simple, which
+    holds for all but the finitely many p dividing c or the discriminant.
+    Then c lambda reduces to a root of each image, Newton's iteration lifts
+    each root uniquely to a modulus M > 2B, and for one pair of lifts the
+    multiples by c are x + y s and x - y s modulo M, from which x and y are
+    read as symmetric residues (von zur Gathen and Gerhard, *Modern Computer
+    Algebra*, ch. 15).  Every pair is read and each candidate is kept only
+    if exact evaluation makes it a root: no root is missed and none is
+    false."""
+    n = sf.degree
+    if n == 1:
+        return [-sf.coeffs[0] / sf.coeffs[1]]
+    re, im = _gaussian_integer_parts(sf)
+    bound = abs(re[n]) + abs(im[n]) + max(abs(a) + abs(b) for a, b in zip(re[:n], im[:n]))
+    for k in itertools.count():
+        p, s = small_prime(k)
+        images = [[(a + b * t) % p for a, b in zip(re, im)] for t in (s, p - s)]
+        if not (images[0][n] and images[1][n]):
+            continue
+        powers = _powers(p, max(n, DEFAULT_DEGREE_BOUND) + 1)[: n + 1]
+        values = np.array(images, dtype=np.int64) @ powers % p
+        roots = [np.flatnonzero(row == 0).tolist() for row in values]
+        if not (roots[0] and roots[1]):
+            return []
+        if all(_value_and_slope(g, r, p)[1] for g, rs in zip(images, roots) for r in rs):
             break
-        if rest.degree == 2:
-            pair = quadratic_roots_exact(rest)
-            if pair is None:
-                break
-            roots.extend(pair)
-            rest = Polynomial([ONE])
-            break
-        for stage in _root_stages(rest):
-            hits = list(dict.fromkeys(c for c in stage if rest.eval_scalar(c).is_zero()))
-            if hits:
-                break
-        else:
-            break
-        for cand in hits:
-            roots.append(cand)
-            rest = rest.shift_root(cand)
-    return roots, rest
+    m = p
+    while m <= 2 * bound:
+        m *= m
+    s = _lift_root([1, 0, 1], s, p, m)
+    lifts = []
+    for t, rs in zip((s, m - s), roots):
+        g = [(a + b * t) % m for a, b in zip(re, im)]
+        lifts.append([g[n] * _lift_root(g, r, p, m) % m for r in rs])
+    half, over = (m + 1) // 2, pow(2 * s, -1, m)
+    c = GQ(re[n], im[n])
+    out = []
+    for u in lifts[0]:
+        for v in lifts[1]:
+            x, y = (u + v) * half % m, (u - v) * over % m
+            x, y = (x - m if 2 * x > m else x), (y - m if 2 * y > m else y)
+            if abs(x) <= bound and abs(y) <= bound:
+                lam = GQ(x, y) / c
+                if sf.eval_scalar(lam).is_zero():
+                    out.append(lam)
+    return out
 
 
 def factor_over_gaussian_rationals(p: Polynomial) -> FactorReport:
-    """Factor p over Q(i): square-free decomposition, then certified root
-    extraction; what cannot be certified is returned as a remainder.
+    """Factor p over Q(i): square-free decomposition, then every root of
+    each part (`_gaussian_roots`); a root-free quadratic part is certified
+    irreducible and higher root-free parts are returned as a remainder.
 
     Past DEFAULT_DEGREE_BOUND the small rational roots are taken out first,
     with their multiplicities, and the bound applies to what is left: so
     x^k (x - 1) factors at any k, and DegreeBoundExceeded is raised before
-    any gcd or numeric root search on a larger cofactor."""
+    any gcd or root search on a larger cofactor."""
     if p.is_zero():
         return FactorReport(unit=ZERO)
     unit = p.leading()
     report = FactorReport(unit=unit)
     cofactor = p
     if p.degree > DEFAULT_DEGREE_BOUND:
-        for lam in next(_root_stages(p)):
+        for lam in [GQ(Fraction(n, d)) * u for n in range(-6, 7) for d in (1, 2, 3) for u in (ONE, I)]:
             mult = 0
             while cofactor.degree >= 1 and cofactor.eval_scalar(lam).is_zero():
                 cofactor, mult = cofactor.shift_root(lam), mult + 1
@@ -402,16 +369,16 @@ def factor_over_gaussian_rationals(p: Polynomial) -> FactorReport:
     remainder = Polynomial([ONE])
     note = ""
     for sf, mult in cofactor.squarefree_decomposition():
-        roots, rest = _extract_certified_roots(sf)
-        for lam in roots:
+        rest = sf
+        for lam in _gaussian_roots(sf):
             report.factors.append((Polynomial([-lam, ONE]), mult))
+            rest = rest.shift_root(lam)
         if rest.degree == 2:
-            # the exact quadratic solver already failed on it, which is a
-            # discriminant non-square certificate
-            report.factors.append((rest.monic(), mult))
+            # a quadratic with no root is irreducible
+            report.factors.append((rest, mult))
             note = "quadratic factor certified irreducible over Q(i)"
         elif rest.degree >= 1:
-            remainder = remainder * rest.monic() ** mult
+            remainder = remainder * rest ** mult
             note = note or f"degree-{rest.degree} factor not certified over Q(i)"
     if remainder.degree >= 1:
         report.remainder = remainder
@@ -726,15 +693,6 @@ def _schur_cohn_counts(re: list, im: list, max_bits):
     for n in reversed(steps):
         inside = inside - 1 if n is None else n - circle - inside
     return inside, circle
-
-
-def _gaussian_integer_parts(p: Polynomial):
-    """(re, im): a primitive Gaussian-integer multiple of p, as two int lists."""
-    den = math.lcm(*(c._d for c in p.coeffs))
-    re = [c._a * (den // c._d) for c in p.coeffs]
-    im = [c._b * (den // c._d) for c in p.coeffs]
-    g = math.gcd(*re, *im)
-    return [c // g for c in re], [c // g for c in im]
 
 
 def disk_zero_counts(p: Polynomial):

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .catalog import MAX_CATALOG_DIM
-from .errors import ParseError
+from .errors import ParseError, quote
 from .gaussian import format_cfloat, format_gq, parse_cfloat, parse_gq
 from .matrix import DEFAULT_TOL, EXACT, FLOAT, Matrix
 from .subspace import Subspace
@@ -111,7 +111,7 @@ def parse(text: str) -> SystemFile:
         parts = lines[idx].split()
         if parts[0] == "field":
             if len(parts) != 2 or parts[1] not in FIELD_BY_NAME:
-                raise ParseError(f"bad field line: {lines[idx]!r}")
+                raise ParseError(f"bad field line: {quote(lines[idx])}")
             field_name = parts[1]
             idx += 1
         elif parts[0] == "ambient":
@@ -128,7 +128,7 @@ def parse(text: str) -> SystemFile:
             if field_name is None or ambient is None:
                 raise ParseError("subspace before field/ambient headers")
             if len(parts) != 4 or parts[2] != "dim":
-                raise ParseError(f"bad subspace line: {lines[idx]!r}")
+                raise ParseError(f"bad subspace line: {quote(lines[idx])}")
             name = parts[1]
             try:
                 dim = int(parts[3])
@@ -152,11 +152,11 @@ def parse(text: str) -> SystemFile:
             subspaces.append((name, rows))
         elif parts[0] == "meta":
             if len(parts) < 3:
-                raise ParseError(f"bad meta line: {lines[idx]!r}")
+                raise ParseError(f"bad meta line: {quote(lines[idx])}")
             metadata[parts[1]] = " ".join(parts[2:])
             idx += 1
         else:
-            raise ParseError(f"unrecognized line: {lines[idx]!r}")
+            raise ParseError(f"unrecognized line: {quote(lines[idx])}")
     if field_name is None or ambient is None:
         raise ParseError("missing field or ambient header")
     return SystemFile(

@@ -30,6 +30,7 @@ from .errors import (
     InvariantViolation,
     ParseError,
     UncertifiedError,
+    quote,
 )
 from .gaussian import GQ, ONE, ZERO, format_gq, parse_gq
 from .matrix import DEFAULT_TOL, EXACT, Matrix
@@ -163,7 +164,7 @@ class LaurentSymbol:
         for chunk in chunks[1:]:
             m = _re.match(r"k:(-?\d+)=\[(.*)\]$", chunk)
             if not m:
-                raise ParseError(f"bad symbol coefficient {chunk!r}")
+                raise ParseError(f"bad symbol coefficient {quote(chunk)}")
             k = int(m.group(1))
             if k in coeffs:
                 raise ParseError(f"repeated coefficient offset {k}")

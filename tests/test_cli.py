@@ -26,6 +26,12 @@ from relpos import verify as verify_mod
 from relpos.verify import CRITERIA, Criterion, SweepReport, classification_completeness
 
 
+# A (4; 1, 1, 1, 1) leaf of `decompose --seed 1` on four_subspaces(8, 2,
+# fractions=True) of test_cli_fuzz.py: four lines spanning C^4, whose End has
+# minimal polynomials with four rational roots of about 775 bits.
+FOUR_LINES = os.path.join(os.path.dirname(__file__), "data", "four_lines_in_c4.sys")
+
+
 def run_python(argv, stdout=subprocess.PIPE):
     """Run the interpreter on argv in a child process that imports relpos
     from where this session does."""
@@ -114,6 +120,14 @@ def test_decompose_cli():
     assert rep["component_count"] == 1
     assert rep["certified"] is True
     assert rep["seed"] == 7
+
+
+def test_decompose_cli_splits_four_lines_with_large_entries():
+    code, out, err = run_cli(["--json", "decompose", FOUR_LINES])
+    assert (code, err) == (0, "")
+    rep = json.loads(out)
+    assert rep["component_count"] == 4
+    assert rep["certified"] and rep["witness_verified"]
 
 
 def test_isom_cli(tmp_path):
@@ -213,6 +227,16 @@ def test_parse_error_exit_code():
     assert "parse error" in err
     code, _, err = run_cli(["defect", "-"], stdin_text="garbage\n")
     assert code == 2
+
+
+def test_parse_error_quotes_a_long_token_in_a_line(tmp_path):
+    path = tmp_path / "wide.sys"
+    path.write_text("relpos-system 1\nfield gaussian-rational\nambient 2\nsubspace E1 dim 1\n" + "1" * 5000 + " 1\n")
+    code, _, err = run_cli(["defect", str(path)])
+    assert code == 2
+    assert err.startswith("parse error: bad rational '111")
+    assert "(5000 characters)" in err
+    assert len(err) < 200
 
 
 def test_negative_ambient_exit_code():

@@ -34,7 +34,9 @@ from relpos.matrix import Matrix
 from relpos.poly import DEFAULT_DEGREE_BOUND, Polynomial
 from relpos.sampling import random_invertible, random_system
 from relpos.subspace import Subspace
+from relpos.sysfile import system_from_text
 from relpos.system import MAX_HOM_UNKNOWNS, SubspaceSystem, hom_dim, hom_space, is_bounded_operator_system
+from test_cli import FOUR_LINES
 
 
 def line_system(*patterns):
@@ -382,6 +384,18 @@ def test_strong_irreducibility_from_coprime_parts_beside_a_remainder():
     # x^3 - 2 alone is irreducible, but factoring cannot certify it
     with pytest.raises(UncertifiedError):
         strongly_irreducible(companion(-2, 0, 0))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_four_lines_with_large_entries_split_into_four(seed):
+    # every root of the End candidates' minimal polynomials is rational with
+    # about 775 bits, which guessing from float roots missed: the four lines
+    # came back as one leaf labelled indecomposable over Q(i)
+    with open(FOUR_LINES) as fh:
+        s = system_from_text(fh.read())
+    tree = decompose(s, seed=seed)
+    assert tree.leaf_status == ["indecomposable"] * 4
+    assert verify_decomposition(s, tree)
 
 
 def split_cases():

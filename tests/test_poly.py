@@ -1,6 +1,7 @@
 """Polynomial arithmetic and certified factoring over Q(i)."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -9,15 +10,15 @@ from hypothesis import assume, given, settings, strategies as st
 
 from relpos.errors import DegreeBoundExceeded
 from relpos.gaussian import GQ, I, ONE, parse_gq
+from relpos.modular import small_prime
 from relpos.poly import (
     Polynomial,
     _gaussian_integer_parts,
+    _gaussian_roots,
     _gerschgorin_counts,
     _schur_cohn_counts,
     disk_zero_counts,
     factor_over_gaussian_rationals,
-    fraction_sqrt,
-    gq_sqrt,
 )
 
 
@@ -142,13 +143,74 @@ def test_coprime_parts_split_the_remainder_by_multiplicity():
     assert coprime_product(rep.coprime_parts()) == p
 
 
-def test_gq_sqrt():
-    assert gq_sqrt(GQ(4)) == GQ(2) or gq_sqrt(GQ(4)) == GQ(-2)
-    assert gq_sqrt(GQ(0, 2)) is not None  # 2i = (1+i)^2
-    assert gq_sqrt(GQ(2)) is None
-    assert gq_sqrt(GQ(-1)) in (I, -I)
-    assert fraction_sqrt(Fraction(9, 4)) == Fraction(3, 2)
-    assert fraction_sqrt(Fraction(2)) is None
+def heights(bits):
+    """Integers of up to `bits` bits, their size drawn first."""
+    return st.integers(0, bits).flatmap(lambda b: st.integers(-(2**b), 2**b))
+
+
+# (a + bi) / d of height max(|a|, |b|, d) up to 2^800
+HIGH_GAUSSIAN_RATIONALS = st.builds(
+    lambda a, b, d: GQ(Fraction(a, abs(d) + 1), Fraction(b, abs(d) + 1)),
+    heights(800), heights(800), heights(800),
+)
+# 2, 3, 1 + i and -1 + 2i are Gaussian primes and i is a unit that is no
+# square, so none of them times a nonzero square is a square in Q(i)
+NON_SQUARES = st.sampled_from([GQ(2), GQ(3), I, GQ(1, 1), GQ(-1, 2)])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    base=st.lists(HIGH_GAUSSIAN_RATIONALS, min_size=1, max_size=6),
+    picks=st.lists(st.integers(0, 5), min_size=1, max_size=6),
+    unit=HIGH_GAUSSIAN_RATIONALS.filter(bool),
+    quadratic=st.none() | st.tuples(NON_SQUARES, HIGH_GAUSSIAN_RATIONALS.filter(bool)),
+)
+def test_every_planted_root_is_found(base, picks, unit, quadratic):
+    # a product of 1-6 linear factors with repeats, times x^2 - u w^2 with
+    # no root in Q(i) or not: every root comes back with its multiplicity
+    roots = [base[k % len(base)] for k in picks]
+    p = poly_from_roots(roots) * unit
+    if quadratic is not None:
+        u, w = quadratic
+        q = Polynomial([-u * w * w, 0, ONE])
+        p = p * q
+    rep = factor_over_gaussian_rationals(p)
+    assert rep.product() == p
+    assert rep.remainder is None
+    assert dict(rep.certified_roots()) == dict(Counter(roots))
+    if quadratic is not None:
+        assert (q, 1) in rep.factors
+
+
+def test_roots_that_meet_modulo_the_first_prime_are_found():
+    # 1 and 1 + pi are one root modulo p under both images of i, so the
+    # first prime is passed over
+    p = small_prime(0)[0]
+    roots = [GQ(1), GQ(1, p), GQ(Fraction(1, 3))]
+    assert set(_gaussian_roots(poly_from_roots(roots))) == set(roots)
+
+
+def test_roots_are_found_where_the_leading_coefficient_vanishes_modulo_the_first_prime():
+    p, s = small_prime(0)
+    # s - i vanishes under i -> s and not under i -> -s
+    roots = [GQ(2), GQ(-3, 1)]
+    assert set(_gaussian_roots(poly_from_roots(roots) * GQ(s, -1))) == set(roots)
+    # square-free parts are monic, so their Gaussian-integer multiples have
+    # the real leading coefficient p^2 here, which vanishes under both
+    roots = [GQ(Fraction(1, p)), GQ(Fraction(2, p), 1)]
+    rep = factor_over_gaussian_rationals(poly_from_roots(roots))
+    assert {r for r, _ in rep.certified_roots()} == set(roots)
+
+
+def test_root_free_cubic_stays_an_uncertified_remainder():
+    # x^3 - 2 has no root in Q(i), so it is irreducible, but the remainder
+    # and its note are kept: no verdict that reads them moves
+    p = Polynomial([-2, 0, 0, 1])
+    assert _gaussian_roots(p) == []
+    rep = factor_over_gaussian_rationals(p)
+    assert rep.factors == []
+    assert rep.remainder == p
+    assert rep.remainder_note == "degree-3 factor not certified over Q(i)"
 
 
 def test_squarefree_decomposition():

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from relpos import sysfile
-from relpos.errors import ParseError
+from relpos.errors import ParseError, quote
 from relpos.gaussian import (
     GQ,
     MAX_EXACT_DIGITS,
@@ -292,7 +292,7 @@ def _ref_parse_real(body, exact):
         try:
             return Fraction(body)
         except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"bad rational {body!r}") from exc
+            raise ParseError(f"bad rational {quote(body)}") from exc
     try:
         if "/" in body:
             num, den = body.split("/", 1)
@@ -300,9 +300,9 @@ def _ref_parse_real(body, exact):
         else:
             val = float(body)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"bad float {body!r}") from exc
+        raise ParseError(f"bad float {quote(body)}") from exc
     if not math.isfinite(val):
-        raise ParseError(f"non-finite float {body!r}")
+        raise ParseError(f"non-finite float {quote(body)}")
     return val
 
 
@@ -322,15 +322,15 @@ def _ref_parse(text, exact):
         if body.endswith("i"):
             body = body[:-1]
             if seen_im:
-                raise ParseError(f"two imaginary parts in {text!r}")
+                raise ParseError(f"two imaginary parts in {quote(text)}")
             seen_im = True
             val = (Fraction(1) if exact else 1.0) if body == "" else _ref_parse_real(body, exact)
             im_part = im_part + sign * val
         else:
             if body == "":
-                raise ParseError(f"bad scalar {text!r}")
+                raise ParseError(f"bad scalar {quote(text)}")
             if seen_re:
-                raise ParseError(f"two real parts in {text!r}")
+                raise ParseError(f"two real parts in {quote(text)}")
             seen_re = True
             re_part = re_part + sign * _ref_parse_real(body, exact)
     return re_part, im_part
