@@ -29,7 +29,9 @@ zI + N - 3I + 2I/z for block 6 (the oracle at its largest band), then
 J_2(1) + J_1(2) (cyclic: its End is taken in the basis of powers of T),
 then `decompose --seed 7` on S_T for T = W (diag(1, 2, -1) + J_2(i)) W^-1,
 W = sampling.random_invertible(random.Random(0), 5), whose first split has
-four parts, all with `--json` before the subcommand,
+four parts, then `decompose --seed 3` on S_{T,S} for T = J_2(1) + J_1(2)
+and an integer S != I with det S = 1 (its End is lifted through S^-1),
+all with `--json` before the subcommand,
 against the `src/` next to this script (which it also imports to build W).
 Prints one line per command: the command, its exit code and the sha256 of
 its stdout and of its stderr.  Two checkouts give byte-identical CLI output
@@ -113,16 +115,21 @@ OTHERS = (
 )
 
 
-def _operator_sysfile(t) -> str:
-    """Sysfile of S_T = (C^k + 0, 0 + C^k, graph of T, diagonal) for the
-    k x k matrix t, given by its rows of integers or exact scalars."""
+def _operator_sysfile(t, s=None) -> str:
+    """Sysfile of S_{T,S} = (C^k + 0, 0 + C^k, graph of T, cograph of S) for
+    the k x k matrices t and s, given by their rows of integers or exact
+    scalars; without s it is S_T, whose cograph of I is the diagonal."""
     k = len(t)
     unit = [[int(i == j) for i in range(k)] for j in range(k)]
     zero = [[0] * k] * k
-    columns = [[t[i][j] for i in range(k)] for j in range(k)]
+
+    def columns(m):
+        return [[m[i][j] for i in range(k)] for j in range(k)]
+
     lines = ["relpos-system 1", "field gaussian-rational", f"ambient {2 * k}"]
     for name, left, right in (
-        ("E1", unit, zero), ("E2", zero, unit), ("E3", unit, columns), ("E4", unit, unit)
+        ("E1", unit, zero), ("E2", zero, unit), ("E3", unit, columns(t)),
+        ("E4", unit if s is None else columns(s), unit),
     ):
         lines.append(f"subspace {name} dim {k}")
         lines += [" ".join(str(v) for v in a + b) for a, b in zip(left, right)]
@@ -261,6 +268,11 @@ def _multi_part_rows():
 
 
 MULTI_PART_FILES = {"t3.sys": _operator_sysfile(_multi_part_rows())}
+# appended after that: S_{T,S} with S != I, whose End is searched on the
+# commutant of ST = S T and lifted through S^-1; mu_ST = (x - 1)^2 (x - 2)
+TWO_OPERATOR_FILES = {
+    "u0.sys": _operator_sysfile([[1, 1, 0], [0, 1, 0], [0, 0, 2]], [[1, 0, 1], [0, 1, 0], [0, 1, 1]]),
+}
 DOCUMENTED_EXIT_CODES = {0, 2, 3, 4}
 
 
@@ -289,6 +301,8 @@ def _commands():
         yield ("isom", name, name), None
     for name in MULTI_PART_FILES:
         yield ("decompose", name, "--seed", "7"), None
+    for name in TWO_OPERATOR_FILES:
+        yield ("decompose", name, "--seed", "3"), None
 
 
 def _sha(data: bytes) -> str:
@@ -301,7 +315,7 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as work:
         files = (
             OPERATOR_FILES | SUM_FILES | PAIR_FILES | SCALAR_FILES | TINY_ANGLE_FILES
-            | COMMUTANT_ORDER_FILES | MULTI_PART_FILES
+            | COMMUTANT_ORDER_FILES | MULTI_PART_FILES | TWO_OPERATOR_FILES
         )
         for name, text in files.items():
             with open(os.path.join(work, name), "w") as fh:

@@ -30,35 +30,76 @@ SEARCH_ATTEMPTS = 32
 SEARCH_SPAN = 3
 
 
-@dataclass
-class EndAlgebra:
-    """End(S) (or any unital matrix algebra) by a basis of d x d matrices."""
+@dataclass(frozen=True)
+class OperatorFrame:
+    """The map X -> W^-1 diag(X, S^-1 X S) W from the commutant of ST onto
+    End(S_{T,S}), W the change of basis of is_bounded_operator_system.
 
-    basis: list
-    _radical: list | None = field(default=None, init=False, repr=False)
-    _semisimple_dim: int | None = field(default=None, init=False, repr=False)
+    It preserves all the search reads: mu_x = mu_X, x is scalar exactly
+    when X is, ker p(x) = W^-1 (K + S^-1 K) for K = ker p(X), and
+    tr(xy) = 2 tr(XY), so the trace forms have one kernel."""
+
+    w_inv: Matrix
+    w: Matrix
+    s_inv: Matrix
+    s: Matrix
+
+    def lift(self, x: Matrix) -> Matrix:
+        return self.w_inv @ Matrix.block_diag([x, self.s_inv @ x @ self.s]) @ self.w
+
+    def lift_kernel(self, k: Matrix) -> Matrix:
+        """Columns spanning W^-1 (K + S^-1 K) for the columns K of k."""
+        return self.w_inv @ Matrix.block_diag([k, self.s_inv @ k])
+
+
+class EndAlgebra:
+    """End(S), or any unital matrix algebra, by a basis of d x d matrices.
+
+    The search and the radical read `elements`.  For a plain algebra they
+    are the basis.  For End(S_{T,S}) they are the k x k commutant elements
+    X_j of ST, and `frame` lifts them to the basis x_j of End(S), which is
+    built on first read of `basis` only."""
+
+    def __init__(self, basis: list | None = None, *, elements: list | None = None,
+                 frame: OperatorFrame | None = None):
+        self.elements = basis if frame is None else elements
+        self.frame = frame
+        self._basis = basis
+        self._radical = None
+        self._semisimple_dim = None
+
+    @property
+    def basis(self) -> list:
+        if self._basis is None:
+            self._basis = [self.frame.lift(x) for x in self.elements]
+        return self._basis
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.elements)
 
     @property
     def ambient_dim(self) -> int:
-        return self.basis[0].rows if self.basis else 0
+        if self.frame is not None:
+            return self.frame.w.rows
+        return self.elements[0].rows if self.elements else 0
 
     def radical_basis(self):
-        """Jacobson radical via the trace form (characteristic zero)."""
+        """Jacobson radical via the trace form (characteristic zero), as
+        combinations of `elements`: for a framed algebra, `frame.lift` maps
+        them to the radical of End(S)."""
         if self._radical is None:
-            m, d = self.dim, self.ambient_dim
+            m = self.dim
             rad = []
             if m:
+                d = self.elements[0].rows
                 # Row j of `flat` is the row-major flattening of B_j, i.e.
                 # vec(B_j^T), and row k of `vecs` is vec(B_k), so
                 # trace(B_j B_k) = vec(B_j^T)^T vec(B_k) makes the trace form
                 # one product; the radical elements, the combinations of the
                 # B_j by the kernel vectors, are another.
-                flat = Matrix.vstack([b.reshape(1, d * d) for b in self.basis])
-                vecs = Matrix.vstack([b.transpose().reshape(1, d * d) for b in self.basis])
+                flat = Matrix.vstack([b.reshape(1, d * d) for b in self.elements])
+                vecs = Matrix.vstack([b.transpose().reshape(1, d * d) for b in self.elements])
                 gram = flat @ vecs.transpose()
                 ker = gram.nullspace()
                 if ker.cols:
@@ -76,18 +117,16 @@ class EndAlgebra:
 def end_algebra(s: SubspaceSystem) -> EndAlgebra:
     """End(S) in the basis it is built in: hom_space(s, s).basis, or, for an
     operator system S_{T,S} with k1 = k2 and invertible S, the maps
-    W^-1 diag(X, S^-1 X S) W over commutant_basis(ST)."""
+    W^-1 diag(X, S^-1 X S) W over commutant_basis(ST), held framed."""
     if s.field != EXACT:
         raise ExactOnlyError("end_algebra needs the exact backend")
-    basis = _operator_end_basis(s)
-    if basis is None:
-        basis = hom_space(s, s).basis
-    return EndAlgebra(basis=basis)
+    return _operator_end_basis(s) or EndAlgebra(basis=hom_space(s, s).basis)
 
 
 def _operator_end_basis(s: SubspaceSystem):
     """End(S_{T,S}) = {W^-1 diag(X, S^-1 X S) W : X commutes with ST} for
-    k1 = k2 and invertible S, or None for any other system.
+    k1 = k2 and invertible S, framed over the X, or None for any other
+    system.
 
     The solve has k^2 unknowns where hom_space has d^2 = 4k^2."""
     if s.n != 4 or s.ambient_dim == 0:
@@ -99,13 +138,10 @@ def _operator_end_basis(s: SubspaceSystem):
         s_inv = real.S.inverse()
     except SingularMatrixError:
         return None
-    w = real.change_of_basis
     # W is the inverse of the E1 | E2 basis matrix: no second inversion
     w_inv = Matrix.hstack([s.subspaces[0].basis, s.subspaces[1].basis])
-    return [
-        w_inv @ Matrix.block_diag([x, s_inv @ x @ real.S]) @ w
-        for x in commutant_basis(real.S @ real.T)
-    ]
+    frame = OperatorFrame(w_inv=w_inv, w=real.change_of_basis, s_inv=s_inv, s=real.S)
+    return EndAlgebra(elements=commutant_basis(real.S @ real.T), frame=frame)
 
 
 def commutant_basis(t: Matrix):
@@ -119,8 +155,9 @@ def commutant_basis(t: Matrix):
         raise DimensionMismatch("commutant of a non-square matrix")
     n = t.rows
     if t.minimal_polynomial().degree == n:
-        powers = [Matrix.identity(n)]
-        for _ in range(n - 1):
+        # T itself, not I T, so a search candidate T reuses its memoised mu
+        powers = [Matrix.identity(n), t][: max(n, 1)]
+        for _ in range(n - 2):
             powers.append(powers[-1] @ t)
         return powers
     ident = Matrix.identity(n)
@@ -160,18 +197,23 @@ class IdempotentSearch:
         return [h @ w for h, w in zip(self.kernels, self.row_blocks())]
 
 
-def _primary_split(x: Matrix, parts: list):
+def _primary_split(x: Matrix, parts: list, frame: OperatorFrame | None = None):
     """(kernels, w0) for the pairwise coprime parts p_j of mu_x: the
     canonical bases H_j of ker p_j(x) and w0 = [H_1 | ... | H_k]^-1.  The
-    H_j fill the space exactly when the parts multiply to mu_x."""
-    kernels = [Subspace.span(p.eval_matrix(x).nullspace()).basis for p in parts]
+    H_j fill the space exactly when the parts multiply to mu_x.  With a
+    frame, x is a commutant element X and H_j spans frame.lift_kernel of
+    ker p_j(X), which is ker p_j of the lifted x."""
+    kernels = []
+    for p in parts:
+        k = p.eval_matrix(x).nullspace()
+        kernels.append(Subspace.span(k if frame is None else frame.lift_kernel(k)).basis)
     dims = [h.cols for h in kernels]
-    if 0 in dims or sum(dims) != x.rows:
+    if 0 in dims or sum(dims) != (x.rows if frame is None else frame.w.rows):
         raise InvariantViolation("the kernels of the coprime parts do not fill the space")
     return kernels, Matrix.hstack(kernels).inverse()
 
 
-def _split_candidate(x: Matrix):
+def _split_candidate(x: Matrix, frame: OperatorFrame | None = None):
     """(split, nonsplit): _primary_split along the coprime parts of mu_x,
     or None when there are fewer than two, and whether mu_x showed a factor
     that is not linear over Q(i)."""
@@ -183,7 +225,7 @@ def _split_candidate(x: Matrix):
     parts = rep.coprime_parts()
     if len(parts) < 2:
         return None, rep.remainder is not None or any(f.degree > 1 for f, _ in rep.factors)
-    return _primary_split(x, parts), False
+    return _primary_split(x, parts, frame), False
 
 
 def find_nontrivial_idempotent(alg: EndAlgebra, seed: int = 0) -> IdempotentSearch:
@@ -192,29 +234,33 @@ def find_nontrivial_idempotent(alg: EndAlgebra, seed: int = 0) -> IdempotentSear
     coprime parts (FactorReport.coprime_parts) and answers 'found' with the
     primary decomposition ker p_1(x) + ... + ker p_k(x) of the space.
 
+    The candidates are drawn from alg.elements, so a framed End(S_{T,S})
+    is searched on k x k commutant elements; the frame preserves every
+    test the search makes, and the kernels are lifted to the space of S.
+
     A scalar candidate counts as an attempt but is passed over: its minimal
     polynomial x - c cannot split.  The trace-form radical is taken only
     once the first other candidate fails, and q = dim(A/rad A) = 1 then
     answers 'local' (a local algebra splits on no candidate, and the
     candidates do not depend on q, so no outcome moves).  An algebra of
     dimension <= 1 is answered from q alone."""
-    d = alg.ambient_dim
-    if alg.dim <= 1 or d == 0:
+    if alg.dim <= 1 or alg.ambient_dim == 0:
         return IdempotentSearch(status="local", semisimple_dim=alg.semisimple_dim())
 
+    d = alg.elements[0].rows
     rng = random.Random(seed)
     attempts = 0
     saw_nonsplit = False
 
     def candidates():
-        for b in alg.basis:
+        for b in alg.elements:
             yield b
         for _ in range(SEARCH_ATTEMPTS):
             coeffs = [rng.randint(-SEARCH_SPAN, SEARCH_SPAN) for _ in range(alg.dim)]
             if not any(coeffs):
                 continue
             x = Matrix.zeros(d, d)
-            for c, b in zip(coeffs, alg.basis):
+            for c, b in zip(coeffs, alg.elements):
                 if c:
                     x = x + b.scale(GQ(c))
             yield x
@@ -223,7 +269,7 @@ def find_nontrivial_idempotent(alg: EndAlgebra, seed: int = 0) -> IdempotentSear
         attempts += 1
         if x.is_scalar():
             continue
-        split, nonsplit = _split_candidate(x)
+        split, nonsplit = _split_candidate(x, alg.frame)
         if split is not None:
             kernels, w0 = split
             return IdempotentSearch(status="found", kernels=kernels, w0=w0, attempts=attempts)
@@ -475,7 +521,7 @@ def _match_summands(s, t, ds: DecompositionTree, dt: DecompositionTree, seed) ->
 
 def is_transitive(s: SubspaceSystem) -> bool:
     """End(S) = scalars."""
-    return len(end_algebra(s).basis) == 1
+    return end_algebra(s).dim == 1
 
 
 def strongly_irreducible(t: Matrix, seed: int = 0) -> bool:

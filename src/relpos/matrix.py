@@ -79,15 +79,17 @@ def _pivot_rows(reduced, width, columns, out_rows, sign=1):
 class Matrix:
     """Immutable rows x cols matrix over Q(i) or complex128."""
 
-    # _rank memoises the exact rank (None until known)
-    __slots__ = ("rows", "cols", "field", "_re", "_im", "_den", "_f", "tol", "_rank")
+    # _rank and _minpoly memoise the exact rank and minimal polynomial (None
+    # until known); a Polynomial keeps its coefficients in a tuple, so the
+    # memoised one is safe to share
+    __slots__ = ("rows", "cols", "field", "_re", "_im", "_den", "_f", "tol", "_rank", "_minpoly")
 
     def __init__(self, rows, cols, field, entries=None, array=None, tol=DEFAULT_TOL):
         self.rows = rows
         self.cols = cols
         self.field = field
         self.tol = tol
-        self._rank = None
+        self._rank = self._minpoly = None
         if field == EXACT:
             if len(entries) != rows * cols:
                 raise DimensionMismatch("entry count does not match shape")
@@ -123,7 +125,8 @@ class Matrix:
         a conjugate or the negative of normalised storage is)."""
         m = cls.__new__(cls)
         m.rows, m.cols, m.field, m.tol = rows, cols, EXACT, DEFAULT_TOL
-        m._re, m._im, m._den, m._f, m._rank = tuple(re), tuple(im), den, None, None
+        m._re, m._im, m._den, m._f = tuple(re), tuple(im), den, None
+        m._rank = m._minpoly = None
         return m
 
     # -- constructors --------------------------------------------------------
@@ -566,7 +569,18 @@ class Matrix:
         return v.reshape(cols, rows).transpose()
 
     def minimal_polynomial(self):
-        """Monic least-degree annihilating polynomial, by vector Krylov.
+        """Monic least-degree annihilating polynomial, by vector Krylov,
+        memoised: later calls on the same matrix return the first result."""
+        if self.field != EXACT:
+            raise ExactOnlyError("minimal_polynomial needs the exact backend")
+        if self.rows != self.cols:
+            raise DimensionMismatch("minimal_polynomial: not square")
+        if self._minpoly is None:
+            self._minpoly = self._krylov_minimal_polynomial()
+        return self._minpoly
+
+    def _krylov_minimal_polynomial(self):
+        """The Krylov run behind minimal_polynomial.
 
         p starts at 1.  For each unit vector e_j, w = p(T) e_j by Horner;
         when w != 0, the first dependence among w, Tw, ..., T^(n - deg p) w,
@@ -577,10 +591,6 @@ class Matrix:
         column i is den^i T^i w."""
         from .poly import Polynomial
 
-        if self.field != EXACT:
-            raise ExactOnlyError("minimal_polynomial needs the exact backend")
-        if self.rows != self.cols:
-            raise DimensionMismatch("minimal_polynomial: not square")
         n, den = self.rows, self._den
         p = Polynomial([ONE])
         for j in range(n):

@@ -284,6 +284,106 @@ def test_end_algebra_falls_back_to_hom_space():
         assert end_algebra(s).basis == hom_space(s, s).basis
 
 
+def framed_cases():
+    """Operator systems whose End is framed: S_T for cyclic, derogatory and
+    Gaussian-eigenvalue T, and S_{T,S} with S != I, as built and moved."""
+    rng = random.Random(31)
+    ts = [
+        conjugate(rng, [jordan_block(2, GQ(1)), jordan_block(1, GQ(2))]),
+        companion(-2, 0),
+        conjugate(rng, [jordan_block(3, GQ(0, 1))]),
+        conjugate(rng, [jordan_block(2, GQ(1)), jordan_block(1, GQ(1))]),
+        Matrix.block_diag([companion(-2, 0), companion(-2, 0)]),
+        Matrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 2]]),
+        conjugate(rng, [jordan_block(2, GQ(0, 1)), jordan_block(1, GQ(1, -1)), jordan_block(1, GQ(Fraction(1, 2), 1))]),
+    ]
+    systems = [single_operator_system(t) for t in ts]
+    for t in ts[:4] + [gaussian_integer_matrix(rng, 3, 3)]:
+        systems.append(operator_system(t, random_invertible(rng, t.rows)))
+    return systems + [s.apply(random_invertible(rng, s.ambient_dim)) for s in systems[::3]]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_framed_search_equals_the_search_on_the_lifted_basis(seed):
+    # the search on the k x k commutant elements gives what the search on
+    # their 2k x 2k lifts W^-1 diag(X, S^-1 X S) W gives, kernels and all
+    statuses = set()
+    for s in framed_cases():
+        framed = end_algebra(s)
+        assert framed.frame is not None
+        plain = EndAlgebra(basis=framed.basis)
+        got, want = find_nontrivial_idempotent(framed, seed), find_nontrivial_idempotent(plain, seed)
+        assert (got.status, got.attempts, got.semisimple_dim) == (want.status, want.attempts, want.semisimple_dim)
+        assert got.kernels == want.kernels and got.w0 == want.w0
+        assert framed.semisimple_dim() == plain.semisimple_dim()
+        assert [framed.frame.lift(r) for r in framed.radical_basis()] == plain.radical_basis()
+        statuses.add(got.status)
+    assert statuses == {"found", "local", "complex_only"}
+
+
+def test_operator_end_algebra_lifts_its_basis_only_when_read(monkeypatch):
+    # decompose and the search never build the 2k x 2k elements of End(S_T)
+    lifts = []
+    original = dec.OperatorFrame.lift
+
+    def counting(self, x):
+        lifts.append(x.rows)
+        return original(self, x)
+
+    monkeypatch.setattr(dec.OperatorFrame, "lift", counting)
+    s = single_operator_system(conjugate(random.Random(5), [jordan_block(2, GQ(1)), jordan_block(2, GQ(0, 1))]))
+    tree = decompose(s, seed=2)
+    assert len(tree.components) == 2 and tree.certified()
+    assert lifts == []
+    alg = end_algebra(s)
+    assert len(alg.basis) == alg.dim == 4
+    assert all(b.rows == 8 for b in alg.basis)
+    # built once, on the first read
+    assert lifts == [4] * 4
+
+
+def test_decompose_of_s_t_takes_no_minimal_polynomial_larger_than_t(monkeypatch):
+    # every candidate of End(S_T), T = diag(1, ..., 12), is searched as a
+    # 12 x 12 commutant element, not as its 24 x 24 lift; the candidate T
+    # is the commutant basis element itself, so it reuses the mu_T that
+    # commutant_basis took, and each child, in C^2, takes mu of a 1 x 1 T
+    sizes, runs = [], []
+    original, krylov = Matrix.minimal_polynomial, Matrix._krylov_minimal_polynomial
+
+    def recording(self):
+        sizes.append(self.rows)
+        return original(self)
+
+    def counting(self):
+        runs.append(self.rows)
+        return krylov(self)
+
+    monkeypatch.setattr(Matrix, "minimal_polynomial", recording)
+    monkeypatch.setattr(Matrix, "_krylov_minimal_polynomial", counting)
+    s = single_operator_system(Matrix.block_diag([Matrix.from_rows([[r]]) for r in range(1, 13)]))
+    tree = decompose(s, seed=0)
+    assert len(tree.components) == 12 and tree.certified()
+    assert verify_decomposition(s, tree)
+    assert max(sizes) == 12
+    assert runs == [12] + [1] * 12
+
+
+def test_jordan_oracle_and_strong_irreducibility_share_one_krylov_run(monkeypatch):
+    runs = []
+    original = Matrix._krylov_minimal_polynomial
+
+    def counting(self):
+        runs.append(self.rows)
+        return original(self)
+
+    monkeypatch.setattr(Matrix, "_krylov_minimal_polynomial", counting)
+    t = conjugate(random.Random(11), [jordan_block(2, GQ(1)), jordan_block(1, GQ(0, 1))])
+    assert jordan_oracle(t).certified
+    assert not strongly_irreducible(t)
+    assert t.minimal_polynomial() is t.minimal_polynomial()
+    assert runs == [3]
+
+
 def sylvester_commutant(t):
     """Reference: the commutant as the nullspace of T^T (x) I - I (x) T."""
     n = t.rows

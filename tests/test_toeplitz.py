@@ -642,7 +642,7 @@ def record_oracle_runs(monkeypatch):
 
 
 @pytest.mark.parametrize("b", [2, 3, 4, 5, 6])
-def test_pooled_oracle_matches_sequential_bit_for_bit(b, monkeypatch):
+def test_each_oracle_reduction_equals_a_direct_call(b, monkeypatch):
     # each of the oracle's four reductions equals a direct call on the tall
     # truncation it reduced
     sym = two_sided_lab_symbol(random.Random(b), b)
