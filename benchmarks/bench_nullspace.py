@@ -2,11 +2,13 @@
 """Time exact elimination on its two paths: fraction-free Bareiss
 (`kernel.ffgj`, as in `Matrix._nullspace_ffgj`) and the multimodular lift
 (`relpos.modular`, exact check included, run past its shape gate and its
-price), checking that both give the same result.  Every exact elimination
+budget), checking that both give the same result.  Every exact elimination
 (`rref`, `nullspace`, `rank`, `solve`, `inverse` and the Krylov step of
 `minimal_polynomial`) takes the lift only where both sides of the matrix
-reach `relpos.modular.MIN_SIDE` and `relpos.modular._lifting_pays` accepts
-the price; the gate is read against these tables.  Four tables:
+reach `relpos.modular.MIN_SIDE`, and keeps it only while the primes spent
+cost less than half of `relpos.modular._bareiss_price`; past that it falls
+back to Bareiss.  The gate and the budget are read against these tables.
+Four tables:
 
 1. Classify traffic.  Every exact nullspace that `decompose`,
    `are_isomorphic` and `phi_plus` take on random 2-, 3- and 4-subspace
@@ -16,8 +18,9 @@ the price; the gate is read against these tables.  Four tables:
    intersections (dim a + dim b columns).  Each column count is timed as
    one batch per path, the paths taking turns, best of seven.  "rows"
    gives the fewest and most rows in the batch, "lifted" the matrices that
-   pass the gate and the price, and "routed s" the time of
-   `Matrix.nullspace`, which takes Bareiss for the others.
+   pass the gate and finish within the budget, and "routed s" the time of
+   `Matrix.nullspace`, which takes Bareiss for the others, after what a
+   lift that started spent of its budget.
 2. Hom constraints of the operator workload, 36 to 144 columns.
 3. Wide generic matrices with large kernels and large entries, whose lifts
    run to the Hadamard bound, with the path `Matrix.nullspace` takes
@@ -81,13 +84,14 @@ def batch_times(fns, mats):
 
 
 def unrouted(fn, *args):
-    """fn(*args) with the shape gate and the price of the lift switched off."""
-    gate, price = modular.MIN_SIDE, modular._lifting_pays
-    modular.MIN_SIDE, modular._lifting_pays = 1, lambda *args: True
+    """fn(*args) with the shape gate off and a budget no lift here spends."""
+    gate, price = modular.MIN_SIDE, modular._bareiss_price
+    modular.MIN_SIDE = 1
+    modular._bareiss_price = lambda *args: 1000 * price(*args)
     try:
         return fn(*args)
     finally:
-        modular.MIN_SIDE, modular._lifting_pays = gate, price
+        modular.MIN_SIDE, modular._bareiss_price = gate, price
 
 
 def lift(m):
@@ -106,7 +110,7 @@ def compare(m):
 
 
 def route(m):
-    """The path every exact elimination of m takes: gate and price."""
+    """The path every exact elimination of m takes: gate and budget."""
     re, im = m._primitive_rows()
     return "bareiss" if modular.nullspace(re, im, m.rows, m.cols) is None else "lift"
 
@@ -245,8 +249,8 @@ def main():
         print(f"{n:>3} {n:>5} x {2 * n:<3} {len(mats):>6} {t_ff:>10.4f} {t_mod:>10.4f} "
               f"{t_ff / t_mod:>5.2f}x {route(mats[0]):>7}")
     print(f"\nrelpos.modular.MIN_SIDE = {modular.MIN_SIDE}: a matrix takes the lift only with "
-          f"at least {modular.MIN_SIDE} rows and {modular.MIN_SIDE} columns, and only where "
-          "_lifting_pays accepts its price")
+          f"at least {modular.MIN_SIDE} rows and {modular.MIN_SIDE} columns, and keeps it only "
+          "while its primes cost less than half of _bareiss_price")
 
 
 if __name__ == "__main__":

@@ -16,11 +16,16 @@ echelon form) is then certified by one exact product C @ N = 0 over Z[i]:
 each column of N shows that its free column depends on earlier pivot
 columns over Q(i), so the pivots over Q(i) are exactly those mod p and N is
 exactly the canonical nullspace basis, from which the rref is read.  A failed
-check adds a prime; past a prime budget derived from the Hadamard bound the
-caller (`relpos.matrix._echelon`) falls back to fraction-free elimination, so
-no uncertified result is ever returned.  It falls back at once for a side
-under MIN_SIDE, before any array is built, and when the worst-case lift would
-cost more than that elimination (`_lifting_pays`), before or after one prime.
+check adds a prime.
+
+The lift runs on one budget: once the first prime fixes the rank,
+`_bareiss_price` prices the fraction-free elimination that the caller
+(`relpos.matrix._echelon`) would otherwise run, each prime is charged what it
+costs in the same unit, and once the charges pass half the price the caller
+runs that elimination instead.  So no uncertified result is returned, and
+where the price is right a lift that does not finish adds at most half of
+that elimination's time.  A side under MIN_SIDE falls back at once, before
+any array is built.
 """
 
 from __future__ import annotations
@@ -154,21 +159,14 @@ def _row_log2_norms(are, aim):
     return sorted((math.log2(v) / 2 for v in sq if v), reverse=True)
 
 
-def _lifting_pays(nrows, ncols, nullity, images, log2h, bignum=False):
-    """Whether the worst-case lift costs less than fraction-free elimination.
-
-    The real and imaginary parts of the rank x nullity echelon entries of
-    each image have numerators and denominators up to H^images, so
-    reconstructing them takes at most 2 * images * log2 H bits of 31-bit
-    primes: rank * nullity * images CRT updates per prime, and, with entries
-    past int64 (`bignum`), nrows * ncols * images Python reductions.  Bareiss
-    makes rank * nrows * ncols cell updates on entries of the same sizes.  Hom
-    constraints (small kernels) pass; wide matrices with large kernels and
-    large entries, whose lifts run to the bound, do not, nor sparse ones with
-    a few huge entries, which Bareiss barely touches."""
-    primes = 2 * images * log2h / 31
-    cost = (ncols - nullity) * nullity + (nrows * ncols if bignum else 0)
-    return cost * images * primes <= (ncols - nullity) * nrows * ncols
+def _bareiss_price(nrows, ncols, rank, log2h):
+    """What fraction-free elimination costs, in the unit the lift is charged
+    in (one cell update on word-size entries, about 0.15 us in CPython on a
+    2-core Xeon): rank * nrows * ncols cell updates on entries that grow to
+    about log2h bits, the Hadamard bound on the rank x rank minors.  An
+    update costs a little more than linearly in that length, as long
+    products do (Karatsuba)."""
+    return rank * nrows * ncols * (1 + log2h / 50) ** 1.2
 
 
 def _images(are, aim, p, s):
@@ -256,7 +254,7 @@ def nullspace(re, im, nrows, ncols):
     """Canonical nullspace of the Z[i] matrix (re + i*im), flat row-major.
 
     Returns a Nullspace, or None (the caller then eliminates exactly) for a
-    side under MIN_SIDE, a lift that does not pay or a spent prime budget."""
+    side under MIN_SIDE or once the lift has spent half of `_bareiss_price`."""
     if nrows < MIN_SIDE or ncols < MIN_SIDE:
         return None
     bits = max(max(re), -min(re), max(im), -min(im)).bit_length()
@@ -264,46 +262,44 @@ def nullspace(re, im, nrows, ncols):
     real = not any(im)
     are = np.array(re, dtype=dtype).reshape(nrows, ncols)
     aim = None if real else np.array(im, dtype=dtype).reshape(nrows, ncols)
-    # The Hadamard bound H on the rank x rank minors caps numerators and
-    # denominators of the echelon entries at H^images, so 2 * images * log2 H
-    # bits reconstruct them, and the unlucky primes multiply to at most H^2.
-    # The lift is priced first at the largest rank the shape allows, then at
-    # the rank of the first prime.
     norms = _row_log2_norms(are, aim)
+    # Each prime is charged for reducing the entries of its images (only past
+    # int64 a Python operation per entry, growing with its bits), for
+    # eliminating them (a numpy pass per column, more per pivot, and the
+    # updates of a dense matrix), for CRT and reconstruction on the modulus
+    # it grows to, and for the exact check when one is made.
     images = 1 if real else 2
-    rank = min(len(norms), ncols)
-    if not _lifting_pays(nrows, ncols, ncols - rank, images, sum(norms[:rank])):
-        return None
-    budget = math.inf
+    reduce = 0
+    if dtype is object:
+        entry_bits = sum(map(int.bit_length, itertools.chain(re, im)))
+        reduce = images * nrows * ncols / 3 + entry_bits / 200
+    price = math.inf
     spent = 0.0
     lift = None
     discarded = checks = 0
     for i in itertools.count():
-        if spent > budget:
+        if 2 * spent > price:
             return None
         p, s = prime(i)
-        spent += math.log2(p)
         imgs = _images(are, aim, p, s)
         keys = [(-len(pv), pv) for pv in (_rref_mod(img, p) for img in imgs)]
         key = min(keys)
-        if i == 0:
-            rank = len(key[1])
-            log2h = sum(norms[:rank])
-            # entries past int64 are priced once the first prime fixed the rank
-            if not _lifting_pays(nrows, ncols, ncols - rank, images, log2h, dtype is object):
-                return None
-            budget = 6 * log2h + 64
         if lift is None or key < lift.key:
             if lift is not None:
                 discarded += lift.primes
             pivot_set = set(key[1])
             free = [c for c in range(ncols) if c not in pivot_set]
             lift = _Lift(key, free, len(key[1]) * len(free) * len(imgs))
+        rank = len(lift.key[1])
+        free = lift.free
+        if i == 0:
+            price = _bareiss_price(nrows, ncols, rank, sum(norms[:rank]))
+        m = lift.modulus.bit_length() + 31
+        elimination = images * (130 * rank + 10 * ncols + rank * nrows * ncols / 80)
+        spent += reduce + elimination + len(lift.values) * (1 + m / 200) + 2 * m
         if any(k != lift.key for k in keys):
             discarded += 1
             continue
-        rank = len(lift.key[1])
-        free = lift.free
         blocks = [img[:rank][:, free].ravel() for img in imgs]
         if real:
             residues = blocks[0].tolist()
@@ -317,6 +313,7 @@ def nullspace(re, im, nrows, ncols):
         if got is None:
             continue
         checks += 1
+        spent += nrows * ncols * len(free) / 6
         basis = _certify(re, im, nrows, ncols, lift.key[1], free, got, real)
         if basis is not None:
             return Nullspace(free, *basis, i + 1, discarded, checks)

@@ -16,13 +16,14 @@ every such ambient; `coxeter minus` up to MINUS_AMBIENT (100); `decompose`
 and `isom` past 32, where the Hom bound refuses them.
 test_coxeter_minus_and_perp_on_larger_ambients runs `coxeter minus` at 200
 and `coxeter perp` at 512 on dense subspaces, whose canonical bases take
-the multimodular lift.  The rest is slow there and is listed, with measured
-inputs, in the strict xfail test_slow_commands_on_larger_ambients, which is
-not run (each case would hold the alarm for 10 s): `decompose` and `isom`
-from ambient 8 to 32 on subspaces with large entries, where `hom_space`
-eliminates a large kernel by fraction-free Gauss-Jordan; `coxeter duality`
-at 32, whose Hom kernel is refused the lift the same way; and `coxeter
-minus` on four zero subspaces of C^512."""
+the multimodular lift, and `isom` and `decompose` at 10 and `coxeter plus`
+at 64, whose Hom constraints with large entries take it too (`isom` reaches
+the alarm again at 16: 10 to 11 s).  The rest is slow there and is listed,
+with measured inputs, in the strict xfail
+test_slow_commands_on_larger_ambients, which is not run (each case would
+hold the alarm for 10 s): `coxeter duality` at 32, whose Hom kernel the
+lift takes, but not inside the alarm, and `coxeter minus` on four zero
+subspaces of C^512."""
 
 import json
 import math
@@ -243,18 +244,12 @@ def four_subspaces(d, k, fractions=False, seed=0):
 # Seconds in one process on a 2-core Xeon (the coxeter ones include a
 # process start); the alarm is 10 s.
 SLOW_ON_LARGER_AMBIENTS = [
-    # 4.9 s at d = 8 and 27 s at d = 10, both exit 0: Bareiss on the Hom
-    # rows, where `_lifting_pays` refuses the lift (at d = 8 under cProfile,
-    # 5.6 of 5.7 s; factoring the minimal polynomials takes 0.07 s)
-    pytest.param(["decompose", "s.sys", "--seed", "1"], 10, 2, True, id="decompose-10"),
-    # 4.1 s at d = 8 and 28 s at d = 10
-    pytest.param(["isom", "s.sys", "s.sys"], 10, 2, True, id="isom-10"),
-    # 3.6 s at d = 20 and more than 30 s at d = 32: `_lifting_pays` refuses
-    # the lift of the Hom kernel, which fraction-free elimination then takes
+    # 2.6 s at d = 20 and 13.2 to 13.8 s at d = 32 (more than 100 s while
+    # the lift of its Hom kernel was priced at the Hadamard bound and refused)
     pytest.param(["coxeter", "duality", "s.sys"], 32, 3, False, id="coxeter-duality-32"),
-    # four zero subspaces: 15.5 s at d = 512; under cProfile 21.5 of 29 s is
-    # phi_minus (ten lifted eliminations: 6.6 s certifying products, 4.6 s
-    # reconstruction) and 7.5 s is rendering the 3 * 10^6 entries
+    # four zero subspaces: 12.3 to 12.5 s at d = 512; under cProfile 21.5 of
+    # 29 s was phi_minus (ten lifted eliminations: 6.6 s certifying products,
+    # 4.6 s reconstruction) and 7.5 s rendering the 3 * 10^6 entries
     pytest.param(["coxeter", "minus", "s.sys"], 512, 0, False, id="coxeter-minus-zero-512"),
 ]
 
@@ -262,21 +257,27 @@ SLOW_ON_LARGER_AMBIENTS = [
 @pytest.mark.xfail(
     run=False,
     strict=True,
-    reason="slow on valid larger systems: the FOUND lines on decompose, isom and coxeter in CHANGES.md",
+    reason="slow on valid larger systems: the FOUND lines on coxeter in CHANGES.md",
 )
 @pytest.mark.parametrize("argv, d, k, fractions", SLOW_ON_LARGER_AMBIENTS)
 def test_slow_commands_on_larger_ambients(run, argv, d, k, fractions):
     assert_documented(run, argv, {"s.sys": four_subspaces(d, k, fractions)})
 
 
-# 4.4 to 5.4 s and 3.5 to 4.4 s, against more than 60 s when the canonical
-# bases were reduced by fraction-free Gauss-Jordan only
-@pytest.mark.parametrize("argv, d", [
-    pytest.param(["coxeter", "minus", "s.sys"], 200, id="coxeter-minus-200"),
-    pytest.param(["coxeter", "perp", "s.sys"], 512, id="coxeter-perp-512"),
+# Seconds as above, against the time when the lift was refused or absent:
+# `coxeter minus` at 200 3.8 to 5.4 s and `coxeter perp` at 512 3.5 to 4.4 s,
+# against more than 60 s with fraction-free Gauss-Jordan only; `isom` and
+# `decompose` on Q(i)^10 with large entries 1.3 and 3.2 s, against 21 and
+# 22 s; `coxeter plus` on twenty dimensions of Q(i)^64 0.5 s, against 27 s.
+@pytest.mark.parametrize("argv, d, k, fractions", [
+    pytest.param(["coxeter", "minus", "s.sys"], 200, 3, False, id="coxeter-minus-200"),
+    pytest.param(["coxeter", "perp", "s.sys"], 512, 3, False, id="coxeter-perp-512"),
+    pytest.param(["isom", "s.sys", "s.sys"], 10, 2, True, id="isom-10"),
+    pytest.param(["decompose", "s.sys", "--seed", "1"], 10, 2, True, id="decompose-10"),
+    pytest.param(["coxeter", "plus", "s.sys"], 64, 20, False, id="coxeter-plus-64"),
 ])
-def test_coxeter_minus_and_perp_on_larger_ambients(run, argv, d):
-    code, err = run(argv, {"s.sys": four_subspaces(d, 3)})
+def test_coxeter_minus_and_perp_on_larger_ambients(run, argv, d, k, fractions):
+    code, err = run(argv, {"s.sys": four_subspaces(d, k, fractions)})
     assert code == 0, f"relpos {argv} exited {code}:\n{err}"
 
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from relpos import kernel, modular
+from relpos import kernel
 from relpos.decompose import commutant_basis
 from relpos.errors import ExactOnlyError, SingularMatrixError
 from relpos.gaussian import GQ, I, ONE, ZERO
@@ -16,6 +16,7 @@ from relpos.poly import Polynomial
 from relpos.subspace import Subspace
 from relpos.system import SubspaceSystem, hom_space
 from test_kernel import fraction_rref
+from test_modular import force_lift
 
 
 def rand_exact(rng, rows, cols, span=3):
@@ -330,8 +331,8 @@ def oracle_solve(a, b):
 
 # (rows, cols, rank): square, tall and wide, full and deficient rank, and
 # past the shape gate (modular.MIN_SIDE) on both sides, where rref, nullspace,
-# solve and inverse take the multimodular lift, since the test switches its
-# price off.
+# solve and inverse take the multimodular lift, since the test raises the
+# price of fraction-free elimination (test_modular.force_lift).
 ORACLE_SHAPES = [
     (3, 3, None), (4, 4, 2), (5, 3, None), (3, 6, None), (5, 5, 3), (4, 12, None), (6, 12, 3),
     (16, 20, None), (18, 24, 10), (16, 16, None),
@@ -340,7 +341,7 @@ ORACLE_SHAPES = [
 
 @pytest.mark.parametrize("shape", ORACLE_SHAPES)
 def test_elimination_matches_fraction_oracle(shape, monkeypatch):
-    monkeypatch.setattr(modular, "_lifting_pays", lambda *args: True)
+    force_lift(monkeypatch)
     rows, cols, rank = shape
     rng = random.Random(rows * 100 + cols * 10 + (rank or 0))
     m = mixed_matrix(rng, rows, cols, rank)

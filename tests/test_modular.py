@@ -1,6 +1,6 @@
 """The multimodular nullspace against fraction-free elimination: entry-by-entry
-equality on random and catalog matrices, unlucky primes, the routing test, the
-shape gate and the fallbacks, and the prime table."""
+equality on random and catalog matrices, unlucky primes, the shape gate, the
+budget and the fallbacks, and the prime table."""
 
 import random
 from fractions import Fraction
@@ -12,7 +12,10 @@ from relpos.catalog import build_gp4, jordan_block, single_operator_system
 from relpos.gaussian import GQ
 from relpos.matrix import Matrix
 from relpos.sampling import random_system
+from relpos.sysfile import system_from_text
 from relpos.system import _dense, _hom_rows
+
+from test_cli_fuzz import four_subspaces
 
 
 def rand_entry(rng, bits, kind):
@@ -41,12 +44,20 @@ def with_zero_rows(m, every):
     return Matrix.vstack(rows)
 
 
+def force_lift(monkeypatch):
+    """Price fraction-free elimination a thousand times higher, so that every
+    lift here runs until its check passes; one whose checks never pass still
+    stops on the budget."""
+    price = modular._bareiss_price
+    monkeypatch.setattr(modular, "_bareiss_price", lambda *args: 1000 * price(*args))
+
+
 @pytest.fixture
 def lift_always(monkeypatch):
-    """Run the lift even where the shape gate MIN_SIDE or `_lifting_pays`
-    would send the matrix to fraction-free elimination."""
+    """Run the lift even where the shape gate MIN_SIDE or the budget would
+    send the matrix to fraction-free elimination."""
     monkeypatch.setattr(modular, "MIN_SIDE", 1)
-    monkeypatch.setattr(modular, "_lifting_pays", lambda *args: True)
+    force_lift(monkeypatch)
 
 
 def modular_nullspace(m):
@@ -126,10 +137,13 @@ def test_hom_constraints_of_catalog_pairs(pair):
 
 
 def test_catalog_and_operator_hom_constraints_take_the_lift():
-    # Small kernels: the worst-case lift is cheaper than Bareiss.  (The
-    # random pair, nullity 13 of 36 columns, is sent to Bareiss although its
-    # lift would stop after two primes.)
-    for s, t in list(catalog_pairs())[:5]:
+    # Each lift stops after a few primes, well inside the budget, the random
+    # pair's (nullity 13 of 36 columns) too.  The last system, four planes
+    # in Q(i)^8 with entries n/m, |n| <= 10^6, has 48 x 64 End constraints
+    # of about 126 bits: their Hadamard bound prices Bareiss high, and the
+    # lift takes about 70 primes, ten times faster.
+    large = system_from_text(four_subspaces(8, 2, fractions=True))
+    for s, t in [*catalog_pairs(), (large, large)]:
         modular_nullspace(hom_constraints(s, t))
 
 
@@ -193,26 +207,30 @@ def count_images(monkeypatch):
     return seen
 
 
-def test_wide_large_entries_go_to_fraction_free(monkeypatch):
-    # A generic 20x40 matrix with 61-bit entries has a 20-dimensional kernel
-    # whose entries need about 180 primes; Bareiss is several times faster.
-    # The shape alone bounds the nullity from below, so no prime is tried.
-    m = rand_matrix(random.Random(9), 20, 40, None, 61, "zi")
+def routed_images(monkeypatch, m):
+    """The images the routed lift of m eliminates before its budget sends m
+    to fraction-free elimination."""
     images = count_images(monkeypatch)
     re, im = m._primitive_rows()
     assert modular.nullspace(re, im, m.rows, m.cols) is None
-    assert images == []
+    return len(images)
+
+
+def test_wide_large_entries_go_to_fraction_free(monkeypatch):
+    # A generic 20x40 matrix with 61-bit entries has a 20-dimensional kernel
+    # whose entries need 161 primes (322 images); Bareiss is several times
+    # faster, so the budget stops the lift early (after 76 images).
+    m = rand_matrix(random.Random(9), 20, 40, None, 61, "zi")
+    assert 2 <= routed_images(monkeypatch, m) < 322
     assert m.nullspace() == m._nullspace_ffgj()
 
 
 def test_large_kernel_found_by_the_first_prime_goes_to_fraction_free(monkeypatch):
-    # Square, so the shape allows full rank; the first prime shows rank 10
-    # and a 20-dimensional kernel, and the lift stops after its two images.
+    # Square, but the first prime shows rank 10 and a 20-dimensional kernel
+    # with 61-bit entries, which take 42 primes (84 images; the budget stops
+    # the lift after 36).
     m = rand_matrix(random.Random(10), 30, 30, 10, 61, "zi")
-    images = count_images(monkeypatch)
-    re, im = m._primitive_rows()
-    assert modular.nullspace(re, im, m.rows, m.cols) is None
-    assert len(images) == 2
+    assert 2 <= routed_images(monkeypatch, m) < 84
     assert m.nullspace() == m._nullspace_ffgj()
 
 
@@ -243,7 +261,8 @@ def test_inverse_traffic_stays_under_the_gate(monkeypatch):
 
 
 def test_rref_past_the_gate_takes_the_lift(monkeypatch):
-    m = rand_matrix(random.Random(13), 20, 24, None, 4, "zi")
+    # small real entries: four primes, cheaper than Bareiss
+    m = rand_matrix(random.Random(13), 20, 24, None, 2, "real")
     rre, rim, pivots, dre, dim = kernel.ffgj(*m._primitive_rows(), m.rows, m.cols)
     lifted = count_lifts(monkeypatch)
     r, got_pivots = m.rref()
@@ -253,27 +272,16 @@ def test_rref_past_the_gate_takes_the_lift(monkeypatch):
 
 
 def test_sparse_matrix_with_a_huge_entry_goes_to_fraction_free(monkeypatch):
-    # [I | B] with one 997-bit entry in B: the lift would need about 65 primes,
-    # each reducing all 480 Python ints, while Bareiss barely touches the
-    # huge entry.  The first prime fixes the rank and the price refuses.
+    # [I | B] with one 997-bit entry in B: the lift needs 65 primes (65
+    # images), each reducing all 480 Python ints, while Bareiss barely
+    # touches the huge entry.  The budget stops the lift before its end
+    # (after 40 images).
     rng = random.Random(14)
     m = Matrix.hstack([Matrix.identity(20), rand_matrix(rng, 20, 4, None, 3, "real")])
     m = m + Matrix.exact(20, 24, [10**300 if k == 23 else 0 for k in range(20 * 24)])
     rre, rim, pivots, dre, dim = kernel.ffgj(*m._primitive_rows(), m.rows, m.cols)
-    images = count_images(monkeypatch)
-    re, im = m._primitive_rows()
-    assert modular.nullspace(re, im, m.rows, m.cols) is None
-    assert len(images) == 1
+    assert 2 <= routed_images(monkeypatch, m) < 65
     assert m.rref() == (Matrix._ints(m.rows, m.cols, rre, rim, dre, dim), tuple(pivots))
-
-
-def test_lifting_pays():
-    # iso4 Hom constraint: 80 x 81, nullity 1, log2 H about 1300.
-    assert modular._lifting_pays(80, 81, 1, 2, 1300)
-    # The 20x40 matrix above: nullity 20, log2 H about 1270.
-    assert not modular._lifting_pays(20, 40, 20, 2, 1270)
-    # A zero matrix needs no prime beyond the first.
-    assert modular._lifting_pays(3, 40, 40, 1, 0)
 
 
 def test_prime_table():
