@@ -12,12 +12,11 @@ from __future__ import annotations
 import functools
 import re as _re
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import DimensionMismatch, InvariantViolation, ParseError, quote
 from .gaussian import GQ, ONE, format_gq, parse_gq
 from .matrix import EXACT, Matrix
-from .subspace import Subspace, intersect, sum_
+from .subspace import Subspace
 from .system import SubspaceSystem, permute, transposition
 
 GP4_FAMILIES = (

@@ -23,9 +23,9 @@ from .errors import (
     UncertifiedError,
     quote,
 )
-from .gaussian import GQ, format_gq, parse_gq
+from .gaussian import format_gq, parse_gq
 from .matrix import DEFAULT_TOL
-from .sysfile import SystemFile, parse as parse_sysfile, render, system_from_text
+from .sysfile import render, system_from_text
 from .system import defect, intersection_diagram
 from .toeplitz import (
     LaurentSymbol,
@@ -104,7 +104,7 @@ def _emit(report: dict, args) -> None:
 def cmd_catalog(args) -> int:
     key = CatalogKey.parse(args.key)
     s = build(key)
-    text = render(SystemFile.from_system(s, metadata={"catalog-key": key.text()}))
+    text = render(s, {"catalog-key": key.text()})
     if args.output:
         try:
             with open(args.output, "w", encoding="utf-8") as fh:
@@ -164,10 +164,7 @@ def cmd_isom(args) -> int:
         "reason": res.reason,
     }
     if res.witness is not None:
-        report["witness_rows"] = [
-            " ".join(format_gq(res.witness.entry(i, j)) for j in range(res.witness.cols))
-            for i in range(res.witness.rows)
-        ]
+        report["witness_rows"] = [" ".join(row) for row in res.witness.row_texts()]
     _emit(report, args)
     return EXIT_OK if res.status != "undecided" else EXIT_UNCERTIFIED
 
@@ -194,8 +191,7 @@ def cmd_coxeter(args) -> int:
         out = phi_minus(s).system
     else:
         out = phi_zero(s).system
-    meta = {"coxeter": args.functor}
-    sys.stdout.write(render(SystemFile.from_system(out, metadata=meta)))
+    sys.stdout.write(render(out, {"coxeter": args.functor}))
     return EXIT_OK
 
 

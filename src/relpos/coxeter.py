@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 from .decompose import are_isomorphic, decompose
 from .errors import InvariantViolation
-from .matrix import EXACT, Matrix
-from .subspace import Subspace, image_under, orthoprojection
+from .matrix import Matrix
+from .subspace import Subspace, orthoprojection
 from .system import SubspaceSystem, defect, predicates, zero_system
 
 

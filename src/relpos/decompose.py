@@ -228,6 +228,26 @@ def _split_candidate(x: Matrix, frame: OperatorFrame | None = None):
     return _primary_split(x, parts, frame), False
 
 
+def _combine(basis: list, coeffs):
+    x = Matrix.zeros(basis[0].rows, basis[0].cols)
+    for c, b in zip(coeffs, basis):
+        if c:
+            x = x + b.scale(GQ(c))
+    return x
+
+
+def _candidates(basis: list, seed: int):
+    """The one candidate stream of both searches: the basis, then
+    SEARCH_ATTEMPTS combinations of it whose coefficients random.Random(seed)
+    draws from [-SEARCH_SPAN, SEARCH_SPAN]; an all-zero draw is skipped."""
+    yield from basis
+    rng = random.Random(seed)
+    for _ in range(SEARCH_ATTEMPTS):
+        coeffs = [rng.randint(-SEARCH_SPAN, SEARCH_SPAN) for _ in basis]
+        if any(coeffs):
+            yield _combine(basis, coeffs)
+
+
 def find_nontrivial_idempotent(alg: EndAlgebra, seed: int = 0) -> IdempotentSearch:
     """A deterministic sweep of the basis and seeded integer combinations
     that stops at the first candidate x whose minimal polynomial has k >= 2
@@ -247,25 +267,9 @@ def find_nontrivial_idempotent(alg: EndAlgebra, seed: int = 0) -> IdempotentSear
     if alg.dim <= 1 or alg.ambient_dim == 0:
         return IdempotentSearch(status="local", semisimple_dim=alg.semisimple_dim())
 
-    d = alg.elements[0].rows
-    rng = random.Random(seed)
     attempts = 0
     saw_nonsplit = False
-
-    def candidates():
-        for b in alg.elements:
-            yield b
-        for _ in range(SEARCH_ATTEMPTS):
-            coeffs = [rng.randint(-SEARCH_SPAN, SEARCH_SPAN) for _ in range(alg.dim)]
-            if not any(coeffs):
-                continue
-            x = Matrix.zeros(d, d)
-            for c, b in zip(coeffs, alg.elements):
-                if c:
-                    x = x + b.scale(GQ(c))
-            yield x
-
-    for x in candidates():
+    for x in _candidates(alg.elements, seed):
         attempts += 1
         if x.is_scalar():
             continue
@@ -383,15 +387,6 @@ def _verify_iso_witness(s, t, w) -> bool:
     return t == s.apply(w)
 
 
-def _combine(hom: list, coeffs):
-    d_t, d_s = hom[0].rows, hom[0].cols
-    x = Matrix.zeros(d_t, d_s)
-    for c, b in zip(coeffs, hom):
-        if c:
-            x = x + b.scale(GQ(c))
-    return x
-
-
 def _find_invertible_hom(hom: list, d: int, seed: int):
     """Invertible combination of a Hom basis.
 
@@ -403,15 +398,7 @@ def _find_invertible_hom(hom: list, d: int, seed: int):
     if hom[0].rows != hom[0].cols:
         return None, True
     m = len(hom)
-    for b in hom:
-        if b.is_invertible():
-            return b, False
-    rng = random.Random(seed)
-    for _ in range(SEARCH_ATTEMPTS):
-        coeffs = [rng.randint(-SEARCH_SPAN, SEARCH_SPAN) for _ in range(m)]
-        if not any(coeffs):
-            continue
-        x = _combine(hom, coeffs)
+    for x in _candidates(hom, seed):
         if x.is_invertible():
             return x, False
     if (d + 1) ** m > GRID_BUDGET:

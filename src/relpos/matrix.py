@@ -19,7 +19,7 @@ import numpy as np
 
 from . import kernel, modular
 from .errors import BackendMismatch, DimensionMismatch, ExactOnlyError, SingularMatrixError
-from .gaussian import GQ, ZERO, ONE
+from .gaussian import GQ, ZERO, ONE, format_cfloat, format_gq
 
 EXACT = "exact"
 FLOAT = "float"
@@ -238,12 +238,20 @@ class Matrix:
             return self
         return Matrix.from_array(self.to_array(), tol=tol)
 
+    def row_texts(self) -> list:
+        """Each row as a list of entry texts, read off the stored numbers:
+        "0" or format_gq of each exact entry, format_cfloat of each float one."""
+        if self.field == FLOAT:
+            return [[format_cfloat(z) for z in row] for row in self._f.tolist()]
+        d, c = self._den, self.cols
+        texts = [
+            format_gq(GQ._make(a, b, d)) if a or b else "0" for a, b in zip(self._re, self._im)
+        ]
+        return [texts[i * c : (i + 1) * c] for i in range(self.rows)]
+
     def __repr__(self):
         if self.field == EXACT:
-            body = "; ".join(
-                " ".join(str(self.entry(i, j)) for j in range(self.cols))
-                for i in range(self.rows)
-            )
+            body = "; ".join(" ".join(row) for row in self.row_texts())
             return f"Matrix({self.rows}x{self.cols} exact [{body}])"
         return f"Matrix({self.rows}x{self.cols} float tol={self.tol})"
 

@@ -9,7 +9,7 @@ from fractions import Fraction
 from .catalog import jordan_block
 from .errors import InvariantViolation
 from .gaussian import GQ
-from .matrix import EXACT, Matrix
+from .matrix import Matrix
 from .subspace import Subspace
 from .system import SubspaceSystem, predicates
 

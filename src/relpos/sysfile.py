@@ -19,12 +19,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .catalog import MAX_CATALOG_DIM
 from .errors import ParseError, quote
-from .gaussian import format_cfloat, format_gq, parse_cfloat, parse_gq
-from .matrix import DEFAULT_TOL, EXACT, FLOAT, Matrix
+from .gaussian import parse_cfloat, parse_gq
+from .matrix import DEFAULT_TOL, EXACT, FLOAT
 from .subspace import Subspace
 from .system import SubspaceSystem
 
@@ -50,41 +48,22 @@ class SystemFile:
             )
         return SubspaceSystem(self.ambient_dim, subs)
 
-    @staticmethod
-    def from_system(s: SubspaceSystem, names=None, metadata=None) -> "SystemFile":
-        if names is None:
-            names = [f"E{i+1}" for i in range(s.n)]
-        subspaces = []
-        for name, sub in zip(names, s.subspaces):
-            rows = []
-            basis = sub.basis
-            for j in range(basis.cols):
-                if s.field == EXACT:
-                    rows.append([basis.entry(i, j) for i in range(basis.rows)])
-                else:
-                    rows.append([complex(basis.entry(i, j)) for i in range(basis.rows)])
-            subspaces.append((name, rows))
-        return SystemFile(
-            format_version=FORMAT_VERSION,
-            field_name=FIELD_NAMES[s.field],
-            ambient_dim=s.ambient_dim,
-            subspaces=subspaces,
-            metadata=dict(metadata or {}),
-        )
 
-
-def render(f: SystemFile) -> str:
-    lines = [f"relpos-system {f.format_version}"]
-    lines.append(f"field {f.field_name}")
-    lines.append(f"ambient {f.ambient_dim}")
-    exact = f.field_name == FIELD_NAMES[EXACT]
-    fmt = format_gq if exact else format_cfloat
-    for name, rows in f.subspaces:
-        lines.append(f"subspace {name} dim {len(rows)}")
-        for row in rows:
-            lines.append(" ".join(fmt(x) for x in row))
-    for key in sorted(f.metadata):
-        lines.append(f"meta {key} {f.metadata[key]}")
+def render(s: SubspaceSystem, metadata=None) -> str:
+    """The system file of s: subspace i is E<i> and lists its canonical
+    basis, one vector per line; the metadata follows, sorted by key."""
+    lines = [
+        f"relpos-system {FORMAT_VERSION}",
+        f"field {FIELD_NAMES[s.field]}",
+        f"ambient {s.ambient_dim}",
+    ]
+    for i, sub in enumerate(s.subspaces):
+        rows = sub.basis.transpose().row_texts()
+        lines.append(f"subspace E{i + 1} dim {len(rows)}")
+        lines += map(" ".join, rows)
+    metadata = metadata or {}
+    for key in sorted(metadata):
+        lines.append(f"meta {key} {metadata[key]}")
     return "\n".join(lines) + "\n"
 
 
@@ -166,10 +145,6 @@ def parse(text: str) -> SystemFile:
         subspaces=subspaces,
         metadata=metadata,
     )
-
-
-def system_to_text(s: SubspaceSystem, metadata=None) -> str:
-    return render(SystemFile.from_system(s, metadata=metadata))
 
 
 def system_from_text(text: str, tol: float = DEFAULT_TOL) -> SubspaceSystem:

@@ -32,7 +32,7 @@ from .errors import (
     UncertifiedError,
     quote,
 )
-from .gaussian import GQ, ONE, ZERO, format_gq, parse_gq
+from .gaussian import GQ, ONE, ZERO, parse_gq
 from .matrix import DEFAULT_TOL, EXACT, Matrix
 from .poly import MAX_EXACT_COUNT_BITS, Polynomial, disk_zero_counts
 from .subspace import Subspace, principal_angles
@@ -143,12 +143,8 @@ class LaurentSymbol:
     def text(self) -> str:
         parts = [f"block={self.block_size}"]
         for k, m in self.coeffs:
-            rows = []
-            for i in range(self.block_size):
-                rows.append(
-                    "[" + ",".join(format_gq(m.entry(i, j)) for j in range(m.cols)) + "]"
-                )
-            parts.append(f"k:{k}=[" + ",".join(rows) + "]")
+            rows = ",".join("[" + ",".join(row) + "]" for row in m.row_texts())
+            parts.append(f"k:{k}=[{rows}]")
         return "; ".join(parts)
 
     @staticmethod

@@ -22,22 +22,11 @@ from .catalog import (
 )
 from .coxeter import check_duality, phi_minus, phi_plus
 from .decompose import are_isomorphic, decompose, jordan_oracle, strongly_irreducible, verify_decomposition
-from .errors import InvariantViolation
 from .gaussian import GQ, format_gq
 from .matrix import Matrix
-from .sampling import (
-    random_jordan_conjugate,
-    random_reduced_above_system,
-    random_subspace,
-    random_system,
-)
+from .sampling import random_jordan_conjugate, random_reduced_above_system, random_system
 from .subspace import Subspace, intersect, image_under
-from .system import (
-    SubspaceSystem,
-    defect,
-    is_bounded_operator_system,
-    predicates,
-)
+from .system import SubspaceSystem, defect, is_bounded_operator_system
 from .toeplitz import (
     LaurentSymbol,
     exotic_report,

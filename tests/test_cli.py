@@ -67,20 +67,53 @@ def run_cli(args, stdin_text=None, capsys=None):
 def test_sysfile_roundtrip_bytes():
     import random
 
+    from relpos.subspace import Subspace
+
     rng = random.Random(5)
     s = random_system(rng, 4, 3)
-    text = sysfile.system_to_text(s, metadata={"origin": "test"})
+    extra = Subspace.span_rows(
+        4, [[1, 0, GQ(0, -1), GQ(0, Fraction(5, 3))], [0, 1, GQ(0, 1), Fraction(-7, 2)]]
+    )
+    s = SubspaceSystem(4, list(s.subspaces) + [extra])
+    meta = {"origin": "test", "note": "two words"}
+    text = sysfile.render(s, meta)
+    # every branch of format_gq: i, -i, a pure imaginary and Gaussian fractions
+    assert text == (
+        "relpos-system 1\nfield gaussian-rational\nambient 4\n"
+        "subspace E1 dim 4\n1 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1\n"
+        "subspace E2 dim 2\n1 0 -38/37-6/37i 17/37+28/37i\n0 1 -21/37-15/37i 24/37+33/37i\n"
+        "subspace E3 dim 2\n1 0 19/17+8/17i 14/17+22/17i\n0 1 -8/17+2/17i 12/17-20/17i\n"
+        "subspace E4 dim 2\n1 0 -i 5/3i\n0 1 i -7/2\n"
+        "meta note two words\nmeta origin test\n"
+    )
     parsed = sysfile.parse(text)
-    assert sysfile.render(parsed) == text
+    assert parsed.metadata == meta
+    assert sysfile.render(parsed.to_system(), parsed.metadata) == text
     assert parsed.to_system() == s
 
 
 def test_sysfile_float_roundtrip():
+    from relpos.gaussian import format_cfloat
+
     s = build_gp3(9).to_float()
-    text = sysfile.system_to_text(s)
-    back = sysfile.parse(text).to_system()
+    back = sysfile.parse(sysfile.render(s)).to_system()
     assert back.ambient_dim == 2
     assert back.dims() == (1, 1, 1)
+    # signed zeros, exponents and imaginary parts: each line is the
+    # format_cfloat text of the canonical basis entries, one vector a line
+    x1 = sysfile.parse(
+        "relpos-system 1\nfield complex-float\nambient 3\n"
+        "subspace E1 dim 2\n-0.0 .5i 1.0\n2e-3-0.25i 1.0 -0.0\n"
+        "subspace E2 dim 2\n.5i -0.0 2e-3-0.25i\n0.25 1.0 .5i\n"
+        "subspace E3 dim 1\n-0.0 -1.0 0.0\n"
+    ).to_system()
+    want = ["relpos-system 1", "field complex-float", "ambient 3"]
+    for k, sub in enumerate(x1.subspaces):
+        b = sub.basis
+        want.append(f"subspace E{k + 1} dim {b.cols}")
+        for j in range(b.cols):
+            want.append(" ".join(format_cfloat(complex(b.entry(i, j))) for i in range(b.rows)))
+    assert sysfile.render(x1).splitlines() == want
 
 
 def test_sysfile_rejects_garbage():

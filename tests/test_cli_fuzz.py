@@ -247,9 +247,9 @@ SLOW_ON_LARGER_AMBIENTS = [
     # 2.6 s at d = 20 and 13.2 to 13.8 s at d = 32 (more than 100 s while
     # the lift of its Hom kernel was priced at the Hadamard bound and refused)
     pytest.param(["coxeter", "duality", "s.sys"], 32, 3, False, id="coxeter-duality-32"),
-    # four zero subspaces: 12.3 to 12.5 s at d = 512; under cProfile 21.5 of
-    # 29 s was phi_minus (ten lifted eliminations: 6.6 s certifying products,
-    # 4.6 s reconstruction) and 7.5 s rendering the 3 * 10^6 entries
+    # four zero subspaces: 9.5 to 9.9 s at d = 512 under the 1 GiB cap, 0.34 s
+    # of it writing the 3 * 10^6 entries; the rest is phi_minus (ten lifted
+    # eliminations)
     pytest.param(["coxeter", "minus", "s.sys"], 512, 0, False, id="coxeter-minus-zero-512"),
 ]
 
