@@ -31,6 +31,8 @@ then `decompose --seed 7` on S_T for T = W (diag(1, 2, -1) + J_2(i)) W^-1,
 W = sampling.random_invertible(random.Random(0), 5), whose first split has
 four parts, then `decompose --seed 3` on S_{T,S} for T = J_2(1) + J_1(2)
 and an integer S != I with det S = 1 (its End is lifted through S^-1),
+then `decompose` on S_T for T = diag(7, ..., 36) (thirty leaves, each
+split factoring a minimal polynomial of degree up to 30),
 all with `--json` before the subcommand,
 against the `src/` next to this script (which it also imports to build W).
 Prints one line per command: the command, its exit code and the sha256 of
@@ -273,6 +275,9 @@ MULTI_PART_FILES = {"t3.sys": _operator_sysfile(_multi_part_rows())}
 TWO_OPERATOR_FILES = {
     "u0.sys": _operator_sysfile([[1, 1, 0], [0, 1, 0], [0, 0, 2]], [[1, 0, 1], [0, 1, 0], [0, 1, 1]]),
 }
+# appended after that: S_T for T = diag(7, ..., 36), whose minimal
+# polynomial has degree 30
+DIAGONAL_FILES = {"t4.sys": _operator_sysfile([[7 + i if i == j else 0 for j in range(30)] for i in range(30)])}
 DOCUMENTED_EXIT_CODES = {0, 2, 3, 4}
 
 
@@ -303,6 +308,8 @@ def _commands():
         yield ("decompose", name, "--seed", "7"), None
     for name in TWO_OPERATOR_FILES:
         yield ("decompose", name, "--seed", "3"), None
+    for name in DIAGONAL_FILES:
+        yield ("decompose", name), None
 
 
 def _sha(data: bytes) -> str:
@@ -315,7 +322,7 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as work:
         files = (
             OPERATOR_FILES | SUM_FILES | PAIR_FILES | SCALAR_FILES | TINY_ANGLE_FILES
-            | COMMUTANT_ORDER_FILES | MULTI_PART_FILES | TWO_OPERATOR_FILES
+            | COMMUTANT_ORDER_FILES | MULTI_PART_FILES | TWO_OPERATOR_FILES | DIAGONAL_FILES
         )
         for name, text in files.items():
             with open(os.path.join(work, name), "w") as fh:

@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 
 from .errors import (
-    DegreeBoundExceeded,
     DimensionMismatch,
     ExactOnlyError,
     InvariantViolation,
@@ -217,11 +216,7 @@ def _split_candidate(x: Matrix, frame: OperatorFrame | None = None):
     """(split, nonsplit): _primary_split along the coprime parts of mu_x,
     or None when there are fewer than two, and whether mu_x showed a factor
     that is not linear over Q(i)."""
-    try:
-        rep = factor_over_gaussian_rationals(x.minimal_polynomial())
-    except DegreeBoundExceeded:
-        # too large to factor: this candidate cannot split
-        return None, False
+    rep = factor_over_gaussian_rationals(x.minimal_polynomial())
     parts = rep.coprime_parts()
     if len(parts) < 2:
         return None, rep.remainder is not None or any(f.degree > 1 for f, _ in rep.factors)

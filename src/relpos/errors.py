@@ -25,10 +25,6 @@ class SingularMatrixError(RelposError):
     """A map required to be invertible is singular."""
 
 
-class DegreeBoundExceeded(RelposError):
-    """Polynomial factoring past the configured degree bound."""
-
-
 class DegenerateSymbolError(RelposError):
     """A Toeplitz symbol with identically vanishing determinant."""
 

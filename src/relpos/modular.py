@@ -26,6 +26,11 @@ runs that elimination instead.  So no uncertified result is returned, and
 where the price is right a lift that does not finish adds at most half of
 that elimination's time.  A side under MIN_SIDE falls back at once, before
 any array is built.
+
+The same primes and the same CRT and reconstruction (`_Lift`) serve the
+multimodular gcd of `relpos.poly.Polynomial.gcd`, which runs Euclid on the
+two images of a pair of polynomials and certifies its candidate by exact
+division.
 """
 
 from __future__ import annotations
@@ -47,8 +52,9 @@ MIN_SIDE = 16
 # Primes below 2**31 keep every product of two residues inside int64.
 _PRIME_CEILING = 2**31
 # (p, s) pairs, p = 1 (mod 4) and s*s = -1 (mod p): descending from
-# _PRIME_CEILING for the lifts here, ascending from 2**8 for the roots of
-# `relpos.poly._gaussian_roots`, which evaluates at every residue.
+# _PRIME_CEILING for the lifts here and the gcds of `relpos.poly`, ascending
+# from 2**8 for the roots of `relpos.poly._gaussian_roots`, which evaluates
+# at every residue.
 _PRIMES: list = []
 _SMALL_PRIMES: list = []
 
@@ -200,11 +206,12 @@ class Nullspace:
 
 
 class _Lift:
-    """CRT accumulation and reconstruction of the echelon entries."""
+    """CRT accumulation and reconstruction of count rationals (the echelon
+    entries here, the gcd coefficients in `relpos.poly`) from images that
+    share the key."""
 
-    def __init__(self, key, free, count):
+    def __init__(self, key, count):
         self.key = key
-        self.free = free
         self.modulus = 1
         self.primes = 0
         self.values = [0] * count  # residues mod modulus, real parts then imaginary
@@ -289,9 +296,8 @@ def nullspace(re, im, nrows, ncols):
                 discarded += lift.primes
             pivot_set = set(key[1])
             free = [c for c in range(ncols) if c not in pivot_set]
-            lift = _Lift(key, free, len(key[1]) * len(free) * len(imgs))
+            lift = _Lift(key, len(key[1]) * len(free) * len(imgs))
         rank = len(lift.key[1])
-        free = lift.free
         if i == 0:
             price = _bareiss_price(nrows, ncols, rank, sum(norms[:rank]))
         m = lift.modulus.bit_length() + 31

@@ -1,5 +1,6 @@
-"""Exact polynomials over Q(i): arithmetic, gcd, square-free parts,
-factoring by exact roots, and exact counts of the zeros in the unit disk.
+"""Exact polynomials over Q(i): arithmetic, a certified multimodular gcd,
+square-free parts, factoring by exact roots, and exact counts of the zeros
+in the unit disk.
 
 Factoring finds every root in Q(i) of each square-free part by p-adic
 lifting (`_gaussian_roots`): the roots modulo a small prime bound every
@@ -19,11 +20,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DegreeBoundExceeded
-from .gaussian import GQ, I, ONE, ZERO
-from .modular import small_prime
-
-DEFAULT_DEGREE_BOUND = 24
+from .gaussian import GQ, ONE, ZERO
+from .modular import _Lift, prime, small_prime
 
 
 class Polynomial:
@@ -114,30 +112,86 @@ class Polynomial:
         d = other.degree
         while len(rem) - 1 >= d and rem:
             k = len(rem) - 1 - d
-            c = rem[-1] / lead
+            # the leading term cancels: it is popped, not computed
+            c = rem.pop() / lead
             q[k] = c
-            for i, b in enumerate(other.coeffs):
+            for i, b in enumerate(other.coeffs[:-1]):
                 rem[k + i] = rem[k + i] - c * b
             while rem and not rem[-1]:
                 rem.pop()
         return Polynomial(q), Polynomial(rem)
 
-    def __floordiv__(self, other):
-        return self.divmod(other)[0]
-
-    def __mod__(self, other):
-        return self.divmod(other)[1]
-
     def derivative(self) -> "Polynomial":
         return Polynomial([GQ(i) * c for i, c in enumerate(self.coeffs)][1:])
 
-    def gcd(self, other) -> "Polynomial":
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a % b
-        if a.is_zero():
-            return a
-        return a.monic()
+    def gcd(self, other):
+        """(h, self / h, other / h) for h the monic gcd of self and other;
+        h = 0 with quotients 1 when both are 0.
+
+        Multimodular (Brown 1971; von zur Gathen and Gerhard, *Modern
+        Computer Algebra*, ch. 6): for the primes p = 1 (mod 4) of
+        `modular.prime`, with s^2 = -1 (mod p), Euclid runs modulo p on the
+        images of the Gaussian-integer multiples of both operands under
+        i -> s and i -> -s; a prime where a leading coefficient vanishes is
+        passed over.  Every image gcd then has degree at least deg h, so an
+        image gcd of degree 0 makes h = 1 at once, and one of the degree of
+        an operand leaves that operand, made monic, as the one candidate.
+        Otherwise the primes whose two images reach the least degree seen
+        are combined (`modular._Lift`), and rational reconstruction is
+        tried each time their count grows by a quarter; a candidate that
+        the next such prime agrees with is the one candidate.  A candidate
+        is checked by exact division: a monic candidate of the least image
+        degree that divides both operands is h, since it divides h and its
+        degree is no less."""
+        if other.is_zero():
+            if self.is_zero():
+                return self, Polynomial([ONE]), Polynomial([ONE])
+            return self.monic(), Polynomial([self.leading()]), other
+        if self.is_zero():
+            return other.monic(), self, Polynomial([other.leading()])
+        parts = _gaussian_integer_parts(self), _gaussian_integer_parts(other)
+        lift = None
+        for k in itertools.count():
+            p, s = prime(k)
+            images = []
+            for t in (s, p - s):
+                f, g = ([(x + y * t) % p for x, y in zip(*q)] for q in parts)
+                if not (f[-1] and g[-1]):
+                    break
+                images.append(_gcd_mod(f, g, p))
+            if len(images) < 2:
+                continue
+            degree = min(len(h) for h in images) - 1
+            if degree == 0:
+                return Polynomial([ONE]), self, other
+            if degree == min(self.degree, other.degree):
+                # h divides the operand of that degree: made monic, it is
+                # the one candidate
+                h = (self if self.degree == degree else other).monic()
+            else:
+                if lift is None or degree < lift.key:
+                    lift, got, due = _Lift(degree, 2 * degree), None, 1
+                if any(len(h) - 1 != degree for h in images):
+                    continue
+                half = pow(2, -1, p)
+                over = half * pow(s, -1, p) % p
+                plus, minus = images[0][:degree], images[1][:degree]
+                residues = ([(u + v) * half % p for u, v in zip(plus, minus)]
+                            + [(u - v) * over % p for u, v in zip(plus, minus)])
+                h = None
+                if got is not None and all(d % p and (n - u * d) % p == 0 for (n, d), u in zip(got, residues)):
+                    coeffs = [GQ._make(xn * yd, yn * xd, xd * yd) for (xn, xd), (yn, yd) in zip(got, got[degree:])]
+                    h = Polynomial(coeffs + [ONE])
+                lift.add(residues, p)
+                got = None
+                if lift.primes >= due:
+                    got = lift.reconstruct()
+                    due = lift.primes + lift.primes // 4 + 1
+                if h is None:
+                    continue
+            (qa, ra), (qb, rb) = self.divmod(h), other.divmod(h)
+            if ra.is_zero() and rb.is_zero():
+                return h, qa, qb
 
     def eval_scalar(self, x: GQ) -> GQ:
         acc = ZERO
@@ -169,18 +223,13 @@ class Polynomial:
         p = self.monic()
         if p.degree < 1:
             return []
-        d = p.derivative()
-        a = p.gcd(d)
-        b = p // a
-        c = d // a
+        _, b, c = p.gcd(p.derivative())
         out = []
         i = 1
         while b.degree >= 1:
-            t = c - b.derivative()
-            g = b.gcd(t)
+            g, b, c = b.gcd(c - b.derivative())
             if g.degree >= 1:
-                out.append((g.monic(), i))
-            b, c = b // g, t // g
+                out.append((g, i))
             i += 1
         return out
 
@@ -212,33 +261,39 @@ class FactorReport:
     """Output of factor_over_gaussian_rationals.
 
     factors: certified (polynomial, multiplicity) pairs, linear or certified-
-    irreducible quadratic.  remainder: the rest, which has no root in Q(i)
-    and whose factors are not certified (None when fully factored).
-    Re-multiplying factors * remainder * unit reproduces the input exactly.
+    irreducible quadratic.  remainder_parts: the (part, multiplicity) pairs
+    of square-free parts with no root in Q(i) and no certified factors, by
+    increasing multiplicity; their product is the `remainder` (None when
+    fully factored).  Re-multiplying factors * remainder * unit reproduces
+    the input exactly.
     """
 
     unit: GQ
     factors: list = field(default_factory=list)
-    remainder: Polynomial | None = None
+    remainder_parts: list = field(default_factory=list)
     remainder_note: str = ""
+
+    @property
+    def remainder(self) -> Polynomial | None:
+        if not self.remainder_parts:
+            return None
+        p = Polynomial([ONE])
+        for g, m in self.remainder_parts:
+            p = p * g ** m
+        return p
 
     def product(self) -> Polynomial:
         p = Polynomial([self.unit])
-        for f, m in self.factors:
+        for f, m in self.factors + self.remainder_parts:
             p = p * f ** m
-        if self.remainder is not None:
-            p = p * self.remainder
         return p
 
     def coprime_parts(self) -> list:
         """The pairwise coprime monic parts of the input: each certified
-        factor to its multiplicity, then the square-free parts of the
-        remainder to theirs (they have distinct multiplicities).  Their
-        product is the input over its unit."""
-        parts = [f ** m for f, m in self.factors]
-        if self.remainder is not None:
-            parts += [g ** m for g, m in self.remainder.squarefree_decomposition()]
-        return parts
+        factor to its multiplicity, then each remainder part to its (they
+        have distinct multiplicities).  Their product is the input over its
+        unit."""
+        return [f ** m for f, m in self.factors] + [g ** m for g, m in self.remainder_parts]
 
     def certified_roots(self):
         """(root, multiplicity) for each certified linear factor."""
@@ -254,12 +309,32 @@ def _gaussian_integer_parts(p: Polynomial):
     return [c // g for c in re], [c // g for c in im]
 
 
+def _gcd_mod(f: list, g: list, p: int) -> list:
+    """The monic gcd modulo the prime p of the int polynomials f and g, whose
+    coefficients are residues and whose leading ones are nonzero."""
+    while g:
+        inv = pow(g[-1], -1, p)
+        g = [c * inv % p for c in g]
+        d = len(g) - 1
+        f = f[:]
+        for k in range(len(f) - 1 - d, -1, -1):
+            c = f[k + d]
+            if c:
+                f[k : k + d] = [(a - c * b) % p for a, b in zip(f[k : k + d], g)]
+        del f[d:]
+        while f and not f[-1]:
+            f.pop()
+        f, g = g, f
+    return f
+
+
 @functools.lru_cache(maxsize=4)
 def _powers(p: int, rows: int):
     """The int64 array of r^j mod p, row j for j < rows and column r for
     every residue r: `_gaussian_roots` evaluates at every residue in one
-    product.  The few tables kept are for the primes last used, which are
-    almost always the first."""
+    product.  It asks for a power of two of rows, so that the few tables
+    kept, for the primes last used (almost always the first), serve every
+    degree up to it."""
     r = np.arange(p, dtype=np.int64)
     table = [np.ones(p, dtype=np.int64)]
     for _ in range(rows - 1):
@@ -314,8 +389,7 @@ def _gaussian_roots(sf: Polynomial) -> list:
         images = [[(a + b * t) % p for a, b in zip(re, im)] for t in (s, p - s)]
         if not (images[0][n] and images[1][n]):
             continue
-        powers = _powers(p, max(n, DEFAULT_DEGREE_BOUND) + 1)[: n + 1]
-        values = np.array(images, dtype=np.int64) @ powers % p
+        values = np.array(images, dtype=np.int64) @ _powers(p, 1 << n.bit_length())[: n + 1] % p
         roots = [np.flatnonzero(row == 0).tolist() for row in values]
         if not (roots[0] and roots[1]):
             return []
@@ -346,29 +420,12 @@ def _gaussian_roots(sf: Polynomial) -> list:
 def factor_over_gaussian_rationals(p: Polynomial) -> FactorReport:
     """Factor p over Q(i): square-free decomposition, then every root of
     each part (`_gaussian_roots`); a root-free quadratic part is certified
-    irreducible and higher root-free parts are returned as a remainder.
-
-    Past DEFAULT_DEGREE_BOUND the small rational roots are taken out first,
-    with their multiplicities, and the bound applies to what is left: so
-    x^k (x - 1) factors at any k, and DegreeBoundExceeded is raised before
-    any gcd or root search on a larger cofactor."""
+    irreducible and higher root-free parts are returned as a remainder."""
     if p.is_zero():
         return FactorReport(unit=ZERO)
-    unit = p.leading()
-    report = FactorReport(unit=unit)
-    cofactor = p
-    if p.degree > DEFAULT_DEGREE_BOUND:
-        for lam in [GQ(Fraction(n, d)) * u for n in range(-6, 7) for d in (1, 2, 3) for u in (ONE, I)]:
-            mult = 0
-            while cofactor.degree >= 1 and cofactor.eval_scalar(lam).is_zero():
-                cofactor, mult = cofactor.shift_root(lam), mult + 1
-            if mult:
-                report.factors.append((Polynomial([-lam, ONE]), mult))
-        if cofactor.degree > DEFAULT_DEGREE_BOUND:
-            raise DegreeBoundExceeded(f"degree {cofactor.degree} exceeds bound {DEFAULT_DEGREE_BOUND}")
-    remainder = Polynomial([ONE])
+    report = FactorReport(unit=p.leading())
     note = ""
-    for sf, mult in cofactor.squarefree_decomposition():
+    for sf, mult in p.squarefree_decomposition():
         rest = sf
         for lam in _gaussian_roots(sf):
             report.factors.append((Polynomial([-lam, ONE]), mult))
@@ -378,10 +435,9 @@ def factor_over_gaussian_rationals(p: Polynomial) -> FactorReport:
             report.factors.append((rest, mult))
             note = "quadratic factor certified irreducible over Q(i)"
         elif rest.degree >= 1:
-            remainder = remainder * rest ** mult
+            report.remainder_parts.append((rest, mult))
             note = note or f"degree-{rest.degree} factor not certified over Q(i)"
-    if remainder.degree >= 1:
-        report.remainder = remainder
+    if report.remainder_parts:
         report.remainder_note = note
     report.factors.sort(key=lambda fm: (fm[0].degree, [str(c) for c in fm[0].coeffs]))
     return report

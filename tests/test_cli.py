@@ -163,6 +163,22 @@ def test_decompose_cli_splits_four_lines_with_large_entries():
     assert rep["certified"] and rep["witness_verified"]
 
 
+def test_decompose_cli_splits_an_operator_with_thirty_eigenvalues(tmp_path):
+    # S_T for T = diag(7, ..., 36): mu_T has degree 30 and every candidate
+    # of the search factors, so the tree has thirty certified leaves
+    from relpos.catalog import single_operator_system
+    from relpos.matrix import Matrix
+
+    t = Matrix.from_rows([[7 + i if i == j else 0 for j in range(30)] for i in range(30)])
+    path = tmp_path / "t.sys"
+    path.write_text(sysfile.render(single_operator_system(t)))
+    code, out, err = run_cli(["--json", "decompose", str(path)])
+    assert (code, err) == (0, "")
+    rep = json.loads(out)
+    assert rep["component_count"] == 30
+    assert rep["certified"] and rep["witness_verified"]
+
+
 def test_isom_cli(tmp_path):
     a = tmp_path / "a.sys"
     b = tmp_path / "b.sys"

@@ -14,7 +14,7 @@ from relpos.catalog import (
     operator_system,
     single_operator_system,
 )
-from relpos import decompose as dec, poly
+from relpos import decompose as dec
 from relpos.decompose import (
     EndAlgebra,
     _operator_end_basis,
@@ -31,7 +31,7 @@ from relpos.decompose import (
 from relpos.errors import InvariantViolation, UncertifiedError
 from relpos.gaussian import GQ
 from relpos.matrix import Matrix
-from relpos.poly import DEFAULT_DEGREE_BOUND, Polynomial
+from relpos.poly import Polynomial
 from relpos.sampling import random_invertible, random_system
 from relpos.subspace import Subspace
 from relpos.sysfile import system_from_text
@@ -536,27 +536,38 @@ def test_summands_of_a_large_operator_system_stay_on_the_commutant_route():
 
 def test_cyclic_operator_past_the_degree_bound_still_splits():
     # End(S_T) of a cyclic T has basis diag(T^j, T^j), so every candidate
-    # after I has a minimal polynomial of degree up to 26, past the bound 24;
-    # the bound applies after small roots are taken out, and x^25 (x - 1)
-    # has only small roots
+    # after I has a minimal polynomial of degree up to 26
     t = Matrix.block_diag([jordan_block(25, GQ(0)), jordan_block(1, GQ(1))])
     s = single_operator_system(t)
-    assert t.minimal_polynomial().degree > DEFAULT_DEGREE_BOUND
+    assert t.minimal_polynomial().degree == 26
     tree = decompose(s, seed=7)
     assert sorted(c.ambient_dim for c in tree.components) == [2, 50]
     assert tree.certified()
     assert verify_decomposition(s, tree)
 
 
-def test_idempotent_search_skips_candidates_it_cannot_factor(monkeypatch):
+def test_operators_with_thirty_eigenvalues_split_fully():
+    # T = W diag(7, ..., 36) W^-1, W unitriangular and bidiagonal: mu_T has
+    # degree 30 and thirty roots, so T is not strongly irreducible, and S_T
+    # of diag(7, ..., 36) splits into thirty certified leaves
+    n = 30
+    w = Matrix.from_rows([[int(j in (i, i + 1)) for j in range(n)] for i in range(n)])
+    d = Matrix.from_rows([[7 + i if i == j else 0 for j in range(n)] for i in range(n)])
+    assert not strongly_irreducible(w @ d @ w.inverse())
+    s = single_operator_system(d)
+    tree = decompose(s, seed=7)
+    assert len(tree.components) == n
+    assert tree.leaf_status == ["indecomposable"] * n
+    assert verify_decomposition(s, tree)
+
+
+def test_idempotent_search_on_a_cubic_field_answers_complex_only():
     # Q(i)[C], C the companion matrix of x^3 - 2, is a field of degree 3, so
-    # every element but a scalar has a minimal polynomial of degree 3 with
-    # no small root; with the degree bound at 2 none can be factored, and
-    # the search skips them and answers 'inconclusive' instead of raising
-    monkeypatch.setattr(poly, "DEFAULT_DEGREE_BOUND", 2)
+    # every element but a scalar has a root-free minimal polynomial of
+    # degree 3, which does not split over Q(i)
     alg = dec.EndAlgebra(basis=commutant_basis(companion(-2, 0, 0)))
     found = find_nontrivial_idempotent(alg, seed=1)
-    assert found.status == "inconclusive"
+    assert found.status == "complex_only"
     assert found.semisimple_dim == 3
     assert found.attempts == 3 + dec.SEARCH_ATTEMPTS
 

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from relpos.errors import DegreeBoundExceeded
 from relpos.gaussian import GQ, I, ONE, parse_gq
 from relpos.modular import small_prime
 from relpos.poly import (
@@ -32,8 +31,9 @@ def poly_from_roots(roots):
 def test_divmod_and_gcd():
     p = poly_from_roots([GQ(1), GQ(2), GQ(3)])
     q = poly_from_roots([GQ(2), GQ(5)])
-    g = p.gcd(q)
+    g, u, v = p.gcd(q)
     assert g == Polynomial([-2, 1])
+    assert (g * u, g * v) == (p, q)
     quo, rem = p.divmod(Polynomial([-2, 1]))
     assert rem.is_zero()
     assert quo == poly_from_roots([GQ(1), GQ(3)])
@@ -65,18 +65,23 @@ def test_factor_z2_minus_2_is_uncertified_remainder():
     assert all(f.degree != 1 for f, _ in rep.factors)
 
 
-def test_degree_bound():
+def test_x31_plus_1_factors():
+    # -1 is the only root in Q(i); the cofactor, the 62nd cyclotomic
+    # polynomial, comes back as an uncertified remainder
     p = Polynomial([1] + [0] * 30 + [1])
-    with pytest.raises(DegreeBoundExceeded):
-        factor_over_gaussian_rationals(p)
+    rep = factor_over_gaussian_rationals(p)
+    assert rep.factors == [(Polynomial([1, 1]), 1)]
+    assert rep.remainder.degree == 30
+    assert rep.remainder_note == "degree-30 factor not certified over Q(i)"
+    assert rep.product() == p
 
 
-def test_degree_bound_applies_after_small_roots_are_taken_out():
+def test_high_degree_products_factor_fully():
     # x^25 (x - 1) has two linear square-free parts
     rep = factor_over_gaussian_rationals(Polynomial([0] * 25 + [1]) * Polynomial([-1, 1]))
     assert rep.remainder is None
     assert rep.factors == [(Polynomial([-1, 1]), 1), (Polynomial([0, 1]), 25)]
-    # six small roots leave x^20 - 3, within the bound, for the numeric stages
+    # six roots and the root-free remainder x^20 - 3
     p = poly_from_roots([GQ(r) for r in range(1, 7)]) * Polynomial([-3] + [0] * 19 + [1])
     assert p.degree > 24
     rep = factor_over_gaussian_rationals(p)
@@ -124,7 +129,7 @@ def test_coprime_parts_of_certified_factors():
     parts = factor_over_gaussian_rationals(p).coprime_parts()
     assert sorted(q.degree for q in parts) == [1, 2]
     assert coprime_product(parts) == p.monic()
-    assert parts[0].gcd(parts[1]).degree == 0
+    assert parts[0].gcd(parts[1])[0].degree == 0
 
 
 def test_coprime_parts_of_a_power_is_one_part():
@@ -180,6 +185,46 @@ def test_every_planted_root_is_found(base, picks, unit, quadratic):
     assert dict(rep.certified_roots()) == dict(Counter(roots))
     if quadratic is not None:
         assert (q, 1) in rep.factors
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    common=st.lists(HIGH_GAUSSIAN_RATIONALS, max_size=4),
+    quadratic=st.none() | st.tuples(NON_SQUARES, HIGH_GAUSSIAN_RATIONALS.filter(bool)),
+    left=st.lists(HIGH_GAUSSIAN_RATIONALS, max_size=3),
+    right=st.lists(HIGH_GAUSSIAN_RATIONALS, max_size=3),
+    units=st.tuples(HIGH_GAUSSIAN_RATIONALS.filter(bool), HIGH_GAUSSIAN_RATIONALS.filter(bool)),
+    zero=st.booleans(),
+)
+def test_gcd_of_a_planted_common_factor(common, quadratic, left, right, units, zero):
+    # g u and g v with u, v coprime (no root in common) have the gcd g made
+    # monic; with v = 0 the gcd is g u made monic
+    assume(not set(left) & set(right))
+    g = poly_from_roots(common)
+    if quadratic is not None:
+        u, w = quadratic
+        g = g * Polynomial([-u * w * w, 0, ONE])
+    a = g * poly_from_roots(left) * units[0]
+    b = Polynomial.zero() if zero else g * poly_from_roots(right) * units[1]
+    h, qa, qb = a.gcd(b)
+    assert h == (a if zero else g).monic()
+    assert (h * qa, h * qb) == (a, b)
+    assert a.divmod(h) == (qa, Polynomial.zero())
+    assert b.gcd(a) == (h, qb, qa)
+
+
+def test_gcd_of_zero_operands():
+    p = Polynomial([GQ(2), GQ(0, 4)])
+    assert p.gcd(Polynomial.zero()) == (p.monic(), Polynomial([GQ(0, 4)]), Polynomial.zero())
+    zero = Polynomial.zero()
+    assert zero.gcd(zero) == (zero, Polynomial([ONE]), Polynomial([ONE]))
+
+
+def test_random_degree_256_polynomial_factors():
+    rng = random.Random(256)
+    p = Polynomial([GQ(rng.randint(-255, 255), rng.randint(-255, 255)) for _ in range(256)] + [ONE])
+    rep = factor_over_gaussian_rationals(p)
+    assert rep.product() == p
 
 
 def test_roots_that_meet_modulo_the_first_prime_are_found():
