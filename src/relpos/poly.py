@@ -112,10 +112,9 @@ class Polynomial:
         d = other.degree
         while len(rem) - 1 >= d and rem:
             k = len(rem) - 1 - d
-            # the leading term cancels: it is popped, not computed
-            c = rem.pop() / lead
+            c = rem[-1] / lead
             q[k] = c
-            for i, b in enumerate(other.coeffs[:-1]):
+            for i, b in enumerate(other.coeffs):
                 rem[k + i] = rem[k + i] - c * b
             while rem and not rem[-1]:
                 rem.pop()
@@ -134,15 +133,14 @@ class Polynomial:
         images of the Gaussian-integer multiples of both operands under
         i -> s and i -> -s; a prime where a leading coefficient vanishes is
         passed over.  Every image gcd then has degree at least deg h, so an
-        image gcd of degree 0 makes h = 1 at once, and one of the degree of
-        an operand leaves that operand, made monic, as the one candidate.
-        Otherwise the primes whose two images reach the least degree seen
-        are combined (`modular._Lift`), and rational reconstruction is
-        tried each time their count grows by a quarter; a candidate that
-        the next such prime agrees with is the one candidate.  A candidate
-        is checked by exact division: a monic candidate of the least image
-        degree that divides both operands is h, since it divides h and its
-        degree is no less."""
+        image gcd of degree 0 makes h = 1 at once.  Otherwise the primes
+        whose two images both reach the least degree seen are combined
+        (`modular._Lift`), and a prime with an image above it is passed
+        over.  Rational reconstruction is tried each time their count grows
+        by a quarter; a candidate that the next such prime agrees with is
+        the one candidate.  A candidate is checked by exact division: a
+        monic candidate of the least image degree that divides both
+        operands is h, since it divides h and its degree is no less."""
         if other.is_zero():
             if self.is_zero():
                 return self, Polynomial([ONE]), Polynomial([ONE])
@@ -164,31 +162,27 @@ class Polynomial:
             degree = min(len(h) for h in images) - 1
             if degree == 0:
                 return Polynomial([ONE]), self, other
-            if degree == min(self.degree, other.degree):
-                # h divides the operand of that degree: made monic, it is
-                # the one candidate
-                h = (self if self.degree == degree else other).monic()
-            else:
-                if lift is None or degree < lift.key:
-                    lift, got, due = _Lift(degree, 2 * degree), None, 1
-                if any(len(h) - 1 != degree for h in images):
-                    continue
-                half = pow(2, -1, p)
-                over = half * pow(s, -1, p) % p
-                plus, minus = images[0][:degree], images[1][:degree]
-                residues = ([(u + v) * half % p for u, v in zip(plus, minus)]
-                            + [(u - v) * over % p for u, v in zip(plus, minus)])
-                h = None
-                if got is not None and all(d % p and (n - u * d) % p == 0 for (n, d), u in zip(got, residues)):
-                    coeffs = [GQ._make(xn * yd, yn * xd, xd * yd) for (xn, xd), (yn, yd) in zip(got, got[degree:])]
-                    h = Polynomial(coeffs + [ONE])
-                lift.add(residues, p)
-                got = None
-                if lift.primes >= due:
-                    got = lift.reconstruct()
-                    due = lift.primes + lift.primes // 4 + 1
-                if h is None:
-                    continue
+            if lift is None or degree < lift.key:
+                lift, got, due = _Lift(degree, 2 * degree), None, 1
+            if any(len(h) - 1 != lift.key for h in images):
+                # an unlucky prime: an image gcd above the least degree seen
+                continue
+            half = pow(2, -1, p)
+            over = half * pow(s, -1, p) % p
+            plus, minus = images[0][:degree], images[1][:degree]
+            residues = ([(u + v) * half % p for u, v in zip(plus, minus)]
+                        + [(u - v) * over % p for u, v in zip(plus, minus)])
+            h = None
+            if got is not None and all(d % p and (n - u * d) % p == 0 for (n, d), u in zip(got, residues)):
+                coeffs = [GQ._make(xn * yd, yn * xd, xd * yd) for (xn, xd), (yn, yd) in zip(got, got[degree:])]
+                h = Polynomial(coeffs + [ONE])
+            lift.add(residues, p)
+            got = None
+            if lift.primes >= due:
+                got = lift.reconstruct()
+                due = lift.primes + lift.primes // 4 + 1
+            if h is None:
+                continue
             (qa, ra), (qb, rb) = self.divmod(h), other.divmod(h)
             if ra.is_zero() and rb.is_zero():
                 return h, qa, qb
@@ -332,9 +326,9 @@ def _gcd_mod(f: list, g: list, p: int) -> list:
 def _powers(p: int, rows: int):
     """The int64 array of r^j mod p, row j for j < rows and column r for
     every residue r: `_gaussian_roots` evaluates at every residue in one
-    product.  It asks for a power of two of rows, so that the few tables
-    kept, for the primes last used (almost always the first), serve every
-    degree up to it."""
+    product.  It asks for 32 rows below degree 32 and for the next power
+    of two past it, so that one table of the few kept, for the primes last
+    used (almost always the first), serves every small degree."""
     r = np.arange(p, dtype=np.int64)
     table = [np.ones(p, dtype=np.int64)]
     for _ in range(rows - 1):
@@ -389,7 +383,7 @@ def _gaussian_roots(sf: Polynomial) -> list:
         images = [[(a + b * t) % p for a, b in zip(re, im)] for t in (s, p - s)]
         if not (images[0][n] and images[1][n]):
             continue
-        values = np.array(images, dtype=np.int64) @ _powers(p, 1 << n.bit_length())[: n + 1] % p
+        values = np.array(images, dtype=np.int64) @ _powers(p, 1 << max(n, 31).bit_length())[: n + 1] % p
         roots = [np.flatnonzero(row == 0).tolist() for row in values]
         if not (roots[0] and roots[1]):
             return []

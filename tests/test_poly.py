@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from relpos.gaussian import GQ, I, ONE, parse_gq
-from relpos.modular import small_prime
+from relpos.modular import prime, small_prime
 from relpos.poly import (
     Polynomial,
     _gaussian_integer_parts,
@@ -218,6 +218,26 @@ def test_gcd_of_zero_operands():
     assert p.gcd(Polynomial.zero()) == (p.monic(), Polynomial([GQ(0, 4)]), Polynomial.zero())
     zero = Polynomial.zero()
     assert zero.gcd(zero) == (zero, Polynomial([ONE]), Polynomial([ONE]))
+
+
+def test_gcd_passes_over_a_prime_where_roots_meet():
+    # 2 and 2 + p are one root modulo the second prime p under both images
+    # of i, so its image gcds have a degree above the first prime's
+    p = prime(1)[0]
+    a = poly_from_roots([GQ(1), GQ(2)])
+    b = poly_from_roots([GQ(1), GQ(2 + p)])
+    h, qa, qb = a.gcd(b)
+    assert h == Polynomial([-1, 1])
+    assert (h * qa, h * qb) == (a, b)
+    # the gcd of p and p' of Yun's algorithm meets the same prime
+    f = poly_from_roots([GQ(1), GQ(1), GQ(3), GQ(5), GQ(1 + p)])
+    assert f.squarefree_decomposition() == [
+        (poly_from_roots([GQ(3), GQ(5), GQ(1 + p)]), 1),
+        (Polynomial([-1, 1]), 2),
+    ]
+    rep = factor_over_gaussian_rationals(f)
+    assert rep.product() == f
+    assert dict(rep.certified_roots()) == {GQ(1): 2, GQ(3): 1, GQ(5): 1, GQ(1 + p): 1}
 
 
 def test_random_degree_256_polynomial_factors():
