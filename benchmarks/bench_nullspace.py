@@ -17,14 +17,19 @@ Four tables:
    (d^2 columns), orthocomplements and the C_i blocks (d columns),
    intersections (dim a + dim b columns).  Each column count is timed as
    one batch per path, the paths taking turns, best of seven.  "rows"
-   gives the fewest and most rows in the batch, "lifted" the matrices that
-   pass the gate and finish within the budget, and "routed s" the time of
-   `Matrix.nullspace`, which takes Bareiss for the others, after what a
-   lift that started spent of its budget.
-2. Hom constraints of the operator workload, 36 to 144 columns.
+   gives the fewest and most rows in the batch, "primes" and "checks" the
+   primes the lifts used and the exact checks (`Nullspace.checks`) they
+   made, "lifted" the matrices that pass the gate and finish within the
+   budget, and "routed s" the time of `Matrix.nullspace`, which takes
+   Bareiss for the others, after what a lift that started spent of its
+   budget.
+2. Hom constraints of the operator workload, 36 to 144 columns, with the
+   primes and the exact checks of each lift.
 3. Wide generic matrices with large kernels and large entries, whose lifts
-   run to the Hadamard bound, with the path `Matrix.nullspace` takes
-   ("route") and its time ("routed s").
+   run to the Hadamard bound, with their primes and exact checks, the path
+   `Matrix.nullspace` takes ("route") and its time ("routed s").  The
+   checks are what the reconstruction schedule of `relpos.modular._Lift`
+   decides: each candidate it reconstructs is checked.
 4. Inverse traffic: the augmented [A | I] that `Matrix.inverse` reduces,
    for random invertible A of 5 to 12 rows with entries of real and
    imaginary part in -2..2 (as `sampling.random_invertible` draws them for
@@ -95,18 +100,18 @@ def unrouted(fn, *args):
 
 
 def lift(m):
-    """The multimodular basis of m and the primes it used, routing off."""
+    """The multimodular basis of m and its Nullspace, routing off."""
     re, im = m._primitive_rows()
     ker = unrouted(modular.nullspace, re, im, m.rows, m.cols)
-    return Matrix._ints(m.cols, len(ker.free), ker.re, ker.im, ker.den), ker.primes
+    return Matrix._ints(m.cols, len(ker.free), ker.re, ker.im, ker.den), ker
 
 
 def compare(m):
-    """(bareiss s, lift s, primes, nullity); fails if the bases differ."""
+    """(bareiss s, lift s, Nullspace, nullity); fails if the bases differ."""
     t_ff, want = best_of(m._nullspace_ffgj)
-    t_mod, (got, primes) = best_of(lambda: lift(m))
+    t_mod, (got, ker) = best_of(lambda: lift(m))
     assert got == want, f"{m.rows}x{m.cols}: the two paths disagree"
-    return t_ff, t_mod, primes, want.cols
+    return t_ff, t_mod, ker, want.cols
 
 
 def route(m):
@@ -206,38 +211,39 @@ def wide_shapes():
 def main():
     print("1. classify traffic, summed by column count")
     print(f"{'cols':>4} {'rows':>7} {'calls':>6} {'nullity':>7} {'bareiss s':>10} {'lift s':>10} "
-          f"{'primes':>6} {'ratio':>6} {'lifted':>6} {'routed s':>9}")
+          f"{'primes':>6} {'checks':>6} {'ratio':>6} {'lifted':>6} {'routed s':>9}")
     groups = defaultdict(list)
     for m in classify_traffic():
         groups[m.cols].append(m)
     for cols in sorted(groups):
         mats = groups[cols]
-        primes = nullity = lifted = 0
+        primes = checks = nullity = lifted = 0
         for m in mats:
-            got, p = lift(m)
+            got, ker = lift(m)
             assert got == m._nullspace_ffgj(), f"{m.rows}x{m.cols}: the two paths disagree"
-            primes, nullity = primes + p, nullity + got.cols
+            primes, checks, nullity = primes + ker.primes, checks + ker.checks, nullity + got.cols
             lifted += route(m) == "lift"
         t_ff, t_mod, t_routed = batch_times(
             [Matrix._nullspace_ffgj, lift, Matrix.nullspace], mats)
         rows = f"{min(m.rows for m in mats)}-{max(m.rows for m in mats)}"
         print(f"{cols:>4} {rows:>7} {len(mats):>6} {nullity:>7} {t_ff:>10.4f} {t_mod:>10.4f} "
-              f"{primes:>6} {t_ff / t_mod:>5.2f}x {lifted:>6} {t_routed:>9.4f}")
+              f"{primes:>6} {checks:>6} {t_ff / t_mod:>5.2f}x {lifted:>6} {t_routed:>9.4f}")
 
     head = (f"{'shape':<18} {'rows x cols':>11} {'nullity':>7} {'bareiss s':>10} "
-            f"{'lift s':>10} {'primes':>6} {'ratio':>6}")
+            f"{'lift s':>10} {'primes':>6} {'checks':>6} {'ratio':>6}")
     print("\n2. Hom constraints\n" + head)
     for label, m in hom_shapes():
-        t_ff, t_mod, primes, nullity = compare(m)
+        t_ff, t_mod, ker, nullity = compare(m)
         print(f"{label:<18} {m.rows:>5} x {m.cols:<3} {nullity:>7} {t_ff:>10.4f} "
-              f"{t_mod:>10.4f} {primes:>6} {t_ff / t_mod:>5.2f}x")
+              f"{t_mod:>10.4f} {ker.primes:>6} {ker.checks:>6} {t_ff / t_mod:>5.2f}x")
 
     print("\n3. wide generic matrices\n" + head + f" {'route':>7} {'routed s':>9}")
     for label, m in wide_shapes():
-        t_ff, t_mod, primes, nullity = compare(m)
+        t_ff, t_mod, ker, nullity = compare(m)
         t_routed, _ = best_of(m.nullspace)
         print(f"{label:<18} {m.rows:>5} x {m.cols:<3} {nullity:>7} {t_ff:>10.4f} "
-              f"{t_mod:>10.4f} {primes:>6} {t_ff / t_mod:>5.2f}x {route(m):>7} {t_routed:>9.4f}")
+              f"{t_mod:>10.4f} {ker.primes:>6} {ker.checks:>6} {t_ff / t_mod:>5.2f}x "
+              f"{route(m):>7} {t_routed:>9.4f}")
 
     print("\n4. inverse traffic: [A | I], summed by size")
     print(f"{'n':>3} {'rows x cols':>11} {'calls':>6} {'bareiss s':>10} {'lift s':>10} "

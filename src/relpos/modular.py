@@ -15,8 +15,7 @@ N (identity on the free columns, pivot entries taken from the reconstructed
 echelon form) is then certified by one exact product C @ N = 0 over Z[i]:
 each column of N shows that its free column depends on earlier pivot
 columns over Q(i), so the pivots over Q(i) are exactly those mod p and N is
-exactly the canonical nullspace basis, from which the rref is read.  A failed
-check adds a prime.
+exactly the canonical nullspace basis, from which the rref is read.
 
 The lift runs on one budget: once the first prime fixes the rank,
 `_bareiss_price` prices the fraction-free elimination that the caller
@@ -27,10 +26,14 @@ where the price is right a lift that does not finish adds at most half of
 that elimination's time.  A side under MIN_SIDE falls back at once, before
 any array is built.
 
-The same primes and the same CRT and reconstruction (`_Lift`) serve the
-multimodular gcd of `relpos.poly.Polynomial.gcd`, which runs Euclid on the
-two images of a pair of polynomials and certifies its candidate by exact
-division.
+One `_Lift` holds the key rule, the split of the two images into real and
+imaginary residues, CRT and one schedule, for this nullspace and for the
+multimodular gcd of `relpos.poly.Polynomial.gcd` (Euclid on the two images
+of a pair of polynomials, each image gcd keyed by its degree, a candidate
+certified by exact division): it reconstructs when the count of combined
+primes reaches 1, 2, 3, 4, 6, 8, 11, 14, ... (n -> n + n//4 + 1), so a
+lift of 93 primes reconstructs 16 times, and each candidate is checked; a
+failed check waits for the next point of the schedule.
 """
 
 from __future__ import annotations
@@ -206,25 +209,46 @@ class Nullspace:
 
 
 class _Lift:
-    """CRT accumulation and reconstruction of count rationals (the echelon
-    entries here, the gcd coefficients in `relpos.poly`) from images that
-    share the key."""
+    """One multimodular lift of rationals (echelon entries here, gcd
+    coefficients in `relpos.poly`), fed the images of one prime at a time:
+    one image of a real input, else those under i -> s and i -> -s.  The
+    least key wins: a smaller key starts the lift over, and a prime with an
+    image of another key is discarded.  The kept primes are split into real
+    and imaginary residues, combined by CRT, and reconstructed (Wang 1981)
+    on the schedule 1, 2, 3, 4, 6, 8, 11, ... (n -> n + n//4 + 1)."""
 
-    def __init__(self, key, count):
-        self.key = key
-        self.modulus = 1
-        self.primes = 0
-        self.values = [0] * count  # residues mod modulus, real parts then imaginary
+    def __init__(self):
+        self.key = None
+        self.primes = self.discarded = 0
 
-    def add(self, residues, p):
+    def add(self, p, s, images):
+        """Combine the (key, residues) of each image modulo p.  Returns the
+        candidate, (n, d) for every real part, then every imaginary part,
+        when the schedule calls for one and it reconstructs; else None."""
+        key = min(k for k, _ in images)
+        if self.key is None or key < self.key:
+            self.key, self.modulus, self.due = key, 1, 1
+            self.discarded += self.primes
+            self.primes = 0
+        if any(k != self.key for k, _ in images):
+            self.discarded += 1
+            return None
+        blocks = [np.asarray(e, dtype=np.int64).ravel() for _, e in images]
+        if len(blocks) == 2:
+            u, v = blocks
+            half = pow(2, -1, p)
+            blocks = [(u + v) % p * half % p, (u - v) % p * (half * pow(s, -1, p) % p) % p]
+        residues = np.concatenate(blocks).tolist()
         m = self.modulus
-        minv = pow(m % p, -1, p)
-        vals = self.values
-        for j, r in enumerate(residues):
-            v = vals[j]
-            vals[j] = v + m * ((r - v) * minv % p)
-        self.modulus = m * p
+        if self.primes:
+            minv = pow(m % p, -1, p)
+            residues = [v + m * ((r - v) * minv % p) for v, r in zip(self.values, residues)]
+        self.values, self.modulus = residues, m * p
         self.primes += 1
+        if self.primes < self.due:
+            return None
+        self.due = self.primes + self.primes // 4 + 1
+        return self.reconstruct()
 
     def reconstruct(self):
         """All entries as (n, d), or None at the first one that does not
@@ -257,6 +281,11 @@ class _Lift:
         return out
 
 
+def _free(pivots, ncols):
+    pivot_set = set(pivots)
+    return [c for c in range(ncols) if c not in pivot_set]
+
+
 def nullspace(re, im, nrows, ncols):
     """Canonical nullspace of the Z[i] matrix (re + i*im), flat row-major.
 
@@ -280,49 +309,32 @@ def nullspace(re, im, nrows, ncols):
     if dtype is object:
         entry_bits = sum(map(int.bit_length, itertools.chain(re, im)))
         reduce = images * nrows * ncols / 3 + entry_bits / 200
-    price = math.inf
+    price = None
     spent = 0.0
-    lift = None
-    discarded = checks = 0
-    for i in itertools.count():
+    lift = _Lift()
+    checks = 0
+    for p, s in map(prime, itertools.count()):
+        keyed = []
+        for img in _images(are, aim, p, s):
+            pivots = _rref_mod(img, p)
+            keyed.append(((-len(pivots), pivots), img[: len(pivots)][:, _free(pivots, ncols)]))
+        got = lift.add(p, s, keyed)
+        pivots = lift.key[1]
+        rank = len(pivots)
+        if price is None:
+            price = _bareiss_price(nrows, ncols, rank, sum(norms[:rank]))
+        m = lift.modulus.bit_length()
+        elimination = images * (130 * rank + 10 * ncols + rank * nrows * ncols / 80)
+        spent += reduce + elimination + images * rank * (ncols - rank) * (1 + m / 200) + 2 * m
+        if got is not None:
+            checks += 1
+            free = _free(pivots, ncols)
+            spent += nrows * ncols * len(free) / 6
+            basis = _certify(re, im, nrows, ncols, pivots, free, got, real)
+            if basis is not None:
+                return Nullspace(free, *basis, lift.primes + lift.discarded, lift.discarded, checks)
         if 2 * spent > price:
             return None
-        p, s = prime(i)
-        imgs = _images(are, aim, p, s)
-        keys = [(-len(pv), pv) for pv in (_rref_mod(img, p) for img in imgs)]
-        key = min(keys)
-        if lift is None or key < lift.key:
-            if lift is not None:
-                discarded += lift.primes
-            pivot_set = set(key[1])
-            free = [c for c in range(ncols) if c not in pivot_set]
-            lift = _Lift(key, len(key[1]) * len(free) * len(imgs))
-        rank = len(lift.key[1])
-        if i == 0:
-            price = _bareiss_price(nrows, ncols, rank, sum(norms[:rank]))
-        m = lift.modulus.bit_length() + 31
-        elimination = images * (130 * rank + 10 * ncols + rank * nrows * ncols / 80)
-        spent += reduce + elimination + len(lift.values) * (1 + m / 200) + 2 * m
-        if any(k != lift.key for k in keys):
-            discarded += 1
-            continue
-        blocks = [img[:rank][:, free].ravel() for img in imgs]
-        if real:
-            residues = blocks[0].tolist()
-        else:
-            half = pow(2, -1, p)
-            x = (blocks[0] + blocks[1]) % p * half % p
-            y = (blocks[0] - blocks[1]) % p * (half * pow(s, -1, p) % p) % p
-            residues = x.tolist() + y.tolist()
-        lift.add(residues, p)
-        got = lift.reconstruct()
-        if got is None:
-            continue
-        checks += 1
-        spent += nrows * ncols * len(free) / 6
-        basis = _certify(re, im, nrows, ncols, lift.key[1], free, got, real)
-        if basis is not None:
-            return Nullspace(free, *basis, i + 1, discarded, checks)
 
 
 def _certify(re, im, nrows, ncols, pivots, free, fracs, real):

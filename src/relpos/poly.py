@@ -133,12 +133,12 @@ class Polynomial:
         images of the Gaussian-integer multiples of both operands under
         i -> s and i -> -s; a prime where a leading coefficient vanishes is
         passed over.  Every image gcd then has degree at least deg h, so an
-        image gcd of degree 0 makes h = 1 at once.  Otherwise the primes
-        whose two images both reach the least degree seen are combined
-        (`modular._Lift`), and a prime with an image above it is passed
-        over.  Rational reconstruction is tried each time their count grows
-        by a quarter; a candidate that the next such prime agrees with is
-        the one candidate.  A candidate is checked by exact division: a
+        image gcd of degree 0 makes h = 1 at once.  Otherwise the images,
+        keyed by their degree, go to `modular._Lift`, whose one schedule
+        serves `modular.nullspace` too: the least degree seen wins, a prime
+        with an image above it is passed over, and the coefficients are
+        reconstructed when the count of combined primes reaches 1, 2, 3,
+        4, 6, 8, 11, ...  Each candidate is checked by exact division: a
         monic candidate of the least image degree that divides both
         operands is h, since it divides h and its degree is no less."""
         if other.is_zero():
@@ -148,9 +148,8 @@ class Polynomial:
         if self.is_zero():
             return other.monic(), self, Polynomial([other.leading()])
         parts = _gaussian_integer_parts(self), _gaussian_integer_parts(other)
-        lift = None
-        for k in itertools.count():
-            p, s = prime(k)
+        lift = _Lift()
+        for p, s in map(prime, itertools.count()):
             images = []
             for t in (s, p - s):
                 f, g = ([(x + y * t) % p for x, y in zip(*q)] for q in parts)
@@ -159,30 +158,13 @@ class Polynomial:
                 images.append(_gcd_mod(f, g, p))
             if len(images) < 2:
                 continue
-            degree = min(len(h) for h in images) - 1
-            if degree == 0:
+            if min(len(h) for h in images) == 1:
                 return Polynomial([ONE]), self, other
-            if lift is None or degree < lift.key:
-                lift, got, due = _Lift(degree, 2 * degree), None, 1
-            if any(len(h) - 1 != lift.key for h in images):
-                # an unlucky prime: an image gcd above the least degree seen
+            got = lift.add(p, s, [(len(h) - 1, h[:-1]) for h in images])
+            if got is None:
                 continue
-            half = pow(2, -1, p)
-            over = half * pow(s, -1, p) % p
-            plus, minus = images[0][:degree], images[1][:degree]
-            residues = ([(u + v) * half % p for u, v in zip(plus, minus)]
-                        + [(u - v) * over % p for u, v in zip(plus, minus)])
-            h = None
-            if got is not None and all(d % p and (n - u * d) % p == 0 for (n, d), u in zip(got, residues)):
-                coeffs = [GQ._make(xn * yd, yn * xd, xd * yd) for (xn, xd), (yn, yd) in zip(got, got[degree:])]
-                h = Polynomial(coeffs + [ONE])
-            lift.add(residues, p)
-            got = None
-            if lift.primes >= due:
-                got = lift.reconstruct()
-                due = lift.primes + lift.primes // 4 + 1
-            if h is None:
-                continue
+            coeffs = [GQ._make(xn * yd, yn * xd, xd * yd) for (xn, xd), (yn, yd) in zip(got, got[lift.key:])]
+            h = Polynomial(coeffs + [ONE])
             (qa, ra), (qb, rb) = self.divmod(h), other.divmod(h)
             if ra.is_zero() and rb.is_zero():
                 return h, qa, qb

@@ -17,8 +17,8 @@ and `isom` past 32, where the Hom bound refuses them.
 test_coxeter_minus_and_perp_on_larger_ambients runs `coxeter minus` at 200
 and `coxeter perp` at 512 on dense subspaces, whose canonical bases take
 the multimodular lift, and `isom` and `decompose` at 10 and `coxeter plus`
-at 64, whose Hom constraints with large entries take it too (`isom` reaches
-the alarm again at 16: 10 to 11 s).  The rest is slow there and is listed,
+at 64, whose Hom constraints with large entries take it too (`isom` takes 5.7
+to 5.8 s in process at 16).  The rest is slow there and is listed,
 with measured inputs, in the strict xfail
 test_slow_commands_on_larger_ambients, which is not run (each case would
 hold the alarm for 10 s): `coxeter duality` at 32, whose Hom kernel the
@@ -244,12 +244,14 @@ def four_subspaces(d, k, fractions=False, seed=0):
 # Seconds in one process on a 2-core Xeon (the coxeter ones include a
 # process start); the alarm is 10 s.
 SLOW_ON_LARGER_AMBIENTS = [
-    # 2.6 s at d = 20 and 13.2 to 13.8 s at d = 32 (more than 100 s while
-    # the lift of its Hom kernel was priced at the Hadamard bound and refused)
+    # 2.6 s at d = 20 and 13.7 to 14.0 s at d = 32 under the 1 GiB cap (more
+    # than 100 s while the lift of its Hom kernel was priced at the Hadamard
+    # bound and refused); 340 lifts, most of 11 or 14 primes, and 437 that
+    # fall back to fraction-free elimination
     pytest.param(["coxeter", "duality", "s.sys"], 32, 3, False, id="coxeter-duality-32"),
-    # four zero subspaces: 9.5 to 9.9 s at d = 512 under the 1 GiB cap, 0.34 s
-    # of it writing the 3 * 10^6 entries; the rest is phi_minus (ten lifted
-    # eliminations)
+    # four zero subspaces: 11.0 to 12.2 s at d = 512 under the 1 GiB cap,
+    # 0.34 s of it writing the 3 * 10^6 entries; the rest is phi_minus (ten
+    # lifted eliminations, each finished at its first prime)
     pytest.param(["coxeter", "minus", "s.sys"], 512, 0, False, id="coxeter-minus-zero-512"),
 ]
 

@@ -1,6 +1,7 @@
 """The multimodular nullspace against fraction-free elimination: entry-by-entry
 equality on random and catalog matrices, unlucky primes, the shape gate, the
-budget and the fallbacks, and the prime table."""
+budget and the fallbacks, the reconstruction schedule that the nullspace and
+the gcd of `relpos.poly` share, and the prime table."""
 
 import random
 from fractions import Fraction
@@ -9,8 +10,9 @@ import pytest
 
 from relpos import kernel, modular
 from relpos.catalog import build_gp4, jordan_block, single_operator_system
-from relpos.gaussian import GQ
+from relpos.gaussian import GQ, ONE
 from relpos.matrix import Matrix
+from relpos.poly import Polynomial
 from relpos.sampling import random_system
 from relpos.sysfile import system_from_text
 from relpos.system import _dense, _hom_rows
@@ -282,6 +284,89 @@ def test_sparse_matrix_with_a_huge_entry_goes_to_fraction_free(monkeypatch):
     rre, rim, pivots, dre, dim = kernel.ffgj(*m._primitive_rows(), m.rows, m.cols)
     assert 2 <= routed_images(monkeypatch, m) < 65
     assert m.rref() == (Matrix._ints(m.rows, m.cols, rre, rim, dre, dim), tuple(pivots))
+
+
+# n -> n + n//4 + 1 from 1: the combined-prime counts at which a lift
+# reconstructs its candidate
+SCHEDULE = [1, 2, 3, 4, 6, 8, 11, 14, 18, 23, 29, 37, 47, 59, 74, 93, 117, 147]
+
+
+def reconstructions(monkeypatch):
+    """From now on, the combined-prime count of every reconstruction and the
+    count after every prime fed to a lift."""
+    seen, fed = [], []
+    reconstruct, add = modular._Lift.reconstruct, modular._Lift.add
+
+    def counted(lift):
+        seen.append(lift.primes)
+        return reconstruct(lift)
+
+    def counted_add(lift, *args):
+        got = add(lift, *args)
+        fed.append(lift.primes)
+        return got
+
+    monkeypatch.setattr(modular._Lift, "reconstruct", counted)
+    monkeypatch.setattr(modular._Lift, "add", counted_add)
+    return seen, fed
+
+
+def generic_kernel(bits):
+    """A generic 20 x 40 Z[i] matrix with entries of the given bits (a
+    `bench_nullspace.py` table 3 shape), lifted under `force_lift`."""
+    def run(monkeypatch):
+        force_lift(monkeypatch)
+        m = rand_matrix(random.Random(bits), 20, 40, None, bits, "zi")
+        want = m._nullspace_ffgj()
+        seen, fed = reconstructions(monkeypatch)
+        got, ker = modular_nullspace(m)
+        assert got == want
+        assert ker.discarded == 0 and ker.primes == fed[-1] >= 10
+        assert ker.checks <= len(seen)
+        return seen, fed
+    return run
+
+
+def planted_gcd(monkeypatch):
+    # h has roots of about 200 bits over denominators, so its coefficients
+    # take several primes; the cofactors share no root with each other
+    rng = random.Random(15)
+    roots = [rand_entry(rng, 200, "qi") / rng.randint(1, 2**60) for _ in range(3)]
+    h = Polynomial([ONE])
+    for r in roots:
+        h = h * Polynomial([-r, ONE])
+    a = h * Polynomial([GQ(3), GQ(0, 5), ONE])
+    b = h * Polynomial([GQ(-7, 1), ONE]) * GQ(2, 9)
+    seen, fed = reconstructions(monkeypatch)
+    g, qa, qb = a.gcd(b)
+    assert g == h.monic()
+    assert g * qa == a and g * qb == b
+    return seen, fed
+
+
+@pytest.mark.parametrize(
+    "lift",
+    [generic_kernel(8), generic_kernel(30), planted_gcd],
+    ids=["nullspace-8-bit", "nullspace-30-bit", "gcd-planted"],
+)
+def test_reconstruction_follows_the_schedule(monkeypatch, lift):
+    # the lift reconstructs at the schedule's counts only, and returns the
+    # candidate of its last reconstruction without a further prime
+    seen, fed = lift(monkeypatch)
+    assert len(seen) >= 5
+    assert seen == SCHEDULE[: len(seen)]
+    assert seen[-1] == fed[-1]
+
+
+def test_gcd_with_a_derivative_finishes_at_the_first_prime(monkeypatch):
+    # (x - 2)^2 (x + i) and its derivative: the gcd x - 2 reconstructs and
+    # divides both at the first prime
+    x = Polynomial([GQ(0), ONE])
+    f = (x - Polynomial([GQ(2)])) ** 2 * (x + Polynomial([GQ(0, 1)]))
+    seen, fed = reconstructions(monkeypatch)
+    g, _, _ = f.gcd(f.derivative())
+    assert g == Polynomial([GQ(-2), ONE])
+    assert seen == fed == [1]
 
 
 def test_prime_table():
