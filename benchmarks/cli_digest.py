@@ -32,7 +32,8 @@ W = sampling.random_invertible(random.Random(0), 5), whose first split has
 four parts, then `decompose --seed 3` on S_{T,S} for T = J_2(1) + J_1(2)
 and an integer S != I with det S = 1 (its End is lifted through S^-1),
 then `decompose` on S_T for T = diag(7, ..., 36) (thirty leaves, each
-split factoring a minimal polynomial of degree up to 30),
+split factoring a minimal polynomial of degree up to 30), then `coxeter
+zero` and `coxeter duality` on each of the five catalog systems,
 all with `--json` before the subcommand,
 against the `src/` next to this script (which it also imports to build W).
 Prints one line per command: the command, its exit code and the sha256 of
@@ -278,6 +279,9 @@ TWO_OPERATOR_FILES = {
 # appended after that: S_T for T = diag(7, ..., 36), whose minimal
 # polynomial has degree 30
 DIAGONAL_FILES = {"t4.sys": _operator_sysfile([[7 + i if i == j else 0 for j in range(30)] for i in range(30)])}
+# appended after that: the projection functor and the duality report on
+# each catalog system
+CATALOG_TAIL = (("coxeter", "zero", "{f}"), ("coxeter", "duality", "{f}"))
 DOCUMENTED_EXIT_CODES = {0, 2, 3, 4}
 
 
@@ -310,6 +314,9 @@ def _commands():
         yield ("decompose", name, "--seed", "3"), None
     for name in DIAGONAL_FILES:
         yield ("decompose", name), None
+    for n in range(len(KEYS)):
+        for cmd in CATALOG_TAIL:
+            yield tuple(f"s{n}.sys" if w == "{f}" else w for w in cmd), None
 
 
 def _sha(data: bytes) -> str:

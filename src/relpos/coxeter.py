@@ -6,7 +6,14 @@ The kernel space is materialized in kernel-basis coordinates (an abstract
 C^h), which keeps ambient dimensions small under iteration and makes each
 image subspace a plain nullspace; the price is that identities stated with
 the geometry of the big direct sum hold up to an explicit Gram-matrix
-witness, which the checks carry around exactly."""
+witness, which the checks carry around exactly.
+
+Every functor reads its subspaces off one kernel: N, the canonical basis of
+ker tau for the sum map tau = [B_1 ... B_n], split into its row blocks N_k
+(one per subspace).  Phi-plus(S) takes E_k+ = ker N_k; Phi-minus(S) takes
+E_k- = range N_k* on the kernel of the sum map of S-perp, which is
+(ker N_k)-perp, so perp . plus . perp in one step; Phi-zero(S) takes
+E_k0 = G^-1 range N_k*, G = N* diag(B_k* B_k) N the Gram of the kernel."""
 
 from __future__ import annotations
 
@@ -22,10 +29,10 @@ from .system import SubspaceSystem, defect, predicates, zero_system
 @dataclass
 class CoxeterResult:
     """Image system plus construction data: the chosen kernel basis N of the
-    sum map (when applicable) and a per-subspace bookkeeping trace."""
+    sum map and, for Phi-zero, the Gram of N and the p0 cross-check."""
 
     system: SubspaceSystem
-    kernel_basis: Matrix | None = None
+    kernel_basis: Matrix
     bookkeeping: dict = field(default_factory=dict)
 
 
@@ -39,124 +46,86 @@ def phi_perp_hom(a: Matrix) -> Matrix:
     return a.conj_transpose()
 
 
-def _sum_map(s: SubspaceSystem):
-    """tau = [B_1 ... B_n] : coordinates of (+) E_i -> H, with block offsets."""
-    blocks = [sub.basis for sub in s.subspaces]
-    offsets = []
+def _kernel_blocks(s: SubspaceSystem):
+    """(N, [N_1, ..., N_n]): the canonical kernel basis N of the sum map
+    tau = [B_1 ... B_n] : coordinates of (+) E_k -> H, and its row blocks,
+    N_k being the dim E_k rows of the k-th coordinates."""
+    bases = [sub.basis for sub in s.subspaces if sub.dim]
+    tau = Matrix.hstack(bases) if bases else Matrix.zeros(s.ambient_dim, 0, s.field)
+    ker = tau.nullspace()  # (sum dims) x h
+    if not (tau @ ker).is_zero():
+        raise InvariantViolation("kernel basis fails tau N = 0")
+    blocks = []
     off = 0
-    for b in blocks:
-        offsets.append(off)
-        off += b.cols
-    if off == 0:
-        tau = Matrix.zeros(s.ambient_dim, 0, s.field)
-    else:
-        tau = Matrix.hstack([b for b in blocks if b.cols > 0])
-    return tau, offsets, off
+    for sub in s.subspaces:
+        blocks.append(ker.take_rows(range(off, off + sub.dim)))
+        off += sub.dim
+    return ker, blocks
 
 
 def phi_plus(s: SubspaceSystem) -> CoxeterResult:
     """Kernel-of-sum construction: H+ = ker tau in kernel-basis coordinates,
-    k-th subspace = vanishing of the k-th coordinate block."""
-    tau, offsets, total = _sum_map(s)
-    n = s.n
-    ker = tau.nullspace()  # (sum dims) x h
+    k-th subspace E_k+ = ker N_k, the vanishing of the k-th coordinate block."""
+    ker, blocks = _kernel_blocks(s)
     h = ker.cols
-    subs = []
-    trace = {}
-    for k in range(n):
-        dim_k = s.subspaces[k].dim
-        if dim_k == 0 or h == 0:
-            subs.append(Subspace.full(h, s.field))
-            trace[k + 1] = {"block_rows": (offsets[k], offsets[k]), "dim": h}
-            continue
-        block = ker.take_rows(range(offsets[k], offsets[k] + dim_k))
-        sub = Subspace.span(block.nullspace())
-        subs.append(sub)
-        trace[k + 1] = {
-            "block_rows": (offsets[k], offsets[k] + dim_k),
-            "dim": sub.dim,
-        }
-    if not (tau @ ker).is_zero():
-        raise InvariantViolation("kernel basis fails tau N = 0")
-    out = SubspaceSystem(h, subs) if h > 0 else zero_system(n, s.field)
-    return CoxeterResult(system=out, kernel_basis=ker, bookkeeping={
-        "ambient": h,
-        "sum_dims": total,
-        "trace": trace,
-    })
+    if h == 0:
+        return CoxeterResult(system=zero_system(s.n, s.field), kernel_basis=ker)
+    subs = [
+        Subspace.span(block.nullspace()) if block.rows else Subspace.full(h, s.field)
+        for block in blocks
+    ]
+    return CoxeterResult(system=SubspaceSystem(h, subs), kernel_basis=ker)
 
 
 def phi_minus(s: SubspaceSystem) -> CoxeterResult:
-    """The dual functor, computed by the perp-plus-perp composition."""
-    inner = phi_plus(phi_perp(s))
-    return CoxeterResult(
-        system=phi_perp(inner.system),
-        kernel_basis=inner.kernel_basis,
-        bookkeeping={"via": "perp . plus . perp", **inner.bookkeeping},
-    )
-
-
-def _gram_weight(s: SubspaceSystem) -> Matrix:
-    """Block-diagonal Gram of the subspace bases: the inner product of the
-    big direct sum in coordinate form."""
-    blocks = [
-        sub.basis.conj_transpose() @ sub.basis for sub in s.subspaces if sub.dim > 0
-    ]
-    if not blocks:
-        return Matrix.zeros(0, 0, s.field)
-    return Matrix.block_diag(blocks)
+    """The dual functor perp . plus . perp, read off the kernel N of the sum
+    map of S-perp: E_k- = (ker N_k)-perp = range N_k*."""
+    ker, blocks = _kernel_blocks(phi_perp(s))
+    h = ker.cols
+    if h == 0:
+        return CoxeterResult(system=zero_system(s.n, s.field), kernel_basis=ker)
+    subs = [Subspace.span(block.conj_transpose()) for block in blocks]
+    return CoxeterResult(system=SubspaceSystem(h, subs), kernel_basis=ker)
 
 
 def phi_zero(s: SubspaceSystem) -> CoxeterResult:
     """Projection variant: same kernel space, subspaces are the orthogonal
-    projections of the embedded blocks onto it.
+    projections of the embedded blocks onto it, E_k0 = G^-1 range N_k* for
+    the Gram G = N* diag(B_k* B_k) N of the kernel (the projection's factor
+    B_k* B_k is invertible, so it leaves the span alone).
 
     When the sum of the orthogonal projections is invertible the explicit
     single-formula projection is evaluated as well and cross-checked against
     the generic Gram-solve projection."""
-    plus = phi_plus(s)
-    ker = plus.kernel_basis
-    h = ker.cols if ker is not None else 0
-    n = s.n
+    ker, blocks = _kernel_blocks(s)
+    h = ker.cols
     if h == 0:
-        return CoxeterResult(system=zero_system(n, s.field), kernel_basis=ker,
-                             bookkeeping={"ambient": 0})
-    weight = _gram_weight(s)
+        return CoxeterResult(system=zero_system(s.n, s.field), kernel_basis=ker)
+    weight = Matrix.block_diag(
+        [sub.basis.conj_transpose() @ sub.basis for sub in s.subspaces if sub.dim]
+    )
     gram = ker.conj_transpose() @ weight @ ker  # h x h, invertible
     gram_inv = gram.inverse()
-    tau, offsets, total = _sum_map(s)
-    subs = []
-    for k in range(n):
-        dim_k = s.subspaces[k].dim
-        if dim_k == 0:
-            subs.append(Subspace.zero(h, s.field))
-            continue
-        block = ker.take_rows(range(offsets[k], offsets[k] + dim_k))
-        gram_k = s.subspaces[k].basis.conj_transpose() @ s.subspaces[k].basis
-        image = gram_inv @ block.conj_transpose() @ gram_k
-        subs.append(Subspace.span(image))
-    out = SubspaceSystem(h, subs)
-    result = CoxeterResult(system=out, kernel_basis=ker, bookkeeping={
-        "ambient": h,
-        "gram": gram,
-    })
-    _phi_zero_p0_crosscheck(s, result, tau, offsets)
+    subs = [Subspace.span(gram_inv @ block.conj_transpose()) for block in blocks]
+    result = CoxeterResult(
+        system=SubspaceSystem(h, subs), kernel_basis=ker, bookkeeping={"gram": gram}
+    )
+    _phi_zero_p0_crosscheck(s, result)
     return result
 
 
-def _phi_zero_p0_crosscheck(s, result: CoxeterResult, tau, offsets):
+def _phi_zero_p0_crosscheck(s, result: CoxeterResult):
     """Evaluate the explicit projection formula (valid when the sum of the
     orthogonal projections is invertible) and compare spans exactly."""
+    projections = [orthoprojection(sub) for sub in s.subspaces]
     f = Matrix.zeros(s.ambient_dim, s.ambient_dim, s.field)
-    for sub in s.subspaces:
-        f = f + orthoprojection(sub)
+    for p in projections:
+        f = f + p
     if not f.is_invertible():
         result.bookkeeping["p0_crosscheck"] = "skipped (projection sum singular)"
         return
     f_inv = f.inverse()
     ker = result.kernel_basis
-    h = ker.cols
-    projections = [orthoprojection(sub) for sub in s.subspaces]
     for k, sub in enumerate(s.subspaces):
         if sub.dim == 0:
             continue
@@ -198,57 +167,46 @@ class DualityReport:
         return all(v in ("pass", "skipped") for v in self.clauses.values())
 
 
+def _identity_clause(report: DualityReport, name, image, inverse, s, seed):
+    """Clause `name`: inverse(image) is isomorphic to s; skipped when the
+    clause does not apply (image is None)."""
+    if image is None:
+        report.clauses[name] = "skipped"
+        return
+    iso = are_isomorphic(inverse(image).system, s, seed=seed)
+    report.clauses[name] = "pass" if iso else "fail"
+    if iso:
+        report.witnesses[name] = iso.witness
+
+
 def check_duality(s: SubspaceSystem, seed: int = 0, check_indecomposability=True) -> DualityReport:
+    """The five duality clauses, building Phi-plus(S), Phi-minus(S) and the
+    defect of S once each, as the first clause that needs them is reached."""
     preds = predicates(s)
     report = DualityReport(predicates=preds)
+    clauses = report.clauses
 
-    if preds.reduced_above:
-        back = phi_minus(phi_plus(s).system).system
-        iso = are_isomorphic(back, s, seed=seed)
-        report.clauses["minus_plus_identity"] = "pass" if iso else "fail"
-        if iso:
-            report.witnesses["minus_plus_identity"] = iso.witness
-    else:
-        report.clauses["minus_plus_identity"] = "skipped"
+    plus = phi_plus(s).system if preds.reduced_above else None
+    _identity_clause(report, "minus_plus_identity", plus, phi_minus, s, seed)
+    minus = phi_minus(s).system if preds.reduced_below else None
+    _identity_clause(report, "plus_minus_identity", minus, phi_plus, s, seed + 1)
 
-    if preds.reduced_below:
-        back = phi_plus(phi_minus(s).system).system
-        iso = are_isomorphic(back, s, seed=seed + 1)
-        report.clauses["plus_minus_identity"] = "pass" if iso else "fail"
-        if iso:
-            report.witnesses["plus_minus_identity"] = iso.witness
-    else:
-        report.clauses["plus_minus_identity"] = "skipped"
-
-    if s.n == 4 and preds.reduced_above:
+    rho = None
+    if s.n == 4 and (plus is not None or minus is not None):
         rho = defect(s).defect
-        rho_plus = defect(phi_plus(s).system).defect
-        report.clauses["plus_preserves_defect"] = "pass" if rho_plus == rho else "fail"
-    else:
-        report.clauses["plus_preserves_defect"] = "skipped"
-
-    if s.n == 4 and preds.reduced_below:
-        rho = defect(s).defect
-        rho_minus = defect(phi_minus(s).system).defect
-        report.clauses["minus_preserves_defect"] = "pass" if rho_minus == rho else "fail"
-    else:
-        report.clauses["minus_preserves_defect"] = "skipped"
-
-    if check_indecomposability and preds.reduced_above and s.ambient_dim > 0:
-        plus = phi_plus(s).system
-        if predicates(plus).reduced_below and not plus.is_zero():
-            src = decompose(s, seed=seed + 2)
-            if src.indecomposable and src.certified():
-                img = decompose(plus, seed=seed + 3)
-                report.clauses["plus_preserves_indecomposable"] = (
-                    "pass" if img.indecomposable else "fail"
-                )
-            else:
-                report.clauses["plus_preserves_indecomposable"] = "skipped"
+    for name, image in (("plus_preserves_defect", plus), ("minus_preserves_defect", minus)):
+        if rho is not None and image is not None:
+            clauses[name] = "pass" if defect(image).defect == rho else "fail"
         else:
-            report.clauses["plus_preserves_indecomposable"] = "skipped"
-    else:
-        report.clauses["plus_preserves_indecomposable"] = "skipped"
+            clauses[name] = "skipped"
+
+    clauses["plus_preserves_indecomposable"] = "skipped"
+    if (check_indecomposability and plus is not None and s.ambient_dim > 0
+            and predicates(plus).reduced_below and not plus.is_zero()):
+        src = decompose(s, seed=seed + 2)
+        if src.indecomposable and src.certified():
+            img = decompose(plus, seed=seed + 3)
+            clauses["plus_preserves_indecomposable"] = "pass" if img.indecomposable else "fail"
     return report
 
 

@@ -12,18 +12,17 @@ milliseconds, plus values at or past each bound.
 Sysfiles of ambient 0 to 5 go to every command.  Ambients 6 up to the bound
 512 go to the commands that answer them within the alarm: `defect`,
 `coxeter plus`, `coxeter zero`, `coxeter perp`, `diagram` and `angles` at
-every such ambient; `coxeter minus` up to MINUS_AMBIENT (100); `decompose`
+every such ambient; `coxeter minus` up to MINUS_AMBIENT (200); `decompose`
 and `isom` past 32, where the Hom bound refuses them.
 test_coxeter_minus_and_perp_on_larger_ambients runs `coxeter minus` at 200
 and `coxeter perp` at 512 on dense subspaces, whose canonical bases take
-the multimodular lift, and `isom` and `decompose` at 10 and `coxeter plus`
-at 64, whose Hom constraints with large entries take it too (`isom` takes 5.7
-to 5.8 s in process at 16).  The rest is slow there and is listed,
-with measured inputs, in the strict xfail
-test_slow_commands_on_larger_ambients, which is not run (each case would
-hold the alarm for 10 s): `coxeter duality` at 32, whose Hom kernel the
-lift takes, but not inside the alarm, and `coxeter minus` on four zero
-subspaces of C^512."""
+the multimodular lift, `coxeter minus` on four zero subspaces of C^512,
+and `isom` and `decompose` at 10 and `coxeter plus` at 64, whose Hom
+constraints with large entries take the lift too (`isom` takes 5.7 to 5.8 s
+in process at 16).  The rest is slow there and is listed, with measured
+inputs, in the strict xfail test_slow_commands_on_larger_ambients, which is
+not run (it would hold the alarm for 10 s): `coxeter duality` at 32, whose
+Hom kernel the lift takes, but not inside the alarm."""
 
 import json
 import math
@@ -194,9 +193,12 @@ SYSFILE_COMMANDS = (
 )
 # the largest ambient whose End still passes the Hom bound
 HOM_AMBIENT = math.isqrt(MAX_HOM_UNKNOWNS)
-# the largest ambient where `coxeter minus` on four dense 3-dimensional
-# subspaces (four_subspaces) took under 2 s, process start included
-MINUS_AMBIENT = 100
+# an ambient where `coxeter minus` on four dense 3-dimensional subspaces
+# (four_subspaces) takes under 2 s, process start included: 0.5 s at 100,
+# 1.0 s at 150, 1.5 s at 200, 1.9 s at 224 and 2.4 s at 256.  The slowest of
+# 400 sysfile_texts drawn at 200 took 2.5 s in the fork server, and of 600 at
+# 224, 6.5 s (one vector, with entries -3.06e-232 and -8.7e24)
+MINUS_AMBIENT = 200
 
 
 def larger_ambient_commands(d):
@@ -249,10 +251,6 @@ SLOW_ON_LARGER_AMBIENTS = [
     # bound and refused); 340 lifts, most of 11 or 14 primes, and 437 that
     # fall back to fraction-free elimination
     pytest.param(["coxeter", "duality", "s.sys"], 32, 3, False, id="coxeter-duality-32"),
-    # four zero subspaces: 11.0 to 12.2 s at d = 512 under the 1 GiB cap,
-    # 0.34 s of it writing the 3 * 10^6 entries; the rest is phi_minus (ten
-    # lifted eliminations, each finished at its first prime)
-    pytest.param(["coxeter", "minus", "s.sys"], 512, 0, False, id="coxeter-minus-zero-512"),
 ]
 
 
@@ -267,12 +265,17 @@ def test_slow_commands_on_larger_ambients(run, argv, d, k, fractions):
 
 
 # Seconds as above, against the time when the lift was refused or absent:
-# `coxeter minus` at 200 3.8 to 5.4 s and `coxeter perp` at 512 3.5 to 4.4 s,
-# against more than 60 s with fraction-free Gauss-Jordan only; `isom` and
-# `decompose` on Q(i)^10 with large entries 1.3 and 3.2 s, against 21 and
-# 22 s; `coxeter plus` on twenty dimensions of Q(i)^64 0.5 s, against 27 s.
+# `coxeter perp` at 512 3.5 to 4.4 s, against more than 60 s with
+# fraction-free Gauss-Jordan only; `isom` and `decompose` on Q(i)^10 with
+# large entries 1.3 and 3.2 s, against 21 and 22 s; `coxeter plus` on twenty
+# dimensions of Q(i)^64 0.5 s, against 27 s.  `coxeter minus`, which reads
+# its subspaces off one kernel, takes 1.5 s at 200 (3.5 s while it composed
+# perp . plus . perp, more than 60 s before the lift) and 3.2 to 3.3 s on
+# four zero subspaces of C^512 (9.4 to 10.7 s composed), 0.34 s of it writing
+# the 3 * 10^6 entries.
 @pytest.mark.parametrize("argv, d, k, fractions", [
     pytest.param(["coxeter", "minus", "s.sys"], 200, 3, False, id="coxeter-minus-200"),
+    pytest.param(["coxeter", "minus", "s.sys"], 512, 0, False, id="coxeter-minus-zero-512"),
     pytest.param(["coxeter", "perp", "s.sys"], 512, 3, False, id="coxeter-perp-512"),
     pytest.param(["isom", "s.sys", "s.sys"], 10, 2, True, id="isom-10"),
     pytest.param(["decompose", "s.sys", "--seed", "1"], 10, 2, True, id="decompose-10"),

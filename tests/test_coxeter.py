@@ -17,7 +17,7 @@ from relpos.coxeter import (
 from relpos.decompose import are_isomorphic
 from relpos.gaussian import GQ
 from relpos.matrix import Matrix
-from relpos.sampling import random_system
+from relpos.sampling import random_subspace, random_system
 from relpos.subspace import Subspace, image_under, intersect, sum_
 from relpos.system import (
     SubspaceSystem,
@@ -235,3 +235,68 @@ def test_phi_zero_p0_crosscheck_runs():
 
 def test_phi_zero_of_zero_system():
     assert phi_zero(line_system(0, 0)).system.is_zero()
+
+
+def _reference_minus(s):
+    """Phi-minus as the composition perp . plus . perp."""
+    return phi_perp(phi_plus(phi_perp(s)).system)
+
+
+def _reference_zero(s):
+    """Phi-zero subspaces as span(G^-1 N_k* B_k* B_k), G = N* diag(B_k* B_k) N,
+    N the kernel of the sum map."""
+    ker = phi_plus(s).kernel_basis
+    h = ker.cols
+    if h == 0:
+        return zero_system(s.n, s.field)
+    grams = [sub.basis.conj_transpose() @ sub.basis for sub in s.subspaces]
+    gram = ker.conj_transpose() @ Matrix.block_diag([g for g in grams if g.rows]) @ ker
+    gram_inv = gram.inverse()
+    subs, off = [], 0
+    for sub, g in zip(s.subspaces, grams):
+        block = ker.take_rows(range(off, off + sub.dim))
+        off += sub.dim
+        if sub.dim == 0:
+            subs.append(Subspace.zero(h, s.field))
+        else:
+            subs.append(Subspace.span(gram_inv @ block.conj_transpose() @ g))
+    return SubspaceSystem(h, subs)
+
+
+def test_minus_and_zero_read_off_the_kernel_as_the_reference_formulas():
+    rng = random.Random(13)
+    seen = {"h=0": 0, "zero E_k": 0, "full E_k": 0, "float": 0}
+    for _ in range(60):
+        s = random_system(rng, rng.randint(1, 6), rng.randint(1, 5))
+        minus = phi_minus(s).system
+        assert minus == _reference_minus(s)
+        assert phi_zero(s).system == _reference_zero(s)
+        seen["h=0"] += minus.ambient_dim == 0
+        seen["zero E_k"] += any(sub.is_zero() for sub in s.subspaces)
+        seen["full E_k"] += any(sub.is_full() for sub in s.subspaces)
+        f = s.to_float()
+        got = phi_minus(f).system
+        want = _reference_minus(f)
+        assert got.ambient_dim == want.ambient_dim == minus.ambient_dim
+        assert got == want
+        assert phi_zero(f).system == _reference_zero(f)
+        seen["float"] += got.ambient_dim > 0
+    assert min(seen.values()) >= 5, seen
+
+
+def test_phi_minus_takes_one_nullspace_per_subspace_and_one_kernel(monkeypatch):
+    calls = []
+    nullspace = Matrix.nullspace
+
+    def counted(self):
+        calls.append(self.shape)
+        return nullspace(self)
+
+    monkeypatch.setattr(Matrix, "nullspace", counted)
+    rng = random.Random(14)
+    for n in (2, 3, 4, 5):
+        s = SubspaceSystem(4, [random_subspace(rng, 4, dim=1) for _ in range(n)])
+        calls.clear()
+        minus = phi_minus(s).system
+        assert minus.ambient_dim > 0
+        assert len(calls) <= n + 1, calls
