@@ -33,8 +33,11 @@ four parts, then `decompose --seed 3` on S_{T,S} for T = J_2(1) + J_1(2)
 and an integer S != I with det S = 1 (its End is lifted through S^-1),
 then `decompose` on S_T for T = diag(7, ..., 36) (thirty leaves, each
 split factoring a minimal polynomial of degree up to 30), then `coxeter
-zero` and `coxeter duality` on each of the five catalog systems,
-all with `--json` before the subcommand,
+zero` and `coxeter duality` on each of the five catalog systems, then
+`isom` on S_T for T = diag(1, 2, 3, 4, 50) against S_T for
+W diag(1, 2, 3, 4, 60) W^-1, W unitriangular (no intertwiner is
+invertible: Hom has dimension 4 and End 5), all with `--json` before the
+subcommand,
 against the `src/` next to this script (which it also imports to build W).
 Prints one line per command: the command, its exit code and the sha256 of
 its stdout and of its stderr.  Two checkouts give byte-identical CLI output
@@ -282,6 +285,23 @@ DIAGONAL_FILES = {"t4.sys": _operator_sysfile([[7 + i if i == j else 0 for j in 
 # appended after that: the projection functor and the duality report on
 # each catalog system
 CATALOG_TAIL = (("coxeter", "zero", "{f}"), ("coxeter", "duality", "{f}"))
+# appended after that: S_T for diag(1, 2, 3, 4, 50) and S_T for
+# W diag(1, 2, 3, 4, 60) W^-1, W unitriangular with integer entries, so
+# W^-1 has them too
+
+
+def _moved_diagonal_rows(values):
+    k = len(values)
+    w = Matrix.from_rows([[int(j in (i, i + 1)) for j in range(k)] for i in range(k)])
+    d = Matrix.from_rows([[v if i == j else 0 for j in range(k)] for i, v in enumerate(values)])
+    t = w @ d @ w.inverse()
+    return [[t.entry(r, c) for c in range(k)] for r in range(k)]
+
+
+NON_ISOMORPHIC_FILES = {
+    "t5.sys": _operator_sysfile([[v if i == j else 0 for j in range(5)] for i, v in enumerate((1, 2, 3, 4, 50))]),
+    "t6.sys": _operator_sysfile(_moved_diagonal_rows((1, 2, 3, 4, 60))),
+}
 DOCUMENTED_EXIT_CODES = {0, 2, 3, 4}
 
 
@@ -317,6 +337,7 @@ def _commands():
     for n in range(len(KEYS)):
         for cmd in CATALOG_TAIL:
             yield tuple(f"s{n}.sys" if w == "{f}" else w for w in cmd), None
+    yield ("isom", *NON_ISOMORPHIC_FILES), None
 
 
 def _sha(data: bytes) -> str:
@@ -330,6 +351,7 @@ def main() -> int:
         files = (
             OPERATOR_FILES | SUM_FILES | PAIR_FILES | SCALAR_FILES | TINY_ANGLE_FILES
             | COMMUTANT_ORDER_FILES | MULTI_PART_FILES | TWO_OPERATOR_FILES | DIAGONAL_FILES
+            | NON_ISOMORPHIC_FILES
         )
         for name, text in files.items():
             with open(os.path.join(work, name), "w") as fh:

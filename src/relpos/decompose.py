@@ -18,13 +18,12 @@ from .errors import (
     SingularMatrixError,
     UncertifiedError,
 )
-from .gaussian import GQ, ZERO
+from .gaussian import GQ
 from .matrix import EXACT, Matrix
 from .poly import factor_over_gaussian_rationals
 from .subspace import Subspace
-from .system import SubspaceSystem, direct_sum_many, hom_space, is_bounded_operator_system
+from .system import SubspaceSystem, direct_sum_many, hom_dim, hom_space, is_bounded_operator_system
 
-GRID_BUDGET = 20000
 SEARCH_ATTEMPTS = 32
 SEARCH_SPAN = 3
 
@@ -365,12 +364,12 @@ def verify_decomposition(s: SubspaceSystem, tree: DecompositionTree) -> bool:
 @dataclass
 class IsoResult:
     """Verdict of are_isomorphic: 'isomorphic' (with exact witness),
-    'not_isomorphic' (with certified reason), or 'undecided' (evidence only)."""
+    'not_isomorphic' (with certified reason), or 'undecided' (a leaf of a
+    decomposition is not certified)."""
 
     status: str
     witness: Matrix | None = None
     reason: str = ""
-    evidence: dict = field(default_factory=dict)
 
     def __bool__(self):
         return self.status == "isomorphic"
@@ -382,42 +381,23 @@ def _verify_iso_witness(s, t, w) -> bool:
     return t == s.apply(w)
 
 
-def _find_invertible_hom(hom: list, d: int, seed: int):
-    """Invertible combination of a Hom basis.
-
-    Returns (witness, conclusive): when witness is None and conclusive is
-    True, the grid {0..d}^m was exhausted, which certifies that no invertible
-    intertwiner exists (det has degree <= d in each coefficient)."""
-    if not hom:
-        return None, True
-    if hom[0].rows != hom[0].cols:
-        return None, True
-    m = len(hom)
-    for x in _candidates(hom, seed):
-        if x.is_invertible():
-            return x, False
-    if (d + 1) ** m > GRID_BUDGET:
-        return None, False
-    idx = [0] * m
-    while True:
-        if any(idx):
-            x = _combine(hom, idx)
-            if x.is_invertible():
-                return x, False
-        pos = 0
-        while pos < m:
-            idx[pos] += 1
-            if idx[pos] <= d:
-                break
-            idx[pos] = 0
-            pos += 1
-        if pos == m:
-            return None, True
+def _find_invertible_hom(hom: list, seed: int):
+    """The first invertible candidate of _candidates(hom, seed), or None."""
+    return next((x for x in _candidates(hom, seed) if x.is_invertible()), None)
 
 
-def are_isomorphic(s: SubspaceSystem, t: SubspaceSystem, seed: int = 0, _leaf=False) -> IsoResult:
-    """Search Hom(s,t) for an exact invertible intertwiner; fall back to
-    decomposing both sides and matching indecomposable summands."""
+def are_isomorphic(s: SubspaceSystem, t: SubspaceSystem, seed: int = 0) -> IsoResult:
+    """Decide s ≅ t with one certificate per question, in this order.
+
+    Different ambient or subspace dimensions, or Hom(s, t) = 0, answer
+    'not_isomorphic'.  Otherwise the candidates of Hom(s, t) (its basis,
+    then the seeded combinations) are searched for an invertible
+    intertwiner, the witness of 'isomorphic'.  When none is found, an
+    isomorphism phi would give Hom(s, t) = phi End(s) = End(t) phi, so
+    unequal dimensions of Hom(s, t), End(s) and End(t) answer
+    'not_isomorphic'.  Past that, both sides are decomposed, and an
+    uncertified leaf answers 'undecided'.  Certified leaves are matched by
+    Krull–Schmidt in _match_summands."""
     if s.n != t.n:
         raise DimensionMismatch("are_isomorphic: systems have different arity")
     if s.field != EXACT or t.field != EXACT:
@@ -431,70 +411,44 @@ def are_isomorphic(s: SubspaceSystem, t: SubspaceSystem, seed: int = 0, _leaf=Fa
     hom_st = hom_space(s, t).basis
     if not hom_st:
         return IsoResult(status="not_isomorphic", reason="Hom(s,t) = 0")
-    w, conclusive = _find_invertible_hom(hom_st, s.ambient_dim, seed)
+    w = _find_invertible_hom(hom_st, seed)
     if w is not None:
         if not _verify_iso_witness(s, t, w):
             raise InvariantViolation("invertible intertwiner failed the onto check")
         return IsoResult(status="isomorphic", witness=w)
-    if conclusive:
-        return IsoResult(
-            status="not_isomorphic",
-            reason="no invertible intertwiner (grid-certified)",
-        )
-    if _leaf:
-        return IsoResult(
-            status="undecided",
-            reason="invertibility search inconclusive within budget",
-            evidence={"hom_dim": len(hom_st)},
-        )
+    if not len(hom_st) == hom_dim(s, s) == hom_dim(t, t):
+        return IsoResult(status="not_isomorphic", reason="dim Hom(s,t), dim End(s) and dim End(t) not all equal")
     ds = decompose(s, seed)
     dt = decompose(t, seed + 1)
     if not (ds.certified() and dt.certified()):
-        return IsoResult(
-            status="undecided",
-            reason="decomposition leaves not certified over Q(i)",
-            evidence={
-                "left_status": ds.leaf_status,
-                "right_status": dt.leaf_status,
-            },
-        )
-    return _match_summands(s, t, ds, dt, seed)
+        return IsoResult(status="undecided", reason="decomposition leaves not certified over Q(i)")
+    return _match_summands(s, t, ds, dt)
 
 
-def _match_summands(s, t, ds: DecompositionTree, dt: DecompositionTree, seed) -> IsoResult:
+def _match_summands(s, t, ds: DecompositionTree, dt: DecompositionTree) -> IsoResult:
+    """Krull–Schmidt on certified leaves: s ≅ t exactly when their leaves
+    match one to one.  A certified leaf a has a local End (End/rad = Q(i)),
+    so if a ≅ b through phi, the non-invertible maps of Hom(a, b) form the
+    proper subspace phi rad End(a), and some basis element of Hom(a, b) is
+    invertible exactly when a ≅ b."""
     if len(ds.components) != len(dt.components):
         return IsoResult(status="not_isomorphic", reason="summand counts differ")
-    used = [False] * len(dt.components)
-    matches = []
+    owner = [None] * len(dt.components)  # owner[k]: the leaf of s matched to leaf k of t
+    maps = []
     for j, cs in enumerate(ds.components):
-        hit = None
         for k, ct in enumerate(dt.components):
-            if used[k] or cs.ambient_dim != ct.ambient_dim or cs.dims() != ct.dims():
+            if owner[k] is not None or cs.ambient_dim != ct.ambient_dim or cs.dims() != ct.dims():
                 continue
-            sub = are_isomorphic(cs, ct, seed + 17 * (j + 1) + k, _leaf=True)
-            if sub.status == "isomorphic":
-                hit = (k, sub.witness)
+            w = next((x for x in hom_space(cs, ct).basis if x.is_invertible()), None)
+            if w is not None:
+                owner[k] = j
+                maps.append(w)
                 break
-            if sub.status == "undecided":
-                return IsoResult(
-                    status="undecided",
-                    reason=f"summand comparison undecided ({j} vs {k})",
-                    evidence=sub.evidence,
-                )
-        if hit is None:
+        else:
             return IsoResult(status="not_isomorphic", reason="summand multisets do not match")
-        used[hit[0]] = True
-        matches.append(hit)
-    d = s.ambient_dim
-    s_off = list(accumulate((c.ambient_dim for c in ds.components), initial=0))
-    t_off = list(accumulate((c.ambient_dim for c in dt.components), initial=0))
-    ents = [ZERO] * (d * d)
-    for j, (k, wj) in enumerate(matches):
-        rj = ds.components[j].ambient_dim
-        for a in range(rj):
-            for b in range(rj):
-                ents[(t_off[k] + a) * d + (s_off[j] + b)] = wj.entry(a, b)
-    mid = Matrix(d, d, EXACT, entries=ents)
+    # block j of the block diagonal maps leaf j of s onto its match; its rows move to that place
+    off = list(accumulate((c.ambient_dim for c in ds.components), initial=0))
+    mid = Matrix.block_diag(maps).take_rows([r for j in owner for r in range(off[j], off[j + 1])])
     witness = dt.witness.inverse() @ mid @ ds.witness
     if not _verify_iso_witness(s, t, witness):
         raise InvariantViolation("assembled summand-matching witness failed")

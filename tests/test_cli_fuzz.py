@@ -19,7 +19,9 @@ and `coxeter perp` at 512 on dense subspaces, whose canonical bases take
 the multimodular lift, `coxeter minus` on four zero subspaces of C^512,
 and `isom` and `decompose` at 10 and `coxeter plus` at 64, whose Hom
 constraints with large entries take the lift too (`isom` takes 5.7 to 5.8 s
-in process at 16).  The rest is slow there and is listed, with measured
+in process at 16).  test_isom_without_an_invertible_intertwiner_on_a_larger_ambient
+runs `isom` at 26 on two operator systems with a nonzero Hom that are
+not isomorphic.  The rest is slow there and is listed, with measured
 inputs, in the strict xfail test_slow_commands_on_larger_ambients, which is
 not run (it would hold the alarm for 10 s): `coxeter duality` at 32, whose
 Hom kernel the lift takes, but not inside the alarm."""
@@ -37,8 +39,10 @@ from hypothesis import given, settings, strategies as st
 
 import relpos
 from relpos.catalog import GP4_FAMILIES, MAX_CATALOG_DIM
+from relpos.sysfile import render
 from relpos.system import MAX_HOM_UNKNOWNS
 from relpos.toeplitz import MAX_EXOTIC_N, MAX_SYMBOL_BLOCK, MAX_SYMBOL_OFFSET
+from test_decompose import AMBIENT_26, moved_diagonal_pair
 
 DOCUMENTED_EXIT_CODES = {0, 2, 3, 4}
 SERVER = os.path.join(os.path.dirname(os.path.abspath(__file__)), "cli_fork_server.py")
@@ -47,7 +51,7 @@ FUZZ = settings(max_examples=25, deadline=None)
 
 @pytest.fixture(scope="module")
 def run():
-    """run(argv, files) -> (exit code, stderr tail) of one forked example."""
+    """run(argv, files) -> (exit code, stdout tail, stderr tail) of one forked example."""
     src = os.path.dirname(os.path.dirname(relpos.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"}
@@ -59,7 +63,7 @@ def run():
         server.stdin.write(json.dumps({"argv": argv, "files": files or {}}) + "\n")
         server.stdin.flush()
         answer = json.loads(server.stdout.readline())
-        return answer["exit"], answer["stderr"]
+        return answer["exit"], answer["stdout"], answer["stderr"]
 
     try:
         yield call
@@ -70,7 +74,7 @@ def run():
 
 
 def assert_documented(run, argv, files=None):
-    code, err = run(argv, files)
+    code, _, err = run(argv, files)
     assert code in DOCUMENTED_EXIT_CODES, f"relpos {argv} exited {code}:\n{err}"
     assert "Traceback" not in err
 
@@ -282,8 +286,18 @@ def test_slow_commands_on_larger_ambients(run, argv, d, k, fractions):
     pytest.param(["coxeter", "plus", "s.sys"], 64, 20, False, id="coxeter-plus-64"),
 ])
 def test_coxeter_minus_and_perp_on_larger_ambients(run, argv, d, k, fractions):
-    code, err = run(argv, {"s.sys": four_subspaces(d, k, fractions)})
+    code, _, err = run(argv, {"s.sys": four_subspaces(d, k, fractions)})
     assert code == 0, f"relpos {argv} exited {code}:\n{err}"
+
+
+def test_isom_without_an_invertible_intertwiner_on_a_larger_ambient(run):
+    # S_T for two diagonal T of size 13 that share three eigenvalues: no
+    # intertwiner is invertible, and the dimensions of Hom (3) and End (13)
+    # decide the pair
+    files = {name: render(x) for name, x in zip(("a.sys", "b.sys"), moved_diagonal_pair(*AMBIENT_26))}
+    code, out, err = run(["--json", "isom", "a.sys", "b.sys"], files)
+    assert code == 0, f"relpos isom exited {code}:\n{err}"
+    assert json.loads(out)["status"] == "not_isomorphic"
 
 
 @given(symbol=symbol_texts(), mode=st.sampled_from(("index", "defect")))

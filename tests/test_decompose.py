@@ -7,9 +7,13 @@ from fractions import Fraction
 import pytest
 
 from relpos.catalog import (
+    CatalogKey,
+    build,
     build_example,
     build_gp3,
     build_gp4,
+    finite_type_keys,
+    gp4_reference_keys,
     jordan_block,
     operator_system,
     single_operator_system,
@@ -35,7 +39,14 @@ from relpos.poly import Polynomial
 from relpos.sampling import random_invertible, random_system
 from relpos.subspace import Subspace
 from relpos.sysfile import system_from_text
-from relpos.system import MAX_HOM_UNKNOWNS, SubspaceSystem, hom_dim, hom_space, is_bounded_operator_system
+from relpos.system import (
+    MAX_HOM_UNKNOWNS,
+    SubspaceSystem,
+    direct_sum_many,
+    hom_dim,
+    hom_space,
+    is_bounded_operator_system,
+)
 from test_cli import FOUR_LINES
 
 
@@ -165,6 +176,94 @@ def test_are_isomorphic_is_equivalence_on_catalog_triples():
     refl = are_isomorphic(s, s, seed=4)
     assert refl
 
+
+def moved_diagonal_pair(a, b):
+    """S_T for T = diag(a) and S_T for T = diag(b) moved by a random
+    invertible map: isomorphic exactly when a and b are equal as multisets."""
+    def diag(values):
+        return Matrix.from_rows([[v if i == j else 0 for j in range(len(values))] for i, v in enumerate(values)])
+
+    t = single_operator_system(diag(b)).apply(random_invertible(random.Random(4), 2 * len(b)))
+    return single_operator_system(diag(a)), t
+
+
+# Hom(s, t) of this pair has dimension 3 and End(s) and End(t) have 13, so no
+# intertwiner is invertible
+AMBIENT_26 = ([1, 2, 3, *range(50, 60)], [1, 2, 3, *range(60, 70)])
+
+
+def test_failed_search_stops_at_the_hom_dimension_certificate(monkeypatch):
+    s, t = moved_diagonal_pair(*AMBIENT_26)
+    calls = []
+    is_invertible = Matrix.is_invertible
+    monkeypatch.setattr(Matrix, "is_invertible", lambda m: calls.append(m) or is_invertible(m))
+    res = are_isomorphic(s, t, seed=0)
+    assert res.status == "not_isomorphic"
+    # the 3 basis maps and at most 32 seeded combinations
+    assert len(calls) <= 40
+
+
+def replaced_pair(seed):
+    """A random system and its copy with subspace i replaced by subspace j,
+    for a seeded pair i != j (the copy keeps the dimensions when the two
+    have equal dimension)."""
+    rng = random.Random(seed)
+    n = rng.choice((3, 4))
+    d = rng.randint(2, 5)
+    s = random_system(rng, d, n)
+    i, j = rng.sample(range(n), 2)
+    subs = list(s.subspaces)
+    subs[i] = subs[j]
+    return s, SubspaceSystem(d, subs)
+
+
+# seeds of replaced_pair whose candidate search finds no invertible
+# intertwiner, and the statuses recorded for them
+FAILED_SEARCHES = [
+    (5, "not_isomorphic"), (15, "not_isomorphic"), (28, "not_isomorphic"), (91, "not_isomorphic"),
+    (109, "not_isomorphic"), (117, "not_isomorphic"), (187, "not_isomorphic"), (210, "not_isomorphic"),
+    (254, "not_isomorphic"), (302, "not_isomorphic"), (384, "not_isomorphic"), (396, "not_isomorphic"),
+]
+
+
+@pytest.mark.parametrize("seed, status", FAILED_SEARCHES)
+def test_failed_searches_keep_their_recorded_status(seed, status):
+    s, t = replaced_pair(seed)
+    assert s.dims() == t.dims()
+    assert dec._find_invertible_hom(hom_space(s, t).basis, seed) is None
+    assert are_isomorphic(s, t, seed=seed).status == status
+
+
+def test_krull_schmidt_matches_planted_sums(monkeypatch):
+    # with the search switched off, every verdict comes from the summand match
+    monkeypatch.setattr(dec, "_find_invertible_hom", lambda hom, seed: None)
+    pools = [[build(k) for k in gp4_reference_keys(2)], [build(k) for k in finite_type_keys(3)]]
+    for case in range(20):
+        rng = random.Random(case)
+        members = rng.sample(pools[case % 2], rng.randint(1, 3))
+        # ambient <= 9: a sum of three members in Q(i)^12 takes 10 to 25 s
+        while sum(m.ambient_dim for m in members) > 9:
+            members = rng.sample(pools[case % 2], rng.randint(1, 3))
+        d = sum(m.ambient_dim for m in members)
+        s = direct_sum_many(members).apply(random_invertible(rng, d))
+        order = members[::-1] if case % 4 >= 2 else members
+        t = direct_sum_many(order).apply(random_invertible(rng, d))
+        res = are_isomorphic(s, t, seed=case)
+        assert res.status == "isomorphic", (case, res.reason)
+        assert s.apply(res.witness) == t
+
+
+def test_summand_match_refuses_leaves_with_a_singular_hom():
+    # two leaves of dimension vector (2; 1, 1, 1, 1) in one tube: Hom, End(s)
+    # and End(t) all have dimension 1, and the one map is not invertible
+    s = build(CatalogKey.parse("gp4:S13(2k,0).k=1"))
+    t = build(CatalogKey.parse("gp4:S13(2k,0).k=1.perm=2143"))
+    assert s.dims() == t.dims()
+    assert hom_dim(s, t) == hom_dim(s, s) == hom_dim(t, t) == 1
+    assert decompose(s).certified() and decompose(t).certified()
+    res = are_isomorphic(s, t, seed=0)
+    assert res.status == "not_isomorphic"
+    assert res.reason == "summand multisets do not match"
 
 def test_transitive_examples():
     lam = GQ(Fraction(3, 2))
