@@ -279,20 +279,24 @@ def cmd_toeplitz(args) -> int:
     return EXIT_OK
 
 
-def cmd_verify(args) -> int:
-    if args.sweep == "all":
-        return _verify_all(args)
-    (crit,) = [c for c in verify_mod.CRITERIA if c.name == args.sweep]
-    rep = crit.sweep()
-    report = {
-        "command": f"verify {args.sweep}",
+def verify_report(name: str, rep) -> dict:
+    """The report of `relpos verify NAME` on the sweep report rep."""
+    return {
+        "command": f"verify {name}",
         "name": rep.name,
         "passed": rep.passed,
         "checked": rep.checked,
         "failures": rep.failures,
         "details": rep.details,
     }
-    _emit(report, args)
+
+
+def cmd_verify(args) -> int:
+    if args.sweep == "all":
+        return _verify_all(args)
+    (crit,) = [c for c in verify_mod.CRITERIA if c.name == args.sweep]
+    rep = crit.sweep()
+    _emit(verify_report(args.sweep, rep), args)
     return EXIT_OK if rep.passed else EXIT_INVARIANT
 
 

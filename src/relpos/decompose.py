@@ -113,12 +113,12 @@ class EndAlgebra:
 
 
 def end_algebra(s: SubspaceSystem) -> EndAlgebra:
-    """End(S) in the basis it is built in: hom_space(s, s).basis, or, for an
+    """End(S) in the basis it is built in: hom_space(s, s), or, for an
     operator system S_{T,S} with k1 = k2 and invertible S, the maps
     W^-1 diag(X, S^-1 X S) W over commutant_basis(ST), held framed."""
     if s.field != EXACT:
         raise ExactOnlyError("end_algebra needs the exact backend")
-    return _operator_end_basis(s) or EndAlgebra(basis=hom_space(s, s).basis)
+    return _operator_end_basis(s) or EndAlgebra(basis=hom_space(s, s))
 
 
 def _operator_end_basis(s: SubspaceSystem):
@@ -203,8 +203,9 @@ def _primary_split(x: Matrix, parts: list, frame: OperatorFrame | None = None):
     ker p_j(X), which is ker p_j of the lifted x."""
     kernels = []
     for p in parts:
-        k = p.eval_matrix(x).nullspace()
-        kernels.append(Subspace.span(k if frame is None else frame.lift_kernel(k)).basis)
+        px = p.eval_matrix(x)
+        h = Subspace.kernel(px) if frame is None else Subspace.span(frame.lift_kernel(px.nullspace()))
+        kernels.append(h.basis)
     dims = [h.cols for h in kernels]
     if 0 in dims or sum(dims) != (x.rows if frame is None else frame.w.rows):
         raise InvariantViolation("the kernels of the coprime parts do not fill the space")
@@ -289,13 +290,10 @@ LEAF_STATUS = {
 @dataclass
 class DecompositionTree:
     """Flattened decomposition: witness maps the input onto the direct sum of
-    the components, subspace by subspace; certificates are the idempotents
-    e_1, ..., e_(k-1) of each k-way split, in preorder (e_k = I - the others
-    is left out), so there is one fewer certificate than components."""
+    the components, subspace by subspace (verify_decomposition checks it)."""
 
     components: list
     witness: Matrix
-    certificates: list = field(default_factory=list)
     leaf_status: list = field(default_factory=list)
 
     @property
@@ -348,7 +346,6 @@ def decompose(s: SubspaceSystem, seed: int = 0) -> DecompositionTree:
     return DecompositionTree(
         components=[c for t in trees for c in t.components],
         witness=Matrix.block_diag([t.witness for t in trees]) @ found.w0,
-        certificates=found.idempotents[:-1] + [e for t in trees for e in t.certificates],
         leaf_status=[st for t in trees for st in t.leaf_status],
     )
 
@@ -408,7 +405,7 @@ def are_isomorphic(s: SubspaceSystem, t: SubspaceSystem, seed: int = 0) -> IsoRe
         return IsoResult(status="not_isomorphic", reason="subspace dimensions differ")
     if s.ambient_dim == 0:
         return IsoResult(status="isomorphic", witness=Matrix.identity(0))
-    hom_st = hom_space(s, t).basis
+    hom_st = hom_space(s, t)
     if not hom_st:
         return IsoResult(status="not_isomorphic", reason="Hom(s,t) = 0")
     w = _find_invertible_hom(hom_st, seed)
@@ -439,7 +436,7 @@ def _match_summands(s, t, ds: DecompositionTree, dt: DecompositionTree) -> IsoRe
         for k, ct in enumerate(dt.components):
             if owner[k] is not None or cs.ambient_dim != ct.ambient_dim or cs.dims() != ct.dims():
                 continue
-            w = next((x for x in hom_space(cs, ct).basis if x.is_invertible()), None)
+            w = next((x for x in hom_space(cs, ct) if x.is_invertible()), None)
             if w is not None:
                 owner[k] = j
                 maps.append(w)
@@ -490,7 +487,6 @@ def strongly_irreducible(t: Matrix, seed: int = 0) -> bool:
 class JordanReport:
     certified: bool
     blocks: dict
-    note: str = ""
 
     def single_block(self) -> bool:
         sizes = [s for sizes in self.blocks.values() for s in sizes]
@@ -508,11 +504,7 @@ def jordan_oracle(t: Matrix) -> JordanReport:
     p = t.minimal_polynomial()
     rep = factor_over_gaussian_rationals(p)
     if rep.remainder is not None or any(f.degree > 1 for f, _ in rep.factors):
-        return JordanReport(
-            certified=False,
-            blocks={},
-            note="spectrum not certified inside Q(i)",
-        )
+        return JordanReport(certified=False, blocks={})
     blocks = {}
     total = 0
     ident = Matrix.identity(n)

@@ -81,7 +81,8 @@ class Matrix:
 
     # _rank and _minpoly memoise the exact rank and minimal polynomial (None
     # until known); a Polynomial keeps its coefficients in a tuple, so the
-    # memoised one is safe to share
+    # memoised one is safe to share.  Constructions that prove a matrix
+    # invertible record its full rank (`_invertible`)
     __slots__ = ("rows", "cols", "field", "_re", "_im", "_den", "_f", "tol", "_rank", "_minpoly")
 
     def __init__(self, rows, cols, field, entries=None, array=None, tol=DEFAULT_TOL):
@@ -157,7 +158,7 @@ class Matrix:
         if field == EXACT:
             re = [0] * (n * n)
             re[:: n + 1] = [1] * n
-            return cls._ints(n, n, re, [0] * (n * n))
+            return cls._raw(n, n, re, [0] * (n * n), 1)._invertible(True)
         return cls(n, n, FLOAT, array=np.eye(n, dtype=complex), tol=tol)
 
     @classmethod
@@ -166,6 +167,17 @@ class Matrix:
         if a.ndim != 2:
             raise DimensionMismatch("need a 2-d array")
         return cls(a.shape[0], a.shape[1], FLOAT, array=a, tol=tol)
+
+    def _full_rank(self) -> bool:
+        """Whether this exact square matrix is recorded invertible."""
+        return self._rank == self.rows == self.cols
+
+    def _invertible(self, proved) -> "Matrix":
+        """This matrix, recorded invertible when its construction proves it: the identity,
+        an inverse, or a product, block diagonal or row permutation of invertible squares."""
+        if proved:
+            self._rank = self.rows
+        return self
 
     # -- access ---------------------------------------------------------------
 
@@ -221,7 +233,8 @@ class Matrix:
                 s = starts[i]
                 re += self._re[s : s + k]
                 im += self._im[s : s + k]
-        return Matrix._ints(len(idx), k, re, im, self._den)
+        out = Matrix._ints(len(idx), k, re, im, self._den)
+        return out._invertible(self._full_rank() and sorted(idx) == list(range(k)))
 
     def to_array(self) -> np.ndarray:
         if self.field == FLOAT:
@@ -347,7 +360,7 @@ class Matrix:
             right = Matrix.zeros(m.rows, cols - c0 - m.cols, m.field, m.tol)
             rows.append(Matrix.hstack([left, m, right]))
             c0 += m.cols
-        return Matrix.vstack(rows)
+        return Matrix.vstack(rows)._invertible(all(m._full_rank() for m in mats))
 
     # -- arithmetic -------------------------------------------------------------
 
@@ -405,7 +418,8 @@ class Matrix:
         cre, cim = kernel.matmul(
             self._re, self._im, self.rows, self.cols, other._re, other._im, other.cols
         )
-        return Matrix._ints(self.rows, other.cols, cre, cim, self._den * other._den)
+        out = Matrix._ints(self.rows, other.cols, cre, cim, self._den * other._den)
+        return out._invertible(self._full_rank() and other._full_rank())
 
     def trace(self):
         if self.rows != self.cols:
@@ -535,9 +549,8 @@ class Matrix:
         x = self.solve(Matrix.identity(self.rows))
         if x is None:
             raise SingularMatrixError("matrix is not invertible")
-        # both are invertible now: is_invertible needs no elimination
-        self._rank = x._rank = self.rows
-        return x
+        self._invertible(True)
+        return x._invertible(True)
 
     def is_invertible(self) -> bool:
         return self.rows == self.cols and self.rank() == self.rows

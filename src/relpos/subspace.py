@@ -101,6 +101,24 @@ class Subspace:
         return cls(Matrix.from_array(np.array(rows, dtype=complex).T, tol=tol))
 
     @classmethod
+    def kernel(cls, m: Matrix) -> "Subspace":
+        """ker m.  Exact: the canonical nullspace N of m with its columns
+        reversed, with its rows and columns reversed back (its flat storage
+        reversed), which is already the canonical basis: no second
+        elimination.  The free columns of rref(m) are the lexicographically
+        last coordinates on which ker m projects one to one (their
+        complement, the pivots, is the first basis of m's columns, and
+        complements of bases are the bases of the dual matroid); reversing
+        m's columns makes them the first.  Each column of N is 1 at its own
+        free column, 0 at the others, and elsewhere nonzero only at pivots
+        left of it, so reversed back the 1 leads, at increasing rows: the
+        unique column-reduced echelon basis.  Float: Subspace(m.nullspace())."""
+        if m.field != EXACT:
+            return cls(m.nullspace())
+        n = m.take_columns(range(m.cols - 1, -1, -1)).nullspace()
+        return cls(Matrix._raw(n.rows, n.cols, n._re[::-1], n._im[::-1], n._den), _canonical=True)
+
+    @classmethod
     def zero(cls, d, field=EXACT, tol=DEFAULT_TOL) -> "Subspace":
         return cls(Matrix.zeros(d, 0, field, tol=tol), _canonical=True)
 
@@ -159,8 +177,8 @@ class Subspace:
     # -- lattice operations ------------------------------------------------------
 
     def orthocomplement(self) -> "Subspace":
-        """Nullspace of the conjugate transpose of the basis."""
-        return Subspace(self.basis.conj_transpose().nullspace())
+        """Kernel of the conjugate transpose of the basis."""
+        return Subspace.kernel(self.basis.conj_transpose())
 
     def to_float(self, tol=DEFAULT_TOL) -> "Subspace":
         if self.field == FLOAT:
@@ -216,18 +234,19 @@ def annihilator(a: Subspace) -> Matrix:
 
 
 def intersect(a: Subspace, b: Subspace) -> Subspace:
-    """Basis of a∩b.  Exact: B_a ker(C_b B_a) with C_b = annihilator(b),
-    whose product with B_a is read off b's canonical basis.  Float: the
-    nullspace of [B_a | -B_b], mapped through B_a."""
+    """Basis of a∩b.  Exact: B_a K for K = Subspace.kernel(C_b B_a).basis,
+    C_b = annihilator(b), whose product with B_a is read off b's canonical
+    basis; B_a K is canonical since K is and B_a is the identity on its
+    pivot rows and zero above each pivot.  Float: the nullspace of
+    [B_a | -B_b], mapped through B_a."""
     a._check(b)
     if a.dim == 0 or b.dim == 0:
         return Subspace.zero(a.ambient_dim, a.field, a.basis.tol)
     if a.field == EXACT:
-        coeff = _annihilate(b, a.basis).nullspace()
-    else:
-        ker = Matrix.hstack([a.basis, -b.basis]).nullspace()
-        coeff = ker.take_rows(range(a.dim))
-    return Subspace(a.basis @ coeff)
+        coeff = Subspace.kernel(_annihilate(b, a.basis)).basis
+        return Subspace(a.basis @ coeff, _canonical=True)
+    ker = Matrix.hstack([a.basis, -b.basis]).nullspace()
+    return Subspace(a.basis @ ker.take_rows(range(a.dim)))
 
 
 def check_invertible_map(t: Matrix, d: int, field):

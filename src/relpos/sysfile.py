@@ -33,7 +33,6 @@ FIELD_BY_NAME = {v: k for k, v in FIELD_NAMES.items()}
 
 @dataclass
 class SystemFile:
-    format_version: int
     field_name: str
     ambient_dim: int
     subspaces: list  # (name, list of row vectors as scalar lists)
@@ -139,7 +138,6 @@ def parse(text: str) -> SystemFile:
     if field_name is None or ambient is None:
         raise ParseError("missing field or ambient header")
     return SystemFile(
-        format_version=version,
         field_name=field_name,
         ambient_dim=ambient,
         subspaces=subspaces,

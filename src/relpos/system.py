@@ -122,19 +122,6 @@ def transposition(n: int, i: int, j: int):
     return tuple(perm)
 
 
-@dataclass
-class HomBasis:
-    """Basis of {A : A E_i <= F_i for all i} as d_T x d_S matrices."""
-
-    source: SubspaceSystem
-    target: SubspaceSystem
-    basis: list
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-
 # hom_space refuses more unknowns d_S d_T than this (exit 2): its dense
 # constraint matrix has d_S d_T columns and its nullspace up to (d_S d_T)^2
 # entries.  The largest Hom that the tests, the acceptance criteria,
@@ -153,8 +140,8 @@ def _check_hom_pair(s: SubspaceSystem, t: SubspaceSystem) -> None:
         raise ExactOnlyError("Hom spaces need the exact backend")
 
 
-def hom_space(s: SubspaceSystem, t: SubspaceSystem) -> HomBasis:
-    """Intertwiner space via one canonical nullspace over the matrix entries.
+def hom_space(s: SubspaceSystem, t: SubspaceSystem) -> list:
+    """A basis of {A : A E_i <= F_i for all i} (d_T x d_S maps), via one nullspace.
 
     Each containment A E_i <= F_i contributes C_i A B_i = 0 with C_i the left
     annihilator of the target basis: the `_hom_rows` over vec(A)
@@ -168,8 +155,7 @@ def hom_space(s: SubspaceSystem, t: SubspaceSystem) -> HomBasis:
             f"hom_space: {ds} x {dt} = {ds * dt} unknowns exceeds the bound {MAX_HOM_UNKNOWNS}"
         )
     ker = _dense(_hom_rows(s, t), range(ds * dt)).nullspace().transpose()
-    basis = [Matrix.unvec(ker.take_rows([j]), dt, ds) for j in range(ker.rows)]
-    return HomBasis(s, t, basis)
+    return [Matrix.unvec(ker.take_rows([j]), dt, ds) for j in range(ker.rows)]
 
 
 def _nonzero_by_row(m: Matrix) -> list:

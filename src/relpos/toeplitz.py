@@ -738,9 +738,6 @@ def _exotic_float_subspaces(gamma: GQ, n: int) -> list:
 
 @dataclass
 class ExoticReport:
-    gamma: GQ
-    n: int
-    tol: float
     pair_intersections: dict
     pair_angles: dict
     diagram: object
@@ -798,9 +795,6 @@ def exotic_report(gamma: GQ, n: int, tol: float = 1e-6) -> ExoticReport:
     total = sum(near[p] - nperp[p] for p in near)
     estimate = Fraction(total, 3)
     return ExoticReport(
-        gamma=gamma,
-        n=n,
-        tol=tol,
         pair_intersections=m,
         pair_angles=angles,
         diagram=diagram,
@@ -826,7 +820,6 @@ def upper_toeplitz(first_row, n: int | None = None) -> Matrix:
 @dataclass
 class ToeplitzIdempotentCheck:
     is_idempotent: bool
-    is_trivial: bool
     lemma_holds: bool
 
 
@@ -835,11 +828,8 @@ def toeplitz_idempotent_check(first_row, n: int | None = None) -> ToeplitzIdempo
     matrix is idempotent it must be 0 or the identity."""
     t = upper_toeplitz(first_row, n)
     idem = (t @ t) == t
-    trivial = t.is_zero() or t.is_identity()
     return ToeplitzIdempotentCheck(
-        is_idempotent=idem,
-        is_trivial=trivial,
-        lemma_holds=(not idem) or trivial,
+        is_idempotent=idem, lemma_holds=(not idem) or t.is_zero() or t.is_identity()
     )
 
 

@@ -16,7 +16,8 @@ every such ambient; `coxeter minus` up to MINUS_AMBIENT (200); `decompose`
 and `isom` past 32, where the Hom bound refuses them.
 test_coxeter_minus_and_perp_on_larger_ambients runs `coxeter minus` at 200
 and `coxeter perp` at 512 on dense subspaces, whose canonical bases take
-the multimodular lift, `coxeter minus` on four zero subspaces of C^512,
+the multimodular lift, `coxeter perp` at 20 and 512 on sparse rows with
+huge entries, `coxeter minus` on four zero subspaces of C^512,
 and `isom` and `decompose` at 10 and `coxeter plus` at 64, whose Hom
 constraints with large entries take the lift too (`isom` takes 5.7 to 5.8 s
 in process at 16).  test_isom_without_an_invertible_intertwiner_on_a_larger_ambient
@@ -247,6 +248,25 @@ def four_subspaces(d, k, fractions=False, seed=0):
     return "\n".join(lines) + "\n"
 
 
+HUGE_WORDS = ("1e4298", "-3.058817864133782e-232", "43536308755372831015960576/5", "999999/49")
+
+
+def huge_entry_subspaces(d, seed):
+    """Four 3-dimensional subspaces of Q(i)^d whose rows each hold the four
+    HUGE_WORDS, which the fuzz strategy can draw, at seeded places and in a
+    seeded order, and zeros elsewhere."""
+    rng = random.Random(seed)
+    lines = ["relpos-system 1", "field gaussian-rational", f"ambient {d}"]
+    for i in range(4):
+        lines.append(f"subspace E{i + 1} dim 3")
+        for _ in range(3):
+            row = ["0"] * d
+            for j, word in zip(rng.sample(range(d), 4), rng.sample(HUGE_WORDS, 4)):
+                row[j] = word
+            lines.append(" ".join(row))
+    return "\n".join(lines) + "\n"
+
+
 # Seconds in one process on a 2-core Xeon (the coxeter ones include a
 # process start); the alarm is 10 s.
 SLOW_ON_LARGER_AMBIENTS = [
@@ -276,17 +296,22 @@ def test_slow_commands_on_larger_ambients(run, argv, d, k, fractions):
 # its subspaces off one kernel, takes 1.5 s at 200 (3.5 s while it composed
 # perp . plus . perp, more than 60 s before the lift) and 3.2 to 3.3 s on
 # four zero subspaces of C^512 (9.4 to 10.7 s composed), 0.34 s of it writing
-# the 3 * 10^6 entries.
-@pytest.mark.parametrize("argv, d, k, fractions", [
-    pytest.param(["coxeter", "minus", "s.sys"], 200, 3, False, id="coxeter-minus-200"),
-    pytest.param(["coxeter", "minus", "s.sys"], 512, 0, False, id="coxeter-minus-zero-512"),
-    pytest.param(["coxeter", "perp", "s.sys"], 512, 3, False, id="coxeter-perp-512"),
-    pytest.param(["isom", "s.sys", "s.sys"], 10, 2, True, id="isom-10"),
-    pytest.param(["decompose", "s.sys", "--seed", "1"], 10, 2, True, id="decompose-10"),
-    pytest.param(["coxeter", "plus", "s.sys"], 64, 20, False, id="coxeter-plus-64"),
+# the 3 * 10^6 entries.  `coxeter perp` on huge_entry_subspaces(d, 3) takes
+# 0.2 s at 20 and 1.2 s at 512; while each kernel was eliminated a second
+# time to reach its canonical basis it was killed by the alarm at both (at
+# 20, seeds 0 to 4 took 5.2 to 10 s).
+@pytest.mark.parametrize("argv, text", [
+    pytest.param(["coxeter", "minus", "s.sys"], four_subspaces(200, 3), id="coxeter-minus-200"),
+    pytest.param(["coxeter", "minus", "s.sys"], four_subspaces(512, 0), id="coxeter-minus-zero-512"),
+    pytest.param(["coxeter", "perp", "s.sys"], four_subspaces(512, 3), id="coxeter-perp-512"),
+    pytest.param(["coxeter", "perp", "s.sys"], huge_entry_subspaces(20, 3), id="coxeter-perp-huge-20"),
+    pytest.param(["coxeter", "perp", "s.sys"], huge_entry_subspaces(512, 3), id="coxeter-perp-huge-512"),
+    pytest.param(["isom", "s.sys", "s.sys"], four_subspaces(10, 2, True), id="isom-10"),
+    pytest.param(["decompose", "s.sys", "--seed", "1"], four_subspaces(10, 2, True), id="decompose-10"),
+    pytest.param(["coxeter", "plus", "s.sys"], four_subspaces(64, 20), id="coxeter-plus-64"),
 ])
-def test_coxeter_minus_and_perp_on_larger_ambients(run, argv, d, k, fractions):
-    code, _, err = run(argv, {"s.sys": four_subspaces(d, k, fractions)})
+def test_coxeter_minus_and_perp_on_larger_ambients(run, argv, text):
+    code, _, err = run(argv, {"s.sys": text})
     assert code == 0, f"relpos {argv} exited {code}:\n{err}"
 
 

@@ -48,7 +48,7 @@ def test_phi_perp_hom_contravariant():
     rng = random.Random(1)
     s = random_system(rng, 3, 3)
     t = random_system(rng, 3, 3)
-    for a in hom_space(s, t).basis:
+    for a in hom_space(s, t):
         b = phi_perp_hom(a)
         sp = phi_perp(t)
         tp = phi_perp(s)

@@ -230,7 +230,7 @@ FAILED_SEARCHES = [
 def test_failed_searches_keep_their_recorded_status(seed, status):
     s, t = replaced_pair(seed)
     assert s.dims() == t.dims()
-    assert dec._find_invertible_hom(hom_space(s, t).basis, seed) is None
+    assert dec._find_invertible_hom(hom_space(s, t), seed) is None
     assert are_isomorphic(s, t, seed=seed).status == status
 
 
@@ -251,6 +251,78 @@ def test_krull_schmidt_matches_planted_sums(monkeypatch):
         res = are_isomorphic(s, t, seed=case)
         assert res.status == "isomorphic", (case, res.reason)
         assert s.apply(res.witness) == t
+
+
+def planted_draw(seed):
+    """(s, members): 2 to 4 members drawn with replacement by
+    random.Random(seed) from the members of gp4_reference_keys(2) of ambient
+    <= 3, summed and moved by an invertible W with entries n/m, |n| <= 10^6
+    and 1 <= m <= 50."""
+    rng = random.Random(seed)
+    pool = [m for m in (build(k) for k in gp4_reference_keys(2)) if m.ambient_dim <= 3]
+    members = [rng.choice(pool) for _ in range(rng.randint(2, 4))]
+    d = sum(m.ambient_dim for m in members)
+    while True:
+        w = Matrix.exact(d, d, [
+            Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 50)) for _ in range(d * d)
+        ])
+        if w.is_invertible():
+            return direct_sum_many(members).apply(w), members
+
+
+# Seeds of planted_draw, 0 to 11.  Seeds 2 and 11 plant a member twice, and
+# decompose leaves the pair as one 'indecomposable_over_QI' leaf (ROADMAP
+# item 1).
+# Seed 10 (four members in Q(i)^9) passes in 2.7 s and is left out to keep
+# the suite's time; seeds 5 and 6 take 1.0 and 1.8 s, the others 0.3 s or less.
+PLANTED_SEEDS = [
+    0, 1, 3, 4, 5, 6, 7, 8, 9,
+    pytest.param(2, marks=pytest.mark.xfail(run=False, strict=True, reason=(
+        "gp4:S3(2k,1).k=1 planted twice: one leaf 'indecomposable_over_QI' in Q(i)^4"))),
+    pytest.param(11, marks=pytest.mark.xfail(run=False, strict=True, reason=(
+        "gp4:S(2k+1,2).k=1 planted twice beside gp4:S13(2k+1,0).k=0: two leaves, "
+        "one 'indecomposable_over_QI' in Q(i)^6"))),
+]
+
+
+@pytest.mark.parametrize("seed", PLANTED_SEEDS)
+def test_planted_decompositions_recover_their_members(seed):
+    s, members = planted_draw(seed)
+    tree = decompose(s, seed)
+    assert verify_decomposition(s, tree)
+    assert len(tree.components) == len(members)
+    assert tree.leaf_status == ["indecomposable"] * len(members)
+    left = list(members)
+    for leaf in tree.components:
+        k = next((k for k, m in enumerate(left) if are_isomorphic(leaf, m, seed=seed)), None)
+        assert k is not None, f"leaf {leaf} matches no planted member left"
+        del left[k]
+
+
+def test_witness_checks_read_the_recorded_invertibility(monkeypatch):
+    # decompose and _match_summands build their witnesses from identities,
+    # inverses, and block diagonals, products and row permutations of
+    # invertible maps, which record that they are invertible, so checking a
+    # witness takes no elimination for its rank
+    monkeypatch.setattr(dec, "_find_invertible_hom", lambda hom, seed: None)
+    s, members = planted_draw(0)
+    t = direct_sum_many(members[::-1]).apply(random_invertible(random.Random(3), s.ambient_dim))
+    nullspace, verify_iso = Matrix.nullspace, dec._verify_iso_witness
+    calls, checked = [], []
+
+    def counted(*args):
+        with monkeypatch.context() as mp:
+            mp.setattr(Matrix, "nullspace", lambda m: calls.append(m.shape) or nullspace(m))
+            checked.append(verify_iso(*args))
+        return checked[-1]
+
+    monkeypatch.setattr(dec, "_verify_iso_witness", counted)
+    assert are_isomorphic(s, t, seed=0).status == "isomorphic"
+    assert checked == [True]
+    tree = decompose(s, seed=0)
+    monkeypatch.setattr(Matrix, "nullspace", lambda m: calls.append(m.shape) or nullspace(m))
+    assert verify_decomposition(s, tree)
+    assert calls == []
 
 
 def test_summand_match_refuses_leaves_with_a_singular_hom():
@@ -363,7 +435,7 @@ def test_operator_end_algebra_spans_the_hom_space(k):
         s = operator_system(t, random_invertible(rng, k))
         for sys in (s, s.apply(random_invertible(rng, 2 * k))):
             assert _operator_end_basis(sys) is not None
-            basis, hom = end_algebra(sys).basis, hom_space(sys, sys).basis
+            basis, hom = end_algebra(sys).basis, hom_space(sys, sys)
             assert len(basis) == len(hom)
             assert span_of(basis).dim == len(basis)
             assert span_of(basis) == span_of(hom)
@@ -380,7 +452,7 @@ def test_end_algebra_falls_back_to_hom_space():
     assert is_bounded_operator_system(uneven).k1 == 2
     for s in (singular_s, uneven, three, five, build_gp4("S(2k+1,2)", 1)):
         assert _operator_end_basis(s) is None
-        assert end_algebra(s).basis == hom_space(s, s).basis
+        assert end_algebra(s).basis == hom_space(s, s)
 
 
 def framed_cases():
@@ -616,8 +688,7 @@ def test_every_split_is_certified_and_verified():
     for k, s in enumerate(split_cases()):
         tree = decompose(s, seed=k)
         assert verify_decomposition(s, tree)
-        assert len(tree.components) == len(tree.certificates) + 1
-        splits += len(tree.certificates)
+        splits += len(tree.components) - 1
     assert splits >= 100
 
 
@@ -727,7 +798,6 @@ def test_one_dimensional_systems_take_no_end(monkeypatch, n):
         tree = decompose(s, seed=5)
         assert tree.components == [s]
         assert tree.witness == Matrix.identity(1)
-        assert tree.certificates == []
         assert tree.leaf_status == ["indecomposable"]
 
 
@@ -785,5 +855,6 @@ def test_one_factoring_splits_diag_1_to_8_into_its_eigenlines(monkeypatch):
     assert len(tree.components) == 8
     assert tree.certified()
     assert verify_decomposition(s, tree)
-    assert len(tree.certificates) == 7
-    assert all(e @ e == e for e in tree.certificates)
+    idempotents = find_nontrivial_idempotent(end_algebra(s), seed=7).idempotents
+    assert len(idempotents) == 8
+    assert all(e @ e == e for e in idempotents)

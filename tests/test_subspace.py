@@ -204,6 +204,55 @@ def test_intersect_matches_the_stacked_nullspace(seed):
             assert intersect(x, y) == stacked_intersect(x, y)
 
 
+def rand_kernel_input(rng):
+    """A seeded exact r x c matrix, r or c possibly 0: half the time a
+    product through k <= min(r, c), so of rank at most k, else with every
+    entry drawn.  About one entry in twenty is 1e4298."""
+    def entry():
+        if rng.random() < 0.05:
+            return GQ(10**4298) * rng.choice((1, -1, I))
+        if rng.random() < 0.3:
+            return GQ(0)
+        return GQ(rng.randint(-9, 9), rng.randint(-9, 9)) / rng.randint(1, 50)
+
+    def draw(r, c):
+        return Matrix.exact(r, c, [entry() for _ in range(r * c)])
+
+    r, c = rng.randint(0, 6), rng.randint(0, 6)
+    if rng.random() < 0.5:
+        k = rng.randint(0, min(r, c))
+        return draw(r, k) @ draw(k, c)
+    return draw(r, c)
+
+
+def test_kernel_is_the_canonical_basis_of_the_nullspace():
+    rng = random.Random(71)
+    shapes, ranks = set(), set()
+    for _ in range(100):
+        m = rand_kernel_input(rng)
+        ker = Subspace.kernel(m)
+        assert ker.basis == Subspace(m.nullspace()).basis
+        assert ker.ambient_dim == m.cols
+        shapes.add((m.rows == 0, m.cols == 0))
+        ranks.add("full" if m.cols - ker.dim == min(m.shape) else "deficient")
+    assert shapes == {(False, False), (True, False), (False, True), (True, True)}
+    assert ranks == {"full", "deficient"}
+    # the float backend keeps the span of the SVD nullspace, bit for bit
+    f = Matrix.from_array(np.random.default_rng(7).standard_normal((3, 6)))
+    assert Subspace.kernel(f).basis == Subspace(f.nullspace()).basis
+
+
+def test_orthocomplement_takes_one_nullspace_and_no_rref(monkeypatch):
+    a = rand_gq_subspace(random.Random(5), 6, 3)
+    calls = []
+    for name in ("nullspace", "rref"):
+        original = getattr(Matrix, name)
+        monkeypatch.setattr(Matrix, name, lambda m, f=original, n=name: calls.append(n) or f(m))
+    perp = a.orthocomplement()
+    assert calls == ["nullspace"]
+    assert perp.dim == 6 - a.dim and (a.basis.conj_transpose() @ perp.basis).is_zero()
+
+
 @pytest.mark.parametrize("n", [8, 16])
 def test_intersect_matches_the_stacked_nullspace_on_exotic_pairs(n):
     s = truncate_exotic(GQ(2), n)
