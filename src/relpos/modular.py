@@ -2,29 +2,44 @@
 
 For a prime p = 1 (mod 4) with s^2 = -1 (mod p), the maps a + bi -> a + b*s
 and a + bi -> a - b*s send Z[i] onto F_p (the two primes of Z[i] over p).
-Gauss-Jordan elimination of both images runs in numpy int64 arithmetic;
-the real and imaginary parts of the reduced row echelon entries follow from
-the pair of images, are lifted by CRT over several primes, and are recovered
-as rationals by rational reconstruction (Wang 1981).
+Both images of a prime are written into one (2, rows, cols) int64 stack (a
+real input is a stack of one), and one Gauss-Jordan elimination reduces the
+stack: the pivot is searched on slice 0, and every slice is updated in one
+numpy pass per column.  The real and imaginary parts of the reduced row
+echelon entries follow from the pair of images, are lifted by CRT over
+several primes, and are recovered as rationals by rational reconstruction
+(Wang 1981).
 
 An image can be unlucky: its rank may drop, or its pivots may move right.
 Since rank_p <= rank_Q and every prefix of columns obeys the same bound, the
 lucky images are those of maximal rank with the lexicographically least
-pivot columns; only images with that key are combined.  The candidate basis
-N (identity on the free columns, pivot entries taken from the reconstructed
-echelon form) is then certified by one exact product C @ N = 0 over Z[i]:
-each column of N shows that its free column depends on earlier pivot
-columns over Q(i), so the pivots over Q(i) are exactly those mod p and N is
-exactly the canonical nullspace basis, from which the rref is read.
+pivot columns; only images with that key are combined.  A prime whose
+slices disagree with slice 0 (an entry in slice 0's pivot is 0, or a
+nonzero entry lies in a column that slice 0 skips) is discarded like an
+unlucky one: an image is unlucky there, or slice 0's pivot row is, and
+either happens for only finitely many primes of a given matrix.
+
+The candidate basis N (identity on the free columns, pivot entries taken
+from the reconstructed echelon form) is certified by C @ N = 0, which is
+read off the lift modulus m rather than computed over Z[i] (`_certify`):
+every reconstructed entry n/d has n = d*u (mod m) for its CRT residue u,
+so C @ N_num = 0 (mod m) by construction, N_num = den * N; every real and
+imaginary part of C @ N_num is at most L * max|N_num| in absolute value, L
+a bound on every row sum of |re| + |im| of C; so once m > 2 L max|N_num|,
+C @ N_num = 0, and short of that it is checked modulo further table primes
+until their product passes the bound.  Each column of N then shows that its
+free column depends on earlier pivot columns over Q(i), so the pivots over
+Q(i) are exactly those mod p and N is exactly the canonical nullspace
+basis, from which the rref is read.
 
 The lift runs on one budget: once the first prime fixes the rank,
 `_bareiss_price` prices the fraction-free elimination that the caller
-(`relpos.matrix._echelon`) would otherwise run, each prime is charged what it
-costs in the same unit, and once the charges pass half the price the caller
-runs that elimination instead.  So no uncertified result is returned, and
-where the price is right a lift that does not finish adds at most half of
-that elimination's time.  A side under MIN_SIDE falls back at once, before
-any array is built.
+(`relpos.matrix._echelon`) would otherwise run, each prime and each
+certificate is charged what it costs in the same unit, and once the
+charges pass half the price the caller runs that elimination instead.
+So no uncertified result is returned, and where the price is right a lift
+that does not finish adds at most half of that elimination's time.  A side
+under MIN_SIDE falls back at once, before any array is built.
 
 One `_Lift` holds the key rule, the split of the two images into real and
 imaginary residues, CRT and one schedule, for this nullspace and for the
@@ -44,12 +59,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernel
 
 # Matrices with a side under MIN_SIDE stay on fraction-free elimination: on
 # the traffic in benchmarks/bench_nullspace.py the lift, whose fixed cost is
-# a few numpy calls and one certifying product, loses 2-6x on the [A | I] of
-# the inverses (5 to 12 rows) and on most kernels with fewer than 16 rows.
+# a few numpy calls per column and its certificate, loses 1.2-4x on the
+# [A | I] of the inverses (5 to 12 rows), about 2x on the classify kernels
+# with both sides under 16, and breaks even at best on those with fewer
+# than 16 rows but 16 or more columns.
 MIN_SIDE = 16
 
 # Primes below 2**31 keep every product of two residues inside int64.
@@ -111,31 +127,41 @@ def small_prime(i: int):
 
 
 def _rref_mod(a, p):
-    """Reduced row echelon form of the 2-d image a over F_p, in place.
+    """Reduced row echelon form over F_p of every slice of the (k, rows,
+    cols) int64 stack a, in place, along the pivots of slice 0.
 
-    Returns the pivot columns.  Only rows with a nonzero entry in the pivot
-    column are updated, which keeps the early steps on sparse constraint
-    matrices cheap."""
-    rows, cols = a.shape
+    Returns the pivot columns, or None where another slice disagrees: its
+    entry in slice 0's pivot is 0, or it has a nonzero entry in a column
+    that slice 0 skips.  A stack of one never disagrees.  Only rows with a
+    nonzero entry in the pivot column of some slice are updated, which
+    keeps the early steps on sparse constraint matrices cheap."""
+    _, rows, cols = a.shape
     pivots = []
     pr = 0
     for c in range(cols):
-        nz = np.flatnonzero(a[pr:, c])
+        nz = a[0, pr:, c].nonzero()[0]
         if not len(nz):
+            if a[1:, pr:, c].any():
+                return None
             continue
         src = pr + nz[0]
         if src != pr:
-            a[[pr, src]] = a[[src, pr]]
-        prow = a[pr, c:] * pow(int(a[pr, c]), p - 2, p) % p
-        factors = a[:, c].copy()
-        factors[pr] = 0
-        hit = np.flatnonzero(factors)
+            a[:, [pr, src]] = a[:, [src, pr]]
+        lead = a[:, pr, c].tolist()
+        if 0 in lead:
+            return None
+        inv = np.array([pow(x, -1, p) for x in lead], dtype=np.int64)
+        prow = a[:, pr, c:] * inv[:, None] % p
+        col = a[:, :, c]
+        hit = col.any(axis=0)
+        hit[pr] = False
+        hit = hit.nonzero()[0]
         if len(hit):
-            block = a[hit, c:]
-            block -= np.multiply.outer(factors[hit], prow)
+            block = a[:, hit, c:]
+            block -= col[:, hit, None] * prow[:, None, :]
             block %= p
-            a[hit, c:] = block
-        a[pr, c:] = prow
+            a[:, hit, c:] = block
+        a[:, pr, c:] = prow
         pivots.append(c)
         pr += 1
         if pr == rows:
@@ -158,14 +184,20 @@ def _ratrecon(u: int, m: int, bound: int):
     return r1, t1
 
 
-def _row_log2_norms(are, aim):
-    """log2 of the norms of the nonzero rows, largest first.  The sum of the
-    first r is log2 of the Hadamard bound H on every r x r minor."""
+def _row_bounds(are, aim):
+    """(norms, L): log2 of the norms of the nonzero rows, largest first, the
+    sum of the first r being log2 of the Hadamard bound H on every r x r
+    minor; and an integer L at least every row sum of |re| + |im|."""
+    exact = are.dtype == object
     parts = [are] if aim is None else [are, aim]
-    if are.dtype != object:
+    if not exact:
         parts = [p.astype(np.float64) for p in parts]
     sq = sum((p * p).sum(axis=1) for p in parts).tolist()
-    return sorted((math.log2(v) / 2 for v in sq if v), reverse=True)
+    l1 = max(sum(np.abs(p).sum(axis=1) for p in parts).tolist(), default=0)
+    # a float sum of at most 2**17 terms under 2**63 is within a factor
+    # 1 + 2**-35 of the exact one
+    bound = l1 if exact else math.ceil(l1 * (1 + 2**-30))
+    return sorted((math.log2(v) / 2 for v in sq if v), reverse=True), bound
 
 
 def _bareiss_price(nrows, ncols, rank, log2h):
@@ -179,25 +211,26 @@ def _bareiss_price(nrows, ncols, rank, log2h):
 
 
 def _images(are, aim, p, s):
-    """Images of are + i*aim under i -> s and i -> -s (one image when real)."""
+    """The images of are + i*aim under i -> s and i -> -s, stacked in one
+    int64 array (one image when aim is None)."""
     rp = np.remainder(are, p).astype(np.int64, copy=False)
     if aim is None:
-        return [rp]
+        return rp[None]
     ip = np.remainder(aim, p).astype(np.int64, copy=False)
-    plus = ip * s
-    plus += rp
-    plus %= p
-    ip *= p - s
-    ip += rp
-    ip %= p
-    return [plus, ip]
+    out = np.empty((2, *rp.shape), dtype=np.int64)
+    for img, t in zip(out, (s, p - s)):
+        np.multiply(ip, t, out=img)
+        img += rp
+        img %= p
+    return out
 
 
 @dataclass
 class Nullspace:
     """Certified canonical nullspace: free columns and the basis
     (re + i*im) / den, flat row-major ncols x len(free), plus how it was
-    found."""
+    found: the primes the lift eliminated (`discarded` of them unlucky), its
+    checks, and the extra primes its certificates took."""
 
     free: list
     re: list
@@ -206,6 +239,7 @@ class Nullspace:
     primes: int
     discarded: int
     checks: int
+    check_primes: int
 
 
 class _Lift:
@@ -215,7 +249,9 @@ class _Lift:
     least key wins: a smaller key starts the lift over, and a prime with an
     image of another key is discarded.  The kept primes are split into real
     and imaginary residues, combined by CRT, and reconstructed (Wang 1981)
-    on the schedule 1, 2, 3, 4, 6, 8, 11, ... (n -> n + n//4 + 1)."""
+    on the schedule 1, 2, 3, 4, 6, 8, 11, ... (n -> n + n//4 + 1).
+    `coprime` says whether each cancellation of the last reconstruction
+    was by a factor prime to the modulus."""
 
     def __init__(self):
         self.key = None
@@ -255,7 +291,14 @@ class _Lift:
         reconstruct yet.  The entries share denominators (minors of one
         pivot block), so each residue is first multiplied by the running
         common denominator and needs a Euclid run only when that product is
-        not already a small numerator."""
+        not already a small numerator.
+
+        Each (n, d) found has n = d*u (mod m).  Every factor cancelled from
+        it divides the final running denominator (an entry from a Euclid
+        run on u alone is already in lowest terms), so the reduced pair
+        keeps the congruence when that denominator is prime to m, which
+        `coprime` records: below 2**30 it is, since every table prime
+        exceeds 2**30."""
         m = self.modulus
         bound = math.isqrt(m // 2)
         out = []
@@ -278,6 +321,7 @@ class _Lift:
                     num, d = got
             g = math.gcd(num, d)
             out.append((num // g, d // g))
+        self.coprime = den < 2**30 or math.gcd(den, m) == 1
         return out
 
 
@@ -290,20 +334,26 @@ def nullspace(re, im, nrows, ncols):
     """Canonical nullspace of the Z[i] matrix (re + i*im), flat row-major.
 
     Returns a Nullspace, or None (the caller then eliminates exactly) for a
-    side under MIN_SIDE or once the lift has spent half of `_bareiss_price`."""
-    if nrows < MIN_SIDE or ncols < MIN_SIDE:
+    side under MIN_SIDE, for 2**16 columns or more (where the certificate's
+    int64 sums could overflow), or once the lift has spent half of
+    `_bareiss_price`."""
+    if nrows < MIN_SIDE or not MIN_SIDE <= ncols < 2**16:
         return None
     bits = max(max(re), -min(re), max(im), -min(im)).bit_length()
     dtype = np.int64 if bits < 63 else object
     real = not any(im)
     are = np.array(re, dtype=dtype).reshape(nrows, ncols)
     aim = None if real else np.array(im, dtype=dtype).reshape(nrows, ncols)
-    norms = _row_log2_norms(are, aim)
+    norms, row_sum = _row_bounds(are, aim)
     # Each prime is charged for reducing the entries of its images (only past
     # int64 a Python operation per entry, growing with its bits), for
-    # eliminating them (a numpy pass per column, more per pivot, and the
-    # updates of a dense matrix), for CRT and reconstruction on the modulus
-    # it grows to, and for the exact check when one is made.
+    # eliminating their stack (numpy passes per column and more per pivot,
+    # which a second image makes about half as dear again, and the updates
+    # of a dense matrix per image), and for CRT and reconstruction on the
+    # modulus it grows to.  Each check is charged for assembling its
+    # candidate (entries growing with the modulus) and for each extra prime
+    # it reduces C and N by and multiplies (a failed check almost always
+    # fails at its first).
     images = 1 if real else 2
     reduce = 0
     if dtype is object:
@@ -312,36 +362,79 @@ def nullspace(re, im, nrows, ncols):
     price = None
     spent = 0.0
     lift = _Lift()
-    checks = 0
-    for p, s in map(prime, itertools.count()):
-        keyed = []
-        for img in _images(are, aim, p, s):
-            pivots = _rref_mod(img, p)
-            keyed.append(((-len(pivots), pivots), img[: len(pivots)][:, _free(pivots, ncols)]))
-        got = lift.add(p, s, keyed)
+    checks = check_primes = 0
+    for i in itertools.count():
+        p, s = prime(i)
+        stack = _images(are, aim, p, s)
+        pivots = _rref_mod(stack, p)
+        got = None
+        if pivots is None:
+            # the slices disagree: discard the prime like an unlucky one
+            lift.discarded += 1
+        else:
+            block = stack[:, : len(pivots)][:, :, _free(pivots, ncols)]
+            got = lift.add(p, s, [((-len(pivots), pivots), b) for b in block])
+        if lift.key is None:
+            # no prime has fixed the rank, and so the price, yet
+            continue
         pivots = lift.key[1]
         rank = len(pivots)
         if price is None:
             price = _bareiss_price(nrows, ncols, rank, sum(norms[:rank]))
         m = lift.modulus.bit_length()
-        elimination = images * (130 * rank + 10 * ncols + rank * nrows * ncols / 80)
+        elimination = (130 * rank + 10 * ncols) * (1 + images) / 2 + images * rank * nrows * ncols / 80
         spent += reduce + elimination + images * rank * (ncols - rank) * (1 + m / 200) + 2 * m
         if got is not None:
             checks += 1
             free = _free(pivots, ncols)
-            spent += nrows * ncols * len(free) / 6
-            basis = _certify(re, im, nrows, ncols, pivots, free, got, real)
+            k = len(free)
+            proved = lift.modulus if lift.coprime else 1
+            basis = _certify(are, aim, row_sum, pivots, free, got, proved, i + 1)
+            extra = 1 if basis is None else basis[3]
+            check_primes += extra
+            per_prime = reduce + 300 + ncols * k + images * nrows * ncols * (1 + k / 5) / 10
+            spent += 300 + rank * k * (8 + m / 50) + extra * per_prime
             if basis is not None:
-                return Nullspace(free, *basis, lift.primes + lift.discarded, lift.discarded, checks)
+                nre, nim, den, _ = basis
+                return Nullspace(free, nre, nim, den, lift.primes + lift.discarded,
+                                 lift.discarded, checks, check_primes)
         if 2 * spent > price:
             return None
 
 
-def _certify(re, im, nrows, ncols, pivots, free, fracs, real):
-    """Assemble the candidate basis over one denominator and check C @ N = 0
-    exactly over Z[i].
+def _vanishes_mod(are, aim, nre, nim, p, s):
+    """Whether both images of (are + i*aim) @ (nre + i*nim) vanish mod p.
+    N is split into 16-bit halves, so that each int64 sum of at most 2**16
+    products of a residue and a half stays under 2**63."""
+    c = _images(are, aim, p, s)
+    n = _images(nre, nim, p, s)
+    out = np.matmul(c, n >> 16) % p
+    out <<= 16
+    out += np.matmul(c, n & 0xFFFF)
+    out %= p
+    return not out.any()
 
-    Returns the basis as (re, im, den), or None when the check fails."""
+
+def _certify(are, aim, row_sum, pivots, free, fracs, proved, first):
+    """Assemble the candidate basis N_num = den * N over one denominator and
+    prove C @ N_num = 0 over Z[i], C = are + i*aim, with no exact product.
+
+    Proof.  Let X = C @ N_num.  For every prime p of the lift, each entry
+    n/d of the candidate has n = d*u (mod m) for its CRT residue u, so both
+    images of N_num mod p are den times the basis read off the rref of the
+    image of C, and both images of X vanish mod p (the one image, when C is
+    real); hence so do the real and imaginary parts of X, their half sum and
+    difference (p odd).  So X = 0 (mod `proved`), the lift modulus m when
+    every cancellation of the reconstruction was by a factor prime to m,
+    else 1.  Every real and imaginary part of X is at most L * max|N_num| in
+    absolute value, L = `row_sum` a bound on every row sum of |re| + |im| of
+    C.  So once `proved` passes 2 * L * max|N_num|, X = 0 with no
+    arithmetic; short of that, X must vanish modulo the table primes from
+    index `first` on until their product times `proved` passes it.
+
+    Returns the basis as (re, im, den) and the count of those extra primes,
+    or None when X does not vanish modulo one of them."""
+    ncols = are.shape[1]
     k = len(free)
     count = len(pivots) * k
     den = math.lcm(*(d for _, d in fracs))
@@ -353,10 +446,20 @@ def _certify(re, im, nrows, ncols, pivots, free, fracs, real):
         for jf in range(k):
             xn, xd = fracs[r * k + jf]
             nre[c * k + jf] = -xn * (den // xd)
-            if not real:
+            if aim is not None:
                 yn, yd = fracs[count + r * k + jf]
                 nim[c * k + jf] = -yn * (den // yd)
-    cre, cim = kernel.matmul(re, im, nrows, ncols, nre, nim, k)
-    if any(cre) or any(cim):
-        return None
-    return nre, nim, den
+    maxn = max(map(abs, itertools.chain(nre, nim)), default=0)
+    target = 2 * row_sum * maxn
+    extra = 0
+    if proved <= target:
+        dtype = np.int64 if maxn.bit_length() < 63 else object
+        n_re = np.array(nre, dtype=dtype).reshape(ncols, k)
+        n_im = None if aim is None else np.array(nim, dtype=dtype).reshape(ncols, k)
+        while proved <= target:
+            p, s = prime(first + extra)
+            extra += 1
+            if not _vanishes_mod(are, aim, n_re, n_im, p, s):
+                return None
+            proved *= p
+    return nre, nim, den, extra

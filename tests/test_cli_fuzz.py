@@ -270,10 +270,12 @@ def huge_entry_subspaces(d, seed):
 # Seconds in one process on a 2-core Xeon (the coxeter ones include a
 # process start); the alarm is 10 s.
 SLOW_ON_LARGER_AMBIENTS = [
-    # 2.6 s at d = 20 and 13.7 to 14.0 s at d = 32 under the 1 GiB cap (more
-    # than 100 s while the lift of its Hom kernel was priced at the Hadamard
-    # bound and refused); 340 lifts, most of 11 or 14 primes, and 437 that
-    # fall back to fraction-free elimination
+    # 2.6 s at d = 20; at d = 32 11.2 to 12.1 s in process, against 13.4 to
+    # 16.2 s before each prime's two images were eliminated as one stack and
+    # C N = 0 was read off the lift modulus (more than 100 s while the lift
+    # of its Hom kernel was priced at the Hadamard bound and refused); 305
+    # lifts of 3,707 primes in all, most of 11 or 14, and 430 eliminations
+    # on fraction-free elimination
     pytest.param(["coxeter", "duality", "s.sys"], 32, 3, False, id="coxeter-duality-32"),
 ]
 

@@ -1,11 +1,14 @@
 """The multimodular nullspace against fraction-free elimination: entry-by-entry
-equality on random and catalog matrices, unlucky primes, the shape gate, the
-budget and the fallbacks, the reconstruction schedule that the nullspace and
-the gcd of `relpos.poly` share, and the prime table."""
+equality on random and catalog matrices, unlucky primes, the stacked
+elimination against one image at a time, the certificate read off the lift
+modulus, the shape gate, the budget and the fallbacks, the reconstruction
+schedule that the nullspace and the gcd of `relpos.poly` share, and the
+prime table."""
 
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from relpos import kernel, modular
@@ -171,12 +174,16 @@ def lead_block(lead, rng, rows, cols):
 @pytest.mark.usefixtures("lift_always")
 def test_unlucky_gaussian_prime_in_one_embedding():
     # s - i vanishes under i -> s only: the two images of the first prime
-    # disagree on the pivots and the prime is discarded.
+    # disagree on the pivots and the prime is discarded.  In the column
+    # (s + i, 1, 0, ...) both images keep the key of Q(i), but slice 0's
+    # pivot entry s + i vanishes under i -> -s: the stack disagrees, and
+    # that prime is discarded too.
     p0, s0 = modular.prime(0)
-    c = lead_block(Matrix.from_rows([[GQ(s0, -1)]]), random.Random(6), 10, 34)
-    got, ker = modular_nullspace(c)
-    assert ker.discarded >= 1
-    assert got == c._nullspace_ffgj()
+    for lead, seed, rows, cols in [([[GQ(s0, -1)]], 6, 10, 34), ([[GQ(s0, 1)], [1]], 9, 18, 30)]:
+        c = lead_block(Matrix.from_rows(lead), random.Random(seed), rows, cols)
+        got, ker = modular_nullspace(c)
+        assert ker.discarded == 1
+        assert got == c._nullspace_ffgj()
 
 
 @pytest.mark.usefixtures("lift_always")
@@ -201,11 +208,202 @@ def test_failed_checks_fall_back_to_fraction_free(monkeypatch):
     assert m.nullspace() == want
 
 
+def rref_reference(img, p):
+    """Gauss-Jordan elimination of one 2-d image over F_p in Python ints:
+    (pivots, reduced rows)."""
+    a = [[int(x) for x in row] for row in img]
+    rows, cols = img.shape
+    pivots, pr = [], 0
+    for c in range(cols):
+        src = next((r for r in range(pr, rows) if a[r][c]), None)
+        if src is None:
+            continue
+        a[pr], a[src] = a[src], a[pr]
+        inv = pow(a[pr][c], -1, p)
+        a[pr] = [x * inv % p for x in a[pr]]
+        for r in range(rows):
+            if r != pr and a[r][c]:
+                f = a[r][c]
+                a[r] = [(x - f * y) % p for x, y in zip(a[r], a[pr])]
+        pivots.append(c)
+        pr += 1
+        if pr == rows:
+            break
+    return pivots, a
+
+
+def stacked_images(m, p, s):
+    """The stacked images of the exact matrix m modulo p (one when m is real)."""
+    re, im = m._primitive_rows()
+    are = np.array(re, dtype=object).reshape(m.rows, m.cols)
+    aim = None if not any(im) else np.array(im, dtype=object).reshape(m.rows, m.cols)
+    return modular._images(are, aim, p, s)
+
+
+def zero_columns(m, every):
+    """m with every `every`-th column replaced by zeros."""
+    cols = [Matrix.zeros(m.rows, 1) if j % every == 0 else m.take_columns([j]) for j in range(m.cols)]
+    return Matrix.hstack(cols)
+
+
+STACKS = [
+    ("full", lambda rng: rand_matrix(rng, 12, 15, None, 5, "zi")),
+    ("deficient", lambda rng: rand_matrix(rng, 14, 12, 5, 6, "qi")),
+    ("real", lambda rng: rand_matrix(rng, 10, 10, 7, 4, "real")),
+    ("zero-columns", lambda rng: zero_columns(rand_matrix(rng, 9, 14, None, 4, "zi"), 3)),
+    ("zero-rows", lambda rng: with_zero_rows(rand_matrix(rng, 11, 9, 4, 4, "zi"), 2)),
+    ("no-columns", lambda rng: Matrix.zeros(6, 0)),
+]
+
+
+@pytest.mark.parametrize("make", [m for _, m in STACKS], ids=[name for name, _ in STACKS])
+@pytest.mark.parametrize("seed", range(4))
+def test_stacked_elimination_matches_each_image_alone(make, seed):
+    p, s = modular.prime(seed)
+    stack = stacked_images(make(random.Random(seed)), p, s)
+    want = [rref_reference(img, p) for img in stack]
+    pivots = modular._rref_mod(stack, p)
+    assert pivots is not None
+    for img, (want_pivots, rows) in zip(stack, want):
+        assert pivots == want_pivots
+        assert img.tolist() == rows
+
+
+@pytest.mark.parametrize("plant", ["below-the-pivot", "vanishing-pivot", "skipped-column"])
+def test_a_zero_planted_in_one_slice(plant):
+    # Slice 1 equals slice 0 but for a zero planted in column 0: below
+    # slice 0's pivot in slice 0 only (the stack agrees, and that row of
+    # slice 1 must still be reduced), at slice 1's pivot entry (another row
+    # still has a nonzero entry there), or down the whole column of slice 0
+    # (slice 0 skips a column that slice 1 needs).  A stack that disagrees
+    # is refused, and each image alone gives what the reference gives, keys
+    # included.
+    p, _ = modular.prime(0)
+    rng = np.random.default_rng(3)
+    stack = np.empty((2, 8, 10), dtype=np.int64)
+    stack[0] = rng.integers(1, p, size=(8, 10))
+    stack[1] = stack[0]
+    if plant == "below-the-pivot":
+        stack[0, 1, 0] = 0
+    elif plant == "vanishing-pivot":
+        stack[1, 0, 0] = 0
+    else:
+        stack[0, :, 0] = 0
+    want = [rref_reference(img, p) for img in stack]
+    got = stack.copy()
+    pivots = modular._rref_mod(got, p)
+    if plant == "below-the-pivot":
+        assert [pivots, pivots] == [w for w, _ in want]
+        assert got.tolist() == [rows for _, rows in want]
+        return
+    assert pivots is None
+    for img, (want_pivots, rows) in zip(stack, want):
+        one = img[None].copy()
+        assert modular._rref_mod(one, p) == want_pivots
+        assert one[0].tolist() == rows
+    # a vanishing pivot entry leaves slice 1's key as it is; a column that
+    # slice 0 skips does not
+    assert (want[0][0] == want[1][0]) == (plant == "vanishing-pivot")
+
+
+def candidate(m):
+    """The certificate's inputs for the canonical nullspace of m: the arrays
+    of C, its largest row sum of |re| + |im|, its pivots and free columns,
+    and the entries (n, d) of the pivot rows on the free columns, real parts
+    first; and that nullspace."""
+    re, im = m._primitive_rows()
+    pivots = kernel.ffgj(re, im, m.rows, m.cols)[2]
+    free = [c for c in range(m.cols) if c not in pivots]
+    are = np.array(re, dtype=object).reshape(m.rows, m.cols)
+    aim = np.array(im, dtype=object).reshape(m.rows, m.cols) if any(im) else None
+    sums = [abs(x) + abs(y) for x, y in zip(re, im)]
+    row_sum = max(sum(sums[r * m.cols : (r + 1) * m.cols]) for r in range(m.rows))
+    n = m._nullspace_ffgj()
+    entries = [-n.entry(c, j) for c in pivots for j in range(len(free))]
+    fracs = [(x.re.numerator, x.re.denominator) for x in entries]
+    if aim is not None:
+        fracs += [(x.im.numerator, x.im.denominator) for x in entries]
+    return are, aim, row_sum, pivots, free, fracs, n
+
+
+def certified_basis(basis, rows, cols):
+    re, im, den, _ = basis
+    return Matrix._ints(rows, cols, re, im, den)
+
+
+def small_kernel():
+    """L [I | B]: 20 x 24 over Z[i], rank 12, with the small kernel [-B; I],
+    so that one table prime passes the certificate's bound."""
+    rng = random.Random(16)
+    b = rand_matrix(rng, 12, 12, None, 3, "zi")
+    return rand_matrix(rng, 20, 12, None, 3, "zi") @ Matrix.hstack([Matrix.identity(12), b])
+
+
+def test_a_true_candidate_past_the_bound_takes_no_extra_prime():
+    m = small_kernel()
+    *inputs, fracs, n = candidate(m)
+    p0, _ = modular.prime(0)
+    basis = modular._certify(*inputs, fracs, p0, 1)
+    assert basis[3] == 0
+    assert certified_basis(basis, n.rows, n.cols) == n
+    # with nothing proved by a lift, primes from index 1 on prove it
+    basis = modular._certify(*inputs, fracs, 1, 1)
+    assert basis[3] >= 1
+    assert certified_basis(basis, n.rows, n.cols) == n
+
+
+@pytest.mark.parametrize("entry", [0, 7, -1])
+def test_a_candidate_off_by_the_modulus_is_rejected(entry):
+    # n/d + m is congruent to n/d modulo m, so C @ N_num = 0 (mod m) still
+    # holds; the bound is what rejects it, through the extra primes
+    m = small_kernel()
+    *inputs, fracs, _ = candidate(m)
+    p0, _ = modular.prime(0)
+    x, d = fracs[entry]
+    fracs[entry] = (x + p0 * d, d)
+    assert modular._certify(*inputs, fracs, p0, 1) is None
+
+
+def test_a_cancellation_sharing_a_lift_prime_takes_no_free_pass(monkeypatch):
+    # Every denominator the lift forms is prime to its modulus (see
+    # `_Lift.reconstruct`), so a cancelled factor sharing a lift prime is
+    # forced here: the certificate must then prove C @ N = 0 modulo extra
+    # primes alone, and still finds the canonical basis.
+    m = small_kernel()
+    got, ker = modular_nullspace(m)
+    assert ker.primes == 1 and ker.check_primes == 0
+    reconstruct = modular._Lift.reconstruct
+
+    def shared(lift):
+        out = reconstruct(lift)
+        lift.coprime = False
+        return out
+
+    monkeypatch.setattr(modular._Lift, "reconstruct", shared)
+    shared_got, shared_ker = modular_nullspace(m)
+    assert shared_ker.check_primes >= 1
+    assert shared_got == got == m._nullspace_ffgj()
+
+
+def test_a_large_denominator_prime_to_the_modulus_keeps_the_free_pass():
+    # entries over a shared denominator q > 2**30, which is prime to the
+    # modulus of four table primes: the reconstruction says so
+    lift = modular._Lift()
+    q = 2**31 + 11
+    values = [(3, q), (-5, q), (0, 1), (7, 1)]
+    for i in range(4):
+        p, s = modular.prime(i)
+        lift.add(p, s, [(0, [n * pow(d, -1, p) % p for n, d in values])])
+    assert lift.reconstruct() == values
+    assert lift.coprime
+
+
 def count_images(monkeypatch):
-    """The primes of every image _rref_mod eliminates from now on."""
+    """The primes of every image _rref_mod eliminates from now on, one per
+    slice of each stack."""
     seen = []
     rref_mod = modular._rref_mod
-    monkeypatch.setattr(modular, "_rref_mod", lambda a, p: seen.append(p) or rref_mod(a, p))
+    monkeypatch.setattr(modular, "_rref_mod", lambda a, p: seen.extend([p] * a.shape[0]) or rref_mod(a, p))
     return seen
 
 
