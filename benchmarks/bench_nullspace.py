@@ -55,7 +55,7 @@ from relpos.decompose import are_isomorphic, decompose
 from relpos.gaussian import GQ
 from relpos.matrix import EXACT, Matrix, _echelon
 from relpos.sampling import random_invertible, random_system
-from relpos.system import _dense, _hom_rows
+from relpos.system import _hom_constraints
 
 REPEATS = 3
 BATCH_REPEATS = 7
@@ -67,7 +67,8 @@ INVERSE_DRAWS = 4  # matrices per size
 
 def hom_constraints(s, t):
     """The dense constraint matrix whose nullspace hom_space(s, t) takes."""
-    return _dense(_hom_rows(s, t), range(s.ambient_dim * t.ambient_dim))
+    re, im, rows = _hom_constraints(s, t)
+    return Matrix._raw(rows, s.ambient_dim * t.ambient_dim, re, im, 1)
 
 
 def best_of(fn):

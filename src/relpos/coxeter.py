@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .decompose import are_isomorphic, decompose
-from .errors import InvariantViolation
+from .errors import InvariantViolation, SingularMatrixError
 from .matrix import Matrix
 from .subspace import Subspace, orthoprojection
 from .system import SubspaceSystem, defect, predicates, zero_system
@@ -121,10 +121,11 @@ def _phi_zero_p0_crosscheck(s, result: CoxeterResult):
     f = Matrix.zeros(s.ambient_dim, s.ambient_dim, s.field)
     for p in projections:
         f = f + p
-    if not f.is_invertible():
+    try:
+        f_inv = f.inverse()
+    except SingularMatrixError:
         result.bookkeeping["p0_crosscheck"] = "skipped (projection sum singular)"
         return
-    f_inv = f.inverse()
     ker = result.kernel_basis
     for k, sub in enumerate(s.subspaces):
         if sub.dim == 0:

@@ -495,26 +495,34 @@ class Matrix:
             smax = s[0] if s.size else 0.0
             r = int(np.sum(s > self.tol * max(1.0, smax)))
             return Matrix.from_array(vh[r:, :].conj().T, tol=self.tol)
-        if self.cols == 0:
+        return Matrix._null_basis(*self._primitive_rows(), self.rows, self.cols)
+
+    @staticmethod
+    def _null_basis(re, im, rows, cols) -> "Matrix":
+        """The canonical nullspace basis of the Z[i] rows re + i*im (flat,
+        row-major, each primitive: `_echelon`'s input), by one elimination."""
+        if cols == 0:
             return Matrix.zeros(0, 0)
-        if self.rows == 0:
-            return Matrix.identity(self.cols)
-        return self._basis(_echelon(*self._primitive_rows(), self.rows, self.cols))
+        if rows == 0:
+            return Matrix.identity(cols)
+        return Matrix._basis(_echelon(re, im, rows, cols), cols)
 
     def _nullspace_ffgj(self) -> "Matrix":
         """The same basis by fraction-free elimination only: the lift's reference."""
-        return self._basis(kernel.ffgj(*self._primitive_rows(), self.rows, self.cols))
+        return Matrix._basis(kernel.ffgj(*self._primitive_rows(), self.rows, self.cols), self.cols)
 
-    def _basis(self, reduced) -> "Matrix":
-        """The canonical nullspace basis read off a fraction-free rref: for the
-        j-th free column f, 1 in row f and minus column f of the rref."""
+    @staticmethod
+    def _basis(reduced, cols) -> "Matrix":
+        """The canonical nullspace basis read off a fraction-free rref of a
+        matrix with `cols` columns: for the j-th free column f, 1 in row f
+        and minus column f of the rref."""
         pivots = set(reduced[2])
-        free = [c for c in range(self.cols) if c not in pivots]
-        re, im, dre, dim = _pivot_rows(reduced, self.cols, free, self.cols, sign=-1)
+        free = [c for c in range(cols) if c not in pivots]
+        re, im, dre, dim = _pivot_rows(reduced, cols, free, cols, sign=-1)
         k = len(free)
         for jf, f in enumerate(free):
             re[f * k + jf], im[f * k + jf] = dre, dim
-        return Matrix._ints(self.cols, k, re, im, dre, dim)
+        return Matrix._ints(cols, k, re, im, dre, dim)
 
     def solve(self, rhs: "Matrix"):
         """One exact solution X of self @ X = rhs, or None if inconsistent.
@@ -538,9 +546,13 @@ class Matrix:
         return Matrix._ints(self.cols, rhs.cols, re, im, dre, dim)
 
     def inverse(self) -> "Matrix":
+        """The inverse; SingularMatrixError exactly where `is_invertible` is
+        False (on the float backend, by the rank against the tolerance)."""
         if self.rows != self.cols:
             raise DimensionMismatch("inverse: not square")
         if self.field == FLOAT:
+            if not self.is_invertible():
+                raise SingularMatrixError("matrix is not invertible")
             try:
                 return Matrix.from_array(np.linalg.inv(self._f), tol=self.tol)
             except np.linalg.LinAlgError as exc:

@@ -221,16 +221,38 @@ def _annihilate(a: Subspace, x: Matrix) -> Matrix:
     return rest - a.basis.take_rows(free) @ x.take_rows(pivots)
 
 
+def _annihilator_rows(a: Subspace) -> list:
+    """The rows of `annihilator(a)` for an exact subspace, times the
+    denominator den of its canonical basis B: den e_f - B_num[f, P] per
+    non-pivot row f of B (B_num the stored numerators, P the pivot rows),
+    each as its nonzero entries (column, re, im) in increasing column order.
+    B is zero above each pivot, so every entry but den sits left of f."""
+    pivots, free = _pivot_split(a)
+    b = a.basis
+    k, re, im, den = b.cols, b._re, b._im, b._den
+    return [
+        [(p, -re[f * k + r], -im[f * k + r])
+         for r, p in enumerate(pivots) if re[f * k + r] or im[f * k + r]] + [(f, den, 0)]
+        for f in free
+    ]
+
+
 def annihilator(a: Subspace) -> Matrix:
     """A (d - dim a) x d matrix C with a = ker C.
 
     Exact: the canonical basis B transposed is already an rref, so the
     canonical nullspace of B^T is read off with no elimination: one row
-    e_f - sum_r B[f, r] e_{P[r]} per non-pivot row f of B.  Float: the
-    nullspace of B^T."""
+    e_f - sum_r B[f, r] e_{P[r]} per non-pivot row f of B
+    (`_annihilator_rows`).  Float: the nullspace of B^T."""
     if a.field != EXACT:
         return a.basis.transpose().nullspace().transpose()
-    return _annihilate(a, Matrix.identity(a.ambient_dim))
+    d = a.ambient_dim
+    rows = _annihilator_rows(a)
+    re, im = [0] * (len(rows) * d), [0] * (len(rows) * d)
+    for i, row in enumerate(rows):
+        for c, x, y in row:
+            re[i * d + c], im[i * d + c] = x, y
+    return Matrix._ints(len(rows), d, re, im, a.basis._den)
 
 
 def intersect(a: Subspace, b: Subspace) -> Subspace:

@@ -9,14 +9,19 @@ from functools import cached_property
 from fractions import Fraction
 from itertools import combinations
 
-from .errors import BackendMismatch, DimensionMismatch, ExactOnlyError, InvariantViolation
+from .errors import (
+    BackendMismatch,
+    DimensionMismatch,
+    ExactOnlyError,
+    InvariantViolation,
+    SingularMatrixError,
+)
 from .matrix import DEFAULT_TOL, EXACT, Matrix
 from .subspace import (
     Subspace,
+    _annihilator_rows,
     _image,
-    annihilator,
     check_invertible_map,
-    image_under,
     intersect,
     orthoprojection,
     principal_angles,
@@ -145,103 +150,119 @@ def hom_space(s: SubspaceSystem, t: SubspaceSystem) -> list:
 
     Each containment A E_i <= F_i contributes C_i A B_i = 0 with C_i the left
     annihilator of the target basis: the `_hom_rows` over vec(A)
-    (column-major), laid out dense.  Exact only; past MAX_HOM_UNKNOWNS
-    unknowns d_S d_T it is refused before any row is built.
-    """
+    (column-major), written dense and primitive by `_hom_constraints`.
+    Exact only; past MAX_HOM_UNKNOWNS unknowns d_S d_T it is refused before
+    any row is built."""
     _check_hom_pair(s, t)
     ds, dt = s.ambient_dim, t.ambient_dim
     if ds * dt > MAX_HOM_UNKNOWNS:
         raise DimensionMismatch(
             f"hom_space: {ds} x {dt} = {ds * dt} unknowns exceeds the bound {MAX_HOM_UNKNOWNS}"
         )
-    ker = _dense(_hom_rows(s, t), range(ds * dt)).nullspace().transpose()
-    return [Matrix.unvec(ker.take_rows([j]), dt, ds) for j in range(ker.rows)]
+    re, im, rows = _hom_constraints(s, t)
+    ker = Matrix._null_basis(re, im, rows, ds * dt)
+    k, kre, kim = ker.cols, ker._re, ker._im
+    # map j is column j of the kernel refolded: A[a, b] = N[b dt + a, j]
+    spots = [(b * dt + a) * k for a in range(dt) for b in range(ds)]
+    return [
+        Matrix._ints(dt, ds, [kre[x + j] for x in spots], [kim[x + j] for x in spots], ker._den)
+        for j in range(k)
+    ]
 
 
-def _nonzero_by_row(m: Matrix) -> list:
-    """For each row of an exact matrix, its nonzero (column, re, im)."""
-    out = [[] for _ in range(m.rows)]
-    for k in m.nonzero_indices():
-        r, c = divmod(k, m.cols)
-        out[r].append((c, m._re[k], m._im[k]))
-    return out
-
-
-def _hom_rows(s: SubspaceSystem, t: SubspaceSystem) -> list:
+def _hom_rows(s: SubspaceSystem, t: SubspaceSystem):
     """The rows of the exact blocks B_i^T (x) C_i (B_i the basis of E_i, C_i
-    the annihilator of F_i), each a dict column -> (re, im) of Gaussian
-    integers.  Each entry is one product B[b, j] C[r, a], never a sum, so
-    the rows are read off the nonzero entries; scaling each block by its
-    denominators moves neither the rank nor the null space."""
+    the annihilator of F_i) over vec(A), column-major, each as its nonzero
+    entries: (columns, re, im) lists of Gaussian integers.  Each entry is
+    one product B[b, j] C[r, a], never a sum, so a row is read off column j
+    of B_i's stored numerators and a row of `_annihilator_rows`; scaling
+    each block by its denominators moves neither the rank nor the null
+    space."""
     dt = t.ambient_dim
-    rows = []
     for e_i, f_i in zip(s.subspaces, t.subspaces):
         if e_i.dim == 0:
             continue
-        c_rows = _nonzero_by_row(annihilator(f_i))
-        for b_row in _nonzero_by_row(e_i.basis.transpose()):
+        c_rows = _annihilator_rows(f_i)
+        b = e_i.basis
+        k, re, im = b.cols, b._re, b._im
+        for j in range(k):
+            col = [(r * dt, re[r * k + j], im[r * k + j])
+                   for r in range(b.rows) if re[r * k + j] or im[r * k + j]]
             for c_row in c_rows:
-                rows.append({
-                    b * dt + a: (br * cr - bi * ci, br * ci + bi * cr)
-                    for b, br, bi in b_row
-                    for a, cr, ci in c_row
-                })
-    return rows
+                yield (
+                    [o + a for o, _, _ in col for a, _, _ in c_row],
+                    [br * cr - bi * ci for _, br, bi in col for _, cr, ci in c_row],
+                    [br * ci + bi * cr for _, br, bi in col for _, cr, ci in c_row],
+                )
 
 
-def _dense(rows: list, columns) -> Matrix:
-    """The exact matrix of sparse rows (`_hom_rows`) on `columns`, in order."""
-    at = {c: k for k, c in enumerate(columns)}
-    w = len(at)
-    re, im = [0] * (len(rows) * w), [0] * (len(rows) * w)
-    for i, row in enumerate(rows):
-        for c, (a, b) in row.items():
-            re[i * w + at[c]], im[i * w + at[c]] = a, b
-    return Matrix._ints(len(rows), w, re, im)
+def _hom_constraints(s: SubspaceSystem, t: SubspaceSystem):
+    """(re, im, rows): the `_hom_rows` written dense over the d_S d_T
+    unknowns, flat row-major, each divided by its content (the gcd of its
+    integers) as it is written: the primitive rows that `_echelon` takes."""
+    width = s.ambient_dim * t.ambient_dim
+    re, im, off = [], [], 0
+    for cols, rre, rim in _hom_rows(s, t):
+        re += [0] * width
+        im += [0] * width
+        g = math.gcd(*rre, *rim)
+        for c, x, y in zip(cols, rre, rim):
+            re[off + c], im[off + c] = x // g, y // g
+        off += width
+    return re, im, off // width if width else 0
 
 
-def _peeled_rank(rows: list) -> int:
-    """Exact rank over Q(i) of sparse rows (dicts column -> (re, im)) by the
-    singleton steps of sparse LU (Duff, Erisman and Reid): a row with one
-    entry forces its unknown to 0, and a column with one entry makes its row
-    independent of the others; either way the row and the column leave and
-    the rank grows by 1, with no arithmetic.  The rows left, the core, go to
-    `Matrix.rank`, whose nullspace is multimodular where that pays."""
-    rows = {i: dict(r) for i, r in enumerate(rows) if r}
+def _peeled_rank(rows) -> int:
+    """Exact rank over Q(i) of sparse rows ((columns, re, im), as
+    `_hom_rows` yields them) by the singleton steps of sparse LU (Duff,
+    Erisman and Reid): a row with one entry forces its unknown to 0, and a
+    column with one entry makes its row independent of the others; either
+    way the row and the column leave and the rank grows by 1, with no
+    arithmetic.  The rows left, the core, go to `Matrix.rank`, whose
+    nullspace is multimodular where that pays."""
+    rows = list(rows)
+    live = {i: dict.fromkeys(r[0]) for i, r in enumerate(rows) if r[0]}
     cols: dict[int, set] = {}
-    for i, r in rows.items():
+    for i, r in live.items():
         for c in r:
             cols.setdefault(c, set()).add(i)
-    single_rows = [i for i, r in rows.items() if len(r) == 1]
+    single_rows = [i for i, r in live.items() if len(r) == 1]
     single_cols = [c for c, s in cols.items() if len(s) == 1]
     rank = 0
     while single_rows or single_cols:
         if single_rows:
             i = single_rows.pop()
-            if len(rows.get(i, ())) != 1:
+            if len(live.get(i, ())) != 1:
                 continue
-            (c,) = rows[i]
+            (c,) = live[i]
         else:
             c = single_cols.pop()
             if len(cols.get(c, ())) != 1:
                 continue
             (i,) = cols[c]
         rank += 1
-        for k in rows.pop(i):
+        for k in live.pop(i):
             cols[k].discard(i)
             if len(cols[k]) == 1:
                 single_cols.append(k)
         for j in cols.pop(c):
-            r = rows[j]
+            r = live[j]
             del r[c]
             if len(r) == 1:
                 single_rows.append(j)
             elif not r:
-                del rows[j]
-    if not rows:
+                del live[j]
+    if not live:
         return rank
-    core = _dense(list(rows.values()), sorted(c for c, s in cols.items() if s))
-    return rank + core.rank()
+    # the core: the rows left on the columns left, with their entries
+    at = {c: k for k, c in enumerate(sorted(c for c, s in cols.items() if s))}
+    w = len(at)
+    re, im = [0] * (len(live) * w), [0] * (len(live) * w)
+    for n, i in enumerate(live):
+        for c, x, y in zip(*rows[i]):
+            if c in at:
+                re[n * w + at[c]], im[n * w + at[c]] = x, y
+    return rank + Matrix._ints(len(live), w, re, im).rank()
 
 
 def hom_dim(s: SubspaceSystem, t: SubspaceSystem) -> int:
@@ -441,44 +462,35 @@ class OperatorRealization:
     k2: int
 
 
-def _graph_matrix(sub: Subspace, k1: int):
-    """Split a graph-positioned subspace into T with graph T = sub, or None."""
-    b = sub.basis
-    d = b.rows
-    x = b.take_rows(range(k1))
-    y = b.take_rows(range(k1, d))
-    if not x.is_invertible():
-        return None
-    return y @ x.inverse()
-
-
 def is_bounded_operator_system(s: SubspaceSystem):
-    """Recognize E1+E2 = H with the (1,2),(2,3),(4,1) pair conditions and
+    """Recognize E1 + E2 = H with the (1,2), (2,3), (4,1) pair conditions and
     reconstruct T, S with a change-of-basis witness; None when the criterion
-    fails."""
+    fails.  Exact only.
+
+    Past the dimension checks (dim a + dim b = d for each pair, so a ∩ b = 0
+    already gives a + b = H), three eliminations decide it.
+    W = [B_1 | B_2]^-1 exists exactly when E1 ∩ E2 = 0.  In W's coordinates
+    E1 and E2 are the coordinate blocks, and E3, E4 have the bases
+    G3 = W B_3 and G4 = W B_4.  A vector of G3's span lies in E2 exactly
+    when its top k1 coordinates vanish, so E2 ∩ E3 = 0 exactly when
+    G3[:k1] is invertible, and then E3 is the graph of
+    T = G3[k1:] G3[:k1]^-1; likewise E4 ∩ E1 = 0 exactly when G4[k1:] is
+    invertible, and E4 is the cograph of S = G4[:k1] G4[k1:]^-1.  Another
+    basis G R of the same span gives the same T and S."""
     if s.n != 4:
         raise DimensionMismatch("operator-system test is for four-subspace systems")
+    if s.field != EXACT:
+        raise ExactOnlyError("operator-system recognition needs the exact backend")
     e1, e2, e3, e4 = s.subspaces
-    d = s.ambient_dim
-    pairs = ((e1, e2), (e2, e3), (e4, e1))
-    # with dim a + dim b = d, a ∩ b = 0 already gives a + b = H
-    if any(a.dim + b.dim != d for a, b in pairs):
+    d, k1 = s.ambient_dim, e1.dim
+    if any(a.dim + b.dim != d for a, b in ((e1, e2), (e2, e3), (e4, e1))):
         return None
-    if not all(intersect(a, b).is_zero() for a, b in pairs):
+    top, bottom = range(k1), range(k1, d)
+    try:
+        w = Matrix.hstack([e1.basis, e2.basis]).inverse()
+        g3, g4 = w @ e3.basis, w @ e4.basis
+        t = g3.take_rows(bottom) @ g3.take_rows(top).inverse()
+        smat = g4.take_rows(top) @ g4.take_rows(bottom).inverse()
+    except SingularMatrixError:
         return None
-    k1 = e1.dim
-    k2 = e2.dim
-    # coordinates in which E1 = first block, E2 = second block; only the
-    # images of E3 and E4 are read
-    w = Matrix.hstack([e1.basis, e2.basis]).inverse()
-    f3, f4 = image_under(w, e3), image_under(w, e4)
-    t = _graph_matrix(f3, k1)
-    if t is None:
-        return None
-    # cograph: swap the block order so E4 reads as a graph over E2
-    swap_rows = list(range(k1, d)) + list(range(k1))
-    f4_swapped = Subspace.span(f4.basis.take_rows(swap_rows))
-    smat = _graph_matrix(f4_swapped, k2)
-    if smat is None:
-        return None
-    return OperatorRealization(T=t, S=smat, change_of_basis=w, k1=k1, k2=k2)
+    return OperatorRealization(T=t, S=smat, change_of_basis=w, k1=k1, k2=e2.dim)

@@ -1,6 +1,8 @@
 """CLI and system-file format: round trips, subcommands, exit codes,
 deterministic machine reports."""
 
+import hashlib
+import importlib.util
 import json
 import os
 import re
@@ -848,6 +850,40 @@ def test_decompose_reports_byte_identical():
     code2, out2, _ = run_cli(["--json", "decompose", "-", "--seed", "3"], stdin_text=sysout)
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+def _cli_digest_module():
+    """benchmarks/cli_digest.py, which writes the system files pinned below."""
+    path = os.path.join(os.path.dirname(os.path.dirname(__file__)), "benchmarks", "cli_digest.py")
+    spec = importlib.util.spec_from_file_location("cli_digest", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# sha256 of the standard output of `relpos --json ARGS`, as the matching lines
+# of benchmarks/cli_digest.py print it: S_T for T = W (J_2(1) + J_1(2)) W^-1
+# (t2.sys), S_{T,S} with S != I (u0.sys) and gp4:S(2k+1,2).k=1 (s0.sys)
+CLI_JSON_SHA256 = {
+    ("decompose", "t2.sys", "--seed", "7"): "e899e86ae6f250666119bad30e313a2587e76477b2a7777acea37d571954b064",
+    ("isom", "t2.sys", "t2.sys"): "0fce7cb9afc1e94e2de4169605b3951b961548ee988f341e64ef7912a2f8684c",
+    ("decompose", "u0.sys", "--seed", "3"): "bec9f2ca1d9fd71fe7291d5fd5e431bbb2a44d7ab980a5dc6e60a7f1ab02b3ea",
+    ("coxeter", "plus", "s0.sys"): "2f56c0e7983826aff6c138ce7df262f2691f3cc7dab0e03012455de01d9ec18b",
+    ("coxeter", "minus", "s0.sys"): "81b6121e81fbd3f4ffefe87827e3644a1a90916bb80009444c011a109643bab8",
+    ("isom", "s0.sys", "s0.sys"): "dc1cc89aa4d8e79cbd8dd855e5f69f1df1b476c65c7c8c979a5df76aa89c3884",
+}
+
+
+def test_exact_cli_outputs_match_their_recorded_sha256(tmp_path, monkeypatch):
+    digest = _cli_digest_module()
+    monkeypatch.chdir(tmp_path)
+    files = digest.COMMUTANT_ORDER_FILES | digest.TWO_OPERATOR_FILES
+    _, files["s0.sys"], _ = run_cli(["--json", "catalog", "build", digest.KEYS[0]])
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    for args, want in CLI_JSON_SHA256.items():
+        code, out, _ = run_cli(["--json", *args])
+        assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == want, args
 
 
 def test_console_script_entrypoint():

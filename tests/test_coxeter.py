@@ -6,6 +6,7 @@ import pytest
 
 from relpos.catalog import build_example, build_gp3, build_gp4, jordan_block, single_operator_system
 from relpos.coxeter import (
+    _phi_zero_p0_crosscheck,
     check_duality,
     phi_minus,
     phi_perp,
@@ -28,6 +29,8 @@ from relpos.system import (
     predicates,
     zero_system,
 )
+
+from test_system import _count_eliminations
 
 
 def line_system(*patterns):
@@ -231,6 +234,19 @@ def test_phi_zero_p0_crosscheck_runs():
     s = single_operator_system(jordan_block(2, GQ(1)))
     res = phi_zero(s)
     assert res.bookkeeping.get("p0_crosscheck") == "passed"
+
+
+def test_p0_crosscheck_eliminates_the_projection_sum_once(monkeypatch):
+    s = single_operator_system(jordan_block(2, GQ(1)))
+    d = s.ambient_dim
+    res = phi_zero(s)
+    calls = _count_eliminations(monkeypatch)
+    _phi_zero_p0_crosscheck(s, res)
+    assert res.bookkeeping["p0_crosscheck"] == "passed"
+    # only the d x d projection sum (its rank, or [F | I] for its inverse)
+    # has these shapes here: the solves in the blocks have at most 3 columns
+    # and the kernel basis has 2d rows
+    assert [c for c in calls if c in ((d, d), (d, 2 * d))] == [(d, 2 * d)]
 
 
 def test_phi_zero_of_zero_system():

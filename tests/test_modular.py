@@ -18,7 +18,7 @@ from relpos.matrix import Matrix
 from relpos.poly import Polynomial
 from relpos.sampling import random_system
 from relpos.sysfile import system_from_text
-from relpos.system import _dense, _hom_rows
+from relpos.system import _hom_constraints
 
 from test_cli_fuzz import four_subspaces
 
@@ -128,7 +128,8 @@ def catalog_pairs():
 
 def hom_constraints(s, t):
     """The dense constraint matrix whose nullspace hom_space(s, t) takes."""
-    return _dense(_hom_rows(s, t), range(s.ambient_dim * t.ambient_dim))
+    re, im, rows = _hom_constraints(s, t)
+    return Matrix._raw(rows, s.ambient_dim * t.ambient_dim, re, im, 1)
 
 
 @pytest.mark.usefixtures("lift_always")

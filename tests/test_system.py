@@ -14,8 +14,8 @@ from relpos.catalog import (
     operator_system,
     single_operator_system,
 )
-from relpos import kernel, system as system_module
-from relpos.errors import BackendMismatch, DimensionMismatch, SingularMatrixError
+from relpos import kernel, matrix as matrix_module, system as system_module
+from relpos.errors import BackendMismatch, DimensionMismatch, ExactOnlyError, SingularMatrixError
 from relpos.gaussian import GQ
 from relpos.matrix import Matrix
 from relpos.sampling import (
@@ -24,7 +24,7 @@ from relpos.sampling import (
     random_subspace,
     random_system,
 )
-from relpos.subspace import Subspace, annihilator, intersect, orthoprojection, sum_
+from relpos.subspace import Subspace, annihilator, image_under, intersect, orthoprojection, sum_
 from relpos.system import (
     SubspaceSystem,
     defect,
@@ -313,6 +313,165 @@ def test_is_bounded_operator_system_after_change_of_basis():
     assert real is not None
     rebuilt = operator_system(real.T, real.S)
     assert moved.apply(real.change_of_basis) == rebuilt
+
+
+def _lattice_realization(s):
+    """Operator-system recognition as the subspace lattice decides it: the
+    three pair intersections, then the graph of T and the cograph of S read
+    off the canonical bases of W E3 and W E4 (the block order of W E4
+    swapped).  The reference for is_bounded_operator_system."""
+    e1, e2, e3, e4 = s.subspaces
+    d = s.ambient_dim
+    pairs = ((e1, e2), (e2, e3), (e4, e1))
+    if any(a.dim + b.dim != d for a, b in pairs):
+        return None
+    if not all(intersect(a, b).is_zero() for a, b in pairs):
+        return None
+    k1, k2 = e1.dim, e2.dim
+
+    def graph(sub, k):
+        x, y = sub.basis.take_rows(range(k)), sub.basis.take_rows(range(k, d))
+        return y @ x.inverse() if x.is_invertible() else None
+
+    w = Matrix.hstack([e1.basis, e2.basis]).inverse()
+    f3, f4 = image_under(w, e3), image_under(w, e4)
+    t = graph(f3, k1)
+    swapped = Subspace.span(f4.basis.take_rows(list(range(k1, d)) + list(range(k1))))
+    smat = graph(swapped, k2)
+    if t is None or smat is None:
+        return None
+    return t, smat, w, k1, k2
+
+
+def _exact_subspace(rng, d, dim, through=None):
+    """A random subspace of C^d of dimension exactly dim, containing a
+    nonzero vector of `through` when it is given."""
+    while True:
+        cols = [random_subspace(rng, d, 1).basis for _ in range(dim)]
+        if through is not None:
+            coeff = Matrix.exact(through.dim, 1, [GQ(rng.randint(1, 3), rng.randint(-1, 1))
+                                                 for _ in range(through.dim)])
+            cols[0] = through.basis @ coeff
+        sub = Subspace.span(Matrix.hstack(cols)) if dim else Subspace.zero(d)
+        if sub.dim == dim:
+            return sub
+
+
+def recognition_cases():
+    """Seeded (kind, system) for operator-system recognition: S_{T,S} with
+    invertible, singular and non-square S, each also moved by a random
+    invertible W; generic systems of the operator shape with each of the
+    three pair conditions broken; the edges k1 = 0, k2 = 0 and d = 0; and
+    random systems whose dimensions mostly fail the checks."""
+    rng = random.Random(41)
+
+    def entries(rows, cols, rank=None):
+        m = Matrix.exact(rows, cols, [GQ(rng.randint(-2, 2), rng.randint(-1, 1))
+                                      for _ in range(rows * cols)])
+        if rank is not None and rows and cols:
+            # a product through C^rank
+            m = entries(rows, rank) @ entries(rank, cols)
+        return m
+
+    for k in range(90):
+        kind = ("invertible S", "singular S", "non-square S")[k % 3]
+        k1 = rng.randint(1, 3)
+        k2 = k1 if kind != "non-square S" else rng.choice([j for j in range(1, 4) if j != k1])
+        if kind == "invertible S":
+            smat = random_invertible(rng, k1)
+        else:
+            smat = entries(k1, k2, rank=None if kind == "non-square S" else k1 - 1)
+        s = operator_system(entries(k2, k1), smat)
+        yield kind, s
+        yield "moved " + kind, s.apply(random_invertible(rng, s.ambient_dim))
+    for k in range(60):
+        broken = ("1,2", "2,3", "4,1")[k % 3]
+        k1 = rng.randint(1, 3)
+        k2 = rng.randint(1, 3)
+        d = k1 + k2
+        e1 = _exact_subspace(rng, d, k1)
+        e2 = _exact_subspace(rng, d, k2, through=e1 if broken == "1,2" else None)
+        e3 = _exact_subspace(rng, d, k1, through=e2 if broken == "2,3" else None)
+        e4 = _exact_subspace(rng, d, k2, through=e1 if broken == "4,1" else None)
+        yield "broken " + broken, SubspaceSystem(d, [e1, e2, e3, e4])
+    for k in range(1, 4):
+        yield "k1 = 0", operator_system(Matrix.zeros(k, 0), Matrix.zeros(0, k))
+        yield "k2 = 0", operator_system(Matrix.zeros(0, k), Matrix.zeros(k, 0))
+        yield "moved k1 = 0", operator_system(Matrix.zeros(k, 0), Matrix.zeros(0, k)).apply(
+            random_invertible(rng, k))
+    yield "d = 0", operator_system(Matrix.zeros(0, 0), Matrix.zeros(0, 0))
+    for _ in range(20):
+        yield "random", random_system(rng, rng.randint(1, 4), 4)
+
+
+def test_recognition_equals_the_lattice_construction():
+    seen = {}
+    for kind, s in recognition_cases():
+        want = _lattice_realization(s)
+        real = is_bounded_operator_system(s)
+        got = None if real is None else (real.T, real.S, real.change_of_basis, real.k1, real.k2)
+        assert got == want, kind
+        if real is not None:
+            assert s.apply(real.change_of_basis) == operator_system(real.T, real.S), kind
+        found, total = seen.get(kind, (0, 0))
+        seen[kind] = (found + (real is not None), total + 1)
+    assert sum(total for _, total in seen.values()) >= 200
+    for kind, (found, total) in seen.items():
+        if kind.startswith("broken"):
+            assert found == 0, kind
+        elif kind != "random":
+            assert found == total, kind
+    assert 0 < seen["random"][0] < seen["random"][1]
+
+
+def test_recognition_refuses_a_float_system():
+    s = single_operator_system(jordan_block(2, GQ(1))).to_float()
+    with pytest.raises(ExactOnlyError):
+        is_bounded_operator_system(s)
+
+
+def _count_eliminations(monkeypatch):
+    """The (rows, cols) of every exact elimination from here on."""
+    calls = []
+    echelon = matrix_module._echelon
+
+    def counted(re, im, rows, cols):
+        calls.append((rows, cols))
+        return echelon(re, im, rows, cols)
+
+    monkeypatch.setattr(matrix_module, "_echelon", counted)
+    return calls
+
+
+def test_recognition_takes_at_most_three_eliminations(monkeypatch):
+    rng = random.Random(42)
+    systems = [
+        operator_system(jordan_block(3, GQ(2)), random_invertible(rng, 3)),
+        operator_system(Matrix.from_rows([[1, 2], [0, 1], [3, -1]]), Matrix.from_rows([[1, 0, 2], [0, 1, 1]])),
+    ]
+    systems.append(systems[0].apply(random_invertible(rng, 6)))
+    calls = _count_eliminations(monkeypatch)
+    for s in systems:
+        calls.clear()
+        assert is_bounded_operator_system(s) is not None
+        assert len(calls) <= 3, calls
+
+
+def test_hom_space_eliminates_once_and_reads_the_annihilators_off(monkeypatch):
+    products = []
+    matmul = kernel.matmul
+    monkeypatch.setattr(kernel, "matmul", lambda *a: products.append(a) or matmul(*a))
+    calls = _count_eliminations(monkeypatch)
+    checked = 0
+    for kind, s, t in hom_pairs():
+        if kind != "operator":
+            continue
+        calls.clear()
+        products.clear()
+        basis = hom_space(s, t)
+        assert basis and len(calls) == 1 and not products
+        checked += 1
+    assert checked == 30
 
 
 def test_apply_rejects_bad_maps_and_keeps_zero_subspaces():

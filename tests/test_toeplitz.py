@@ -408,7 +408,8 @@ def test_peeled_rank_matches_dense_rank(monkeypatch):
         dense = Matrix.from_rows(
             [[GQ(*r.get(j, (0, 0))) for j in range(n_cols)] for r in rows]
         )
-        assert _peeled_rank(rows) == dense.rank()
+        sparse = [(list(r), [a for a, _ in r.values()], [b for _, b in r.values()]) for r in rows]
+        assert _peeled_rank(sparse) == dense.rank()
     # the exact nullspace of a core ran on a good share of them
     assert len(cores) >= 60
 
